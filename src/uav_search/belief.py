@@ -50,11 +50,13 @@ class CellBelief:
 
 
 def _normalized(mass: np.ndarray) -> np.ndarray:
-    mass = np.where(mass < PRUNE_EPS, 0.0, mass)
+    """Prune and rescale `mass` in place; callers pass an array they own."""
+    mass[mass < PRUNE_EPS] = 0.0
     total = mass.sum()
     if total <= 0.0:
         raise ValueError("belief mass vanished")
-    return mass / total
+    mass /= total
+    return mass
 
 
 def init_belief(g: RefinedGraph, target_id: int, entry_edge: int) -> Belief:
@@ -76,8 +78,7 @@ def propagate(b: Belief, model: TransitionModel) -> Belief:
         bad = np.flatnonzero((b.mass > 0) & ~model.has_row)
         if bad.size:
             raise ValueError(f"model has no distribution for occupied edge {int(bad[0])}")
-    new_mass = b.mass @ model.matrix
-    return Belief(b.target_id, b.t + 1, _normalized(new_mass))
+    return Belief(b.target_id, b.t + 1, _normalized(model.matrix_T @ b.mass))
 
 
 def cell_marginal(b: Belief, overlay: GridOverlay) -> CellBelief:
@@ -100,7 +101,7 @@ def negative_update(
         raise ValueError(f"detection probability must be in (0, 1], got {detect_prob}")
     if not searched_cells:
         return Belief(b.target_id, b.t, b.mass.copy())
-    searched_edges = np.isin(overlay.cell_of_edge, np.fromiter(searched_cells, dtype=np.int64))
+    searched_edges = overlay.edge_mask(searched_cells)
     searched_mass = float(b.mass[searched_edges].sum())
     eta = 1.0 - detect_prob * searched_mass
     if eta <= ETA_TOL:

@@ -54,17 +54,25 @@ class TransitionModel:
     transitions: dict[int, tuple[tuple[int, float], ...]]
 
     @cached_property
-    def matrix(self) -> sparse.csr_array:
+    def matrix_T(self) -> sparse.csr_array:
+        """The transposed matrix: row `dst` holds Pr(src -> dst) for every src.
+
+        Canonical CSR (sorted indices, duplicates summed), so `matrix_T @ mass`
+        adds each destination's terms in ascending `src` order: the same order,
+        and so the same bits, as the scatter `mass @ M`.
+        """
         rows, cols, data = [], [], []
         for src, dists in self.transitions.items():
             for dst, p in dists:
-                rows.append(src)
-                cols.append(dst)
+                rows.append(dst)
+                cols.append(src)
                 data.append(p)
-        return sparse.csr_array(
+        mt = sparse.csr_array(
             (np.array(data), (np.array(rows), np.array(cols))),
             shape=(self.n_edges, self.n_edges),
         )
+        mt.sum_duplicates()
+        return mt
 
     @cached_property
     def has_row(self) -> np.ndarray:

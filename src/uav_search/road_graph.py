@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,8 @@ class RoadGraph:
             self._out[e.tail].append(eid)
             self._in[e.head].append(eid)
         self._goal_dist_cache: dict[frozenset[int], dict[int, float]] = {}
+        # (strategy, entry, goal index) -> truncated route; see strategies.
+        self._route_cache: dict[tuple, tuple[int, ...]] = {}
 
     @property
     def n_edges(self) -> int:
@@ -158,6 +161,12 @@ class GridOverlay:
             for c in range(self.n_cells):
                 self._edges_of_cell[c] = order[bounds[c] : bounds[c + 1]]
         return self._edges_of_cell[cell_id]
+
+    def edge_mask(self, cells: Iterable[int]) -> np.ndarray:
+        """Boolean mask over refined edges: True where the edge's cell is in `cells`."""
+        in_cells = np.zeros(self.n_cells, dtype=bool)
+        in_cells[np.fromiter(cells, dtype=np.intp)] = True
+        return in_cells[self.cell_of_edge]
 
     def covered_cells(self, x: float, y: float, radius: float) -> list[int]:
         """Cells whose full square lies inside the disk around (x, y).

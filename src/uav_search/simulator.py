@@ -26,7 +26,7 @@ from .belief import (
     propagate,
 )
 from .config import ConfigError, ScenarioConfig
-from .movement import TransitionModel, load_model
+from .movement import TransitionModel, load_model, validate_stochastic
 from .planner import match_uavs_to_cells, select_cells
 from .road_graph import GridOverlay, RefinedGraph, entry_start_edges, load_graph, overlay_grid
 
@@ -107,6 +107,12 @@ def build_world(scenario: ScenarioConfig) -> World:
                 f"{cls.model_path}: model tick {model.tick} s does not match "
                 f"scenario tick {scenario.tick_seconds} s"
             )
+        problems = [f"edge {e}: no transition row" for e in np.flatnonzero(~model.has_row)]
+        problems += validate_stochastic(model, refined)
+        if problems:
+            shown = "; ".join(problems[:3])
+            more = f" (and {len(problems) - 3} more)" if len(problems) > 3 else ""
+            raise ConfigError(f"{cls.model_path}: not a valid movement model: {shown}{more}")
         models[cls.name] = model
         strategies[cls.name] = [ref.build() for ref in cls.strategies]
 
@@ -192,8 +198,7 @@ def _spawn_targets(world: World, seed: int) -> list[_TargetState]:
 def _uniform_off_cells(belief: Belief, overlay: GridOverlay, cells: set[int]) -> Belief:
     # Defensive recovery: the belief contradicted a certain detection, so all
     # information is discarded except "not in the searched cells".
-    outside = ~np.isin(overlay.cell_of_edge, np.fromiter(cells, dtype=np.int64))
-    mass = np.where(outside, 1.0, 0.0)
+    mass = np.where(overlay.edge_mask(cells), 0.0, 1.0)
     return Belief(belief.target_id, belief.t, mass / mass.sum())
 
 

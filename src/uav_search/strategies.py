@@ -75,6 +75,22 @@ def _draw_goal(g: RoadGraph, entry: int, rng: np.random.Generator) -> int:
     return reachable[int(rng.integers(len(reachable)))]
 
 
+def _cached_route(g: RoadGraph, strategy, entry: int, gi: int, make_weight=None) -> list[int]:
+    """The deterministic route of `strategy` from `entry` to goal set `gi`,
+    truncated at the first goal edge. Computed once per (strategy, entry,
+    goal) and kept on the graph; every call returns a fresh list.
+    `make_weight(g)` builds the hop weight for `shortest_path` on a miss."""
+    key = (strategy, entry, gi)
+    route = g._route_cache.get(key)
+    if route is None:
+        weight = make_weight(g) if make_weight is not None else None
+        full = shortest_path(g, entry, g.goals[gi], weight=weight)
+        if full is None:
+            raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
+        route = g._route_cache[key] = tuple(_truncate_at_goal(g, full))
+    return list(route)
+
+
 @dataclass(frozen=True)
 class ShortestPathStrategy:
     """Pick a goal uniformly, then follow the minimal-travel route to it."""
@@ -85,10 +101,7 @@ class ShortestPathStrategy:
         self, g: RoadGraph, entry: int, rng: np.random.Generator, goal_index: int | None = None
     ) -> list[int]:
         gi = _draw_goal(g, entry, rng) if goal_index is None else goal_index
-        route = shortest_path(g, entry, g.goals[gi])
-        if route is None:
-            raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
-        return _truncate_at_goal(g, route)
+        return _cached_route(g, self, entry, gi)
 
 
 @dataclass(frozen=True)
@@ -164,6 +177,9 @@ class SideRoadsStrategy:
         if self.penalty < 0:
             raise ValueError("penalty must be non-negative")
         gi = _draw_goal(g, entry, rng) if goal_index is None else goal_index
+        return _cached_route(g, self, entry, gi, self._weight)
+
+    def _weight(self, g: RoadGraph):
         degree = {v: len(g.out_of_vertex(v)) + len(g.in_of_vertex(v)) for v in g.vertices}
         max_deg = max(degree.values()) or 1
 
@@ -171,10 +187,7 @@ class SideRoadsStrategy:
             e = g.edges[eid]
             return e.length * (1.0 + self.penalty * degree[e.head] / max_deg)
 
-        route = shortest_path(g, entry, g.goals[gi], weight=weight)
-        if route is None:
-            raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
-        return _truncate_at_goal(g, route)
+        return weight
 
 
 Strategy = ShortestPathStrategy | RandomWalkStrategy | SideRoadsStrategy

@@ -1,11 +1,19 @@
 """Belief initialization, propagation, negative updates, and entropy."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from uav_search.belief import (
+    ETA_TOL,
+    PRUNE_EPS,
     Belief,
     CertainDetection,
+    _normalized,
     cell_marginal,
     entropy,
     goal_mass,
@@ -195,3 +203,99 @@ class TestMarginalAndEntropy:
         overlay, _, _ = two_cell_overlay
         cb = cell_marginal(Belief(0, 0, np.array([0.9, 0.1])), overlay)
         assert entropy(cb) == pytest.approx(0.4689955935892812, abs=1e-14)
+
+
+def _scatter_matrix(model):
+    """M itself, row src -> dst: `mass @ M` is the reference propagation step."""
+    rows, cols, data = [], [], []
+    for src, dists in model.transitions.items():
+        for dst, p in dists:
+            rows.append(src)
+            cols.append(dst)
+            data.append(p)
+    return sparse.csr_array(
+        (np.array(data), (np.array(rows), np.array(cols))), shape=(model.n_edges, model.n_edges)
+    )
+
+
+@st.composite
+def _small_models(draw):
+    """A random row-stochastic model on up to 8 edges, rows and destinations
+    listed in arbitrary order, plus a normalized belief over it."""
+    n = draw(st.integers(1, 8))
+    transitions = {}
+    for src in draw(st.permutations(range(n))):
+        dsts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(dsts), max_size=len(dsts)))
+        total = sum(weights)
+        transitions[src] = tuple((d, w / total) for d, w in zip(dsts, weights))
+    mass = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    assume(mass.sum() > 0.0)
+    return TransitionModel("t", 1.0, n, transitions), mass / mass.sum()
+
+
+_PROPERTY = settings(max_examples=150, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestKernelProperties:
+    """The transposed-CSR kernel against the scatter formula, and the
+    negative update against Bayes' rule written out edge by edge."""
+
+    @_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), support=st.floats(0.0, 1.0), alpha=st.floats(0.01, 2.0))
+    def test_propagate_bit_identical_to_scatter_on_bundled_model(
+        self, border_model, seed, support, alpha
+    ):
+        rng = np.random.default_rng(seed)
+        n = border_model.n_edges
+        mass = np.zeros(n)
+        idx = rng.choice(n, size=max(1, int(support * n)), replace=False)
+        mass[idx] = rng.dirichlet(np.full(idx.size, alpha))
+        assume(mass.sum() > 0.0)
+        before = mass.copy()
+        out = propagate(Belief(0, 4, mass), border_model)
+        assert np.array_equal(out.mass, _normalized(mass @ _scatter_matrix(border_model)))
+        assert out.t == 5
+        assert np.array_equal(mass, before)  # the input belief is untouched
+
+    @_PROPERTY
+    @given(_small_models())
+    def test_propagate_bit_identical_to_scatter_on_random_models(self, model_and_mass):
+        model, mass = model_and_mass
+        out = propagate(Belief(0, 0, mass), model)
+        assert np.array_equal(out.mass, _normalized(mass @ _scatter_matrix(model)))
+
+    @_PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        n_cells=st.integers(0, 40),
+        inside_only=st.booleans(),
+    )
+    def test_negative_update_is_bayes_rule(self, border_refined, seed, p, n_cells, inside_only):
+        refined, overlay = border_refined
+        rng = np.random.default_rng(seed)
+        cells = set(rng.integers(0, overlay.n_cells, size=n_cells).tolist())
+        cell_of = overlay.cell_of_edge.tolist()
+        support = [e for e in range(refined.n_edges) if cell_of[e] in cells or not inside_only]
+        assume(support)
+        mass = np.zeros(refined.n_edges)
+        mass[support] = rng.dirichlet(np.full(len(support), 0.5))
+        before = mass.copy()
+
+        joint = [m * ((1.0 - p) if cell_of[e] in cells else 1.0) for e, m in enumerate(mass)]
+        evidence = math.fsum(joint)
+        assume(abs(evidence - ETA_TOL) > 1e-10)
+        b = Belief(0, 3, mass)
+        if evidence <= ETA_TOL:
+            with pytest.raises(CertainDetection):
+                negative_update(b, cells, p, overlay)
+            return
+        out = negative_update(b, cells, p, overlay)
+        # Sums run in another order than fsum and entries below PRUNE_EPS are
+        # dropped: 1e-12 is about 739 float64 roundings (2.2e-16 each) x 6.
+        np.testing.assert_allclose(out.mass, [j / evidence for j in joint],
+                                   rtol=1e-12, atol=2 * PRUNE_EPS)
+        assert out.t == 3
+        assert np.array_equal(mass, before)

@@ -1,7 +1,9 @@
 """End-to-end command-line checks: every verb, exit codes, byte-stable output."""
 
 import csv
+import hashlib
 import io
+import os
 
 import pytest
 import yaml
@@ -47,6 +49,14 @@ CHAIN_GRAPH = """\
 #goals
 0 2
 """
+
+
+# SHA-256 of the trial CSV of `run scenarios/border.yaml --trials 6 --seed 0`,
+# recorded before the transposed-matrix propagation and the route cache. Speed
+# work must not change a byte of it, at any --jobs.
+BORDER_RUN_SHA256 = "dda55d7b65d11b1c517110655b642a0beefaa1a66e61eeb2edfc0cf8a41766fa"
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _compile_args(root, out="models/tiny.model", seed="5"):
@@ -139,6 +149,18 @@ class TestCompileModel:
 
 
 class TestRun:
+    def test_non_stochastic_model_exits_1(self, work, capsys):
+        lines = (work / "models" / "tiny.model").read_text().splitlines()
+        src = lines[-1].split()[0]
+        lines = [ln for ln in lines if ln.split()[0] != src] + [f"{src} {src} 0.9"]
+        (work / "models" / "bad.model").write_text("\n".join(lines) + "\n")
+        scenario = yaml.safe_load((work / "tiny.yaml").read_text())
+        scenario["classes"]["default"]["model"] = "models/bad.model"
+        (work / "bad.yaml").write_text(yaml.safe_dump(scenario))
+        assert main(["run", str(work / "bad.yaml"), "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "bad.model" in err and f"edge {src}: row sums to 0.9" in err
+
     def test_trial_csv(self, work, capsys):
         out = work / "out" / "trials.csv"
         rc = main(["run", str(work / "tiny.yaml"), "--trials", "8", "--seed", "3",
@@ -315,3 +337,12 @@ class TestUsage:
     def test_unknown_flag(self, work, capsys):
         assert main(["run", str(work / "tiny.yaml"), "--warp", "9"]) == 1
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_border_run_bytes_are_pinned(tmp_path, jobs):
+    out = tmp_path / "trials.csv"
+    scenario = os.path.join(REPO_ROOT, "scenarios", "border.yaml")
+    rc = main(["run", scenario, "--trials", "6", "--seed", "0", "--jobs", jobs, "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BORDER_RUN_SHA256

@@ -166,9 +166,9 @@ class TestCompileModel:
         model = compile_model(traces, g, smoothing=0.0)
         vec = np.zeros(g.n_edges)
         vec[0] = 1.0
-        out = vec @ model.matrix
+        out = model.matrix_T @ vec
         assert out.tolist() == [0.75, 0.25]
-        assert model.matrix.shape == (g.n_edges, g.n_edges)
+        assert model.matrix_T.shape == (g.n_edges, g.n_edges)
 
 
 class TestValidateStochastic:

@@ -21,6 +21,7 @@ from uav_search.simulator import (
     wilson_interval,
 )
 from uav_search.belief import Belief
+from uav_search.movement import save_model
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +267,24 @@ class TestBuildWorld:
     def test_unconfigured_class(self, border_scenario):
         sc = dataclasses.replace(border_scenario, targets=(TargetSpec("ghost", None),))
         with pytest.raises(ConfigError, match="'ghost' is not configured"):
+            build_world(sc)
+
+    @pytest.mark.parametrize(
+        "breakage,needle",
+        [("scale_row", "row sums to 0.9"), ("drop_row", "no transition row")],
+    )
+    def test_broken_model_rejected(self, tmp_path, border_scenario, border_model, breakage, needle):
+        rows = dict(border_model.transitions)
+        src = next(e for e, row in rows.items() if len(row) > 1)
+        if breakage == "scale_row":
+            rows[src] = tuple((dst, p * 0.9) for dst, p in rows[src])
+        else:
+            del rows[src]
+        path = tmp_path / "broken.model"
+        save_model(dataclasses.replace(border_model, transitions=rows), str(path))
+        cls = dataclasses.replace(border_scenario.classes[0], model_path=str(path))
+        sc = dataclasses.replace(border_scenario, classes=(cls,))
+        with pytest.raises(ConfigError, match=needle):
             build_world(sc)
 
     def test_graph_without_entries(self, tmp_path, border_scenario):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from uav_search.road_graph import Edge, RoadGraph, Vertex
+from uav_search import strategies as strategies_module
+from uav_search.road_graph import Edge, RoadGraph, Vertex, overlay_grid
 from uav_search.strategies import (
     InvalidPathError,
     RandomWalkStrategy,
@@ -39,6 +40,28 @@ def detour_graph():
         entries={0},
         goals=[{4}],
     )
+
+
+# The direct route through the hub, and the detour a high penalty takes.
+HUB_DIRECT, HUB_AROUND = [0, 1, 2, 9], [0, 3, 4, 5, 9]
+
+
+@pytest.fixture
+def hub_graph():
+    """Entry e0 to goal e9 through a four-way hub (v2) or around it."""
+    coords = [
+        (0, 0), (100, 0), (200, 0), (300, 0),  # v0 v1(start) v2(hub) v3
+        (100, 60), (200, 60),                  # detour vertices
+        (200, -80), (280, 60), (120, -70),     # hub spurs
+    ]
+    pairs = [
+        (0, 1),                  # e0 entry
+        (1, 2), (2, 3),          # e1 e2: direct route through the hub
+        (1, 4), (4, 5), (5, 3),  # e3 e4 e5: detour
+        (2, 6), (2, 7), (2, 8),  # e6 e7 e8: spurs making v2 a hub
+        (3, 6),                  # e9: goal edge leaving v3
+    ]
+    return _graph(coords, pairs, entries={0}, goals=[{9}])
 
 
 class TestShortestPath:
@@ -162,23 +185,10 @@ class TestSideRoads:
                 assert SideRoadsStrategy(penalty=0.0).path(g, 0, rng, goal_index=gi) == \
                     ShortestPathStrategy().path(g, 0, rng, goal_index=gi)
 
-    def test_penalty_diverts_around_hub(self):
+    def test_penalty_diverts_around_hub(self, hub_graph):
         """A high enough penalty flips the route, exactly where the inflated
         weights say it should."""
-        coords = [
-            (0, 0), (100, 0), (200, 0), (300, 0),  # v0 v1(start) v2(hub) v3
-            (100, 60), (200, 60),                  # detour vertices
-            (200, -80), (280, 60), (120, -70),     # hub spurs
-        ]
-        pairs = [
-            (0, 1),                  # e0 entry
-            (1, 2), (2, 3),          # e1 e2: direct route through the hub
-            (1, 4), (4, 5), (5, 3),  # e3 e4 e5: detour
-            (2, 6), (2, 7), (2, 8),  # e6 e7 e8: spurs making v2 a hub
-            (3, 6),                  # e9: goal edge leaving v3
-        ]
-        g = _graph(coords, pairs, entries={0}, goals=[{9}])
-
+        g = hub_graph
         degree = {v: len(g.out_of_vertex(v)) + len(g.in_of_vertex(v)) for v in g.vertices}
         max_deg = max(degree.values())
 
@@ -188,7 +198,7 @@ class TestSideRoads:
                 for e in route[1:-1]  # entry not traveled, goal hop costs 0
             )
 
-        direct, around = [0, 1, 2, 9], [0, 3, 4, 5, 9]
+        direct, around = HUB_DIRECT, HUB_AROUND
         assert route_cost(direct, 0.0) < route_cost(around, 0.0)
         assert route_cost(direct, 6.0) > route_cost(around, 6.0)
         rng = np.random.default_rng(0)
@@ -203,6 +213,64 @@ class TestSideRoads:
     def test_negative_penalty_rejected(self, fork_graph):
         with pytest.raises(ValueError, match="penalty"):
             SideRoadsStrategy(penalty=-0.5).path(fork_graph, 0, np.random.default_rng(0))
+
+
+class TestRouteCache:
+    """Deterministic routes are computed once per (strategy, entry, goal)."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        real = strategies_module.shortest_path
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(strategies_module, "shortest_path", counting)
+        return calls
+
+    @pytest.mark.parametrize("strategy", [ShortestPathStrategy(), SideRoadsStrategy(penalty=6.0)])
+    def test_hit_matches_miss(self, fork_graph, hub_graph, counted, strategy):
+        for g in (fork_graph, hub_graph):
+            for gi in range(len(g.goals)):
+                rng = np.random.default_rng(0)
+                miss = strategy.path(g, 0, rng, goal_index=gi)
+                n_calls = len(counted)
+                hit = strategy.path(g, 0, rng, goal_index=gi)
+                assert len(counted) == n_calls  # served from the cache
+                assert hit == miss
+                validate_path(g, hit, 0)
+
+    @pytest.mark.parametrize("strategy", [ShortestPathStrategy(), SideRoadsStrategy(penalty=1.0)])
+    def test_hit_consumes_the_same_randomness(self, border_graph, strategy):
+        cold, _ = overlay_grid(border_graph, 500.0)
+        warm, _ = overlay_grid(border_graph, 500.0)
+        entry = min(warm.entries)
+        strategy.path(warm, entry, np.random.default_rng(42))
+        rng_miss = np.random.default_rng(42)
+        rng_hit = np.random.default_rng(42)
+        assert strategy.path(cold, entry, rng_miss) == strategy.path(warm, entry, rng_hit)
+        assert rng_miss.random() == rng_hit.random()
+
+    def test_returned_path_is_a_fresh_list(self, fork_graph):
+        rng = np.random.default_rng(0)
+        first = ShortestPathStrategy().path(fork_graph, 0, rng, goal_index=0)
+        expected = list(first)
+        first.append(999)
+        first[0] = -1
+        second = ShortestPathStrategy().path(fork_graph, 0, rng, goal_index=0)
+        assert second == expected
+        assert second is not first
+
+    @pytest.mark.parametrize("order", [(0.0, 6.0), (6.0, 0.0)])
+    def test_penalties_never_share_an_entry(self, hub_graph, counted, order):
+        rng = np.random.default_rng(0)
+        expected = {0.0: HUB_DIRECT, 6.0: HUB_AROUND}
+        for penalty in order + order:
+            assert SideRoadsStrategy(penalty=penalty).path(hub_graph, 0, rng, goal_index=0) \
+                == expected[penalty]
+        assert len(counted) == 2  # one miss per penalty, then hits
 
 
 class TestValidatePath:
