@@ -5,66 +5,3 @@ through compiled Markov models, and UAV teams pick search cells by entropy
 gain. A seeded Monte Carlo simulator measures the probability of detecting
 every target before any reaches its goal.
 """
-
-from .belief import Belief, CellBelief, CertainDetection, cell_marginal, entropy, goal_mass, init_belief, negative_update, propagate
-from .config import ConfigError, ScenarioConfig, SweepSpec, load_scenario, load_sweep
-from .movement import PathTrace, TransitionModel, compile_model, generate_training_traces, load_model, sample_trace, save_model, traces_for_strategies, validate_stochastic
-from .planner import PolicyConfig, brute_force_select, entropy_gain, greedy_select, match_uavs_to_cells, select_cells, team_gain, temporal_entropy
-from .road_graph import GraphFormatError, GridOverlay, RefinedGraph, RoadGraph, entry_start_edges, load_graph, overlay_grid, shortest_path, write_graph
-from .simulator import BatchStats, TrialResult, build_world, run_batch, run_trial, trial_seed, wilson_interval
-from .strategies import StrategyPool, default_pool, make_strategy, split_pool, strategy_names
-
-__all__ = [
-    "Belief",
-    "BatchStats",
-    "CellBelief",
-    "CertainDetection",
-    "ConfigError",
-    "GraphFormatError",
-    "GridOverlay",
-    "PathTrace",
-    "PolicyConfig",
-    "RefinedGraph",
-    "RoadGraph",
-    "ScenarioConfig",
-    "StrategyPool",
-    "SweepSpec",
-    "TransitionModel",
-    "TrialResult",
-    "brute_force_select",
-    "build_world",
-    "cell_marginal",
-    "compile_model",
-    "default_pool",
-    "entropy",
-    "entropy_gain",
-    "entry_start_edges",
-    "generate_training_traces",
-    "goal_mass",
-    "greedy_select",
-    "init_belief",
-    "load_graph",
-    "load_model",
-    "load_scenario",
-    "load_sweep",
-    "make_strategy",
-    "match_uavs_to_cells",
-    "negative_update",
-    "overlay_grid",
-    "propagate",
-    "run_batch",
-    "run_trial",
-    "sample_trace",
-    "save_model",
-    "select_cells",
-    "shortest_path",
-    "split_pool",
-    "strategy_names",
-    "team_gain",
-    "temporal_entropy",
-    "traces_for_strategies",
-    "trial_seed",
-    "validate_stochastic",
-    "wilson_interval",
-    "write_graph",
-]

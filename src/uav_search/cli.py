@@ -248,11 +248,11 @@ def cmd_dump_belief(args) -> int:
     if entry not in world.start_of_parent:
         raise ConfigError(f"--entry: edge {entry} is not an entry edge of the graph")
 
-    belief = init_belief(world.refined, 0, world.start_of_parent[entry])
+    belief = init_belief(world.refined, world.start_of_parent[entry])
     lines = ["tick,edge,mass"]
     for tick in range(args.ticks + 1):
-        for edge in belief.mass.nonzero()[0]:
-            lines.append(f"{tick},{edge},{float(belief.mass[edge])!r}")
+        for edge in belief.nonzero()[0]:
+            lines.append(f"{tick},{edge},{float(belief[edge])!r}")
         if tick < args.ticks:
             belief = propagate(belief, model)
     text = "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .belief import CellBelief, CertainDetection, ETA_TOL, entropy
+from .belief import CertainDetection, ETA_TOL, entropy
 from .road_graph import GridOverlay
 
 DEFAULT_THRESHOLD = 0.2
@@ -57,7 +57,7 @@ def _check_p(p: float) -> None:
         raise ValueError(f"detection probability must be in (0, 1], got {p}")
 
 
-def temporal_entropy(cb: CellBelief, cells: set[int] | frozenset[int], p: float) -> float:
+def temporal_entropy(cb: np.ndarray, cells: set[int] | frozenset[int], p: float) -> float:
     """Entropy of the belief conditioned on a fruitless search of `cells`.
 
     Searched cells keep (1 - p) of their mass, everything is renormalized by
@@ -65,17 +65,16 @@ def temporal_entropy(cb: CellBelief, cells: set[int] | frozenset[int], p: float)
     possible when p = 1 and the searched cells hold all mass).
     """
     _check_p(p)
-    mass = cb.mass
     idx = np.fromiter(cells, dtype=np.int64) if cells else np.empty(0, dtype=np.int64)
-    eta = 1.0 - p * float(mass[idx].sum())
+    eta = 1.0 - p * float(cb[idx].sum())
     if eta <= ETA_TOL:
         raise CertainDetection("target certainly detected")
-    temp = mass.copy()
+    temp = cb.copy()
     temp[idx] *= 1.0 - p
     return entropy(temp / eta)
 
 
-def entropy_gain(cb: CellBelief, cells: set[int] | frozenset[int], p: float) -> float:
+def entropy_gain(cb: np.ndarray, cells: set[int] | frozenset[int], p: float) -> float:
     """Expected entropy drop from searching `cells` simultaneously.
 
     gain = E - prod_c (1 - p * P(c)) * temporal_entropy(cells). When the
@@ -85,14 +84,14 @@ def entropy_gain(cb: CellBelief, cells: set[int] | frozenset[int], p: float) -> 
     _check_p(p)
     current = entropy(cb)
     idx = np.fromiter(cells, dtype=np.int64) if cells else np.empty(0, dtype=np.int64)
-    weight = float(np.prod(1.0 - p * cb.mass[idx])) if idx.size else 1.0
+    weight = float(np.prod(1.0 - p * cb[idx])) if idx.size else 1.0
     try:
         return current - weight * temporal_entropy(cb, cells, p)
     except CertainDetection:
         return current
 
 
-def team_gain(cell_beliefs: Sequence[CellBelief], cells: set[int] | frozenset[int], p: float) -> float:
+def team_gain(cell_beliefs: Sequence[np.ndarray], cells: set[int] | frozenset[int], p: float) -> float:
     """Sum of per-target entropy gains for one shared cell set."""
     return sum(entropy_gain(cb, cells, p) for cb in cell_beliefs)
 
@@ -105,9 +104,9 @@ class _TargetGainState:
     closed form for every candidate at once.
     """
 
-    def __init__(self, cb: CellBelief, p: float, seeded: np.ndarray):
+    def __init__(self, cb: np.ndarray, p: float, seeded: np.ndarray):
         self.p = p
-        self.P = cb.mass
+        self.P = cb
         logP = np.zeros_like(self.P)
         np.log2(self.P, out=logP, where=self.P > 0.0)
         self.PlogP = self.P * logP
@@ -144,7 +143,7 @@ class _TargetGainState:
 
 
 def greedy_select(
-    cell_beliefs: Sequence[CellBelief],
+    cell_beliefs: Sequence[np.ndarray],
     k: int,
     p: float,
     excluded: set[int] | frozenset[int] = frozenset(),
@@ -158,7 +157,7 @@ def greedy_select(
     _check_p(p)
     if not cell_beliefs:
         raise ValueError("need at least one cell belief")
-    n_cells = cell_beliefs[0].mass.size
+    n_cells = cell_beliefs[0].size
     if k < 0 or k + len(excluded) > n_cells:
         raise ValueError(f"cannot pick {k} cells with {len(excluded)} excluded out of {n_cells}")
     seeded = np.fromiter(excluded, dtype=np.int64) if excluded else np.empty(0, dtype=np.int64)
@@ -179,14 +178,14 @@ def greedy_select(
     return chosen
 
 
-def brute_force_select(cell_beliefs: Sequence[CellBelief], k: int, p: float) -> list[int]:
+def brute_force_select(cell_beliefs: Sequence[np.ndarray], k: int, p: float) -> list[int]:
     """Exhaustive argmax of the team gain over all k-subsets of cells.
 
     Only for oracle-sized instances: at most 15 cells and k <= 4. Returns the
     lexicographically smallest maximizer, sorted.
     """
     _check_p(p)
-    n_cells = cell_beliefs[0].mass.size
+    n_cells = cell_beliefs[0].size
     if n_cells > BRUTE_FORCE_MAX_CELLS or k > BRUTE_FORCE_MAX_K:
         raise ValueError(
             f"instance too large for brute force ({n_cells} cells, k={k}); "
@@ -206,7 +205,7 @@ def brute_force_select(cell_beliefs: Sequence[CellBelief], k: int, p: float) -> 
 # Assignment policies
 
 
-def assign_general(cell_beliefs: Sequence[CellBelief], m: int, p: float) -> set[int]:
+def assign_general(cell_beliefs: Sequence[np.ndarray], m: int, p: float) -> set[int]:
     """Seed with every target's most likely cell, fill the rest greedily.
 
     With more seeds than UAVs, the m cells with the largest per-target
@@ -216,15 +215,15 @@ def assign_general(cell_beliefs: Sequence[CellBelief], m: int, p: float) -> set[
     if m == 0:
         return set()
     _check_p(p)
-    seeds = {int(np.argmax(cb.mass)) for cb in cell_beliefs}
+    seeds = {int(np.argmax(cb)) for cb in cell_beliefs}
     if len(seeds) >= m:
-        best = {c: max(float(cb.mass[c]) for cb in cell_beliefs) for c in seeds}
+        best = {c: max(float(cb[c]) for cb in cell_beliefs) for c in seeds}
         return set(sorted(seeds, key=lambda c: (-best[c], c))[:m])
     picks = greedy_select(cell_beliefs, m - len(seeds), p, excluded=seeds)
     return seeds | set(picks)
 
 
-def assign_single_entry(cb: CellBelief, m: int, p: float, threshold: float = DEFAULT_THRESHOLD) -> set[int]:
+def assign_single_entry(cb: np.ndarray, m: int, p: float, threshold: float = DEFAULT_THRESHOLD) -> set[int]:
     """Single shared belief: seed its peak cell once it clears `threshold`.
 
     If some cell holds at least `threshold` probability, the largest such
@@ -234,9 +233,9 @@ def assign_single_entry(cb: CellBelief, m: int, p: float, threshold: float = DEF
     if m == 0:
         return set()
     _check_p(p)
-    qualifying = cb.mass >= threshold
+    qualifying = cb >= threshold
     if qualifying.any():
-        peak = int(np.argmax(np.where(qualifying, cb.mass, -np.inf)))
+        peak = int(np.argmax(np.where(qualifying, cb, -np.inf)))
         rest = greedy_select([cb], m - 1, p, excluded={peak}) if m > 1 else []
         return {peak} | set(rest)
     return set(greedy_select([cb], m, p))
@@ -247,24 +246,22 @@ def _top_m(mass: np.ndarray, m: int) -> set[int]:
     return set(int(c) for c in order[:m])
 
 
-def policy_max_prob(cell_beliefs: Sequence[CellBelief], m: int) -> set[int]:
-    """Top-m cells of the shared belief (mean over targets if several)."""
-    shared = np.mean([cb.mass for cb in cell_beliefs], axis=0)
-    return _top_m(shared, m)
+def policy_max_prob(cell_beliefs: Sequence[np.ndarray], m: int) -> set[int]:
+    """Top-m cells of the per-cell maximum probability over targets."""
+    return _top_m(np.max(cell_beliefs, axis=0), m)
 
 
-def policy_max_avg_prob(cell_beliefs: Sequence[CellBelief], m: int) -> set[int]:
-    """Top-m cells of the per-target average probability."""
-    avg = np.mean([cb.mass for cb in cell_beliefs], axis=0)
-    return _top_m(avg, m)
+def policy_max_avg_prob(cell_beliefs: Sequence[np.ndarray], m: int) -> set[int]:
+    """Top-m cells of the per-cell mean probability over targets."""
+    return _top_m(np.mean(cell_beliefs, axis=0), m)
 
 
-def policy_entropy_only(cell_beliefs: Sequence[CellBelief], m: int, p: float) -> set[int]:
+def policy_entropy_only(cell_beliefs: Sequence[np.ndarray], m: int, p: float) -> set[int]:
     """Pure greedy entropy-gain selection, no probability seeding."""
     return set(greedy_select(cell_beliefs, m, p))
 
 
-def policy_adaptive(cell_beliefs: Sequence[CellBelief], m: int, p: float) -> set[int]:
+def policy_adaptive(cell_beliefs: Sequence[np.ndarray], m: int, p: float) -> set[int]:
     """Entropy-first while outnumbered, per-target coverage otherwise.
 
     With more undetected targets than UAVs the uncertainty-reduction greedy
@@ -277,7 +274,7 @@ def policy_adaptive(cell_beliefs: Sequence[CellBelief], m: int, p: float) -> set
 
 def select_cells(
     cfg: PolicyConfig,
-    cell_beliefs: Sequence[CellBelief],
+    cell_beliefs: Sequence[np.ndarray],
     m: int,
     team_detect_prob: float,
 ) -> set[int]:
@@ -287,12 +284,7 @@ def select_cells(
     if cfg.policy == "general":
         return assign_general(cell_beliefs, m, p)
     if cfg.policy == "single_entry":
-        shared = CellBelief(
-            cell_beliefs[0].target_id,
-            cell_beliefs[0].t,
-            np.mean([cb.mass for cb in cell_beliefs], axis=0),
-        )
-        return assign_single_entry(shared, m, p, cfg.threshold)
+        return assign_single_entry(np.mean(cell_beliefs, axis=0), m, p, cfg.threshold)
     if cfg.policy == "adaptive":
         return policy_adaptive(cell_beliefs, m, p)
     if cfg.policy == "entropy_only":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,12 +88,8 @@ class RoadGraph:
         return self._out[self.edges[edge_id].head]
 
     def incoming(self, edge_id: int) -> list[int]:
+        """Edges e' with head(e') == tail(e): the possible predecessors of e."""
         return self._in[self.edges[edge_id].tail]
-
-
-def incoming_set(g: RoadGraph, edge_id: int) -> set[int]:
-    """Edges e' with head(e') == tail(e): the possible predecessors of e."""
-    return set(g.incoming(edge_id))
 
 
 class RefinedGraph(RoadGraph):
@@ -133,8 +129,6 @@ class GridOverlay:
     n_cols: int
     cell_of_edge: np.ndarray  # refined edge id -> cell id
 
-    _edges_of_cell: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-
     @property
     def n_cells(self) -> int:
         return self.n_rows * self.n_cols
@@ -152,15 +146,6 @@ class GridOverlay:
         if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
             raise ValueError(f"point ({x}, {y}) lies outside the grid")
         return row * self.n_cols + col
-
-    def edges_of_cell(self, cell_id: int) -> np.ndarray:
-        if not self._edges_of_cell:
-            order = np.argsort(self.cell_of_edge, kind="stable")
-            cells = self.cell_of_edge[order]
-            bounds = np.searchsorted(cells, np.arange(self.n_cells + 1))
-            for c in range(self.n_cells):
-                self._edges_of_cell[c] = order[bounds[c] : bounds[c + 1]]
-        return self._edges_of_cell[cell_id]
 
     def edge_mask(self, cells: Iterable[int]) -> np.ndarray:
         """Boolean mask over refined edges: True where the edge's cell is in `cells`."""

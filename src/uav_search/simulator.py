@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import (
-    Belief,
-    CertainDetection,
-    cell_marginal,
-    init_belief,
-    negative_update,
-    propagate,
-)
+from .belief import CertainDetection, cell_marginal, init_belief, negative_update, propagate
 from .config import ConfigError, ScenarioConfig
 from .movement import TransitionModel, load_model, validate_stochastic
 from .planner import match_uavs_to_cells, select_cells
@@ -130,7 +123,7 @@ class _TargetState:
     path: list[int]
     ends: np.ndarray  # cumulative edge lengths along the path
     velocity_ms: float
-    belief: Belief
+    belief: np.ndarray  # float64 over refined edge ids
     s: float = 0.0
     edge: int = -1
     pos: tuple[float, float] = (0.0, 0.0)
@@ -189,17 +182,17 @@ def _spawn_targets(world: World, seed: int) -> list[_TargetState]:
         strategy = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
         path = strategy.path(g, entry, rng)
         ends = np.cumsum([g.edges[eid].length for eid in path])
-        st = _TargetState(j, path, ends, velocity, init_belief(g, j, entry))
+        st = _TargetState(j, path, ends, velocity, init_belief(g, entry))
         st.locate(g)
         out.append(st)
     return out
 
 
-def _uniform_off_cells(belief: Belief, overlay: GridOverlay, cells: set[int]) -> Belief:
+def _uniform_off_cells(overlay: GridOverlay, cells: set[int]) -> np.ndarray:
     # Defensive recovery: the belief contradicted a certain detection, so all
     # information is discarded except "not in the searched cells".
     mass = np.where(overlay.edge_mask(cells), 0.0, 1.0)
-    return Belief(belief.target_id, belief.t, mass / mass.sum())
+    return mass / mass.sum()
 
 
 def run_trial(scenario: ScenarioConfig, seed: int, world: World | None = None) -> TrialResult:
@@ -264,7 +257,7 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World | None = None) -
                     try:
                         tg.belief = negative_update(tg.belief, searched, uav.detect_prob, overlay)
                     except CertainDetection:
-                        tg.belief = _uniform_off_cells(tg.belief, overlay, searched)
+                        tg.belief = _uniform_off_cells(overlay, searched)
 
         # 5. Replan: planning holds no value while the team is frozen.
         if uavs and not frozen:
@@ -287,9 +280,9 @@ def trial_seed(master_seed: int, index: int) -> int:
 _WORKER_WORLD: World | None = None
 
 
-def _init_worker(scenario: ScenarioConfig) -> None:
+def _init_worker(world: World) -> None:
     global _WORKER_WORLD
-    _WORKER_WORLD = build_world(scenario)
+    _WORKER_WORLD = world
 
 
 def _worker_trial(args: tuple[int, int]) -> tuple[int, TrialResult]:
@@ -309,11 +302,13 @@ def run_batch(
     if n_trials < 1:
         raise ValueError("need at least one trial")
     seeds = [(i, trial_seed(master_seed, i)) for i in range(n_trials)]
+    # Built here, not in the workers: a bad scenario raises ConfigError in the
+    # caller, and forked workers inherit the world without pickling it.
+    world = build_world(scenario)
     if jobs <= 1:
-        world = build_world(scenario)
         results = [run_trial(scenario, s, world) for _, s in seeds]
     else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(scenario,)) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(world,)) as pool:
             chunk = max(1, n_trials // (jobs * 4))
             indexed = list(pool.map(_worker_trial, seeds, chunksize=chunk))
         indexed.sort(key=lambda pair: pair[0])

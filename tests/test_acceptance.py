@@ -15,7 +15,6 @@ import pytest
 import yaml
 
 from uav_search.belief import (
-    CellBelief,
     cell_marginal,
     entropy,
     init_belief,
@@ -63,7 +62,7 @@ def _with_policy(scenario, name):
 
 
 def test_two_cell_entropy_gains():
-    cb = CellBelief(0, 0, np.array([0.9, 0.1]))
+    cb = np.array([0.9, 0.1])
     g_big = entropy_gain(cb, {0}, 0.9)
     g_small = entropy_gain(cb, {1}, 0.9)
     ok = abs(g_big - 0.28) <= 0.005 and abs(g_small - 0.39) <= 0.005 and g_small > g_big
@@ -81,8 +80,7 @@ def test_perfect_detection_greedy_first_pick_is_most_probable_cell():
     for _ in range(1000):
         n = int(rng.integers(3, 51))
         mass = rng.dirichlet(np.full(n, rng.uniform(0.3, 3.0)))
-        cb = CellBelief(0, 0, mass)
-        if greedy_select([cb], 1, 1.0)[0] == int(np.argmax(mass)):
+        if greedy_select([mass], 1, 1.0)[0] == int(np.argmax(mass)):
             matches += 1
     elapsed = time.perf_counter() - t0
     ok = matches == 1000 and elapsed < 1.0
@@ -102,7 +100,7 @@ def test_belief_mass_stays_normalized(border_refined, border_model):
     # 10^4 interleaved steps on the bundled model: propagate, then condition
     # on a fruitless search of a random small cell set.
     start = entry_start_edges(refined)[0]
-    belief = init_belief(refined, 0, start)
+    belief = init_belief(refined, start)
     worst = 0.0
     for step in range(10_000):
         if step % 2 == 0:
@@ -111,7 +109,7 @@ def test_belief_mass_stays_normalized(border_refined, border_model):
             cells = set(rng.integers(0, overlay.n_cells, size=rng.integers(1, 6)).tolist())
             p = float(rng.uniform(0.2, 0.95))
             belief = negative_update(belief, cells, p, overlay)
-        worst = max(worst, abs(float(belief.mass.sum()) - 1.0))
+        worst = max(worst, abs(float(belief.sum()) - 1.0))
 
     # Conditioned distributions sum to 1 for random (belief, cells, p)
     # triples, and the planner's conditional entropy agrees with them.
@@ -120,12 +118,11 @@ def test_belief_mass_stays_normalized(border_refined, border_model):
     worst_triple = 0.0
     worst_entropy = 0.0
     for _ in range(1000):
-        mass = rng.dirichlet(np.full(refined.n_edges, 0.5))
-        b = dataclasses.replace(init_belief(refined, 0, start), mass=mass)
+        b = rng.dirichlet(np.full(refined.n_edges, 0.5))
         cells = set(rng.integers(0, overlay.n_cells, size=rng.integers(1, 41)).tolist())
         p = float(rng.uniform(0.05, 1.0))
         conditioned = negative_update(b, cells, p, overlay)
-        worst_triple = max(worst_triple, abs(float(conditioned.mass.sum()) - 1.0))
+        worst_triple = max(worst_triple, abs(float(conditioned.sum()) - 1.0))
         planner_side = temporal_entropy(cell_marginal(b, overlay), cells, p)
         belief_side = entropy(cell_marginal(conditioned, overlay))
         worst_entropy = max(worst_entropy, abs(planner_side - belief_side))
@@ -149,10 +146,7 @@ def test_greedy_team_gain_within_constant_factor_of_optimum():
         n_targets = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
         p = float(rng.choice([0.5, 0.7, 0.9, 1.0]))
-        cbs = [
-            CellBelief(i, 0, rng.dirichlet(np.full(n, rng.uniform(0.3, 3.0))))
-            for i in range(n_targets)
-        ]
+        cbs = [rng.dirichlet(np.full(n, rng.uniform(0.3, 3.0))) for _ in range(n_targets)]
         g = team_gain(cbs, set(greedy_select(cbs, k, p)), p)
         b = team_gain(cbs, set(brute_force_select(cbs, k, p)), p)
         ratios.append(1.0 if b <= 0.0 else g / b)

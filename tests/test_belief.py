@@ -11,12 +11,10 @@ from scipy import sparse
 from uav_search.belief import (
     ETA_TOL,
     PRUNE_EPS,
-    Belief,
     CertainDetection,
     _normalized,
     cell_marginal,
     entropy,
-    goal_mass,
     init_belief,
     negative_update,
     propagate,
@@ -56,48 +54,46 @@ class TestInit:
     def test_delta_on_entry(self, border_refined):
         refined, _ = border_refined
         entry = min(refined.entries)
-        b = init_belief(refined, 3, entry)
-        assert b.target_id == 3 and b.t == 0
-        assert b.total() == 1.0
-        assert b.mass[entry] == 1.0
-        assert np.count_nonzero(b.mass) == 1
+        b = init_belief(refined, entry)
+        assert b.sum() == 1.0
+        assert b[entry] == 1.0
+        assert np.count_nonzero(b) == 1
 
     def test_rejects_non_entry(self, border_refined):
         refined, _ = border_refined
         non_entry = next(e for e in range(refined.n_edges) if e not in refined.entries)
         with pytest.raises(ValueError, match="not an entry edge"):
-            init_belief(refined, 0, non_entry)
+            init_belief(refined, non_entry)
 
 
 class TestPropagate:
     def test_certain_hop(self):
         model = _line_model({0: ((1, 1.0),), 1: ((1, 1.0),)})
-        b = Belief(0, 0, np.array([1.0, 0.0]))
+        b = np.array([1.0, 0.0])
         out = propagate(b, model)
-        assert out.t == 1
-        assert out.mass.tolist() == [0.0, 1.0]
+        assert out.tolist() == [0.0, 1.0]
 
     def test_even_split(self):
         model = _line_model({0: ((0, 0.5), (1, 0.5)), 1: ((1, 1.0),)})
-        out = propagate(Belief(0, 0, np.array([1.0, 0.0])), model)
-        assert out.mass.tolist() == [0.5, 0.5]
+        out = propagate(np.array([1.0, 0.0]), model)
+        assert out.tolist() == [0.5, 0.5]
 
     def test_mass_conserved_over_long_run(self, border_refined, border_model):
         refined, _ = border_refined
-        b = init_belief(refined, 0, min(refined.entries))
-        for step in range(1, 101):
+        b = init_belief(refined, min(refined.entries))
+        for _ in range(100):
             b = propagate(b, border_model)
-            assert b.t == step
-            assert b.total() == pytest.approx(1.0, abs=1e-12)
+            assert b.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_goal_mass_never_decreases(self, border_refined, border_model):
         refined, _ = border_refined
-        b = init_belief(refined, 0, min(refined.entries))
-        prev = goal_mass(b, refined)
+        goals = sorted(refined.goal_union)
+        b = init_belief(refined, min(refined.entries))
+        prev = float(b[goals].sum())
         assert prev == 0.0
         for _ in range(400):
             b = propagate(b, border_model)
-            cur = goal_mass(b, refined)
+            cur = float(b[goals].sum())
             assert cur >= prev - 1e-9
             prev = cur
         assert prev > 0.9  # nearly everything is absorbed by 400 ticks
@@ -105,20 +101,20 @@ class TestPropagate:
     def test_size_mismatch(self):
         model = _line_model({0: ((0, 1.0),), 1: ((1, 1.0),), 2: ((2, 1.0),)})
         with pytest.raises(ValueError, match="model covers 3 edges"):
-            propagate(Belief(0, 0, np.array([1.0, 0.0])), model)
+            propagate(np.array([1.0, 0.0]), model)
 
     def test_occupied_edge_without_row(self):
         model = TransitionModel("t", 1.0, 2, {0: ((0, 1.0),)})
         with pytest.raises(ValueError, match="no distribution for occupied edge 1"):
-            propagate(Belief(0, 0, np.array([0.0, 1.0])), model)
+            propagate(np.array([0.0, 1.0]), model)
         # unoccupied rows may be missing
-        out = propagate(Belief(0, 0, np.array([1.0, 0.0])), model)
-        assert out.mass.tolist() == [1.0, 0.0]
+        out = propagate(np.array([1.0, 0.0]), model)
+        assert out.tolist() == [1.0, 0.0]
 
     def test_vanished_mass(self):
         model = TransitionModel("t", 1.0, 2, {0: ((1, 0.0),), 1: ((1, 1.0),)})
         with pytest.raises(ValueError, match="belief mass vanished"):
-            propagate(Belief(0, 0, np.array([1.0, 0.0])), model)
+            propagate(np.array([1.0, 0.0]), model)
 
 
 class TestNegativeUpdate:
@@ -126,68 +122,65 @@ class TestNegativeUpdate:
         """Fruitless search of the 0.9 cell at p=0.9: eta = 0.19 and the
         posterior is 9/19 searched, 10/19 elsewhere."""
         overlay, c0, _ = two_cell_overlay
-        b = Belief(0, 5, np.array([0.9, 0.1]))
+        b = np.array([0.9, 0.1])
         out = negative_update(b, {c0}, 0.9, overlay)
-        assert out.t == 5
-        assert out.mass[0] == pytest.approx(9.0 / 19.0, abs=1e-12)
-        assert out.mass[1] == pytest.approx(10.0 / 19.0, abs=1e-12)
-        assert out.total() == pytest.approx(1.0, abs=1e-12)
+        assert out[0] == pytest.approx(9.0 / 19.0, abs=1e-12)
+        assert out[1] == pytest.approx(10.0 / 19.0, abs=1e-12)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_no_cells_is_identity(self, two_cell_overlay):
         overlay, _, _ = two_cell_overlay
-        b = Belief(0, 2, np.array([0.7, 0.3]))
+        b = np.array([0.7, 0.3])
         out = negative_update(b, set(), 0.5, overlay)
         assert out is not b
-        assert out.mass.tolist() == b.mass.tolist()
-        assert out.t == 2
+        assert out.tolist() == b.tolist()
 
     def test_perfect_sensor_clears_cell(self, two_cell_overlay):
         overlay, c0, _ = two_cell_overlay
-        out = negative_update(Belief(0, 0, np.array([0.5, 0.5])), {c0}, 1.0, overlay)
-        assert out.mass.tolist() == [0.0, 1.0]
+        out = negative_update(np.array([0.5, 0.5]), {c0}, 1.0, overlay)
+        assert out.tolist() == [0.0, 1.0]
 
     def test_certain_detection(self, two_cell_overlay):
         overlay, c0, _ = two_cell_overlay
         with pytest.raises(CertainDetection):
-            negative_update(Belief(0, 0, np.array([1.0, 0.0])), {c0}, 1.0, overlay)
+            negative_update(np.array([1.0, 0.0]), {c0}, 1.0, overlay)
 
     @pytest.mark.parametrize("p", [0.0, -0.1, 1.1])
     def test_rejects_bad_probability(self, two_cell_overlay, p):
         overlay, c0, _ = two_cell_overlay
         with pytest.raises(ValueError, match="must be in \\(0, 1\\]"):
-            negative_update(Belief(0, 0, np.array([0.5, 0.5])), {c0}, p, overlay)
+            negative_update(np.array([0.5, 0.5]), {c0}, p, overlay)
 
     def test_tiny_residue_pruned(self, two_cell_overlay):
         overlay, c0, _ = two_cell_overlay
-        b = Belief(0, 0, np.array([1e-4, 1.0 - 1e-4]))
+        b = np.array([1e-4, 1.0 - 1e-4])
         out = negative_update(b, {c0}, 1.0 - 1e-13, overlay)
-        assert out.mass[0] == 0.0
-        assert out.mass[1] == 1.0
+        assert out[0] == 0.0
+        assert out[1] == 1.0
 
     def test_repeated_updates_stay_normalized(self, border_refined, border_model):
         refined, overlay = border_refined
         rng = np.random.default_rng(17)
-        b = init_belief(refined, 0, min(refined.entries))
+        b = init_belief(refined, min(refined.entries))
         for _ in range(200):
             b = propagate(b, border_model)
             cells = set(rng.choice(overlay.n_cells, size=3, replace=False).tolist())
             b = negative_update(b, cells, 0.8, overlay)
-            assert b.total() == pytest.approx(1.0, abs=1e-12)
-            assert (b.mass >= 0.0).all()
+            assert b.sum() == pytest.approx(1.0, abs=1e-12)
+            assert (b >= 0.0).all()
 
 
 class TestMarginalAndEntropy:
     def test_cell_marginal_sums_edges(self, border_refined, border_model):
         refined, overlay = border_refined
-        b = init_belief(refined, 7, min(refined.entries))
+        b = init_belief(refined, min(refined.entries))
         for _ in range(10):
             b = propagate(b, border_model)
         cb = cell_marginal(b, overlay)
-        assert cb.target_id == 7 and cb.t == b.t
-        assert cb.mass.sum() == pytest.approx(1.0, abs=1e-12)
+        assert cb.sum() == pytest.approx(1.0, abs=1e-12)
         for c in (0, 37, 100, overlay.n_cells - 1):
-            edges = overlay.edges_of_cell(c)
-            assert cb.mass[c] == pytest.approx(float(b.mass[edges].sum()), abs=1e-15)
+            edges = overlay.cell_of_edge == c
+            assert cb[c] == pytest.approx(float(b[edges].sum()), abs=1e-15)
 
     def test_entropy_worked_example(self):
         assert entropy(np.array([0.9, 0.1])) == pytest.approx(0.4689955935892812, abs=1e-14)
@@ -198,11 +191,6 @@ class TestMarginalAndEntropy:
 
     def test_entropy_ignores_zeros(self):
         assert entropy(np.array([0.5, 0.5, 0.0])) == pytest.approx(1.0, abs=1e-14)
-
-    def test_entropy_accepts_cell_belief(self, two_cell_overlay):
-        overlay, _, _ = two_cell_overlay
-        cb = cell_marginal(Belief(0, 0, np.array([0.9, 0.1])), overlay)
-        assert entropy(cb) == pytest.approx(0.4689955935892812, abs=1e-14)
 
 
 def _scatter_matrix(model):
@@ -254,17 +242,16 @@ class TestKernelProperties:
         mass[idx] = rng.dirichlet(np.full(idx.size, alpha))
         assume(mass.sum() > 0.0)
         before = mass.copy()
-        out = propagate(Belief(0, 4, mass), border_model)
-        assert np.array_equal(out.mass, _normalized(mass @ _scatter_matrix(border_model)))
-        assert out.t == 5
+        out = propagate(mass, border_model)
+        assert np.array_equal(out, _normalized(mass @ _scatter_matrix(border_model)))
         assert np.array_equal(mass, before)  # the input belief is untouched
 
     @_PROPERTY
     @given(_small_models())
     def test_propagate_bit_identical_to_scatter_on_random_models(self, model_and_mass):
         model, mass = model_and_mass
-        out = propagate(Belief(0, 0, mass), model)
-        assert np.array_equal(out.mass, _normalized(mass @ _scatter_matrix(model)))
+        out = propagate(mass, model)
+        assert np.array_equal(out, _normalized(mass @ _scatter_matrix(model)))
 
     @_PROPERTY
     @given(
@@ -287,15 +274,13 @@ class TestKernelProperties:
         joint = [m * ((1.0 - p) if cell_of[e] in cells else 1.0) for e, m in enumerate(mass)]
         evidence = math.fsum(joint)
         assume(abs(evidence - ETA_TOL) > 1e-10)
-        b = Belief(0, 3, mass)
         if evidence <= ETA_TOL:
             with pytest.raises(CertainDetection):
-                negative_update(b, cells, p, overlay)
+                negative_update(mass, cells, p, overlay)
             return
-        out = negative_update(b, cells, p, overlay)
+        out = negative_update(mass, cells, p, overlay)
         # Sums run in another order than fsum and entries below PRUNE_EPS are
         # dropped: 1e-12 is about 739 float64 roundings (2.2e-16 each) x 6.
-        np.testing.assert_allclose(out.mass, [j / evidence for j in joint],
+        np.testing.assert_allclose(out, [j / evidence for j in joint],
                                    rtol=1e-12, atol=2 * PRUNE_EPS)
-        assert out.t == 3
         assert np.array_equal(mass, before)

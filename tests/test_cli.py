@@ -149,7 +149,8 @@ class TestCompileModel:
 
 
 class TestRun:
-    def test_non_stochastic_model_exits_1(self, work, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_stochastic_model_exits_1(self, work, capsys, jobs):
         lines = (work / "models" / "tiny.model").read_text().splitlines()
         src = lines[-1].split()[0]
         lines = [ln for ln in lines if ln.split()[0] != src] + [f"{src} {src} 0.9"]
@@ -157,7 +158,7 @@ class TestRun:
         scenario = yaml.safe_load((work / "tiny.yaml").read_text())
         scenario["classes"]["default"]["model"] = "models/bad.model"
         (work / "bad.yaml").write_text(yaml.safe_dump(scenario))
-        assert main(["run", str(work / "bad.yaml"), "--trials", "2"]) == 1
+        assert main(["run", str(work / "bad.yaml"), "--trials", "2", "--jobs", jobs]) == 1
         err = capsys.readouterr().err
         assert "bad.model" in err and f"edge {src}: row sums to 0.9" in err
 

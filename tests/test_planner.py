@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uav_search.belief import CellBelief, entropy
+from uav_search.belief import ETA_TOL, entropy
 from uav_search.planner import (
     PolicyConfig,
+    _TargetGainState,
     assign_general,
     assign_single_entry,
     brute_force_select,
@@ -32,16 +35,16 @@ GAIN_SEARCH_BIG = 0.2793754256535444
 GAIN_SEARCH_SMALL = 0.38957025770517495
 
 
-def _cb(mass, target_id=0, t=0):
-    return CellBelief(target_id, t, np.asarray(mass, dtype=float))
+def _cb(mass):
+    return np.asarray(mass, dtype=float)
 
 
 def _random_instance(rng, max_cells=12, max_targets=3):
     n = int(rng.integers(3, max_cells + 1))
     n_t = int(rng.integers(1, max_targets + 1))
     cbs = [
-        _cb(rng.dirichlet(np.ones(n) * rng.uniform(0.3, 3.0)), target_id=i)
-        for i in range(n_t)
+        _cb(rng.dirichlet(np.ones(n) * rng.uniform(0.3, 3.0)))
+        for _ in range(n_t)
     ]
     return cbs, n
 
@@ -93,7 +96,7 @@ class TestEntropyGain:
             p = float(rng.uniform(0.2, 0.99))
             size = int(rng.integers(1, n))
             cells = set(rng.choice(n, size=size, replace=False).tolist())
-            weight = float(np.prod([1.0 - p * cb.mass[c] for c in cells]))
+            weight = float(np.prod([1.0 - p * cb[c] for c in cells]))
             expect = entropy(cb) - weight * temporal_entropy(cb, cells, p)
             assert entropy_gain(cb, cells, p) == pytest.approx(expect, abs=1e-12)
 
@@ -108,8 +111,42 @@ class TestEntropyGain:
 
     def test_team_gain_is_sum(self):
         cb = _cb([0.9, 0.1])
-        pair = [cb, _cb([0.9, 0.1], target_id=1)]
+        pair = [cb, _cb([0.9, 0.1])]
         assert team_gain(pair, {1}, 0.9) == pytest.approx(2 * GAIN_SEARCH_SMALL, abs=1e-12)
+
+
+@st.composite
+def _gain_instances(draw):
+    """A cell belief with some zero-mass cells, a seeded set and p in (0, 1]."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = rng.dirichlet(np.full(n, draw(st.sampled_from([0.05, 0.3, 1.0, 3.0]))))
+    mass[rng.random(n) < draw(st.floats(0.0, 0.8))] = 0.0
+    if mass.sum() <= 0.0:
+        mass[int(rng.integers(n))] = 1.0
+    mass /= mass.sum()
+    seeded = set(rng.choice(n, size=draw(st.integers(0, n - 1)), replace=False).tolist())
+    p = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+    return mass, seeded, p
+
+
+class TestGainKernelProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_gain_instances())
+    def test_candidate_gains_match_entropy_gain(self, instance):
+        """The closed-form gain of (seeded + c) equals the explicit-set gain
+        for every unseeded cell c."""
+        cb, seeded, p = instance
+        gains = _TargetGainState(cb, p, np.array(sorted(seeded), dtype=np.int64)).candidate_gains()
+        for c in range(cb.size):
+            if c in seeded:
+                continue
+            cells = seeded | {c}
+            # The closed form divides sums of P log2 P by eta, so its rounding
+            # error grows like 1/eta as a search nears certain detection.
+            eta = max(1.0 - p * float(cb[sorted(cells)].sum()), ETA_TOL)
+            expect = entropy_gain(cb, cells, p)
+            assert gains[c] == pytest.approx(expect, abs=1e-11 + 1e-13 / eta), c
 
 
 class TestGreedySelect:
@@ -226,14 +263,14 @@ class TestAssignGeneral:
         assert got == {0, first, second}
 
     def test_disjoint_argmaxes_cover_each_target(self):
-        cbs = [_cb([0.7, 0.2, 0.1, 0.0]), _cb([0.0, 0.1, 0.2, 0.7], target_id=1)]
+        cbs = [_cb([0.7, 0.2, 0.1, 0.0]), _cb([0.0, 0.1, 0.2, 0.7])]
         assert assign_general(cbs, 2, 0.9) == {0, 3}
 
     def test_surplus_seeds_ranked_by_probability(self):
         cbs = [
             _cb([0.9, 0.1, 0.0, 0.0, 0.0, 0.0]),
-            _cb([0.0, 0.0, 0.0, 0.0, 0.0, 1.0], target_id=1),
-            _cb([0.0, 0.0, 0.7, 0.3, 0.0, 0.0], target_id=2),
+            _cb([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
+            _cb([0.0, 0.0, 0.7, 0.3, 0.0, 0.0]),
         ]
         # seed probabilities: 0.9 @ c0, 1.0 @ c5, 0.7 @ c2
         assert assign_general(cbs, 2, 0.9) == {0, 5}
@@ -242,7 +279,7 @@ class TestAssignGeneral:
     def test_seed_ranking_tie_prefers_lower_cell(self):
         cbs = [
             _cb([0.0, 0.8, 0.2, 0.0]),
-            _cb([0.0, 0.0, 0.2, 0.8], target_id=1),
+            _cb([0.0, 0.0, 0.2, 0.8]),
         ]
         assert assign_general(cbs, 1, 0.9) == {1}
 
@@ -297,13 +334,14 @@ class TestPolicies:
         assert policy_entropy_only(cbs, 1, 0.9) == {1}
 
     def test_avg_prob_merges_targets(self):
-        cbs = [_cb([0.6, 0.4, 0.0]), _cb([0.0, 0.4, 0.6], target_id=1)]
+        cbs = [_cb([0.6, 0.4, 0.0]), _cb([0.0, 0.4, 0.6])]
         # average (0.3, 0.4, 0.3); the 0.3 tie falls to cell 0
         assert policy_max_avg_prob(cbs, 2) == {0, 1}
-        assert policy_max_prob(cbs, 1) == {1}
+        # maximum (0.6, 0.4, 0.6); the 0.6 tie falls to cell 0
+        assert policy_max_prob(cbs, 1) == {0}
 
     def test_adaptive_outnumbered_reduces_uncertainty(self):
-        cbs = [_cb([0.9, 0.1]), _cb([0.9, 0.1], target_id=1)]
+        cbs = [_cb([0.9, 0.1]), _cb([0.9, 0.1])]
         assert policy_adaptive(cbs, 1, 0.9) == policy_entropy_only(cbs, 1, 0.9) == {1}
         assert assign_general(cbs, 1, 0.9) == {0}  # the branches truly differ
 
@@ -318,7 +356,7 @@ class TestPolicies:
         checked = 0
         for _ in range(200):
             n = int(rng.integers(4, 8))
-            cbs = [_cb(rng.dirichlet(np.ones(n) * 0.5), target_id=i) for i in range(2)]
+            cbs = [_cb(rng.dirichlet(np.ones(n) * 0.5)) for _ in range(2)]
             general = assign_general(cbs, 2, 0.7)
             if general == policy_entropy_only(cbs, 2, 0.7):
                 continue  # uninformative instance
@@ -329,7 +367,7 @@ class TestPolicies:
 
 class TestSelectCells:
     def test_dispatch_matches_direct_calls(self):
-        cbs = [_cb([0.5, 0.2, 0.2, 0.1]), _cb([0.1, 0.2, 0.2, 0.5], target_id=1)]
+        cbs = [_cb([0.5, 0.2, 0.2, 0.1]), _cb([0.1, 0.2, 0.2, 0.5])]
         p = 0.8
         cases = {
             "general": assign_general(cbs, 2, p),
@@ -342,7 +380,7 @@ class TestSelectCells:
             assert select_cells(PolicyConfig(policy=policy), cbs, 2, p) == expect, policy
 
     def test_single_entry_merges_before_seeding(self):
-        cbs = [_cb([0.6, 0.4, 0.0]), _cb([0.2, 0.4, 0.4], target_id=1)]
+        cbs = [_cb([0.6, 0.4, 0.0]), _cb([0.2, 0.4, 0.4])]
         shared = _cb([0.4, 0.4, 0.2])
         expect = assign_single_entry(shared, 2, 0.9, threshold=0.3)
         cfg = PolicyConfig(policy="single_entry", threshold=0.3)

@@ -12,7 +12,6 @@ from uav_search.road_graph import (
     Vertex,
     entry_start_edges,
     goal_distance_map,
-    incoming_set,
     load_graph,
     overlay_grid,
     shortest_path,
@@ -222,31 +221,24 @@ class TestGridGeometry:
             ]
             assert overlay.covered_cells(x, y, radius) == expect
 
-    def test_edges_of_cell_partition(self, border_refined):
-        refined, overlay = border_refined
-        seen = []
-        for c in range(overlay.n_cells):
-            seen.extend(overlay.edges_of_cell(c).tolist())
-        assert sorted(seen) == list(range(refined.n_edges))
-
 
 class TestIncomingSet:
     def test_chain_and_entry(self):
         g = _graph([(0, 0), (10, 0), (20, 0)], [(0, 1), (1, 2)])
-        assert incoming_set(g, 1) == {0}
-        assert incoming_set(g, 0) == set()
+        assert set(g.incoming(1)) == {0}
+        assert set(g.incoming(0)) == set()
 
     def test_three_converging(self):
         g = _graph(
             [(0, 0), (0, 10), (0, -10), (10, 0), (20, 0)],
             [(0, 3), (1, 3), (2, 3), (3, 4)],
         )
-        assert incoming_set(g, 3) == {0, 1, 2}
+        assert set(g.incoming(3)) == {0, 1, 2}
 
     def test_unknown_edge(self):
         g = _graph([(0, 0), (10, 0)], [(0, 1)])
         with pytest.raises(KeyError):
-            incoming_set(g, 7)
+            g.incoming(7)
 
 
 def _oracle_best(g, from_edge, goal_set):

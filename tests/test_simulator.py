@@ -20,7 +20,6 @@ from uav_search.simulator import (
     trial_seed,
     wilson_interval,
 )
-from uav_search.belief import Belief
 from uav_search.movement import save_model
 
 
@@ -196,17 +195,13 @@ class TestRunTrial:
 
 class TestCertainDetectionRecovery:
     def test_uniform_off_searched_cells(self, border_world):
-        overlay, refined = border_world.overlay, border_world.refined
-        edge = border_world.entry_starts[0]
-        cell = int(overlay.cell_of_edge[edge])
-        mass = np.zeros(refined.n_edges)
-        mass[edge] = 1.0
-        out = _uniform_off_cells(Belief(4, 9, mass), overlay, {cell})
-        assert out.target_id == 4 and out.t == 9
-        assert out.mass.sum() == pytest.approx(1.0, abs=1e-12)
+        overlay = border_world.overlay
+        cell = int(overlay.cell_of_edge[border_world.entry_starts[0]])
+        out = _uniform_off_cells(overlay, {cell})
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
         inside = overlay.cell_of_edge == cell
-        assert (out.mass[inside] == 0.0).all()
-        outside = out.mass[~inside]
+        assert (out[inside] == 0.0).all()
+        outside = out[~inside]
         assert (outside > 0.0).all()
         assert outside.max() == pytest.approx(outside.min())
 
