@@ -22,7 +22,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from uav_search.road_graph import RoadGraph, Vertex, Edge, load_graph, overlay_grid, shortest_path, write_graph
+from uav_search.road_graph import RoadGraph, load_graph, overlay_grid, shortest_path, write_graph
 
 N_COLUMNS = 10
 N_GOALS = 7
@@ -72,20 +72,18 @@ def build() -> RoadGraph:
     ys = snap_clear(ys, anchor=0.0)  # the border strip at y=0 pins the grid
     goal_y = snap_clear([GOAL_Y], anchor=0.0)[0]
 
-    vertices: dict[int, Vertex] = {}
-    edges: dict[int, Edge] = {}
+    xy: list[tuple[float, float]] = []
+    tails: list[int] = []
+    heads: list[int] = []
 
     def add_vertex(x: float, y: float) -> int:
-        vid = len(vertices)
-        vertices[vid] = Vertex(vid, round(x, 3), round(y, 3))
-        return vid
+        xy.append((round(x, 3), round(y, 3)))
+        return len(xy) - 1
 
     def add_edge(tail: int, head: int) -> int:
-        eid = len(edges)
-        a, b = vertices[tail], vertices[head]
-        length = float(np.hypot(b.x - a.x, b.y - a.y))
-        edges[eid] = Edge(eid, tail, head, length)
-        return eid
+        tails.append(tail)
+        heads.append(head)
+        return len(tails) - 1
 
     border = [add_vertex(x, 0.0) for x in xs]
     grid = [[add_vertex(xs[k], ys[i]) for i in range(len(ys))] for k in range(N_COLUMNS)]
@@ -112,7 +110,7 @@ def build() -> RoadGraph:
 
     def min_piece(graph: RoadGraph) -> float:
         refined, _ = overlay_grid(graph, GRID_RADIUS)
-        return min(e.length for e in refined.edges.values())
+        return float(refined.length.min())
 
     # Shortcut diagonals cross grid boundaries at arbitrary angles, so a
     # candidate is kept only if none of its refined pieces falls below the
@@ -121,15 +119,15 @@ def build() -> RoadGraph:
     for k, i in DIAGONAL_POOL:
         if kept == N_DIAGONALS:
             break
-        e1 = add_edge(grid[k][i], grid[k + 1][i + 1])
-        e2 = add_edge(grid[k + 1][i + 1], grid[k][i])
-        trial = RoadGraph(vertices, dict(edges), frozenset(entries), tuple(goal_sets))
+        add_edge(grid[k][i], grid[k + 1][i + 1])
+        add_edge(grid[k + 1][i + 1], grid[k][i])
+        trial = RoadGraph(xy, tails, heads, frozenset(entries), tuple(goal_sets))
         if min_piece(trial) >= MIN_PIECE_M:
             kept += 1
         else:
-            del edges[e1], edges[e2]
+            del tails[-2:], heads[-2:]
 
-    return RoadGraph(vertices, edges, frozenset(entries), tuple(goal_sets))
+    return RoadGraph(xy, tails, heads, frozenset(entries), tuple(goal_sets))
 
 
 def verify(g: RoadGraph) -> None:
@@ -140,25 +138,25 @@ def verify(g: RoadGraph) -> None:
         for gi, goal_set in enumerate(g.goals):
             path = shortest_path(g, entry, goal_set)
             assert path is not None, f"goal {gi} unreachable from entry {entry}"
-            lengths.append(sum(g.edges[e].length for e in path[1:-1]))
+            lengths.append(g.length[path[1:-1]].sum())
     refined, _ = overlay_grid(g, GRID_RADIUS)
-    min_piece = min(e.length for e in refined.edges.values())
+    min_piece = refined.length.min()
     assert min_piece >= MIN_PIECE_M, f"refined piece of {min_piece:.1f} m; a target could skip it in one tick"
-    print(f"vertices={len(g.vertices)} edges={len(g.edges)} "
+    print(f"vertices={len(g.xy)} edges={g.n_edges} "
           f"refined={refined.n_edges} min_piece={min_piece:.1f} m")
     print(f"entry-goal route length: mean={np.mean(lengths) / 1000:.2f} km "
           f"min={np.min(lengths) / 1000:.2f} max={np.max(lengths) / 1000:.2f}")
 
 
-def main() -> None:
+def main(out_path: str = OUT_PATH) -> None:
     g = build()
     verify(g)
-    os.makedirs(os.path.dirname(OUT_PATH), exist_ok=True)
-    write_graph(g, OUT_PATH, comment="synthetic border map: 10 entries, 7 goals")
-    reloaded = load_graph(OUT_PATH)
-    assert len(reloaded.edges) == len(g.edges)
+    os.makedirs(os.path.dirname(out_path), exist_ok=True)
+    write_graph(g, out_path, comment="synthetic border map: 10 entries, 7 goals")
+    reloaded = load_graph(out_path)
+    assert reloaded.n_edges == g.n_edges
     assert reloaded.entries == g.entries and reloaded.goals == g.goals
-    print(f"wrote {os.path.normpath(OUT_PATH)}")
+    print(f"wrote {os.path.normpath(out_path)}")
 
 
 if __name__ == "__main__":

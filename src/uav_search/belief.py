@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .movement import TransitionModel
-from .road_graph import GridOverlay, RefinedGraph
+from .road_graph import GridOverlay, RoadGraph
 
 # Entries below this are treated as numerically extinct and pruned (followed
 # by renormalization, so pruning never biases the remaining distribution).
@@ -37,7 +37,7 @@ def _normalized(mass: np.ndarray) -> np.ndarray:
     return mass
 
 
-def init_belief(g: RefinedGraph, entry_edge: int) -> np.ndarray:
+def init_belief(g: RoadGraph, entry_edge: int) -> np.ndarray:
     """Delta distribution on the entry edge where the target appeared."""
     if entry_edge not in g.entries:
         raise ValueError(f"edge {entry_edge} is not an entry edge")

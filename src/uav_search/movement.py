@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .road_graph import RefinedGraph, RoadGraph, entry_start_edges
+from .road_graph import RoadGraph
 from .strategies import UnreachableGoalError, validate_path
 
 DEFAULT_SMOOTHING = 0.01
@@ -86,7 +86,7 @@ def sample_trace(g: RoadGraph, path: list[int], velocity_ms: float, tick: float)
     speed, stopping at the first sample on a goal edge."""
     if velocity_ms <= 0 or tick <= 0:
         raise ValueError("velocity and tick must be positive")
-    ends = np.cumsum([g.edges[eid].length for eid in path])
+    ends = np.cumsum(g.length[path])
     samples: list[tuple[int, int]] = []
     t = 0
     while True:
@@ -100,7 +100,7 @@ def sample_trace(g: RoadGraph, path: list[int], velocity_ms: float, tick: float)
 
 
 def generate_training_traces(
-    g: RefinedGraph,
+    g: RoadGraph,
     strategy,
     tick: float,
     velocity_range_kmh: tuple[float, float],
@@ -117,7 +117,7 @@ def generate_training_traces(
     if not (0 < lo <= hi):
         raise ValueError(f"bad velocity range {velocity_range_kmh}")
     traces: list[PathTrace] = []
-    for ei, entry in enumerate(entry_start_edges(g)):
+    for ei, entry in enumerate(sorted(g.entries)):
         for gi in range(len(g.goals)):
             for run in range(runs_per_pair):
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ei, gi, run)))
@@ -132,7 +132,7 @@ def generate_training_traces(
 
 
 def traces_for_strategies(
-    g: RefinedGraph,
+    g: RoadGraph,
     strategies: Sequence,
     tick: float,
     velocity_range_kmh: tuple[float, float],
@@ -151,7 +151,7 @@ def traces_for_strategies(
 
 def compile_model(
     traces: list[PathTrace],
-    g: RefinedGraph,
+    g: RoadGraph,
     smoothing: float = DEFAULT_SMOOTHING,
     tick: float = 1.0,
     target_class: str = "default",

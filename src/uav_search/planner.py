@@ -22,6 +22,10 @@ from .road_graph import GridOverlay
 
 DEFAULT_THRESHOLD = 0.2
 
+# Below this eta, candidate_gains uses the explicit-set gain: the closed form
+# divides sums of P log2 P by eta, and its error (measured: ~1e-15 / eta bits) grows.
+EXACT_GAIN_ETA = 1e-3
+
 BRUTE_FORCE_MAX_CELLS = 15
 BRUTE_FORCE_MAX_K = 4
 
@@ -101,12 +105,14 @@ class _TargetGainState:
 
     Keeps P(searched), sum of P log2 P over searched cells, and the product
     weight, from which the gain of (state + one candidate cell) follows in
-    closed form for every candidate at once.
+    closed form for every candidate at once. Candidates whose eta falls below
+    EXACT_GAIN_ETA get the explicit-set `entropy_gain` instead.
     """
 
     def __init__(self, cb: np.ndarray, p: float, seeded: np.ndarray):
         self.p = p
         self.P = cb
+        self.searched = set(seeded.tolist())
         logP = np.zeros_like(self.P)
         np.log2(self.P, out=logP, where=self.P > 0.0)
         self.PlogP = self.P * logP
@@ -134,9 +140,13 @@ class _TargetGainState:
                 searched = 0.0
             gains = self.E - Wn * (unsearched + searched)
         gains[~safe] = self.E  # detection certain: the full entropy is gained
+        for c in np.flatnonzero(safe & (eta < EXACT_GAIN_ETA)).tolist():
+            if c not in self.searched:
+                gains[c] = entropy_gain(self.P, self.searched | {c}, p)
         return gains
 
     def add(self, cell: int) -> None:
+        self.searched.add(cell)
         self.T += float(self.P[cell])
         self.SH += float(self.PlogP[cell])
         self.W *= 1.0 - self.p * float(self.P[cell])

@@ -28,90 +28,59 @@ class GraphFormatError(ValueError):
     """Raised for malformed or inconsistent graph files."""
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    tail: int
-    head: int
-    length: float
-
-
 class RoadGraph:
-    """Directed road network. Immutable after construction.
+    """Directed road network over vertices 0..V-1 and edges 0..E-1.
 
-    `entries` are the edges where targets may appear; `goals` is an ordered
-    tuple of goal sets (edge-id frozensets). Goal sets may overlap each other
-    but never the entry set.
+    The position of vertex v is `xy[v]` (meters); edge e runs from `tail[e]`
+    to `head[e]` and is `length[e]` long, the Euclidean distance between its
+    endpoints. `entries` are the edges where targets may appear; `goals` is an
+    ordered tuple of goal sets (edge-id frozensets). Goal sets may overlap
+    each other but never the entry set. Immutable after construction.
     """
 
     def __init__(
         self,
-        vertices: dict[int, Vertex],
-        edges: dict[int, Edge],
+        xy,
+        tail,
+        head,
         entries: frozenset[int] = frozenset(),
         goals: tuple[frozenset[int], ...] = (),
     ):
-        self.vertices = vertices
-        self.edges = edges
+        self.xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+        self.tail = np.asarray(tail, dtype=np.intp)
+        self.head = np.asarray(head, dtype=np.intp)
+        coords = self.xy.tolist()
+        tails, heads = self.tail.tolist(), self.head.tolist()
+        self.length = np.array(
+            [math.hypot(coords[h][0] - coords[t][0], coords[h][1] - coords[t][1]) for t, h in zip(tails, heads)],
+            dtype=np.float64,
+        )
         self.entries = frozenset(entries)
         self.goals = tuple(frozenset(g) for g in goals)
-        self.goal_union: frozenset[int] = frozenset().union(*self.goals) if self.goals else frozenset()
-        self._out: dict[int, list[int]] = {v: [] for v in vertices}
-        self._in: dict[int, list[int]] = {v: [] for v in vertices}
-        for eid in sorted(edges):
-            e = edges[eid]
-            self._out[e.tail].append(eid)
-            self._in[e.head].append(eid)
+        self.goal_union: frozenset[int] = frozenset().union(*self.goals)
+        self.n_edges = len(tails)
+        out: list[list[int]] = [[] for _ in coords]
+        into: list[list[int]] = [[] for _ in coords]
+        for eid, (t, h) in enumerate(zip(tails, heads)):
+            out[t].append(eid)
+            into[h].append(eid)
+        self._next = [out[h] for h in heads]
+        self._prev = [into[t] for t in tails]
         self._goal_dist_cache: dict[frozenset[int], dict[int, float]] = {}
         # (strategy, entry, goal index) -> truncated route; see strategies.
         self._route_cache: dict[tuple, tuple[int, ...]] = {}
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def out_of_vertex(self, v: int) -> list[int]:
-        return self._out[v]
-
-    def in_of_vertex(self, v: int) -> list[int]:
-        return self._in[v]
-
     def outgoing(self, edge_id: int) -> list[int]:
         """Edges that can follow `edge_id` on a directed walk."""
-        return self._out[self.edges[edge_id].head]
+        if not 0 <= edge_id < self.n_edges:
+            raise KeyError(f"unknown edge id {edge_id}")
+        return self._next[edge_id]
 
     def incoming(self, edge_id: int) -> list[int]:
         """Edges e' with head(e') == tail(e): the possible predecessors of e."""
-        return self._in[self.edges[edge_id].tail]
-
-
-class RefinedGraph(RoadGraph):
-    """A road graph whose edges were cut at grid-cell boundaries.
-
-    Vertex and edge ids are reindexed to 0..V-1 / 0..E-1. Every refined edge
-    remembers its parent edge and the offset interval it covers along it;
-    entry / goal membership is inherited from the parent.
-    """
-
-    def __init__(
-        self,
-        vertices: dict[int, Vertex],
-        edges: dict[int, Edge],
-        entries: frozenset[int],
-        goals: tuple[frozenset[int], ...],
-        parent_edge: dict[int, int],
-        parent_span: dict[int, tuple[float, float]],
-    ):
-        super().__init__(vertices, edges, entries, goals)
-        self.parent_edge = parent_edge
-        self.parent_span = parent_span
+        if not 0 <= edge_id < self.n_edges:
+            raise KeyError(f"unknown edge id {edge_id}")
+        return self._prev[edge_id]
 
 
 @dataclass
@@ -140,13 +109,6 @@ class GridOverlay:
             self.origin[1] + (row + 0.5) * self.cell_side,
         )
 
-    def cell_of_point(self, x: float, y: float) -> int:
-        col = int(math.floor((x - self.origin[0]) / self.cell_side))
-        row = int(math.floor((y - self.origin[1]) / self.cell_side))
-        if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
-            raise ValueError(f"point ({x}, {y}) lies outside the grid")
-        return row * self.n_cols + col
-
     def edge_mask(self, cells: Iterable[int]) -> np.ndarray:
         """Boolean mask over refined edges: True where the edge's cell is in `cells`."""
         in_cells = np.zeros(self.n_cells, dtype=bool)
@@ -154,10 +116,14 @@ class GridOverlay:
         return in_cells[self.cell_of_edge]
 
     def covered_cells(self, x: float, y: float, radius: float) -> list[int]:
-        """Cells whose full square lies inside the disk around (x, y).
+        """Cells whose center lies within radius - circumradius of (x, y).
 
-        A cell counts as searchable from (x, y) only when every point of it is
-        within `radius`, i.e. the center is within radius - circumradius.
+        The rule is conservative: every returned cell lies entirely inside the
+        disk (up to a 1e-9 m slack), but a cell whose four corners are all
+        inside the disk is left out when its center is farther than that.
+        With 500 m cells and (x, y) on a grid corner, for example, the cell
+        spanning x+500..x+1000 and y..y+500 has all four corners within
+        1118 m, yet is returned only from a radius of 1144 m.
         """
         reach = radius - self.cell_side * math.sqrt(2.0) / 2.0 + 1e-9
         if reach < 0:
@@ -192,6 +158,12 @@ def _tokens(path: str) -> list[tuple[int, list[str]]]:
     return out
 
 
+def _check_dense(path: str, kind: str, ids) -> None:
+    missing = set(range(len(ids))) - set(ids)
+    if missing:
+        raise GraphFormatError(f"{path}: {kind} ids must be 0..{len(ids) - 1}; {kind} id {min(missing)} is missing")
+
+
 def load_graph(path: str) -> RoadGraph:
     """Parse a road graph file.
 
@@ -199,8 +171,10 @@ def load_graph(path: str) -> RoadGraph:
     `;` starts a comment line. Vertices are `id x y` (meters), edges
     `id tail head` (length is the Euclidean distance between endpoints),
     entries `edge_id`, goals `goal_index edge_id` with contiguous indices.
+    The vertex ids and the edge ids must each be exactly 0..n-1, in any
+    line order.
     """
-    vertices: dict[int, Vertex] = {}
+    vertices: dict[int, tuple[float, float]] = {}
     edges_raw: list[tuple[int, int, int, int]] = []
     entry_lines: list[tuple[int, int]] = []
     goal_lines: list[tuple[int, int, int]] = []
@@ -224,7 +198,7 @@ def load_graph(path: str) -> RoadGraph:
                     raise ValueError
                 if vid in vertices:
                     raise GraphFormatError(f"{path}:{lineno}: duplicate vertex id {vid}")
-                vertices[vid] = Vertex(vid, x, y)
+                vertices[vid] = (x, y)
             elif section == "#edges":
                 if len(toks) != 3:
                     raise ValueError
@@ -241,8 +215,9 @@ def load_graph(path: str) -> RoadGraph:
             raise
         except ValueError:
             raise GraphFormatError(f"{path}:{lineno}: malformed {section[1:]} line: {' '.join(toks)!r}") from None
+    _check_dense(path, "vertex", vertices)
 
-    edges: dict[int, Edge] = {}
+    edges: dict[int, tuple[int, int]] = {}
     for lineno, eid, tail, head in edges_raw:
         if eid in edges:
             raise GraphFormatError(f"{path}:{lineno}: duplicate edge id {eid}")
@@ -250,10 +225,10 @@ def load_graph(path: str) -> RoadGraph:
             raise GraphFormatError(f"{path}:{lineno}: edge {eid} references unknown vertex")
         if tail == head:
             raise GraphFormatError(f"{path}:{lineno}: edge {eid} is a self loop")
-        length = math.hypot(vertices[head].x - vertices[tail].x, vertices[head].y - vertices[tail].y)
-        if length <= 0.0:
+        if vertices[tail] == vertices[head]:
             raise GraphFormatError(f"{path}:{lineno}: edge {eid} has zero length")
-        edges[eid] = Edge(eid, tail, head, length)
+        edges[eid] = (tail, head)
+    _check_dense(path, "edge", edges)
 
     entries = set()
     for lineno, eid in entry_lines:
@@ -272,7 +247,9 @@ def load_graph(path: str) -> RoadGraph:
         raise GraphFormatError(f"{path}: goal indices must be contiguous from 0, got {sorted(by_index)}")
     goals = tuple(frozenset(by_index[i]) for i in range(len(by_index)))
 
-    return RoadGraph(vertices, edges, frozenset(entries), goals)
+    ends = [edges[e] for e in range(len(edges))]
+    xy = [vertices[v] for v in range(len(vertices))]
+    return RoadGraph(xy, [t for t, _ in ends], [h for _, h in ends], frozenset(entries), goals)
 
 
 def write_graph(g: RoadGraph, path: str, comment: str | None = None) -> None:
@@ -280,9 +257,9 @@ def write_graph(g: RoadGraph, path: str, comment: str | None = None) -> None:
     if comment:
         lines.extend(f"; {c}" for c in comment.splitlines())
     lines.append("#vertices")
-    lines.extend(f"{v.id} {v.x!r} {v.y!r}" for v in (g.vertices[i] for i in sorted(g.vertices)))
+    lines.extend(f"{v} {x!r} {y!r}" for v, (x, y) in enumerate(g.xy.tolist()))
     lines.append("#edges")
-    lines.extend(f"{e.id} {e.tail} {e.head}" for e in (g.edges[i] for i in sorted(g.edges)))
+    lines.extend(f"{e} {t} {h}" for e, (t, h) in enumerate(zip(g.tail.tolist(), g.head.tolist())))
     lines.append("#entries")
     lines.extend(str(eid) for eid in sorted(g.entries))
     lines.append("#goals")
@@ -312,103 +289,68 @@ def _cut_params(p0: float, p1: float, origin: float, side: float) -> list[float]
     return cuts
 
 
-def overlay_grid(g: RoadGraph, r: float) -> tuple[RefinedGraph, GridOverlay]:
+def overlay_grid(g: RoadGraph, r: float) -> tuple[RoadGraph, GridOverlay]:
     """Refine `g` against a square grid of side sqrt(2) * r.
 
     Every original edge is cut where it crosses a cell boundary, so each
     refined edge lies inside a single cell (pieces shorter than 1 mm are
     merged into a neighbor). The grid origin sits one full cell below/left of
     the bounding box of the vertices, leaving a hover margin on all sides.
+
+    Original vertices keep their ids; cut points follow them. The pieces of
+    each original edge get consecutive ids, in original edge order, and chain
+    from its tail to its head. A refined entry is the first piece of each
+    original entry edge (where targets appear); a refined goal set holds every
+    piece of its original goal edges.
     """
     if r <= 0:
         raise ValueError("detection radius must be positive")
-    if not g.vertices:
+    if not len(g.xy):
         raise ValueError("cannot overlay an empty graph")
     cell_side = math.sqrt(2.0) * r
 
-    xs = [v.x for v in g.vertices.values()]
-    ys = [v.y for v in g.vertices.values()]
-    origin = (min(xs) - cell_side, min(ys) - cell_side)
-    n_cols = max(1, math.ceil((max(xs) + cell_side - origin[0]) / cell_side))
-    n_rows = max(1, math.ceil((max(ys) + cell_side - origin[1]) / cell_side))
+    xs, ys = g.xy[:, 0], g.xy[:, 1]
+    origin = (float(xs.min()) - cell_side, float(ys.min()) - cell_side)
+    n_cols = max(1, math.ceil((float(xs.max()) + cell_side - origin[0]) / cell_side))
+    n_rows = max(1, math.ceil((float(ys.max()) + cell_side - origin[1]) / cell_side))
 
-    new_vertices: dict[int, Vertex] = {}
-    vertex_of_old: dict[int, int] = {}
-    for old_id in sorted(g.vertices):
-        v = g.vertices[old_id]
-        nid = len(new_vertices)
-        new_vertices[nid] = Vertex(nid, v.x, v.y)
-        vertex_of_old[old_id] = nid
-
-    new_edges: dict[int, Edge] = {}
-    parent_edge: dict[int, int] = {}
-    parent_span: dict[int, tuple[float, float]] = {}
-    pieces_of_parent: dict[int, list[int]] = {}
-
-    for old_id in sorted(g.edges):
-        e = g.edges[old_id]
-        t0, h0 = g.vertices[e.tail], g.vertices[e.head]
+    xy = g.xy.tolist()
+    tails: list[int] = []
+    heads: list[int] = []
+    pieces: list[range] = []
+    for t, h, length in zip(g.tail.tolist(), g.head.tolist(), g.length.tolist()):
+        (tx, ty), (hx, hy) = xy[t], xy[h]
         cuts = sorted(
-            _cut_params(t0.x, h0.x, origin[0], cell_side)
-            + _cut_params(t0.y, h0.y, origin[1], cell_side)
+            _cut_params(tx, hx, origin[0], cell_side)
+            + _cut_params(ty, hy, origin[1], cell_side)
         )
         # Merge cuts that would leave a piece shorter than MIN_PIECE_LENGTH.
         kept: list[float] = []
-        min_t = MIN_PIECE_LENGTH / e.length
-        for t in cuts:
-            if (t - (kept[-1] if kept else 0.0)) >= min_t:
-                kept.append(t)
+        min_t = MIN_PIECE_LENGTH / length
+        for c in cuts:
+            if (c - (kept[-1] if kept else 0.0)) >= min_t:
+                kept.append(c)
         while kept and (1.0 - kept[-1]) < min_t:
             kept.pop()
 
-        chain = [vertex_of_old[e.tail]]
-        for t in kept:
-            nid = len(new_vertices)
-            new_vertices[nid] = Vertex(nid, t0.x + t * (h0.x - t0.x), t0.y + t * (h0.y - t0.y))
-            chain.append(nid)
-        chain.append(vertex_of_old[e.head])
+        chain = [t]
+        for c in kept:
+            chain.append(len(xy))
+            xy.append([tx + c * (hx - tx), ty + c * (hy - ty)])
+        chain.append(h)
+        pieces.append(range(len(tails), len(tails) + len(chain) - 1))
+        tails.extend(chain[:-1])
+        heads.extend(chain[1:])
 
-        offsets = [0.0] + [t * e.length for t in kept] + [e.length]
-        pieces_of_parent[old_id] = []
-        for i in range(len(chain) - 1):
-            a, b = new_vertices[chain[i]], new_vertices[chain[i + 1]]
-            eid = len(new_edges)
-            new_edges[eid] = Edge(eid, a.id, b.id, math.hypot(b.x - a.x, b.y - a.y))
-            parent_edge[eid] = old_id
-            parent_span[eid] = (offsets[i], offsets[i + 1])
-            pieces_of_parent[old_id].append(eid)
+    entries = frozenset(pieces[e][0] for e in g.entries)
+    goals = tuple(frozenset(p for e in goal_set for p in pieces[e]) for goal_set in g.goals)
+    refined = RoadGraph(xy, tails, heads, entries, goals)
 
-    entries = frozenset(eid for eid, p in parent_edge.items() if p in g.entries)
-    goals = tuple(
-        frozenset(eid for eid, p in parent_edge.items() if p in goal_set) for goal_set in g.goals
-    )
-    refined = RefinedGraph(new_vertices, new_edges, entries, goals, parent_edge, parent_span)
-
-    cell_of_edge = np.empty(len(new_edges), dtype=np.int64)
-    for eid in range(len(new_edges)):
-        e = new_edges[eid]
-        a, b = new_vertices[e.tail], new_vertices[e.head]
-        mx, my = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0
-        col = int(math.floor((mx - origin[0]) / cell_side))
-        row = int(math.floor((my - origin[1]) / cell_side))
-        cell_of_edge[eid] = row * n_cols + col
-
-    overlay = GridOverlay(origin, cell_side, n_rows, n_cols, cell_of_edge)
+    mid = (refined.xy[refined.tail] + refined.xy[refined.head]) / 2.0
+    col = np.floor((mid[:, 0] - origin[0]) / cell_side).astype(np.int64)
+    row = np.floor((mid[:, 1] - origin[1]) / cell_side).astype(np.int64)
+    overlay = GridOverlay(origin, cell_side, n_rows, n_cols, row * n_cols + col)
     return refined, overlay
-
-
-def entry_start_edges(g: RefinedGraph) -> list[int]:
-    """One refined edge per original entry: the piece where targets appear.
-
-    Returns the offset-zero piece of each parent entry edge, ordered by
-    parent id.
-    """
-    starts: dict[int, int] = {}
-    for eid in sorted(g.entries):
-        parent = g.parent_edge[eid]
-        if g.parent_span[eid][0] == 0.0:
-            starts[parent] = eid
-    return [starts[p] for p in sorted(starts)]
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +361,21 @@ def shortest_path(
     g: RoadGraph,
     from_edge: int,
     goal_set: frozenset[int] | set[int],
-    weight=None,
+    weight: np.ndarray | None = None,
 ) -> list[int] | None:
     """Minimal-travel directed edge path from `from_edge` into `goal_set`.
 
     Travel is measured from the head of `from_edge`; entering a goal edge
     costs nothing (a target wins at the goal edge's tail). The returned path
     includes `from_edge` first and the goal edge last. Returns None when no
-    goal edge is reachable. `weight` replaces the edge-length metric for
-    non-goal hops (used by detour-seeking strategies).
+    goal edge is reachable. `weight`, an array over edge ids, replaces the
+    edge-length metric for non-goal hops (used by detour-seeking strategies).
     """
-    if from_edge not in g.edges:
+    if not 0 <= from_edge < g.n_edges:
         raise KeyError(f"unknown edge id {from_edge}")
     if from_edge in goal_set:
         return [from_edge]
-    if weight is None:
-        weight = lambda eid: g.edges[eid].length  # noqa: E731
+    hop = (g.length if weight is None else weight).tolist()
     dist: dict[int, float] = {from_edge: 0.0}
     parent: dict[int, int] = {}
     heap: list[tuple[float, int]] = [(0.0, from_edge)]
@@ -450,7 +391,7 @@ def shortest_path(
                 path.append(parent[path[-1]])
             return path[::-1]
         for nxt in g.outgoing(e):
-            w = 0.0 if nxt in goal_set else weight(nxt)
+            w = 0.0 if nxt in goal_set else hop[nxt]
             nd = d + w
             if nd < dist.get(nxt, math.inf):
                 dist[nxt] = nd
@@ -469,6 +410,7 @@ def goal_distance_map(g: RoadGraph, goal_set: frozenset[int]) -> dict[int, float
     cached = g._goal_dist_cache.get(goal_set)
     if cached is not None:
         return cached
+    length = g.length.tolist()
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = []
     for eid in goal_set:
@@ -480,7 +422,7 @@ def goal_distance_map(g: RoadGraph, goal_set: frozenset[int]) -> dict[int, float
         if e in done:
             continue
         done.add(e)
-        w = 0.0 if e in goal_set else g.edges[e].length
+        w = 0.0 if e in goal_set else length[e]
         for prev in g.incoming(e):
             nd = d + w
             if nd < dist.get(prev, math.inf):
@@ -490,9 +432,11 @@ def goal_distance_map(g: RoadGraph, goal_set: frozenset[int]) -> dict[int, float
     return dist
 
 
-def travel_to_go(g: RoadGraph, edge_id: int, goal_set: frozenset[int], dist_map: dict[int, float]) -> float:
-    """Travel left if the walk takes `edge_id` next (0 when it is a goal edge)."""
+def travel_to_go(length, edge_id: int, goal_set: frozenset[int], dist_map: dict[int, float]) -> float:
+    """Travel left if the walk takes `edge_id` next (0 when it is a goal edge).
+
+    `length` is the graph's edge lengths, as an array or a list."""
     if edge_id in goal_set:
         return 0.0
     d = dist_map.get(edge_id)
-    return math.inf if d is None else g.edges[edge_id].length + d
+    return math.inf if d is None else length[edge_id] + d

@@ -11,6 +11,7 @@ results are identical at any parallelism level.
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .belief import CertainDetection, cell_marginal, init_belief, negative_updat
 from .config import ConfigError, ScenarioConfig
 from .movement import TransitionModel, load_model, validate_stochastic
 from .planner import match_uavs_to_cells, select_cells
-from .road_graph import GridOverlay, RefinedGraph, entry_start_edges, load_graph, overlay_grid
+from .road_graph import GridOverlay, RoadGraph, load_graph, overlay_grid
 
 # 95% normal quantile for Wilson intervals.
 WILSON_Z = 1.959963984540054
@@ -65,10 +66,9 @@ class World:
     """Everything derivable from the scenario alone, shared across trials."""
 
     scenario: ScenarioConfig
-    refined: RefinedGraph
+    refined: RoadGraph
     overlay: GridOverlay
-    entry_starts: list[int]  # refined piece per original entry, parent order
-    start_of_parent: dict[int, int]
+    start_of_parent: dict[int, int]  # original entry edge -> its first refined piece, in id order
     models: dict[str, TransitionModel]
     strategies: dict[str, list]
 
@@ -80,8 +80,7 @@ def build_world(scenario: ScenarioConfig) -> World:
     if not graph.goals:
         raise ConfigError(f"{scenario.graph_path}: graph has no goal sets")
     refined, overlay = overlay_grid(graph, scenario.team_min_radius())
-    starts = entry_start_edges(refined)
-    start_of_parent = dict(zip(sorted(graph.entries), starts))
+    start_of_parent = dict(zip(sorted(graph.entries), sorted(refined.entries)))
 
     models: dict[str, TransitionModel] = {}
     strategies: dict[str, list] = {}
@@ -114,14 +113,15 @@ def build_world(scenario: ScenarioConfig) -> World:
             raise ConfigError(f"targets[{i}].class: class {t.class_name!r} is not configured")
         if t.entry is not None and t.entry not in start_of_parent:
             raise ConfigError(f"targets[{i}].entry: edge {t.entry} is not an entry edge")
-    return World(scenario, refined, overlay, starts, start_of_parent, models, strategies)
+    return World(scenario, refined, overlay, start_of_parent, models, strategies)
 
 
 @dataclass(eq=False)
 class _TargetState:
     tid: int
     path: list[int]
-    ends: np.ndarray  # cumulative edge lengths along the path
+    ends: list[float]  # cumulative edge lengths along the path
+    segments: list[list[float]]  # per path edge: tail x, tail y, head x, head y, length
     velocity_ms: float
     belief: np.ndarray  # float64 over refined edge ids
     s: float = 0.0
@@ -129,18 +129,13 @@ class _TargetState:
     pos: tuple[float, float] = (0.0, 0.0)
     active: bool = True
 
-    def advance(self, g: RefinedGraph, dt: float) -> None:
-        self.s += self.velocity_ms * dt
-        self.locate(g)
-
-    def locate(self, g: RefinedGraph) -> None:
-        idx = min(int(np.searchsorted(self.ends, self.s, side="right")), len(self.path) - 1)
+    def locate(self) -> None:
+        idx = min(bisect.bisect_right(self.ends, self.s), len(self.path) - 1)
         self.edge = self.path[idx]
-        e = g.edges[self.edge]
-        start = float(self.ends[idx - 1]) if idx > 0 else 0.0
-        frac = min(max((self.s - start) / e.length, 0.0), 1.0)
-        a, b = g.vertices[e.tail], g.vertices[e.head]
-        self.pos = (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
+        ax, ay, bx, by, length = self.segments[idx]
+        start = self.ends[idx - 1] if idx > 0 else 0.0
+        frac = min(max((self.s - start) / length, 0.0), 1.0)
+        self.pos = (ax + frac * (bx - ax), ay + frac * (by - ay))
 
 
 @dataclass(eq=False)
@@ -168,11 +163,12 @@ class _UavState:
 def _spawn_targets(world: World, seed: int) -> list[_TargetState]:
     sc = world.scenario
     g = world.refined
+    starts = list(world.start_of_parent.values())
     out = []
     for j, tspec in enumerate(sc.targets):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, j)))
         entry = (
-            world.entry_starts[int(rng.integers(len(world.entry_starts)))]
+            starts[int(rng.integers(len(starts)))]
             if tspec.entry is None
             else world.start_of_parent[tspec.entry]
         )
@@ -181,9 +177,10 @@ def _spawn_targets(world: World, seed: int) -> list[_TargetState]:
         pool = world.strategies[tspec.class_name]
         strategy = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
         path = strategy.path(g, entry, rng)
-        ends = np.cumsum([g.edges[eid].length for eid in path])
-        st = _TargetState(j, path, ends, velocity, init_belief(g, entry))
-        st.locate(g)
+        lengths = g.length[path]
+        segments = np.column_stack([g.xy[g.tail[path]], g.xy[g.head[path]], lengths]).tolist()
+        st = _TargetState(j, path, np.cumsum(lengths).tolist(), segments, velocity, init_belief(g, entry))
+        st.locate()
         out.append(st)
     return out
 
@@ -218,7 +215,8 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World | None = None) -
         for tg in targets:
             if not tg.active:
                 continue
-            tg.advance(g, dt)
+            tg.s += tg.velocity_ms * dt
+            tg.locate()
             if tg.edge in g.goal_union:
                 return TrialResult("lose", detections, tg.tid, tick, seed)
 

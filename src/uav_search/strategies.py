@@ -42,7 +42,7 @@ def validate_path(g: RoadGraph, path: list[int], entry: int) -> None:
     if path[0] != entry:
         raise InvalidPathError(f"path starts at edge {path[0]}, expected entry {entry}")
     for a, b in zip(path, path[1:]):
-        if g.edges[b].tail != g.edges[a].head:
+        if b not in g.outgoing(a):
             raise InvalidPathError(f"disconnected hop {a} -> {b}")
     if path[-1] not in g.goal_union:
         raise InvalidPathError(f"path ends on non-goal edge {path[-1]}")
@@ -63,7 +63,7 @@ def _reachable_goals(g: RoadGraph, entry: int) -> list[int]:
     out = []
     for gi, goal_set in enumerate(g.goals):
         dmap = goal_distance_map(g, goal_set)
-        if travel_to_go(g, entry, goal_set, dmap) < math.inf:
+        if travel_to_go(g.length, entry, goal_set, dmap) < math.inf:
             out.append(gi)
     return out
 
@@ -79,7 +79,8 @@ def _cached_route(g: RoadGraph, strategy, entry: int, gi: int, make_weight=None)
     """The deterministic route of `strategy` from `entry` to goal set `gi`,
     truncated at the first goal edge. Computed once per (strategy, entry,
     goal) and kept on the graph; every call returns a fresh list.
-    `make_weight(g)` builds the hop weight for `shortest_path` on a miss."""
+    `make_weight(g)` builds the per-edge hop weights for `shortest_path` on a
+    miss."""
     key = (strategy, entry, gi)
     route = g._route_cache.get(key)
     if route is None:
@@ -126,7 +127,8 @@ class RandomWalkStrategy:
         gi = _draw_goal(g, entry, rng) if goal_index is None else goal_index
         goal_set = g.goals[gi]
         dmap = goal_distance_map(g, goal_set)
-        base = travel_to_go(g, entry, goal_set, dmap)
+        length = g.length.tolist()
+        base = travel_to_go(length, entry, goal_set, dmap)
         if base == math.inf:
             raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
         max_travel = MAX_LENGTH_FACTOR * base
@@ -142,7 +144,7 @@ class RandomWalkStrategy:
             cands = g.outgoing(cur)
             if not cands:
                 raise WanderingError(f"walk from entry {entry} dead-ended at edge {cur}")
-            togo = np.array([travel_to_go(g, e, goal_set, dmap) for e in cands])
+            togo = np.array([travel_to_go(length, e, goal_set, dmap) for e in cands])
             if self.beta == 0.0:
                 weights = np.ones(len(cands))
             else:
@@ -155,7 +157,7 @@ class RandomWalkStrategy:
                 raise WanderingError(f"walk from entry {entry} lost all routes at edge {cur}")
             cur = cands[int(rng.choice(len(cands), p=weights / total))]
             path.append(cur)
-            traveled += g.edges[cur].length
+            traveled += length[cur]
         return path
 
 
@@ -163,7 +165,7 @@ class RandomWalkStrategy:
 class SideRoadsStrategy:
     """Shortest route under weights inflated near well-connected junctions.
 
-    Edge weight is length * (1 + penalty * centrality(head)), centrality being
+    An edge weighs length * (1 + penalty * centrality(head)), centrality being
     the head vertex degree normalized by the graph maximum. penalty = 0 is
     exactly the shortest-path strategy.
     """
@@ -179,15 +181,10 @@ class SideRoadsStrategy:
         gi = _draw_goal(g, entry, rng) if goal_index is None else goal_index
         return _cached_route(g, self, entry, gi, self._weight)
 
-    def _weight(self, g: RoadGraph):
-        degree = {v: len(g.out_of_vertex(v)) + len(g.in_of_vertex(v)) for v in g.vertices}
-        max_deg = max(degree.values()) or 1
-
-        def weight(eid: int) -> float:
-            e = g.edges[eid]
-            return e.length * (1.0 + self.penalty * degree[e.head] / max_deg)
-
-        return weight
+    def _weight(self, g: RoadGraph) -> np.ndarray:
+        degree = np.bincount(g.tail, minlength=len(g.xy)) + np.bincount(g.head, minlength=len(g.xy))
+        max_deg = int(degree.max()) or 1
+        return g.length * (1.0 + self.penalty * degree[g.head] / max_deg)
 
 
 Strategy = ShortestPathStrategy | RandomWalkStrategy | SideRoadsStrategy

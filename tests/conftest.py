@@ -6,7 +6,7 @@ import pytest
 
 from uav_search.config import load_scenario
 from uav_search.movement import load_model
-from uav_search.road_graph import Edge, RoadGraph, Vertex, load_graph, overlay_grid
+from uav_search.road_graph import RoadGraph, load_graph, overlay_grid
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -23,7 +23,7 @@ def border_graph(border_graph_path):
 
 @pytest.fixture(scope="session")
 def border_refined(border_graph):
-    """(RefinedGraph, GridOverlay) at the bundled 500 m detection radius."""
+    """(refined RoadGraph, GridOverlay) at the bundled 500 m detection radius."""
     return overlay_grid(border_graph, 500.0)
 
 
@@ -42,35 +42,16 @@ def border_scenario():
     return load_scenario(os.path.join(REPO_ROOT, "scenarios", "border.yaml"))
 
 
-def _edge(eid: int, tail: int, head: int, vs: dict[int, Vertex]) -> Edge:
-    a, b = vs[tail], vs[head]
-    return Edge(eid, tail, head, float(((b.x - a.x) ** 2 + (b.y - a.y) ** 2) ** 0.5))
-
-
 @pytest.fixture
 def line_graph() -> RoadGraph:
     """100 m entry edge feeding a 50 m goal edge along one straight road."""
-    vs = {0: Vertex(0, 0.0, 0.0), 1: Vertex(1, 100.0, 0.0), 2: Vertex(2, 150.0, 0.0)}
-    es = {0: _edge(0, 0, 1, vs), 1: _edge(1, 1, 2, vs)}
-    return RoadGraph(vs, es, frozenset({0}), (frozenset({1}),))
+    return RoadGraph([(0.0, 0.0), (100.0, 0.0), (150.0, 0.0)], [0, 1], [1, 2], frozenset({0}), (frozenset({1}),))
 
 
 @pytest.fixture
 def fork_graph() -> RoadGraph:
     """Entry stub into a junction with two equal-length routes to two goals."""
-    vs = {
-        0: Vertex(0, 0.0, 0.0),
-        1: Vertex(1, 100.0, 0.0),
-        2: Vertex(2, 200.0, 0.0),
-        3: Vertex(3, 100.0, 100.0),
-        4: Vertex(4, 250.0, 0.0),
-        5: Vertex(5, 100.0, 150.0),
-    }
-    es = {
-        0: _edge(0, 0, 1, vs),
-        1: _edge(1, 1, 2, vs),
-        2: _edge(2, 1, 3, vs),
-        3: _edge(3, 2, 4, vs),
-        4: _edge(4, 3, 5, vs),
-    }
-    return RoadGraph(vs, es, frozenset({0}), (frozenset({3}), frozenset({4})))
+    xy = [(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (100.0, 100.0), (250.0, 0.0), (100.0, 150.0)]
+    tail = [0, 1, 1, 2, 3]
+    head = [1, 2, 3, 4, 5]
+    return RoadGraph(xy, tail, head, frozenset({0}), (frozenset({3}), frozenset({4})))

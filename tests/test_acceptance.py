@@ -92,14 +92,12 @@ def test_perfect_detection_greedy_first_pick_is_most_probable_cell():
 
 
 def test_belief_mass_stays_normalized(border_refined, border_model):
-    from uav_search.road_graph import entry_start_edges
-
     refined, overlay = border_refined
     rng = np.random.default_rng(7)
 
     # 10^4 interleaved steps on the bundled model: propagate, then condition
     # on a fruitless search of a random small cell set.
-    start = entry_start_edges(refined)[0]
+    start = min(refined.entries)
     belief = init_belief(refined, start)
     worst = 0.0
     for step in range(10_000):

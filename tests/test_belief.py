@@ -28,16 +28,9 @@ CELL_30 = 30.0 / np.sqrt(2.0)
 @pytest.fixture
 def two_cell_overlay():
     """Two disconnected 10 m edges in different grid cells."""
-    from uav_search.road_graph import Edge, RoadGraph, Vertex
+    from uav_search.road_graph import RoadGraph
 
-    vs = {
-        0: Vertex(0, 5.0, 5.0),
-        1: Vertex(1, 15.0, 5.0),
-        2: Vertex(2, 40.0, 5.0),
-        3: Vertex(3, 50.0, 5.0),
-    }
-    es = {0: Edge(0, 0, 1, 10.0), 1: Edge(1, 2, 3, 10.0)}
-    g = RoadGraph(vs, es)
+    g = RoadGraph([(5.0, 5.0), (15.0, 5.0), (40.0, 5.0), (50.0, 5.0)], [0, 2], [1, 3])
     refined, overlay = overlay_grid(g, CELL_30)
     assert refined.n_edges == 2
     c0, c1 = int(overlay.cell_of_edge[0]), int(overlay.cell_of_edge[1])

@@ -136,6 +136,20 @@ class TestCompileModel:
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            ("#vertices\n0 0 0\n2 100 0\n#edges\n0 0 2\n", "vertex id 1 is missing"),
+            ("#vertices\n0 0 0\n1 100 0\n#edges\n1 0 1\n", "edge id 0 is missing"),
+        ],
+    )
+    def test_graph_id_gap_exits_1(self, work, capsys, text, needle):
+        (work / "gap.graph").write_text(text)
+        args = _compile_args(work)
+        args[1] = str(work / "gap.graph")
+        assert main(args) == 1
+        assert needle in capsys.readouterr().err
+
     def test_undersampled_tick_is_runtime_error(self, work, capsys):
         rc = main([
             "compile-model", str(work / "chain.graph"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uav_search.belief import ETA_TOL, entropy
+from uav_search.belief import entropy
 from uav_search.planner import (
     PolicyConfig,
     _TargetGainState,
@@ -141,12 +141,25 @@ class TestGainKernelProperties:
         for c in range(cb.size):
             if c in seeded:
                 continue
-            cells = seeded | {c}
-            # The closed form divides sums of P log2 P by eta, so its rounding
-            # error grows like 1/eta as a search nears certain detection.
-            eta = max(1.0 - p * float(cb[sorted(cells)].sum()), ETA_TOL)
-            expect = entropy_gain(cb, cells, p)
-            assert gains[c] == pytest.approx(expect, abs=1e-11 + 1e-13 / eta), c
+            expect = entropy_gain(cb, seeded | {c}, p)
+            assert gains[c] == pytest.approx(expect, abs=1e-11), c
+
+    @pytest.mark.parametrize(
+        "mass,seeded",
+        [
+            ([0.5, 0.5 - 1e-11, 1e-11], [0]),
+            ([0.3, 0.3, 0.4 - 1.2e-11, 1.2e-11], [0, 1]),
+            ([0.25, 0.25, 0.25, 0.25 - 1e-11, 1e-11], [0, 1, 2]),
+        ],
+    )
+    def test_candidate_gain_near_certain_detection(self, mass, seeded):
+        """At p = 1 with eta near 1e-11 the closed form alone is off by
+        6e-7 to 4e-5 bits; the candidate gain must still be the exact one."""
+        cb = np.array(mass)
+        c = len(seeded)
+        assert 0.0 < 1.0 - cb[: c + 1].sum() < 2e-11
+        gains = _TargetGainState(cb, 1.0, np.array(seeded, dtype=np.int64)).candidate_gains()
+        assert gains[c] == pytest.approx(entropy_gain(cb, set(seeded) | {c}, 1.0), abs=1e-11)
 
 
 class TestGreedySelect:

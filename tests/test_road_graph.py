@@ -1,16 +1,19 @@
 """Road graph parsing, grid refinement, and shortest-path routing."""
 
+import importlib.util
 import math
+import os
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uav_search.road_graph import (
-    Edge,
     GraphFormatError,
+    GridOverlay,
     RoadGraph,
-    Vertex,
-    entry_start_edges,
     goal_distance_map,
     load_graph,
     overlay_grid,
@@ -18,16 +21,15 @@ from uav_search.road_graph import (
     write_graph,
 )
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 CELL_30 = 30.0 / math.sqrt(2.0)  # radius whose inscribed-square side is 30 m
 
 
 def _graph(coords, edge_pairs, entries=(), goals=()):
-    vs = {i: Vertex(i, float(x), float(y)) for i, (x, y) in enumerate(coords)}
-    es = {}
-    for eid, (t, h) in enumerate(edge_pairs):
-        a, b = vs[t], vs[h]
-        es[eid] = Edge(eid, t, h, math.hypot(b.x - a.x, b.y - a.y))
-    return RoadGraph(vs, es, frozenset(entries), tuple(frozenset(g) for g in goals))
+    tail = [t for t, _ in edge_pairs]
+    head = [h for _, h in edge_pairs]
+    return RoadGraph(coords, tail, head, frozenset(entries), tuple(frozenset(g) for g in goals))
 
 
 class TestFileFormat:
@@ -51,8 +53,8 @@ class TestFileFormat:
         p = tmp_path / "g.graph"
         p.write_text("#vertices\n0 0 0\n1 100 0\n#edges\n0 0 1\n")
         g = load_graph(str(p))
-        assert len(g.vertices) == 2 and len(g.edges) == 1
-        assert g.edges[0].length == pytest.approx(100.0)
+        assert len(g.xy) == 2 and g.n_edges == 1
+        assert g.length[0] == pytest.approx(100.0)
         assert g.entries == frozenset() and g.goals == ()
 
     def test_round_trip_and_stable_bytes(self, tmp_path):
@@ -63,7 +65,7 @@ class TestFileFormat:
         write_graph(g, str(out), comment="demo")
         g2 = load_graph(str(out))
         assert g2.entries == g.entries and g2.goals == g.goals
-        assert set(g2.edges) == set(g.edges)
+        assert g2.tail.tolist() == g.tail.tolist() and g2.head.tolist() == g.head.tolist()
         first = out.read_bytes()
         write_graph(g2, str(out), comment="demo")
         assert out.read_bytes() == first
@@ -83,6 +85,8 @@ class TestFileFormat:
             (("#entries\n0", "#entries\n99"), "unknown edge id 99 in #entries"),
             (("#goals\n0 1", "#goals\n0 0"), "both an entry and a goal"),
             (("#goals\n0 1", "#goals\n2 1"), "goal indices must be contiguous"),
+            (("2 150.0 0.0", "3 150.0 0.0"), "vertex id 2 is missing"),
+            (("1 1 2", "2 1 2"), "edge id 1 is missing"),
         ],
     )
     def test_errors(self, tmp_path, mutate, needle):
@@ -108,10 +112,10 @@ class TestFileFormat:
     def test_bundled_fixture_counts(self, border_graph):
         assert len(border_graph.entries) == 10
         assert len(border_graph.goals) == 7
-        for e in border_graph.edges.values():
-            a = border_graph.vertices[e.tail]
-            b = border_graph.vertices[e.head]
-            assert e.length == pytest.approx(math.hypot(b.x - a.x, b.y - a.y), rel=1e-6)
+        g = border_graph
+        for e in range(g.n_edges):
+            (ax, ay), (bx, by) = g.xy[g.tail[e]], g.xy[g.head[e]]
+            assert g.length[e] == math.hypot(bx - ax, by - ay)
 
 
 class TestOverlay:
@@ -121,7 +125,7 @@ class TestOverlay:
         refined, overlay = overlay_grid(g, CELL_30)
         assert overlay.cell_side == pytest.approx(30.0)
         assert refined.n_edges == 4
-        lengths = [refined.edges[e].length for e in range(4)]
+        lengths = refined.length.tolist()
         assert lengths == pytest.approx([30.0, 30.0, 30.0, 10.0])
         assert len(set(overlay.cell_of_edge.tolist())) == 4
 
@@ -129,7 +133,7 @@ class TestOverlay:
         g = _graph([(5, 5), (15, 5)], [(0, 1)])
         refined, _ = overlay_grid(g, CELL_30)
         assert refined.n_edges == 1
-        assert refined.edges[0].length == pytest.approx(10.0)
+        assert refined.length[0] == pytest.approx(10.0)
 
     def test_vertex_on_boundary_makes_no_zero_piece(self):
         """A junction exactly on a grid line must not split anything."""
@@ -137,69 +141,78 @@ class TestOverlay:
         g = _graph([(0, 0), (side, 0), (side + 10, 0)], [(0, 1), (1, 2)])
         refined, _ = overlay_grid(g, CELL_30)
         assert refined.n_edges == 2
-        assert min(e.length for e in refined.edges.values()) > 1e-3
+        assert refined.length.min() > 1e-3
 
     def test_parent_reconstruction(self, border_graph, border_refined):
-        """Pieces of each parent chain span [0, length] and sum to it."""
+        """The pieces of each parent are consecutive ids, in parent order,
+        that chain from its tail to its head and sum to its length."""
         refined, _ = border_refined
-        spans = {}
-        for eid, parent in refined.parent_edge.items():
-            spans.setdefault(parent, []).append(refined.parent_span[eid])
-        assert set(spans) == set(border_graph.edges)
-        for parent, intervals in spans.items():
-            intervals.sort()
-            assert intervals[0][0] == 0.0
-            assert intervals[-1][1] == pytest.approx(border_graph.edges[parent].length, rel=1e-6)
-            for (_, stop), (start, _) in zip(intervals, intervals[1:]):
-                assert start == stop
-            total = sum(stop - start for start, stop in intervals)
-            assert total == pytest.approx(border_graph.edges[parent].length, rel=1e-6)
+        pieces = _pieces_of_parents(border_graph, refined)
+        assert [p for run in pieces for p in run] == list(range(refined.n_edges))
+        for parent, run in enumerate(pieces):
+            assert refined.length[run].sum() == pytest.approx(border_graph.length[parent], rel=1e-9)
 
     def test_midpoint_inside_assigned_cell(self, border_refined):
         refined, overlay = border_refined
         for eid in range(refined.n_edges):
-            e = refined.edges[eid]
-            a, b = refined.vertices[e.tail], refined.vertices[e.head]
-            mid = ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-            assert overlay.cell_of_point(*mid) == overlay.cell_of_edge[eid]
+            mx, my = (refined.xy[refined.tail[eid]] + refined.xy[refined.head[eid]]) / 2.0
+            col = math.floor((mx - overlay.origin[0]) / overlay.cell_side)
+            row = math.floor((my - overlay.origin[1]) / overlay.cell_side)
+            assert 0 <= row < overlay.n_rows and 0 <= col < overlay.n_cols
+            assert row * overlay.n_cols + col == overlay.cell_of_edge[eid]
 
     def test_resplitting_is_idempotent(self, border_refined):
         refined, _ = border_refined
         again, _ = overlay_grid(refined, 500.0)
         assert again.n_edges == refined.n_edges
-        assert [again.edges[e].length for e in range(again.n_edges)] == pytest.approx(
-            [refined.edges[e].length for e in range(refined.n_edges)]
-        )
+        assert again.length.tolist() == pytest.approx(refined.length.tolist())
 
     def test_entry_and_goal_membership_inherited(self, border_graph, border_refined):
+        """Every piece of a goal parent is a goal piece, and no other piece
+        is; the entries are pieces of entry parents only."""
         refined, _ = border_refined
-        assert {refined.parent_edge[e] for e in refined.entries} == set(border_graph.entries)
+        pieces = _pieces_of_parents(border_graph, refined)
         assert len(refined.goals) == len(border_graph.goals)
         for ref_set, orig_set in zip(refined.goals, border_graph.goals):
-            assert {refined.parent_edge[e] for e in ref_set} == set(orig_set)
+            assert ref_set == {p for parent in orig_set for p in pieces[parent]}
+        assert refined.entries <= {p for parent in border_graph.entries for p in pieces[parent]}
 
-    def test_entry_start_edges(self, border_graph, border_refined):
+    def test_entries_are_first_pieces(self, border_graph, border_refined):
+        """The sorted refined entries are the first pieces of the entry
+        parents, in parent order: where targets appear."""
         refined, _ = border_refined
-        starts = entry_start_edges(refined)
-        assert len(starts) == len(border_graph.entries)
-        parents = [refined.parent_edge[e] for e in starts]
-        assert parents == sorted(border_graph.entries)
-        assert all(refined.parent_span[e][0] == 0.0 for e in starts)
+        pieces = _pieces_of_parents(border_graph, refined)
+        assert sorted(refined.entries) == [pieces[p][0] for p in sorted(border_graph.entries)]
 
     def test_degenerate_inputs(self):
         g = _graph([(0, 0), (10, 0)], [(0, 1)])
         with pytest.raises(ValueError):
             overlay_grid(g, 0.0)
         with pytest.raises(ValueError):
-            overlay_grid(RoadGraph({}, {}), 10.0)
+            overlay_grid(RoadGraph(np.empty((0, 2)), [], []), 10.0)
+
+
+def _pieces_of_parents(graph, refined):
+    """Refined edge ids per parent edge, found by walking each parent's chain
+    from the next unused id. Original vertices keep their ids, and cut points
+    are new vertices, so a chain ends at the first piece whose head is the
+    parent's head."""
+    n_orig = len(graph.xy)
+    assert refined.xy[:n_orig].tolist() == graph.xy.tolist()
+    pieces, nxt = [], 0
+    for parent in range(graph.n_edges):
+        run = [nxt]
+        assert refined.tail[nxt] == graph.tail[parent]
+        while refined.head[run[-1]] != graph.head[parent]:
+            assert refined.head[run[-1]] >= n_orig
+            run.append(run[-1] + 1)
+            assert refined.tail[run[-1]] == refined.head[run[-2]]
+        pieces.append(run)
+        nxt = run[-1] + 1
+    return pieces
 
 
 class TestGridGeometry:
-    def test_cell_of_point_outside_raises(self, border_refined):
-        _, overlay = border_refined
-        with pytest.raises(ValueError, match="outside the grid"):
-            overlay.cell_of_point(-1e9, 0.0)
-
     def test_covered_cells_exact_radius_is_own_cell(self, border_refined):
         """At r_i == r only the cell the UAV hovers over is fully covered."""
         _, overlay = border_refined
@@ -222,6 +235,44 @@ class TestGridGeometry:
             assert overlay.covered_cells(x, y, radius) == expect
 
 
+@st.composite
+def _disk_queries(draw):
+    """A grid, a UAV position on a cell center, off-center inside the grid or
+    outside it, and a radius from below the cell circumradius to several
+    cells."""
+    side = draw(st.floats(1.0, 1000.0))
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    origin = (draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4)))
+    overlay = GridOverlay(origin, side, n_rows, n_cols, np.zeros(0, dtype=np.int64))
+    where = draw(st.sampled_from(["center", "inside", "outside"]))
+    if where == "center":
+        x, y = overlay.cell_center(draw(st.integers(0, overlay.n_cells - 1)))
+    else:
+        lo, hi = (0.0, 1.0) if where == "inside" else (-1.5, 2.5)
+        x = origin[0] + draw(st.floats(lo, hi)) * n_cols * side
+        y = origin[1] + draw(st.floats(lo, hi)) * n_rows * side
+    radius = draw(st.floats(0.0, 5.0)) * side
+    return overlay, x, y, radius
+
+
+class TestCoveredCellsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_disk_queries())
+    def test_every_returned_cell_lies_inside_the_disk(self, query):
+        overlay, x, y, radius = query
+        cells = overlay.covered_cells(x, y, radius)
+        assert cells == sorted(set(cells))
+        side = overlay.cell_side
+        if radius + 1e-9 < side * math.sqrt(2.0) / 2.0:
+            assert cells == []
+        for c in cells:
+            assert 0 <= c < overlay.n_cells
+            row, col = divmod(c, overlay.n_cols)
+            x0, y0 = overlay.origin[0] + col * side, overlay.origin[1] + row * side
+            for cx, cy in ((x0, y0), (x0 + side, y0), (x0, y0 + side), (x0 + side, y0 + side)):
+                assert math.hypot(cx - x, cy - y) <= radius + 1e-9, (c, cx, cy)
+
+
 class TestIncomingSet:
     def test_chain_and_entry(self):
         g = _graph([(0, 0), (10, 0), (20, 0)], [(0, 1), (1, 2)])
@@ -240,6 +291,16 @@ class TestIncomingSet:
         with pytest.raises(KeyError):
             g.incoming(7)
 
+    @pytest.mark.parametrize("edge_id", [1, -1])
+    def test_out_of_range_ids_raise_key_error(self, edge_id):
+        """Ids past the end or negative are unknown, never an IndexError or
+        a wrapped-around lookup."""
+        g = _graph([(0, 0), (10, 0)], [(0, 1)])
+        with pytest.raises(KeyError, match=f"unknown edge id {edge_id}"):
+            g.incoming(edge_id)
+        with pytest.raises(KeyError, match=f"unknown edge id {edge_id}"):
+            g.outgoing(edge_id)
+
 
 def _oracle_best(g, from_edge, goal_set):
     """Exhaustive DFS over simple edge paths; travel counts non-goal hops
@@ -253,7 +314,7 @@ def _oracle_best(g, from_edge, goal_set):
         for nxt in g.outgoing(edge):
             if nxt in seen:
                 continue
-            step = 0.0 if nxt in goal_set else g.edges[nxt].length
+            step = 0.0 if nxt in goal_set else g.length[nxt]
             rec(nxt, cost + step, seen | {nxt})
 
     rec(from_edge, 0.0, {from_edge})
@@ -282,6 +343,10 @@ class TestShortestPath:
         with pytest.raises(KeyError, match="unknown edge id 9"):
             shortest_path(line_graph, 9, line_graph.goals[0])
 
+    def test_negative_from_edge(self, line_graph):
+        with pytest.raises(KeyError, match="unknown edge id -1"):
+            shortest_path(line_graph, -1, line_graph.goals[0])
+
     def test_matches_exhaustive_oracle_on_random_graphs(self):
         """Dijkstra agrees with brute-force path enumeration, including
         reachability, on 100 random graphs of up to 12 edges."""
@@ -305,7 +370,7 @@ class TestShortestPath:
                 assert expect == math.inf
                 continue
             assert path[0] == from_edge and path[-1] in goal_set
-            cost = sum(g.edges[e].length for e in path[1:] if e not in goal_set)
+            cost = sum(g.length[e] for e in path[1:] if e not in goal_set)
             assert cost == pytest.approx(expect, abs=1e-9)
 
     def test_goal_distance_map_consistent(self, border_graph):
@@ -317,5 +382,16 @@ class TestShortestPath:
             if path is None:
                 assert entry not in dist
                 continue
-            cost = sum(border_graph.edges[e].length for e in path[1:] if e not in goal_set)
+            cost = sum(border_graph.length[e] for e in path[1:] if e not in goal_set)
             assert dist[entry] == pytest.approx(cost, abs=1e-6)
+
+
+class TestBorderMapScript:
+    def test_rebuilds_bundled_map_byte_for_byte(self, tmp_path, border_graph_path):
+        script = os.path.join(REPO_ROOT, "scripts", "make_border_map.py")
+        spec = importlib.util.spec_from_file_location("make_border_map", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        out = tmp_path / "border.graph"
+        module.main(str(out))
+        assert out.read_bytes() == pathlib.Path(border_graph_path).read_bytes()

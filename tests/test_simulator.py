@@ -83,7 +83,7 @@ class TestSpawn:
         for seed in range(300):
             for tg in _spawn_targets(border_world, seed):
                 seen.add(tg.path[0])
-        assert seen == set(border_world.entry_starts)
+        assert seen == set(border_world.start_of_parent.values())
 
     def test_velocity_within_class_range(self, border_world):
         lo, hi = border_world.scenario.classes[0].velocity_kmh
@@ -196,7 +196,7 @@ class TestRunTrial:
 class TestCertainDetectionRecovery:
     def test_uniform_off_searched_cells(self, border_world):
         overlay = border_world.overlay
-        cell = int(overlay.cell_of_edge[border_world.entry_starts[0]])
+        cell = int(overlay.cell_of_edge[min(border_world.refined.entries)])
         out = _uniform_off_cells(overlay, {cell})
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
         inside = overlay.cell_of_edge == cell

@@ -1,12 +1,10 @@
 """Route strategies, path validation, and strategy pool management."""
 
-import math
-
 import numpy as np
 import pytest
 
 from uav_search import strategies as strategies_module
-from uav_search.road_graph import Edge, RoadGraph, Vertex, overlay_grid
+from uav_search.road_graph import RoadGraph, overlay_grid
 from uav_search.strategies import (
     InvalidPathError,
     RandomWalkStrategy,
@@ -23,12 +21,9 @@ from uav_search.strategies import (
 
 
 def _graph(coords, edge_pairs, entries=(), goals=()):
-    vs = {i: Vertex(i, float(x), float(y)) for i, (x, y) in enumerate(coords)}
-    es = {}
-    for eid, (t, h) in enumerate(edge_pairs):
-        a, b = vs[t], vs[h]
-        es[eid] = Edge(eid, t, h, math.hypot(b.x - a.x, b.y - a.y))
-    return RoadGraph(vs, es, frozenset(entries), tuple(frozenset(g) for g in goals))
+    tail = [t for t, _ in edge_pairs]
+    head = [h for _, h in edge_pairs]
+    return RoadGraph(coords, tail, head, frozenset(entries), tuple(frozenset(g) for g in goals))
 
 
 @pytest.fixture
@@ -189,12 +184,14 @@ class TestSideRoads:
         """A high enough penalty flips the route, exactly where the inflated
         weights say it should."""
         g = hub_graph
-        degree = {v: len(g.out_of_vertex(v)) + len(g.in_of_vertex(v)) for v in g.vertices}
+        degree = {v: 0 for v in range(len(g.xy))}
+        for v in [*g.tail.tolist(), *g.head.tolist()]:
+            degree[v] += 1
         max_deg = max(degree.values())
 
         def route_cost(route, penalty):
             return sum(
-                g.edges[e].length * (1.0 + penalty * degree[g.edges[e].head] / max_deg)
+                g.length[e] * (1.0 + penalty * degree[int(g.head[e])] / max_deg)
                 for e in route[1:-1]  # entry not traveled, goal hop costs 0
             )
 
