@@ -9,6 +9,7 @@ probability mass forward one tick at a time during search.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -86,12 +87,12 @@ def sample_trace(g: RoadGraph, path: list[int], velocity_ms: float, tick: float)
     speed, stopping at the first sample on a goal edge."""
     if velocity_ms <= 0 or tick <= 0:
         raise ValueError("velocity and tick must be positive")
-    ends = np.cumsum(g.length[path])
+    ends = np.cumsum(g.length[path]).tolist()
     samples: list[tuple[int, int]] = []
     t = 0
     while True:
         s = velocity_ms * tick * t
-        idx = min(int(np.searchsorted(ends, s, side="right")), len(path) - 1)
+        idx = min(bisect.bisect_right(ends, s), len(path) - 1)
         eid = path[idx]
         samples.append((t, eid))
         if eid in g.goal_union:
@@ -233,6 +234,8 @@ def save_model(model: TransitionModel, path: str) -> None:
 
 
 def load_model(path: str) -> TransitionModel:
+    """Read a model file. The edge count is the header's optional `edges=<n>`,
+    else one more than the largest edge id in the rows."""
     header = None
     rows: dict[int, list[tuple[int, float]]] = {}
     max_id = -1
@@ -267,5 +270,12 @@ def load_model(path: str) -> TransitionModel:
     for key in ("tick", "class"):
         if key not in header:
             raise ModelFormatError(f"{path}: header missing {key}=")
+    n_edges = max_id + 1
+    if "edges" in header:
+        if not header["edges"].isdecimal():
+            raise ModelFormatError(f"{path}: header edges={header['edges']} is not a non-negative integer")
+        n_edges = int(header["edges"])
+        if max_id >= n_edges:
+            raise ModelFormatError(f"{path}: edge id {max_id} is out of range for edges={n_edges}")
     transitions = {src: tuple(dsts) for src, dsts in rows.items()}
-    return TransitionModel(header["class"], float(header["tick"]), max_id + 1, transitions)
+    return TransitionModel(header["class"], float(header["tick"]), n_edges, transitions)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,11 @@ from .road_graph import GridOverlay, RoadGraph, load_graph, overlay_grid
 WILSON_Z = 1.959963984540054
 
 KMH_TO_MS = 1000.0 / 3600.0
+
+# World keeps each head-start belief sequence at every multiple of this many
+# ticks: about 0.6 MB on the bundled border scenario, where every tick would
+# take about 9.5 MB.
+CHECKPOINT_TICKS = 16
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,35 @@ class World:
     start_of_parent: dict[int, int]  # original entry edge -> its first refined piece, in id order
     models: dict[str, TransitionModel]
     strategies: dict[str, list]
+    # (class name, entry edge) -> read-only beliefs at ticks 0, CHECKPOINT_TICKS, ...
+    checkpoints: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict, init=False, repr=False)
+
+    def frozen_belief(self, class_name: str, entry_edge: int, tick: int) -> np.ndarray:
+        """The belief `tick` ticks after a target of `class_name` entered on
+        `entry_edge`, with no observation in between: `tick` successive
+        `propagate` calls from the delta on the entry edge.
+
+        Checkpoints are filled lazily and shared by every trial that uses this
+        world; a request propagates at most CHECKPOINT_TICKS - 1 times from the
+        nearest one below `tick`. A checkpoint is returned read-only, any other
+        tick as a new array.
+        """
+        model = self.models[class_name]
+        saved = self.checkpoints.setdefault((class_name, entry_edge), [])
+        k, rest = divmod(tick, CHECKPOINT_TICKS)
+        while len(saved) <= k:
+            if saved:
+                mass = saved[-1]
+                for _ in range(CHECKPOINT_TICKS):
+                    mass = propagate(mass, model)
+            else:
+                mass = init_belief(self.refined, entry_edge)
+            mass.flags.writeable = False
+            saved.append(mass)
+        mass = saved[k]
+        for _ in range(rest):
+            mass = propagate(mass, model)
+        return mass
 
 
 def build_world(scenario: ScenarioConfig) -> World:
@@ -119,11 +153,12 @@ def build_world(scenario: ScenarioConfig) -> World:
 @dataclass(eq=False)
 class _TargetState:
     tid: int
+    entry: int  # refined entry edge
     path: list[int]
     ends: list[float]  # cumulative edge lengths along the path
     segments: list[list[float]]  # per path edge: tail x, tail y, head x, head y, length
     velocity_ms: float
-    belief: np.ndarray  # float64 over refined edge ids
+    belief: np.ndarray | None = None  # float64 over refined edge ids, once the team starts
     s: float = 0.0
     edge: int = -1
     pos: tuple[float, float] = (0.0, 0.0)
@@ -179,7 +214,7 @@ def _spawn_targets(world: World, seed: int) -> list[_TargetState]:
         path = strategy.path(g, entry, rng)
         lengths = g.length[path]
         segments = np.column_stack([g.xy[g.tail[path]], g.xy[g.head[path]], lengths]).tolist()
-        st = _TargetState(j, path, np.cumsum(lengths).tolist(), segments, velocity, init_belief(g, entry))
+        st = _TargetState(j, entry, path, np.cumsum(lengths).tolist(), segments, velocity)
         st.locate()
         out.append(st)
     return out
@@ -220,45 +255,51 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World | None = None) -
             if tg.edge in g.goal_union:
                 return TrialResult("lose", detections, tg.tid, tick, seed)
 
-        frozen = any(tg.s < delay_m for tg in targets if tg.active)
+        # While the team is frozen nothing but target motion happens, and the
+        # beliefs are not read until the team starts.
+        if any(tg.s < delay_m for tg in targets if tg.active):
+            continue
 
         # 2. UAVs fly toward their assigned cell centers.
-        if not frozen:
-            for uav in uavs:
-                uav.fly(overlay, dt)
+        for uav in uavs:
+            uav.fly(overlay, dt)
 
         # 3. One Bernoulli detection attempt per (UAV, active target in range).
-        if not frozen:
-            for uav in uavs:
-                for tg in targets:
-                    if not tg.active:
-                        continue
-                    if math.hypot(tg.pos[0] - uav.pos[0], tg.pos[1] - uav.pos[1]) <= uav.detect_radius:
-                        if det_rng.random() < uav.detect_prob:
-                            tg.active = False
-                            detections[tg.tid] = tick
-            if not any(tg.active for tg in targets):
-                return TrialResult("win", detections, None, tick, seed)
+        for uav in uavs:
+            for tg in targets:
+                if not tg.active:
+                    continue
+                if math.hypot(tg.pos[0] - uav.pos[0], tg.pos[1] - uav.pos[1]) <= uav.detect_radius:
+                    if det_rng.random() < uav.detect_prob:
+                        tg.active = False
+                        detections[tg.tid] = tick
+        if not any(tg.active for tg in targets):
+            return TrialResult("win", detections, None, tick, seed)
 
-        # 4. Propagate beliefs, then condition on every fruitless search.
+        # 4. Propagate beliefs, then condition on every fruitless search. At the
+        # first tick after the head start, the belief is the world's shared
+        # frozen belief of that tick: the same bits as propagating every tick.
         for tg in targets:
             if tg.active:
-                tg.belief = propagate(tg.belief, world.models[scenario.targets[tg.tid].class_name])
-        if not frozen:
-            for uav in uavs:
-                searched = set(overlay.covered_cells(uav.pos[0], uav.pos[1], uav.detect_radius))
-                if not searched:
+                cls = scenario.targets[tg.tid].class_name
+                if tg.belief is None:
+                    tg.belief = world.frozen_belief(cls, tg.entry, tick)
+                else:
+                    tg.belief = propagate(tg.belief, world.models[cls])
+        for uav in uavs:
+            searched = set(overlay.covered_cells(uav.pos[0], uav.pos[1], uav.detect_radius))
+            if not searched:
+                continue
+            for tg in targets:
+                if not tg.active:
                     continue
-                for tg in targets:
-                    if not tg.active:
-                        continue
-                    try:
-                        tg.belief = negative_update(tg.belief, searched, uav.detect_prob, overlay)
-                    except CertainDetection:
-                        tg.belief = _uniform_off_cells(overlay, searched)
+                try:
+                    tg.belief = negative_update(tg.belief, searched, uav.detect_prob, overlay)
+                except CertainDetection:
+                    tg.belief = _uniform_off_cells(overlay, searched)
 
-        # 5. Replan: planning holds no value while the team is frozen.
-        if uavs and not frozen:
+        # 5. Replan.
+        if uavs:
             cbs = [cell_marginal(tg.belief, overlay) for tg in targets if tg.active]
             cells = select_cells(scenario.policy, cbs, len(uavs), team_p)
             assignment = match_uavs_to_cells({u.uid: u.pos for u in uavs}, cells, overlay)

@@ -277,3 +277,31 @@ class TestKernelProperties:
         np.testing.assert_allclose(out, [j / evidence for j in joint],
                                    rtol=1e-12, atol=2 * PRUNE_EPS)
         assert np.array_equal(mass, before)
+
+    @_PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(
+            st.one_of(st.none(), st.tuples(st.integers(1, 8), st.one_of(st.just(1.0), st.floats(0.01, 1.0)))),
+            max_size=60,
+        ),
+    )
+    def test_mass_stays_normalized_under_interleaved_updates(self, border_refined, border_model, seed, ops):
+        """`None` propagates; (k, p) searches k cells that hold mass, with p."""
+        refined, overlay = border_refined
+        rng = np.random.default_rng(seed)
+        entries = sorted(refined.entries)
+        mass = init_belief(refined, entries[int(rng.integers(len(entries)))])
+        for op in ops:
+            if op is None:
+                mass = propagate(mass, border_model)
+            else:
+                k, p = op
+                held = np.flatnonzero(cell_marginal(mass, overlay) > 0.0)
+                cells = set(rng.choice(held, size=min(k, held.size), replace=False).tolist())
+                try:
+                    mass = negative_update(mass, cells, p, overlay)
+                except CertainDetection:
+                    continue
+            assert abs(mass.sum() - 1.0) <= 1e-12
+            assert (mass >= 0.0).all()

@@ -176,6 +176,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert "bad.model" in err and f"edge {src}: row sums to 0.9" in err
 
+    @pytest.mark.parametrize(
+        "token,needle",
+        [("edges=many", "edges=many is not a non-negative integer"), ("edges=3", "out of range for edges=3")],
+    )
+    def test_bad_edges_header_exits_1(self, work, capsys, token, needle):
+        first, *rows = (work / "models" / "tiny.model").read_text().splitlines()
+        (work / "models" / "edges.model").write_text("\n".join([f"{first} {token}", *rows]) + "\n")
+        scenario = yaml.safe_load((work / "tiny.yaml").read_text())
+        scenario["classes"]["default"]["model"] = "models/edges.model"
+        (work / "edges.yaml").write_text(yaml.safe_dump(scenario))
+        assert main(["run", str(work / "edges.yaml"), "--trials", "2"]) == 1
+        assert needle in capsys.readouterr().err
+
     def test_trial_csv(self, work, capsys):
         out = work / "out" / "trials.csv"
         rc = main(["run", str(work / "tiny.yaml"), "--trials", "8", "--seed", "3",
@@ -361,3 +374,15 @@ def test_border_run_bytes_are_pinned(tmp_path, jobs):
     rc = main(["run", scenario, "--trials", "6", "--seed", "0", "--jobs", jobs, "--out", str(out)])
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BORDER_RUN_SHA256
+
+
+def test_readme_compile_command_reproduces_bundled_model(tmp_path):
+    out = tmp_path / "border_shortest.model"
+    rc = main([
+        "compile-model", os.path.join(REPO_ROOT, "maps", "border.graph"),
+        "--strategies", "shortest", "--radius", "500", "--tick", "20", "--velocity", "8:12",
+        "--runs-per-pair", "3", "--seed", "7", "--target-class", "runner", "--out", str(out),
+    ])
+    assert rc == 0
+    with open(os.path.join(REPO_ROOT, "models", "border_shortest.model"), "rb") as fh:
+        assert out.read_bytes() == fh.read()

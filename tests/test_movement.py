@@ -227,6 +227,11 @@ class TestModelFile:
             ("#model tick=1.0\n0 0 1.0\n", "header missing class="),
             ("#model class=a\n0 0 1.0\n", "header missing tick="),
             ("#model tick=1.0 class=a nokey\n", "bad header token"),
+            ("#model tick=1.0 class=a edges=x\n0 0 1.0\n", "edges=x is not a non-negative integer"),
+            ("#model tick=1.0 class=a edges=-2\n", "edges=-2 is not a non-negative integer"),
+            ("#model tick=1.0 class=a edges=2.0\n0 0 1.0\n", "edges=2.0 is not a non-negative integer"),
+            ("#model tick=1.0 class=a edges=2\n0 0 1.0\n2 2 1.0\n", "edge id 2 is out of range for edges=2"),
+            ("#model tick=1.0 class=a edges=2\n0 2 1.0\n", "edge id 2 is out of range for edges=2"),
             ("", "missing #model header"),
         ],
     )
@@ -243,3 +248,12 @@ class TestModelFile:
         model = load_model(str(p))
         assert model.transitions == {0: ((0, 1.0),)}
         assert model.tick == 2.0
+
+    def test_edges_header_sets_edge_count(self, tmp_path):
+        p = tmp_path / "m.model"
+        p.write_text("#model tick=2.0 class=a edges=4\n0 1 1.0\n1 1 1.0\n")
+        model = load_model(str(p))
+        assert model.n_edges == 4
+        assert model.has_row.tolist() == [True, True, False, False]
+        save_model(model, str(tmp_path / "out.model"))  # the token is read, never written
+        assert (tmp_path / "out.model").read_text() == "#model tick=2.0 class=a\n0 1 1.0\n1 1 1.0\n"

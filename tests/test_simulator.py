@@ -5,10 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
+import uav_search.simulator as simulator
+from uav_search.belief import init_belief, propagate
 from uav_search.config import ConfigError, TargetSpec
 from uav_search.simulator import (
+    CHECKPOINT_TICKS,
     BatchStats,
     TrialResult,
     _spawn_targets,
@@ -193,6 +198,58 @@ class TestRunTrial:
             assert r.detection_ticks == {}
 
 
+@pytest.fixture(scope="module")
+def propagated(border_world):
+    """propagated(entry, n): n successive `propagate` calls from the delta on
+    `entry`, the reference for the world's frozen beliefs."""
+    model = border_world.models["runner"]
+    sequences: dict[int, list[np.ndarray]] = {}
+
+    def get(entry: int, n: int) -> np.ndarray:
+        seq = sequences.setdefault(entry, [init_belief(border_world.refined, entry)])
+        while len(seq) <= n:
+            seq.append(propagate(seq[-1], model))
+        return seq[n]
+
+    return get
+
+
+class TestFrozenBelief:
+    @settings(max_examples=60, deadline=None)
+    @given(requests=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 400)), min_size=1, max_size=12))
+    def test_equals_successive_propagation_in_any_request_order(self, border_world, propagated, requests):
+        world = dataclasses.replace(border_world)  # same world, empty checkpoint cache
+        entries = sorted(world.start_of_parent.values())
+        for pick, n in requests:
+            entry = entries[pick % len(entries)]
+            assert np.array_equal(world.frozen_belief("runner", entry, n), propagated(entry, n))
+
+    def test_checkpoints_are_read_only(self, border_world):
+        world = dataclasses.replace(border_world)
+        entry = min(world.refined.entries)
+        for n in (0, CHECKPOINT_TICKS, 3 * CHECKPOINT_TICKS):
+            mass = world.frozen_belief("runner", entry, n)
+            with pytest.raises(ValueError, match="read-only"):
+                mass[entry] = 0.5
+        assert len(world.checkpoints[("runner", entry)]) == 4
+        world.frozen_belief("runner", entry, 5)[entry] = 0.5  # off a checkpoint: a new array
+        assert np.array_equal(world.frozen_belief("runner", entry, 0), init_belief(world.refined, entry))
+
+    def test_head_start_loss_does_no_belief_work(self, border_scenario, border_world, monkeypatch):
+        calls = []
+
+        def counting(mass, model):
+            calls.append(1)
+            return propagate(mass, model)
+
+        monkeypatch.setattr(simulator, "propagate", counting)
+        sc = dataclasses.replace(border_scenario, delay_km=1000.0)
+        world = dataclasses.replace(border_world)
+        for i in range(3):
+            assert run_trial(sc, trial_seed(4, i), world).outcome == "lose"
+        assert calls == [] and world.checkpoints == {}
+
+
 class TestCertainDetectionRecovery:
     def test_uniform_off_searched_cells(self, border_world):
         overlay = border_world.overlay
@@ -281,6 +338,19 @@ class TestBuildWorld:
         sc = dataclasses.replace(border_scenario, classes=(cls,))
         with pytest.raises(ConfigError, match=needle):
             build_world(sc)
+
+    @pytest.mark.parametrize("header,needle", [("", "different grid"), (" edges=739", "edge 700: no transition row")])
+    def test_truncated_model_file(self, tmp_path, border_scenario, border_model_path, header, needle):
+        """A file cut off after edge 699's rows: the edges= header tells a
+        missing row from a model compiled for another grid."""
+        with open(border_model_path) as fh:
+            first, *rows = fh.read().splitlines()
+        kept = [row for row in rows if int(row.split()[0]) < 700]
+        path = tmp_path / "truncated.model"
+        path.write_text("\n".join([first + header, *kept]) + "\n")
+        cls = dataclasses.replace(border_scenario.classes[0], model_path=str(path))
+        with pytest.raises(ConfigError, match=needle):
+            build_world(dataclasses.replace(border_scenario, classes=(cls,)))
 
     def test_graph_without_entries(self, tmp_path, border_scenario):
         p = tmp_path / "plain.graph"
