@@ -61,9 +61,7 @@ def _fmt(value) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
@@ -150,9 +148,7 @@ def cmd_compile_model(args) -> int:
         args.seed if args.seed is not None else 0,
     )
     model = compile_model(traces, refined, args.smoothing, args.tick, args.target_class)
-    parent = os.path.dirname(args.out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     save_model(model, args.out)
     print(f"wrote {args.out}: {len(model.transitions)} rows from {len(traces)} traces")
     return 0
@@ -189,7 +185,6 @@ def cmd_sweep(args) -> int:
         shown = " ".join(f"{n}={_fmt(v)}" for n, v in assignment)
         print(f"{shown} -> {stats.success_rate:.4f} [{stats.ci_low:.4f}, {stats.ci_high:.4f}]")
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, SWEEP_CSV)
     _write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {path} ({len(lines) - 1} points x {spec.trials} trials)")
@@ -225,7 +220,6 @@ def cmd_threshold_scan(args) -> int:
         best.append(",".join([repr(p_shown), repr(top[1]), repr(top[0])]))
         print(f"p={p_shown:g} best threshold {top[1]:g} at success rate {top[0]:.4f}")
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     for name, lines in ((GRID_CSV, grid), (BEST_CSV, best)):
         path = os.path.join(out_dir, name)
         _write_text(path, "\n".join(lines) + "\n")

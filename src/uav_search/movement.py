@@ -263,6 +263,8 @@ def load_model(path: str) -> TransitionModel:
                 src, dst, p = int(toks[0]), int(toks[1]), float(toks[2])
             except ValueError:
                 raise ModelFormatError(f"{path}:{lineno}: malformed transition line {line!r}") from None
+            if src < 0 or dst < 0:
+                raise ModelFormatError(f"{path}:{lineno}: negative edge id in {line!r}")
             rows.setdefault(src, []).append((dst, p))
             max_id = max(max_id, src, dst)
     if header is None:
@@ -277,5 +279,9 @@ def load_model(path: str) -> TransitionModel:
         n_edges = int(header["edges"])
         if max_id >= n_edges:
             raise ModelFormatError(f"{path}: edge id {max_id} is out of range for edges={n_edges}")
+    try:
+        tick = float(header["tick"])
+    except ValueError:
+        raise ModelFormatError(f"{path}: header tick={header['tick']} is not a number") from None
     transitions = {src: tuple(dsts) for src, dsts in rows.items()}
-    return TransitionModel(header["class"], float(header["tick"]), n_edges, transitions)
+    return TransitionModel(header["class"], tick, n_edges, transitions)

@@ -3,9 +3,11 @@
 Selection maximizes the team entropy gain: the drop between the current
 belief entropy and the expected post-search entropy, weighted by the chance
 the search comes up empty. Greedy selection exploits the diminishing-returns
-structure of entropy; a brute-force oracle exists for small instances. On
-top sit the assignment policies (per-target coverage, single-entry threshold
-seeding, adaptive switching) and the plain probability baselines.
+structure of entropy: each pick scores every cell for every target at once
+from (targets x cells) arrays, and a brute-force oracle exists for small
+instances. On top sit the assignment policies (per-target coverage,
+single-entry threshold seeding, adaptive switching) and the probability
+baselines.
 """
 
 from __future__ import annotations
@@ -100,56 +102,55 @@ def team_gain(cell_beliefs: Sequence[np.ndarray], cells: set[int] | frozenset[in
     return sum(entropy_gain(cb, cells, p) for cb in cell_beliefs)
 
 
-class _TargetGainState:
-    """Per-target running state for incremental greedy gain evaluation.
+class _GainKernel:
+    """Greedy gain state of a team: rows are targets, columns are cells.
 
-    Keeps P(searched), sum of P log2 P over searched cells, and the product
-    weight, from which the gain of (state + one candidate cell) follows in
-    closed form for every candidate at once. Candidates whose eta falls below
-    EXACT_GAIN_ETA get the explicit-set `entropy_gain` instead.
+    Per target: entropy E and, over the searched cells, mass T, sum SH of
+    P log2 P and product weight W. The gain of (searched + c) follows in
+    closed form; below EXACT_GAIN_ETA, `entropy_gain` gives it instead.
     """
 
-    def __init__(self, cb: np.ndarray, p: float, seeded: np.ndarray):
+    def __init__(self, P: np.ndarray, p: float, seeded: np.ndarray):
         self.p = p
-        self.P = cb
+        self.P = P
         self.searched = set(seeded.tolist())
-        logP = np.zeros_like(self.P)
-        np.log2(self.P, out=logP, where=self.P > 0.0)
-        self.PlogP = self.P * logP
-        self.E = float(-self.PlogP.sum())
-        self.T = float(self.P[seeded].sum())
-        self.SH = float(self.PlogP[seeded].sum())
-        self.W = float(np.prod(1.0 - p * self.P[seeded])) if seeded.size else 1.0
+        logP = np.zeros_like(P)
+        np.log2(P, out=logP, where=P > 0.0)
+        self.PlogP = P * logP
+        self.keep = 1.0 - p * P
+        # Row sums of C-ordered arrays (`take` keeps C order) add as a 1-D array does.
+        self.E = -self.PlogP.sum(axis=1, keepdims=True)
+        self.T = P.take(seeded, axis=1).sum(axis=1, keepdims=True)
+        self.SH = self.PlogP.take(seeded, axis=1).sum(axis=1, keepdims=True)
+        self.W = self.keep.take(seeded, axis=1).prod(axis=1, keepdims=True)
 
     def candidate_gains(self) -> np.ndarray:
-        """Gain of searching (conditioned cells + c), for every cell c."""
+        """Gain of searching (searched cells + c), per target and cell c."""
         p = self.p
         Tn = self.T + self.P
         SHn = self.SH + self.PlogP
-        Wn = self.W * (1.0 - p * self.P)
         eta = 1.0 - p * Tn
-        safe = eta > ETA_TOL
-        log_eta = np.zeros_like(eta)
-        np.log2(eta, out=log_eta, where=safe)
         with np.errstate(divide="ignore", invalid="ignore"):
+            log_eta = np.log2(eta)  # may be -inf or nan only where eta <= ETA_TOL: reset below
             # Unsearched cells contribute -(1/eta) * (P log2 P - P log2 eta).
-            unsearched = -((-self.E - SHn) - (1.0 - Tn) * log_eta) / eta
+            post = -((-self.E - SHn) - (1.0 - Tn) * log_eta) / eta
             if p < 1.0:
-                searched = -((1.0 - p) / eta) * (SHn + Tn * (math.log2(1.0 - p) - log_eta))
-            else:
-                searched = 0.0
-            gains = self.E - Wn * (unsearched + searched)
-        gains[~safe] = self.E  # detection certain: the full entropy is gained
-        for c in np.flatnonzero(safe & (eta < EXACT_GAIN_ETA)).tolist():
-            if c not in self.searched:
-                gains[c] = entropy_gain(self.P, self.searched | {c}, p)
+                post += -((1.0 - p) / eta) * (SHn + Tn * (math.log2(1.0 - p) - log_eta))
+            gains = self.E - self.W * self.keep * post
+        if eta.min() < EXACT_GAIN_ETA:
+            # Detection is certain where eta <= ETA_TOL: the full entropy is gained.
+            np.copyto(gains, self.E, where=eta <= ETA_TOL)
+            near = (eta > ETA_TOL) & (eta < EXACT_GAIN_ETA)
+            near[:, list(self.searched)] = False
+            for t, c in zip(*np.nonzero(near)):
+                gains[t, c] = entropy_gain(self.P[t], self.searched | {int(c)}, p)
         return gains
 
     def add(self, cell: int) -> None:
         self.searched.add(cell)
-        self.T += float(self.P[cell])
-        self.SH += float(self.PlogP[cell])
-        self.W *= 1.0 - self.p * float(self.P[cell])
+        self.T += self.P[:, cell, None]
+        self.SH += self.PlogP[:, cell, None]
+        self.W *= self.keep[:, cell, None]
 
 
 def greedy_select(
@@ -160,31 +161,28 @@ def greedy_select(
 ) -> list[int]:
     """Pick k cells by iterated largest marginal team entropy gain.
 
+    A (targets x cells) array of cell beliefs is used without a copy.
     Excluded cells are never picked but do condition the gain (they count as
     already searched in the product weight and the renormalization), which is
     what assignment seeding requires. Ties break toward the lowest cell id.
     """
     _check_p(p)
-    if not cell_beliefs:
+    if len(cell_beliefs) == 0:
         raise ValueError("need at least one cell belief")
-    n_cells = cell_beliefs[0].size
+    P = np.ascontiguousarray(cell_beliefs, dtype=float)
+    n_cells = P.shape[1]
     if k < 0 or k + len(excluded) > n_cells:
         raise ValueError(f"cannot pick {k} cells with {len(excluded)} excluded out of {n_cells}")
-    seeded = np.fromiter(excluded, dtype=np.int64) if excluded else np.empty(0, dtype=np.int64)
-    states = [_TargetGainState(cb, p, seeded) for cb in cell_beliefs]
-    blocked = np.zeros(n_cells, dtype=bool)
-    blocked[seeded] = True
+    kernel = _GainKernel(P, p, np.fromiter(excluded, dtype=np.int64))
     chosen: list[int] = []
     for _ in range(k):
         total = np.zeros(n_cells)
-        for st in states:
-            total += st.candidate_gains()
-        total[blocked] = -np.inf
+        for row in kernel.candidate_gains():  # in target order, as the team gain sums
+            total += row
+        total[list(kernel.searched)] = -np.inf
         cell = int(np.argmax(total))
         chosen.append(cell)
-        blocked[cell] = True
-        for st in states:
-            st.add(cell)
+        kernel.add(cell)
     return chosen
 
 
@@ -318,12 +316,12 @@ def match_uavs_to_cells(
     """
     if len(cells) > len(positions):
         raise ValueError(f"{len(cells)} cells for only {len(positions)} UAVs")
-    pairs = []
-    for uid in sorted(positions):
-        x, y = positions[uid]
-        for cid in sorted(cells):
-            cx, cy = overlay.cell_center(cid)
-            pairs.append((math.hypot(cx - x, cy - y), uid, cid))
+    centers = [(cid, *overlay.centers[cid]) for cid in sorted(cells)]
+    pairs = [
+        (math.hypot(cx - x, cy - y), uid, cid)
+        for uid, (x, y) in sorted(positions.items())
+        for cid, cx, cy in centers
+    ]
     pairs.sort()
     assigned: dict[int, int] = {}
     used: set[int] = set()

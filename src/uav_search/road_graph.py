@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,17 +97,19 @@ class GridOverlay:
     n_rows: int
     n_cols: int
     cell_of_edge: np.ndarray  # refined edge id -> cell id
+    centers: list[tuple[float, float]] = field(init=False, repr=False, compare=False)  # cell id -> center
+
+    def __post_init__(self):
+        (x0, y0), side = self.origin, self.cell_side
+        rows, cols = range(self.n_rows), range(self.n_cols)
+        self.centers = [(x0 + (c + 0.5) * side, y0 + (r + 0.5) * side) for r in rows for c in cols]
 
     @property
     def n_cells(self) -> int:
         return self.n_rows * self.n_cols
 
     def cell_center(self, cell_id: int) -> tuple[float, float]:
-        row, col = divmod(cell_id, self.n_cols)
-        return (
-            self.origin[0] + (col + 0.5) * self.cell_side,
-            self.origin[1] + (row + 0.5) * self.cell_side,
-        )
+        return self.centers[cell_id]
 
     def edge_mask(self, cells: Iterable[int]) -> np.ndarray:
         """Boolean mask over refined edges: True where the edge's cell is in `cells`."""
@@ -135,11 +137,10 @@ class GridOverlay:
         hi_row = min(self.n_rows - 1, int(math.ceil((y + reach - self.origin[1]) / cs - 0.5)))
         out = []
         for row in range(lo_row, hi_row + 1):
-            for col in range(lo_col, hi_col + 1):
-                cx = self.origin[0] + (col + 0.5) * cs
-                cy = self.origin[1] + (row + 0.5) * cs
+            for cid in range(row * self.n_cols + lo_col, row * self.n_cols + hi_col + 1):
+                cx, cy = self.centers[cid]
                 if math.hypot(cx - x, cy - y) <= reach:
-                    out.append(row * self.n_cols + col)
+                    out.append(cid)
         return out
 
 

@@ -185,7 +185,7 @@ class _UavState:
     def fly(self, overlay: GridOverlay, dt: float) -> None:
         if self.assigned_cell is None:
             return
-        cx, cy = overlay.cell_center(self.assigned_cell)
+        cx, cy = overlay.centers[self.assigned_cell]
         dx, dy = cx - self.pos[0], cy - self.pos[1]
         d = math.hypot(dx, dy)
         step = self.velocity_ms * dt
@@ -227,11 +227,9 @@ def _uniform_off_cells(overlay: GridOverlay, cells: set[int]) -> np.ndarray:
     return mass / mass.sum()
 
 
-def run_trial(scenario: ScenarioConfig, seed: int, world: World | None = None) -> TrialResult:
+def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
     """One seeded trial. Phases per tick: targets move (goal check), UAVs fly
     (after the delay head start), detection draws, belief updates, replan."""
-    if world is None:
-        world = build_world(scenario)
     g, overlay = world.refined, world.overlay
     dt = scenario.tick_seconds
     delay_m = scenario.delay_km * 1000.0
@@ -300,7 +298,7 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World | None = None) -
 
         # 5. Replan.
         if uavs:
-            cbs = [cell_marginal(tg.belief, overlay) for tg in targets if tg.active]
+            cbs = np.array([cell_marginal(tg.belief, overlay) for tg in targets if tg.active])
             cells = select_cells(scenario.policy, cbs, len(uavs), team_p)
             assignment = match_uavs_to_cells({u.uid: u.pos for u in uavs}, cells, overlay)
             for uav in uavs:

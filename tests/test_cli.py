@@ -189,6 +189,28 @@ class TestRun:
         assert main(["run", str(work / "edges.yaml"), "--trials", "2"]) == 1
         assert needle in capsys.readouterr().err
 
+    @staticmethod
+    def _run_with_model(work, name, lines):
+        """`run` on the tiny scenario with its model replaced by `lines`."""
+        (work / "models" / f"{name}.model").write_text("\n".join(lines) + "\n")
+        scenario = yaml.safe_load((work / "tiny.yaml").read_text())
+        scenario["classes"]["default"]["model"] = f"models/{name}.model"
+        (work / f"{name}.yaml").write_text(yaml.safe_dump(scenario))
+        return main(["run", str(work / f"{name}.yaml"), "--trials", "2"])
+
+    def test_non_numeric_tick_exits_1(self, work, capsys):
+        first, *rows = (work / "models" / "tiny.model").read_text().splitlines()
+        header = " ".join("tick=abc" if tok.startswith("tick=") else tok for tok in first.split())
+        assert self._run_with_model(work, "badtick", [header, *rows]) == 1
+        assert "badtick.model: header tick=abc is not a number" in capsys.readouterr().err
+
+    def test_negative_edge_id_exits_1(self, work, capsys):
+        first, *rows = (work / "models" / "tiny.model").read_text().splitlines()
+        last = rows[-1].split()[0]
+        rows = [ln for ln in rows if ln.split()[0] != last] + ["-1 -1 1.0"]
+        assert self._run_with_model(work, "negative", [first, *rows]) == 1
+        assert f"negative.model:{len(rows) + 1}: negative edge id" in capsys.readouterr().err
+
     def test_trial_csv(self, work, capsys):
         out = work / "out" / "trials.csv"
         rc = main(["run", str(work / "tiny.yaml"), "--trials", "8", "--seed", "3",

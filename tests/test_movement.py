@@ -50,6 +50,26 @@ class TestSampleTrace:
         ticks = [t for t, _ in trace.samples]
         assert ticks == list(range(len(ticks)))
 
+    def test_sample_floats_pinned_on_bundled_route(self, border_refined):
+        """At 30/11 m/s and 20 s ticks, `velocity_ms * tick * t` puts sample 11
+        at 599.9999999999999 m, one ulp short of the end of the route's
+        600 m first edge, so it stays on edge 0. An ulp-level change to that
+        expression moves it on to edge 10. Pinned: the tick at which the trace
+        first occupies each edge; the trace ends on the goal at tick 210."""
+        g, _ = border_refined
+        path = ShortestPathStrategy().path(g, min(g.entries), np.random.default_rng(0), goal_index=0)
+        trace = sample_trace(g, path, 30.0 / 11.0, 20.0)
+        first: dict[int, int] = {}
+        for t, eid in trace.samples:
+            first.setdefault(eid, t)
+        assert list(first.items()) == [
+            (0, 0), (10, 12), (11, 13), (12, 26), (13, 39), (18, 43), (19, 52), (20, 65),
+            (21, 78), (26, 80), (27, 91), (28, 104), (32, 111), (33, 117), (34, 130),
+            (35, 143), (40, 146), (41, 156), (42, 169), (46, 177), (47, 182), (48, 195),
+            (49, 208), (672, 210),
+        ]
+        assert trace.samples[11] == (11, 0)
+
     @pytest.mark.parametrize("velocity,tick", [(0.0, 1.0), (-3.0, 1.0), (5.0, 0.0)])
     def test_rejects_nonpositive_rates(self, line_graph, velocity, tick):
         with pytest.raises(ValueError, match="must be positive"):
@@ -233,6 +253,9 @@ class TestModelFile:
             ("#model tick=1.0 class=a edges=2\n0 0 1.0\n2 2 1.0\n", "edge id 2 is out of range for edges=2"),
             ("#model tick=1.0 class=a edges=2\n0 2 1.0\n", "edge id 2 is out of range for edges=2"),
             ("", "missing #model header"),
+            ("#model tick=abc class=a\n0 0 1.0\n", "bad.model: header tick=abc is not a number"),
+            ("#model tick=1.0 class=a\n0 0 1.0\n-1 -1 1.0\n", "bad.model:3: negative edge id"),
+            ("#model tick=1.0 class=a\n0 -2 1.0\n", "bad.model:2: negative edge id"),
         ],
     )
     def test_format_errors(self, tmp_path, text, needle):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uav_search.belief import entropy
+from uav_search.belief import ETA_TOL, entropy
 from uav_search.planner import (
+    EXACT_GAIN_ETA,
     PolicyConfig,
-    _TargetGainState,
+    _GainKernel,
     assign_general,
     assign_single_entry,
     brute_force_select,
@@ -115,19 +116,124 @@ class TestEntropyGain:
         assert team_gain(pair, {1}, 0.9) == pytest.approx(2 * GAIN_SEARCH_SMALL, abs=1e-12)
 
 
-@st.composite
-def _gain_instances(draw):
-    """A cell belief with some zero-mass cells, a seeded set and p in (0, 1]."""
-    n = draw(st.integers(1, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+class _TargetGainState:
+    """Per-target greedy gain state as the planner kept it before its kernel
+    was batched over targets: the oracle that greedy_select must reproduce
+    exactly, pick for pick."""
+
+    def __init__(self, cb, p, seeded):
+        self.p = p
+        self.P = cb
+        self.searched = set(seeded.tolist())
+        logP = np.zeros_like(self.P)
+        np.log2(self.P, out=logP, where=self.P > 0.0)
+        self.PlogP = self.P * logP
+        self.E = float(-self.PlogP.sum())
+        self.T = float(self.P[seeded].sum())
+        self.SH = float(self.PlogP[seeded].sum())
+        self.W = float(np.prod(1.0 - p * self.P[seeded])) if seeded.size else 1.0
+
+    def candidate_gains(self):
+        p = self.p
+        Tn = self.T + self.P
+        SHn = self.SH + self.PlogP
+        Wn = self.W * (1.0 - p * self.P)
+        eta = 1.0 - p * Tn
+        safe = eta > ETA_TOL
+        log_eta = np.zeros_like(eta)
+        np.log2(eta, out=log_eta, where=safe)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unsearched = -((-self.E - SHn) - (1.0 - Tn) * log_eta) / eta
+            if p < 1.0:
+                searched = -((1.0 - p) / eta) * (SHn + Tn * (math.log2(1.0 - p) - log_eta))
+            else:
+                searched = 0.0
+            gains = self.E - Wn * (unsearched + searched)
+        gains[~safe] = self.E
+        for c in np.flatnonzero(safe & (eta < EXACT_GAIN_ETA)).tolist():
+            if c not in self.searched:
+                gains[c] = entropy_gain(self.P, self.searched | {c}, p)
+        return gains
+
+    def add(self, cell):
+        self.searched.add(cell)
+        self.T += float(self.P[cell])
+        self.SH += float(self.PlogP[cell])
+        self.W *= 1.0 - self.p * float(self.P[cell])
+
+
+def _per_target_greedy(cell_beliefs, k, p, excluded=frozenset()):
+    """greedy_select as a loop over per-target states."""
+    n_cells = cell_beliefs[0].size
+    seeded = np.fromiter(excluded, dtype=np.int64) if excluded else np.empty(0, dtype=np.int64)
+    states = [_TargetGainState(cb, p, seeded) for cb in cell_beliefs]
+    blocked = np.zeros(n_cells, dtype=bool)
+    blocked[seeded] = True
+    chosen = []
+    for _ in range(k):
+        total = np.zeros(n_cells)
+        for state in states:
+            total += state.candidate_gains()
+        total[blocked] = -np.inf
+        cell = int(np.argmax(total))
+        chosen.append(cell)
+        blocked[cell] = True
+        for state in states:
+            state.add(cell)
+    return chosen
+
+
+def _draw_belief(draw, rng, n):
+    """A cell belief with some zero-mass cells; sometimes one cell holds all
+    but about EXACT_GAIN_ETA of the mass, so eta lands near that cut-over."""
     mass = rng.dirichlet(np.full(n, draw(st.sampled_from([0.05, 0.3, 1.0, 3.0]))))
     mass[rng.random(n) < draw(st.floats(0.0, 0.8))] = 0.0
     if mass.sum() <= 0.0:
         mass[int(rng.integers(n))] = 1.0
     mass /= mass.sum()
+    if n > 1 and draw(st.booleans()):
+        rest = draw(st.floats(0.2 * EXACT_GAIN_ETA, 3.0 * EXACT_GAIN_ETA))
+        mass *= rest
+        mass[int(rng.integers(n))] += 1.0 - rest
+    return mass
+
+
+_DETECT_PROBS = st.one_of(
+    st.just(1.0),
+    st.floats(1.0 - EXACT_GAIN_ETA, 1.0),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+@st.composite
+def _gain_instances(draw):
+    """1-4 targets' cell beliefs on shared cells, a seeded set and p in (0, 1]."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    beliefs = np.array([_draw_belief(draw, rng, n) for _ in range(draw(st.integers(1, 4)))])
     seeded = set(rng.choice(n, size=draw(st.integers(0, n - 1)), replace=False).tolist())
-    p = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
-    return mass, seeded, p
+    return beliefs, seeded, draw(_DETECT_PROBS)
+
+
+@st.composite
+def _greedy_instances(draw):
+    """1-6 targets, excluded cells, and a pick count that fits. Sometimes the
+    targets' beliefs are cyclic shifts of one belief: then, with nothing
+    searched yet, every cell's team gain sums the same terms in another
+    order, the cells tie in exact arithmetic, and the pick hangs on the
+    float order of the row sum."""
+    n_targets = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = n_targets
+        base = _draw_belief(draw, rng, n)
+        beliefs = [np.roll(base, -t) for t in range(n_targets)]
+    else:
+        n = draw(st.integers(1, 14))
+        beliefs = [_draw_belief(draw, rng, n) for _ in range(n_targets)]
+    excluded = set(rng.choice(n, size=draw(st.integers(0, n - 1)), replace=False).tolist())
+    k = draw(st.integers(0, n - len(excluded)))
+    return beliefs, k, draw(_DETECT_PROBS), excluded
 
 
 class TestGainKernelProperties:
@@ -135,14 +241,16 @@ class TestGainKernelProperties:
     @given(_gain_instances())
     def test_candidate_gains_match_entropy_gain(self, instance):
         """The closed-form gain of (seeded + c) equals the explicit-set gain
-        for every unseeded cell c."""
-        cb, seeded, p = instance
-        gains = _TargetGainState(cb, p, np.array(sorted(seeded), dtype=np.int64)).candidate_gains()
-        for c in range(cb.size):
-            if c in seeded:
-                continue
-            expect = entropy_gain(cb, seeded | {c}, p)
-            assert gains[c] == pytest.approx(expect, abs=1e-11), c
+        for every target and every unseeded cell c."""
+        beliefs, seeded, p = instance
+        gains = _GainKernel(beliefs, p, np.array(sorted(seeded), dtype=np.int64)).candidate_gains()
+        assert gains.shape == beliefs.shape
+        for t, cb in enumerate(beliefs):
+            for c in range(cb.size):
+                if c in seeded:
+                    continue
+                expect = entropy_gain(cb, seeded | {c}, p)
+                assert gains[t, c] == pytest.approx(expect, abs=1e-11), (t, c)
 
     @pytest.mark.parametrize(
         "mass,seeded",
@@ -154,12 +262,41 @@ class TestGainKernelProperties:
     )
     def test_candidate_gain_near_certain_detection(self, mass, seeded):
         """At p = 1 with eta near 1e-11 the closed form alone is off by
-        6e-7 to 4e-5 bits; the candidate gain must still be the exact one."""
+        6e-7 to 4e-5 bits; the candidate gain must still be the exact one.
+        The near-certain target is the second row, behind a uniform one."""
         cb = np.array(mass)
         c = len(seeded)
         assert 0.0 < 1.0 - cb[: c + 1].sum() < 2e-11
-        gains = _TargetGainState(cb, 1.0, np.array(seeded, dtype=np.int64)).candidate_gains()
-        assert gains[c] == pytest.approx(entropy_gain(cb, set(seeded) | {c}, 1.0), abs=1e-11)
+        beliefs = np.array([np.full(cb.size, 1.0 / cb.size), cb])
+        gains = _GainKernel(beliefs, 1.0, np.array(seeded, dtype=np.int64)).candidate_gains()
+        assert gains[1, c] == pytest.approx(entropy_gain(cb, set(seeded) | {c}, 1.0), abs=1e-11)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_gain_instances(), st.data())
+    def test_kernel_rows_equal_per_target_states(self, instance, data):
+        """Row t of the kernel's gains is the per-target state's gains of
+        target t, float for float, after every added cell."""
+        beliefs, seeded, p = instance
+        order = np.array(sorted(seeded), dtype=np.int64)
+        kernel = _GainKernel(beliefs, p, order)
+        states = [_TargetGainState(cb, p, order) for cb in beliefs]
+        free = [c for c in range(beliefs.shape[1]) if c not in seeded]
+        for cell in data.draw(st.permutations(free)):
+            for row, state in zip(kernel.candidate_gains(), states):
+                assert np.array_equal(row, state.candidate_gains())
+            kernel.add(cell)
+            for state in states:
+                state.add(cell)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_greedy_instances())
+    def test_greedy_select_matches_per_target_loop(self, instance):
+        """The batched kernel picks exactly what the per-target loop picks,
+        from a list of beliefs and from the same beliefs stacked."""
+        beliefs, k, p, excluded = instance
+        expect = _per_target_greedy(beliefs, k, p, excluded)
+        assert greedy_select(beliefs, k, p, excluded) == expect
+        assert greedy_select(np.array(beliefs), k, p, excluded) == expect
 
 
 class TestGreedySelect:
@@ -430,7 +567,57 @@ class TestPolicyConfig:
             PolicyConfig(detect_prob=p)
 
 
+def _match_from_formula(positions, cells, overlay):
+    """match_uavs_to_cells as it was before GridOverlay kept a centre table:
+    every pair recomputes the cell centre from the grid."""
+    pairs = []
+    for uid in sorted(positions):
+        x, y = positions[uid]
+        for cid in sorted(cells):
+            row, col = divmod(cid, overlay.n_cols)
+            cx = overlay.origin[0] + (col + 0.5) * overlay.cell_side
+            cy = overlay.origin[1] + (row + 0.5) * overlay.cell_side
+            pairs.append((math.hypot(cx - x, cy - y), uid, cid))
+    pairs.sort()
+    assigned = {}
+    used = set()
+    for _, uid, cid in pairs:
+        if uid in assigned or cid in used:
+            continue
+        assigned[uid] = cid
+        used.add(cid)
+    return assigned
+
+
+@st.composite
+def _match_instances(draw, overlay):
+    """UAVs on cell centres (distance ties), midway between two centres, or
+    anywhere around the grid, and at most as many cells as UAVs."""
+    uids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+    centers = st.integers(0, overlay.n_cells - 1).map(overlay.cell_center)
+    positions = {}
+    for uid in uids:
+        kind = draw(st.sampled_from(["center", "between", "anywhere"]))
+        if kind == "center":
+            positions[uid] = draw(centers)
+        elif kind == "between":
+            (ax, ay), (bx, by) = draw(centers), draw(centers)
+            positions[uid] = ((ax + bx) / 2, (ay + by) / 2)
+        else:
+            positions[uid] = (draw(st.floats(-2e3, 1e4)), draw(st.floats(-2e3, 1.4e4)))
+    cells = draw(st.sets(st.integers(0, overlay.n_cells - 1), max_size=len(uids)))
+    return positions, cells
+
+
 class TestMatchUavsToCells:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_formula_implementation(self, border_refined, data):
+        """The same assignment dict as recomputing every centre."""
+        _, overlay = border_refined
+        positions, cells = data.draw(_match_instances(overlay))
+        assert match_uavs_to_cells(positions, cells, overlay) == _match_from_formula(positions, cells, overlay)
+
     def test_globally_closest_first(self, border_refined):
         _, overlay = border_refined
         ca, cb_ = 10, 20

@@ -256,6 +256,19 @@ def _disk_queries(draw):
 
 
 class TestCoveredCellsProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(_disk_queries())
+    def test_cell_center_table_matches_formula(self, query):
+        """The precomputed centres are exactly origin + (col + 0.5) * side."""
+        overlay = query[0]
+        for c in range(overlay.n_cells):
+            row, col = divmod(c, overlay.n_cols)
+            expect = (
+                overlay.origin[0] + (col + 0.5) * overlay.cell_side,
+                overlay.origin[1] + (row + 0.5) * overlay.cell_side,
+            )
+            assert overlay.cell_center(c) == expect, c
+
     @settings(max_examples=300, deadline=None)
     @given(_disk_queries())
     def test_every_returned_cell_lies_inside_the_disk(self, query):
