@@ -16,15 +16,7 @@ import math
 import os
 import sys
 
-from .config import (
-    ConfigError,
-    ScenarioConfig,
-    apply_axis,
-    load_scenario,
-    load_sweep,
-    sweep_points,
-)
-from .belief import init_belief, propagate
+from .config import ConfigError, SweepSpec, load_scenario, load_sweep, sweep_points
 from .movement import ModelFormatError, compile_model, save_model, traces_for_strategies
 from .road_graph import GraphFormatError, load_graph, overlay_grid
 from .simulator import BatchStats, TrialResult, build_world, run_batch, trial_seed
@@ -171,13 +163,21 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _run_points(spec: SweepSpec, seed: int, jobs: int):
+    """Yield (assignment, scenario, stats) per sweep point, in order. Every
+    point is expanded, and so checked, before the first trial runs."""
+    points = list(sweep_points(spec))
+    for index, (assignment, scenario) in enumerate(points):
+        stats, _ = run_batch(scenario, spec.trials, trial_seed(seed, index), jobs=jobs)
+        yield assignment, scenario, stats
+
+
 def cmd_sweep(args) -> int:
     spec = load_sweep(args.sweep)
     seed = args.seed if args.seed is not None else spec.seed
     axis_names = [name for name, _ in spec.axes]
     lines = [",".join(axis_names + ["success_rate", "ci_low", "ci_high", "trials"])]
-    for index, (assignment, scenario) in enumerate(sweep_points(spec)):
-        stats, _ = run_batch(scenario, spec.trials, trial_seed(seed, index), jobs=args.jobs)
+    for assignment, _, stats in _run_points(spec, seed, args.jobs):
         values = [_fmt(v) for _, v in assignment]
         lines.append(",".join(values + [
             repr(stats.success_rate), repr(stats.ci_low), repr(stats.ci_high), str(stats.n_trials),
@@ -194,31 +194,32 @@ def cmd_sweep(args) -> int:
 def cmd_threshold_scan(args) -> int:
     _check_trials(args.trials)
     scenario = load_scenario(args.scenario)
+    if not scenario.uavs:
+        raise ConfigError(f"{args.scenario}: threshold-scan needs at least one UAV")
     seed = args.seed if args.seed is not None else 0
     thresholds = _parse_floats(args.thresholds, "--thresholds")
-    probs = _parse_floats(args.detect_probs, "--detect-probs") if args.detect_probs else [None]
+    axes = [("threshold", tuple(thresholds))]
+    if args.detect_probs:
+        axes.insert(0, ("detect_prob", tuple(_parse_floats(args.detect_probs, "--detect-probs"))))
+    spec = SweepSpec(scenario, tuple(axes), args.trials, seed)
 
     grid = [",".join(["detect_prob", "threshold", "success_rate", "ci_low", "ci_high", "trials"])]
     best = [",".join(["detect_prob", "best_threshold", "success_rate"])]
-    index = 0
-    for p in probs:
-        based = scenario if p is None else apply_axis(scenario, "detect_prob", p)
-        p_shown = based.team_min_detect_prob()
-        top: tuple[float, float] | None = None  # (rate, threshold)
-        for th in thresholds:
-            point = apply_axis(based, "threshold", th)
-            stats, _ = run_batch(point, args.trials, trial_seed(seed, index), jobs=args.jobs)
-            index += 1
-            grid.append(",".join([
-                repr(p_shown), repr(th), repr(stats.success_rate),
-                repr(stats.ci_low), repr(stats.ci_high), str(stats.n_trials),
-            ]))
-            print(f"p={p_shown:g} threshold={th:g} -> {stats.success_rate:.4f}")
-            if top is None or stats.success_rate > top[0]:
-                top = (stats.success_rate, th)
-        assert top is not None
-        best.append(",".join([repr(p_shown), repr(top[1]), repr(top[0])]))
-        print(f"p={p_shown:g} best threshold {top[1]:g} at success rate {top[0]:.4f}")
+    top: tuple[float, float] | None = None  # (rate, threshold) of the current detect_prob
+    for index, (assignment, point, stats) in enumerate(_run_points(spec, seed, args.jobs)):
+        th = assignment[-1][1]
+        p_shown = point.team_min_detect_prob()
+        grid.append(",".join([
+            repr(p_shown), repr(th), repr(stats.success_rate),
+            repr(stats.ci_low), repr(stats.ci_high), str(stats.n_trials),
+        ]))
+        print(f"p={p_shown:g} threshold={th:g} -> {stats.success_rate:.4f}")
+        if top is None or stats.success_rate > top[0]:
+            top = (stats.success_rate, th)
+        if index % len(thresholds) == len(thresholds) - 1:
+            best.append(",".join([repr(p_shown), repr(top[1]), repr(top[0])]))
+            print(f"p={p_shown:g} best threshold {top[1]:g} at success rate {top[0]:.4f}")
+            top = None
     out_dir = args.out or "."
     for name, lines in ((GRID_CSV, grid), (BEST_CSV, best)):
         path = os.path.join(out_dir, name)
@@ -236,19 +237,16 @@ def cmd_dump_belief(args) -> int:
     if class_name not in world.models:
         known = ", ".join(sorted(world.models))
         raise ConfigError(f"--target-class: {class_name!r} has no model; targets use: {known}")
-    model = world.models[class_name]
 
     entry = args.entry if args.entry is not None else min(world.start_of_parent)
     if entry not in world.start_of_parent:
         raise ConfigError(f"--entry: edge {entry} is not an entry edge of the graph")
 
-    belief = init_belief(world.refined, world.start_of_parent[entry])
     lines = ["tick,edge,mass"]
     for tick in range(args.ticks + 1):
+        belief = world.frozen_belief(class_name, world.start_of_parent[entry], tick)
         for edge in belief.nonzero()[0]:
             lines.append(f"{tick},{edge},{float(belief[edge])!r}")
-        if tick < args.ticks:
-            belief = propagate(belief, model)
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_text(args.out, text)

@@ -9,6 +9,7 @@ of the config file that mentions them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -73,6 +74,18 @@ class ScenarioConfig:
     max_ticks: int = DEFAULT_MAX_TICKS
     grid_radius: float | None = None  # None: team-minimum detection radius
 
+    def __post_init__(self):
+        # Cross-field rules live here, so every way of building a scenario
+        # (file, sweep axis, dataclasses.replace) is checked by the same code.
+        if self.grid_radius is None:
+            if not self.uavs:
+                raise ConfigError("grid_radius: required when no UAVs are configured")
+        elif self.uavs and self.grid_radius > min(u.detect_radius for u in self.uavs) + 1e-9:
+            raise ConfigError(
+                "grid_radius: exceeds the smallest UAV detection radius; "
+                "cells would not fit inside every detection circle"
+            )
+
     def class_named(self, name: str) -> TargetClassSpec:
         for cls in self.classes:
             if cls.name == name:
@@ -82,8 +95,6 @@ class ScenarioConfig:
     def team_min_radius(self) -> float:
         if self.grid_radius is not None:
             return self.grid_radius
-        if not self.uavs:
-            raise ConfigError("grid.radius: required when the scenario has no UAVs")
         return min(u.detect_radius for u in self.uavs)
 
     def team_min_detect_prob(self) -> float:
@@ -283,13 +294,6 @@ def scenario_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
         grid_radius = _need_float(grid_radius, "grid_radius")
         if grid_radius <= 0:
             raise ConfigError(f"grid_radius: must be positive, got {grid_radius}")
-        if uavs and grid_radius > min(u.detect_radius for u in uavs) + 1e-9:
-            raise ConfigError(
-                "grid_radius: exceeds the smallest UAV detection radius; "
-                "cells would not fit inside every detection circle"
-            )
-    if not uavs and grid_radius is None:
-        raise ConfigError("grid_radius: required when no UAVs are configured")
 
     return ScenarioConfig(
         graph_path=graph_path,
@@ -356,44 +360,44 @@ def load_sweep(path: str, default_seed: int = 0) -> SweepSpec:
 
 
 def apply_axis(scenario: ScenarioConfig, axis: str, value) -> ScenarioConfig:
-    """One sweep-axis override, returning a new scenario."""
-    if axis == "n_uavs":
-        n = int(value)
-        if n > 0 and not scenario.uavs:
-            raise ConfigError("axes.n_uavs: base scenario has no UAV to replicate")
-        uavs = tuple(scenario.uavs[i % len(scenario.uavs)] for i in range(n)) if n else ()
-        return dataclasses.replace(scenario, uavs=uavs)
-    if axis == "n_targets":
-        n = int(value)
-        if n < 1:
-            raise ConfigError("axes.n_targets: need at least one target")
-        targets = tuple(scenario.targets[i % len(scenario.targets)] for i in range(n))
-        return dataclasses.replace(scenario, targets=targets)
-    if axis == "delay_km":
-        return dataclasses.replace(scenario, delay_km=float(value))
-    if axis == "threshold":
-        policy = dataclasses.replace(scenario.policy, threshold=float(value))
-        return dataclasses.replace(scenario, policy=policy)
-    if axis == "detect_prob":
-        p = float(value)
-        if not (0.0 < p <= 1.0):
-            raise ConfigError(f"axes.detect_prob: must be in (0, 1], got {p}")
-        uavs = tuple(dataclasses.replace(u, detect_prob=p) for u in scenario.uavs)
-        policy = dataclasses.replace(scenario.policy, detect_prob=None)
-        return dataclasses.replace(scenario, uavs=uavs, policy=policy)
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+    """One sweep-axis override, returning a new scenario. Every error, the
+    scenario's own checks included, is a ConfigError naming the axis."""
+    try:
+        if axis == "n_uavs":
+            n = int(value)
+            if n > 0 and not scenario.uavs:
+                raise ConfigError("base scenario has no UAV to replicate")
+            uavs = tuple(scenario.uavs[i % len(scenario.uavs)] for i in range(n)) if n else ()
+            return dataclasses.replace(scenario, uavs=uavs)
+        if axis == "n_targets":
+            n = int(value)
+            if n < 1:
+                raise ConfigError("need at least one target")
+            targets = tuple(scenario.targets[i % len(scenario.targets)] for i in range(n))
+            return dataclasses.replace(scenario, targets=targets)
+        if axis == "delay_km":
+            return dataclasses.replace(scenario, delay_km=float(value))
+        if axis == "threshold":
+            policy = dataclasses.replace(scenario.policy, threshold=float(value))
+            return dataclasses.replace(scenario, policy=policy)
+        if axis == "detect_prob":
+            p = float(value)
+            if not (0.0 < p <= 1.0):
+                raise ConfigError(f"must be in (0, 1], got {p}")
+            uavs = tuple(dataclasses.replace(u, detect_prob=p) for u in scenario.uavs)
+            policy = dataclasses.replace(scenario.policy, detect_prob=None)
+            return dataclasses.replace(scenario, uavs=uavs, policy=policy)
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    except ValueError as exc:  # ConfigError, or PolicyConfig's own checks
+        raise ConfigError(f"axes.{axis}: {exc}") from None
 
 
 def sweep_points(spec: SweepSpec):
-    """Yield (ordered axis-value assignment, scenario) per grid point."""
+    """Yield (ordered axis-value assignment, scenario) per grid point: the
+    Cartesian product of the axes, the last axis varying fastest."""
     names = [name for name, _ in spec.axes]
-    value_lists = [values for _, values in spec.axes]
-
-    def rec(i: int, assignment: list, scenario: ScenarioConfig):
-        if i == len(names):
-            yield tuple(assignment), scenario
-            return
-        for v in value_lists[i]:
-            yield from rec(i + 1, assignment + [(names[i], v)], apply_axis(scenario, names[i], v))
-
-    yield from rec(0, [], spec.base)
+    for values in itertools.product(*(vs for _, vs in spec.axes)):
+        scenario = spec.base
+        for name, v in zip(names, values):
+            scenario = apply_axis(scenario, name, v)
+        yield tuple(zip(names, values)), scenario

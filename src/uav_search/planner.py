@@ -4,15 +4,13 @@ Selection maximizes the team entropy gain: the drop between the current
 belief entropy and the expected post-search entropy, weighted by the chance
 the search comes up empty. Greedy selection exploits the diminishing-returns
 structure of entropy: each pick scores every cell for every target at once
-from (targets x cells) arrays, and a brute-force oracle exists for small
-instances. On top sit the assignment policies (per-target coverage,
-single-entry threshold seeding, adaptive switching) and the probability
-baselines.
+from (targets x cells) arrays. On top sit the assignment policies
+(per-target coverage, single-entry threshold seeding, adaptive switching) and
+the probability baselines.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,9 +25,6 @@ DEFAULT_THRESHOLD = 0.2
 # Below this eta, candidate_gains uses the explicit-set gain: the closed form
 # divides sums of P log2 P by eta, and its error (measured: ~1e-15 / eta bits) grows.
 EXACT_GAIN_ETA = 1e-3
-
-BRUTE_FORCE_MAX_CELLS = 15
-BRUTE_FORCE_MAX_K = 4
 
 POLICIES = (
     "general",
@@ -95,11 +90,6 @@ def entropy_gain(cb: np.ndarray, cells: set[int] | frozenset[int], p: float) -> 
         return current - weight * temporal_entropy(cb, cells, p)
     except CertainDetection:
         return current
-
-
-def team_gain(cell_beliefs: Sequence[np.ndarray], cells: set[int] | frozenset[int], p: float) -> float:
-    """Sum of per-target entropy gains for one shared cell set."""
-    return sum(entropy_gain(cb, cells, p) for cb in cell_beliefs)
 
 
 class _GainKernel:
@@ -186,29 +176,6 @@ def greedy_select(
     return chosen
 
 
-def brute_force_select(cell_beliefs: Sequence[np.ndarray], k: int, p: float) -> list[int]:
-    """Exhaustive argmax of the team gain over all k-subsets of cells.
-
-    Only for oracle-sized instances: at most 15 cells and k <= 4. Returns the
-    lexicographically smallest maximizer, sorted.
-    """
-    _check_p(p)
-    n_cells = cell_beliefs[0].size
-    if n_cells > BRUTE_FORCE_MAX_CELLS or k > BRUTE_FORCE_MAX_K:
-        raise ValueError(
-            f"instance too large for brute force ({n_cells} cells, k={k}); "
-            f"limits are {BRUTE_FORCE_MAX_CELLS} cells, k={BRUTE_FORCE_MAX_K}"
-        )
-    best: tuple[int, ...] | None = None
-    best_value = -math.inf
-    for subset in itertools.combinations(range(n_cells), k):
-        value = team_gain(cell_beliefs, set(subset), p)
-        if value > best_value:
-            best, best_value = subset, value
-    assert best is not None
-    return list(best)
-
-
 # ---------------------------------------------------------------------------
 # Assignment policies
 
@@ -223,11 +190,12 @@ def assign_general(cell_beliefs: Sequence[np.ndarray], m: int, p: float) -> set[
     if m == 0:
         return set()
     _check_p(p)
-    seeds = {int(np.argmax(cb)) for cb in cell_beliefs}
+    P = np.asarray(cell_beliefs)
+    seeds = set(np.argmax(P, axis=1).tolist())
     if len(seeds) >= m:
-        best = {c: max(float(cb[c]) for cb in cell_beliefs) for c in seeds}
+        best = P.max(axis=0)
         return set(sorted(seeds, key=lambda c: (-best[c], c))[:m])
-    picks = greedy_select(cell_beliefs, m - len(seeds), p, excluded=seeds)
+    picks = greedy_select(P, m - len(seeds), p, excluded=seeds)
     return seeds | set(picks)
 
 

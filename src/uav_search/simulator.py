@@ -322,10 +322,9 @@ def _init_worker(world: World) -> None:
     _WORKER_WORLD = world
 
 
-def _worker_trial(args: tuple[int, int]) -> tuple[int, TrialResult]:
-    index, seed = args
+def _worker_trial(seed: int) -> TrialResult:
     assert _WORKER_WORLD is not None
-    return index, run_trial(_WORKER_WORLD.scenario, seed, _WORKER_WORLD)
+    return run_trial(_WORKER_WORLD.scenario, seed, _WORKER_WORLD)
 
 
 def run_batch(
@@ -338,18 +337,17 @@ def run_batch(
     trial count, and master seed - never on `jobs`."""
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    seeds = [(i, trial_seed(master_seed, i)) for i in range(n_trials)]
+    seeds = [trial_seed(master_seed, i) for i in range(n_trials)]
     # Built here, not in the workers: a bad scenario raises ConfigError in the
     # caller, and forked workers inherit the world without pickling it.
     world = build_world(scenario)
     if jobs <= 1:
-        results = [run_trial(scenario, s, world) for _, s in seeds]
+        results = [run_trial(scenario, s, world) for s in seeds]
     else:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(world,)) as pool:
             chunk = max(1, n_trials // (jobs * 4))
-            indexed = list(pool.map(_worker_trial, seeds, chunksize=chunk))
-        indexed.sort(key=lambda pair: pair[0])
-        results = [r for _, r in indexed]
+            # Executor.map yields results in input order, whatever the workers' order.
+            results = list(pool.map(_worker_trial, seeds, chunksize=chunk))
 
     wins = sum(1 for r in results if r.outcome == "win")
     lo, hi = wilson_interval(wins, n_trials)

@@ -3,14 +3,12 @@
 Each strategy turns (graph, entry edge, rng) into a full edge path that ends
 on a goal edge. Strategies are the ground truth behind both simulated targets
 and the offline traces that transition models are compiled from. A registry
-maps config names to constructors, and `split_pool` carves a strategy pool
-into disjoint train / test halves for unknown-behavior experiments.
+maps config names to constructors.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,42 +211,3 @@ def make_strategy(name: str, params: dict | None = None) -> Strategy:
 
 def strategy_names() -> list[str]:
     return sorted(_REGISTRY)
-
-
-@dataclass(frozen=True)
-class StrategyPool:
-    """Disjoint train / test strategy subsets of a larger pool."""
-
-    train: tuple[Strategy, ...]
-    test: tuple[Strategy, ...]
-
-
-def default_pool(size: int = 40) -> list[Strategy]:
-    """A deterministic pool of behaviorally distinct strategies.
-
-    One shortest-path agent, goal-biased random walkers over a log-spaced
-    beta grid, and side-road preferrers over a linear penalty grid.
-    """
-    if size < 3:
-        raise ValueError("pool needs at least 3 strategies")
-    n_walk = (size - 1) * 3 // 5
-    n_side = size - 1 - n_walk
-    pool: list[Strategy] = [ShortestPathStrategy()]
-    pool.extend(RandomWalkStrategy(beta=float(b)) for b in np.geomspace(3e-4, 3e-2, n_walk))
-    pool.extend(SideRoadsStrategy(penalty=float(p)) for p in np.linspace(0.25, 4.0, n_side))
-    return pool
-
-
-def split_pool(pool: list[Strategy], train_count: int, test_count: int, seed: int) -> StrategyPool:
-    """Draw disjoint train / test subsets uniformly at random."""
-    if train_count + test_count > len(pool):
-        raise ValueError(
-            f"cannot draw {train_count}+{test_count} strategies from a pool of {len(pool)}"
-        )
-    if test_count == 0:
-        warnings.warn("empty test split: every pool strategy is in training", stacklevel=2)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pool))
-    train = tuple(pool[i] for i in order[:train_count])
-    test = tuple(pool[i] for i in order[train_count : train_count + test_count])
-    return StrategyPool(train=train, test=test)

@@ -24,10 +24,11 @@ from uav_search.belief import (
 from uav_search.cli import main as cli_main
 from uav_search.config import StrategyRef, apply_axis
 from uav_search.movement import compile_model, save_model, traces_for_strategies
-from uav_search.planner import brute_force_select, entropy_gain, greedy_select, team_gain
+from uav_search.planner import entropy_gain, greedy_select
 from uav_search.road_graph import load_graph, overlay_grid
 from uav_search.simulator import run_batch
-from uav_search.strategies import default_pool, split_pool
+
+from oracles import brute_force_select, default_pool, split_pool, team_gain
 
 pytestmark = pytest.mark.acceptance
 

@@ -56,7 +56,25 @@ CHAIN_GRAPH = """\
 # work must not change a byte of it, at any --jobs.
 BORDER_RUN_SHA256 = "dda55d7b65d11b1c517110655b642a0beefaa1a66e61eeb2edfc0cf8a41766fa"
 
+# SHA-256 of (threshold_grid.csv, threshold_best.csv) of `threshold-scan
+# scenarios/border.yaml --trials 3 --seed 2` plus these flags, and of the CSV
+# of `dump-belief scenarios/border.yaml --ticks 50 --entry 3`, recorded before
+# threshold-scan ran through the sweep loop and dump-belief through
+# World.frozen_belief.
+THRESHOLD_SCAN_SHA256 = {
+    "--thresholds 0.1,0.3 --detect-probs 0.7,1.0": (
+        "7291394f971414c00c0a310f1b23b3a66cb948f6def403d643a62e971ff50192",
+        "62a3951c968df817deb741988a0ebefd358bce4ab62717980c2eee7718ecf909",
+    ),
+    "--thresholds 0.2,0.4": (
+        "926f3f486dd4ee4a396c41603b8ed90153cc21fa9a98496c7a3e783db5998979",
+        "6d164c7961074e6fa3ea0979147b7a3c3fc922dbe22e1b368757761e667e09df",
+    ),
+}
+DUMP_BELIEF_SHA256 = "864f76a5058ee653410402be2da9a047e55a8a5fcbf080e68125d6a28f5e53dd"
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BORDER_YAML = os.path.join(REPO_ROOT, "scenarios", "border.yaml")
 
 
 def _compile_args(root, out="models/tiny.model", seed="5"):
@@ -327,11 +345,59 @@ class TestThresholdScan:
         grid = _rows(out_dir / "threshold_grid.csv")
         assert [r["detect_prob"] for r in grid] == ["0.9"]
 
+    def test_scenario_without_uavs(self, work, capsys):
+        scenario = yaml.safe_load((work / "tiny.yaml").read_text())
+        scenario["uavs"] = []
+        (work / "no_uavs.yaml").write_text(yaml.safe_dump(scenario))
+        rc = main(["threshold-scan", str(work / "no_uavs.yaml"), "--thresholds", "0.2", "--trials", "2"])
+        assert rc == 1
+        assert "threshold-scan needs at least one UAV" in capsys.readouterr().err
+
     def test_empty_threshold_list(self, work, capsys):
         rc = main(["threshold-scan", str(work / "tiny.yaml"), "--thresholds", ",",
                    "--trials", "2"])
         assert rc == 1
         assert "need at least one value" in capsys.readouterr().err
+
+
+class TestBadAxisValues:
+    """A bad axis value fails before any trial runs: the whole grid is
+    expanded, and so checked, before the first run_batch."""
+
+    @pytest.fixture
+    def no_batches(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("uav_search.cli.run_batch", lambda *a, **k: calls.append(a))
+        return calls
+
+    @pytest.mark.parametrize(
+        "axes,needles",
+        [
+            ({"threshold": [0.2, -0.1]}, ["axes.threshold", "non-negative"]),
+            ({"n_uavs": [1, 0]}, ["axes.n_uavs", "grid_radius: required"]),
+        ],
+    )
+    def test_sweep(self, tmp_path, capsys, no_batches, axes, needles):
+        sweep = tmp_path / "bad.yaml"
+        sweep.write_text(yaml.safe_dump({"base": BORDER_YAML, "trials": 2, "axes": axes}))
+        assert main(["sweep", str(sweep), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert all(n in err for n in needles), err
+        assert no_batches == []
+
+    @pytest.mark.parametrize(
+        "flags,needles",
+        [
+            (["--thresholds", "0.2,-0.1"], ["axes.threshold", "non-negative"]),
+            (["--thresholds", "0.2", "--detect-probs", "0.8,1.5"], ["axes.detect_prob", "1.5"]),
+        ],
+    )
+    def test_threshold_scan(self, tmp_path, capsys, no_batches, flags, needles):
+        rc = main(["threshold-scan", BORDER_YAML, *flags, "--trials", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert all(n in err for n in needles), err
+        assert no_batches == []
 
 
 class TestDumpBelief:
@@ -396,6 +462,34 @@ def test_border_run_bytes_are_pinned(tmp_path, jobs):
     rc = main(["run", scenario, "--trials", "6", "--seed", "0", "--jobs", jobs, "--out", str(out)])
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BORDER_RUN_SHA256
+
+
+@pytest.mark.parametrize("flags", sorted(THRESHOLD_SCAN_SHA256))
+def test_threshold_scan_bytes_are_pinned(tmp_path, capsys, flags):
+    rc = main(["threshold-scan", BORDER_YAML, *flags.split(), "--trials", "3", "--seed", "2",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    capsys.readouterr()
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("threshold_grid.csv", "threshold_best.csv"))
+    assert got == THRESHOLD_SCAN_SHA256[flags]
+
+
+def test_dump_belief_bytes_are_pinned(tmp_path):
+    out = tmp_path / "belief.csv"
+    assert main(["dump-belief", BORDER_YAML, "--ticks", "50", "--entry", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_BELIEF_SHA256
+
+
+def test_readme_dump_belief_command_runs(tmp_path, monkeypatch, capsys):
+    """The dump-belief example in README.md runs as written, from the repo root."""
+    with open(os.path.join(REPO_ROOT, "README.md")) as fh:
+        [line] = [ln.split() for ln in fh if ln.startswith("uav-search dump-belief ")]
+    argv = line[1:]
+    argv[argv.index("--out") + 1] = str(tmp_path / "belief.csv")
+    monkeypatch.chdir(REPO_ROOT)
+    assert main(argv) == 0, capsys.readouterr().err
+    assert (tmp_path / "belief.csv").read_text().startswith("tick,edge,mass\n0,")
 
 
 def test_readme_compile_command_reproduces_bundled_model(tmp_path):

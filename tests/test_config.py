@@ -77,9 +77,16 @@ class TestScenarioParsing:
 
     def test_team_min_radius_needs_a_source(self):
         sc = scenario_from_dict(_base(uavs=[], grid_radius=500))
-        bare = dataclasses.replace(sc, grid_radius=None)
         with pytest.raises(ConfigError, match="grid.radius: required"):
-            bare.team_min_radius()
+            dataclasses.replace(sc, grid_radius=None)
+
+    def test_grid_radius_may_not_exceed_a_detection_radius(self):
+        sc = scenario_from_dict(_base(grid_radius=500))
+        with pytest.raises(ConfigError, match="grid_radius: exceeds the smallest UAV detection radius"):
+            dataclasses.replace(sc, grid_radius=501.0)
+        small = dataclasses.replace(sc.uavs[0], detect_radius=400.0)
+        with pytest.raises(ConfigError, match="grid_radius: exceeds"):
+            dataclasses.replace(sc, uavs=sc.uavs + (small,))
 
     def test_team_minima(self):
         extra = {"depot": [5, 5], "velocity_kmh": 50, "detect_radius": 400, "detect_prob": 0.6}
@@ -217,7 +224,16 @@ class TestApplyAxis:
         assert five.uavs == (two.uavs[0], extra, two.uavs[0], extra, two.uavs[0])
 
     def test_n_uavs_zero_clears_team(self, parsed):
-        assert apply_axis(parsed, "n_uavs", 0).uavs == ()
+        gridded = dataclasses.replace(parsed, grid_radius=500.0)
+        assert apply_axis(gridded, "n_uavs", 0).uavs == ()
+
+    def test_n_uavs_zero_needs_a_grid_radius(self, parsed):
+        with pytest.raises(ConfigError, match=r"axes.n_uavs: grid_radius: required"):
+            apply_axis(parsed, "n_uavs", 0)
+
+    def test_policy_errors_name_the_axis(self, parsed):
+        with pytest.raises(ConfigError, match=r"axes.threshold: threshold must be non-negative"):
+            apply_axis(parsed, "threshold", -0.1)
 
     def test_n_uavs_needs_a_template(self, parsed):
         empty = dataclasses.replace(parsed, uavs=(), grid_radius=500.0)

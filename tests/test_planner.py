@@ -14,7 +14,6 @@ from uav_search.planner import (
     _GainKernel,
     assign_general,
     assign_single_entry,
-    brute_force_select,
     entropy_gain,
     greedy_select,
     match_uavs_to_cells,
@@ -23,9 +22,10 @@ from uav_search.planner import (
     policy_max_avg_prob,
     policy_max_prob,
     select_cells,
-    team_gain,
     temporal_entropy,
 )
+
+from oracles import brute_force_select, team_gain
 
 # Frozen worked example: belief (0.9, 0.1), p = 0.9. Searching the unlikely
 # cell wins: its fruitless outcome is near-certain yet collapses the entropy.
@@ -393,7 +393,48 @@ class TestBruteForce:
                 assert got / best >= bound
 
 
+def _assign_general_per_row(cell_beliefs, m, p):
+    """assign_general as it was before it worked on whole arrays: an argmax
+    per row, and a Python max over the rows per seed."""
+    if m == 0:
+        return set()
+    seeds = {int(np.argmax(cb)) for cb in cell_beliefs}
+    if len(seeds) >= m:
+        best = {c: max(float(cb[c]) for cb in cell_beliefs) for c in seeds}
+        return set(sorted(seeds, key=lambda c: (-best[c], c))[:m])
+    picks = greedy_select(cell_beliefs, m - len(seeds), p, excluded=seeds)
+    return seeds | set(picks)
+
+
+@st.composite
+def _assign_instances(draw):
+    """Beliefs from small integer weights, so a row often has several
+    argmax cells and seeds often tie on their best probability; some rows
+    repeat an earlier one."""
+    n = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if rows and draw(st.booleans()):
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))].copy())
+            continue
+        w = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+        if w.sum() == 0:
+            w[draw(st.integers(0, n - 1))] = 1.0
+        rows.append(w / w.sum())
+    return rows, draw(st.integers(0, n)), draw(st.sampled_from([0.3, 0.8, 1.0]))
+
+
 class TestAssignGeneral:
+    @settings(max_examples=300, deadline=None)
+    @given(_assign_instances())
+    def test_matches_per_row_version(self, instance):
+        """The same picks as the per-row loops, on a list of rows and on
+        the stacked array alike."""
+        rows, m, p = instance
+        expected = _assign_general_per_row(rows, m, p)
+        assert assign_general(rows, m, p) == expected
+        assert assign_general(np.array(rows), m, p) == expected
+
     def test_seeds_then_greedy_continuation(self):
         """One target, three UAVs: the argmax cell is seeded and the two
         follow-up picks each maximize the conditioned gain."""
@@ -634,6 +675,15 @@ class TestMatchUavsToCells:
         y = overlay.cell_center(5)[1]
         positions = {0: (mid_x, y), 1: (mid_x, y)}
         assert match_uavs_to_cells(positions, {5, 6}, overlay) == {0: 5, 1: 6}
+
+    def test_one_ulp_distance_order_is_pinned(self, border_refined):
+        """Distances are math.hypot: cell 238 is one ulp closer to UAV 0
+        than cell 122, so UAV 0 takes it. np.hypot ties the two distances,
+        and the tie would hand UAV 0 cell 122."""
+        _, overlay = border_refined
+        x, y = 10053.710817432398, 15553.570598786275
+        positions = {0: (x, y), 1: (x + 1e6, y + 1e6)}
+        assert match_uavs_to_cells(positions, {122, 238}, overlay) == {0: 238, 1: 122}
 
     def test_surplus_uavs_stay_free(self, border_refined):
         _, overlay = border_refined

@@ -12,12 +12,12 @@ from uav_search.strategies import (
     SideRoadsStrategy,
     UnreachableGoalError,
     WanderingError,
-    default_pool,
     make_strategy,
-    split_pool,
     strategy_names,
     validate_path,
 )
+
+from oracles import default_pool, split_pool
 
 
 def _graph(coords, edge_pairs, entries=(), goals=()):
