@@ -16,6 +16,7 @@ import math
 import os
 import sys
 
+from .belief import propagate
 from .config import ConfigError, SweepSpec, load_scenario, load_sweep, sweep_points
 from .movement import ModelFormatError, compile_model, save_model, traces_for_strategies
 from .road_graph import GraphFormatError, load_graph, overlay_grid
@@ -243,8 +244,10 @@ def cmd_dump_belief(args) -> int:
         raise ConfigError(f"--entry: edge {entry} is not an entry edge of the graph")
 
     lines = ["tick,edge,mass"]
+    belief = world.frozen_belief(class_name, world.start_of_parent[entry], 0)
     for tick in range(args.ticks + 1):
-        belief = world.frozen_belief(class_name, world.start_of_parent[entry], tick)
+        if tick:
+            belief = propagate(belief, world.models[class_name])
         for edge in belief.nonzero()[0]:
             lines.append(f"{tick},{edge},{float(belief[edge])!r}")
     text = "\n".join(lines) + "\n"

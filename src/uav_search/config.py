@@ -2,8 +2,9 @@
 
 Every validation error names the exact config path that caused it
 (`uavs[0].detect_prob: ...`), so a bad file fails loudly before any
-simulation starts. Relative file references resolve against the directory
-of the config file that mentions them.
+simulation starts. Parsers check YAML shape and types; each field rule lives
+in its record's `__post_init__`, so files, sweep axes and `dataclasses.replace`
+share it. Relative paths resolve against the directory of the config file.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import yaml
 
-from .planner import POLICIES, PolicyConfig
+from .planner import PolicyConfig
+from .strategies import Strategy, make_strategy
 
 SWEEP_AXES = ("n_uavs", "n_targets", "delay_km", "threshold", "detect_prob")
 
@@ -27,6 +29,11 @@ class ConfigError(ValueError):
     """Raised when a config file is malformed; message names the bad path."""
 
 
+def _check_probability(key: str, value: float) -> None:
+    if not (0.0 < value <= 1.0):
+        raise ConfigError(f"{key}: must be in (0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class UavSpec:
     depot: tuple[float, float]
@@ -34,26 +41,27 @@ class UavSpec:
     detect_radius: float
     detect_prob: float
 
-
-@dataclass(frozen=True)
-class StrategyRef:
-    """Strategy name + parameter map, as referenced from a config file."""
-
-    name: str
-    params: tuple[tuple[str, float], ...] = ()
-
-    def build(self):
-        from .strategies import make_strategy
-
-        return make_strategy(self.name, dict(self.params))
+    def __post_init__(self):
+        if self.velocity_kmh <= 0:
+            raise ConfigError(f"velocity_kmh: must be positive, got {self.velocity_kmh}")
+        if self.detect_radius <= 0:
+            raise ConfigError(f"detect_radius: must be positive, got {self.detect_radius}")
+        _check_probability("detect_prob", self.detect_prob)
 
 
 @dataclass(frozen=True)
 class TargetClassSpec:
     name: str
     velocity_kmh: tuple[float, float]
-    strategies: tuple[StrategyRef, ...]
+    strategies: tuple[Strategy, ...]
     model_path: str
+
+    def __post_init__(self):
+        lo, hi = self.velocity_kmh
+        if not (0 < lo <= hi):
+            raise ConfigError(f"velocity_kmh: need 0 < low <= high, got [{lo}, {hi}]")
+        if not self.strategies:
+            raise ConfigError("strategies: must list at least one strategy")
 
 
 @dataclass(frozen=True)
@@ -75,16 +83,28 @@ class ScenarioConfig:
     grid_radius: float | None = None  # None: team-minimum detection radius
 
     def __post_init__(self):
-        # Cross-field rules live here, so every way of building a scenario
-        # (file, sweep axis, dataclasses.replace) is checked by the same code.
-        if self.grid_radius is None:
-            if not self.uavs:
-                raise ConfigError("grid_radius: required when no UAVs are configured")
-        elif self.uavs and self.grid_radius > min(u.detect_radius for u in self.uavs) + 1e-9:
-            raise ConfigError(
-                "grid_radius: exceeds the smallest UAV detection radius; "
-                "cells would not fit inside every detection circle"
-            )
+        if not self.targets:
+            raise ConfigError("targets: must list at least one target")
+        known = [c.name for c in self.classes]
+        for i, t in enumerate(self.targets):
+            if t.class_name not in known:
+                raise ConfigError(f"targets[{i}].class: unknown class {t.class_name!r} (known: {sorted(known)})")
+        if self.delay_km < 0:
+            raise ConfigError(f"delay_km: must be >= 0.0, got {self.delay_km}")
+        if self.tick_seconds <= 0:
+            raise ConfigError(f"tick_seconds: must be positive, got {self.tick_seconds}")
+        if self.max_ticks < 1:
+            raise ConfigError(f"max_ticks: must be >= 1, got {self.max_ticks}")
+        if self.grid_radius is not None:
+            if self.grid_radius <= 0:
+                raise ConfigError(f"grid_radius: must be positive, got {self.grid_radius}")
+            if self.uavs and self.grid_radius > min(u.detect_radius for u in self.uavs) + 1e-9:
+                raise ConfigError(
+                    "grid_radius: exceeds the smallest UAV detection radius; "
+                    "cells would not fit inside every detection circle"
+                )
+        elif not self.uavs:
+            raise ConfigError("grid_radius: required when no UAVs are configured")
 
     def class_named(self, name: str) -> TargetClassSpec:
         for cls in self.classes:
@@ -125,15 +145,10 @@ def _need_list(data, path: str) -> list:
     return data
 
 
-def _need_float(data, path: str, lo: float | None = None, hi: float | None = None) -> float:
+def _need_float(data, path: str) -> float:
     if isinstance(data, bool) or not isinstance(data, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {data!r}")
-    v = float(data)
-    if lo is not None and v < lo:
-        raise ConfigError(f"{path}: must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{path}: must be <= {hi}, got {v}")
-    return v
+    return float(data)
 
 
 def _need_int(data, path: str, lo: int | None = None) -> int:
@@ -150,6 +165,14 @@ def _reject_unknown(data: dict, known: set[str], path: str) -> None:
         raise ConfigError(f"{path}: unknown key {sorted(unknown)[0]!r} (known: {sorted(known)})")
 
 
+def _build(record, path: str, *fields):
+    """`record(*fields)`; its field checks, which start with the key, report under `path`."""
+    try:
+        return record(*fields)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
+
+
 def _parse_uav(data, path: str) -> UavSpec:
     data = _need_map(data, path)
     _reject_unknown(data, {"depot", "velocity_kmh", "detect_radius", "detect_prob"}, path)
@@ -159,35 +182,22 @@ def _parse_uav(data, path: str) -> UavSpec:
     x = _need_float(depot[0], f"{path}.depot[0]")
     y = _need_float(depot[1], f"{path}.depot[1]")
     v = _need_float(data.get("velocity_kmh"), f"{path}.velocity_kmh")
-    if v <= 0:
-        raise ConfigError(f"{path}.velocity_kmh: must be positive, got {v}")
     r = _need_float(data.get("detect_radius"), f"{path}.detect_radius")
-    if r <= 0:
-        raise ConfigError(f"{path}.detect_radius: must be positive, got {r}")
     p = _need_float(data.get("detect_prob"), f"{path}.detect_prob")
-    if not (0.0 < p <= 1.0):
-        raise ConfigError(f"{path}.detect_prob: must be in (0, 1], got {p}")
-    return UavSpec((x, y), v, r, p)
+    return _build(UavSpec, path, (x, y), v, r, p)
 
 
-def _parse_strategy_ref(data, path: str) -> StrategyRef:
-    from .strategies import strategy_names
-
+def _parse_strategy(data, path: str) -> Strategy:
     data = _need_map(data, path)
     if "name" not in data:
         raise ConfigError(f"{path}.name: required")
-    name = data["name"]
-    if name not in strategy_names():
-        raise ConfigError(f"{path}.name: unknown strategy {name!r} (known: {strategy_names()})")
-    params = tuple(
-        sorted((k, _need_float(v, f"{path}.{k}")) for k, v in data.items() if k != "name")
-    )
-    ref = StrategyRef(name, params)
+    params = {k: _need_float(v, f"{path}.{k}") for k, v in data.items() if k != "name"}
     try:
-        ref.build()
+        return make_strategy(data["name"], params)
+    except KeyError as exc:
+        raise ConfigError(f"{path}.name: {exc.args[0]}") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return ref
 
 
 def _parse_class(name: str, data, path: str, base_dir: str) -> TargetClassSpec:
@@ -198,26 +208,20 @@ def _parse_class(name: str, data, path: str, base_dir: str) -> TargetClassSpec:
         raise ConfigError(f"{path}.velocity_kmh: expected [low, high]")
     lo = _need_float(vr[0], f"{path}.velocity_kmh[0]")
     hi = _need_float(vr[1], f"{path}.velocity_kmh[1]")
-    if not (0 < lo <= hi):
-        raise ConfigError(f"{path}.velocity_kmh: need 0 < low <= high, got [{lo}, {hi}]")
-    strategies = _need_list(data.get("strategies"), f"{path}.strategies")
-    if not strategies:
-        raise ConfigError(f"{path}.strategies: must list at least one strategy")
-    refs = tuple(
-        _parse_strategy_ref(s, f"{path}.strategies[{i}]") for i, s in enumerate(strategies)
+    listed = _need_list(data.get("strategies"), f"{path}.strategies")
+    strategies = tuple(
+        _parse_strategy(s, f"{path}.strategies[{i}]") for i, s in enumerate(listed)
     )
     if "model" not in data or not isinstance(data["model"], str):
         raise ConfigError(f"{path}.model: required (path to a compiled movement model)")
     model_path = os.path.normpath(os.path.join(base_dir, data["model"]))
-    return TargetClassSpec(name, (lo, hi), refs, model_path)
+    return _build(TargetClassSpec, path, name, (lo, hi), strategies, model_path)
 
 
-def _parse_target(data, path: str, class_names: set[str]) -> TargetSpec:
+def _parse_target(data, path: str) -> TargetSpec:
     data = _need_map(data, path)
     _reject_unknown(data, {"class", "entry"}, path)
     cls = data.get("class")
-    if cls not in class_names:
-        raise ConfigError(f"{path}.class: unknown class {cls!r} (known: {sorted(class_names)})")
     entry = data.get("entry", "uniform")
     if entry == "uniform":
         return TargetSpec(cls, None)
@@ -231,16 +235,11 @@ def _parse_policy(data, path: str) -> PolicyConfig:
         return PolicyConfig()
     data = _need_map(data, path)
     _reject_unknown(data, {"name", "threshold", "detect_prob"}, path)
-    name = data.get("name", "adaptive")
-    if name not in POLICIES:
-        raise ConfigError(f"{path}.name: unknown policy {name!r} (known: {list(POLICIES)})")
-    threshold = _need_float(data.get("threshold", 0.2), f"{path}.threshold", lo=0.0)
+    threshold = _need_float(data.get("threshold", 0.2), f"{path}.threshold")
     p = data.get("detect_prob")
     if p is not None:
         p = _need_float(p, f"{path}.detect_prob")
-        if not (0.0 < p <= 1.0):
-            raise ConfigError(f"{path}.detect_prob: must be in (0, 1], got {p}")
-    return PolicyConfig(policy=name, threshold=threshold, detect_prob=p)
+    return _build(PolicyConfig, path, data.get("name", "adaptive"), threshold, p)
 
 
 def scenario_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
@@ -273,27 +272,19 @@ def scenario_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
         _parse_class(name, cdata, f"classes.{name}", base_dir)
         for name, cdata in classes_map.items()
     )
-    class_names = {c.name for c in classes}
 
     target_list = _need_list(data.get("targets"), "targets")
-    if not target_list:
-        raise ConfigError("targets: must list at least one target")
     targets = tuple(
-        _parse_target(t, f"targets[{i}]", class_names) for i, t in enumerate(target_list)
+        _parse_target(t, f"targets[{i}]") for i, t in enumerate(target_list)
     )
 
     policy = _parse_policy(data.get("policy"), "policy")
-    delay_km = _need_float(data.get("delay_km", 0.0), "delay_km", lo=0.0)
+    delay_km = _need_float(data.get("delay_km", 0.0), "delay_km")
     tick_seconds = _need_float(data.get("tick_seconds", DEFAULT_TICK_SECONDS), "tick_seconds")
-    if tick_seconds <= 0:
-        raise ConfigError(f"tick_seconds: must be positive, got {tick_seconds}")
-    max_ticks = _need_int(data.get("max_ticks", DEFAULT_MAX_TICKS), "max_ticks", lo=1)
-
+    max_ticks = _need_int(data.get("max_ticks", DEFAULT_MAX_TICKS), "max_ticks")
     grid_radius = data.get("grid_radius")
     if grid_radius is not None:
         grid_radius = _need_float(grid_radius, "grid_radius")
-        if grid_radius <= 0:
-            raise ConfigError(f"grid_radius: must be positive, got {grid_radius}")
 
     return ScenarioConfig(
         graph_path=graph_path,
@@ -361,7 +352,7 @@ def load_sweep(path: str, default_seed: int = 0) -> SweepSpec:
 
 def apply_axis(scenario: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     """One sweep-axis override, returning a new scenario. Every error, the
-    scenario's own checks included, is a ConfigError naming the axis."""
+    records' own checks included, is a ConfigError naming the axis."""
     try:
         if axis == "n_uavs":
             n = int(value)
@@ -371,8 +362,6 @@ def apply_axis(scenario: ScenarioConfig, axis: str, value) -> ScenarioConfig:
             return dataclasses.replace(scenario, uavs=uavs)
         if axis == "n_targets":
             n = int(value)
-            if n < 1:
-                raise ConfigError("need at least one target")
             targets = tuple(scenario.targets[i % len(scenario.targets)] for i in range(n))
             return dataclasses.replace(scenario, targets=targets)
         if axis == "delay_km":
@@ -382,8 +371,8 @@ def apply_axis(scenario: ScenarioConfig, axis: str, value) -> ScenarioConfig:
             return dataclasses.replace(scenario, policy=policy)
         if axis == "detect_prob":
             p = float(value)
-            if not (0.0 < p <= 1.0):
-                raise ConfigError(f"must be in (0, 1], got {p}")
+            if not scenario.uavs:  # no UavSpec is built to check the value
+                _check_probability("detect_prob", p)
             uavs = tuple(dataclasses.replace(u, detect_prob=p) for u in scenario.uavs)
             policy = dataclasses.replace(scenario.policy, detect_prob=None)
             return dataclasses.replace(scenario, uavs=uavs, policy=policy)

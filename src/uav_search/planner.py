@@ -26,15 +26,6 @@ DEFAULT_THRESHOLD = 0.2
 # divides sums of P log2 P by eta, and its error (measured: ~1e-15 / eta bits) grows.
 EXACT_GAIN_ETA = 1e-3
 
-POLICIES = (
-    "general",
-    "single_entry",
-    "adaptive",
-    "entropy_only",
-    "max_prob",
-    "max_avg_prob",
-)
-
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -45,12 +36,13 @@ class PolicyConfig:
     detect_prob: float | None = None  # None: use the team-minimum p_i
 
     def __post_init__(self):
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}; known: {POLICIES}")
-        if not (0.0 <= self.threshold):
-            raise ValueError("threshold must be non-negative")
+        # Messages start with the scenario-file key, so a parser can prefix its path.
+        if not isinstance(self.policy, str) or self.policy not in POLICIES:
+            raise ValueError(f"name: unknown policy {self.policy!r} (known: {list(POLICIES)})")
+        if not self.threshold >= 0.0:
+            raise ValueError(f"threshold: must be >= 0.0, got {self.threshold}")
         if self.detect_prob is not None and not (0.0 < self.detect_prob <= 1.0):
-            raise ValueError("planning detection probability must be in (0, 1]")
+            raise ValueError(f"detect_prob: must be in (0, 1], got {self.detect_prob}")
 
 
 def _check_p(p: float) -> None:
@@ -248,6 +240,17 @@ def policy_adaptive(cell_beliefs: Sequence[np.ndarray], m: int, p: float) -> set
     return assign_general(cell_beliefs, m, p)
 
 
+# Policy name -> selection from (cell beliefs, UAV count, planning p, threshold).
+POLICIES = {
+    "general": lambda cbs, m, p, threshold: assign_general(cbs, m, p),
+    "single_entry": lambda cbs, m, p, threshold: assign_single_entry(np.mean(cbs, axis=0), m, p, threshold),
+    "adaptive": lambda cbs, m, p, threshold: policy_adaptive(cbs, m, p),
+    "entropy_only": lambda cbs, m, p, threshold: policy_entropy_only(cbs, m, p),
+    "max_prob": lambda cbs, m, p, threshold: policy_max_prob(cbs, m),
+    "max_avg_prob": lambda cbs, m, p, threshold: policy_max_avg_prob(cbs, m),
+}
+
+
 def select_cells(
     cfg: PolicyConfig,
     cell_beliefs: Sequence[np.ndarray],
@@ -257,19 +260,7 @@ def select_cells(
     """Dispatch to the configured policy. Planning uses the configured
     detection probability, defaulting to the team minimum."""
     p = cfg.detect_prob if cfg.detect_prob is not None else team_detect_prob
-    if cfg.policy == "general":
-        return assign_general(cell_beliefs, m, p)
-    if cfg.policy == "single_entry":
-        return assign_single_entry(np.mean(cell_beliefs, axis=0), m, p, cfg.threshold)
-    if cfg.policy == "adaptive":
-        return policy_adaptive(cell_beliefs, m, p)
-    if cfg.policy == "entropy_only":
-        return policy_entropy_only(cell_beliefs, m, p)
-    if cfg.policy == "max_prob":
-        return policy_max_prob(cell_beliefs, m)
-    if cfg.policy == "max_avg_prob":
-        return policy_max_avg_prob(cell_beliefs, m)
-    raise ValueError(f"unknown policy {cfg.policy!r}")
+    return POLICIES[cfg.policy](cell_beliefs, m, p, cfg.threshold)
 
 
 def match_uavs_to_cells(

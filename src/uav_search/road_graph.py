@@ -108,9 +108,6 @@ class GridOverlay:
     def n_cells(self) -> int:
         return self.n_rows * self.n_cols
 
-    def cell_center(self, cell_id: int) -> tuple[float, float]:
-        return self.centers[cell_id]
-
     def edge_mask(self, cells: Iterable[int]) -> np.ndarray:
         """Boolean mask over refined edges: True where the edge's cell is in `cells`."""
         in_cells = np.zeros(self.n_cells, dtype=bool)

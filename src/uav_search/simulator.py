@@ -75,7 +75,6 @@ class World:
     overlay: GridOverlay
     start_of_parent: dict[int, int]  # original entry edge -> its first refined piece, in id order
     models: dict[str, TransitionModel]
-    strategies: dict[str, list]
     # (class name, entry edge) -> read-only beliefs at ticks 0, CHECKPOINT_TICKS, ...
     checkpoints: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict, init=False, repr=False)
 
@@ -117,7 +116,6 @@ def build_world(scenario: ScenarioConfig) -> World:
     start_of_parent = dict(zip(sorted(graph.entries), sorted(refined.entries)))
 
     models: dict[str, TransitionModel] = {}
-    strategies: dict[str, list] = {}
     used = {t.class_name for t in scenario.targets}
     for cls in scenario.classes:
         if cls.name not in used:
@@ -140,14 +138,11 @@ def build_world(scenario: ScenarioConfig) -> World:
             more = f" (and {len(problems) - 3} more)" if len(problems) > 3 else ""
             raise ConfigError(f"{cls.model_path}: not a valid movement model: {shown}{more}")
         models[cls.name] = model
-        strategies[cls.name] = [ref.build() for ref in cls.strategies]
 
     for i, t in enumerate(scenario.targets):
-        if t.class_name not in models:
-            raise ConfigError(f"targets[{i}].class: class {t.class_name!r} is not configured")
         if t.entry is not None and t.entry not in start_of_parent:
             raise ConfigError(f"targets[{i}].entry: edge {t.entry} is not an entry edge")
-    return World(scenario, refined, overlay, start_of_parent, models, strategies)
+    return World(scenario, refined, overlay, start_of_parent, models)
 
 
 @dataclass(eq=False)
@@ -209,7 +204,7 @@ def _spawn_targets(world: World, seed: int) -> list[_TargetState]:
         )
         cls = sc.class_named(tspec.class_name)
         velocity = rng.uniform(*cls.velocity_kmh) * KMH_TO_MS
-        pool = world.strategies[tspec.class_name]
+        pool = cls.strategies
         strategy = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
         path = strategy.path(g, entry, rng)
         lengths = g.length[path]

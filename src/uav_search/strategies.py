@@ -196,8 +196,8 @@ _REGISTRY = {
 
 def make_strategy(name: str, params: dict | None = None) -> Strategy:
     """Build a strategy from its registry name and parameter map."""
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown strategy {name!r}; known: {sorted(_REGISTRY)}")
+    if not isinstance(name, str) or name not in _REGISTRY:
+        raise KeyError(f"unknown strategy {name!r} (known: {sorted(_REGISTRY)})")
     cls, wanted = _REGISTRY[name]
     params = dict(params or {})
     unknown = set(params) - set(wanted)
@@ -207,7 +207,3 @@ def make_strategy(name: str, params: dict | None = None) -> Strategy:
     if missing:
         raise ValueError(f"strategy {name!r} missing parameters {sorted(missing)}")
     return cls(**{k: float(v) for k, v in params.items()})
-
-
-def strategy_names() -> list[str]:
-    return sorted(_REGISTRY)

@@ -22,7 +22,7 @@ from uav_search.belief import (
     propagate,
 )
 from uav_search.cli import main as cli_main
-from uav_search.config import StrategyRef, apply_axis
+from uav_search.config import apply_axis
 from uav_search.movement import compile_model, save_model, traces_for_strategies
 from uav_search.planner import entropy_gain, greedy_select
 from uav_search.road_graph import load_graph, overlay_grid
@@ -218,17 +218,9 @@ def test_trained_model_generalizes_to_unseen_strategies(border_scenario, tmp_pat
     model_path = str(tmp_path / "train_split.model")
     save_model(model, model_path)
 
-    def ref(strategy):
-        params = []
-        if hasattr(strategy, "beta"):
-            params.append(("beta", float(strategy.beta)))
-        if hasattr(strategy, "penalty"):
-            params.append(("penalty", float(strategy.penalty)))
-        return StrategyRef(strategy.name, tuple(params))
-
     held_class = dataclasses.replace(
         border_scenario.classes[0],
-        strategies=tuple(ref(s) for s in split.test),
+        strategies=tuple(split.test),
         model_path=model_path,
     )
     held = dataclasses.replace(border_scenario, classes=(held_class,))

@@ -8,6 +8,7 @@ import os
 import pytest
 import yaml
 
+from uav_search.belief import propagate
 from uav_search.cli import main
 from uav_search.simulator import trial_seed
 
@@ -373,8 +374,9 @@ class TestBadAxisValues:
     @pytest.mark.parametrize(
         "axes,needles",
         [
-            ({"threshold": [0.2, -0.1]}, ["axes.threshold", "non-negative"]),
+            ({"threshold": [0.2, -0.1]}, ["axes.threshold", "threshold: must be >= 0.0"]),
             ({"n_uavs": [1, 0]}, ["axes.n_uavs", "grid_radius: required"]),
+            ({"delay_km": [0.0, -5.0]}, ["axes.delay_km", "delay_km: must be >= 0.0"]),
         ],
     )
     def test_sweep(self, tmp_path, capsys, no_batches, axes, needles):
@@ -388,7 +390,7 @@ class TestBadAxisValues:
     @pytest.mark.parametrize(
         "flags,needles",
         [
-            (["--thresholds", "0.2,-0.1"], ["axes.threshold", "non-negative"]),
+            (["--thresholds", "0.2,-0.1"], ["axes.threshold", "threshold: must be >= 0.0"]),
             (["--thresholds", "0.2", "--detect-probs", "0.8,1.5"], ["axes.detect_prob", "1.5"]),
         ],
     )
@@ -479,6 +481,22 @@ def test_dump_belief_bytes_are_pinned(tmp_path):
     out = tmp_path / "belief.csv"
     assert main(["dump-belief", BORDER_YAML, "--ticks", "50", "--entry", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_BELIEF_SHA256
+
+
+@pytest.mark.parametrize("ticks", [0, 1, 50])
+def test_dump_belief_propagates_once_per_tick(tmp_path, monkeypatch, ticks):
+    """`--ticks N` makes N propagate calls, however the world's checkpoints fall."""
+    calls = []
+
+    def counting(mass, model):
+        calls.append(1)
+        return propagate(mass, model)
+
+    monkeypatch.setattr("uav_search.cli.propagate", counting)
+    monkeypatch.setattr("uav_search.simulator.propagate", counting)
+    out = tmp_path / "belief.csv"
+    assert main(["dump-belief", BORDER_YAML, "--ticks", str(ticks), "--entry", "3", "--out", str(out)]) == 0
+    assert len(calls) == ticks
 
 
 def test_readme_dump_belief_command_runs(tmp_path, monkeypatch, capsys):

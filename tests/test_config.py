@@ -1,10 +1,13 @@
 """Config parsing: defaults, validation messages, sweep expansion."""
 
 import dataclasses
+import math
 import os
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uav_search.config import (
     ConfigError,
@@ -17,6 +20,7 @@ from uav_search.config import (
     scenario_from_dict,
     sweep_points,
 )
+from uav_search.strategies import RandomWalkStrategy, ShortestPathStrategy
 
 
 def _base(**over):
@@ -123,6 +127,10 @@ class TestScenarioParsing:
                 r"strategies\[0\].name: unknown strategy 'warp'",
             ),
             (
+                lambda d: d["classes"]["runner"].update(strategies=[{"name": ["shortest"]}]),
+                r"strategies\[0\].name: unknown strategy \['shortest'\]",
+            ),
+            (
                 lambda d: d["classes"]["runner"].update(strategies=[{"name": "shortest", "beta": 1}]),
                 r"strategies\[0\]: .*unknown parameters \['beta'\]",
             ),
@@ -139,6 +147,7 @@ class TestScenarioParsing:
             (lambda d: d.update(targets=[]), r"targets: must list at least one target"),
             (lambda d: d.update(targets=[{"class": "ghost"}]), r"targets\[0\].class: unknown class 'ghost'"),
             (lambda d: d.update(targets=[{}]), r"targets\[0\].class: unknown class None"),
+            (lambda d: d.update(targets=[{"class": ["runner"]}]), r"targets\[0\].class: unknown class \['runner'\]"),
             (
                 lambda d: d.update(targets=[{"class": "runner", "entry": "north"}]),
                 r"targets\[0\].entry: expected 'uniform' or an entry edge id",
@@ -146,6 +155,7 @@ class TestScenarioParsing:
             (lambda d: d.update(targets=[{"class": "runner", "speed": 3}]), r"targets\[0\]: unknown key"),
             (lambda d: d.update(policy={"name": "chaos"}), r"policy.name: unknown policy 'chaos'"),
             (lambda d: d.update(policy={"threshold": -0.1}), r"policy.threshold: must be >= 0.0"),
+            (lambda d: d.update(policy={"threshold": math.nan}), r"policy.threshold: must be >= 0.0, got nan"),
             (lambda d: d.update(policy={"detect_prob": 0}), r"policy.detect_prob: must be in \(0, 1\]"),
             (lambda d: d.update(policy={"mode": "x"}), r"policy: unknown key 'mode'"),
             (lambda d: d.update(delay_km=-1), r"delay_km: must be >= 0.0"),
@@ -232,7 +242,7 @@ class TestApplyAxis:
             apply_axis(parsed, "n_uavs", 0)
 
     def test_policy_errors_name_the_axis(self, parsed):
-        with pytest.raises(ConfigError, match=r"axes.threshold: threshold must be non-negative"):
+        with pytest.raises(ConfigError, match=r"axes.threshold: threshold: must be >= 0.0"):
             apply_axis(parsed, "threshold", -0.1)
 
     def test_n_uavs_needs_a_template(self, parsed):
@@ -266,9 +276,133 @@ class TestApplyAxis:
         with pytest.raises(ConfigError, match=r"must be in \(0, 1\]"):
             apply_axis(parsed, "detect_prob", 1.5)
 
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
+    def test_detect_prob_bounds_without_uavs(self, parsed, p):
+        """No UavSpec is built on a base without UAVs; the axis still checks."""
+        empty = dataclasses.replace(parsed, uavs=(), grid_radius=500.0)
+        with pytest.raises(ConfigError, match=r"axes.detect_prob: detect_prob: must be in \(0, 1\]"):
+            apply_axis(empty, "detect_prob", p)
+        assert apply_axis(empty, "detect_prob", 1.0).uavs == ()
+
+    def test_delay_km_bounds(self, parsed):
+        with pytest.raises(ConfigError, match=r"axes.delay_km: delay_km: must be >= 0.0, got -5.0"):
+            apply_axis(parsed, "delay_km", -5.0)
+
     def test_unknown_axis(self, parsed):
         with pytest.raises(ConfigError, match="unknown sweep axis"):
             apply_axis(parsed, "wind", 3)
+
+
+class TestRecordsCheckTheirFields:
+    """Each field rule lives in its record, so a scenario built by
+    dataclasses.replace is checked like one read from a file."""
+
+    @pytest.mark.parametrize(
+        "field,value,needle",
+        [
+            ("delay_km", -1.0, r"delay_km: must be >= 0.0, got -1.0"),
+            ("tick_seconds", 0.0, r"tick_seconds: must be positive, got 0.0"),
+            ("max_ticks", 0, r"max_ticks: must be >= 1, got 0"),
+            ("grid_radius", 0.0, r"grid_radius: must be positive, got 0.0"),
+            ("targets", (), r"targets: must list at least one target"),
+        ],
+    )
+    def test_scenario_fields(self, parsed, field, value, needle):
+        with pytest.raises(ConfigError, match=needle):
+            dataclasses.replace(parsed, **{field: value})
+
+    def test_uav_fields(self, parsed):
+        with pytest.raises(ConfigError, match=r"detect_prob: must be in \(0, 1\], got 1.5"):
+            dataclasses.replace(parsed, uavs=(dataclasses.replace(parsed.uavs[0], detect_prob=1.5),))
+        with pytest.raises(ConfigError, match=r"velocity_kmh: must be positive, got 0"):
+            dataclasses.replace(parsed.uavs[0], velocity_kmh=0)
+
+    def test_class_fields(self, parsed):
+        cls = parsed.classes[0]
+        with pytest.raises(ConfigError, match=r"velocity_kmh: need 0 < low <= high, got \[12.0, 8.0\]"):
+            dataclasses.replace(cls, velocity_kmh=(12.0, 8.0))
+        with pytest.raises(ConfigError, match=r"strategies: must list at least one strategy"):
+            dataclasses.replace(cls, strategies=())
+
+    def test_class_holds_built_strategies(self):
+        d = _base()
+        d["classes"]["runner"]["strategies"] = [{"name": "random_walk", "beta": 1}, {"name": "shortest"}]
+        assert scenario_from_dict(d).classes[0].strategies == (RandomWalkStrategy(beta=1.0), ShortestPathStrategy())
+
+
+# Values at and around every bound a ranged field has: 0, 1, the 500 m detection
+# radius of _base()'s UAV (the grid_radius limit), signed zeros, infinities, NaN.
+_EDGE_FLOATS = [
+    -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-12, 0.2, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, 1.5,
+    500.0, 500.0 + 1e-9, 500.0 + 2e-9, 501.0, math.inf, -math.inf, math.nan,
+]
+_floats = st.sampled_from(_EDGE_FLOATS) | st.floats(-2.0, 2.0)
+_ints = st.integers(-2, 3)
+
+
+def _set_uav(sc, **change):
+    return dataclasses.replace(sc, uavs=(dataclasses.replace(sc.uavs[0], **change),))
+
+
+def _set_class(sc, **change):
+    return dataclasses.replace(sc, classes=(dataclasses.replace(sc.classes[0], **change),))
+
+
+def _set_policy(sc, **change):
+    return dataclasses.replace(sc, policy=dataclasses.replace(sc.policy, **change))
+
+
+# Ranged field -> (values, write it into a scenario dict, set it on a parsed
+# scenario by dataclasses.replace or a sweep axis).
+_RANGED = {
+    "uav velocity_kmh": (_floats, lambda d, v: d["uavs"][0].update(velocity_kmh=v),
+                         lambda sc, v: _set_uav(sc, velocity_kmh=v)),
+    "uav detect_radius": (_floats, lambda d, v: d["uavs"][0].update(detect_radius=v),
+                          lambda sc, v: _set_uav(sc, detect_radius=v)),
+    "uav detect_prob": (_floats, lambda d, v: d["uavs"][0].update(detect_prob=v),
+                        lambda sc, v: apply_axis(sc, "detect_prob", v)),
+    "class velocity_kmh": (st.tuples(_floats, _floats),
+                           lambda d, v: d["classes"]["runner"].update(velocity_kmh=list(v)),
+                           lambda sc, v: _set_class(sc, velocity_kmh=v)),
+    "policy threshold": (_floats, lambda d, v: d.update(policy={"threshold": v}),
+                         lambda sc, v: apply_axis(sc, "threshold", v)),
+    "policy detect_prob": (_floats, lambda d, v: d.update(policy={"detect_prob": v}),
+                           lambda sc, v: _set_policy(sc, detect_prob=v)),
+    "delay_km": (_floats, lambda d, v: d.update(delay_km=v), lambda sc, v: apply_axis(sc, "delay_km", v)),
+    "tick_seconds": (_floats, lambda d, v: d.update(tick_seconds=v),
+                     lambda sc, v: dataclasses.replace(sc, tick_seconds=v)),
+    "max_ticks": (_ints, lambda d, v: d.update(max_ticks=v), lambda sc, v: dataclasses.replace(sc, max_ticks=v)),
+    "grid_radius": (_floats, lambda d, v: d.update(grid_radius=v),
+                    lambda sc, v: dataclasses.replace(sc, grid_radius=v)),
+    "n_targets": (_ints, lambda d, v: d.update(targets=[{"class": "runner"}] * v),
+                  lambda sc, v: apply_axis(sc, "n_targets", v)),
+}
+
+
+def _outcome(build):
+    """("ok", repr of the scenario) or ("error", message)."""
+    try:
+        return "ok", repr(build())
+    except ValueError as exc:  # ConfigError, or PolicyConfig's own checks
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_file_and_replace_paths_agree_on_every_ranged_field(data):
+    field = data.draw(st.sampled_from(sorted(_RANGED)), label="field")
+    values, write, override = _RANGED[field]
+    value = data.draw(values, label="value")
+    d = _base()
+    write(d, value)
+    from_file = _outcome(lambda: scenario_from_dict(d))
+    replaced = _outcome(lambda: override(scenario_from_dict(_base()), value))
+    assert from_file[0] == replaced[0], (from_file, replaced)
+    if from_file[0] == "ok":
+        assert from_file[1] == replaced[1]
+    else:  # the same rule fired: only the path in front of the field key differs
+        head, rule = from_file[1].split(": ", 1)
+        assert replaced[1].endswith(f"{head.rsplit('.', 1)[-1]}: {rule}"), (from_file, replaced)
 
 
 def _write_sweep(tmp_path, sweep_dict, scenario_dict=None):

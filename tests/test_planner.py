@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from uav_search.belief import ETA_TOL, entropy
 from uav_search.planner import (
     EXACT_GAIN_ETA,
+    POLICIES,
     PolicyConfig,
     _GainKernel,
     assign_general,
@@ -570,6 +571,29 @@ class TestSelectCells:
         for policy, expect in cases.items():
             assert select_cells(PolicyConfig(policy=policy), cbs, 2, p) == expect, policy
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_policy_dispatches_to_its_function(self, data):
+        """Random beliefs, team sizes, p and thresholds: each name in the policy
+        table runs its own function, with the configured threshold."""
+        n = data.draw(st.integers(2, 6), label="cells")
+        weights = st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)
+        cbs = np.array([np.divide(w, sum(w)) for w in data.draw(st.lists(weights, min_size=1, max_size=3))])
+        m = data.draw(st.integers(1, n), label="m")
+        p = data.draw(st.floats(0.05, 1.0), label="p")
+        threshold = data.draw(st.floats(0.0, 1.0), label="threshold")
+        expect = {
+            "general": assign_general(cbs, m, p),
+            "single_entry": assign_single_entry(np.mean(cbs, axis=0), m, p, threshold),
+            "adaptive": policy_adaptive(cbs, m, p),
+            "entropy_only": policy_entropy_only(cbs, m, p),
+            "max_prob": policy_max_prob(cbs, m),
+            "max_avg_prob": policy_max_avg_prob(cbs, m),
+        }
+        assert sorted(expect) == sorted(POLICIES)
+        for policy, cells in expect.items():
+            assert select_cells(PolicyConfig(policy, threshold), cbs, m, p) == cells, policy
+
     def test_single_entry_merges_before_seeding(self):
         cbs = [_cb([0.6, 0.4, 0.0]), _cb([0.2, 0.4, 0.4])]
         shared = _cb([0.4, 0.4, 0.2])
@@ -604,7 +628,7 @@ class TestPolicyConfig:
 
     @pytest.mark.parametrize("p", [0.0, 1.5])
     def test_bad_planning_probability(self, p):
-        with pytest.raises(ValueError, match="planning detection probability"):
+        with pytest.raises(ValueError, match=r"detect_prob: must be in \(0, 1\]"):
             PolicyConfig(detect_prob=p)
 
 
@@ -635,7 +659,7 @@ def _match_instances(draw, overlay):
     """UAVs on cell centres (distance ties), midway between two centres, or
     anywhere around the grid, and at most as many cells as UAVs."""
     uids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
-    centers = st.integers(0, overlay.n_cells - 1).map(overlay.cell_center)
+    centers = st.sampled_from(overlay.centers)
     positions = {}
     for uid in uids:
         kind = draw(st.sampled_from(["center", "between", "anywhere"]))
@@ -662,17 +686,17 @@ class TestMatchUavsToCells:
     def test_globally_closest_first(self, border_refined):
         _, overlay = border_refined
         ca, cb_ = 10, 20
-        positions = {0: overlay.cell_center(cb_), 1: overlay.cell_center(ca)}
+        positions = {0: overlay.centers[cb_], 1: overlay.centers[ca]}
         assert match_uavs_to_cells(positions, {ca, cb_}, overlay) == {0: cb_, 1: ca}
 
     def test_distance_tie_prefers_lower_uav_then_cell(self, border_refined):
         _, overlay = border_refined
-        center = overlay.cell_center(7)
+        center = overlay.centers[7]
         positions = {0: center, 1: center}
         assert match_uavs_to_cells(positions, {7}, overlay) == {0: 7}
         # same point, two equidistant cells: lower uav takes lower cell
-        mid_x = (overlay.cell_center(5)[0] + overlay.cell_center(6)[0]) / 2
-        y = overlay.cell_center(5)[1]
+        mid_x = (overlay.centers[5][0] + overlay.centers[6][0]) / 2
+        y = overlay.centers[5][1]
         positions = {0: (mid_x, y), 1: (mid_x, y)}
         assert match_uavs_to_cells(positions, {5, 6}, overlay) == {0: 5, 1: 6}
 
@@ -687,7 +711,7 @@ class TestMatchUavsToCells:
 
     def test_surplus_uavs_stay_free(self, border_refined):
         _, overlay = border_refined
-        positions = {i: overlay.cell_center(i) for i in range(4)}
+        positions = {i: overlay.centers[i] for i in range(4)}
         assigned = match_uavs_to_cells(positions, {0, 1}, overlay)
         assert set(assigned.values()) == {0, 1}
         assert len(assigned) == 2

@@ -216,7 +216,7 @@ class TestGridGeometry:
     def test_covered_cells_exact_radius_is_own_cell(self, border_refined):
         """At r_i == r only the cell the UAV hovers over is fully covered."""
         _, overlay = border_refined
-        center = overlay.cell_center(overlay.n_cols * 3 + 4)
+        center = overlay.centers[overlay.n_cols * 3 + 4]
         assert overlay.covered_cells(center[0], center[1], 500.0) == [overlay.n_cols * 3 + 4]
 
     def test_covered_cells_matches_bruteforce(self, border_refined):
@@ -230,7 +230,7 @@ class TestGridGeometry:
             reach = radius - overlay.cell_side * math.sqrt(2.0) / 2.0 + 1e-9
             expect = [
                 c for c in range(overlay.n_cells)
-                if math.dist(overlay.cell_center(c), (x, y)) <= reach
+                if math.dist(overlay.centers[c], (x, y)) <= reach
             ]
             assert overlay.covered_cells(x, y, radius) == expect
 
@@ -246,7 +246,7 @@ def _disk_queries(draw):
     overlay = GridOverlay(origin, side, n_rows, n_cols, np.zeros(0, dtype=np.int64))
     where = draw(st.sampled_from(["center", "inside", "outside"]))
     if where == "center":
-        x, y = overlay.cell_center(draw(st.integers(0, overlay.n_cells - 1)))
+        x, y = overlay.centers[draw(st.integers(0, overlay.n_cells - 1))]
     else:
         lo, hi = (0.0, 1.0) if where == "inside" else (-1.5, 2.5)
         x = origin[0] + draw(st.floats(lo, hi)) * n_cols * side
@@ -267,7 +267,7 @@ class TestCoveredCellsProperty:
                 overlay.origin[0] + (col + 0.5) * overlay.cell_side,
                 overlay.origin[1] + (row + 0.5) * overlay.cell_side,
             )
-            assert overlay.cell_center(c) == expect, c
+            assert overlay.centers[c] == expect, c
 
     @settings(max_examples=300, deadline=None)
     @given(_disk_queries())

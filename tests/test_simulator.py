@@ -119,7 +119,7 @@ class TestUavFlight:
 
     def test_lands_exactly_on_center(self, border_world):
         overlay = border_world.overlay
-        cx, cy = overlay.cell_center(12)
+        cx, cy = overlay.centers[12]
         uav = _UavState(0, (cx - 50.0, cy), 10.0, 500.0, 0.8, assigned_cell=12)
         uav.fly(overlay, 20.0)
         assert uav.pos == (cx, cy)
@@ -158,7 +158,7 @@ class TestRunTrial:
         entry = sorted(border_world.start_of_parent)[1]
         start = border_world.start_of_parent[entry]
         cell = int(border_world.overlay.cell_of_edge[start])
-        depot = border_world.overlay.cell_center(cell)
+        depot = border_world.overlay.centers[cell]
         uav = dataclasses.replace(
             border_scenario.uavs[0], depot=depot, detect_prob=1.0
         )
@@ -317,9 +317,9 @@ class TestBuildWorld:
             build_world(sc)
 
     def test_unconfigured_class(self, border_scenario):
-        sc = dataclasses.replace(border_scenario, targets=(TargetSpec("ghost", None),))
-        with pytest.raises(ConfigError, match="'ghost' is not configured"):
-            build_world(sc)
+        # The scenario checks its targets' classes itself, before any world is built.
+        with pytest.raises(ConfigError, match=r"targets\[0\].class: unknown class 'ghost'"):
+            dataclasses.replace(border_scenario, targets=(TargetSpec("ghost", None),))
 
     @pytest.mark.parametrize(
         "breakage,needle",

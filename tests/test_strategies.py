@@ -1,5 +1,7 @@
 """Route strategies, path validation, and strategy pool management."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from uav_search.strategies import (
     UnreachableGoalError,
     WanderingError,
     make_strategy,
-    strategy_names,
     validate_path,
 )
 
@@ -302,7 +303,8 @@ class TestValidatePath:
 
 class TestRegistry:
     def test_names(self):
-        assert strategy_names() == ["random_walk", "shortest", "side_roads"]
+        with pytest.raises(KeyError, match=re.escape("known: ['random_walk', 'shortest', 'side_roads']")):
+            make_strategy("teleport")
 
     def test_build_each(self):
         assert make_strategy("shortest") == ShortestPathStrategy()
