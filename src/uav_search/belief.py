@@ -3,7 +3,8 @@
 A belief is a plain float64 array over refined edge ids; its cell marginal
 is a float64 array over cell ids. The belief starts as a delta on the
 target's entry edge, is pushed forward one tick at a time through the
-target class's transition model, and is renormalized after every fruitless
+target class's transition model (each edge's mass scattered onto its
+successors with `np.bincount`), and is renormalized after every fruitless
 cell search: mass in searched cells is scaled by (1 - p) and everything is
 divided by the probability of the no-detection event. Mass always sums to 1.
 """
@@ -47,16 +48,19 @@ def init_belief(g: RoadGraph, entry_edge: int) -> np.ndarray:
 
 
 def propagate(mass: np.ndarray, model: TransitionModel) -> np.ndarray:
-    """Push the belief forward one tick through the movement model."""
+    """Push the belief forward one tick through the movement model: each
+    transition's share `prob * mass[src]` is added onto its `dst`, in the
+    order `TransitionModel.scatter` fixes."""
     if model.n_edges != mass.size:
         raise ValueError(
             f"model covers {model.n_edges} edges, belief has {mass.size}"
         )
-    if not model.has_row.all():
+    if not model.has_every_row:
         bad = np.flatnonzero((mass > 0) & ~model.has_row)
         if bad.size:
             raise ValueError(f"model has no distribution for occupied edge {int(bad[0])}")
-    return _normalized(model.matrix_T @ mass)
+    dst, src, prob = model.scatter
+    return _normalized(np.bincount(dst, prob * mass[src], model.n_edges))
 
 
 def cell_marginal(mass: np.ndarray, overlay: GridOverlay) -> np.ndarray:

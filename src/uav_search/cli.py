@@ -164,10 +164,16 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_points(spec: SweepSpec, seed: int, jobs: int):
+def _run_points(spec: SweepSpec, seed: int, jobs: int, source: str | None = None):
     """Yield (assignment, scenario, stats) per sweep point, in order. Every
-    point is expanded, and so checked, before the first trial runs."""
-    points = list(sweep_points(spec))
+    point is expanded, and so checked, before the first trial runs; an error
+    in a point starts with `source`, the file that listed the axes."""
+    try:
+        points = list(sweep_points(spec))
+    except ConfigError as exc:
+        if source is None:
+            raise
+        raise ConfigError(f"{source}: {exc}") from None
     for index, (assignment, scenario) in enumerate(points):
         stats, _ = run_batch(scenario, spec.trials, trial_seed(seed, index), jobs=jobs)
         yield assignment, scenario, stats
@@ -178,7 +184,7 @@ def cmd_sweep(args) -> int:
     seed = args.seed if args.seed is not None else spec.seed
     axis_names = [name for name, _ in spec.axes]
     lines = [",".join(axis_names + ["success_rate", "ci_low", "ci_high", "trials"])]
-    for assignment, _, stats in _run_points(spec, seed, args.jobs):
+    for assignment, _, stats in _run_points(spec, seed, args.jobs, args.sweep):
         values = [_fmt(v) for _, v in assignment]
         lines.append(",".join(values + [
             repr(stats.success_rate), repr(stats.ci_low), repr(stats.ci_high), str(stats.n_trials),

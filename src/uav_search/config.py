@@ -42,9 +42,9 @@ class UavSpec:
     detect_prob: float
 
     def __post_init__(self):
-        if self.velocity_kmh <= 0:
+        if not self.velocity_kmh > 0:
             raise ConfigError(f"velocity_kmh: must be positive, got {self.velocity_kmh}")
-        if self.detect_radius <= 0:
+        if not self.detect_radius > 0:
             raise ConfigError(f"detect_radius: must be positive, got {self.detect_radius}")
         _check_probability("detect_prob", self.detect_prob)
 
@@ -89,14 +89,14 @@ class ScenarioConfig:
         for i, t in enumerate(self.targets):
             if t.class_name not in known:
                 raise ConfigError(f"targets[{i}].class: unknown class {t.class_name!r} (known: {sorted(known)})")
-        if self.delay_km < 0:
+        if not self.delay_km >= 0:
             raise ConfigError(f"delay_km: must be >= 0.0, got {self.delay_km}")
-        if self.tick_seconds <= 0:
+        if not self.tick_seconds > 0:
             raise ConfigError(f"tick_seconds: must be positive, got {self.tick_seconds}")
         if self.max_ticks < 1:
             raise ConfigError(f"max_ticks: must be >= 1, got {self.max_ticks}")
         if self.grid_radius is not None:
-            if self.grid_radius <= 0:
+            if not self.grid_radius > 0:
                 raise ConfigError(f"grid_radius: must be positive, got {self.grid_radius}")
             if self.uavs and self.grid_radius > min(u.detect_radius for u in self.uavs) + 1e-9:
                 raise ConfigError(

@@ -4,7 +4,8 @@ A model is compiled offline: strategies generate full routes for every
 (entry, goal) pair, each route is sampled into a tick-indexed edge-occupancy
 trace, and transition frequencies (with Laplace smoothing) become a
 row-stochastic edge-to-edge matrix. Goal edges are absorbing. The model moves
-probability mass forward one tick at a time during search.
+probability mass forward one tick at a time during search, as a scatter over
+its `(dst, src, prob)` transition arrays: plain numpy, no sparse-matrix type.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .road_graph import RoadGraph
 from .strategies import UnreachableGoalError, validate_path
@@ -55,31 +55,27 @@ class TransitionModel:
     transitions: dict[int, tuple[tuple[int, float], ...]]
 
     @cached_property
-    def matrix_T(self) -> sparse.csr_array:
-        """The transposed matrix: row `dst` holds Pr(src -> dst) for every src.
+    def scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every transition as parallel `(dst, src, prob)` arrays, sorted by
+        `dst`, then by `src`.
 
-        Canonical CSR (sorted indices, duplicates summed), so `matrix_T @ mass`
-        adds each destination's terms in ascending `src` order: the same order,
-        and so the same bits, as the scatter `mass @ M`.
+        `np.bincount(dst, prob * mass[src])` then starts each destination at
+        0.0 and adds its terms in ascending `src` order: the same order, and so
+        the same bits, as the scatter `mass @ M`.
         """
-        rows, cols, data = [], [], []
-        for src, dists in self.transitions.items():
-            for dst, p in dists:
-                rows.append(dst)
-                cols.append(src)
-                data.append(p)
-        mt = sparse.csr_array(
-            (np.array(data), (np.array(rows), np.array(cols))),
-            shape=(self.n_edges, self.n_edges),
-        )
-        mt.sum_duplicates()
-        return mt
+        triples = sorted((dst, src, p) for src, dists in self.transitions.items() for dst, p in dists)
+        dst, src, prob = zip(*triples) if triples else ((), (), ())
+        return (np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp), np.array(prob, dtype=float))
 
     @cached_property
     def has_row(self) -> np.ndarray:
         out = np.zeros(self.n_edges, dtype=bool)
         out[list(self.transitions)] = True
         return out
+
+    @cached_property
+    def has_every_row(self) -> bool:
+        return bool(self.has_row.all())
 
 
 def sample_trace(g: RoadGraph, path: list[int], velocity_ms: float, tick: float) -> PathTrace:
@@ -265,7 +261,10 @@ def load_model(path: str) -> TransitionModel:
                 raise ModelFormatError(f"{path}:{lineno}: malformed transition line {line!r}") from None
             if src < 0 or dst < 0:
                 raise ModelFormatError(f"{path}:{lineno}: negative edge id in {line!r}")
-            rows.setdefault(src, []).append((dst, p))
+            row = rows.setdefault(src, [])
+            if any(d == dst for d, _ in row):
+                raise ModelFormatError(f"{path}:{lineno}: repeated transition {src} -> {dst}")
+            row.append((dst, p))
             max_id = max(max_id, src, dst)
     if header is None:
         raise ModelFormatError(f"{path}: missing #model header")

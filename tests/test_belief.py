@@ -220,7 +220,7 @@ _PROPERTY = settings(max_examples=150, deadline=None,
 
 
 class TestKernelProperties:
-    """The transposed-CSR kernel against the scatter formula, and the
+    """The bincount propagation kernel against scipy's `mass @ M`, and the
     negative update against Bayes' rule written out edge by edge."""
 
     @_PROPERTY

@@ -4,10 +4,13 @@ import csv
 import hashlib
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+import uav_search
 from uav_search.belief import propagate
 from uav_search.cli import main
 from uav_search.simulator import trial_seed
@@ -230,6 +233,35 @@ class TestRun:
         assert self._run_with_model(work, "negative", [first, *rows]) == 1
         assert f"negative.model:{len(rows) + 1}: negative edge id" in capsys.readouterr().err
 
+    def test_repeated_transition_exits_1(self, work, capsys):
+        first, *rows = (work / "models" / "tiny.model").read_text().splitlines()
+        src, dst, p = rows[0].split()
+        half = repr(float(p) / 2)  # the two halves still sum to the row's total
+        rows = [f"{src} {dst} {half}", f"{src} {dst} {half}", *rows[1:]]
+        assert self._run_with_model(work, "repeated", [first, *rows]) == 1
+        assert f"repeated.model:3: repeated transition {src} -> {dst}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,needle",
+        [
+            (("uavs", 0, "velocity_kmh"), "velocity_kmh: must be positive, got nan"),
+            (("uavs", 0, "detect_radius"), "detect_radius: must be positive, got nan"),
+            (("delay_km",), "delay_km: must be >= 0.0, got nan"),
+            (("tick_seconds",), "tick_seconds: must be positive, got nan"),
+            (("grid_radius",), "grid_radius: must be positive, got nan"),
+        ],
+    )
+    def test_nan_field_exits_1(self, work, capsys, field, needle):
+        scenario = yaml.safe_load((work / "tiny.yaml").read_text())
+        *parents, key = field
+        record = scenario
+        for part in parents:
+            record = record[part]
+        record[key] = float("nan")
+        (work / "nan.yaml").write_text(yaml.safe_dump(scenario))
+        assert main(["run", str(work / "nan.yaml"), "--trials", "2"]) == 1
+        assert needle in capsys.readouterr().err
+
     def test_trial_csv(self, work, capsys):
         out = work / "out" / "trials.csv"
         rc = main(["run", str(work / "tiny.yaml"), "--trials", "8", "--seed", "3",
@@ -384,6 +416,7 @@ class TestBadAxisValues:
         sweep.write_text(yaml.safe_dump({"base": BORDER_YAML, "trials": 2, "axes": axes}))
         assert main(["sweep", str(sweep), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
+        assert err.startswith(f"error: {sweep}: axes."), err
         assert all(n in err for n in needles), err
         assert no_batches == []
 
@@ -464,6 +497,20 @@ def test_border_run_bytes_are_pinned(tmp_path, jobs):
     rc = main(["run", scenario, "--trials", "6", "--seed", "0", "--jobs", jobs, "--out", str(out)])
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BORDER_RUN_SHA256
+
+
+def test_run_never_imports_scipy(tmp_path):
+    """The runtime needs only numpy and PyYAML; scipy is a test-only oracle."""
+    code = (
+        "import sys, uav_search.cli; "
+        f"rc = uav_search.cli.main(['run', {BORDER_YAML!r}, '--trials', '1', '--out', sys.argv[1]]); "
+        "print(rc, 'scipy' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(uav_search.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "trials.csv")],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("flags", sorted(THRESHOLD_SCAN_SHA256))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from uav_search.belief import propagate
 from uav_search.movement import (
     ModelFormatError,
     PathTrace,
@@ -186,9 +187,7 @@ class TestCompileModel:
         model = compile_model(traces, g, smoothing=0.0)
         vec = np.zeros(g.n_edges)
         vec[0] = 1.0
-        out = model.matrix_T @ vec
-        assert out.tolist() == [0.75, 0.25]
-        assert model.matrix_T.shape == (g.n_edges, g.n_edges)
+        assert propagate(vec, model).tolist() == [0.75, 0.25]
 
 
 class TestValidateStochastic:
@@ -256,6 +255,7 @@ class TestModelFile:
             ("#model tick=abc class=a\n0 0 1.0\n", "bad.model: header tick=abc is not a number"),
             ("#model tick=1.0 class=a\n0 0 1.0\n-1 -1 1.0\n", "bad.model:3: negative edge id"),
             ("#model tick=1.0 class=a\n0 -2 1.0\n", "bad.model:2: negative edge id"),
+            ("#model tick=1.0 class=a\n0 0 0.5\n0 1 0.5\n0 0 0.5\n", "bad.model:4: repeated transition 0 -> 0"),
         ],
     )
     def test_format_errors(self, tmp_path, text, needle):
