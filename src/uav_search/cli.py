@@ -17,7 +17,7 @@ import os
 import sys
 
 from .belief import propagate
-from .config import ConfigError, SweepSpec, load_scenario, load_sweep, sweep_points
+from .config import ConfigError, SweepSpec, apply_axis, load_scenario, load_sweep, sweep_points
 from .movement import ModelFormatError, compile_model, save_model, traces_for_strategies
 from .road_graph import GraphFormatError, load_graph, overlay_grid
 from .simulator import BatchStats, TrialResult, build_world, run_batch, trial_seed
@@ -96,16 +96,6 @@ def _parse_range(spec: str) -> tuple[float, float]:
     return pair
 
 
-def _parse_floats(spec: str, flag: str) -> list[float]:
-    try:
-        values = [float(s) for s in filter(None, (v.strip() for v in spec.split(",")))]
-    except ValueError:
-        raise ConfigError(f"{flag}: expected comma-separated numbers, got {spec!r}") from None
-    if not values:
-        raise ConfigError(f"{flag}: need at least one value")
-    return values
-
-
 def _print_stats(stats: BatchStats) -> None:
     mean = "n/a" if math.isnan(stats.mean_detection_tick) else f"{stats.mean_detection_tick:.2f}"
     print(
@@ -156,7 +146,7 @@ def cmd_run(args) -> int:
     _check_trials(args.trials)
     scenario = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else 0
-    stats, results = run_batch(scenario, args.trials, seed, jobs=args.jobs)
+    [(stats, results)] = run_batch([(scenario, seed)], args.trials, jobs=args.jobs)
     _print_stats(stats)
     if args.out:
         _write_text(args.out, _trial_csv(results, len(scenario.targets)))
@@ -165,17 +155,20 @@ def cmd_run(args) -> int:
 
 
 def _run_points(spec: SweepSpec, seed: int, jobs: int, source: str | None = None):
-    """Yield (assignment, scenario, stats) per sweep point, in order. Every
-    point is expanded, and so checked, before the first trial runs; an error
-    in a point starts with `source`, the file that listed the axes."""
+    """Yield (assignment, scenario, stats) per sweep point, in order, from
+    one run_batch call: one world per distinct map, grid and models, and one
+    pool. Every point is expanded and its world built, and so checked, before
+    the first trial runs; an axis error starts with `source`, the file that
+    listed the axes."""
     try:
         points = list(sweep_points(spec))
     except ConfigError as exc:
         if source is None:
             raise
         raise ConfigError(f"{source}: {exc}") from None
-    for index, (assignment, scenario) in enumerate(points):
-        stats, _ = run_batch(scenario, spec.trials, trial_seed(seed, index), jobs=jobs)
+    seeded = [(scenario, trial_seed(seed, index)) for index, (_, scenario) in enumerate(points)]
+    batches = run_batch(seeded, spec.trials, jobs=jobs)
+    for (assignment, scenario), (stats, _) in zip(points, batches, strict=True):
         yield assignment, scenario, stats
 
 
@@ -198,16 +191,30 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _flag_axis(scenario, axis: str, spec: str, flag: str) -> tuple[float, ...]:
+    """The values of a threshold-scan axis given as a comma list, each checked
+    as the scan applies it to `scenario`; an error names the flag."""
+    try:
+        values = tuple(float(s) for s in filter(None, (v.strip() for v in spec.split(","))))
+    except ValueError:
+        raise ConfigError(f"{flag}: expected comma-separated numbers, got {spec!r}") from None
+    if not values:
+        raise ConfigError(f"{flag}: need at least one value")
+    for value in values:
+        apply_axis(scenario, axis, value, label=flag)
+    return values
+
+
 def cmd_threshold_scan(args) -> int:
     _check_trials(args.trials)
     scenario = load_scenario(args.scenario)
     if not scenario.uavs:
         raise ConfigError(f"{args.scenario}: threshold-scan needs at least one UAV")
     seed = args.seed if args.seed is not None else 0
-    thresholds = _parse_floats(args.thresholds, "--thresholds")
-    axes = [("threshold", tuple(thresholds))]
+    thresholds = _flag_axis(scenario, "threshold", args.thresholds, "--thresholds")
+    axes = [("threshold", thresholds)]
     if args.detect_probs:
-        axes.insert(0, ("detect_prob", tuple(_parse_floats(args.detect_probs, "--detect-probs"))))
+        axes.insert(0, ("detect_prob", _flag_axis(scenario, "detect_prob", args.detect_probs, "--detect-probs")))
     spec = SweepSpec(scenario, tuple(axes), args.trials, seed)
 
     grid = [",".join(["detect_prob", "threshold", "success_rate", "ci_low", "ci_high", "trials"])]

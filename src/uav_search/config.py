@@ -350,9 +350,10 @@ def load_sweep(path: str, default_seed: int = 0) -> SweepSpec:
         raise ConfigError(msg if msg.startswith(path) else f"{path}: {msg}") from None
 
 
-def apply_axis(scenario: ScenarioConfig, axis: str, value) -> ScenarioConfig:
+def apply_axis(scenario: ScenarioConfig, axis: str, value, label: str | None = None) -> ScenarioConfig:
     """One sweep-axis override, returning a new scenario. Every error, the
-    records' own checks included, is a ConfigError naming the axis."""
+    records' own checks included, is a ConfigError that starts with `label`
+    (default `axes.<axis>`)."""
     try:
         if axis == "n_uavs":
             n = int(value)
@@ -378,7 +379,7 @@ def apply_axis(scenario: ScenarioConfig, axis: str, value) -> ScenarioConfig:
             return dataclasses.replace(scenario, uavs=uavs, policy=policy)
         raise ConfigError(f"unknown sweep axis {axis!r}")
     except ValueError as exc:  # ConfigError, or PolicyConfig's own checks
-        raise ConfigError(f"axes.{axis}: {exc}") from None
+        raise ConfigError(f"{label or f'axes.{axis}'}: {exc}") from None
 
 
 def sweep_points(spec: SweepSpec):

@@ -7,12 +7,21 @@ range, beliefs are propagated and conditioned on fruitless searches, and the
 policy replans. The UAVs win if every target is detected before any target
 enters a goal edge. Trials are deterministic given their seed, and batch
 results are identical at any parallelism level.
+
+A `World` holds what trials on one graph, grid, tick and set of class models
+share: the refined graph and its route cache, the grid overlay, the models and
+the head-start belief checkpoints. `run_batch` runs every point of a command,
+a `(scenario, master seed)` pair, in one call: points that agree on what
+`build_world` reads share one World, every World is built, and so checked,
+before the first trial, and at `jobs > 1` one process pool runs the trials of
+every point in order.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -68,9 +77,8 @@ def wilson_interval(wins: int, n: int, z: float = WILSON_Z) -> tuple[float, floa
 
 @dataclass(eq=False)
 class World:
-    """Everything derivable from the scenario alone, shared across trials."""
+    """What the trials of every point with one `_world_key` share."""
 
-    scenario: ScenarioConfig
     refined: RoadGraph
     overlay: GridOverlay
     start_of_parent: dict[int, int]  # original entry edge -> its first refined piece, in id order
@@ -106,6 +114,21 @@ class World:
         return mass
 
 
+def _world_key(scenario: ScenarioConfig) -> tuple:
+    """What `build_world` reads of a scenario, besides the target entries it
+    checks: the graph, the grid radius, the tick and the models of the
+    classes the targets use."""
+    used = {t.class_name for t in scenario.targets}
+    models = tuple(sorted((c.name, c.model_path) for c in scenario.classes if c.name in used))
+    return scenario.graph_path, scenario.team_min_radius(), scenario.tick_seconds, models
+
+
+def _check_entries(scenario: ScenarioConfig, world: World) -> None:
+    for i, t in enumerate(scenario.targets):
+        if t.entry is not None and t.entry not in world.start_of_parent:
+            raise ConfigError(f"targets[{i}].entry: edge {t.entry} is not an entry edge")
+
+
 def build_world(scenario: ScenarioConfig) -> World:
     graph = load_graph(scenario.graph_path)
     if not graph.entries:
@@ -139,10 +162,9 @@ def build_world(scenario: ScenarioConfig) -> World:
             raise ConfigError(f"{cls.model_path}: not a valid movement model: {shown}{more}")
         models[cls.name] = model
 
-    for i, t in enumerate(scenario.targets):
-        if t.entry is not None and t.entry not in start_of_parent:
-            raise ConfigError(f"targets[{i}].entry: edge {t.entry} is not an entry edge")
-    return World(scenario, refined, overlay, start_of_parent, models)
+    world = World(refined, overlay, start_of_parent, models)
+    _check_entries(scenario, world)
+    return world
 
 
 @dataclass(eq=False)
@@ -190,8 +212,7 @@ class _UavState:
             self.pos = (self.pos[0] + dx / d * step, self.pos[1] + dy / d * step)
 
 
-def _spawn_targets(world: World, seed: int) -> list[_TargetState]:
-    sc = world.scenario
+def _spawn_targets(sc: ScenarioConfig, world: World, seed: int) -> list[_TargetState]:
     g = world.refined
     starts = list(world.start_of_parent.values())
     out = []
@@ -230,7 +251,7 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
     delay_m = scenario.delay_km * 1000.0
     team_p = scenario.team_min_detect_prob() if scenario.uavs else 1.0
 
-    targets = _spawn_targets(world, seed)
+    targets = _spawn_targets(scenario, world, seed)
     uavs = [
         _UavState(i, u.depot, u.velocity_kmh * KMH_TO_MS, u.detect_radius, u.detect_prob)
         for i, u in enumerate(scenario.uavs)
@@ -309,44 +330,69 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int(state[0])
 
 
-_WORKER_WORLD: World | None = None
+# Per point, the (scenario, world) that a forked pool worker runs its trials on.
+_WORKER_POINTS: list[tuple[ScenarioConfig, World]] = []
 
 
-def _init_worker(world: World) -> None:
-    global _WORKER_WORLD
-    _WORKER_WORLD = world
+def _init_worker(points: list[tuple[ScenarioConfig, World]]) -> None:
+    global _WORKER_POINTS
+    _WORKER_POINTS = points
 
 
-def _worker_trial(seed: int) -> TrialResult:
-    assert _WORKER_WORLD is not None
-    return run_trial(_WORKER_WORLD.scenario, seed, _WORKER_WORLD)
+def _worker_trial(task: tuple[int, int]) -> TrialResult:
+    index, seed = task
+    scenario, world = _WORKER_POINTS[index]
+    return run_trial(scenario, seed, world)
+
+
+def _batch_stats(results: list[TrialResult]) -> tuple[BatchStats, list[TrialResult]]:
+    n = len(results)
+    wins = sum(1 for r in results if r.outcome == "win")
+    lo, hi = wilson_interval(wins, n)
+    ticks = [t for r in results for t in r.detection_ticks.values()]
+    mean_det = float(np.mean(ticks)) if ticks else math.nan
+    return BatchStats(n, wins, wins / n, lo, hi, mean_det), results
+
+
+def _batches(
+    points: list[tuple[ScenarioConfig, World]], seeds: list[list[int]], n_trials: int, jobs: int
+) -> Iterator[tuple[BatchStats, list[TrialResult]]]:
+    if jobs <= 1:
+        for (scenario, world), point_seeds in zip(points, seeds):
+            yield _batch_stats([run_trial(scenario, s, world) for s in point_seeds])
+        return
+    tasks = [(index, s) for index, point_seeds in enumerate(seeds) for s in point_seeds]
+    # Forked workers inherit the worlds without pickling them, and keep their
+    # checkpoints and route caches from one point to the next.
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(points,)) as pool:
+        # Executor.map yields results in input order, whatever the workers' order.
+        results = pool.map(_worker_trial, tasks, chunksize=max(1, n_trials // (jobs * 4)))
+        for _ in points:
+            yield _batch_stats([next(results) for _ in range(n_trials)])
 
 
 def run_batch(
-    scenario: ScenarioConfig,
+    points: Sequence[tuple[ScenarioConfig, int]],
     n_trials: int,
-    master_seed: int,
     jobs: int = 1,
-) -> tuple[BatchStats, list[TrialResult]]:
-    """Run seeded trials and aggregate. Results depend only on the scenario,
-    trial count, and master seed - never on `jobs`."""
+) -> Iterator[tuple[BatchStats, list[TrialResult]]]:
+    """Run `n_trials` seeded trials of every (scenario, master seed) point.
+
+    Yields each point's (stats, results) in point order, as its last trial
+    finishes. Every point's world is built and its targets checked before
+    this returns, so a bad point raises ConfigError before any trial runs.
+    Results depend only on the points and the trial count - never on `jobs`.
+    """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    seeds = [trial_seed(master_seed, i) for i in range(n_trials)]
-    # Built here, not in the workers: a bad scenario raises ConfigError in the
-    # caller, and forked workers inherit the world without pickling it.
-    world = build_world(scenario)
-    if jobs <= 1:
-        results = [run_trial(scenario, s, world) for s in seeds]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(world,)) as pool:
-            chunk = max(1, n_trials // (jobs * 4))
-            # Executor.map yields results in input order, whatever the workers' order.
-            results = list(pool.map(_worker_trial, seeds, chunksize=chunk))
-
-    wins = sum(1 for r in results if r.outcome == "win")
-    lo, hi = wilson_interval(wins, n_trials)
-    ticks = [t for r in results for t in r.detection_ticks.values()]
-    mean_det = float(np.mean(ticks)) if ticks else math.nan
-    stats = BatchStats(n_trials, wins, wins / n_trials, lo, hi, mean_det)
-    return stats, results
+    worlds: dict[tuple, World] = {}
+    bound = []
+    for scenario, _ in points:
+        key = _world_key(scenario)
+        if key in worlds:
+            _check_entries(scenario, worlds[key])
+        else:
+            worlds[key] = build_world(scenario)
+        bound.append((scenario, worlds[key]))
+    seeds = [[trial_seed(master, i) for i in range(n_trials)] for _, master in points]
+    return _batches(bound, seeds, n_trials, jobs)

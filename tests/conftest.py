@@ -1,12 +1,14 @@
-"""Shared fixtures: the bundled border fixture and two hand-sized graphs."""
+"""Shared fixtures: the bundled border fixture, a small second scenario and
+two hand-sized graphs."""
 
 import os
 
 import pytest
 
-from uav_search.config import load_scenario
-from uav_search.movement import load_model
+from uav_search.config import load_scenario, scenario_from_dict
+from uav_search.movement import compile_model, load_model, save_model, traces_for_strategies
 from uav_search.road_graph import RoadGraph, load_graph, overlay_grid
+from uav_search.strategies import make_strategy
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,6 +42,31 @@ def border_model(border_model_path):
 @pytest.fixture(scope="session")
 def border_scenario():
     return load_scenario(os.path.join(REPO_ROOT, "scenarios", "border.yaml"))
+
+
+@pytest.fixture(scope="session")
+def tiny_scenario(tmp_path_factory):
+    """Two targets against one UAV on a six-vertex map with two entries, with
+    a model compiled for it: a scenario whose world shares nothing with the
+    border one."""
+    root = tmp_path_factory.mktemp("tiny")
+    (root / "tiny.graph").write_text(
+        "#vertices\n0 0 0\n1 400 0\n2 800 0\n3 1200 0\n4 0 400\n5 400 400\n"
+        "#edges\n0 0 1\n1 1 2\n2 2 3\n3 4 5\n4 5 2\n#entries\n0\n3\n#goals\n0 2\n"
+    )
+    refined, _ = overlay_grid(load_graph(str(root / "tiny.graph")), 500.0)
+    traces = traces_for_strategies(refined, [make_strategy("shortest")], 20.0, (8.0, 12.0), 2, 5)
+    save_model(compile_model(traces, refined, 0.01, 20.0, "walker"), str(root / "tiny.model"))
+    return scenario_from_dict({
+        "graph": "tiny.graph",
+        "uavs": [{"depot": [700.0, 100.0], "velocity_kmh": 40.0, "detect_radius": 500.0, "detect_prob": 0.9}],
+        "classes": {"walker": {"velocity_kmh": [8.0, 12.0], "strategies": [{"name": "shortest"}],
+                               "model": "tiny.model"}},
+        "targets": [{"class": "walker"}, {"class": "walker"}],
+        "policy": {"name": "general", "threshold": 0.2},
+        "tick_seconds": 20.0,
+        "max_ticks": 60,
+    }, base_dir=str(root))
 
 
 @pytest.fixture

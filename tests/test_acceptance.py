@@ -40,9 +40,9 @@ def _report(ok: bool, label: str) -> None:
     assert ok, label
 
 
-def _rate(scenario, master_seed):
-    stats, _ = run_batch(scenario, TRIALS, master_seed=master_seed)
-    return stats
+def _rates(points):
+    """BatchStats of each (scenario, master seed) point, from one run_batch call."""
+    return [stats for stats, _ in run_batch(points, TRIALS)]
 
 
 def _monotone(points, increasing: bool) -> bool:
@@ -162,19 +162,14 @@ def test_greedy_team_gain_within_constant_factor_of_optimum():
 
 
 def test_success_rate_trends_on_bundled_map(border_scenario):
-    uav_pts = [
-        _rate(apply_axis(border_scenario, "n_uavs", n), 300 + i)
-        for i, n in enumerate(range(1, 6))
-    ]
-    target_pts = [
-        _rate(apply_axis(border_scenario, "n_targets", n), 400 + i)
-        for i, n in enumerate(range(2, 6))
-    ]
     four = apply_axis(border_scenario, "n_targets", 4)
-    delay_pts = [
-        _rate(apply_axis(four, "delay_km", d), 500 + i)
-        for i, d in enumerate([0.0, 3.0, 6.0, 9.0])
-    ]
+    points = (
+        [(apply_axis(border_scenario, "n_uavs", n), 300 + i) for i, n in enumerate(range(1, 6))]
+        + [(apply_axis(border_scenario, "n_targets", n), 400 + i) for i, n in enumerate(range(2, 6))]
+        + [(apply_axis(four, "delay_km", d), 500 + i) for i, d in enumerate([0.0, 3.0, 6.0, 9.0])]
+    )
+    rates = _rates(points)
+    uav_pts, target_pts, delay_pts = rates[:5], rates[5:9], rates[9:]
     ok_uav = _monotone(uav_pts, increasing=True)
     ok_target = _monotone(target_pts, increasing=False)
     ok_delay = _monotone(delay_pts, increasing=False)
@@ -192,11 +187,11 @@ def test_success_rate_trends_on_bundled_map(border_scenario):
 
 
 def test_adaptive_policy_dominates_baselines(border_scenario):
-    adaptive = _rate(_with_policy(border_scenario, "adaptive"), 600)
+    names = ("adaptive", "max_avg_prob", "entropy_only")
+    adaptive, *baselines = _rates([(_with_policy(border_scenario, name), 600) for name in names])
     results = {}
     ok = True
-    for name in ("max_avg_prob", "entropy_only"):
-        base = _rate(_with_policy(border_scenario, name), 600)
+    for name, base in zip(names[1:], baselines):
         half = (base.ci_high - base.ci_low) / 2.0
         results[name] = (base.success_rate, half)
         ok = ok and adaptive.success_rate >= base.success_rate - half
@@ -225,8 +220,7 @@ def test_trained_model_generalizes_to_unseen_strategies(border_scenario, tmp_pat
     )
     held = dataclasses.replace(border_scenario, classes=(held_class,))
 
-    adaptive = _rate(_with_policy(held, "adaptive"), 700)
-    baseline = _rate(_with_policy(held, "entropy_only"), 700)
+    adaptive, baseline = _rates([(_with_policy(held, name), 700) for name in ("adaptive", "entropy_only")])
     half = (baseline.ci_high - baseline.ci_low) / 2.0
     ok = adaptive.success_rate >= baseline.success_rate - half
     _report(

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import uav_search
+import uav_search.simulator as simulator
 from uav_search.belief import propagate
 from uav_search.cli import main
 from uav_search.simulator import trial_seed
@@ -76,6 +77,11 @@ THRESHOLD_SCAN_SHA256 = {
     ),
 }
 DUMP_BELIEF_SHA256 = "864f76a5058ee653410402be2da9a047e55a8a5fcbf080e68125d6a28f5e53dd"
+
+# SHA-256 of sweep.csv of a sweep over scenarios/border.yaml with 3 trials and
+# the axes n_targets [2, 3] x delay_km [0.0, 7.0] at the default seed,
+# recorded while every point still built its own world and pool.
+GRID_SWEEP_SHA256 = "72073d4a132a656ad431bd861e1c2afbdb27886745b43cecc547f2704bb0edc6"
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BORDER_YAML = os.path.join(REPO_ROOT, "scenarios", "border.yaml")
@@ -345,6 +351,55 @@ class TestSweep:
         assert main(["sweep", str(bad)]) == 1
         assert "axes" in capsys.readouterr().err
 
+    def test_one_world_and_one_pool(self, work, monkeypatch, capsys):
+        built, pools = [], []
+        real_build, real_pool = simulator.build_world, simulator.ProcessPoolExecutor
+
+        class CountingPool(real_pool):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "build_world", lambda sc: built.append(sc) or real_build(sc))
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
+        sweep = work / "grid.yaml"
+        sweep.write_text(yaml.safe_dump(
+            {"base": "tiny.yaml", "trials": 2, "axes": {"n_uavs": [1, 2], "delay_km": [0.0, 1.0]}},
+            sort_keys=False,
+        ))
+        assert main(["sweep", str(sweep), "--jobs", "2", "--out", str(work / "grid_out")]) == 0
+        assert "4 points x 2 trials" in capsys.readouterr().out
+        assert len(built) == 1 and pools == [2]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "second,needle",
+        [
+            ({"class": "default", "entry": 99}, "targets[1].entry: edge 99 is not an entry edge"),
+            ({"class": "broken"}, "broken.model: not a valid movement model"),
+        ],
+    )
+    def test_bad_later_point_exits_before_any_trial(self, work, monkeypatch, capsys, jobs, second, needle):
+        """Point 0 is fine; point 1 adds a target with a bad entry edge or a
+        class with a broken model. Every world is built before any trial."""
+        ran = []
+        monkeypatch.setattr(simulator, "run_trial", lambda *args: ran.append(args))
+        lines = (work / "models" / "tiny.model").read_text().splitlines()
+        src = lines[-1].split()[0]
+        lines = [ln for ln in lines if ln.split()[0] != src] + [f"{src} {src} 0.9"]
+        (work / "models" / "broken.model").write_text("\n".join(lines) + "\n")
+        scenario = yaml.safe_load((work / "tiny.yaml").read_text())
+        scenario["classes"]["broken"] = {**scenario["classes"]["default"], "model": "models/broken.model"}
+        scenario["targets"] = [{"class": "default"}, second]
+        (work / "later.yaml").write_text(yaml.safe_dump(scenario))
+        sweep = work / "later_sweep.yaml"
+        sweep.write_text(yaml.safe_dump({"base": "later.yaml", "trials": 2, "axes": {"n_targets": [1, 2]}}))
+        out_dir = work / "later_out"
+        assert main(["sweep", str(sweep), "--jobs", jobs, "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert needle in captured.err, captured.err
+        assert ran == [] and captured.out == "" and not out_dir.exists()
+
 
 class TestThresholdScan:
     def test_grid_and_best(self, work, capsys):
@@ -423,14 +478,16 @@ class TestBadAxisValues:
     @pytest.mark.parametrize(
         "flags,needles",
         [
-            (["--thresholds", "0.2,-0.1"], ["axes.threshold", "threshold: must be >= 0.0"]),
-            (["--thresholds", "0.2", "--detect-probs", "0.8,1.5"], ["axes.detect_prob", "1.5"]),
+            (["--thresholds", "0.2,-0.1"], ["--thresholds: threshold: must be >= 0.0, got -0.1"]),
+            (["--thresholds", "0.2", "--detect-probs", "0.8,1.5"],
+             ["--detect-probs: detect_prob: must be in (0, 1], got 1.5"]),
         ],
     )
     def test_threshold_scan(self, tmp_path, capsys, no_batches, flags, needles):
         rc = main(["threshold-scan", BORDER_YAML, *flags, "--trials", "2", "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
+        assert err.startswith("error: --"), err
         assert all(n in err for n in needles), err
         assert no_batches == []
 
@@ -497,6 +554,18 @@ def test_border_run_bytes_are_pinned(tmp_path, jobs):
     rc = main(["run", scenario, "--trials", "6", "--seed", "0", "--jobs", jobs, "--out", str(out)])
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BORDER_RUN_SHA256
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_grid_sweep_bytes_are_pinned(tmp_path, capsys, jobs):
+    sweep = tmp_path / "grid.yaml"
+    sweep.write_text(yaml.safe_dump(
+        {"base": BORDER_YAML, "trials": 3, "axes": {"n_targets": [2, 3], "delay_km": [0.0, 7.0]}},
+        sort_keys=False,
+    ))
+    assert main(["sweep", str(sweep), "--jobs", jobs, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == GRID_SWEEP_SHA256
 
 
 def test_run_never_imports_scipy(tmp_path):

@@ -77,23 +77,23 @@ class TestTrialSeed:
 
 
 class TestSpawn:
-    def test_deterministic(self, border_world):
-        a = _spawn_targets(border_world, 123)
-        b = _spawn_targets(border_world, 123)
+    def test_deterministic(self, border_scenario, border_world):
+        a = _spawn_targets(border_scenario, border_world, 123)
+        b = _spawn_targets(border_scenario, border_world, 123)
         assert [t.path for t in a] == [t.path for t in b]
         assert [t.velocity_ms for t in a] == [t.velocity_ms for t in b]
 
-    def test_uniform_entry_covers_all_starts(self, border_world):
+    def test_uniform_entry_covers_all_starts(self, border_scenario, border_world):
         seen = set()
         for seed in range(300):
-            for tg in _spawn_targets(border_world, seed):
+            for tg in _spawn_targets(border_scenario, border_world, seed):
                 seen.add(tg.path[0])
         assert seen == set(border_world.start_of_parent.values())
 
-    def test_velocity_within_class_range(self, border_world):
-        lo, hi = border_world.scenario.classes[0].velocity_kmh
+    def test_velocity_within_class_range(self, border_scenario, border_world):
+        lo, hi = border_scenario.classes[0].velocity_kmh
         for seed in range(50):
-            for tg in _spawn_targets(border_world, seed):
+            for tg in _spawn_targets(border_scenario, border_world, seed):
                 assert lo * (1000 / 3600) <= tg.velocity_ms <= hi * (1000 / 3600)
 
     def test_fixed_entry_respected(self, border_scenario, border_world):
@@ -104,7 +104,7 @@ class TestSpawn:
         )
         world = build_world(sc)
         for seed in range(20):
-            [tg] = _spawn_targets(world, seed)
+            [tg] = _spawn_targets(sc, world, seed)
             assert tg.path[0] == world.start_of_parent[entry]
 
 
@@ -265,7 +265,7 @@ class TestCertainDetectionRecovery:
 
 class TestRunBatch:
     def test_stats_consistent_with_results(self, border_scenario):
-        stats, results = run_batch(border_scenario, 20, master_seed=0)
+        [(stats, results)] = run_batch([(border_scenario, 0)], 20)
         assert isinstance(stats, BatchStats)
         assert stats.n_trials == 20 and len(results) == 20
         wins = sum(1 for r in results if r.outcome == "win")
@@ -278,19 +278,77 @@ class TestRunBatch:
 
     def test_mean_detection_nan_without_detections(self, border_scenario):
         sc = dataclasses.replace(border_scenario, uavs=(), grid_radius=500.0)
-        stats, _ = run_batch(sc, 3, master_seed=0)
+        [(stats, _)] = run_batch([(sc, 0)], 3)
         assert stats.success_rate == 0.0
         assert math.isnan(stats.mean_detection_tick)
 
     def test_parallel_matches_serial(self, border_scenario):
-        stats1, results1 = run_batch(border_scenario, 6, master_seed=42, jobs=1)
-        stats2, results2 = run_batch(border_scenario, 6, master_seed=42, jobs=2)
+        [(stats1, results1)] = run_batch([(border_scenario, 42)], 6, jobs=1)
+        [(stats2, results2)] = run_batch([(border_scenario, 42)], 6, jobs=2)
         assert results1 == results2
         assert stats1 == stats2
 
     def test_rejects_empty_batch(self, border_scenario):
         with pytest.raises(ValueError, match="at least one trial"):
-            run_batch(border_scenario, 0, master_seed=0)
+            run_batch([(border_scenario, 0)], 0)
+
+    @pytest.mark.parametrize(
+        "change,needle",
+        [
+            ({"targets": (TargetSpec("runner", 424242),)}, r"targets\[0\].entry: edge 424242"),
+            ({"grid_radius": 400.0}, "different grid"),
+            ({"tick_seconds": 10.0}, "does not match scenario tick"),
+        ],
+    )
+    def test_bad_later_point_raises_before_any_trial(self, border_scenario, monkeypatch, change, needle):
+        """A later point on the same map, bad in its target entries, its grid
+        or its tick, fails when the batch starts: it is checked against the
+        shared world, or gets a world of its own."""
+        ran = []
+        monkeypatch.setattr(simulator, "run_trial", lambda *args: ran.append(args))
+        bad = dataclasses.replace(border_scenario, **change)
+        with pytest.raises(ConfigError, match=needle):
+            run_batch([(border_scenario, 0), (bad, 1)], 2)
+        assert ran == []
+
+
+@pytest.fixture(scope="module")
+def candidates(border_scenario, tiny_scenario):
+    """Scenarios on two worlds: the border map and the tiny map, each also
+    with a different team, target count or head start that keeps its world."""
+    return [
+        border_scenario,
+        dataclasses.replace(border_scenario, delay_km=3.0, uavs=border_scenario.uavs[:2]),
+        tiny_scenario,
+        dataclasses.replace(tiny_scenario, targets=tiny_scenario.targets[:1], delay_km=0.5),
+    ]
+
+
+class TestMultiPointBatch:
+    """One run_batch over many points equals each point run on its own."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**32)), min_size=1, max_size=4),
+        n_trials=st.integers(1, 2),
+    )
+    def test_equals_each_point_alone(self, candidates, picks, n_trials):
+        points = [(candidates[i], seed) for i, seed in picks]
+        alone = [next(run_batch([point], n_trials)) for point in points]
+        assert list(run_batch(points, n_trials)) == alone
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_two_worlds_at_any_jobs(self, candidates, jobs):
+        points = [(candidates[i], 10 + i) for i in (0, 2, 1, 3, 2)]
+        alone = [next(run_batch([point], 3)) for point in points]
+        assert list(run_batch(points, 3, jobs=jobs)) == alone
+
+    def test_points_on_one_world_share_it(self, candidates, monkeypatch):
+        built = []
+        monkeypatch.setattr(simulator, "build_world", lambda sc: built.append(sc) or build_world(sc))
+        batches = run_batch([(sc, 0) for sc in candidates], 1)
+        assert built == [candidates[0], candidates[2]]
+        assert len(list(batches)) == 4
 
 
 class TestBuildWorld:
