@@ -50,17 +50,16 @@ def init_belief(g: RoadGraph, entry_edge: int) -> np.ndarray:
 def propagate(mass: np.ndarray, model: TransitionModel) -> np.ndarray:
     """Push the belief forward one tick through the movement model: each
     transition's share `prob * mass[src]` is added onto its `dst`, in the
-    order `TransitionModel.scatter` fixes."""
+    model's row order."""
     if model.n_edges != mass.size:
         raise ValueError(
             f"model covers {model.n_edges} edges, belief has {mass.size}"
         )
-    if not model.has_every_row:
-        bad = np.flatnonzero((mass > 0) & ~model.has_row)
-        if bad.size:
-            raise ValueError(f"model has no distribution for occupied edge {int(bad[0])}")
-    dst, src, prob = model.scatter
-    return _normalized(np.bincount(dst, prob * mass[src], model.n_edges))
+    if model.rowless.size:
+        held = model.rowless[mass[model.rowless] > 0]
+        if held.size:
+            raise ValueError(f"model has no distribution for occupied edge {int(held[0])}")
+    return _normalized(np.bincount(model.dst, model.prob * mass[model.src], model.n_edges))
 
 
 def cell_marginal(mass: np.ndarray, overlay: GridOverlay) -> np.ndarray:

@@ -17,7 +17,7 @@ import os
 import sys
 
 from .belief import propagate
-from .config import ConfigError, SweepSpec, apply_axis, load_scenario, load_sweep, sweep_points
+from .config import ConfigError, SweepSpec, apply_axis, check_trials, load_scenario, load_sweep, sweep_points
 from .movement import ModelFormatError, compile_model, save_model, traces_for_strategies
 from .road_graph import GraphFormatError, load_graph, overlay_grid
 from .simulator import BatchStats, TrialResult, build_world, run_batch, trial_seed
@@ -133,17 +133,12 @@ def cmd_compile_model(args) -> int:
     model = compile_model(traces, refined, args.smoothing, args.tick, args.target_class)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     save_model(model, args.out)
-    print(f"wrote {args.out}: {len(model.transitions)} rows from {len(traces)} traces")
+    print(f"wrote {args.out}: {model.n_edges - model.rowless.size} rows from {len(traces)} traces")
     return 0
 
 
-def _check_trials(n: int) -> None:
-    if n < 1:
-        raise ConfigError("--trials: need at least 1")
-
-
 def cmd_run(args) -> int:
-    _check_trials(args.trials)
+    check_trials(args.trials, "--trials")
     scenario = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else 0
     [(stats, results)] = run_batch([(scenario, seed)], args.trials, jobs=args.jobs)
@@ -206,7 +201,7 @@ def _flag_axis(scenario, axis: str, spec: str, flag: str) -> tuple[float, ...]:
 
 
 def cmd_threshold_scan(args) -> int:
-    _check_trials(args.trials)
+    check_trials(args.trials, "--trials")
     scenario = load_scenario(args.scenario)
     if not scenario.uavs:
         raise ConfigError(f"{args.scenario}: threshold-scan needs at least one UAV")

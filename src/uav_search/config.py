@@ -29,6 +29,13 @@ class ConfigError(ValueError):
     """Raised when a config file is malformed; message names the bad path."""
 
 
+def check_trials(n: int, label: str = "trials") -> int:
+    """The trial-count rule; an error starts with `label`, the flag or key that gave `n`."""
+    if n < 1:
+        raise ConfigError(f"{label}: must be >= 1, got {n}")
+    return n
+
+
 def _check_probability(key: str, value: float) -> None:
     if not (0.0 < value <= 1.0):
         raise ConfigError(f"{key}: must be in (0, 1], got {value}")
@@ -327,7 +334,7 @@ def load_sweep(path: str, default_seed: int = 0) -> SweepSpec:
         if "base" not in data or not isinstance(data["base"], str):
             raise ConfigError("base: required (path to a scenario file)")
         base = load_scenario(os.path.normpath(os.path.join(base_dir, data["base"])))
-        trials = _need_int(data.get("trials"), "trials", lo=1)
+        trials = check_trials(_need_int(data.get("trials"), "trials"))
         seed = _need_int(data.get("seed", default_seed), "seed", lo=0)
         axes_map = _need_map(data.get("axes", {}), "axes")
         if not axes_map:

@@ -3,14 +3,15 @@
 A model is compiled offline: strategies generate full routes for every
 (entry, goal) pair, each route is sampled into a tick-indexed edge-occupancy
 trace, and transition frequencies (with Laplace smoothing) become a
-row-stochastic edge-to-edge matrix. Goal edges are absorbing. The model moves
-probability mass forward one tick at a time during search, as a scatter over
-its `(dst, src, prob)` transition arrays: plain numpy, no sparse-matrix type.
+row-stochastic edge-to-edge matrix. Goal edges are absorbing. The matrix is
+three parallel `(src, dst, prob)` arrays, and each search tick scatters
+`prob * mass[src]` onto `dst`: plain numpy, no sparse-matrix type.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -41,41 +42,35 @@ class PathTrace:
     samples: tuple[tuple[int, int], ...]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TransitionModel:
     """Row-stochastic one-tick movement model for one target class.
 
-    `transitions[src]` lists (dst, prob) with dst restricted to src itself
-    and its road successors; rows sum to 1. Goal edges map to themselves.
+    Transition i moves mass from edge `src[i]` to `dst[i]` with probability
+    `prob[i]`; pairs are unique, dst is src or a road successor, rows sum to 1
+    and goal edges map to themselves. The arrays are read-only, in row order:
+    by ascending `src`, each row in its given order. A scatter over them adds
+    each destination's terms by ascending `src`, as `mass @ M` does.
     """
 
     target_class: str
     tick: float
     n_edges: int
-    transitions: dict[int, tuple[tuple[int, float], ...]]
+    src: np.ndarray
+    dst: np.ndarray
+    prob: np.ndarray
+
+    def __post_init__(self):
+        order = np.argsort(np.asarray(self.src, dtype=np.intp), kind="stable")
+        for name, dtype in (("src", np.intp), ("dst", np.intp), ("prob", float)):
+            values = np.asarray(getattr(self, name), dtype=dtype)[order]
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @cached_property
-    def scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every transition as parallel `(dst, src, prob)` arrays, sorted by
-        `dst`, then by `src`.
-
-        `np.bincount(dst, prob * mass[src])` then starts each destination at
-        0.0 and adds its terms in ascending `src` order: the same order, and so
-        the same bits, as the scatter `mass @ M`.
-        """
-        triples = sorted((dst, src, p) for src, dists in self.transitions.items() for dst, p in dists)
-        dst, src, prob = zip(*triples) if triples else ((), (), ())
-        return (np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp), np.array(prob, dtype=float))
-
-    @cached_property
-    def has_row(self) -> np.ndarray:
-        out = np.zeros(self.n_edges, dtype=bool)
-        out[list(self.transitions)] = True
-        return out
-
-    @cached_property
-    def has_every_row(self) -> bool:
-        return bool(self.has_row.all())
+    def rowless(self) -> np.ndarray:
+        """Ascending ids of the edges that have no transition row."""
+        return np.flatnonzero(np.bincount(self.src, minlength=self.n_edges) == 0)
 
 
 def sample_trace(g: RoadGraph, path: list[int], velocity_ms: float, tick: float) -> PathTrace:
@@ -175,65 +170,69 @@ def compile_model(
             row = counts.setdefault(e0, {})
             row[e1] = row.get(e1, 0) + 1
 
-    transitions: dict[int, tuple[tuple[int, float], ...]] = {}
+    pairs: dict[tuple[int, int], float] = {}
     for src in range(g.n_edges):
         if src in g.goal_union:
-            transitions[src] = ((src, 1.0),)
+            pairs[src, src] = 1.0
             continue
         support = sorted({src, *g.outgoing(src)})
         seen = counts.get(src, {})
         total = sum(seen.values())
         if total == 0:
-            row = tuple((dst, 1.0 / len(support)) for dst in support)
+            pairs.update(((src, dst), 1.0 / len(support)) for dst in support)
         else:
             denom = total + smoothing * len(support)
-            row = tuple(
-                (dst, (seen.get(dst, 0) + smoothing) / denom)
+            pairs.update(
+                ((src, dst), (seen.get(dst, 0) + smoothing) / denom)
                 for dst in support
                 if seen.get(dst, 0) > 0 or smoothing > 0
             )
-        transitions[src] = row
-    return TransitionModel(target_class, tick, g.n_edges, transitions)
+    return TransitionModel(target_class, tick, g.n_edges, *_columns(pairs))
+
+
+def _columns(pairs: dict[tuple[int, int], float]) -> tuple[list, list, list]:
+    """`{(src, dst): prob}` as the three parallel columns, in insertion order."""
+    return [src for src, _ in pairs], [dst for _, dst in pairs], list(pairs.values())
 
 
 def validate_stochastic(
     model: TransitionModel, g: RoadGraph | None = None, tol: float = ROW_SUM_TOL
 ) -> list[str]:
-    """Return human-readable violations (empty list = valid)."""
-    problems = []
-    for src in sorted(model.transitions):
-        row = model.transitions[src]
+    """Return human-readable violations (empty list = valid): rowless edges,
+    then row by row; a row sums its terms one at a time, in row order."""
+    problems = [f"edge {e}: no transition row" for e in model.rowless.tolist()]
+    entries = zip(model.src.tolist(), model.dst.tolist(), model.prob.tolist())
+    for src, row in itertools.groupby(entries, key=lambda t: t[0]):
         total = 0.0
-        for dst, p in row:
+        for _, dst, p in row:
             total += p
             if p < 0:
                 problems.append(f"edge {src}: negative probability {p!r} to {dst}")
             if g is not None and dst != src and dst not in g.outgoing(src):
                 problems.append(f"edge {src}: destination {dst} is not a road successor")
-        if abs(total - 1.0) > tol:
+        if not abs(total - 1.0) <= tol:  # a NaN sum fails too
             problems.append(f"edge {src}: row sums to {total!r}")
     return problems
 
 
 def save_model(model: TransitionModel, path: str) -> None:
-    """Write the model file: a `#model` header then `src dst prob` lines.
+    """Write the model file: a `#model` header then `src dst prob` lines in row order.
 
     Probabilities use shortest round-trip decimal form, so saving a loaded
     model reproduces the file byte for byte.
     """
     lines = [f"#model tick={model.tick!r} class={model.target_class}"]
-    for src in sorted(model.transitions):
-        for dst, p in model.transitions[src]:
-            lines.append(f"{src} {dst} {p!r}")
+    for src, dst, p in zip(model.src.tolist(), model.dst.tolist(), model.prob.tolist()):
+        lines.append(f"{src} {dst} {p!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path: str) -> TransitionModel:
-    """Read a model file. The edge count is the header's optional `edges=<n>`,
-    else one more than the largest edge id in the rows."""
+    """Read a model file, rows in any order. The edge count is the header's
+    optional `edges=<n>`, else one more than the largest edge id in the rows."""
     header = None
-    rows: dict[int, list[tuple[int, float]]] = {}
+    pairs: dict[tuple[int, int], float] = {}
     max_id = -1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -261,16 +260,17 @@ def load_model(path: str) -> TransitionModel:
                 raise ModelFormatError(f"{path}:{lineno}: malformed transition line {line!r}") from None
             if src < 0 or dst < 0:
                 raise ModelFormatError(f"{path}:{lineno}: negative edge id in {line!r}")
-            row = rows.setdefault(src, [])
-            if any(d == dst for d, _ in row):
+            if (src, dst) in pairs:
                 raise ModelFormatError(f"{path}:{lineno}: repeated transition {src} -> {dst}")
-            row.append((dst, p))
+            pairs[src, dst] = p
             max_id = max(max_id, src, dst)
     if header is None:
         raise ModelFormatError(f"{path}: missing #model header")
     for key in ("tick", "class"):
         if key not in header:
             raise ModelFormatError(f"{path}: header missing {key}=")
+    if max_id >= np.iinfo(np.intp).max:
+        raise ModelFormatError(f"{path}: edge id {max_id} is too large")
     n_edges = max_id + 1
     if "edges" in header:
         if not header["edges"].isdecimal():
@@ -282,5 +282,4 @@ def load_model(path: str) -> TransitionModel:
         tick = float(header["tick"])
     except ValueError:
         raise ModelFormatError(f"{path}: header tick={header['tick']} is not a number") from None
-    transitions = {src: tuple(dsts) for src, dsts in rows.items()}
-    return TransitionModel(header["class"], tick, n_edges, transitions)
+    return TransitionModel(header["class"], tick, n_edges, *_columns(pairs))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import CertainDetection, cell_marginal, init_belief, negative_update, propagate
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, check_trials
 from .movement import TransitionModel, load_model, validate_stochastic
 from .planner import match_uavs_to_cells, select_cells
 from .road_graph import GridOverlay, RoadGraph, load_graph, overlay_grid
@@ -149,13 +149,12 @@ def build_world(scenario: ScenarioConfig) -> World:
                 f"{cls.model_path}: model covers {model.n_edges} edges but the refined "
                 f"graph has {refined.n_edges}; it was compiled for a different grid"
             )
-        if abs(model.tick - scenario.tick_seconds) > 1e-9:
+        if not abs(model.tick - scenario.tick_seconds) <= 1e-9:
             raise ConfigError(
                 f"{cls.model_path}: model tick {model.tick} s does not match "
                 f"scenario tick {scenario.tick_seconds} s"
             )
-        problems = [f"edge {e}: no transition row" for e in np.flatnonzero(~model.has_row)]
-        problems += validate_stochastic(model, refined)
+        problems = validate_stochastic(model, refined)
         if problems:
             shown = "; ".join(problems[:3])
             more = f" (and {len(problems) - 3} more)" if len(problems) > 3 else ""
@@ -383,8 +382,7 @@ def run_batch(
     this returns, so a bad point raises ConfigError before any trial runs.
     Results depend only on the points and the trial count - never on `jobs`.
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
+    check_trials(n_trials)
     worlds: dict[tuple, World] = {}
     bound = []
     for scenario, _ in points:

@@ -4,6 +4,8 @@
 team entropy gain of a cell set and its argmax over every k-subset.
 `default_pool` and `split_pool` build the strategy pool and its disjoint
 train / test halves that the unknown-behavior experiments draw from.
+`model_from_rows` and `model_rows` convert a movement model to and from the
+`{src: ((dst, prob), ...)}` form the model tests write out by hand.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from uav_search.movement import TransitionModel
 from uav_search.planner import _check_p, entropy_gain
 from uav_search.strategies import RandomWalkStrategy, ShortestPathStrategy, SideRoadsStrategy, Strategy
 
@@ -88,3 +91,20 @@ def split_pool(pool: list[Strategy], train_count: int, test_count: int, seed: in
     train = tuple(pool[i] for i in order[:train_count])
     test = tuple(pool[i] for i in order[train_count : train_count + test_count])
     return StrategyPool(train=train, test=test)
+
+
+def model_from_rows(
+    rows: dict[int, Sequence[tuple[int, float]]], n_edges: int, target_class: str = "t", tick: float = 1.0
+) -> TransitionModel:
+    """A model from `{src: ((dst, prob), ...)}`; the model puts the rows in row order."""
+    triples = [(src, dst, p) for src, row in rows.items() for dst, p in row]
+    src, dst, prob = zip(*triples) if triples else ((), (), ())
+    return TransitionModel(target_class, tick, n_edges, src, dst, prob)
+
+
+def model_rows(model: TransitionModel) -> dict[int, tuple[tuple[int, float], ...]]:
+    """`{src: ((dst, prob), ...)}`, sources ascending, each row in its order."""
+    rows: dict[int, list[tuple[int, float]]] = {}
+    for src, dst, p in zip(model.src.tolist(), model.dst.tolist(), model.prob.tolist()):
+        rows.setdefault(src, []).append((dst, p))
+    return {src: tuple(row) for src, row in rows.items()}

@@ -41,8 +41,9 @@ def _report(ok: bool, label: str) -> None:
 
 
 def _rates(points):
-    """BatchStats of each (scenario, master seed) point, from one run_batch call."""
-    return [stats for stats, _ in run_batch(points, TRIALS)]
+    """BatchStats of each (scenario, master seed) point, from one run_batch call
+    on two workers; results do not depend on the worker count."""
+    return [stats for stats, _ in run_batch(points, TRIALS, jobs=2)]
 
 
 def _monotone(points, increasing: bool) -> bool:

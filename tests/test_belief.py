@@ -19,8 +19,9 @@ from uav_search.belief import (
     negative_update,
     propagate,
 )
-from uav_search.movement import TransitionModel
 from uav_search.road_graph import overlay_grid
+
+from oracles import model_from_rows
 
 CELL_30 = 30.0 / np.sqrt(2.0)
 
@@ -40,7 +41,7 @@ def two_cell_overlay():
 
 def _line_model(rows):
     n = max(max(src for src in rows), max(d for r in rows.values() for d, _ in r)) + 1
-    return TransitionModel("t", 1.0, n, rows)
+    return model_from_rows(rows, n)
 
 
 class TestInit:
@@ -97,7 +98,7 @@ class TestPropagate:
             propagate(np.array([1.0, 0.0]), model)
 
     def test_occupied_edge_without_row(self):
-        model = TransitionModel("t", 1.0, 2, {0: ((0, 1.0),)})
+        model = model_from_rows({0: ((0, 1.0),)}, 2)
         with pytest.raises(ValueError, match="no distribution for occupied edge 1"):
             propagate(np.array([0.0, 1.0]), model)
         # unoccupied rows may be missing
@@ -105,7 +106,7 @@ class TestPropagate:
         assert out.tolist() == [1.0, 0.0]
 
     def test_vanished_mass(self):
-        model = TransitionModel("t", 1.0, 2, {0: ((1, 0.0),), 1: ((1, 1.0),)})
+        model = model_from_rows({0: ((1, 0.0),), 1: ((1, 1.0),)}, 2)
         with pytest.raises(ValueError, match="belief mass vanished"):
             propagate(np.array([1.0, 0.0]), model)
 
@@ -188,15 +189,7 @@ class TestMarginalAndEntropy:
 
 def _scatter_matrix(model):
     """M itself, row src -> dst: `mass @ M` is the reference propagation step."""
-    rows, cols, data = [], [], []
-    for src, dists in model.transitions.items():
-        for dst, p in dists:
-            rows.append(src)
-            cols.append(dst)
-            data.append(p)
-    return sparse.csr_array(
-        (np.array(data), (np.array(rows), np.array(cols))), shape=(model.n_edges, model.n_edges)
-    )
+    return sparse.csr_array((model.prob, (model.src, model.dst)), shape=(model.n_edges, model.n_edges))
 
 
 @st.composite
@@ -212,7 +205,7 @@ def _small_models(draw):
         transitions[src] = tuple((d, w / total) for d, w in zip(dsts, weights))
     mass = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     assume(mass.sum() > 0.0)
-    return TransitionModel("t", 1.0, n, transitions), mass / mass.sum()
+    return model_from_rows(transitions, n), mass / mass.sum()
 
 
 _PROPERTY = settings(max_examples=150, deadline=None,

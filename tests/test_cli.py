@@ -268,6 +268,27 @@ class TestRun:
         assert main(["run", str(work / "nan.yaml"), "--trials", "2"]) == 1
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,needle",
+        [("prob", "row sums to nan"), ("tick", "model tick nan s does not match")],
+    )
+    def test_nan_model_field_exits_1(self, work, capsys, field, needle):
+        first, *rows = (work / "models" / "tiny.model").read_text().splitlines()
+        if field == "tick":
+            first = " ".join("tick=nan" if tok.startswith("tick=") else tok for tok in first.split())
+        else:
+            src, dst, _ = rows[0].split()
+            rows[0] = f"{src} {dst} nan"
+        assert self._run_with_model(work, f"nan_{field}", [first, *rows]) == 1
+        assert needle in capsys.readouterr().err
+
+    def test_edge_id_beyond_any_index_exits_1(self, work, capsys):
+        """The case the `load_model` fuzz finds: without the loader's size
+        check, building the id arrays raises OverflowError (exit 2)."""
+        first, *rows = (work / "models" / "tiny.model").read_text().splitlines()
+        assert self._run_with_model(work, "huge", [first, "0 99999999999999999999 1.0", *rows]) == 1
+        assert "huge.model: edge id 99999999999999999999 is too large" in capsys.readouterr().err
+
     def test_trial_csv(self, work, capsys):
         out = work / "out" / "trials.csv"
         rc = main(["run", str(work / "tiny.yaml"), "--trials", "8", "--seed", "3",
@@ -301,7 +322,7 @@ class TestRun:
 
     def test_zero_trials(self, work, capsys):
         assert main(["run", str(work / "tiny.yaml"), "--trials", "0"]) == 1
-        assert "--trials: need at least 1" in capsys.readouterr().err
+        assert "--trials: must be >= 1, got 0" in capsys.readouterr().err
 
     def test_missing_scenario(self, work, capsys):
         assert main(["run", str(work / "nope.yaml")]) == 1
@@ -440,6 +461,11 @@ class TestThresholdScan:
         rc = main(["threshold-scan", str(work / "no_uavs.yaml"), "--thresholds", "0.2", "--trials", "2"])
         assert rc == 1
         assert "threshold-scan needs at least one UAV" in capsys.readouterr().err
+
+    def test_zero_trials(self, work, capsys):
+        rc = main(["threshold-scan", str(work / "tiny.yaml"), "--thresholds", "0.2", "--trials", "0"])
+        assert rc == 1
+        assert "--trials: must be >= 1, got 0" in capsys.readouterr().err
 
     def test_empty_threshold_list(self, work, capsys):
         rc = main(["threshold-scan", str(work / "tiny.yaml"), "--thresholds", ",",

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uav_search.belief import propagate
 from uav_search.movement import (
     ModelFormatError,
     PathTrace,
-    TransitionModel,
     compile_model,
     generate_training_traces,
     load_model,
@@ -18,6 +19,8 @@ from uav_search.movement import (
 )
 from uav_search.road_graph import overlay_grid
 from uav_search.strategies import ShortestPathStrategy
+
+from oracles import model_from_rows, model_rows
 
 KMH = 1000.0 / 3600.0
 
@@ -129,29 +132,31 @@ class TestCompileModel:
         g = _refined(line_graph)
         traces = [PathTrace(((0, 0), (1, 0)))] * 3 + [PathTrace(((0, 0), (1, 1)))]
         model = compile_model(traces, g, smoothing=0.0)
-        assert model.transitions[0] == ((0, 0.75), (1, 0.25))
+        assert model_rows(model)[0] == ((0, 0.75), (1, 0.25))
 
     def test_laplace_smoothing(self, line_graph):
         g = _refined(line_graph)
         traces = [PathTrace(((0, 0), (1, 0)))] * 3 + [PathTrace(((0, 0), (1, 1)))]
         model = compile_model(traces, g, smoothing=0.01)
-        row = dict(model.transitions[0])
+        row = dict(model_rows(model)[0])
         assert row[0] == pytest.approx(3.01 / 4.02)
         assert row[1] == pytest.approx(1.01 / 4.02)
 
     def test_unvisited_source_is_uniform(self, fork_graph):
         g = _refined(fork_graph)
         model = compile_model([], g, smoothing=0.01)
-        assert model.transitions[1] == ((1, 0.5), (3, 0.5))
-        assert model.transitions[2] == ((2, 0.5), (4, 0.5))
+        rows = model_rows(model)
+        assert rows[1] == ((1, 0.5), (3, 0.5))
+        assert rows[2] == ((2, 0.5), (4, 0.5))
 
     def test_goal_edges_absorb(self, fork_graph):
         g = _refined(fork_graph)
         traces = [PathTrace(((0, 0), (1, 1), (2, 3)))]
         model = compile_model(traces, g, smoothing=0.01)
+        rows = model_rows(model)
         for goal_set in g.goals:
             for eid in goal_set:
-                assert model.transitions[eid] == ((eid, 1.0),)
+                assert rows[eid] == ((eid, 1.0),)
 
     def test_rows_are_stochastic(self, fork_graph):
         g = _refined(fork_graph)
@@ -192,18 +197,34 @@ class TestCompileModel:
 
 class TestValidateStochastic:
     def test_flags_bad_row_sum(self):
-        model = TransitionModel("t", 1.0, 2, {0: ((0, 0.5), (1, 0.3)), 1: ((1, 1.0),)})
+        model = model_from_rows({0: ((0, 0.5), (1, 0.3)), 1: ((1, 1.0),)}, 2)
         problems = validate_stochastic(model)
         assert len(problems) == 1 and "row sums to" in problems[0]
 
     def test_flags_negative_probability(self):
-        model = TransitionModel("t", 1.0, 2, {0: ((0, 1.5), (1, -0.5)), 1: ((1, 1.0),)})
+        model = model_from_rows({0: ((0, 1.5), (1, -0.5)), 1: ((1, 1.0),)}, 2)
         assert any("negative probability" in p for p in validate_stochastic(model))
 
     def test_flags_unsupported_destination(self, fork_graph):
         g = _refined(fork_graph)
-        model = TransitionModel("t", 1.0, 5, {0: ((0, 0.5), (3, 0.5))})
+        model = model_from_rows({0: ((0, 0.5), (3, 0.5))}, 5)
         assert any("not a road successor" in p for p in validate_stochastic(model, g))
+
+    def test_row_sum_adds_one_term_at_a_time(self):
+        """Nine 0.1 terms summed in row order give 0.8999999999999999; a
+        pairwise sum such as `np.add.reduceat` gives 0.9."""
+        rows = {0: tuple((dst, 0.1) for dst in range(9)), **{e: ((e, 1.0),) for e in range(1, 9)}}
+        assert validate_stochastic(model_from_rows(rows, 9)) == ["edge 0: row sums to 0.8999999999999999"]
+
+    def test_rowless_edges_come_first(self):
+        model = model_from_rows({2: ((2, 0.5),), 0: ((0, 1.0),)}, 4)
+        assert validate_stochastic(model) == [
+            "edge 1: no transition row", "edge 3: no transition row", "edge 2: row sums to 0.5",
+        ]
+
+    def test_flags_nan_probability(self):
+        model = model_from_rows({0: ((0, float("nan")), (1, 1.0)), 1: ((1, 1.0),)}, 2)
+        assert validate_stochastic(model) == ["edge 0: row sums to nan"]
 
     def test_bundled_model_is_valid(self, border_model, border_refined):
         refined, _ = border_refined
@@ -223,7 +244,22 @@ class TestModelFile:
         assert again.tick == border_model.tick
         assert again.target_class == border_model.target_class
         assert again.n_edges == border_model.n_edges
-        assert again.transitions == border_model.transitions
+        assert model_rows(again) == model_rows(border_model)
+
+    def test_save_orders_sources_and_keeps_row_order(self, tmp_path):
+        """Rows of edges 0 and 1 interleave in the file; the saved file lists
+        sources in ascending order, each row's destinations in file order."""
+        p = tmp_path / "m.model"
+        p.write_text("#model tick=1.0 class=a\n1 2 0.5\n0 1 0.75\n1 1 0.5\n2 2 1.0\n0 0 0.25\n")
+        save_model(load_model(str(p)), str(tmp_path / "out.model"))
+        assert (tmp_path / "out.model").read_bytes() == (
+            b"#model tick=1.0 class=a\n0 1 0.75\n0 0 0.25\n1 2 0.5\n1 1 0.5\n2 2 1.0\n"
+        )
+
+    def test_arrays_are_read_only(self, border_model):
+        for values in (border_model.src, border_model.dst, border_model.prob):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0
 
     def test_compile_save_load_identity(self, tmp_path, fork_graph):
         g = _refined(fork_graph)
@@ -232,7 +268,7 @@ class TestModelFile:
         p = tmp_path / "m.model"
         save_model(model, str(p))
         loaded = load_model(str(p))
-        assert loaded.transitions == model.transitions
+        assert model_rows(loaded) == model_rows(model)
         assert loaded.tick == model.tick and loaded.target_class == model.target_class
 
     @pytest.mark.parametrize(
@@ -256,6 +292,7 @@ class TestModelFile:
             ("#model tick=1.0 class=a\n0 0 1.0\n-1 -1 1.0\n", "bad.model:3: negative edge id"),
             ("#model tick=1.0 class=a\n0 -2 1.0\n", "bad.model:2: negative edge id"),
             ("#model tick=1.0 class=a\n0 0 0.5\n0 1 0.5\n0 0 0.5\n", "bad.model:4: repeated transition 0 -> 0"),
+            ("#model tick=1.0 class=a\n0 99999999999999999999 1.0\n", "edge id 99999999999999999999 is too large"),
         ],
     )
     def test_format_errors(self, tmp_path, text, needle):
@@ -269,7 +306,7 @@ class TestModelFile:
         p = tmp_path / "m.model"
         p.write_text("; note\n\n#model tick=2.0 class=a\n; more\n0 0 1.0\n")
         model = load_model(str(p))
-        assert model.transitions == {0: ((0, 1.0),)}
+        assert model_rows(model) == {0: ((0, 1.0),)}
         assert model.tick == 2.0
 
     def test_edges_header_sets_edge_count(self, tmp_path):
@@ -277,6 +314,75 @@ class TestModelFile:
         p.write_text("#model tick=2.0 class=a edges=4\n0 1 1.0\n1 1 1.0\n")
         model = load_model(str(p))
         assert model.n_edges == 4
-        assert model.has_row.tolist() == [True, True, False, False]
+        assert model.rowless.tolist() == [2, 3]
         save_model(model, str(tmp_path / "out.model"))  # the token is read, never written
         assert (tmp_path / "out.model").read_text() == "#model tick=2.0 class=a\n0 1 1.0\n1 1 1.0\n"
+
+
+# A valid model on the fork graph's five edges, after a header with or
+# without `edges=5`; the fuzz mutates its tokens.
+FUZZ_ROWS = [
+    ["0", "0", "0.5"], ["0", "1", "0.5"],
+    ["1", "1", "0.5"], ["1", "3", "0.5"],
+    ["2", "2", "0.5"], ["2", "4", "0.5"],
+    ["3", "3", "1.0"], ["4", "4", "1.0"],
+]
+FUZZ_TOKENS = ["x", "", "nan", "inf", "-inf", "1e400", "0x1", "1.5", "-0", "tick=", "=", ";"]
+FUZZ_HUGE = ["9223372036854775807", "99999999999999999999"]
+FUZZ_HEADERS = ["#model tick=5.0 class=demo", "#model", "#edges", "# stray", "#model tick=1 class=a edges=x"]
+
+
+@st.composite
+def _mutated_model_text(draw):
+    """The base model after 1-4 token-level edits: drop, duplicate or negate a
+    token, replace it with a non-numeric one or an id beyond any array index,
+    or drop, duplicate or insert a (stray header) line."""
+    header = ["#model", "tick=5.0", "class=demo"] + draw(st.sampled_from([["edges=5"], []]))
+    lines = [header] + [list(line) for line in FUZZ_ROWS]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["drop", "dup", "negate", "replace", "huge", "drop_line", "dup_line", "header"]))
+        i = draw(st.integers(0, len(lines)))
+        if kind == "header":
+            lines.insert(i, [draw(st.sampled_from(FUZZ_HEADERS))])
+            continue
+        if not lines:
+            continue
+        i %= len(lines)
+        if kind == "drop_line":
+            del lines[i]
+        elif kind == "dup_line":
+            lines.insert(i, list(lines[i]))
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            if kind == "drop":
+                del lines[i][j]
+            elif kind == "dup":
+                lines[i].insert(j, lines[i][j])
+            elif kind == "negate":
+                lines[i][j] = "-" + lines[i][j]
+            elif kind == "huge":
+                lines[i][j] = draw(st.sampled_from(FUZZ_HUGE))
+            else:
+                lines[i][j] = draw(st.sampled_from(FUZZ_TOKENS))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+class TestLoadModelFuzz:
+    @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_mutated_model_text())
+    def test_mutated_file_loads_or_names_itself(self, tmp_path, text):
+        """Every mutated file either loads, and then saves and reloads to the
+        same bytes, or raises a ModelFormatError that names the file."""
+        path = tmp_path / "fuzz.model"
+        path.write_text(text)
+        try:
+            model = load_model(str(path))
+        except ModelFormatError as exc:
+            assert str(path) in str(exc)
+            return
+        assert model.src.size == model.dst.size == model.prob.size
+        assert model.src.size == 0 or max(model.src.max(), model.dst.max()) < model.n_edges
+        first, second = tmp_path / "first.model", tmp_path / "second.model"
+        save_model(model, str(first))
+        save_model(load_model(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()

@@ -27,6 +27,8 @@ from uav_search.simulator import (
 )
 from uav_search.movement import save_model
 
+from oracles import model_from_rows, model_rows
+
 
 @pytest.fixture(scope="module")
 def border_world(border_scenario):
@@ -289,7 +291,7 @@ class TestRunBatch:
         assert stats1 == stats2
 
     def test_rejects_empty_batch(self, border_scenario):
-        with pytest.raises(ValueError, match="at least one trial"):
+        with pytest.raises(ConfigError, match="trials: must be >= 1, got 0"):
             run_batch([(border_scenario, 0)], 0)
 
     @pytest.mark.parametrize(
@@ -384,14 +386,15 @@ class TestBuildWorld:
         [("scale_row", "row sums to 0.9"), ("drop_row", "no transition row")],
     )
     def test_broken_model_rejected(self, tmp_path, border_scenario, border_model, breakage, needle):
-        rows = dict(border_model.transitions)
+        rows = model_rows(border_model)
         src = next(e for e, row in rows.items() if len(row) > 1)
         if breakage == "scale_row":
             rows[src] = tuple((dst, p * 0.9) for dst, p in rows[src])
         else:
             del rows[src]
         path = tmp_path / "broken.model"
-        save_model(dataclasses.replace(border_model, transitions=rows), str(path))
+        broken = model_from_rows(rows, border_model.n_edges, border_model.target_class, border_model.tick)
+        save_model(broken, str(path))
         cls = dataclasses.replace(border_scenario.classes[0], model_path=str(path))
         sc = dataclasses.replace(border_scenario, classes=(cls,))
         with pytest.raises(ConfigError, match=needle):
