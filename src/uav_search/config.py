@@ -312,6 +312,8 @@ def _load_yaml(path: str):
             return yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -1,24 +1,26 @@
 """Markov transition models over refined road edges.
 
 A model is compiled offline: strategies generate full routes for every
-(entry, goal) pair, each route is sampled into a tick-indexed edge-occupancy
-trace, and transition frequencies (with Laplace smoothing) become a
-row-stochastic edge-to-edge matrix. Goal edges are absorbing. The matrix is
-three parallel `(src, dst, prob)` arrays, and each search tick scatters
-`prob * mass[src]` onto `dst`: plain numpy, no sparse-matrix type.
+(entry, goal) pair, each route is sampled into an array of the edge occupied
+at each tick, and transition frequencies (with Laplace smoothing) become a
+row-stochastic edge-to-edge matrix. Goal edges are absorbing. Sampling is one
+`searchsorted` per route and counting one `bincount` over every hop of every
+trace. The matrix is three parallel `(src, dst, prob)` arrays, and each search
+tick scatters `prob * mass[src]` onto `dst`: plain numpy, no sparse-matrix
+type.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .road_graph import RoadGraph
+from .road_graph import RoadGraph, read_lines
 from .strategies import UnreachableGoalError, validate_path
 
 DEFAULT_SMOOTHING = 0.01
@@ -30,16 +32,21 @@ class ModelFormatError(ValueError):
     """Raised for malformed or inconsistent model files."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathTrace:
-    """Tick-indexed edge occupancy of one simulated route.
+    """Edge occupancy of one simulated route, one edge per tick.
 
-    `samples` is an ordered tuple of (tick index, edge id); ticks are
-    consecutive from 0, the first edge is an entry, the last sample is the
-    absorbing goal edge.
+    `edges[t]` is the edge occupied at tick t, from tick 0; the first edge is
+    an entry, the last the absorbing goal edge and no earlier one is a goal.
+    The array is read-only.
     """
 
-    samples: tuple[tuple[int, int], ...]
+    edges: np.ndarray
+
+    def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=np.intp)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,20 +82,23 @@ class TransitionModel:
 
 def sample_trace(g: RoadGraph, path: list[int], velocity_ms: float, tick: float) -> PathTrace:
     """Sample edge occupancy along `path` every `tick` seconds at constant
-    speed, stopping at the first sample on a goal edge."""
-    if velocity_ms <= 0 or tick <= 0:
-        raise ValueError("velocity and tick must be positive")
-    ends = np.cumsum(g.length[path]).tolist()
-    samples: list[tuple[int, int]] = []
-    t = 0
-    while True:
-        s = velocity_ms * tick * t
-        idx = min(bisect.bisect_right(ends, s), len(path) - 1)
-        eid = path[idx]
-        samples.append((t, eid))
-        if eid in g.goal_union:
-            return PathTrace(tuple(samples))
-        t += 1
+    speed, stopping at the first sample on a goal edge.
+
+    Tick t sits `velocity_ms * tick * t` meters along the path, on the edge
+    whose end lies first beyond it (the last edge once past the path's end).
+    Raises ValueError when no sample lands on a goal edge.
+    """
+    if not (0 < velocity_ms < math.inf and 0 < tick < math.inf):
+        raise ValueError("velocity and tick must be positive and finite")
+    ends = np.cumsum(g.length[path])
+    step = velocity_ms * tick
+    # Enough ticks to pass the start of the last edge, where sampling stays.
+    n = 1 if len(path) == 1 else int(ends[-2] / step) + 2
+    at = np.minimum(np.searchsorted(ends, step * np.arange(n, dtype=float), side="right"), len(path) - 1)
+    on_goal = np.array([e in g.goal_union for e in path])[at]
+    if not on_goal.any():
+        raise ValueError(f"path never reaches a goal edge: it ends on edge {path[-1]}")
+    return PathTrace(np.asarray(path, dtype=np.intp)[at[: on_goal.argmax() + 1]])
 
 
 def generate_training_traces(
@@ -157,37 +167,48 @@ def compile_model(
     """
     if smoothing < 0:
         raise ValueError("smoothing must be non-negative")
-    counts: dict[int, dict[int, int]] = {}
-    for trace in traces:
-        for (t0, e0), (t1, e1) in zip(trace.samples, trace.samples[1:]):
-            if t1 != t0 + 1:
-                raise ValueError(f"trace ticks not consecutive: {t0} -> {t1}")
-            if e1 != e0 and e1 not in g.outgoing(e0):
-                raise ValueError(
-                    f"trace hop {e0} -> {e1} skips road edges; the model only "
-                    "supports one hop per tick, so the tick times the target "
-                    "velocity must not exceed the shortest refined edge")
-            row = counts.setdefault(e0, {})
-            row[e1] = row.get(e1, 0) + 1
+    n = g.n_edges
+    # Every allowed (src, dst) as the code src * n + dst, ascending: each
+    # source's support {src} + successors, destinations ascending.
+    support = [sorted({src, *nxt}) for src, nxt in enumerate(g._next)]
+    allowed = np.array([src * n + dst for src, row in enumerate(support) for dst in row], dtype=np.intp)
+    none = np.empty(0, dtype=np.intp)
+    hop_src = np.concatenate([none, *(t.edges[:-1] for t in traces)])
+    hop_dst = np.concatenate([none, *(t.edges[1:] for t in traces)])
+    for edges in (hop_src, hop_dst):
+        outside = edges[(edges < 0) | (edges >= n)]
+        if outside.size:
+            raise ValueError(f"trace edge {outside[0]} is not in the graph")
+    codes = hop_src * n + hop_dst
+    at = np.minimum(np.searchsorted(allowed, codes), allowed.size - 1)
+    bad = np.flatnonzero(allowed[at] != codes)
+    if bad.size:
+        e0, e1 = hop_src[bad[0]], hop_dst[bad[0]]
+        raise ValueError(
+            f"trace hop {e0} -> {e1} skips road edges; the model only "
+            "supports one hop per tick, so the tick times the target "
+            "velocity must not exceed the shortest refined edge")
+    count = np.bincount(at, minlength=allowed.size).tolist()
 
     pairs: dict[tuple[int, int], float] = {}
-    for src in range(g.n_edges):
+    i = 0
+    for src, row in enumerate(support):
+        seen = count[i : i + len(row)]
+        i += len(row)
         if src in g.goal_union:
             pairs[src, src] = 1.0
             continue
-        support = sorted({src, *g.outgoing(src)})
-        seen = counts.get(src, {})
-        total = sum(seen.values())
+        total = sum(seen)
         if total == 0:
-            pairs.update(((src, dst), 1.0 / len(support)) for dst in support)
+            pairs.update(((src, dst), 1.0 / len(row)) for dst in row)
         else:
-            denom = total + smoothing * len(support)
+            denom = total + smoothing * len(row)
             pairs.update(
-                ((src, dst), (seen.get(dst, 0) + smoothing) / denom)
-                for dst in support
-                if seen.get(dst, 0) > 0 or smoothing > 0
+                ((src, dst), (c + smoothing) / denom)
+                for dst, c in zip(row, seen)
+                if c > 0 or smoothing > 0
             )
-    return TransitionModel(target_class, tick, g.n_edges, *_columns(pairs))
+    return TransitionModel(target_class, tick, n, *_columns(pairs))
 
 
 def _columns(pairs: dict[tuple[int, int], float]) -> tuple[list, list, list]:
@@ -234,36 +255,35 @@ def load_model(path: str) -> TransitionModel:
     header = None
     pairs: dict[tuple[int, int], float] = {}
     max_id = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(";"):
-                continue
-            if line.startswith("#"):
-                if header is not None or not line.startswith("#model"):
-                    raise ModelFormatError(f"{path}:{lineno}: unexpected header {line!r}")
-                header = {}
-                for tok in line.split()[1:]:
-                    if "=" not in tok:
-                        raise ModelFormatError(f"{path}:{lineno}: bad header token {tok!r}")
-                    k, v = tok.split("=", 1)
-                    header[k] = v
-                continue
-            if header is None:
-                raise ModelFormatError(f"{path}:{lineno}: data before #model header")
-            toks = line.split()
-            try:
-                if len(toks) != 3:
-                    raise ValueError
-                src, dst, p = int(toks[0]), int(toks[1]), float(toks[2])
-            except ValueError:
-                raise ModelFormatError(f"{path}:{lineno}: malformed transition line {line!r}") from None
-            if src < 0 or dst < 0:
-                raise ModelFormatError(f"{path}:{lineno}: negative edge id in {line!r}")
-            if (src, dst) in pairs:
-                raise ModelFormatError(f"{path}:{lineno}: repeated transition {src} -> {dst}")
-            pairs[src, dst] = p
-            max_id = max(max_id, src, dst)
+    for lineno, raw in enumerate(read_lines(path, ModelFormatError), start=1):
+        line = raw.strip()
+        if not line or line.startswith(";"):
+            continue
+        if line.startswith("#"):
+            if header is not None or not line.startswith("#model"):
+                raise ModelFormatError(f"{path}:{lineno}: unexpected header {line!r}")
+            header = {}
+            for tok in line.split()[1:]:
+                if "=" not in tok:
+                    raise ModelFormatError(f"{path}:{lineno}: bad header token {tok!r}")
+                k, v = tok.split("=", 1)
+                header[k] = v
+            continue
+        if header is None:
+            raise ModelFormatError(f"{path}:{lineno}: data before #model header")
+        toks = line.split()
+        try:
+            if len(toks) != 3:
+                raise ValueError
+            src, dst, p = int(toks[0]), int(toks[1]), float(toks[2])
+        except ValueError:
+            raise ModelFormatError(f"{path}:{lineno}: malformed transition line {line!r}") from None
+        if src < 0 or dst < 0:
+            raise ModelFormatError(f"{path}:{lineno}: negative edge id in {line!r}")
+        if (src, dst) in pairs:
+            raise ModelFormatError(f"{path}:{lineno}: repeated transition {src} -> {dst}")
+        pairs[src, dst] = p
+        max_id = max(max_id, src, dst)
     if header is None:
         raise ModelFormatError(f"{path}: missing #model header")
     for key in ("tick", "class"):

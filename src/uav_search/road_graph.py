@@ -12,6 +12,7 @@ import heapq
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,11 @@ class RoadGraph:
         self._goal_dist_cache: dict[frozenset[int], dict[int, float]] = {}
         # (strategy, entry, goal index) -> truncated route; see strategies.
         self._route_cache: dict[tuple, tuple[int, ...]] = {}
+
+    @cached_property
+    def _walk_steps(self) -> dict[tuple, tuple[list[int], list[float]]]:
+        """(walk strategy, goal index, edge) -> (candidates, cdf); see strategies."""
+        return {}
 
     def outgoing(self, edge_id: int) -> list[int]:
         """Edges that can follow `edge_id` on a directed walk."""
@@ -145,14 +151,23 @@ class GridOverlay:
 # File format
 
 
+def read_lines(path: str, error: type[ValueError]) -> list[str]:
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 raises
+    `error` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
+
+
 def _tokens(path: str) -> list[tuple[int, list[str]]]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(";"):
-                continue
-            out.append((lineno, line.split()))
+    for lineno, raw in enumerate(read_lines(path, GraphFormatError), start=1):
+        line = raw.strip()
+        if not line or line.startswith(";"):
+            continue
+        out.append((lineno, line.split()))
     return out
 
 
@@ -374,24 +389,25 @@ def shortest_path(
     if from_edge in goal_set:
         return [from_edge]
     hop = (g.length if weight is None else weight).tolist()
-    dist: dict[int, float] = {from_edge: 0.0}
-    parent: dict[int, int] = {}
+    nexts = g._next
+    dist = [math.inf] * g.n_edges
+    dist[from_edge] = 0.0
+    parent = [-1] * g.n_edges
+    done = [False] * g.n_edges
     heap: list[tuple[float, int]] = [(0.0, from_edge)]
-    done: set[int] = set()
     while heap:
         d, e = heapq.heappop(heap)
-        if e in done:
+        if done[e]:
             continue
-        done.add(e)
+        done[e] = True
         if e in goal_set:
             path = [e]
             while path[-1] != from_edge:
                 path.append(parent[path[-1]])
             return path[::-1]
-        for nxt in g.outgoing(e):
-            w = 0.0 if nxt in goal_set else hop[nxt]
-            nd = d + w
-            if nd < dist.get(nxt, math.inf):
+        for nxt in nexts[e]:
+            nd = d + (0.0 if nxt in goal_set else hop[nxt])
+            if nd < dist[nxt]:
                 dist[nxt] = nd
                 parent[nxt] = e
                 heapq.heappush(heap, (nd, nxt))

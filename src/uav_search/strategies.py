@@ -8,6 +8,7 @@ maps config names to constructors.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -73,6 +74,19 @@ def _draw_goal(g: RoadGraph, entry: int, rng: np.random.Generator) -> int:
     return reachable[int(rng.integers(len(reachable)))]
 
 
+def choice_cdf(p: np.ndarray) -> list[float]:
+    """The cumulative distribution `rng.choice(len(p), p=p)` draws from.
+
+    `bisect_right(cdf, rng.random())` is the index that call returns, and it
+    takes the same one uniform draw from the generator.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    if np.isnan(cdf).any():
+        raise ValueError("Probabilities contain NaN")
+    return cdf.tolist()
+
+
 def _cached_route(g: RoadGraph, strategy, entry: int, gi: int, make_weight=None) -> list[int]:
     """The deterministic route of `strategy` from `entry` to goal set `gi`,
     truncated at the first goal edge. Computed once per (strategy, entry,
@@ -111,7 +125,9 @@ class RandomWalkStrategy:
     exp(-beta * delta), delta being the change in shortest travel-to-goal the
     hop causes. beta = 0 is a uniform walk; beta -> inf recovers the shortest
     path. Walks exceeding MAX_LENGTH_FACTOR times the shortest route (or
-    hitting a dead end) raise WanderingError.
+    hitting a dead end) raise WanderingError. Each step's candidates and
+    their cumulative distribution are kept on the graph per (strategy, goal
+    set, edge), so a step is one uniform draw.
     """
 
     beta: float
@@ -134,29 +150,42 @@ class RandomWalkStrategy:
         path = [entry]
         traveled = 0.0
         cur = entry
+        steps = g._walk_steps
         while cur not in g.goal_union:
             if traveled > max_travel:
                 raise WanderingError(
                     f"walk from entry {entry} exceeded {MAX_LENGTH_FACTOR:g}x the shortest route"
                 )
-            cands = g.outgoing(cur)
-            if not cands:
-                raise WanderingError(f"walk from entry {entry} dead-ended at edge {cur}")
-            togo = np.array([travel_to_go(length, e, goal_set, dmap) for e in cands])
-            if self.beta == 0.0:
-                weights = np.ones(len(cands))
-            else:
-                finite = togo[np.isfinite(togo)]
-                if finite.size == 0:
-                    raise WanderingError(f"walk from entry {entry} lost all routes at edge {cur}")
-                weights = np.exp(-self.beta * (togo - finite.min()))
-            total = weights.sum()
-            if total <= 0:
-                raise WanderingError(f"walk from entry {entry} lost all routes at edge {cur}")
-            cur = cands[int(rng.choice(len(cands), p=weights / total))]
+            step = steps.get((self, gi, cur))
+            if step is None:
+                step = steps[self, gi, cur] = self._step(g, gi, cur, entry)
+            cands, cdf = step
+            # The index `rng.choice(len(cands), p=p)` draws; see choice_cdf.
+            cur = cands[bisect.bisect_right(cdf, rng.random())]
             path.append(cur)
             traveled += length[cur]
         return path
+
+    def _step(self, g: RoadGraph, gi: int, cur: int, entry: int) -> tuple[list[int], list[float]]:
+        """The candidates after edge `cur` on a walk to goal set `gi`, with
+        the cumulative distribution `Generator.choice` draws from."""
+        cands = g.outgoing(cur)
+        if not cands:
+            raise WanderingError(f"walk from entry {entry} dead-ended at edge {cur}")
+        goal_set = g.goals[gi]
+        dmap = goal_distance_map(g, goal_set)
+        togo = np.array([travel_to_go(g.length, e, goal_set, dmap) for e in cands])
+        if self.beta == 0.0:
+            weights = np.ones(len(cands))
+        else:
+            finite = togo[np.isfinite(togo)]
+            if finite.size == 0:
+                raise WanderingError(f"walk from entry {entry} lost all routes at edge {cur}")
+            weights = np.exp(-self.beta * (togo - finite.min()))
+        total = weights.sum()
+        if total <= 0:
+            raise WanderingError(f"walk from entry {entry} lost all routes at edge {cur}")
+        return list(cands), choice_cdf(weights / total)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,17 @@ team entropy gain of a cell set and its argmax over every k-subset.
 train / test halves that the unknown-behavior experiments draw from.
 `model_from_rows` and `model_rows` convert a movement model to and from the
 `{src: ((dst, prob), ...)}` form the model tests write out by hand.
+`trace_loop`, `count_compile`, `dict_shortest_path` and `choice_walk` are
+the tick-by-tick trace sampler, the dict-counting model compiler, the
+dict-based Dijkstra and the random walk drawing each step with
+`rng.choice`; the library's array and cached versions must equal them
+exactly.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import math
 import warnings
@@ -18,9 +25,17 @@ from typing import Sequence
 
 import numpy as np
 
-from uav_search.movement import TransitionModel
+from uav_search.movement import PathTrace, TransitionModel
 from uav_search.planner import _check_p, entropy_gain
-from uav_search.strategies import RandomWalkStrategy, ShortestPathStrategy, SideRoadsStrategy, Strategy
+from uav_search.road_graph import RoadGraph, goal_distance_map, travel_to_go
+from uav_search.strategies import (
+    MAX_LENGTH_FACTOR,
+    RandomWalkStrategy,
+    ShortestPathStrategy,
+    SideRoadsStrategy,
+    Strategy,
+    WanderingError,
+)
 
 BRUTE_FORCE_MAX_CELLS = 15
 BRUTE_FORCE_MAX_K = 4
@@ -108,3 +123,112 @@ def model_rows(model: TransitionModel) -> dict[int, tuple[tuple[int, float], ...
     for src, dst, p in zip(model.src.tolist(), model.dst.tolist(), model.prob.tolist()):
         rows.setdefault(src, []).append((dst, p))
     return {src: tuple(row) for src, row in rows.items()}
+
+
+def trace_loop(g: RoadGraph, path: list[int], velocity_ms: float, tick: float) -> list[int]:
+    """The occupied edge at each tick, one tick at a time, up to the first goal
+    edge. Never returns when no sample lands on a goal edge."""
+    ends = np.cumsum(g.length[path]).tolist()
+    edges: list[int] = []
+    t = 0
+    while True:
+        s = velocity_ms * tick * t
+        eid = path[min(bisect.bisect_right(ends, s), len(path) - 1)]
+        edges.append(eid)
+        if eid in g.goal_union:
+            return edges
+        t += 1
+
+
+def count_compile(
+    traces: Sequence[PathTrace], g: RoadGraph, smoothing: float, tick: float = 1.0, target_class: str = "default"
+) -> TransitionModel:
+    """`compile_model` by counting each hop in nested dicts, row by row."""
+    counts: dict[int, dict[int, int]] = {}
+    for trace in traces:
+        edges = trace.edges.tolist()
+        for e0, e1 in zip(edges, edges[1:]):
+            if e1 != e0 and e1 not in g.outgoing(e0):
+                raise ValueError(f"trace hop {e0} -> {e1} skips road edges")
+            row = counts.setdefault(e0, {})
+            row[e1] = row.get(e1, 0) + 1
+    triples: list[tuple[int, int, float]] = []
+    for src in range(g.n_edges):
+        if src in g.goal_union:
+            triples.append((src, src, 1.0))
+            continue
+        support = sorted({src, *g.outgoing(src)})
+        seen = counts.get(src, {})
+        total = sum(seen.values())
+        if total == 0:
+            triples.extend((src, dst, 1.0 / len(support)) for dst in support)
+        else:
+            denom = total + smoothing * len(support)
+            triples.extend(
+                (src, dst, (seen.get(dst, 0) + smoothing) / denom)
+                for dst in support
+                if seen.get(dst, 0) > 0 or smoothing > 0
+            )
+    src, dst, prob = zip(*triples) if triples else ((), (), ())
+    return TransitionModel(target_class, tick, g.n_edges, src, dst, prob)
+
+
+def dict_shortest_path(
+    g: RoadGraph, from_edge: int, goal_set: frozenset[int], weight: np.ndarray | None = None
+) -> list[int] | None:
+    """`shortest_path` with dict distances and a done set, the same heap order."""
+    if from_edge in goal_set:
+        return [from_edge]
+    hop = (g.length if weight is None else weight).tolist()
+    dist: dict[int, float] = {from_edge: 0.0}
+    parent: dict[int, int] = {}
+    heap: list[tuple[float, int]] = [(0.0, from_edge)]
+    done: set[int] = set()
+    while heap:
+        d, e = heapq.heappop(heap)
+        if e in done:
+            continue
+        done.add(e)
+        if e in goal_set:
+            path = [e]
+            while path[-1] != from_edge:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for nxt in g.outgoing(e):
+            nd = d + (0.0 if nxt in goal_set else hop[nxt])
+            if nd < dist.get(nxt, math.inf):
+                dist[nxt] = nd
+                parent[nxt] = e
+                heapq.heappush(heap, (nd, nxt))
+    return None
+
+
+def choice_walk(beta: float, g: RoadGraph, entry: int, gi: int, rng: np.random.Generator) -> list[int]:
+    """`RandomWalkStrategy(beta).path(g, entry, rng, goal_index=gi)`, each step
+    recomputed and drawn with `rng.choice`."""
+    goal_set = g.goals[gi]
+    dmap = goal_distance_map(g, goal_set)
+    length = g.length.tolist()
+    max_travel = MAX_LENGTH_FACTOR * travel_to_go(length, entry, goal_set, dmap)
+    path, traveled, cur = [entry], 0.0, entry
+    while cur not in g.goal_union:
+        if traveled > max_travel:
+            raise WanderingError("exceeded")
+        cands = g.outgoing(cur)
+        if not cands:
+            raise WanderingError("dead-ended")
+        togo = np.array([travel_to_go(length, e, goal_set, dmap) for e in cands])
+        if beta == 0.0:
+            weights = np.ones(len(cands))
+        else:
+            finite = togo[np.isfinite(togo)]
+            if finite.size == 0:
+                raise WanderingError("lost")
+            weights = np.exp(-beta * (togo - finite.min()))
+        total = weights.sum()
+        if total <= 0:
+            raise WanderingError("lost")
+        cur = cands[int(rng.choice(len(cands), p=weights / total))]
+        path.append(cur)
+        traveled += length[cur]
+    return path

@@ -335,6 +335,33 @@ class TestRun:
         assert "graph: required" in capsys.readouterr().err
 
 
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any input file exits 1 and names the file."""
+
+    NEEDLE = "not UTF-8 text: byte 0xff (invalid start byte)"
+
+    def test_model_file(self, work, capsys):
+        text = (work / "models" / "tiny.model").read_bytes()
+        (work / "models" / "latin.model").write_bytes(text.rstrip(b"\n") + b"\xff\n")
+        scenario = yaml.safe_load((work / "tiny.yaml").read_text())
+        scenario["classes"]["default"]["model"] = "models/latin.model"
+        (work / "latin_model.yaml").write_text(yaml.safe_dump(scenario))
+        assert main(["run", str(work / "latin_model.yaml"), "--trials", "1"]) == 1
+        assert f"{work / 'models' / 'latin.model'}: {self.NEEDLE}" in capsys.readouterr().err
+
+    def test_graph_file(self, work, capsys):
+        (work / "latin.graph").write_bytes(TINY_GRAPH.encode() + b"\xff")
+        args = _compile_args(work, out="models/latin_graph.model")
+        args[1] = str(work / "latin.graph")
+        assert main(args) == 1
+        assert f"{work / 'latin.graph'}: {self.NEEDLE}" in capsys.readouterr().err
+
+    def test_scenario_file(self, work, capsys):
+        (work / "latin.yaml").write_bytes(b"# caf\xff\n" + (work / "tiny.yaml").read_bytes())
+        assert main(["run", str(work / "latin.yaml"), "--trials", "1"]) == 1
+        assert f"{work / 'latin.yaml'}: {self.NEEDLE}" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_sweep_csv(self, work, capsys):
         sweep = work / "team.yaml"
@@ -650,6 +677,26 @@ def test_readme_dump_belief_command_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
     assert main(argv) == 0, capsys.readouterr().err
     assert (tmp_path / "belief.csv").read_text().startswith("tick,edge,mass\n0,")
+
+
+# SHA-256 of the model written by `compile-model maps/border.graph
+# --strategies shortest,random_walk:beta=0.01,side_roads:penalty=1.5
+# --runs-per-pair 1 --seed 5` with the README's radius, tick, velocity and
+# class, recorded while traces were sampled tick by tick, hops counted in
+# dicts and every walk step drawn with `rng.choice`.
+STOCHASTIC_COMPILE_SHA256 = "3b5bca6dd0b4139964196151bcde3b91808136afd0afeb584ee795b91ed4e53c"
+
+
+def test_stochastic_compile_bytes_are_pinned(tmp_path):
+    out = tmp_path / "pooled.model"
+    rc = main([
+        "compile-model", os.path.join(REPO_ROOT, "maps", "border.graph"),
+        "--strategies", "shortest,random_walk:beta=0.01,side_roads:penalty=1.5", "--radius", "500",
+        "--tick", "20", "--velocity", "8:12", "--runs-per-pair", "1", "--seed", "5",
+        "--target-class", "runner", "--out", str(out),
+    ])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STOCHASTIC_COMPILE_SHA256
 
 
 def test_readme_compile_command_reproduces_bundled_model(tmp_path):

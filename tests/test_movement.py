@@ -17,12 +17,16 @@ from uav_search.movement import (
     traces_for_strategies,
     validate_stochastic,
 )
-from uav_search.road_graph import overlay_grid
-from uav_search.strategies import ShortestPathStrategy
+from uav_search.road_graph import RoadGraph, overlay_grid
+from uav_search.strategies import RandomWalkStrategy, ShortestPathStrategy, WanderingError
 
-from oracles import model_from_rows, model_rows
+from oracles import count_compile, model_from_rows, model_rows, trace_loop
 
 KMH = 1000.0 / 3600.0
+
+
+def _edge_lists(traces):
+    return [trace.edges.tolist() for trace in traces]
 
 
 def _refined(g):
@@ -36,23 +40,33 @@ class TestSampleTrace:
         """10 km/h over a 100 m edge sampled every 9 s advances 25 m per
         tick: four samples on the entry, the fifth on the goal."""
         trace = sample_trace(line_graph, [0, 1], 10.0 * KMH, 9.0)
-        assert trace.samples == ((0, 0), (1, 0), (2, 0), (3, 0), (4, 1))
+        assert trace.edges.tolist() == [0, 0, 0, 0, 1]
 
     def test_vertex_hit_lands_on_next_edge(self, line_graph):
         # distance exactly 100 m at t=2 means the walk is on edge 1
         trace = sample_trace(line_graph, [0, 1], 50.0, 1.0)
-        assert trace.samples == ((0, 0), (1, 0), (2, 1))
+        assert trace.edges.tolist() == [0, 0, 1]
 
     def test_stops_at_first_goal_sample(self, line_graph):
         trace = sample_trace(line_graph, [0, 1], 5.0, 1.0)
-        goal_samples = [s for s in trace.samples if s[1] in line_graph.goal_union]
-        assert len(goal_samples) == 1
-        assert trace.samples[-1] == goal_samples[0]
+        goal_samples = [e for e in trace.edges.tolist() if e in line_graph.goal_union]
+        assert goal_samples == [trace.edges[-1]]
 
     def test_ticks_consecutive_from_zero(self, fork_graph):
+        """Entry t is the edge 24 m * t along the 100 m + 100 m + 50 m path:
+        ticks 0-4 on edge 0, 5-8 on edge 1 and tick 9, at 216 m, on goal 3."""
         trace = sample_trace(fork_graph, [0, 1, 3], 12.0, 2.0)
-        ticks = [t for t, _ in trace.samples]
-        assert ticks == list(range(len(ticks)))
+        assert trace.edges.tolist() == [0] * 5 + [1] * 4 + [3]
+
+    def test_path_off_the_goals_raises(self, line_graph):
+        """No sample of the path [0] lands on goal edge 1: raise, never loop."""
+        with pytest.raises(ValueError, match="never reaches a goal edge: it ends on edge 0"):
+            sample_trace(line_graph, [0], 5.0, 1.0)
+
+    @pytest.mark.parametrize("velocity", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_rates(self, line_graph, velocity):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            sample_trace(line_graph, [0, 1], velocity, 1.0)
 
     def test_sample_floats_pinned_on_bundled_route(self, border_refined):
         """At 30/11 m/s and 20 s ticks, `velocity_ms * tick * t` puts sample 11
@@ -64,7 +78,7 @@ class TestSampleTrace:
         path = ShortestPathStrategy().path(g, min(g.entries), np.random.default_rng(0), goal_index=0)
         trace = sample_trace(g, path, 30.0 / 11.0, 20.0)
         first: dict[int, int] = {}
-        for t, eid in trace.samples:
+        for t, eid in enumerate(trace.edges.tolist()):
             first.setdefault(eid, t)
         assert list(first.items()) == [
             (0, 0), (10, 12), (11, 13), (12, 26), (13, 39), (18, 43), (19, 52), (20, 65),
@@ -72,7 +86,7 @@ class TestSampleTrace:
             (35, 143), (40, 146), (41, 156), (42, 169), (46, 177), (47, 182), (48, 195),
             (49, 208), (672, 210),
         ]
-        assert trace.samples[11] == (11, 0)
+        assert trace.edges[11] == 0
 
     @pytest.mark.parametrize("velocity,tick", [(0.0, 1.0), (-3.0, 1.0), (5.0, 0.0)])
     def test_rejects_nonpositive_rates(self, line_graph, velocity, tick):
@@ -87,21 +101,21 @@ class TestTraceGeneration:
         # 1 entry x 2 goal sets x 3 runs
         assert len(traces) == 6
         for trace in traces:
-            assert trace.samples[0] == (0, 0)
-            assert trace.samples[-1][1] in g.goal_union
+            assert trace.edges[0] == 0
+            assert trace.edges[-1] in g.goal_union
 
     def test_border_fixture_pair_coverage(self, border_refined):
         refined, _ = border_refined
         traces = generate_training_traces(refined, ShortestPathStrategy(), 20.0, (8.0, 12.0), 3, seed=1)
         assert len(traces) == 10 * 7 * 3
-        starts = {trace.samples[0][1] for trace in traces}
+        starts = {int(trace.edges[0]) for trace in traces}
         assert starts <= refined.entries
 
     def test_same_seed_same_traces(self, fork_graph):
         g = _refined(fork_graph)
         a = generate_training_traces(g, ShortestPathStrategy(), 5.0, (8.0, 12.0), 2, seed=9)
         b = generate_training_traces(g, ShortestPathStrategy(), 5.0, (8.0, 12.0), 2, seed=9)
-        assert a == b
+        assert _edge_lists(a) == _edge_lists(b)
 
     def test_bad_velocity_range(self, fork_graph):
         g = _refined(fork_graph)
@@ -119,7 +133,7 @@ class TestTraceGeneration:
         expect = []
         for sub in subs:
             expect.extend(generate_training_traces(g, ShortestPathStrategy(), 5.0, (8.0, 12.0), 2, sub))
-        assert pooled == expect
+        assert _edge_lists(pooled) == _edge_lists(expect)
 
     def test_pooling_rejects_empty(self, fork_graph):
         with pytest.raises(ValueError, match="at least one strategy"):
@@ -130,13 +144,13 @@ class TestCompileModel:
     def test_observed_frequencies_without_smoothing(self, line_graph):
         """Three stays and one hop out of edge 0 give 0.75 / 0.25 exactly."""
         g = _refined(line_graph)
-        traces = [PathTrace(((0, 0), (1, 0)))] * 3 + [PathTrace(((0, 0), (1, 1)))]
+        traces = [PathTrace(np.array([0, 0]))] * 3 + [PathTrace(np.array([0, 1]))]
         model = compile_model(traces, g, smoothing=0.0)
         assert model_rows(model)[0] == ((0, 0.75), (1, 0.25))
 
     def test_laplace_smoothing(self, line_graph):
         g = _refined(line_graph)
-        traces = [PathTrace(((0, 0), (1, 0)))] * 3 + [PathTrace(((0, 0), (1, 1)))]
+        traces = [PathTrace(np.array([0, 0]))] * 3 + [PathTrace(np.array([0, 1]))]
         model = compile_model(traces, g, smoothing=0.01)
         row = dict(model_rows(model)[0])
         assert row[0] == pytest.approx(3.01 / 4.02)
@@ -151,7 +165,7 @@ class TestCompileModel:
 
     def test_goal_edges_absorb(self, fork_graph):
         g = _refined(fork_graph)
-        traces = [PathTrace(((0, 0), (1, 1), (2, 3)))]
+        traces = [PathTrace(np.array([0, 1, 3]))]
         model = compile_model(traces, g, smoothing=0.01)
         rows = model_rows(model)
         for goal_set in g.goals:
@@ -166,15 +180,21 @@ class TestCompileModel:
 
     def test_skip_hop_rejected(self, fork_graph):
         g = _refined(fork_graph)
-        bad = [PathTrace(((0, 0), (1, 3)))]
-        with pytest.raises(ValueError, match="skips road edges"):
+        bad = [PathTrace(np.array([0, 3]))]
+        with pytest.raises(ValueError, match="trace hop 0 -> 3 skips road edges"):
             compile_model(bad, g)
 
-    def test_nonconsecutive_ticks_rejected(self, fork_graph):
+    def test_skip_hop_named_in_trace_order(self, fork_graph):
+        """Hop 1 -> 4 comes first in trace order, though 0 -> 3 sorts first."""
         g = _refined(fork_graph)
-        bad = [PathTrace(((0, 0), (2, 0)))]
-        with pytest.raises(ValueError, match="not consecutive"):
+        bad = [PathTrace(np.array([0, 1, 1])), PathTrace(np.array([0, 1, 4])), PathTrace(np.array([0, 3]))]
+        with pytest.raises(ValueError, match="trace hop 1 -> 4 skips road edges"):
             compile_model(bad, g)
+
+    @pytest.mark.parametrize("edges", [[0, 5], [5, 5], [0, -1]])
+    def test_edge_outside_graph_rejected(self, fork_graph, edges):
+        with pytest.raises(ValueError, match=f"trace edge {max(edges, key=abs)} is not in the graph"):
+            compile_model([PathTrace(np.array(edges))], _refined(fork_graph))
 
     def test_negative_smoothing_rejected(self, fork_graph):
         with pytest.raises(ValueError, match="non-negative"):
@@ -188,11 +208,104 @@ class TestCompileModel:
 
     def test_matrix_moves_mass(self, line_graph):
         g = _refined(line_graph)
-        traces = [PathTrace(((0, 0), (1, 0)))] * 3 + [PathTrace(((0, 0), (1, 1)))]
+        traces = [PathTrace(np.array([0, 0]))] * 3 + [PathTrace(np.array([0, 1]))]
         model = compile_model(traces, g, smoothing=0.0)
         vec = np.zeros(g.n_edges)
         vec[0] = 1.0
         assert propagate(vec, model).tolist() == [0.75, 0.25]
+
+
+@st.composite
+def _straight_road(draw):
+    """(graph, velocity m/s, tick s): a straight road of 1-8 edges whose last
+    edge is a goal, as may be some earlier ones. In half the draws every edge
+    is a whole number of steps long (velocity * tick), so samples fall
+    exactly on edge ends."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        velocity, tick = draw(st.sampled_from([0.5, 1.25, 2.5])), draw(st.sampled_from([1.0, 2.0, 4.0]))
+        lengths = [velocity * tick * draw(st.integers(1, 12)) for _ in range(n)]
+    else:
+        velocity, tick = draw(st.floats(0.5, 20.0)), draw(st.floats(0.5, 30.0))
+        lengths = [draw(st.floats(1.0, 500.0)) for _ in range(n)]
+    xs = np.concatenate([[0.0], np.cumsum(lengths)])
+    goals = frozenset({n - 1} | draw(st.sets(st.integers(0, n - 1))))
+    g = RoadGraph([(x, 0.0) for x in xs], range(n), range(1, n + 1), frozenset({0}), (goals,))
+    return g, velocity, tick
+
+
+@st.composite
+def _graph_and_traces(draw):
+    """A random graph on grid points and up to 5 traces that stay on an edge
+    or move to a successor at each tick; about one hop in ten jumps to any
+    edge, which may skip road edges."""
+    points = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=6, unique=True))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, len(points) - 1), st.integers(0, len(points) - 1)).filter(lambda p: p[0] != p[1]),
+        min_size=1, max_size=12))
+    n_e = len(pairs)
+    goals = draw(st.sets(st.integers(0, n_e - 1), max_size=3))
+    g = RoadGraph(points, [t for t, _ in pairs], [h for _, h in pairs], frozenset(), (frozenset(goals),) if goals else ())
+    traces = []
+    for _ in range(draw(st.integers(0, 5))):
+        edges = [draw(st.integers(0, n_e - 1))]
+        for _ in range(draw(st.integers(0, 10))):
+            if draw(st.integers(0, 9)):
+                edges.append(draw(st.sampled_from([edges[-1], *g.outgoing(edges[-1])])))
+            else:
+                edges.append(draw(st.integers(0, n_e - 1)))
+        traces.append(PathTrace(np.array(edges)))
+    return g, traces
+
+
+def _compiled(compile_fn, traces, g, smoothing):
+    """The model's `(src, dst, prob)` lists, or the skip-hop error's first words."""
+    try:
+        model = compile_fn(traces, g, smoothing)
+    except ValueError as exc:
+        return str(exc).split(" skips")[0]
+    return model.src.tolist(), model.dst.tolist(), model.prob.tolist()
+
+
+class TestArraysEqualLoopOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(road=_straight_road())
+    def test_sample_trace_equals_tick_loop(self, road):
+        g, velocity, tick = road
+        path = list(range(g.n_edges))
+        assert sample_trace(g, path, velocity, tick).edges.tolist() == trace_loop(g, path, velocity, tick)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pair=st.integers(0, 69),
+        beta=st.sampled_from([None, 0.003, 0.03]),
+        velocity_kmh=st.floats(8.0, 12.0),
+        tick=st.sampled_from([1.0, 7.5, 20.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sample_trace_equals_tick_loop_on_bundled_routes(self, border_refined, pair, beta, velocity_kmh, tick, seed):
+        g, _ = border_refined
+        entry, gi = sorted(g.entries)[pair // 7], pair % 7
+        strategy = ShortestPathStrategy() if beta is None else RandomWalkStrategy(beta)
+        try:
+            path = strategy.path(g, entry, np.random.default_rng(seed), goal_index=gi)
+        except WanderingError:
+            return
+        v_ms = velocity_kmh * KMH
+        assert sample_trace(g, path, v_ms, tick).edges.tolist() == trace_loop(g, path, v_ms, tick)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_graph_and_traces(), smoothing=st.sampled_from([0.0, 0.01, 0.5]) | st.floats(0.0, 2.0))
+    def test_compile_equals_dict_counting(self, case, smoothing):
+        """Same arrays to the bit, or the same first skipped hop."""
+        g, traces = case
+        assert _compiled(compile_model, traces, g, smoothing) == _compiled(count_compile, traces, g, smoothing)
+
+    def test_bundled_compile_equals_dict_counting(self, border_refined):
+        g, _ = border_refined
+        strategies = [ShortestPathStrategy(), RandomWalkStrategy(0.01)]
+        traces = traces_for_strategies(g, strategies, 20.0, (8.0, 12.0), 1, seed=3)
+        assert _compiled(compile_model, traces, g, 0.01) == _compiled(count_compile, traces, g, 0.01)
 
 
 class TestValidateStochastic:

@@ -20,6 +20,9 @@ from uav_search.road_graph import (
     shortest_path,
     write_graph,
 )
+from uav_search.strategies import SideRoadsStrategy
+
+from oracles import dict_shortest_path
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -385,6 +388,31 @@ class TestShortestPath:
             assert path[0] == from_edge and path[-1] in goal_set
             cost = sum(g.length[e] for e in path[1:] if e not in goal_set)
             assert cost == pytest.approx(expect, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_flat_lists_equal_dict_oracle_with_ties(self, data):
+        """On grid-point graphs, where many routes tie in length, every
+        (from edge, goal set) route equals the dict-based Dijkstra's, under
+        edge lengths and under side-road weights."""
+        points = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=7, unique=True))
+        n_v = len(points)
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, n_v - 1), st.integers(0, n_v - 1)).filter(lambda p: p[0] != p[1]),
+            min_size=1, max_size=16))
+        n_e = len(pairs)
+        goal_set = frozenset(data.draw(st.sets(st.integers(0, n_e - 1), min_size=1, max_size=3)))
+        g = _graph(points, pairs, goals=[goal_set])
+        penalty = data.draw(st.sampled_from([None, 0.5, 2.0]))
+        weight = None if penalty is None else SideRoadsStrategy(penalty)._weight(g)
+        for from_edge in range(n_e):
+            assert shortest_path(g, from_edge, goal_set, weight) == dict_shortest_path(g, from_edge, goal_set, weight)
+
+    def test_bundled_routes_equal_dict_oracle(self, border_refined):
+        g, _ = border_refined
+        for entry in sorted(g.entries):
+            for goal_set in g.goals:
+                assert shortest_path(g, entry, goal_set) == dict_shortest_path(g, entry, goal_set)
 
     def test_goal_distance_map_consistent(self, border_graph):
         """travel-to-go from an entry equals the shortest-path travel."""

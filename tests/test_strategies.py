@@ -1,9 +1,12 @@
 """Route strategies, path validation, and strategy pool management."""
 
+import bisect
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uav_search import strategies as strategies_module
 from uav_search.road_graph import RoadGraph, overlay_grid
@@ -14,11 +17,12 @@ from uav_search.strategies import (
     SideRoadsStrategy,
     UnreachableGoalError,
     WanderingError,
+    choice_cdf,
     make_strategy,
     validate_path,
 )
 
-from oracles import default_pool, split_pool
+from oracles import choice_walk, default_pool, split_pool
 
 
 def _graph(coords, edge_pairs, entries=(), goals=()):
@@ -171,6 +175,68 @@ class TestRandomWalk:
     def test_negative_beta_rejected(self, fork_graph):
         with pytest.raises(ValueError, match="beta"):
             RandomWalkStrategy(beta=-1.0).path(fork_graph, 0, np.random.default_rng(0))
+
+
+def _walk_outcome(walk, rng):
+    """(path or error type, generator state after the walk)."""
+    try:
+        result = walk(rng)
+    except WanderingError:
+        result = WanderingError
+    return result, rng.bit_generator.state
+
+
+class TestCachedWalkSteps:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(st.floats(0.0, 1e3) | st.sampled_from([0.0, 1.0, 1e-12]), min_size=1, max_size=8)
+        .filter(lambda w: sum(w) > 0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cdf_draw_equals_choice(self, weights, seed):
+        """`bisect_right(choice_cdf(p), rng.random())` is the index
+        `rng.choice(len(p), p=p)` returns, and both generators end in the
+        same state."""
+        w = np.array(weights)
+        p = w / w.sum()
+        cdf = choice_cdf(p)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert bisect.bisect_right(cdf, ours.random()) == int(theirs.choice(len(p), p=p))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_nan_probabilities_raise_like_choice(self, fork_graph, beta):
+        p = np.array([0.5, np.nan])
+        with pytest.raises(ValueError) as theirs:
+            np.random.default_rng(0).choice(2, p=p)
+        with pytest.raises(ValueError, match=f"^{theirs.value}$"):
+            choice_cdf(p)
+        with pytest.raises(ValueError, match=f"^{theirs.value}$"):
+            RandomWalkStrategy(beta).path(fork_graph, 0, np.random.default_rng(0), goal_index=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beta=st.sampled_from([0.0, 3e-4, 0.01, 0.03, 1.0]) | st.floats(0.0, 0.1),
+        pair=st.integers(0, 69),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_walk_equals_choice_walk(self, border_refined, beta, pair, seed):
+        """A walk through the step cache equals one that recomputes each step
+        and draws it with `rng.choice`, path and generator state; the bundled
+        graph's cache carries over from earlier examples."""
+        g, _ = border_refined
+        entry, gi = sorted(g.entries)[pair // 7], pair % 7
+        cached = _walk_outcome(lambda rng: RandomWalkStrategy(beta).path(g, entry, rng, goal_index=gi),
+                               np.random.default_rng(seed))
+        assert cached == _walk_outcome(lambda rng: choice_walk(beta, g, entry, gi, rng), np.random.default_rng(seed))
+
+    def test_steps_cached_per_strategy_goal_and_edge(self, fork_graph):
+        s = RandomWalkStrategy(beta=0.0)
+        s.path(fork_graph, 0, np.random.default_rng(0), goal_index=1)
+        assert set(fork_graph._walk_steps) >= {(s, 1, 0)}
+        assert fork_graph._walk_steps[s, 1, 0] == ([1, 2], [0.5, 1.0])
 
 
 class TestSideRoads:
