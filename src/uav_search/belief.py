@@ -30,7 +30,7 @@ class CertainDetection(RuntimeError):
 
 def _normalized(mass: np.ndarray) -> np.ndarray:
     """Prune and rescale `mass` in place; callers pass an array they own."""
-    mass[mass < PRUNE_EPS] = 0.0
+    np.putmask(mass, mass < PRUNE_EPS, 0.0)
     total = mass.sum()
     if total <= 0.0:
         raise ValueError("belief mass vanished")

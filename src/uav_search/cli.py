@@ -20,7 +20,7 @@ from .belief import propagate
 from .config import ConfigError, SweepSpec, apply_axis, check_trials, load_scenario, load_sweep, sweep_points
 from .movement import ModelFormatError, compile_model, save_model, traces_for_strategies
 from .road_graph import GraphFormatError, load_graph, overlay_grid
-from .simulator import BatchStats, TrialResult, build_world, run_batch, trial_seed
+from .simulator import KMH_TO_MS, BatchStats, TrialResult, build_world, run_batch, trial_seed
 from .strategies import make_strategy
 
 DEFAULT_TRIALS = 100
@@ -126,8 +126,17 @@ def cmd_compile_model(args) -> int:
     graph = load_graph(args.graph)
     refined, _ = overlay_grid(graph, args.radius)
     strategies = _parse_strategies(args.strategies)
+    velocity = _parse_range(args.velocity)
+    # A model moves at most one hop per tick, so no tick may pass a whole edge.
+    step = velocity[1] * KMH_TO_MS * args.tick
+    if refined.n_edges and step > refined.length.min():
+        raise ConfigError(
+            f"--tick {args.tick:g} s at the top --velocity {velocity[1]:g} km/h moves {step:.6g} m per "
+            f"tick, more than the shortest refined edge ({refined.length.min():.6g} m); "
+            "a model supports one hop per tick"
+        )
     traces = traces_for_strategies(
-        refined, strategies, args.tick, _parse_range(args.velocity), args.runs_per_pair,
+        refined, strategies, args.tick, velocity, args.runs_per_pair,
         args.seed if args.seed is not None else 0,
     )
     model = compile_model(traces, refined, args.smoothing, args.tick, args.target_class)

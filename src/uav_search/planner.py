@@ -90,48 +90,90 @@ class _GainKernel:
     Per target: entropy E and, over the searched cells, mass T, sum SH of
     P log2 P and product weight W. The gain of (searched + c) follows in
     closed form; below EXACT_GAIN_ETA, `entropy_gain` gives it instead.
+    Every (targets x cells) array is a row of one block allocated here, and
+    each closed-form step writes into it, so `candidate_gains` allocates
+    none. Rows that take the same operation are adjacent, so one call serves
+    both.
     """
 
     def __init__(self, P: np.ndarray, p: float, seeded: np.ndarray):
         self.p = p
-        self.P = P
         self.searched = set(seeded.tolist())
-        logP = np.zeros_like(P)
-        np.log2(P, out=logP, where=P > 0.0)
-        self.PlogP = P * logP
-        self.keep = 1.0 - p * P
+        block = np.empty((11,) + P.shape)
+        (self.P, self.PlogP, self.pTn, self.Tn, self.SHn, self.eta, self.one_minus_Tn,
+         self.log_eta, self.post, self.w, self.keep) = block
+        self.P_PlogP, self.pTn_Tn, self.Tn_SHn = block[0:2], block[2:4], block[3:5]
+        self.eta_one_minus_Tn, self.post_w = block[5:7], block[8:10]
+        np.copyto(self.P, P)
+        self.PlogP.fill(0.0)
+        np.log2(P, out=self.PlogP, where=P > 0.0)
+        np.multiply(P, self.PlogP, out=self.PlogP)
+        np.multiply(p, P, out=self.keep)
+        np.subtract(1.0, self.keep, out=self.keep)
         # Row sums of C-ordered arrays (`take` keeps C order) add as a 1-D array does.
-        self.E = -self.PlogP.sum(axis=1, keepdims=True)
-        self.T = P.take(seeded, axis=1).sum(axis=1, keepdims=True)
-        self.SH = self.PlogP.take(seeded, axis=1).sum(axis=1, keepdims=True)
-        self.W = self.keep.take(seeded, axis=1).prod(axis=1, keepdims=True)
+        self.sum_PlogP = self.PlogP.sum(axis=1, keepdims=True)
+        self.E = -self.sum_PlogP
+        if seeded.size:
+            self.T_SH = self.P_PlogP.take(seeded, axis=2).sum(axis=2, keepdims=True)
+            self.W = self.keep.take(seeded, axis=1).prod(axis=1, keepdims=True)
+        else:  # an empty sum is 0.0 and an empty product 1.0
+            self.T_SH = np.zeros((2, P.shape[0], 1))
+            self.W = np.ones((P.shape[0], 1))
 
     def candidate_gains(self) -> np.ndarray:
-        """Gain of searching (searched cells + c), per target and cell c."""
-        p = self.p
-        Tn = self.T + self.P
-        SHn = self.SH + self.PlogP
-        eta = 1.0 - p * Tn
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_eta = np.log2(eta)  # may be -inf or nan only where eta <= ETA_TOL: reset below
-            # Unsearched cells contribute -(1/eta) * (P log2 P - P log2 eta).
-            post = -((-self.E - SHn) - (1.0 - Tn) * log_eta) / eta
-            if p < 1.0:
-                post += -((1.0 - p) / eta) * (SHn + Tn * (math.log2(1.0 - p) - log_eta))
-            gains = self.E - self.W * self.keep * post
-        if eta.min() < EXACT_GAIN_ETA:
+        """Gain of searching (searched cells + c), per target and cell c.
+
+        The array is the kernel's own buffer, valid until the next call."""
+        np.add(self.T_SH, self.P_PlogP, out=self.Tn_SHn)  # Tn = T + P, SHn = SH + P log2 P
+        np.multiply(self.p, self.Tn, out=self.pTn)
+        np.subtract(1.0, self.pTn_Tn, out=self.eta_one_minus_Tn)  # eta = 1 - p Tn, and 1 - Tn
+        eta = self.eta
+        eta_min = eta.min()
+        if eta_min > 0.0:  # log2 and the divisions cannot warn
+            gains = self._closed_form()
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gains = self._closed_form()  # -inf or nan only where eta <= ETA_TOL: reset below
+        if eta_min < EXACT_GAIN_ETA:
             # Detection is certain where eta <= ETA_TOL: the full entropy is gained.
             np.copyto(gains, self.E, where=eta <= ETA_TOL)
             near = (eta > ETA_TOL) & (eta < EXACT_GAIN_ETA)
             near[:, list(self.searched)] = False
             for t, c in zip(*np.nonzero(near)):
-                gains[t, c] = entropy_gain(self.P[t], self.searched | {int(c)}, p)
+                gains[t, c] = entropy_gain(self.P[t], self.searched | {int(c)}, self.p)
         return gains
+
+    def _closed_form(self) -> np.ndarray:
+        """E - W * keep * post, where post is the entropy after a fruitless
+        search of (searched + c), step by step in the kernel's buffers. A
+        quotient is negated after the division rather than its dividend
+        before: rounding is symmetric, so the bits are the same."""
+        p, Tn, SHn, eta, log_eta, post, w = self.p, self.Tn, self.SHn, self.eta, self.log_eta, self.post, self.w
+        np.log2(eta, out=log_eta)
+        # Unsearched cells contribute -(1/eta) * (P log2 P - P log2 eta):
+        # post = -((-E - SHn) - (1 - Tn) * log_eta) / eta.
+        np.multiply(self.one_minus_Tn, log_eta, out=self.one_minus_Tn)
+        np.subtract(self.sum_PlogP, SHn, out=post)
+        np.subtract(post, self.one_minus_Tn, out=post)
+        np.divide(post, eta, out=post)
+        if p < 1.0:
+            # Searched cells: post += -((1 - p) / eta) * (SHn + Tn * (log2(1 - p) - log_eta)).
+            np.divide(1.0 - p, eta, out=w)
+            np.negative(self.post_w, out=self.post_w)
+            np.subtract(math.log2(1.0 - p), log_eta, out=log_eta)
+            np.multiply(Tn, log_eta, out=log_eta)
+            np.add(SHn, log_eta, out=log_eta)
+            np.multiply(w, log_eta, out=w)
+            np.add(post, w, out=post)
+        else:
+            np.negative(post, out=post)
+        np.multiply(self.W, self.keep, out=w)
+        np.multiply(w, post, out=w)
+        return np.subtract(self.E, w, out=w)
 
     def add(self, cell: int) -> None:
         self.searched.add(cell)
-        self.T += self.P[:, cell, None]
-        self.SH += self.PlogP[:, cell, None]
+        self.T_SH += self.P_PlogP[:, :, cell, None]  # T += P[:, cell], SH += PlogP[:, cell]
         self.W *= self.keep[:, cell, None]
 
 
@@ -143,7 +185,8 @@ def greedy_select(
 ) -> list[int]:
     """Pick k cells by iterated largest marginal team entropy gain.
 
-    A (targets x cells) array of cell beliefs is used without a copy.
+    The cell beliefs, a (targets x cells) array or a list of rows, are
+    copied once into the gain kernel.
     Excluded cells are never picked but do condition the gain (they count as
     already searched in the product weight and the renormalization), which is
     what assignment seeding requires. Ties break toward the lowest cell id.
@@ -156,15 +199,18 @@ def greedy_select(
     if k < 0 or k + len(excluded) > n_cells:
         raise ValueError(f"cannot pick {k} cells with {len(excluded)} excluded out of {n_cells}")
     kernel = _GainKernel(P, p, np.fromiter(excluded, dtype=np.int64))
+    total = np.empty(n_cells)
+    blocked = list(kernel.searched)
     chosen: list[int] = []
     for _ in range(k):
-        total = np.zeros(n_cells)
+        if chosen:  # the last pick is never added: nothing reads the kernel after it
+            kernel.add(chosen[-1])
+            blocked.append(chosen[-1])
+        total.fill(0.0)
         for row in kernel.candidate_gains():  # in target order, as the team gain sums
             total += row
-        total[list(kernel.searched)] = -np.inf
-        cell = int(np.argmax(total))
-        chosen.append(cell)
-        kernel.add(cell)
+        total[blocked] = -np.inf
+        chosen.append(int(total.argmax()))
     return chosen
 
 
@@ -183,7 +229,7 @@ def assign_general(cell_beliefs: Sequence[np.ndarray], m: int, p: float) -> set[
         return set()
     _check_p(p)
     P = np.asarray(cell_beliefs)
-    seeds = set(np.argmax(P, axis=1).tolist())
+    seeds = set(P.argmax(axis=1).tolist())
     if len(seeds) >= m:
         best = P.max(axis=0)
         return set(sorted(seeds, key=lambda c: (-best[c], c))[:m])

@@ -129,11 +129,23 @@ class GridOverlay:
         With 500 m cells and (x, y) on a grid corner, for example, the cell
         spanning x+500..x+1000 and y..y+500 has all four corners within
         1118 m, yet is returned only from a radius of 1144 m.
+
+        Centres lie a side apart, so below half a side of reach at most one is
+        in reach: the centre of the cell holding (x, y). Under a quarter side,
+        which covers a team whose radius defines the grid (reach 1e-9 m), only
+        that centre is tested, far enough from half a side that rounding in
+        the centre table cannot bring a second one into reach.
         """
         reach = radius - self.cell_side * math.sqrt(2.0) / 2.0 + 1e-9
         if reach < 0:
             return []
         cs = self.cell_side
+        if reach < cs / 4.0:
+            col = min(max(math.floor((x - self.origin[0]) / cs), 0), self.n_cols - 1)
+            row = min(max(math.floor((y - self.origin[1]) / cs), 0), self.n_rows - 1)
+            cid = row * self.n_cols + col
+            cx, cy = self.centers[cid]
+            return [cid] if math.hypot(cx - x, cy - y) <= reach else []
         lo_col = max(0, int(math.floor((x - reach - self.origin[0]) / cs - 0.5)))
         hi_col = min(self.n_cols - 1, int(math.ceil((x + reach - self.origin[0]) / cs - 0.5)))
         lo_row = max(0, int(math.floor((y - reach - self.origin[1]) / cs - 0.5)))
@@ -238,8 +250,11 @@ def load_graph(path: str) -> RoadGraph:
             raise GraphFormatError(f"{path}:{lineno}: edge {eid} references unknown vertex")
         if tail == head:
             raise GraphFormatError(f"{path}:{lineno}: edge {eid} is a self loop")
-        if vertices[tail] == vertices[head]:
+        (tx, ty), (hx, hy) = vertices[tail], vertices[head]
+        if (tx, ty) == (hx, hy):
             raise GraphFormatError(f"{path}:{lineno}: edge {eid} has zero length")
+        if math.hypot(hx - tx, hy - ty) == math.inf:
+            raise GraphFormatError(f"{path}:{lineno}: edge {eid} is too long: its length overflows a float")
         edges[eid] = (tail, head)
     _check_dense(path, "edge", edges)
 

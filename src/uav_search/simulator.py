@@ -6,7 +6,10 @@ delay for targets), detection is a Bernoulli draw per UAV-target pair in
 range, beliefs are propagated and conditioned on fruitless searches, and the
 policy replans. The UAVs win if every target is detected before any target
 enters a goal edge. Trials are deterministic given their seed, and batch
-results are identical at any parallelism level.
+results are identical at any parallelism level. The head start, in which only
+targets move, is fast-forwarded: each target's distance along its route grows
+by the same steps, and is turned into an edge and a position only when the
+team starts or a target reaches its goal edge.
 
 A `World` holds what trials on one graph, grid, tick and set of class models
 share: the refined graph and its route cache, the grid overlay, the models and
@@ -174,6 +177,8 @@ class _TargetState:
     ends: list[float]  # cumulative edge lengths along the path
     segments: list[list[float]]  # per path edge: tail x, tail y, head x, head y, length
     velocity_ms: float
+    class_name: str
+    model: TransitionModel  # the world's model of the target's class
     belief: np.ndarray | None = None  # float64 over refined edge ids, once the team starts
     s: float = 0.0
     edge: int = -1
@@ -229,7 +234,8 @@ def _spawn_targets(sc: ScenarioConfig, world: World, seed: int) -> list[_TargetS
         path = strategy.path(g, entry, rng)
         lengths = g.length[path]
         segments = np.column_stack([g.xy[g.tail[path]], g.xy[g.head[path]], lengths]).tolist()
-        st = _TargetState(j, entry, path, np.cumsum(lengths).tolist(), segments, velocity)
+        model = world.models[tspec.class_name]
+        st = _TargetState(j, entry, path, np.cumsum(lengths).tolist(), segments, velocity, tspec.class_name, model)
         st.locate()
         out.append(st)
     return out
@@ -242,12 +248,51 @@ def _uniform_off_cells(overlay: GridOverlay, cells: set[int]) -> np.ndarray:
     return mass / mass.sum()
 
 
+def _head_start(
+    targets: list[_TargetState], dt: float, delay_m: float, max_ticks: int
+) -> tuple[int, _TargetState | None]:
+    """Fast-forward the head start: the ticks at whose end some target is
+    still short of `delay_m` metres, in which the team does not fly and
+    nothing but target motion happens.
+
+    Returns the last such tick and the target that entered its goal edge in
+    it, if one did. Each tick adds `v * dt` to every target's `s`, as every
+    later tick does, so `s` has the same bits. A path's only goal edge is its
+    last, so entering it is `s >= ends[-2]`, and `locate` runs only on the
+    return, leaving every target as a tick-by-tick loop would.
+    """
+    tick, loser = 0, None
+    while loser is None and tick < max_ticks and any(tg.s + tg.velocity_ms * dt < delay_m for tg in targets):
+        tick += 1
+        for tg in targets:
+            tg.s += tg.velocity_ms * dt
+            if tg.s >= tg.ends[-2]:
+                loser = tg
+                break
+    for tg in targets:
+        tg.locate()
+    return tick, loser
+
+
+def _move_targets(targets: list[_TargetState], dt: float, goal_union: frozenset[int]) -> _TargetState | None:
+    """Advance every active target one tick; returns the first that enters a
+    goal edge, leaving the targets after it unmoved."""
+    for tg in targets:
+        if tg.active:
+            tg.s += tg.velocity_ms * dt
+            tg.locate()
+            if tg.edge in goal_union:
+                return tg
+    return None
+
+
 def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
     """One seeded trial. Phases per tick: targets move (goal check), UAVs fly
-    (after the delay head start), detection draws, belief updates, replan."""
+    (after the delay head start), detection draws, belief updates, replan.
+    The head start, where only targets move, is fast-forwarded by
+    `_head_start` to the same state, tick and outcome."""
     g, overlay = world.refined, world.overlay
     dt = scenario.tick_seconds
-    delay_m = scenario.delay_km * 1000.0
     team_p = scenario.team_min_detect_prob() if scenario.uavs else 1.0
 
     targets = _spawn_targets(scenario, world, seed)
@@ -258,20 +303,14 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
     det_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     detections: dict[int, int] = {}
 
-    for tick in range(1, scenario.max_ticks + 1):
+    started, loser = _head_start(targets, dt, scenario.delay_km * 1000.0, scenario.max_ticks)
+    if loser is not None:
+        return TrialResult("lose", detections, loser.tid, started, seed)
+    for tick in range(started + 1, scenario.max_ticks + 1):
         # 1. Targets move; entering any goal edge loses immediately.
-        for tg in targets:
-            if not tg.active:
-                continue
-            tg.s += tg.velocity_ms * dt
-            tg.locate()
-            if tg.edge in g.goal_union:
-                return TrialResult("lose", detections, tg.tid, tick, seed)
-
-        # While the team is frozen nothing but target motion happens, and the
-        # beliefs are not read until the team starts.
-        if any(tg.s < delay_m for tg in targets if tg.active):
-            continue
+        loser = _move_targets(targets, dt, g.goal_union)
+        if loser is not None:
+            return TrialResult("lose", detections, loser.tid, tick, seed)
 
         # 2. UAVs fly toward their assigned cell centers.
         for uav in uavs:
@@ -294,11 +333,10 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
         # frozen belief of that tick: the same bits as propagating every tick.
         for tg in targets:
             if tg.active:
-                cls = scenario.targets[tg.tid].class_name
                 if tg.belief is None:
-                    tg.belief = world.frozen_belief(cls, tg.entry, tick)
+                    tg.belief = world.frozen_belief(tg.class_name, tg.entry, tick)
                 else:
-                    tg.belief = propagate(tg.belief, world.models[cls])
+                    tg.belief = propagate(tg.belief, tg.model)
         for uav in uavs:
             searched = set(overlay.covered_cells(uav.pos[0], uav.pos[1], uav.detect_radius))
             if not searched:

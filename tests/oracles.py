@@ -10,7 +10,8 @@ train / test halves that the unknown-behavior experiments draw from.
 the tick-by-tick trace sampler, the dict-counting model compiler, the
 dict-based Dijkstra and the random walk drawing each step with
 `rng.choice`; the library's array and cached versions must equal them
-exactly.
+exactly. `head_start_loop` is a trial's head start moved and located tick by
+tick, which the simulator's fast-forward must reproduce.
 """
 
 from __future__ import annotations
@@ -138,6 +139,27 @@ def trace_loop(g: RoadGraph, path: list[int], velocity_ms: float, tick: float) -
         if eid in g.goal_union:
             return edges
         t += 1
+
+
+def head_start_loop(targets, dt: float, delay_m: float, max_ticks: int, goal_union) -> tuple[int, int | None]:
+    """A trial's first ticks, as `run_trial` ran them before its head start
+    was fast-forwarded: each tick, every active target adds `v * dt` to `s`
+    and is located, and entering a goal edge loses at once. Stops at the end
+    of the first tick at which every active target is `delay_m` along, when
+    the team starts. Returns (tick, losing target id or None); (max_ticks,
+    None) when the team never starts."""
+    for tick in range(1, max_ticks + 1):
+        for tg in targets:
+            if not tg.active:
+                continue
+            tg.s += tg.velocity_ms * dt
+            tg.locate()
+            if tg.edge in goal_union:
+                return tick, tg.tid
+        if any(tg.s < delay_m for tg in targets if tg.active):
+            continue
+        return tick, None
+    return max_ticks, None
 
 
 def count_compile(

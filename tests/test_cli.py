@@ -178,16 +178,21 @@ class TestCompileModel:
         assert main(args) == 1
         assert needle in capsys.readouterr().err
 
-    def test_undersampled_tick_is_runtime_error(self, work, capsys):
+    def test_undersampled_tick_exits_1_before_sampling(self, work, capsys, monkeypatch):
+        """A tick that passes a whole edge is refused from the flags and the
+        graph, before any trace is sampled."""
+        sampled = []
+        monkeypatch.setattr("uav_search.cli.traces_for_strategies", lambda *a: sampled.append(a))
         rc = main([
             "compile-model", str(work / "chain.graph"),
             "--strategies", "shortest", "--radius", "500",
             "--tick", "200", "--velocity", "10:10",
             "--runs-per-pair", "1", "--out", str(work / "models/chain.model"),
         ])
-        assert rc == 2
+        assert rc == 1 and sampled == []
         err = capsys.readouterr().err
-        assert "runtime error" in err and "skips road edges" in err
+        assert "--tick 200 s at the top --velocity 10 km/h moves 555.556 m per tick" in err
+        assert "more than the shortest refined edge" in err and "runtime error" not in err
 
 
 class TestRun:

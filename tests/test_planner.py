@@ -1,6 +1,7 @@
 """Entropy-gain math, greedy/brute-force selection, and assignment policies."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -342,6 +343,25 @@ class TestGreedySelect:
                 if x not in excluded
             )
             assert team_gain(cbs, excluded | {chosen[0]}, p) == pytest.approx(best, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "beliefs,p",
+        [
+            ([[0.7, 0.3, 0.0], [0.0, 0.0, 1.0]], 1.0),  # a search of cell 2 finds target 1 for certain
+            ([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]], 0.8),  # every eta > 0
+        ],
+    )
+    def test_no_floating_point_warning(self, beliefs, p):
+        """log2(0) and 0/0 at eta <= 0 stay silent, and with every eta > 0
+        nothing can warn, though the kernel enters no errstate then."""
+        P = np.array(beliefs)
+        kernel = _GainKernel(P, p, np.empty(0, dtype=np.int64))
+        kernel.candidate_gains()
+        assert (kernel.eta.min() <= 0.0) == (p == 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            picks = greedy_select(P, 2, p)
+        assert picks == _per_target_greedy(list(P), 2, p)
 
     def test_tie_breaks_to_lowest_id(self):
         assert greedy_select([_cb([0.25] * 4)], 2, 0.8) == [0, 1]

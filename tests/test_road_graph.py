@@ -7,7 +7,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uav_search.road_graph import (
@@ -106,6 +106,14 @@ class TestFileFormat:
         with pytest.raises(GraphFormatError, match="zero length"):
             load_graph(str(p))
 
+    def test_overflowing_edge_length(self, tmp_path):
+        """Finite coordinates whose distance overflows to inf are refused at
+        load, before a grid over them is sized."""
+        p = tmp_path / "bad.graph"
+        p.write_text("#vertices\n0 -1e308 0\n1 1e308 0\n#edges\n0 0 1\n")
+        with pytest.raises(GraphFormatError, match=r"bad\.graph:5: edge 0 is too long"):
+            load_graph(str(p))
+
     def test_error_names_line_number(self, tmp_path):
         p = tmp_path / "bad.graph"
         p.write_text("#vertices\n0 0 0\nbroken\n")
@@ -119,6 +127,77 @@ class TestFileFormat:
         for e in range(g.n_edges):
             (ax, ay), (bx, by) = g.xy[g.tail[e]], g.xy[g.head[e]]
             assert g.length[e] == math.hypot(bx - ax, by - ay)
+
+
+# A valid graph with every section, on the fork of two roads to two goal
+# sets; the fuzz mutates its tokens.
+FUZZ_GRAPH = [
+    ["#vertices"], ["0", "0.0", "0.0"], ["1", "100.0", "0.0"], ["2", "200.0", "0.0"], ["3", "100.0", "100.0"],
+    ["4", "250.0", "0.0"],
+    ["#edges"], ["0", "0", "1"], ["1", "1", "2"], ["2", "1", "3"], ["3", "2", "4"],
+    ["#entries"], ["0"],
+    ["#goals"], ["0", "3"], ["1", "2"],
+]
+FUZZ_TOKENS = ["x", "", "nan", "inf", "-inf", "1e400", "1e308", "-1e308", "0x1", "1.5", "-0", "#", ";", "1_0"]
+FUZZ_HUGE = ["9223372036854775807", "99999999999999999999"]
+FUZZ_HEADERS = ["#vertices", "#edges", "#entries", "#goals", "#model", "# stray", "#edges 3"]
+
+
+@st.composite
+def _mutated_graph_text(draw):
+    """The base graph after 1-4 token-level edits: drop, duplicate or negate a
+    token, replace it with a non-numeric one or an id beyond any array index,
+    or drop, duplicate or insert a (stray header) line."""
+    lines = [list(line) for line in FUZZ_GRAPH]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["drop", "dup", "negate", "replace", "huge", "drop_line", "dup_line", "header"]))
+        i = draw(st.integers(0, len(lines)))
+        if kind == "header":
+            lines.insert(i, [draw(st.sampled_from(FUZZ_HEADERS))])
+            continue
+        if not lines:
+            continue
+        i %= len(lines)
+        if kind == "drop_line":
+            del lines[i]
+        elif kind == "dup_line":
+            lines.insert(i, list(lines[i]))
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            if kind == "drop":
+                del lines[i][j]
+            elif kind == "dup":
+                lines[i].insert(j, lines[i][j])
+            elif kind == "negate":
+                lines[i][j] = "-" + lines[i][j]
+            elif kind == "huge":
+                lines[i][j] = draw(st.sampled_from(FUZZ_HUGE))
+            else:
+                lines[i][j] = draw(st.sampled_from(FUZZ_TOKENS))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+class TestLoadGraphFuzz:
+    @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_mutated_graph_text())
+    def test_mutated_file_loads_or_names_itself(self, tmp_path, text):
+        """Every mutated file either loads a consistent graph, which writes
+        and reloads to the same bytes, or raises a GraphFormatError that
+        names the file."""
+        path = tmp_path / "fuzz.graph"
+        path.write_text(text)
+        try:
+            g = load_graph(str(path))
+        except GraphFormatError as exc:
+            assert str(path) in str(exc)
+            return
+        ids = set(range(g.n_edges))
+        assert g.entries <= ids and g.goal_union <= ids and not g.entries & g.goal_union
+        assert set(g.tail.tolist()) | set(g.head.tolist()) <= set(range(len(g.xy)))
+        first, second = tmp_path / "first.graph", tmp_path / "second.graph"
+        write_graph(g, str(first))
+        write_graph(load_graph(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestOverlay:
@@ -242,7 +321,9 @@ class TestGridGeometry:
 def _disk_queries(draw):
     """A grid, a UAV position on a cell center, off-center inside the grid or
     outside it, and a radius from below the cell circumradius to several
-    cells."""
+    cells: often within half a side of the circumradius, where at most one
+    center is in reach, or exactly the radius whose inscribed square is the
+    cell."""
     side = draw(st.floats(1.0, 1000.0))
     n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     origin = (draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4)))
@@ -254,7 +335,7 @@ def _disk_queries(draw):
         lo, hi = (0.0, 1.0) if where == "inside" else (-1.5, 2.5)
         x = origin[0] + draw(st.floats(lo, hi)) * n_cols * side
         y = origin[1] + draw(st.floats(lo, hi)) * n_rows * side
-    radius = draw(st.floats(0.0, 5.0)) * side
+    radius = draw(st.floats(0.0, 5.0) | st.floats(0.5, 1.5) | st.just(1.0 / math.sqrt(2.0))) * side
     return overlay, x, y, radius
 
 
@@ -271,6 +352,18 @@ class TestCoveredCellsProperty:
                 overlay.origin[1] + (row + 0.5) * overlay.cell_side,
             )
             assert overlay.centers[c] == expect, c
+
+    @settings(max_examples=400, deadline=None)
+    @given(_disk_queries())
+    def test_matches_bruteforce(self, query):
+        """Exactly the cells, in id order, whose center is within radius -
+        circumradius (+ 1e-9 m) of the query, by the same `math.hypot`."""
+        overlay, x, y, radius = query
+        reach = radius - overlay.cell_side * math.sqrt(2.0) / 2.0 + 1e-9
+        expect = [
+            c for c, (cx, cy) in enumerate(overlay.centers) if math.hypot(cx - x, cy - y) <= reach
+        ]
+        assert overlay.covered_cells(x, y, radius) == expect
 
     @settings(max_examples=300, deadline=None)
     @given(_disk_queries())

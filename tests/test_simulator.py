@@ -16,7 +16,10 @@ from uav_search.simulator import (
     CHECKPOINT_TICKS,
     BatchStats,
     TrialResult,
+    _head_start,
+    _move_targets,
     _spawn_targets,
+    _TargetState,
     _UavState,
     _uniform_off_cells,
     build_world,
@@ -26,8 +29,9 @@ from uav_search.simulator import (
     wilson_interval,
 )
 from uav_search.movement import save_model
+from uav_search.road_graph import RoadGraph
 
-from oracles import model_from_rows, model_rows
+from oracles import head_start_loop, model_from_rows, model_rows
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +254,78 @@ class TestFrozenBelief:
         for i in range(3):
             assert run_trial(sc, trial_seed(4, i), world).outcome == "lose"
         assert calls == [] and world.checkpoints == {}
+
+
+@st.composite
+def _head_starts(draw):
+    """(graph, [(path, velocity)], tick, head start m, tick budget): 1-4
+    targets, each on a straight road of 2-8 edges whose last edge is a goal.
+    In half the draws every edge and the head start are whole numbers of a
+    target's steps (v * dt), so positions fall exactly on edge ends and on
+    the head start."""
+    aligned = draw(st.booleans())
+    dt = draw(st.sampled_from([1.0, 2.0, 4.0])) if aligned else draw(st.floats(0.5, 30.0))
+    xy, tails, goals, roads = [], [], set(), []
+    for j in range(draw(st.integers(1, 4))):
+        v = draw(st.sampled_from([0.5, 1.25, 2.5])) if aligned else draw(st.floats(0.5, 20.0))
+        n = draw(st.integers(2, 8))
+        if aligned:
+            lengths = [v * dt * draw(st.integers(1, 12)) for _ in range(n)]
+        else:
+            lengths = [draw(st.floats(1.0, 500.0)) for _ in range(n)]
+        first_vertex, first_edge = len(xy), len(tails)
+        xy.extend((x, 1000.0 * j) for x in np.concatenate([[0.0], np.cumsum(lengths)]))
+        tails.extend(range(first_vertex, first_vertex + n))
+        goals.add(first_edge + n - 1)
+        roads.append((list(range(first_edge, first_edge + n)), v))
+    heads = [t + 1 for t in tails]
+    g = RoadGraph(xy, tails, heads, frozenset(path[0] for path, _ in roads), (frozenset(goals),))
+    if aligned:
+        delay_m = roads[draw(st.integers(0, len(roads) - 1))][1] * dt * draw(st.integers(0, 40))
+    else:
+        delay_m = draw(st.floats(0.0, 5000.0))
+    return g, roads, dt, delay_m, draw(st.integers(1, 80))
+
+
+def _targets_on(g, roads):
+    targets = []
+    for tid, (path, velocity) in enumerate(roads):
+        lengths = g.length[path]
+        segments = np.column_stack([g.xy[g.tail[path]], g.xy[g.head[path]], lengths]).tolist()
+        tg = _TargetState(tid, path[0], path, np.cumsum(lengths).tolist(), segments, velocity, "runner", None)
+        tg.locate()
+        targets.append(tg)
+    return targets
+
+
+class TestHeadStartFastForward:
+    @settings(max_examples=400, deadline=None)
+    @given(_head_starts())
+    def test_equals_tick_by_tick_loop(self, case):
+        """The fast-forward, then the first tick the team flies, reach the
+        tick, the losing target and every target's s, edge and position of
+        moving and locating every target tick by tick."""
+        g, roads, dt, delay_m, max_ticks = case
+        fast, slow = _targets_on(g, roads), _targets_on(g, roads)
+        tick, loser = _head_start(fast, dt, delay_m, max_ticks)
+        if loser is None and tick < max_ticks:
+            tick += 1
+            loser = _move_targets(fast, dt, g.goal_union)
+        got = (tick, None if loser is None else loser.tid)
+        assert got == head_start_loop(slow, dt, delay_m, max_ticks, g.goal_union)
+        assert [(t.s, t.edge, t.pos) for t in fast] == [(t.s, t.edge, t.pos) for t in slow]
+
+    def test_locates_only_on_return(self, border_scenario, border_world, monkeypatch):
+        """A loss in the head start locates each target once more than at
+        spawn, however many ticks it fast-forwards."""
+        calls = []
+        real = _TargetState.locate
+        monkeypatch.setattr(_TargetState, "locate", lambda tg: calls.append(tg.tid) or real(tg))
+        sc = dataclasses.replace(border_scenario, delay_km=1000.0)
+        result = run_trial(sc, trial_seed(4, 0), border_world)
+        assert result.outcome == "lose" and result.ticks > 100
+        n = len(sc.targets)
+        assert calls == list(range(n)) * 2
 
 
 class TestCertainDetectionRecovery:
