@@ -135,8 +135,7 @@ def verify(g: RoadGraph) -> None:
     assert len(g.goals) == N_GOALS, f"expected {N_GOALS} goal sets, got {len(g.goals)}"
     lengths = []
     for entry in sorted(g.entries):
-        for gi, goal_set in enumerate(g.goals):
-            path = shortest_path(g, entry, goal_set)
+        for gi, path in enumerate(shortest_path(g, entry)):
             assert path is not None, f"goal {gi} unreachable from entry {entry}"
             lengths.append(g.length[path[1:-1]].sum())
     refined, _ = overlay_grid(g, GRID_RADIUS)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .road_graph import RoadGraph, read_lines
+from .road_graph import RoadGraph, plain_number, read_lines
 from .strategies import UnreachableGoalError, validate_path
 
 DEFAULT_SMOOTHING = 0.01
@@ -251,7 +251,8 @@ def save_model(model: TransitionModel, path: str) -> None:
 
 def load_model(path: str) -> TransitionModel:
     """Read a model file, rows in any order. The edge count is the header's
-    optional `edges=<n>`, else one more than the largest edge id in the rows."""
+    optional `edges=<n>`, else one more than the largest edge id in the rows.
+    Numbers are ASCII, without Python's `_` digit separators."""
     header = None
     pairs: dict[tuple[int, int], float] = {}
     max_id = -1
@@ -273,7 +274,7 @@ def load_model(path: str) -> TransitionModel:
             raise ModelFormatError(f"{path}:{lineno}: data before #model header")
         toks = line.split()
         try:
-            if len(toks) != 3:
+            if len(toks) != 3 or not plain_number(line):
                 raise ValueError
             src, dst, p = int(toks[0]), int(toks[1]), float(toks[2])
         except ValueError:
@@ -293,12 +294,14 @@ def load_model(path: str) -> TransitionModel:
         raise ModelFormatError(f"{path}: edge id {max_id} is too large")
     n_edges = max_id + 1
     if "edges" in header:
-        if not header["edges"].isdecimal():
+        if not (header["edges"].isdecimal() and plain_number(header["edges"])):
             raise ModelFormatError(f"{path}: header edges={header['edges']} is not a non-negative integer")
         n_edges = int(header["edges"])
         if max_id >= n_edges:
             raise ModelFormatError(f"{path}: edge id {max_id} is out of range for edges={n_edges}")
     try:
+        if not plain_number(header["tick"]):
+            raise ValueError
         tick = float(header["tick"])
     except ValueError:
         raise ModelFormatError(f"{path}: header tick={header['tick']} is not a number") from None

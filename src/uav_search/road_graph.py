@@ -68,8 +68,8 @@ class RoadGraph:
         self._next = [out[h] for h in heads]
         self._prev = [into[t] for t in tails]
         self._goal_dist_cache: dict[frozenset[int], dict[int, float]] = {}
-        # (strategy, entry, goal index) -> truncated route; see strategies.
-        self._route_cache: dict[tuple, tuple[int, ...]] = {}
+        # (strategy, entry) -> truncated route per goal index; see strategies.
+        self._route_cache: dict[tuple, tuple[tuple[int, ...] | None, ...]] = {}
 
     @cached_property
     def _walk_steps(self) -> dict[tuple, tuple[list[int], list[float]]]:
@@ -173,14 +173,11 @@ def read_lines(path: str, error: type[ValueError]) -> list[str]:
         raise error(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
 
 
-def _tokens(path: str) -> list[tuple[int, list[str]]]:
-    out = []
-    for lineno, raw in enumerate(read_lines(path, GraphFormatError), start=1):
-        line = raw.strip()
-        if not line or line.startswith(";"):
-            continue
-        out.append((lineno, line.split()))
-    return out
+def plain_number(text: str) -> bool:
+    """False for text that int() and float() read but the file formats
+    refuse: `_` digit separators (`1_0`) and non-ASCII digits (`١٢`, `１２`).
+    One check covers a whole line of numbers."""
+    return text.isascii() and "_" not in text
 
 
 def _check_dense(path: str, kind: str, ids) -> None:
@@ -196,8 +193,8 @@ def load_graph(path: str) -> RoadGraph:
     `;` starts a comment line. Vertices are `id x y` (meters), edges
     `id tail head` (length is the Euclidean distance between endpoints),
     entries `edge_id`, goals `goal_index edge_id` with contiguous indices.
-    The vertex ids and the edge ids must each be exactly 0..n-1, in any
-    line order.
+    Numbers are ASCII, without Python's `_` digit separators. The vertex ids
+    and the edge ids must each be exactly 0..n-1, in any line order.
     """
     vertices: dict[int, tuple[float, float]] = {}
     edges_raw: list[tuple[int, int, int, int]] = []
@@ -206,7 +203,11 @@ def load_graph(path: str) -> RoadGraph:
     section = None
     known = {"#vertices", "#edges", "#entries", "#goals"}
 
-    for lineno, toks in _tokens(path):
+    for lineno, raw in enumerate(read_lines(path, GraphFormatError), start=1):
+        line = raw.strip()
+        if not line or line.startswith(";"):
+            continue
+        toks = line.split()
         if toks[0].startswith("#"):
             if toks[0] not in known or len(toks) != 1:
                 raise GraphFormatError(f"{path}:{lineno}: unknown section header {toks[0]!r}")
@@ -215,6 +216,8 @@ def load_graph(path: str) -> RoadGraph:
         if section is None:
             raise GraphFormatError(f"{path}:{lineno}: data before any section header")
         try:
+            if not plain_number(line):
+                raise ValueError
             if section == "#vertices":
                 if len(toks) != 3:
                     raise ValueError
@@ -385,48 +388,71 @@ def overlay_grid(g: RoadGraph, r: float) -> tuple[RoadGraph, GridOverlay]:
 # Shortest paths
 
 
-def shortest_path(
-    g: RoadGraph,
-    from_edge: int,
-    goal_set: frozenset[int] | set[int],
-    weight: np.ndarray | None = None,
-) -> list[int] | None:
-    """Minimal-travel directed edge path from `from_edge` into `goal_set`.
+def shortest_path(g: RoadGraph, from_edge: int, weight: np.ndarray | None = None) -> list[list[int] | None]:
+    """Minimal-travel directed edge paths from `from_edge` into every goal set.
 
-    Travel is measured from the head of `from_edge`; entering a goal edge
-    costs nothing (a target wins at the goal edge's tail). The returned path
-    includes `from_edge` first and the goal edge last. Returns None when no
-    goal edge is reachable. `weight`, an array over edge ids, replaces the
-    edge-length metric for non-goal hops (used by detour-seeking strategies).
+    Returns a list indexed by goal index: the path into `g.goals[gi]`, or
+    None when no edge of that set is reachable. Travel is measured from the
+    head of `from_edge`; entering a goal edge costs nothing (a target wins at
+    the goal edge's tail). A path includes `from_edge` first and the goal
+    edge last, and is `[from_edge]` for a set that holds `from_edge`.
+    `weight`, an array over edge ids, replaces the edge-length metric for the
+    hops before the goal edge (used by detour-seeking strategies).
+
+    One search answers every set. Its heap holds `(d, e, kind)`. A real entry
+    (kind 1) is edge `e` travelled to its head: it relaxes every successor by
+    its hop, goal edges included, as a search into one set G treats every
+    edge outside G. Entering a goal edge also pushes an arrival entry
+    (kind 0) at no cost, and popping it answers every open set that holds
+    the edge. An arrival sorts before its edge's real entry, since
+    `(d, e, 0) < (d + hop, e, 1)`, so no edge of G is expanded before G is
+    answered. Each route is therefore the one a search into G alone, popping
+    `(d, e)` in the same order, returns: equal-length ties resolve alike.
     """
     if not 0 <= from_edge < g.n_edges:
         raise KeyError(f"unknown edge id {from_edge}")
-    if from_edge in goal_set:
-        return [from_edge]
+    routes: list[list[int] | None] = [[from_edge] if from_edge in gs else None for gs in g.goals]
+    n_open = routes.count(None)
+    sets_of: dict[int, list[int]] = {}  # goal edge -> the open sets holding it
+    for gi, goal_set in enumerate(g.goals):
+        if routes[gi] is None:
+            for eid in goal_set:
+                sets_of.setdefault(eid, []).append(gi)
     hop = (g.length if weight is None else weight).tolist()
     nexts = g._next
     dist = [math.inf] * g.n_edges
     dist[from_edge] = 0.0
     parent = [-1] * g.n_edges
     done = [False] * g.n_edges
-    heap: list[tuple[float, int]] = [(0.0, from_edge)]
-    while heap:
-        d, e = heapq.heappop(heap)
+    arrival: dict[int, float] = {}
+    arrival_parent: dict[int, int] = {}
+    heap: list[tuple[float, int, int]] = [(0.0, from_edge, 1)]
+    while heap and n_open:
+        d, e, real = heapq.heappop(heap)
+        if not real:
+            answered = [gi for gi in sets_of[e] if routes[gi] is None]
+            if answered:
+                path = [e, arrival_parent[e]]
+                while path[-1] != from_edge:
+                    path.append(parent[path[-1]])
+                for gi in answered:
+                    routes[gi] = path[::-1]
+                n_open -= len(answered)
+            continue
         if done[e]:
             continue
         done[e] = True
-        if e in goal_set:
-            path = [e]
-            while path[-1] != from_edge:
-                path.append(parent[path[-1]])
-            return path[::-1]
         for nxt in nexts[e]:
-            nd = d + (0.0 if nxt in goal_set else hop[nxt])
+            nd = d + hop[nxt]
             if nd < dist[nxt]:
                 dist[nxt] = nd
                 parent[nxt] = e
-                heapq.heappush(heap, (nd, nxt))
-    return None
+                heapq.heappush(heap, (nd, nxt, 1))
+            if nxt in sets_of and d < arrival.get(nxt, math.inf):
+                arrival[nxt] = d
+                arrival_parent[nxt] = e
+                heapq.heappush(heap, (d, nxt, 0))
+    return routes
 
 
 def goal_distance_map(g: RoadGraph, goal_set: frozenset[int]) -> dict[int, float]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -398,6 +397,10 @@ def _batches(
         for (scenario, world), point_seeds in zip(points, seeds):
             yield _batch_stats([run_trial(scenario, s, world) for s in point_seeds])
         return
+    # Imported here: the pool's modules (multiprocessing, logging, socket)
+    # would cost every `--jobs 1` command milliseconds of start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     tasks = [(index, s) for index, point_seeds in enumerate(seeds) for s in point_seeds]
     # Forked workers inherit the worlds without pickling them, and keep their
     # checkpoints and route caches from one point to the next.

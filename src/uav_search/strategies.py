@@ -4,6 +4,11 @@ Each strategy turns (graph, entry edge, rng) into a full edge path that ends
 on a goal edge. Strategies are the ground truth behind both simulated targets
 and the offline traces that transition models are compiled from. A registry
 maps config names to constructors.
+
+The deterministic strategies (shortest, side roads) route with one
+`shortest_path` search per (strategy, entry), which answers every goal set
+at once; the row of routes is kept on the graph. Which goal sets an entry
+reaches is read off the shortest strategy's row.
 """
 
 from __future__ import annotations
@@ -59,12 +64,10 @@ def _truncate_at_goal(g: RoadGraph, path: list[int]) -> list[int]:
 
 
 def _reachable_goals(g: RoadGraph, entry: int) -> list[int]:
-    out = []
-    for gi, goal_set in enumerate(g.goals):
-        dmap = goal_distance_map(g, goal_set)
-        if travel_to_go(g.length, entry, goal_set, dmap) < math.inf:
-            out.append(gi)
-    return out
+    """The goal indices some walk from `entry` reaches, ascending: those whose
+    route under edge lengths exists. Finite weights never change whether a
+    route exists, so this is the shortest strategy's cached row."""
+    return [gi for gi, route in enumerate(_cached_routes(g, ShortestPathStrategy(), entry)) if route is not None]
 
 
 def _draw_goal(g: RoadGraph, entry: int, rng: np.random.Generator) -> int:
@@ -87,20 +90,29 @@ def choice_cdf(p: np.ndarray) -> list[float]:
     return cdf.tolist()
 
 
-def _cached_route(g: RoadGraph, strategy, entry: int, gi: int, make_weight=None) -> list[int]:
-    """The deterministic route of `strategy` from `entry` to goal set `gi`,
-    truncated at the first goal edge. Computed once per (strategy, entry,
-    goal) and kept on the graph; every call returns a fresh list.
-    `make_weight(g)` builds the per-edge hop weights for `shortest_path` on a
-    miss."""
-    key = (strategy, entry, gi)
-    route = g._route_cache.get(key)
-    if route is None:
+def _cached_routes(g: RoadGraph, strategy, entry: int, make_weight=None) -> tuple[tuple[int, ...] | None, ...]:
+    """The deterministic routes of `strategy` from `entry`, one per goal index
+    (None where unreachable), each truncated at the first goal edge. One
+    `shortest_path` search per (strategy, entry) answers every goal set, and
+    the row is kept on the graph. `make_weight(g)` builds the per-edge hop
+    weights for the search on a miss."""
+    key = (strategy, entry)
+    routes = g._route_cache.get(key)
+    if routes is None:
         weight = make_weight(g) if make_weight is not None else None
-        full = shortest_path(g, entry, g.goals[gi], weight=weight)
-        if full is None:
-            raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
-        route = g._route_cache[key] = tuple(_truncate_at_goal(g, full))
+        routes = g._route_cache[key] = tuple(
+            None if full is None else tuple(_truncate_at_goal(g, full))
+            for full in shortest_path(g, entry, weight=weight)
+        )
+    return routes
+
+
+def _cached_route(g: RoadGraph, strategy, entry: int, gi: int, make_weight=None) -> list[int]:
+    """The route of `strategy` from `entry` to goal set `gi` as a fresh list;
+    see `_cached_routes`. Raises UnreachableGoalError when there is none."""
+    route = _cached_routes(g, strategy, entry, make_weight)[gi]
+    if route is None:
+        raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
     return list(route)
 
 

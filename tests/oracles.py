@@ -8,10 +8,12 @@ train / test halves that the unknown-behavior experiments draw from.
 `{src: ((dst, prob), ...)}` form the model tests write out by hand.
 `trace_loop`, `count_compile`, `dict_shortest_path` and `choice_walk` are
 the tick-by-tick trace sampler, the dict-counting model compiler, the
-dict-based Dijkstra and the random walk drawing each step with
-`rng.choice`; the library's array and cached versions must equal them
-exactly. `head_start_loop` is a trial's head start moved and located tick by
-tick, which the simulator's fast-forward must reproduce.
+dict-based Dijkstra into one goal set and the random walk drawing each step
+with `rng.choice`; the library's array, all-goal and cached versions must
+equal them exactly. `distance_map_reachable_goals` is the reachability rule
+read off reverse distance maps. `head_start_loop` is a trial's head start
+moved and located tick by tick, which the simulator's fast-forward must
+reproduce.
 """
 
 from __future__ import annotations
@@ -198,7 +200,9 @@ def count_compile(
 def dict_shortest_path(
     g: RoadGraph, from_edge: int, goal_set: frozenset[int], weight: np.ndarray | None = None
 ) -> list[int] | None:
-    """`shortest_path` with dict distances and a done set, the same heap order."""
+    """The route into one goal set alone, searched with dict distances, a
+    done set and `(d, e)` heap order; None when no edge of `goal_set` is
+    reachable. `shortest_path` must return it for every goal set."""
     if from_edge in goal_set:
         return [from_edge]
     hop = (g.length if weight is None else weight).tolist()
@@ -223,6 +227,18 @@ def dict_shortest_path(
                 parent[nxt] = e
                 heapq.heappush(heap, (nd, nxt))
     return None
+
+
+def distance_map_reachable_goals(g: RoadGraph, entry: int) -> list[int]:
+    """The goal indices `entry` reaches, read off each goal set's reverse
+    distance map (`goal_distance_map`, `travel_to_go`).
+    `strategies._reachable_goals` must return the same list."""
+    out = []
+    for gi, goal_set in enumerate(g.goals):
+        dmap = goal_distance_map(g, goal_set)
+        if travel_to_go(g.length, entry, goal_set, dmap) < math.inf:
+            out.append(gi)
+    return out
 
 
 def choice_walk(beta: float, g: RoadGraph, entry: int, gi: int, rng: np.random.Generator) -> list[int]:

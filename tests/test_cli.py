@@ -1,5 +1,6 @@
 """End-to-end command-line checks: every verb, exit codes, byte-stable output."""
 
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -178,6 +179,21 @@ class TestCompileModel:
         assert main(args) == 1
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("respell", ["0_1", "١", "１"])
+    def test_graph_python_numeric_syntax_exits_1(self, work, capsys, respell):
+        """Vertex id 1 in a spelling int() reads as 1 is refused, with its
+        file and line."""
+        lines = (work / "tiny.graph").read_text().splitlines()
+        at = lines.index("#vertices") + 2
+        vid, *rest = lines[at].split()
+        assert vid == "1"
+        lines[at] = " ".join([respell, *rest])
+        (work / "respelled.graph").write_text("\n".join(lines) + "\n")
+        args = _compile_args(work)
+        args[1] = str(work / "respelled.graph")
+        assert main(args) == 1
+        assert f"respelled.graph:{at + 1}: malformed vertices line" in capsys.readouterr().err
+
     def test_undersampled_tick_exits_1_before_sampling(self, work, capsys, monkeypatch):
         """A tick that passes a whole edge is refused from the flags and the
         graph, before any trace is sampled."""
@@ -236,6 +252,17 @@ class TestRun:
         header = " ".join("tick=abc" if tok.startswith("tick=") else tok for tok in first.split())
         assert self._run_with_model(work, "badtick", [header, *rows]) == 1
         assert "badtick.model: header tick=abc is not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("respell", ["0_0", "٠", "０"])
+    def test_model_python_numeric_syntax_exits_1(self, work, capsys, respell):
+        """Source edge 0 in a spelling int() reads as 0 is refused, with its
+        file and line."""
+        first, *rows = (work / "models" / "tiny.model").read_text().splitlines()
+        src, dst, p = rows[0].split()
+        assert src == "0"
+        rows[0] = f"{respell} {dst} {p}"
+        assert self._run_with_model(work, "respelled", [first, *rows]) == 1
+        assert "respelled.model:2: malformed transition line" in capsys.readouterr().err
 
     def test_negative_edge_id_exits_1(self, work, capsys):
         first, *rows = (work / "models" / "tiny.model").read_text().splitlines()
@@ -406,7 +433,7 @@ class TestSweep:
 
     def test_one_world_and_one_pool(self, work, monkeypatch, capsys):
         built, pools = [], []
-        real_build, real_pool = simulator.build_world, simulator.ProcessPoolExecutor
+        real_build, real_pool = simulator.build_world, concurrent.futures.ProcessPoolExecutor
 
         class CountingPool(real_pool):
             def __init__(self, *args, **kwargs):
@@ -414,7 +441,7 @@ class TestSweep:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "build_world", lambda sc: built.append(sc) or real_build(sc))
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         sweep = work / "grid.yaml"
         sweep.write_text(yaml.safe_dump(
             {"base": "tiny.yaml", "trials": 2, "axes": {"n_uavs": [1, 2], "delay_km": [0.0, 1.0]}},
@@ -627,17 +654,18 @@ def test_grid_sweep_bytes_are_pinned(tmp_path, capsys, jobs):
 
 
 def test_run_never_imports_scipy(tmp_path):
-    """The runtime needs only numpy and PyYAML; scipy is a test-only oracle."""
+    """The runtime needs only numpy and PyYAML; scipy is a test-only oracle.
+    A `--jobs 1` run also starts without the process pool's modules."""
     code = (
         "import sys, uav_search.cli; "
         f"rc = uav_search.cli.main(['run', {BORDER_YAML!r}, '--trials', '1', '--out', sys.argv[1]]); "
-        "print(rc, 'scipy' in sys.modules)"
+        "print(rc, [m for m in ('scipy', 'multiprocessing', 'logging', 'socket') if m in sys.modules])"
     )
     src = os.path.dirname(os.path.dirname(uav_search.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "trials.csv")],
                           capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("flags", sorted(THRESHOLD_SCAN_SHA256))

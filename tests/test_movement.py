@@ -1,5 +1,7 @@
 """Trace sampling, model compilation, and model file round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -440,8 +442,16 @@ FUZZ_ROWS = [
     ["2", "2", "0.5"], ["2", "4", "0.5"],
     ["3", "3", "1.0"], ["4", "4", "1.0"],
 ]
-FUZZ_TOKENS = ["x", "", "nan", "inf", "-inf", "1e400", "0x1", "1.5", "-0", "tick=", "=", ";"]
+FUZZ_TOKENS = ["x", "", "nan", "inf", "-inf", "1e400", "0x1", "1.5", "-0", "tick=", "=", ";",
+               "1_00", "١٢", "１２", "tick=5_0", "edges=５"]
 FUZZ_HUGE = ["9223372036854775807", "99999999999999999999"]
+# Spellings int() and float() read but the loader refuses: the first digit
+# run split by `_`, or every digit as an Arabic-Indic or fullwidth one.
+FUZZ_RESPELL = [
+    lambda tok: re.sub(r"(\d)(\d)", r"\1_\2", tok, count=1),
+    lambda tok: tok.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    lambda tok: tok.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+]
 FUZZ_HEADERS = ["#model tick=5.0 class=demo", "#model", "#edges", "# stray", "#model tick=1 class=a edges=x"]
 
 
@@ -449,11 +459,13 @@ FUZZ_HEADERS = ["#model tick=5.0 class=demo", "#model", "#edges", "# stray", "#m
 def _mutated_model_text(draw):
     """The base model after 1-4 token-level edits: drop, duplicate or negate a
     token, replace it with a non-numeric one or an id beyond any array index,
-    or drop, duplicate or insert a (stray header) line."""
+    respell it in Python-only numeric syntax, or drop, duplicate or insert a
+    (stray header) line."""
     header = ["#model", "tick=5.0", "class=demo"] + draw(st.sampled_from([["edges=5"], []]))
     lines = [header] + [list(line) for line in FUZZ_ROWS]
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["drop", "dup", "negate", "replace", "huge", "drop_line", "dup_line", "header"]))
+        kind = draw(st.sampled_from(
+            ["drop", "dup", "negate", "replace", "huge", "respell", "drop_line", "dup_line", "header"]))
         i = draw(st.integers(0, len(lines)))
         if kind == "header":
             lines.insert(i, [draw(st.sampled_from(FUZZ_HEADERS))])
@@ -475,6 +487,8 @@ def _mutated_model_text(draw):
                 lines[i][j] = "-" + lines[i][j]
             elif kind == "huge":
                 lines[i][j] = draw(st.sampled_from(FUZZ_HUGE))
+            elif kind == "respell":
+                lines[i][j] = draw(st.sampled_from(FUZZ_RESPELL))(lines[i][j])
             else:
                 lines[i][j] = draw(st.sampled_from(FUZZ_TOKENS))
     return "\n".join(" ".join(line) for line in lines) + "\n"
@@ -485,7 +499,9 @@ class TestLoadModelFuzz:
     @given(text=_mutated_model_text())
     def test_mutated_file_loads_or_names_itself(self, tmp_path, text):
         """Every mutated file either loads, and then saves and reloads to the
-        same bytes, or raises a ModelFormatError that names the file."""
+        same bytes, or raises a ModelFormatError that names the file. A file
+        that loads holds no `_` and no non-ASCII character outside its
+        comments."""
         path = tmp_path / "fuzz.model"
         path.write_text(text)
         try:
@@ -493,6 +509,8 @@ class TestLoadModelFuzz:
         except ModelFormatError as exc:
             assert str(path) in str(exc)
             return
+        data = [line for line in text.splitlines() if not line.strip().startswith(";")]
+        assert all(line.isascii() and "_" not in line for line in data)
         assert model.src.size == model.dst.size == model.prob.size
         assert model.src.size == 0 or max(model.src.max(), model.dst.max()) < model.n_edges
         first, second = tmp_path / "first.model", tmp_path / "second.model"

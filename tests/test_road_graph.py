@@ -4,6 +4,7 @@ import importlib.util
 import math
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from uav_search.road_graph import (
     shortest_path,
     write_graph,
 )
-from uav_search.strategies import SideRoadsStrategy
+from uav_search.strategies import SideRoadsStrategy, _reachable_goals
 
-from oracles import dict_shortest_path
+from oracles import dict_shortest_path, distance_map_reachable_goals
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -138,8 +139,16 @@ FUZZ_GRAPH = [
     ["#entries"], ["0"],
     ["#goals"], ["0", "3"], ["1", "2"],
 ]
-FUZZ_TOKENS = ["x", "", "nan", "inf", "-inf", "1e400", "1e308", "-1e308", "0x1", "1.5", "-0", "#", ";", "1_0"]
+FUZZ_TOKENS = ["x", "", "nan", "inf", "-inf", "1e400", "1e308", "-1e308", "0x1", "1.5", "-0", "#", ";", "1_0",
+               "1_00", "١٢", "１２"]
 FUZZ_HUGE = ["9223372036854775807", "99999999999999999999"]
+# Spellings int() and float() read but the loader refuses: the first digit
+# run split by `_`, or every digit as an Arabic-Indic or fullwidth one.
+FUZZ_RESPELL = [
+    lambda tok: re.sub(r"(\d)(\d)", r"\1_\2", tok, count=1),
+    lambda tok: tok.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    lambda tok: tok.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+]
 FUZZ_HEADERS = ["#vertices", "#edges", "#entries", "#goals", "#model", "# stray", "#edges 3"]
 
 
@@ -147,10 +156,12 @@ FUZZ_HEADERS = ["#vertices", "#edges", "#entries", "#goals", "#model", "# stray"
 def _mutated_graph_text(draw):
     """The base graph after 1-4 token-level edits: drop, duplicate or negate a
     token, replace it with a non-numeric one or an id beyond any array index,
-    or drop, duplicate or insert a (stray header) line."""
+    respell it in Python-only numeric syntax, or drop, duplicate or insert a
+    (stray header) line."""
     lines = [list(line) for line in FUZZ_GRAPH]
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["drop", "dup", "negate", "replace", "huge", "drop_line", "dup_line", "header"]))
+        kind = draw(st.sampled_from(
+            ["drop", "dup", "negate", "replace", "huge", "respell", "drop_line", "dup_line", "header"]))
         i = draw(st.integers(0, len(lines)))
         if kind == "header":
             lines.insert(i, [draw(st.sampled_from(FUZZ_HEADERS))])
@@ -172,6 +183,8 @@ def _mutated_graph_text(draw):
                 lines[i][j] = "-" + lines[i][j]
             elif kind == "huge":
                 lines[i][j] = draw(st.sampled_from(FUZZ_HUGE))
+            elif kind == "respell":
+                lines[i][j] = draw(st.sampled_from(FUZZ_RESPELL))(lines[i][j])
             else:
                 lines[i][j] = draw(st.sampled_from(FUZZ_TOKENS))
     return "\n".join(" ".join(line) for line in lines) + "\n"
@@ -183,7 +196,8 @@ class TestLoadGraphFuzz:
     def test_mutated_file_loads_or_names_itself(self, tmp_path, text):
         """Every mutated file either loads a consistent graph, which writes
         and reloads to the same bytes, or raises a GraphFormatError that
-        names the file."""
+        names the file. A file that loads holds no `_` and no non-ASCII
+        character outside its comments."""
         path = tmp_path / "fuzz.graph"
         path.write_text(text)
         try:
@@ -191,6 +205,8 @@ class TestLoadGraphFuzz:
         except GraphFormatError as exc:
             assert str(path) in str(exc)
             return
+        data = [line for line in text.splitlines() if not line.strip().startswith(";")]
+        assert all(line.isascii() and "_" not in line for line in data)
         ids = set(range(g.n_edges))
         assert g.entries <= ids and g.goal_union <= ids and not g.entries & g.goal_union
         assert set(g.tail.tolist()) | set(g.head.tolist()) <= set(range(len(g.xy)))
@@ -432,7 +448,7 @@ def _oracle_best(g, from_edge, goal_set):
 
 class TestShortestPath:
     def test_from_edge_already_goal(self, line_graph):
-        assert shortest_path(line_graph, 1, line_graph.goals[0]) == [1]
+        assert shortest_path(line_graph, 1) == [[1]]
 
     def test_prefers_shorter_parallel_route(self):
         g = _graph(
@@ -440,21 +456,30 @@ class TestShortestPath:
             [(0, 1), (1, 2), (1, 3), (3, 2), (2, 4)],
             goals=[{4}],
         )
-        assert shortest_path(g, 0, g.goals[0]) == [0, 1, 4]
+        assert shortest_path(g, 0) == [[0, 1, 4]]
 
     def test_unreachable_returns_none(self):
-        # two disconnected components
-        g = _graph([(0, 0), (10, 0), (50, 50), (60, 50)], [(0, 1), (2, 3)])
-        assert shortest_path(g, 0, frozenset({1})) is None
-        assert shortest_path(g, 1, frozenset({0})) is None
+        # two disconnected components; one goal set on each
+        g = _graph([(0, 0), (10, 0), (50, 50), (60, 50)], [(0, 1), (2, 3)], goals=[{1}, {0}])
+        assert shortest_path(g, 0) == [None, [0]]
+        assert shortest_path(g, 1) == [[1], None]
+
+    def test_goal_edge_answers_its_set_before_it_is_expanded(self):
+        """With a zero-weight goal edge 1 leading into goal edge 0 of the same
+        set, the set is answered by edge 1: the arrival at an edge pops before
+        the edge itself, even at equal distance."""
+        g = _graph([(0, 0), (10, 0), (20, 0), (30, 0)], [(2, 3), (1, 2), (0, 1)], goals=[{0, 1}, {0}])
+        weight = np.zeros(3)
+        assert shortest_path(g, 2, weight) == [[2, 1], [2, 1, 0]]
+        assert shortest_path(g, 2, weight) == [dict_shortest_path(g, 2, goal_set, weight) for goal_set in g.goals]
 
     def test_unknown_from_edge(self, line_graph):
         with pytest.raises(KeyError, match="unknown edge id 9"):
-            shortest_path(line_graph, 9, line_graph.goals[0])
+            shortest_path(line_graph, 9)
 
     def test_negative_from_edge(self, line_graph):
         with pytest.raises(KeyError, match="unknown edge id -1"):
-            shortest_path(line_graph, -1, line_graph.goals[0])
+            shortest_path(line_graph, -1)
 
     def test_matches_exhaustive_oracle_on_random_graphs(self):
         """Dijkstra agrees with brute-force path enumeration, including
@@ -469,12 +494,12 @@ class TestShortestPath:
                 t, h = int(rng.integers(n_v)), int(rng.integers(n_v))
                 if t != h and not np.allclose(coords[t], coords[h]):
                     pairs.append((t, h))
-            g = _graph(coords.tolist(), pairs)
             from_edge = int(rng.integers(n_e))
             goal_pool = [e for e in range(n_e) if e != from_edge]
             goal_set = frozenset(rng.choice(goal_pool, size=2, replace=False).tolist())
+            g = _graph(coords.tolist(), pairs, goals=[goal_set])
             expect = _oracle_best(g, from_edge, goal_set)
-            path = shortest_path(g, from_edge, goal_set)
+            [path] = shortest_path(g, from_edge)
             if path is None:
                 assert expect == math.inf
                 continue
@@ -485,34 +510,49 @@ class TestShortestPath:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_flat_lists_equal_dict_oracle_with_ties(self, data):
-        """On grid-point graphs, where many routes tie in length, every
-        (from edge, goal set) route equals the dict-based Dijkstra's, under
-        edge lengths and under side-road weights."""
+        """On grid-point graphs, where many routes tie in length, the route
+        into every goal set from every edge equals the dict-based Dijkstra's
+        search into that set alone. Goal sets overlap, goal edges have
+        successors, edge ids follow no coordinate order, and weights are the
+        lengths or small integers, half of them zeros. The goal sets
+        reached are the ones the reverse distance maps reach."""
         points = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=7, unique=True))
         n_v = len(points)
         pairs = data.draw(st.lists(
             st.tuples(st.integers(0, n_v - 1), st.integers(0, n_v - 1)).filter(lambda p: p[0] != p[1]),
             min_size=1, max_size=16))
         n_e = len(pairs)
-        goal_set = frozenset(data.draw(st.sets(st.integers(0, n_e - 1), min_size=1, max_size=3)))
-        g = _graph(points, pairs, goals=[goal_set])
-        penalty = data.draw(st.sampled_from([None, 0.5, 2.0]))
-        weight = None if penalty is None else SideRoadsStrategy(penalty)._weight(g)
+        goals = data.draw(st.lists(st.sets(st.integers(0, n_e - 1), min_size=1, max_size=3), min_size=1, max_size=4))
+        g = _graph(points, pairs, goals=goals)
+        weight = data.draw(st.one_of(
+            st.none(),
+            st.lists(st.sampled_from([0, 0, 1, 3]), min_size=n_e, max_size=n_e).map(lambda w: np.array(w, dtype=np.float64)),
+        ))
         for from_edge in range(n_e):
-            assert shortest_path(g, from_edge, goal_set, weight) == dict_shortest_path(g, from_edge, goal_set, weight)
+            routes = shortest_path(g, from_edge, weight)
+            assert routes == [dict_shortest_path(g, from_edge, goal_set, weight) for goal_set in g.goals]
+            assert _reachable_goals(g, from_edge) == distance_map_reachable_goals(g, from_edge)
 
     def test_bundled_routes_equal_dict_oracle(self, border_refined):
+        """All 70 (entry, goal set) routes of the bundled refined map, under
+        lengths and under the `side_roads:penalty=1.5` weights."""
         g, _ = border_refined
+        for weight in (None, SideRoadsStrategy(1.5)._weight(g)):
+            n_pairs = 0
+            for entry in sorted(g.entries):
+                routes = shortest_path(g, entry, weight)
+                assert routes == [dict_shortest_path(g, entry, goal_set, weight) for goal_set in g.goals]
+                n_pairs += len(routes)
+            assert n_pairs == 70
         for entry in sorted(g.entries):
-            for goal_set in g.goals:
-                assert shortest_path(g, entry, goal_set) == dict_shortest_path(g, entry, goal_set)
+            assert _reachable_goals(g, entry) == distance_map_reachable_goals(g, entry)
 
     def test_goal_distance_map_consistent(self, border_graph):
         """travel-to-go from an entry equals the shortest-path travel."""
         goal_set = border_graph.goals[0]
         dist = goal_distance_map(border_graph, goal_set)
         for entry in sorted(border_graph.entries):
-            path = shortest_path(border_graph, entry, goal_set)
+            path = shortest_path(border_graph, entry)[0]
             if path is None:
                 assert entry not in dist
                 continue

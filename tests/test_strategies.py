@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from uav_search import strategies as strategies_module
 from uav_search.road_graph import RoadGraph, overlay_grid
+from uav_search.simulator import run_batch
 from uav_search.strategies import (
     InvalidPathError,
     RandomWalkStrategy,
@@ -280,7 +281,8 @@ class TestSideRoads:
 
 
 class TestRouteCache:
-    """Deterministic routes are computed once per (strategy, entry, goal)."""
+    """Deterministic routes are computed once per (strategy, entry): one
+    search answers every goal set."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -305,6 +307,24 @@ class TestRouteCache:
                 assert len(counted) == n_calls  # served from the cache
                 assert hit == miss
                 validate_path(g, hit, 0)
+
+    @pytest.mark.parametrize("strategy", [ShortestPathStrategy(), SideRoadsStrategy(penalty=1.5)])
+    def test_one_search_per_entry(self, border_graph, counted, strategy):
+        g, _ = overlay_grid(border_graph, 500.0)
+        entry = min(g.entries)
+        rng = np.random.default_rng(0)
+        routes = [strategy.path(g, entry, rng, goal_index=gi) for gi in range(len(g.goals))]
+        assert counted == [entry]
+        for route in routes:
+            validate_path(g, route, entry)
+
+    def test_border_batch_searches_once_per_entry(self, border_scenario, counted):
+        """40 `border` trials spawn 120 shortest-route targets from 10
+        entries in a fresh world: at most one search per entry."""
+        [(stats, _)] = run_batch([(border_scenario, 0)], 40)
+        assert stats.n_trials == 40
+        assert 1 <= len(counted) <= 10
+        assert len(set(counted)) == len(counted)
 
     @pytest.mark.parametrize("strategy", [ShortestPathStrategy(), SideRoadsStrategy(penalty=1.0)])
     def test_hit_consumes_the_same_randomness(self, border_graph, strategy):
