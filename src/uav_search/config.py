@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -49,6 +50,8 @@ class UavSpec:
     detect_prob: float
 
     def __post_init__(self):
+        if len(self.depot) != 2 or not all(map(math.isfinite, self.depot)):
+            raise ConfigError(f"depot: must be two finite numbers, got {list(self.depot)}")
         if not self.velocity_kmh > 0:
             raise ConfigError(f"velocity_kmh: must be positive, got {self.velocity_kmh}")
         if not self.detect_radius > 0:
@@ -65,7 +68,7 @@ class TargetClassSpec:
 
     def __post_init__(self):
         lo, hi = self.velocity_kmh
-        if not (0 < lo <= hi):
+        if not (0 < lo <= hi < math.inf):
             raise ConfigError(f"velocity_kmh: need 0 < low <= high, got [{lo}, {hi}]")
         if not self.strategies:
             raise ConfigError("strategies: must list at least one strategy")

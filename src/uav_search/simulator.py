@@ -13,11 +13,12 @@ team starts or a target reaches its goal edge.
 
 A `World` holds what trials on one graph, grid, tick and set of class models
 share: the refined graph and its route cache, the grid overlay, the models and
-the head-start belief checkpoints. `run_batch` runs every point of a command,
-a `(scenario, master seed)` pair, in one call: points that agree on what
-`build_world` reads share one World, every World is built, and so checked,
-before the first trial, and at `jobs > 1` one process pool runs the trials of
-every point in order.
+the frozen beliefs. Until its first fruitless search, a target's belief depends
+only on its class, entry edge and tick, so it and its cell marginals are the
+world's. `run_batch` runs every point of a command, a `(scenario, master seed)`
+pair, in one call: points that agree on what `build_world` reads share one
+World, every World is built, and so checked, before the first trial, and at
+`jobs > 1` one process pool runs the trials of every point in order.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ WILSON_Z = 1.959963984540054
 
 KMH_TO_MS = 1000.0 / 3600.0
 
-# World keeps each head-start belief sequence at every multiple of this many
-# ticks: about 0.6 MB on the bundled border scenario, where every tick would
-# take about 9.5 MB.
-CHECKPOINT_TICKS = 16
+# World keeps each frozen belief sequence at every multiple of this many ticks
+# (5.9 KB a belief on the bundled border map), and its cell marginals in blocks
+# of ROW_CHUNK ticks (1.5 KB a row) that never move, so none is freed to grow.
+CHECKPOINT_TICKS = 32
+ROW_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -79,41 +81,64 @@ def wilson_interval(wins: int, n: int, z: float = WILSON_Z) -> tuple[float, floa
 
 @dataclass(eq=False)
 class World:
-    """What the trials of every point with one `_world_key` share."""
+    """What the trials of every point with one `_world_key` share, frozen
+    beliefs included: `frozen_belief` gives a target its own copy at its first
+    fruitless search, and `shared_marginal` their cell marginals until then."""
 
     refined: RoadGraph
     overlay: GridOverlay
     start_of_parent: dict[int, int]  # original entry edge -> its first refined piece, in id order
     models: dict[str, TransitionModel]
+    road_cells: np.ndarray  # the cells holding a refined edge, ascending; any other cell's marginal is 0.0
     # (class name, entry edge) -> read-only beliefs at ticks 0, CHECKPOINT_TICKS, ...
     checkpoints: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict, init=False, repr=False)
+    # (class name, entry edge) -> (tick, read-only belief) of the last belief reached
+    latest: dict[tuple[str, int], tuple[int, np.ndarray]] = field(default_factory=dict, init=False, repr=False)
+    # (class name, entry edge) -> (first tick, end tick, {t // ROW_CHUNK: read-only rows at road_cells})
+    marginals: dict[tuple[str, int], tuple[int, int, dict[int, np.ndarray]]] = field(default_factory=dict, init=False, repr=False)
+
+    def _belief(self, key: tuple[str, int], tick: int) -> np.ndarray:
+        """The frozen belief of `key` at `tick`, read-only: propagated from the
+        nearest checkpoint or last belief at or below `tick`, keeping every
+        checkpoint passed and the result as the last belief."""
+        saved = self.checkpoints.setdefault(key, [])
+        if not saved:
+            saved.append(init_belief(self.refined, key[1]))
+            saved[0].flags.writeable = False
+        k = min(tick // CHECKPOINT_TICKS, len(saved) - 1)
+        at, mass = self.latest.get(key, (0, saved[0]))
+        if not k * CHECKPOINT_TICKS <= at <= tick:
+            at, mass = k * CHECKPOINT_TICKS, saved[k]
+        for at in range(at + 1, tick + 1):
+            mass = propagate(mass, self.models[key[0]])
+            mass.flags.writeable = False
+            if at == len(saved) * CHECKPOINT_TICKS:
+                saved.append(mass)
+        self.latest[key] = (tick, mass)
+        return mass
 
     def frozen_belief(self, class_name: str, entry_edge: int, tick: int) -> np.ndarray:
         """The belief `tick` ticks after a target of `class_name` entered on
         `entry_edge`, with no observation in between: `tick` successive
-        `propagate` calls from the delta on the entry edge.
+        `propagate` calls from the delta on the entry edge. A checkpoint is
+        returned read-only, any other tick as a new array."""
+        mass = self._belief((class_name, entry_edge), tick)
+        return mass if tick % CHECKPOINT_TICKS == 0 else mass.copy()
 
-        Checkpoints are filled lazily and shared by every trial that uses this
-        world; a request propagates at most CHECKPOINT_TICKS - 1 times from the
-        nearest one below `tick`. A checkpoint is returned read-only, any other
-        tick as a new array.
-        """
-        model = self.models[class_name]
-        saved = self.checkpoints.setdefault((class_name, entry_edge), [])
-        k, rest = divmod(tick, CHECKPOINT_TICKS)
-        while len(saved) <= k:
-            if saved:
-                mass = saved[-1]
-                for _ in range(CHECKPOINT_TICKS):
-                    mass = propagate(mass, model)
-            else:
-                mass = init_belief(self.refined, entry_edge)
-            mass.flags.writeable = False
-            saved.append(mass)
-        mass = saved[k]
-        for _ in range(rest):
-            mass = propagate(mass, model)
-        return mass
+    def shared_marginal(self, class_name: str, entry_edge: int, tick: int) -> np.ndarray:
+        """`cell_marginal(frozen_belief(...))` at `road_cells`, read-only. A
+        key's rows cover one range of ticks, in blocks of ROW_CHUNK ticks; a
+        tick outside it widens the range, one `propagate` per new row."""
+        key = (class_name, entry_edge)
+        lo, end, blocks = self.marginals.get(key, (tick, tick, {}))
+        if not lo <= tick < end:
+            for t in (*range(tick, lo), *range(end, tick + 1)):
+                block = blocks.setdefault(t // ROW_CHUNK, np.empty((ROW_CHUNK, self.road_cells.size)))
+                block.flags.writeable = True
+                block[t % ROW_CHUNK] = cell_marginal(self._belief(key, t), self.overlay)[self.road_cells]
+                block.flags.writeable = False
+            self.marginals[key] = (min(lo, tick), max(end, tick + 1), blocks)
+        return blocks[tick // ROW_CHUNK][tick % ROW_CHUNK]
 
 
 def _world_key(scenario: ScenarioConfig) -> tuple:
@@ -163,7 +188,8 @@ def build_world(scenario: ScenarioConfig) -> World:
             raise ConfigError(f"{cls.model_path}: not a valid movement model: {shown}{more}")
         models[cls.name] = model
 
-    world = World(refined, overlay, start_of_parent, models)
+    road_cells = np.flatnonzero(np.bincount(overlay.cell_of_edge, minlength=overlay.n_cells))
+    world = World(refined, overlay, start_of_parent, models, road_cells)
     _check_entries(scenario, world)
     return world
 
@@ -327,15 +353,12 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
         if not any(tg.active for tg in targets):
             return TrialResult("win", detections, None, tick, seed)
 
-        # 4. Propagate beliefs, then condition on every fruitless search. At the
-        # first tick after the head start, the belief is the world's shared
-        # frozen belief of that tick: the same bits as propagating every tick.
+        # 4. Propagate beliefs, then condition on every fruitless search. A belief
+        # is the world's frozen belief until the target's first search gives it
+        # its own copy: the same bits as propagating it every tick.
         for tg in targets:
-            if tg.active:
-                if tg.belief is None:
-                    tg.belief = world.frozen_belief(tg.class_name, tg.entry, tick)
-                else:
-                    tg.belief = propagate(tg.belief, tg.model)
+            if tg.active and tg.belief is not None:
+                tg.belief = propagate(tg.belief, tg.model)
         for uav in uavs:
             searched = set(overlay.covered_cells(uav.pos[0], uav.pos[1], uav.detect_radius))
             if not searched:
@@ -343,14 +366,23 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
             for tg in targets:
                 if not tg.active:
                     continue
+                if tg.belief is None:
+                    tg.belief = world.frozen_belief(tg.class_name, tg.entry, tick)
                 try:
                     tg.belief = negative_update(tg.belief, searched, uav.detect_prob, overlay)
                 except CertainDetection:
                     tg.belief = _uniform_off_cells(overlay, searched)
 
-        # 5. Replan.
+        # 5. Replan on dense cell marginals. A search is the team's, so either
+        # every active target still shares the world's belief or none does.
         if uavs:
-            cbs = np.array([cell_marginal(tg.belief, overlay) for tg in targets if tg.active])
+            active = [tg for tg in targets if tg.active]
+            if active[0].belief is None:
+                cbs = np.zeros((len(active), overlay.n_cells))
+                for row, tg in zip(cbs, active):
+                    row[world.road_cells] = world.shared_marginal(tg.class_name, tg.entry, tick)
+            else:
+                cbs = np.array([cell_marginal(tg.belief, overlay) for tg in active])
             cells = select_cells(scenario.policy, cbs, len(uavs), team_p)
             assignment = match_uavs_to_cells({u.uid: u.pos for u in uavs}, cells, overlay)
             for uav in uavs:

@@ -145,11 +145,13 @@ class RandomWalkStrategy:
     beta: float
     name: str = "random_walk"
 
+    def __post_init__(self):
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+
     def path(
         self, g: RoadGraph, entry: int, rng: np.random.Generator, goal_index: int | None = None
     ) -> list[int]:
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
         gi = _draw_goal(g, entry, rng) if goal_index is None else goal_index
         goal_set = g.goals[gi]
         dmap = goal_distance_map(g, goal_set)
@@ -212,11 +214,13 @@ class SideRoadsStrategy:
     penalty: float
     name: str = "side_roads"
 
+    def __post_init__(self):
+        if not 0.0 <= self.penalty < math.inf:
+            raise ValueError(f"penalty must be finite and >= 0, got {self.penalty}")
+
     def path(
         self, g: RoadGraph, entry: int, rng: np.random.Generator, goal_index: int | None = None
     ) -> list[int]:
-        if self.penalty < 0:
-            raise ValueError("penalty must be non-negative")
         gi = _draw_goal(g, entry, rng) if goal_index is None else goal_index
         return _cached_route(g, self, entry, gi, self._weight)
 

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -61,6 +62,12 @@ CHAIN_GRAPH = """\
 # recorded before the transposed-matrix propagation and the route cache. Speed
 # work must not change a byte of it, at any --jobs.
 BORDER_RUN_SHA256 = "dda55d7b65d11b1c517110655b642a0beefaa1a66e61eeb2edfc0cf8a41766fa"
+
+# SHA-256 of the trial CSV of `run perfbench/scenarios/pursuit.yaml --trials 6
+# --seed 0`, recorded before trials shared each target's belief through the
+# world until its first search. Pursuit has no head start, so every tick of it
+# replans on beliefs.
+PURSUIT_RUN_SHA256 = "c71d3e149d87530a0ea85c655a6cc2fa903645f5f52394dc495cb4998ba36402"
 
 # SHA-256 of (threshold_grid.csv, threshold_best.csv) of `threshold-scan
 # scenarios/border.yaml --trials 3 --seed 2` plus these flags, and of the CSV
@@ -150,6 +157,11 @@ class TestCompileModel:
             ({"--velocity": "8"}, "expected LO:HI"),
             ({"--velocity": "12:8"}, "need 0 < LO <= HI"),
             ({"--velocity": "0:8"}, "need 0 < LO <= HI"),
+            ({"--strategies": "side_roads:penalty=nan"}, "penalty must be finite and >= 0, got nan"),
+            ({"--strategies": "side_roads:penalty=-2"}, "penalty must be finite and >= 0, got -2.0"),
+            ({"--strategies": "random_walk:beta=-1"}, "beta must be finite and >= 0, got -1.0"),
+            ({"--strategies": "random_walk:beta=nan"}, "beta must be finite and >= 0, got nan"),
+            ({"--strategies": "random_walk:beta=inf"}, "beta must be finite and >= 0, got inf"),
         ],
     )
     def test_flag_validation(self, work, capsys, patch, needle):
@@ -299,6 +311,28 @@ class TestRun:
         (work / "nan.yaml").write_text(yaml.safe_dump(scenario))
         assert main(["run", str(work / "nan.yaml"), "--trials", "2"]) == 1
         assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change,needle",
+        [
+            ({"depot": [math.nan, 12100.0]}, "uavs[0].depot: must be two finite numbers, got [nan, 12100.0]"),
+            ({"depot": [math.inf, 12100.0]}, "uavs[0].depot: must be two finite numbers, got [inf, 12100.0]"),
+            ({"beta": math.nan}, "strategies[0]: beta must be finite and >= 0, got nan"),
+            ({"beta": -1.0}, "strategies[0]: beta must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_depot_or_strategy_parameter_exits_1(self, work, capsys, change, needle):
+        """A UAV depot or a route strategy's weight that is not a finite
+        number is refused at load, naming the file, not when a trial uses it."""
+        scenario = yaml.safe_load((work / "tiny.yaml").read_text())
+        if "depot" in change:
+            scenario["uavs"][0].update(change)
+        else:
+            scenario["classes"]["default"]["strategies"] = [{"name": "random_walk", **change}]
+        (work / "escape.yaml").write_text(yaml.safe_dump(scenario))
+        assert main(["run", str(work / "escape.yaml"), "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"{work / 'escape.yaml'}: " in err and needle in err and "runtime error" not in err
 
     @pytest.mark.parametrize(
         "field,needle",
@@ -639,6 +673,15 @@ def test_border_run_bytes_are_pinned(tmp_path, jobs):
     rc = main(["run", scenario, "--trials", "6", "--seed", "0", "--jobs", jobs, "--out", str(out)])
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BORDER_RUN_SHA256
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_pursuit_run_bytes_are_pinned(tmp_path, jobs):
+    out = tmp_path / "trials.csv"
+    scenario = os.path.join(REPO_ROOT, "perfbench", "scenarios", "pursuit.yaml")
+    rc = main(["run", scenario, "--trials", "6", "--seed", "0", "--jobs", jobs, "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PURSUIT_RUN_SHA256
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

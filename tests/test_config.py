@@ -6,7 +6,7 @@ import os
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uav_search.config import (
@@ -120,6 +120,9 @@ class TestScenarioParsing:
             (lambda d: d["classes"]["runner"].update(velocity_kmh=[8]), r"velocity_kmh: expected \[low, high\]"),
             (lambda d: d["classes"]["runner"].update(velocity_kmh=[12, 8]), r"need 0 < low <= high"),
             (lambda d: d["classes"]["runner"].update(velocity_kmh=[0, 8]), r"need 0 < low <= high"),
+            (lambda d: d["classes"]["runner"].update(velocity_kmh=[8, math.inf]), r"need 0 < low <= high, got \[8.0, inf\]"),
+            (lambda d: d["uavs"][0].update(depot=[math.nan, 0]), r"uavs\[0\].depot: must be two finite numbers"),
+            (lambda d: d["uavs"][0].update(depot=[0, -math.inf]), r"uavs\[0\].depot: must be two finite numbers"),
             (lambda d: d["classes"]["runner"].update(strategies=[]), r"must list at least one strategy"),
             (lambda d: d["classes"]["runner"].update(strategies=[{}]), r"strategies\[0\].name: required"),
             (
@@ -218,6 +221,58 @@ class TestFileLoading:
         assert border_scenario.tick_seconds == 20.0
         assert os.path.isfile(border_scenario.graph_path)
         assert os.path.isfile(border_scenario.classes[0].model_path)
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BORDER_YAML = os.path.join(REPO_ROOT, "scenarios", "border.yaml")
+
+
+def _field_paths(node, path=()):
+    """Every key path into a parsed YAML tree: each mapping value and list
+    item, leaves and subtrees alike."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+def _bundled_border():
+    """scenarios/border.yaml as a tree, its graph and model paths made
+    absolute so a copy loads from any directory."""
+    with open(BORDER_YAML) as fh:
+        data = yaml.safe_load(fh)
+    base = os.path.dirname(BORDER_YAML)
+    data["graph"] = os.path.normpath(os.path.join(base, data["graph"]))
+    for cls in data["classes"].values():
+        cls["model"] = os.path.normpath(os.path.join(base, cls["model"]))
+    return data
+
+
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, -2.5, "x", "", True, False, [], [1.0, "a"], None]
+
+
+class TestLoadScenarioFuzz:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pick=st.integers(0, 10**6), value=st.sampled_from(FUZZ_VALUES))
+    def test_one_bad_field_loads_or_names_the_file(self, tmp_path, pick, value):
+        """`scenarios/border.yaml` with one field, a leaf or a subtree,
+        replaced by NaN, an infinity, a negative number, a string, a bool, a
+        list or null either loads or raises a ConfigError naming the file."""
+        data = _bundled_border()
+        paths = list(_field_paths(data))
+        *parents, key = paths[pick % len(paths)]
+        record = data
+        for part in parents:
+            record = record[part]
+        record[key] = value
+        path = tmp_path / "fuzz.yaml"
+        path.write_text(yaml.safe_dump(data))
+        try:
+            sc = load_scenario(str(path))
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        assert isinstance(sc, ScenarioConfig)
 
 
 @pytest.fixture

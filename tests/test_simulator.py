@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 import uav_search.simulator as simulator
-from uav_search.belief import init_belief, propagate
-from uav_search.config import ConfigError, TargetSpec
+from uav_search.belief import cell_marginal, init_belief, propagate
+from uav_search.config import ConfigError, TargetSpec, load_scenario
 from uav_search.simulator import (
     CHECKPOINT_TICKS,
     BatchStats,
@@ -32,6 +33,8 @@ from uav_search.movement import save_model
 from uav_search.road_graph import RoadGraph
 
 from oracles import head_start_loop, model_from_rows, model_rows
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +257,74 @@ class TestFrozenBelief:
         for i in range(3):
             assert run_trial(sc, trial_seed(4, i), world).outcome == "lose"
         assert calls == [] and world.checkpoints == {}
+
+
+class TestSharedBeliefs:
+    """Until its first fruitless search, a target's belief is the world's,
+    shared by every trial on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        requests=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 1), st.integers(0, 3 * CHECKPOINT_TICKS)), min_size=1, max_size=30
+        )
+    )
+    def test_shared_rows_equal_frozen_marginals_in_any_order(self, border_world, propagated, requests):
+        """Every row, asked for at any tick in any order and between frozen
+        belief requests, is the cell marginal of the frozen belief at the
+        road cells, and read-only; every other cell's marginal is 0.0. Two
+        entries and a few checkpoints' worth of ticks make neighbouring
+        requests, which start from the last belief reached, common."""
+        world = dataclasses.replace(border_world)  # same world, empty stores
+        overlay, road = world.overlay, world.road_cells
+        off_road = np.setdiff1d(np.arange(overlay.n_cells), road)
+        entries = sorted(world.start_of_parent.values())
+        for row_request, pick, n in requests:
+            entry = entries[pick]
+            if not row_request:
+                assert np.array_equal(world.frozen_belief("runner", entry, n), propagated(entry, n))
+                continue
+            row = world.shared_marginal("runner", entry, n)
+            dense = cell_marginal(propagated(entry, n), overlay)
+            assert np.array_equal(row, dense[road]) and not dense[off_road].any()
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.5
+
+    @pytest.fixture(scope="class")
+    def pursuit_scenario(self):
+        return load_scenario(os.path.join(REPO_ROOT, "perfbench", "scenarios", "pursuit.yaml"))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        before=st.lists(st.tuples(st.booleans(), st.integers(0, 2**32)), max_size=4),
+        last=st.tuples(st.booleans(), st.integers(0, 2**32)),
+    )
+    def test_trial_ignores_what_ran_on_its_world_before(
+        self, border_scenario, pursuit_scenario, border_world, before, last
+    ):
+        """A trial on a world that ran any pursuit and border trials before it
+        equals the same trial on a fresh world."""
+        world = dataclasses.replace(border_world)
+        for pursuit, seed in before:
+            run_trial(pursuit_scenario if pursuit else border_scenario, seed, world)
+        pursuit, seed = last
+        scenario = pursuit_scenario if pursuit else border_scenario
+        assert run_trial(scenario, seed, world) == run_trial(scenario, seed, dataclasses.replace(border_world))
+
+    def test_zero_uav_trial_does_no_belief_work(self, border_scenario, monkeypatch):
+        """Nothing reads the beliefs of a team of none: no search, no replan."""
+        calls = []
+
+        def counting(mass, model):
+            calls.append(1)
+            return propagate(mass, model)
+
+        monkeypatch.setattr(simulator, "propagate", counting)
+        sc = dataclasses.replace(border_scenario, uavs=(), grid_radius=500.0, delay_km=0.0)
+        world = build_world(sc)
+        for i in range(3):
+            assert run_trial(sc, trial_seed(6, i), world).ticks > 1
+        assert calls == [] and world.marginals == {} and world.checkpoints == {}
 
 
 @st.composite

@@ -208,14 +208,14 @@ class TestCachedWalkSteps:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
-    def test_nan_probabilities_raise_like_choice(self, fork_graph, beta):
+    def test_nan_probabilities_raise_like_choice(self, beta):
         p = np.array([0.5, np.nan])
         with pytest.raises(ValueError) as theirs:
             np.random.default_rng(0).choice(2, p=p)
         with pytest.raises(ValueError, match=f"^{theirs.value}$"):
             choice_cdf(p)
-        with pytest.raises(ValueError, match=f"^{theirs.value}$"):
-            RandomWalkStrategy(beta).path(fork_graph, 0, np.random.default_rng(0), goal_index=0)
+        with pytest.raises(ValueError, match=f"^beta must be finite and >= 0, got {beta}$"):
+            RandomWalkStrategy(beta)  # refused when built, before a walk could draw from NaN
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -408,6 +408,19 @@ class TestRegistry:
     def test_missing_parameter(self):
         with pytest.raises(ValueError, match="missing parameters"):
             make_strategy("random_walk")
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("random_walk", {"beta": -1}), ("random_walk", {"beta": "nan"}), ("random_walk", {"beta": "inf"}),
+            ("side_roads", {"penalty": -2}), ("side_roads", {"penalty": "nan"}), ("side_roads", {"penalty": "-inf"}),
+        ],
+    )
+    def test_bad_weight_refused_when_built(self, name, params):
+        """A weight that is negative or not finite fails when the strategy is
+        built, not when its first path is drawn."""
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            make_strategy(name, params)
 
 
 class TestPool:
