@@ -28,6 +28,13 @@ class CertainDetection(RuntimeError):
     """The belief implies the target would certainly have been detected."""
 
 
+def check_detect_prob(p: float, error: type[ValueError] = ValueError) -> None:
+    """The detection-probability rule, p in (0, 1], for every reader of a p;
+    a refusal raises `error`, its message starting with the scenario key."""
+    if not 0.0 < p <= 1.0:
+        raise error(f"detect_prob: must be in (0, 1], got {p}")
+
+
 def _normalized(mass: np.ndarray) -> np.ndarray:
     """Prune and rescale `mass` in place; callers pass an array they own."""
     np.putmask(mass, mass < PRUNE_EPS, 0.0)
@@ -77,8 +84,7 @@ def negative_update(
     eta <= 0, which is only possible at p = 1 with all mass searched: the
     target would certainly have been found. Returns a new array.
     """
-    if not (0.0 < detect_prob <= 1.0):
-        raise ValueError(f"detection probability must be in (0, 1], got {detect_prob}")
+    check_detect_prob(detect_prob)
     if not searched_cells:
         return mass.copy()
     searched_edges = overlay.edge_mask(searched_cells)

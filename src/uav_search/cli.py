@@ -17,11 +17,12 @@ import os
 import sys
 
 from .belief import propagate
-from .config import ConfigError, SweepSpec, apply_axis, check_trials, load_scenario, load_sweep, sweep_points
-from .movement import ModelFormatError, compile_model, save_model, traces_for_strategies
-from .road_graph import GraphFormatError, load_graph, overlay_grid
-from .simulator import KMH_TO_MS, BatchStats, TrialResult, build_world, run_batch, trial_seed
-from .strategies import make_strategy
+from .config import (
+    ConfigError, SweepSpec, apply_axis, check_trials, load_scenario, load_sweep, parse_strategy, sweep_points,
+)
+from .movement import KMH_TO_MS, ModelFormatError, compile_model, save_model, traces_for_strategies
+from .road_graph import GraphFormatError, load_graph, overlay_grid, plain_number
+from .simulator import BatchStats, TrialResult, build_world, run_batch, trial_seed
 
 DEFAULT_TRIALS = 100
 GRID_CSV = "threshold_grid.csv"
@@ -59,25 +60,49 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _plain(text: str, kind: type = float):
+    """`kind(text)` by the file formats' rule for numbers: no `_` separator
+    and no non-ASCII digit (see plain_number). Raises ValueError."""
+    if not plain_number(text):
+        raise ValueError(f"not a plain number: {text!r}")
+    return kind(text)
+
+
+def _flag(kind: type, ok=lambda value: True, rule: str = ""):
+    """The argparse type of a numeric flag: a `_plain` number that `ok`
+    accepts. argparse names the flag in a refusal, and `_Parser` exits 1."""
+    def parse(text: str):
+        try:
+            value = _plain(text, kind)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+    return parse
+
+
+_INT = _flag(int)
+_NON_NEGATIVE_INT = _flag(int, lambda v: v >= 0, "must be >= 0")
+_POSITIVE_FINITE = _flag(float, lambda v: 0 < v < math.inf, "must be positive and finite")
+
+
 def _parse_strategies(spec: str) -> list:
-    """Comma list of `name` or `name:key=value[;key=value]` items."""
+    """Comma list of `name` or `name:key=value[;key=value]` items, each read
+    as the scenario files' strategy spec `{name: ..., key: value, ...}`."""
     strategies = []
-    for item in filter(None, (s.strip() for s in spec.split(","))):
+    for i, item in enumerate(filter(None, (s.strip() for s in spec.split(",")))):
         name, _, rest = item.partition(":")
-        params = {}
+        data = {"name": name.strip()}
         for pair in filter(None, rest.split(";")):
             key, sep, value = pair.partition("=")
             if not sep:
                 raise ConfigError(f"--strategies: expected key=value in {item!r}")
             try:
-                params[key.strip()] = float(value)
+                data[key.strip()] = _plain(value)
             except ValueError:
                 raise ConfigError(f"--strategies: bad number {value!r} in {item!r}") from None
-        try:
-            strategies.append(make_strategy(name.strip(), params or None))
-        except (KeyError, ValueError) as exc:
-            msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-            raise ConfigError(f"--strategies: {msg}") from None
+        strategies.append(parse_strategy(data, f"--strategies[{i}]"))
     if not strategies:
         raise ConfigError("--strategies: need at least one strategy")
     return strategies
@@ -88,7 +113,7 @@ def _parse_range(spec: str) -> tuple[float, float]:
     try:
         if not sep:
             raise ValueError
-        pair = (float(lo), float(hi))
+        pair = (_plain(lo), _plain(hi))
     except ValueError:
         raise ConfigError(f"--velocity: expected LO:HI km/h, got {spec!r}") from None
     if not (0 < pair[0] <= pair[1]):
@@ -199,7 +224,7 @@ def _flag_axis(scenario, axis: str, spec: str, flag: str) -> tuple[float, ...]:
     """The values of a threshold-scan axis given as a comma list, each checked
     as the scan applies it to `scenario`; an error names the flag."""
     try:
-        values = tuple(float(s) for s in filter(None, (v.strip() for v in spec.split(","))))
+        values = tuple(_plain(s) for s in filter(None, (v.strip() for v in spec.split(","))))
     except ValueError:
         raise ConfigError(f"{flag}: expected comma-separated numbers, got {spec!r}") from None
     if not values:
@@ -217,7 +242,7 @@ def cmd_threshold_scan(args) -> int:
     seed = args.seed if args.seed is not None else 0
     thresholds = _flag_axis(scenario, "threshold", args.thresholds, "--thresholds")
     axes = [("threshold", thresholds)]
-    if args.detect_probs:
+    if args.detect_probs is not None:
         axes.insert(0, ("detect_prob", _flag_axis(scenario, "detect_prob", args.detect_probs, "--detect-probs")))
     spec = SweepSpec(scenario, tuple(axes), args.trials, seed)
 
@@ -247,8 +272,6 @@ def cmd_threshold_scan(args) -> int:
 
 
 def cmd_dump_belief(args) -> int:
-    if args.ticks < 0:
-        raise ConfigError("--ticks: must be >= 0")
     scenario = load_scenario(args.scenario)
     world = build_world(scenario)
     class_name = args.target_class or scenario.targets[0].class_name
@@ -278,8 +301,9 @@ def cmd_dump_belief(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed (default 0; sweep: file seed)")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for trials")
+    common.add_argument("--seed", type=_NON_NEGATIVE_INT, default=None,
+                        help="master seed, >= 0 (default 0; sweep: file seed)")
+    common.add_argument("--jobs", type=_INT, default=1, help="worker processes for trials")
     common.add_argument("--out", default=None, help="output file, or directory for sweep/threshold-scan")
 
     parser = _Parser(prog="uav-search", description=__doc__.splitlines()[0])
@@ -289,17 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="road graph file")
     p.add_argument("--strategies", required=True,
                    help="comma list, e.g. shortest,random_walk:beta=0.01,side_roads:penalty=1.5")
-    p.add_argument("--radius", type=float, required=True, help="detection radius defining the grid (m)")
-    p.add_argument("--tick", type=float, required=True, help="sampling tick (s)")
+    p.add_argument("--radius", type=_POSITIVE_FINITE, required=True, help="detection radius defining the grid (m)")
+    p.add_argument("--tick", type=_POSITIVE_FINITE, required=True, help="sampling tick (s)")
     p.add_argument("--velocity", default="8:12", help="target velocity range LO:HI (km/h)")
-    p.add_argument("--runs-per-pair", type=int, default=3, help="traces per (entry, goal) pair")
-    p.add_argument("--smoothing", type=float, default=0.01, help="Laplace smoothing epsilon")
+    p.add_argument("--runs-per-pair", type=_INT, default=3, help="traces per (entry, goal) pair")
+    p.add_argument("--smoothing", type=_flag(float, lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
+                   default=0.01, help="Laplace smoothing epsilon")
     p.add_argument("--target-class", default="default", help="class name stored in the model file")
     p.set_defaults(func=cmd_compile_model)
 
     p = sub.add_parser("run", parents=[common], help="run one scenario batch")
     p.add_argument("scenario", help="scenario config file")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_INT, default=DEFAULT_TRIALS)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", parents=[common], help="run every point of a parameter sweep")
@@ -311,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario config file")
     p.add_argument("--thresholds", required=True, help="comma-separated threshold grid")
     p.add_argument("--detect-probs", default=None, help="comma-separated detection probabilities")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_INT, default=DEFAULT_TRIALS)
     p.set_defaults(func=cmd_threshold_scan)
 
     p = sub.add_parser("dump-belief", parents=[common], help="propagate one belief and dump it per tick")
     p.add_argument("scenario", help="scenario config file")
-    p.add_argument("--ticks", type=int, default=100, help="propagation steps to dump")
-    p.add_argument("--entry", type=int, default=None, help="entry edge id (default: lowest)")
+    p.add_argument("--ticks", type=_NON_NEGATIVE_INT, default=100, help="propagation steps to dump")
+    p.add_argument("--entry", type=_INT, default=None, help="entry edge id (default: lowest)")
     p.add_argument("--target-class", default=None, help="class whose model to propagate")
     p.set_defaults(func=cmd_dump_belief)
 

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import yaml
 
+from .belief import check_detect_prob
 from .planner import PolicyConfig
+from .road_graph import read_lines
 from .strategies import Strategy, make_strategy
 
 SWEEP_AXES = ("n_uavs", "n_targets", "delay_km", "threshold", "detect_prob")
@@ -37,9 +39,12 @@ def check_trials(n: int, label: str = "trials") -> int:
     return n
 
 
-def _check_probability(key: str, value: float) -> None:
-    if not (0.0 < value <= 1.0):
-        raise ConfigError(f"{key}: must be in (0, 1], got {value}")
+def _check_positive(key: str, value: float) -> None:
+    """The rule for a speed, length or time: positive, and finite."""
+    if not value > 0:
+        raise ConfigError(f"{key}: must be positive, got {value}")
+    if value == math.inf:
+        raise ConfigError(f"{key}: must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -52,11 +57,9 @@ class UavSpec:
     def __post_init__(self):
         if len(self.depot) != 2 or not all(map(math.isfinite, self.depot)):
             raise ConfigError(f"depot: must be two finite numbers, got {list(self.depot)}")
-        if not self.velocity_kmh > 0:
-            raise ConfigError(f"velocity_kmh: must be positive, got {self.velocity_kmh}")
-        if not self.detect_radius > 0:
-            raise ConfigError(f"detect_radius: must be positive, got {self.detect_radius}")
-        _check_probability("detect_prob", self.detect_prob)
+        _check_positive("velocity_kmh", self.velocity_kmh)
+        _check_positive("detect_radius", self.detect_radius)
+        check_detect_prob(self.detect_prob, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -101,13 +104,11 @@ class ScenarioConfig:
                 raise ConfigError(f"targets[{i}].class: unknown class {t.class_name!r} (known: {sorted(known)})")
         if not self.delay_km >= 0:
             raise ConfigError(f"delay_km: must be >= 0.0, got {self.delay_km}")
-        if not self.tick_seconds > 0:
-            raise ConfigError(f"tick_seconds: must be positive, got {self.tick_seconds}")
+        _check_positive("tick_seconds", self.tick_seconds)
         if self.max_ticks < 1:
             raise ConfigError(f"max_ticks: must be >= 1, got {self.max_ticks}")
         if self.grid_radius is not None:
-            if not self.grid_radius > 0:
-                raise ConfigError(f"grid_radius: must be positive, got {self.grid_radius}")
+            _check_positive("grid_radius", self.grid_radius)
             if self.uavs and self.grid_radius > min(u.detect_radius for u in self.uavs) + 1e-9:
                 raise ConfigError(
                     "grid_radius: exceeds the smallest UAV detection radius; "
@@ -155,7 +156,9 @@ def _need_list(data, path: str) -> list:
     return data
 
 
-def _need_float(data, path: str) -> float:
+def _need_float(data, path: str, optional: bool = False) -> float | None:
+    if optional and data is None:
+        return None
     if isinstance(data, bool) or not isinstance(data, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {data!r}")
     return float(data)
@@ -197,7 +200,9 @@ def _parse_uav(data, path: str) -> UavSpec:
     return _build(UavSpec, path, (x, y), v, r, p)
 
 
-def _parse_strategy(data, path: str) -> Strategy:
+def parse_strategy(data, path: str) -> Strategy:
+    """A strategy from its spec, `{name: ..., <parameter>: <number>, ...}`,
+    as a file or the `--strategies` flag gives it; errors start with `path`."""
     data = _need_map(data, path)
     if "name" not in data:
         raise ConfigError(f"{path}.name: required")
@@ -220,7 +225,7 @@ def _parse_class(name: str, data, path: str, base_dir: str) -> TargetClassSpec:
     hi = _need_float(vr[1], f"{path}.velocity_kmh[1]")
     listed = _need_list(data.get("strategies"), f"{path}.strategies")
     strategies = tuple(
-        _parse_strategy(s, f"{path}.strategies[{i}]") for i, s in enumerate(listed)
+        parse_strategy(s, f"{path}.strategies[{i}]") for i, s in enumerate(listed)
     )
     if "model" not in data or not isinstance(data["model"], str):
         raise ConfigError(f"{path}.model: required (path to a compiled movement model)")
@@ -246,9 +251,7 @@ def _parse_policy(data, path: str) -> PolicyConfig:
     data = _need_map(data, path)
     _reject_unknown(data, {"name", "threshold", "detect_prob"}, path)
     threshold = _need_float(data.get("threshold", 0.2), f"{path}.threshold")
-    p = data.get("detect_prob")
-    if p is not None:
-        p = _need_float(p, f"{path}.detect_prob")
+    p = _need_float(data.get("detect_prob"), f"{path}.detect_prob", optional=True)
     return _build(PolicyConfig, path, data.get("name", "adaptive"), threshold, p)
 
 
@@ -292,9 +295,7 @@ def scenario_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
     delay_km = _need_float(data.get("delay_km", 0.0), "delay_km")
     tick_seconds = _need_float(data.get("tick_seconds", DEFAULT_TICK_SECONDS), "tick_seconds")
     max_ticks = _need_int(data.get("max_ticks", DEFAULT_MAX_TICKS), "max_ticks")
-    grid_radius = data.get("grid_radius")
-    if grid_radius is not None:
-        grid_radius = _need_float(grid_radius, "grid_radius")
+    grid_radius = _need_float(data.get("grid_radius"), "grid_radius", optional=True)
 
     return ScenarioConfig(
         graph_path=graph_path,
@@ -309,20 +310,19 @@ def scenario_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
     )
 
 
-def _load_yaml(path: str):
+def _load_yaml(path: str) -> dict:
+    """The top-level mapping of a YAML file; anything else raises ConfigError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return yaml.safe_load(fh)
+        data = yaml.safe_load("\n".join(read_lines(path, ConfigError)))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a top-level mapping")
+    return data
 
 
 def load_scenario(path: str) -> ScenarioConfig:
     data = _load_yaml(path)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a top-level mapping")
     try:
         return scenario_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
     except ConfigError as exc:
@@ -331,8 +331,6 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 def load_sweep(path: str, default_seed: int = 0) -> SweepSpec:
     data = _load_yaml(path)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a top-level mapping")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         _reject_unknown(data, {"base", "trials", "seed", "axes"}, "sweep")
@@ -385,7 +383,7 @@ def apply_axis(scenario: ScenarioConfig, axis: str, value, label: str | None = N
         if axis == "detect_prob":
             p = float(value)
             if not scenario.uavs:  # no UavSpec is built to check the value
-                _check_probability("detect_prob", p)
+                check_detect_prob(p)
             uavs = tuple(dataclasses.replace(u, detect_prob=p) for u in scenario.uavs)
             policy = dataclasses.replace(scenario.policy, detect_prob=None)
             return dataclasses.replace(scenario, uavs=uavs, policy=policy)

@@ -25,28 +25,13 @@ from .strategies import UnreachableGoalError, validate_path
 
 DEFAULT_SMOOTHING = 0.01
 
+KMH_TO_MS = 1000.0 / 3600.0
+
 ROW_SUM_TOL = 1e-9
 
 
 class ModelFormatError(ValueError):
     """Raised for malformed or inconsistent model files."""
-
-
-@dataclass(frozen=True, eq=False)
-class PathTrace:
-    """Edge occupancy of one simulated route, one edge per tick.
-
-    `edges[t]` is the edge occupied at tick t, from tick 0; the first edge is
-    an entry, the last the absorbing goal edge and no earlier one is a goal.
-    The array is read-only.
-    """
-
-    edges: np.ndarray
-
-    def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.intp)
-        edges.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +65,12 @@ class TransitionModel:
         return np.flatnonzero(np.bincount(self.src, minlength=self.n_edges) == 0)
 
 
-def sample_trace(g: RoadGraph, path: list[int], velocity_ms: float, tick: float) -> PathTrace:
+def sample_trace(g: RoadGraph, path: list[int], velocity_ms: float, tick: float) -> np.ndarray:
     """Sample edge occupancy along `path` every `tick` seconds at constant
-    speed, stopping at the first sample on a goal edge.
+    speed, stopping at the first sample on a goal edge: a trace, the
+    read-only array of the edge occupied at each tick from tick 0. Its first
+    edge is an entry, its last the absorbing goal edge and no earlier one a
+    goal.
 
     Tick t sits `velocity_ms * tick * t` meters along the path, on the edge
     whose end lies first beyond it (the last edge once past the path's end).
@@ -98,7 +86,9 @@ def sample_trace(g: RoadGraph, path: list[int], velocity_ms: float, tick: float)
     on_goal = np.array([e in g.goal_union for e in path])[at]
     if not on_goal.any():
         raise ValueError(f"path never reaches a goal edge: it ends on edge {path[-1]}")
-    return PathTrace(np.asarray(path, dtype=np.intp)[at[: on_goal.argmax() + 1]])
+    trace = np.asarray(path, dtype=np.intp)[at[: on_goal.argmax() + 1]]
+    trace.flags.writeable = False
+    return trace
 
 
 def generate_training_traces(
@@ -108,7 +98,7 @@ def generate_training_traces(
     velocity_range_kmh: tuple[float, float],
     runs_per_pair: int,
     seed: int,
-) -> list[PathTrace]:
+) -> list[np.ndarray]:
     """Traces for every (entry, goal) pair, `runs_per_pair` each.
 
     Velocity is drawn uniformly from `velocity_range_kmh` per run. Pairs the
@@ -118,12 +108,12 @@ def generate_training_traces(
     lo, hi = velocity_range_kmh
     if not (0 < lo <= hi):
         raise ValueError(f"bad velocity range {velocity_range_kmh}")
-    traces: list[PathTrace] = []
+    traces: list[np.ndarray] = []
     for ei, entry in enumerate(sorted(g.entries)):
         for gi in range(len(g.goals)):
             for run in range(runs_per_pair):
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ei, gi, run)))
-                v_ms = rng.uniform(lo, hi) * (1000.0 / 3600.0)
+                v_ms = rng.uniform(lo, hi) * KMH_TO_MS
                 try:
                     path = strategy.path(g, entry, rng, goal_index=gi)
                 except UnreachableGoalError:
@@ -140,11 +130,11 @@ def traces_for_strategies(
     velocity_range_kmh: tuple[float, float],
     runs_per_pair: int,
     seed: int,
-) -> list[PathTrace]:
+) -> list[np.ndarray]:
     """Pooled training traces, one deterministic sub-seed per strategy."""
     if not strategies:
         raise ValueError("need at least one strategy")
-    traces: list[PathTrace] = []
+    traces: list[np.ndarray] = []
     for si, strategy in enumerate(strategies):
         sub = int(np.random.SeedSequence(seed, spawn_key=(si,)).generate_state(1, np.uint64)[0])
         traces.extend(generate_training_traces(g, strategy, tick, velocity_range_kmh, runs_per_pair, sub))
@@ -152,7 +142,7 @@ def traces_for_strategies(
 
 
 def compile_model(
-    traces: list[PathTrace],
+    traces: list[np.ndarray],
     g: RoadGraph,
     smoothing: float = DEFAULT_SMOOTHING,
     tick: float = 1.0,
@@ -173,8 +163,8 @@ def compile_model(
     support = [sorted({src, *nxt}) for src, nxt in enumerate(g._next)]
     allowed = np.array([src * n + dst for src, row in enumerate(support) for dst in row], dtype=np.intp)
     none = np.empty(0, dtype=np.intp)
-    hop_src = np.concatenate([none, *(t.edges[:-1] for t in traces)])
-    hop_dst = np.concatenate([none, *(t.edges[1:] for t in traces)])
+    hop_src = np.concatenate([none, *(t[:-1] for t in traces)])
+    hop_dst = np.concatenate([none, *(t[1:] for t in traces)])
     for edges in (hop_src, hop_dst):
         outside = edges[(edges < 0) | (edges >= n)]
         if outside.size:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .belief import CertainDetection, ETA_TOL, entropy
+from .belief import CertainDetection, ETA_TOL, check_detect_prob, entropy
 from .road_graph import GridOverlay
 
 DEFAULT_THRESHOLD = 0.2
@@ -25,6 +25,9 @@ DEFAULT_THRESHOLD = 0.2
 # Below this eta, candidate_gains uses the explicit-set gain: the closed form
 # divides sums of P log2 P by eta, and its error (measured: ~1e-15 / eta bits) grows.
 EXACT_GAIN_ETA = 1e-3
+
+# The policy names PolicyConfig accepts; select_cells runs them.
+POLICIES = ("general", "single_entry", "adaptive", "entropy_only", "max_prob", "max_avg_prob")
 
 
 @dataclass(frozen=True)
@@ -41,13 +44,8 @@ class PolicyConfig:
             raise ValueError(f"name: unknown policy {self.policy!r} (known: {list(POLICIES)})")
         if not self.threshold >= 0.0:
             raise ValueError(f"threshold: must be >= 0.0, got {self.threshold}")
-        if self.detect_prob is not None and not (0.0 < self.detect_prob <= 1.0):
-            raise ValueError(f"detect_prob: must be in (0, 1], got {self.detect_prob}")
-
-
-def _check_p(p: float) -> None:
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"detection probability must be in (0, 1], got {p}")
+        if self.detect_prob is not None:
+            check_detect_prob(self.detect_prob)
 
 
 def temporal_entropy(cb: np.ndarray, cells: set[int] | frozenset[int], p: float) -> float:
@@ -57,8 +55,8 @@ def temporal_entropy(cb: np.ndarray, cells: set[int] | frozenset[int], p: float)
     eta = 1 - p * P(searched). Raises CertainDetection at eta <= 0 (only
     possible when p = 1 and the searched cells hold all mass).
     """
-    _check_p(p)
-    idx = np.fromiter(cells, dtype=np.int64) if cells else np.empty(0, dtype=np.int64)
+    check_detect_prob(p)
+    idx = np.fromiter(cells, dtype=np.int64)
     eta = 1.0 - p * float(cb[idx].sum())
     if eta <= ETA_TOL:
         raise CertainDetection("target certainly detected")
@@ -74,10 +72,8 @@ def entropy_gain(cb: np.ndarray, cells: set[int] | frozenset[int], p: float) -> 
     search is certain to find the target (eta <= 0) the whole entropy is
     gained.
     """
-    _check_p(p)
     current = entropy(cb)
-    idx = np.fromiter(cells, dtype=np.int64) if cells else np.empty(0, dtype=np.int64)
-    weight = float(np.prod(1.0 - p * cb[idx])) if idx.size else 1.0
+    weight = float(np.prod(1.0 - p * cb[np.fromiter(cells, dtype=np.int64)]))  # 1.0 for no cells
     try:
         return current - weight * temporal_entropy(cb, cells, p)
     except CertainDetection:
@@ -191,7 +187,7 @@ def greedy_select(
     already searched in the product weight and the renormalization), which is
     what assignment seeding requires. Ties break toward the lowest cell id.
     """
-    _check_p(p)
+    check_detect_prob(p)
     if len(cell_beliefs) == 0:
         raise ValueError("need at least one cell belief")
     P = np.ascontiguousarray(cell_beliefs, dtype=float)
@@ -227,7 +223,7 @@ def assign_general(cell_beliefs: Sequence[np.ndarray], m: int, p: float) -> set[
     """
     if m == 0:
         return set()
-    _check_p(p)
+    check_detect_prob(p)
     P = np.asarray(cell_beliefs)
     seeds = set(P.argmax(axis=1).tolist())
     if len(seeds) >= m:
@@ -246,7 +242,7 @@ def assign_single_entry(cb: np.ndarray, m: int, p: float, threshold: float = DEF
     """
     if m == 0:
         return set()
-    _check_p(p)
+    check_detect_prob(p)
     qualifying = cb >= threshold
     if qualifying.any():
         peak = int(np.argmax(np.where(qualifying, cb, -np.inf)))
@@ -260,53 +256,28 @@ def _top_m(mass: np.ndarray, m: int) -> set[int]:
     return set(int(c) for c in order[:m])
 
 
-def policy_max_prob(cell_beliefs: Sequence[np.ndarray], m: int) -> set[int]:
-    """Top-m cells of the per-cell maximum probability over targets."""
-    return _top_m(np.max(cell_beliefs, axis=0), m)
-
-
-def policy_max_avg_prob(cell_beliefs: Sequence[np.ndarray], m: int) -> set[int]:
-    """Top-m cells of the per-cell mean probability over targets."""
-    return _top_m(np.mean(cell_beliefs, axis=0), m)
-
-
-def policy_entropy_only(cell_beliefs: Sequence[np.ndarray], m: int, p: float) -> set[int]:
-    """Pure greedy entropy-gain selection, no probability seeding."""
-    return set(greedy_select(cell_beliefs, m, p))
-
-
-def policy_adaptive(cell_beliefs: Sequence[np.ndarray], m: int, p: float) -> set[int]:
-    """Entropy-first while outnumbered, per-target coverage otherwise.
-
-    With more undetected targets than UAVs the uncertainty-reduction greedy
-    runs; otherwise the general per-target assignment takes over.
-    """
-    if len(cell_beliefs) > m:
-        return policy_entropy_only(cell_beliefs, m, p)
-    return assign_general(cell_beliefs, m, p)
-
-
-# Policy name -> selection from (cell beliefs, UAV count, planning p, threshold).
-POLICIES = {
-    "general": lambda cbs, m, p, threshold: assign_general(cbs, m, p),
-    "single_entry": lambda cbs, m, p, threshold: assign_single_entry(np.mean(cbs, axis=0), m, p, threshold),
-    "adaptive": lambda cbs, m, p, threshold: policy_adaptive(cbs, m, p),
-    "entropy_only": lambda cbs, m, p, threshold: policy_entropy_only(cbs, m, p),
-    "max_prob": lambda cbs, m, p, threshold: policy_max_prob(cbs, m),
-    "max_avg_prob": lambda cbs, m, p, threshold: policy_max_avg_prob(cbs, m),
-}
-
-
 def select_cells(
     cfg: PolicyConfig,
     cell_beliefs: Sequence[np.ndarray],
     m: int,
     team_detect_prob: float,
 ) -> set[int]:
-    """Dispatch to the configured policy. Planning uses the configured
-    detection probability, defaulting to the team minimum."""
+    """The cells the configured policy picks for `m` UAVs, planning with the
+    configured p or else the team minimum. max_prob and max_avg_prob take the
+    top m cells of the per-cell maximum or mean over targets; single_entry
+    seeds the targets' mean belief; entropy_only is pure greedy gain; adaptive
+    runs it while outnumbered (more targets than UAVs), general otherwise."""
+    policy = cfg.policy
+    if policy == "max_prob":
+        return _top_m(np.max(cell_beliefs, axis=0), m)
+    if policy == "max_avg_prob":
+        return _top_m(np.mean(cell_beliefs, axis=0), m)
     p = cfg.detect_prob if cfg.detect_prob is not None else team_detect_prob
-    return POLICIES[cfg.policy](cell_beliefs, m, p, cfg.threshold)
+    if policy == "single_entry":
+        return assign_single_entry(np.mean(cell_beliefs, axis=0), m, p, cfg.threshold)
+    if policy == "entropy_only" or (policy == "adaptive" and len(cell_beliefs) > m):
+        return set(greedy_select(cell_beliefs, m, p))
+    return assign_general(cell_beliefs, m, p)
 
 
 def match_uavs_to_cells(

@@ -201,7 +201,7 @@ def load_graph(path: str) -> RoadGraph:
     entry_lines: list[tuple[int, int]] = []
     goal_lines: list[tuple[int, int, int]] = []
     section = None
-    known = {"#vertices", "#edges", "#entries", "#goals"}
+    arity = {"#vertices": 3, "#edges": 3, "#entries": 1, "#goals": 2}  # section -> numbers per line
 
     for lineno, raw in enumerate(read_lines(path, GraphFormatError), start=1):
         line = raw.strip()
@@ -209,18 +209,16 @@ def load_graph(path: str) -> RoadGraph:
             continue
         toks = line.split()
         if toks[0].startswith("#"):
-            if toks[0] not in known or len(toks) != 1:
+            if toks[0] not in arity or len(toks) != 1:
                 raise GraphFormatError(f"{path}:{lineno}: unknown section header {toks[0]!r}")
             section = toks[0]
             continue
         if section is None:
             raise GraphFormatError(f"{path}:{lineno}: data before any section header")
         try:
-            if not plain_number(line):
+            if not plain_number(line) or len(toks) != arity[section]:
                 raise ValueError
             if section == "#vertices":
-                if len(toks) != 3:
-                    raise ValueError
                 vid, x, y = int(toks[0]), float(toks[1]), float(toks[2])
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise ValueError
@@ -228,16 +226,10 @@ def load_graph(path: str) -> RoadGraph:
                     raise GraphFormatError(f"{path}:{lineno}: duplicate vertex id {vid}")
                 vertices[vid] = (x, y)
             elif section == "#edges":
-                if len(toks) != 3:
-                    raise ValueError
                 edges_raw.append((lineno, int(toks[0]), int(toks[1]), int(toks[2])))
             elif section == "#entries":
-                if len(toks) != 1:
-                    raise ValueError
                 entry_lines.append((lineno, int(toks[0])))
             else:
-                if len(toks) != 2:
-                    raise ValueError
                 goal_lines.append((lineno, int(toks[0]), int(toks[1])))
         except GraphFormatError:
             raise

@@ -32,20 +32,17 @@ import numpy as np
 
 from .belief import CertainDetection, cell_marginal, init_belief, negative_update, propagate
 from .config import ConfigError, ScenarioConfig, check_trials
-from .movement import TransitionModel, load_model, validate_stochastic
+from .movement import KMH_TO_MS, TransitionModel, load_model, validate_stochastic
 from .planner import match_uavs_to_cells, select_cells
 from .road_graph import GridOverlay, RoadGraph, load_graph, overlay_grid
 
 # 95% normal quantile for Wilson intervals.
 WILSON_Z = 1.959963984540054
 
-KMH_TO_MS = 1000.0 / 3600.0
-
 # World keeps each frozen belief sequence at every multiple of this many ticks
 # (5.9 KB a belief on the bundled border map), and its cell marginals in blocks
-# of ROW_CHUNK ticks (1.5 KB a row) that never move, so none is freed to grow.
-CHECKPOINT_TICKS = 32
-ROW_CHUNK = 16
+# of this many ticks (1.5 KB a row) that never move, so none is freed to grow.
+BLOCK_TICKS = 16
 
 
 @dataclass(frozen=True)
@@ -90,11 +87,11 @@ class World:
     start_of_parent: dict[int, int]  # original entry edge -> its first refined piece, in id order
     models: dict[str, TransitionModel]
     road_cells: np.ndarray  # the cells holding a refined edge, ascending; any other cell's marginal is 0.0
-    # (class name, entry edge) -> read-only beliefs at ticks 0, CHECKPOINT_TICKS, ...
+    # (class name, entry edge) -> read-only beliefs at ticks 0, BLOCK_TICKS, ...
     checkpoints: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict, init=False, repr=False)
     # (class name, entry edge) -> (tick, read-only belief) of the last belief reached
     latest: dict[tuple[str, int], tuple[int, np.ndarray]] = field(default_factory=dict, init=False, repr=False)
-    # (class name, entry edge) -> (first tick, end tick, {t // ROW_CHUNK: read-only rows at road_cells})
+    # (class name, entry edge) -> (first tick, end tick, {t // BLOCK_TICKS: read-only rows at road_cells})
     marginals: dict[tuple[str, int], tuple[int, int, dict[int, np.ndarray]]] = field(default_factory=dict, init=False, repr=False)
 
     def _belief(self, key: tuple[str, int], tick: int) -> np.ndarray:
@@ -105,14 +102,14 @@ class World:
         if not saved:
             saved.append(init_belief(self.refined, key[1]))
             saved[0].flags.writeable = False
-        k = min(tick // CHECKPOINT_TICKS, len(saved) - 1)
+        k = min(tick // BLOCK_TICKS, len(saved) - 1)
         at, mass = self.latest.get(key, (0, saved[0]))
-        if not k * CHECKPOINT_TICKS <= at <= tick:
-            at, mass = k * CHECKPOINT_TICKS, saved[k]
+        if not k * BLOCK_TICKS <= at <= tick:
+            at, mass = k * BLOCK_TICKS, saved[k]
         for at in range(at + 1, tick + 1):
             mass = propagate(mass, self.models[key[0]])
             mass.flags.writeable = False
-            if at == len(saved) * CHECKPOINT_TICKS:
+            if at == len(saved) * BLOCK_TICKS:
                 saved.append(mass)
         self.latest[key] = (tick, mass)
         return mass
@@ -123,22 +120,22 @@ class World:
         `propagate` calls from the delta on the entry edge. A checkpoint is
         returned read-only, any other tick as a new array."""
         mass = self._belief((class_name, entry_edge), tick)
-        return mass if tick % CHECKPOINT_TICKS == 0 else mass.copy()
+        return mass if tick % BLOCK_TICKS == 0 else mass.copy()
 
     def shared_marginal(self, class_name: str, entry_edge: int, tick: int) -> np.ndarray:
         """`cell_marginal(frozen_belief(...))` at `road_cells`, read-only. A
-        key's rows cover one range of ticks, in blocks of ROW_CHUNK ticks; a
+        key's rows cover one range of ticks, in blocks of BLOCK_TICKS ticks; a
         tick outside it widens the range, one `propagate` per new row."""
         key = (class_name, entry_edge)
         lo, end, blocks = self.marginals.get(key, (tick, tick, {}))
         if not lo <= tick < end:
             for t in (*range(tick, lo), *range(end, tick + 1)):
-                block = blocks.setdefault(t // ROW_CHUNK, np.empty((ROW_CHUNK, self.road_cells.size)))
+                block = blocks.setdefault(t // BLOCK_TICKS, np.empty((BLOCK_TICKS, self.road_cells.size)))
                 block.flags.writeable = True
-                block[t % ROW_CHUNK] = cell_marginal(self._belief(key, t), self.overlay)[self.road_cells]
+                block[t % BLOCK_TICKS] = cell_marginal(self._belief(key, t), self.overlay)[self.road_cells]
                 block.flags.writeable = False
             self.marginals[key] = (min(lo, tick), max(end, tick + 1), blocks)
-        return blocks[tick // ROW_CHUNK][tick % ROW_CHUNK]
+        return blocks[tick // BLOCK_TICKS][tick % BLOCK_TICKS]
 
 
 def _world_key(scenario: ScenarioConfig) -> tuple:

@@ -28,8 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from uav_search.movement import PathTrace, TransitionModel
-from uav_search.planner import _check_p, entropy_gain
+from uav_search.belief import check_detect_prob
+from uav_search.movement import TransitionModel
+from uav_search.planner import entropy_gain
 from uav_search.road_graph import RoadGraph, goal_distance_map, travel_to_go
 from uav_search.strategies import (
     MAX_LENGTH_FACTOR,
@@ -55,7 +56,7 @@ def brute_force_select(cell_beliefs: Sequence[np.ndarray], k: int, p: float) -> 
     Only for oracle-sized instances: at most 15 cells and k <= 4. Returns the
     lexicographically smallest maximizer, sorted.
     """
-    _check_p(p)
+    check_detect_prob(p)
     n_cells = cell_beliefs[0].size
     if n_cells > BRUTE_FORCE_MAX_CELLS or k > BRUTE_FORCE_MAX_K:
         raise ValueError(
@@ -165,12 +166,12 @@ def head_start_loop(targets, dt: float, delay_m: float, max_ticks: int, goal_uni
 
 
 def count_compile(
-    traces: Sequence[PathTrace], g: RoadGraph, smoothing: float, tick: float = 1.0, target_class: str = "default"
+    traces: Sequence[np.ndarray], g: RoadGraph, smoothing: float, tick: float = 1.0, target_class: str = "default"
 ) -> TransitionModel:
     """`compile_model` by counting each hop in nested dicts, row by row."""
     counts: dict[int, dict[int, int]] = {}
     for trace in traces:
-        edges = trace.edges.tolist()
+        edges = trace.tolist()
         for e0, e1 in zip(edges, edges[1:]):
             if e1 != e0 and e1 not in g.outgoing(e0):
                 raise ValueError(f"trace hop {e0} -> {e1} skips road edges")

@@ -312,6 +312,25 @@ class TestRun:
         assert main(["run", str(work / "nan.yaml"), "--trials", "2"]) == 1
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["velocity_kmh", "detect_radius"])
+    def test_infinite_uav_speed_or_radius_exits_1(self, work, capsys, field):
+        """An infinite detection radius used to exit 2 in a trial, and an
+        infinite speed to run and win every trial; both are refused at load."""
+        scenario = yaml.safe_load((work / "tiny.yaml").read_text())
+        scenario["uavs"][0][field] = math.inf
+        (work / "infinite.yaml").write_text(yaml.safe_dump(scenario))
+        assert main(["run", str(work / "infinite.yaml"), "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"{work / 'infinite.yaml'}: uavs[0].{field}: must be finite, got inf" in err, err
+
+    def test_infinite_grid_radius_without_uavs_exits_1(self, work, capsys):
+        """It used to exit 2 when the grid was built: cannot convert float NaN to integer."""
+        scenario = yaml.safe_load((work / "tiny.yaml").read_text())
+        scenario.update(uavs=[], grid_radius=math.inf)
+        (work / "infinite.yaml").write_text(yaml.safe_dump(scenario))
+        assert main(["run", str(work / "infinite.yaml"), "--trials", "2"]) == 1
+        assert f"{work / 'infinite.yaml'}: grid_radius: must be finite, got inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "change,needle",
         [
@@ -664,6 +683,105 @@ class TestUsage:
     def test_unknown_flag(self, work, capsys):
         assert main(["run", str(work / "tiny.yaml"), "--warp", "9"]) == 1
         capsys.readouterr()
+
+
+# Per command: its positional argument (a file name under the `work`
+# fixture) and the flags that make it a milliseconds-long command; `--out`
+# is relative to the test's own directory.
+CHEAP_COMMANDS = {
+    "compile-model": ("tiny.graph", {"--strategies": "shortest", "--radius": "500", "--tick": "20",
+                                     "--velocity": "8:12", "--runs-per-pair": "1", "--out": "m.model"}),
+    "run": ("tiny.yaml", {"--trials": "1"}),
+    "sweep": ("tiny_sweep.yaml", {"--out": "."}),
+    "threshold-scan": ("tiny.yaml", {"--thresholds": "0.2", "--trials": "1", "--out": "."}),
+    "dump-belief": ("tiny.yaml", {"--ticks": "1", "--out": "b.csv"}),
+}
+
+# (command, flag, value with `{}` where the token goes): every numeric flag,
+# and every number inside a flag's text.
+NUMERIC_FLAGS = [
+    *((command, flag, "{}") for command in CHEAP_COMMANDS for flag in ("--seed", "--jobs")),
+    ("compile-model", "--radius", "{}"),
+    ("compile-model", "--tick", "{}"),
+    ("compile-model", "--runs-per-pair", "{}"),
+    ("compile-model", "--smoothing", "{}"),
+    ("compile-model", "--velocity", "8:{}"),
+    ("compile-model", "--velocity", "{}:12"),
+    ("compile-model", "--strategies", "random_walk:beta={}"),
+    ("compile-model", "--strategies", "side_roads:penalty={}"),
+    ("run", "--trials", "{}"),
+    ("threshold-scan", "--trials", "{}"),
+    ("threshold-scan", "--thresholds", "{}"),
+    ("threshold-scan", "--detect-probs", "{}"),
+    ("dump-belief", "--ticks", "{}"),
+    ("dump-belief", "--entry", "{}"),
+]
+
+# Tokens int() or float() reads that the file formats refuse, and the empty value.
+NOT_PLAIN = ("1_0", "\u0663", "")
+
+
+def _cheap_command(work, out_dir, command: str, flag: str, value: str) -> list[str]:
+    positional, flags = CHEAP_COMMANDS[command]
+    flags = {**flags, flag: value}
+    # `--flag=value`, so that argparse reads a value such as `-inf` as the flag's.
+    return [command, str(work / positional), *(f"{k}={out_dir / v if k == '--out' else v}" for k, v in flags.items())]
+
+
+class TestNumericFlags:
+    """Every numeric flag and every number inside a flag, given a token that
+    is not a finite positive plain number, exits 0 or 1, never 2, and a
+    refusal names the flag in its last line."""
+
+    @pytest.fixture(scope="class")
+    def flag_work(self, work):
+        (work / "tiny_sweep.yaml").write_text(yaml.safe_dump({"base": "tiny.yaml", "trials": 1,
+                                                               "axes": {"threshold": [0.2]}}))
+        return work
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "-1", "0", *NOT_PLAIN])
+    @pytest.mark.parametrize("command,flag,value", NUMERIC_FLAGS)
+    def test_exits_0_or_1(self, flag_work, tmp_path, capsys, command, flag, value, token):
+        rc = main(_cheap_command(flag_work, tmp_path, command, flag, value.format(token)))
+        err = capsys.readouterr().err
+        assert rc in (0, 1), err
+        if token in NOT_PLAIN:
+            assert rc == 1, f"{flag}={value.format(token)!r} was accepted"
+        if rc == 1:
+            assert flag in err.strip().splitlines()[-1], err
+
+    @pytest.mark.parametrize(
+        "command,flag,value,needle",
+        [
+            ("compile-model", "--radius", "0", "--radius: must be positive and finite, got 0"),
+            ("compile-model", "--radius", "-5", "--radius: must be positive and finite, got -5"),
+            ("compile-model", "--radius", "nan", "--radius: must be positive and finite, got nan"),
+            ("compile-model", "--radius", "inf", "--radius: must be positive and finite, got inf"),
+            ("compile-model", "--tick", "0", "--tick: must be positive and finite, got 0"),
+            ("compile-model", "--tick", "-1", "--tick: must be positive and finite, got -1"),
+            ("compile-model", "--smoothing", "-1", "--smoothing: must be finite and >= 0, got -1"),
+            ("compile-model", "--smoothing", "nan", "--smoothing: must be finite and >= 0, got nan"),
+            ("compile-model", "--smoothing", "inf", "--smoothing: must be finite and >= 0, got inf"),
+            ("run", "--seed", "-1", "--seed: must be >= 0, got -1"),
+            ("sweep", "--seed", "-1", "--seed: must be >= 0, got -1"),
+            ("run", "--trials", "1_0", "--trials: expected int, got '1_0'"),
+            ("run", "--seed", "\u0663", "--seed: expected int, got '\u0663'"),
+            ("compile-model", "--velocity", "8:1_2", "--velocity: expected LO:HI km/h, got '8:1_2'"),
+            ("compile-model", "--strategies", "side_roads:penalty=1_5", "--strategies: bad number '1_5'"),
+            ("threshold-scan", "--thresholds", "0.2,\u0660.\u0663", "--thresholds: expected comma-separated numbers"),
+        ],
+    )
+    def test_escape_exits_1(self, flag_work, tmp_path, capsys, command, flag, value, needle):
+        """The flag values that ran, or exited 2, before flags followed the
+        file formats' number rule and had bounds. Nothing is written."""
+        assert main(_cheap_command(flag_work, tmp_path, command, flag, value)) == 1
+        err = capsys.readouterr().err
+        assert needle in err and "runtime error" not in err, err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infinite_threshold_still_runs(self, flag_work, tmp_path):
+        """The policy record owns the threshold's range, and it takes inf."""
+        assert main(_cheap_command(flag_work, tmp_path, "threshold-scan", "--thresholds", "inf")) == 0
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

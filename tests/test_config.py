@@ -359,6 +359,8 @@ class TestRecordsCheckTheirFields:
             ("tick_seconds", 0.0, r"tick_seconds: must be positive, got 0.0"),
             ("max_ticks", 0, r"max_ticks: must be >= 1, got 0"),
             ("grid_radius", 0.0, r"grid_radius: must be positive, got 0.0"),
+            ("grid_radius", math.inf, r"grid_radius: must be finite, got inf"),
+            ("tick_seconds", math.inf, r"tick_seconds: must be finite, got inf"),
             ("targets", (), r"targets: must list at least one target"),
         ],
     )
@@ -371,6 +373,11 @@ class TestRecordsCheckTheirFields:
             dataclasses.replace(parsed, uavs=(dataclasses.replace(parsed.uavs[0], detect_prob=1.5),))
         with pytest.raises(ConfigError, match=r"velocity_kmh: must be positive, got 0"):
             dataclasses.replace(parsed.uavs[0], velocity_kmh=0)
+
+    @pytest.mark.parametrize("field", ["velocity_kmh", "detect_radius"])
+    def test_infinite_uav_speed_or_radius(self, parsed, field):
+        with pytest.raises(ConfigError, match=rf"{field}: must be finite, got inf"):
+            dataclasses.replace(parsed.uavs[0], **{field: math.inf})
 
     def test_class_fields(self, parsed):
         cls = parsed.classes[0]

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from uav_search.belief import propagate
 from uav_search.movement import (
+    KMH_TO_MS,
     ModelFormatError,
-    PathTrace,
     compile_model,
     generate_training_traces,
     load_model,
@@ -24,11 +24,9 @@ from uav_search.strategies import RandomWalkStrategy, ShortestPathStrategy, Wand
 
 from oracles import count_compile, model_from_rows, model_rows, trace_loop
 
-KMH = 1000.0 / 3600.0
-
 
 def _edge_lists(traces):
-    return [trace.edges.tolist() for trace in traces]
+    return [trace.tolist() for trace in traces]
 
 
 def _refined(g):
@@ -41,24 +39,25 @@ class TestSampleTrace:
     def test_tick_by_tick_occupancy(self, line_graph):
         """10 km/h over a 100 m edge sampled every 9 s advances 25 m per
         tick: four samples on the entry, the fifth on the goal."""
-        trace = sample_trace(line_graph, [0, 1], 10.0 * KMH, 9.0)
-        assert trace.edges.tolist() == [0, 0, 0, 0, 1]
+        trace = sample_trace(line_graph, [0, 1], 10.0 * KMH_TO_MS, 9.0)
+        assert trace.tolist() == [0, 0, 0, 0, 1]
+        assert not trace.flags.writeable
 
     def test_vertex_hit_lands_on_next_edge(self, line_graph):
         # distance exactly 100 m at t=2 means the walk is on edge 1
         trace = sample_trace(line_graph, [0, 1], 50.0, 1.0)
-        assert trace.edges.tolist() == [0, 0, 1]
+        assert trace.tolist() == [0, 0, 1]
 
     def test_stops_at_first_goal_sample(self, line_graph):
         trace = sample_trace(line_graph, [0, 1], 5.0, 1.0)
-        goal_samples = [e for e in trace.edges.tolist() if e in line_graph.goal_union]
-        assert goal_samples == [trace.edges[-1]]
+        goal_samples = [e for e in trace.tolist() if e in line_graph.goal_union]
+        assert goal_samples == [trace[-1]]
 
     def test_ticks_consecutive_from_zero(self, fork_graph):
         """Entry t is the edge 24 m * t along the 100 m + 100 m + 50 m path:
         ticks 0-4 on edge 0, 5-8 on edge 1 and tick 9, at 216 m, on goal 3."""
         trace = sample_trace(fork_graph, [0, 1, 3], 12.0, 2.0)
-        assert trace.edges.tolist() == [0] * 5 + [1] * 4 + [3]
+        assert trace.tolist() == [0] * 5 + [1] * 4 + [3]
 
     def test_path_off_the_goals_raises(self, line_graph):
         """No sample of the path [0] lands on goal edge 1: raise, never loop."""
@@ -80,7 +79,7 @@ class TestSampleTrace:
         path = ShortestPathStrategy().path(g, min(g.entries), np.random.default_rng(0), goal_index=0)
         trace = sample_trace(g, path, 30.0 / 11.0, 20.0)
         first: dict[int, int] = {}
-        for t, eid in enumerate(trace.edges.tolist()):
+        for t, eid in enumerate(trace.tolist()):
             first.setdefault(eid, t)
         assert list(first.items()) == [
             (0, 0), (10, 12), (11, 13), (12, 26), (13, 39), (18, 43), (19, 52), (20, 65),
@@ -88,7 +87,7 @@ class TestSampleTrace:
             (35, 143), (40, 146), (41, 156), (42, 169), (46, 177), (47, 182), (48, 195),
             (49, 208), (672, 210),
         ]
-        assert trace.edges[11] == 0
+        assert trace[11] == 0
 
     @pytest.mark.parametrize("velocity,tick", [(0.0, 1.0), (-3.0, 1.0), (5.0, 0.0)])
     def test_rejects_nonpositive_rates(self, line_graph, velocity, tick):
@@ -103,14 +102,14 @@ class TestTraceGeneration:
         # 1 entry x 2 goal sets x 3 runs
         assert len(traces) == 6
         for trace in traces:
-            assert trace.edges[0] == 0
-            assert trace.edges[-1] in g.goal_union
+            assert trace[0] == 0
+            assert trace[-1] in g.goal_union
 
     def test_border_fixture_pair_coverage(self, border_refined):
         refined, _ = border_refined
         traces = generate_training_traces(refined, ShortestPathStrategy(), 20.0, (8.0, 12.0), 3, seed=1)
         assert len(traces) == 10 * 7 * 3
-        starts = {int(trace.edges[0]) for trace in traces}
+        starts = {int(trace[0]) for trace in traces}
         assert starts <= refined.entries
 
     def test_same_seed_same_traces(self, fork_graph):
@@ -146,13 +145,13 @@ class TestCompileModel:
     def test_observed_frequencies_without_smoothing(self, line_graph):
         """Three stays and one hop out of edge 0 give 0.75 / 0.25 exactly."""
         g = _refined(line_graph)
-        traces = [PathTrace(np.array([0, 0]))] * 3 + [PathTrace(np.array([0, 1]))]
+        traces = [np.array([0, 0])] * 3 + [np.array([0, 1])]
         model = compile_model(traces, g, smoothing=0.0)
         assert model_rows(model)[0] == ((0, 0.75), (1, 0.25))
 
     def test_laplace_smoothing(self, line_graph):
         g = _refined(line_graph)
-        traces = [PathTrace(np.array([0, 0]))] * 3 + [PathTrace(np.array([0, 1]))]
+        traces = [np.array([0, 0])] * 3 + [np.array([0, 1])]
         model = compile_model(traces, g, smoothing=0.01)
         row = dict(model_rows(model)[0])
         assert row[0] == pytest.approx(3.01 / 4.02)
@@ -167,7 +166,7 @@ class TestCompileModel:
 
     def test_goal_edges_absorb(self, fork_graph):
         g = _refined(fork_graph)
-        traces = [PathTrace(np.array([0, 1, 3]))]
+        traces = [np.array([0, 1, 3])]
         model = compile_model(traces, g, smoothing=0.01)
         rows = model_rows(model)
         for goal_set in g.goals:
@@ -182,21 +181,21 @@ class TestCompileModel:
 
     def test_skip_hop_rejected(self, fork_graph):
         g = _refined(fork_graph)
-        bad = [PathTrace(np.array([0, 3]))]
+        bad = [np.array([0, 3])]
         with pytest.raises(ValueError, match="trace hop 0 -> 3 skips road edges"):
             compile_model(bad, g)
 
     def test_skip_hop_named_in_trace_order(self, fork_graph):
         """Hop 1 -> 4 comes first in trace order, though 0 -> 3 sorts first."""
         g = _refined(fork_graph)
-        bad = [PathTrace(np.array([0, 1, 1])), PathTrace(np.array([0, 1, 4])), PathTrace(np.array([0, 3]))]
+        bad = [np.array([0, 1, 1]), np.array([0, 1, 4]), np.array([0, 3])]
         with pytest.raises(ValueError, match="trace hop 1 -> 4 skips road edges"):
             compile_model(bad, g)
 
     @pytest.mark.parametrize("edges", [[0, 5], [5, 5], [0, -1]])
     def test_edge_outside_graph_rejected(self, fork_graph, edges):
         with pytest.raises(ValueError, match=f"trace edge {max(edges, key=abs)} is not in the graph"):
-            compile_model([PathTrace(np.array(edges))], _refined(fork_graph))
+            compile_model([np.array(edges)], _refined(fork_graph))
 
     def test_negative_smoothing_rejected(self, fork_graph):
         with pytest.raises(ValueError, match="non-negative"):
@@ -210,7 +209,7 @@ class TestCompileModel:
 
     def test_matrix_moves_mass(self, line_graph):
         g = _refined(line_graph)
-        traces = [PathTrace(np.array([0, 0]))] * 3 + [PathTrace(np.array([0, 1]))]
+        traces = [np.array([0, 0])] * 3 + [np.array([0, 1])]
         model = compile_model(traces, g, smoothing=0.0)
         vec = np.zeros(g.n_edges)
         vec[0] = 1.0
@@ -256,7 +255,7 @@ def _graph_and_traces(draw):
                 edges.append(draw(st.sampled_from([edges[-1], *g.outgoing(edges[-1])])))
             else:
                 edges.append(draw(st.integers(0, n_e - 1)))
-        traces.append(PathTrace(np.array(edges)))
+        traces.append(np.array(edges))
     return g, traces
 
 
@@ -275,7 +274,7 @@ class TestArraysEqualLoopOracles:
     def test_sample_trace_equals_tick_loop(self, road):
         g, velocity, tick = road
         path = list(range(g.n_edges))
-        assert sample_trace(g, path, velocity, tick).edges.tolist() == trace_loop(g, path, velocity, tick)
+        assert sample_trace(g, path, velocity, tick).tolist() == trace_loop(g, path, velocity, tick)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -293,8 +292,8 @@ class TestArraysEqualLoopOracles:
             path = strategy.path(g, entry, np.random.default_rng(seed), goal_index=gi)
         except WanderingError:
             return
-        v_ms = velocity_kmh * KMH
-        assert sample_trace(g, path, v_ms, tick).edges.tolist() == trace_loop(g, path, v_ms, tick)
+        v_ms = velocity_kmh * KMH_TO_MS
+        assert sample_trace(g, path, v_ms, tick).tolist() == trace_loop(g, path, v_ms, tick)
 
     @settings(max_examples=300, deadline=None)
     @given(case=_graph_and_traces(), smoothing=st.sampled_from([0.0, 0.01, 0.5]) | st.floats(0.0, 2.0))

@@ -19,10 +19,6 @@ from uav_search.planner import (
     entropy_gain,
     greedy_select,
     match_uavs_to_cells,
-    policy_adaptive,
-    policy_entropy_only,
-    policy_max_avg_prob,
-    policy_max_prob,
     select_cells,
     temporal_entropy,
 )
@@ -40,6 +36,15 @@ GAIN_SEARCH_SMALL = 0.38957025770517495
 
 def _cb(mass):
     return np.asarray(mass, dtype=float)
+
+
+def _select(policy, cbs, m, p):
+    return select_cells(PolicyConfig(policy), cbs, m, p)
+
+
+def _top_m(mass, m):
+    """The m cells of largest `mass`, ties to the lower id."""
+    return set(np.argsort(-mass, kind="stable")[:m].tolist())
 
 
 def _random_instance(rng, max_cells=12, max_targets=3):
@@ -542,26 +547,26 @@ class TestPolicies:
 
     def test_probability_vs_entropy_divergence(self):
         cbs = [_cb([0.9, 0.1])]
-        assert policy_max_prob(cbs, 1) == {0}
-        assert policy_entropy_only(cbs, 1, 0.9) == {1}
+        assert _select("max_prob", cbs, 1, 0.9) == {0}
+        assert _select("entropy_only", cbs, 1, 0.9) == {1}
 
     def test_avg_prob_merges_targets(self):
         cbs = [_cb([0.6, 0.4, 0.0]), _cb([0.0, 0.4, 0.6])]
         # average (0.3, 0.4, 0.3); the 0.3 tie falls to cell 0
-        assert policy_max_avg_prob(cbs, 2) == {0, 1}
+        assert _select("max_avg_prob", cbs, 2, 0.9) == {0, 1}
         # maximum (0.6, 0.4, 0.6); the 0.6 tie falls to cell 0
-        assert policy_max_prob(cbs, 1) == {0}
+        assert _select("max_prob", cbs, 1, 0.9) == {0}
 
     def test_adaptive_outnumbered_reduces_uncertainty(self):
         cbs = [_cb([0.9, 0.1]), _cb([0.9, 0.1])]
-        assert policy_adaptive(cbs, 1, 0.9) == policy_entropy_only(cbs, 1, 0.9) == {1}
+        assert _select("adaptive", cbs, 1, 0.9) == _select("entropy_only", cbs, 1, 0.9) == {1}
         assert assign_general(cbs, 1, 0.9) == {0}  # the branches truly differ
 
     def test_adaptive_matched_covers_targets(self):
         cbs = [_cb([0.9, 0.1])]
         # 1 target, 1 UAV: not outnumbered, per-target coverage wins
-        assert policy_adaptive(cbs, 1, 0.9) == assign_general(cbs, 1, 0.9) == {0}
-        assert policy_entropy_only(cbs, 1, 0.9) == {1}
+        assert _select("adaptive", cbs, 1, 0.9) == assign_general(cbs, 1, 0.9) == {0}
+        assert _select("entropy_only", cbs, 1, 0.9) == {1}
 
     def test_adaptive_equal_counts_take_general_branch(self):
         rng = np.random.default_rng(40)
@@ -570,9 +575,9 @@ class TestPolicies:
             n = int(rng.integers(4, 8))
             cbs = [_cb(rng.dirichlet(np.ones(n) * 0.5)) for _ in range(2)]
             general = assign_general(cbs, 2, 0.7)
-            if general == policy_entropy_only(cbs, 2, 0.7):
+            if general == _select("entropy_only", cbs, 2, 0.7):
                 continue  # uninformative instance
-            assert policy_adaptive(cbs, 2, 0.7) == general
+            assert _select("adaptive", cbs, 2, 0.7) == general
             checked += 1
         assert checked > 50
 
@@ -583,10 +588,10 @@ class TestSelectCells:
         p = 0.8
         cases = {
             "general": assign_general(cbs, 2, p),
-            "adaptive": policy_adaptive(cbs, 2, p),
-            "entropy_only": policy_entropy_only(cbs, 2, p),
-            "max_prob": policy_max_prob(cbs, 2),
-            "max_avg_prob": policy_max_avg_prob(cbs, 2),
+            "adaptive": assign_general(cbs, 2, p),  # 2 targets, 2 UAVs: not outnumbered
+            "entropy_only": set(greedy_select(cbs, 2, p)),
+            "max_prob": _top_m(np.max(cbs, axis=0), 2),
+            "max_avg_prob": _top_m(np.mean(cbs, axis=0), 2),
         }
         for policy, expect in cases.items():
             assert select_cells(PolicyConfig(policy=policy), cbs, 2, p) == expect, policy
@@ -594,21 +599,23 @@ class TestSelectCells:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_every_policy_dispatches_to_its_function(self, data):
-        """Random beliefs, team sizes, p and thresholds: each name in the policy
-        table runs its own function, with the configured threshold."""
+        """Random beliefs, team sizes, p and thresholds: each policy name
+        selects what its rule computes, with the configured threshold."""
         n = data.draw(st.integers(2, 6), label="cells")
         weights = st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)
         cbs = np.array([np.divide(w, sum(w)) for w in data.draw(st.lists(weights, min_size=1, max_size=3))])
         m = data.draw(st.integers(1, n), label="m")
         p = data.draw(st.floats(0.05, 1.0), label="p")
         threshold = data.draw(st.floats(0.0, 1.0), label="threshold")
+        greedy = set(greedy_select(cbs, m, p))
+        general = assign_general(cbs, m, p)
         expect = {
-            "general": assign_general(cbs, m, p),
+            "general": general,
             "single_entry": assign_single_entry(np.mean(cbs, axis=0), m, p, threshold),
-            "adaptive": policy_adaptive(cbs, m, p),
-            "entropy_only": policy_entropy_only(cbs, m, p),
-            "max_prob": policy_max_prob(cbs, m),
-            "max_avg_prob": policy_max_avg_prob(cbs, m),
+            "adaptive": greedy if len(cbs) > m else general,
+            "entropy_only": greedy,
+            "max_prob": _top_m(cbs.max(axis=0), m),
+            "max_avg_prob": _top_m(cbs.mean(axis=0), m),
         }
         assert sorted(expect) == sorted(POLICIES)
         for policy, cells in expect.items():

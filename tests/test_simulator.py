@@ -14,7 +14,7 @@ import uav_search.simulator as simulator
 from uav_search.belief import cell_marginal, init_belief, propagate
 from uav_search.config import ConfigError, TargetSpec, load_scenario
 from uav_search.simulator import (
-    CHECKPOINT_TICKS,
+    BLOCK_TICKS,
     BatchStats,
     TrialResult,
     _head_start,
@@ -236,7 +236,7 @@ class TestFrozenBelief:
     def test_checkpoints_are_read_only(self, border_world):
         world = dataclasses.replace(border_world)
         entry = min(world.refined.entries)
-        for n in (0, CHECKPOINT_TICKS, 3 * CHECKPOINT_TICKS):
+        for n in (0, BLOCK_TICKS, 3 * BLOCK_TICKS):
             mass = world.frozen_belief("runner", entry, n)
             with pytest.raises(ValueError, match="read-only"):
                 mass[entry] = 0.5
@@ -266,7 +266,7 @@ class TestSharedBeliefs:
     @settings(max_examples=60, deadline=None)
     @given(
         requests=st.lists(
-            st.tuples(st.booleans(), st.integers(0, 1), st.integers(0, 3 * CHECKPOINT_TICKS)), min_size=1, max_size=30
+            st.tuples(st.booleans(), st.integers(0, 1), st.integers(0, 6 * BLOCK_TICKS)), min_size=1, max_size=30
         )
     )
     def test_shared_rows_equal_frozen_marginals_in_any_order(self, border_world, propagated, requests):
