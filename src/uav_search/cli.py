@@ -18,7 +18,8 @@ import sys
 
 from .belief import propagate
 from .config import (
-    ConfigError, SweepSpec, apply_axis, check_trials, load_scenario, load_sweep, parse_strategy, sweep_points,
+    ConfigError, SweepSpec, apply_axis, check_trials, check_velocity_range, load_scenario, load_sweep, parse_strategy,
+    sweep_points,
 )
 from .movement import KMH_TO_MS, ModelFormatError, compile_model, save_model, traces_for_strategies
 from .road_graph import GraphFormatError, load_graph, overlay_grid, plain_number
@@ -84,6 +85,7 @@ def _flag(kind: type, ok=lambda value: True, rule: str = ""):
 
 _INT = _flag(int)
 _NON_NEGATIVE_INT = _flag(int, lambda v: v >= 0, "must be >= 0")
+_COUNT = _flag(int, lambda v: v >= 1, "must be >= 1")  # the trial-count rule, check_trials
 _POSITIVE_FINITE = _flag(float, lambda v: 0 < v < math.inf, "must be positive and finite")
 
 
@@ -116,9 +118,7 @@ def _parse_range(spec: str) -> tuple[float, float]:
         pair = (_plain(lo), _plain(hi))
     except ValueError:
         raise ConfigError(f"--velocity: expected LO:HI km/h, got {spec!r}") from None
-    if not (0 < pair[0] <= pair[1]):
-        raise ConfigError(f"--velocity: need 0 < LO <= HI, got {spec!r}")
-    return pair
+    return check_velocity_range(pair, "--velocity")
 
 
 def _print_stats(stats: BatchStats) -> None:
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=_POSITIVE_FINITE, required=True, help="detection radius defining the grid (m)")
     p.add_argument("--tick", type=_POSITIVE_FINITE, required=True, help="sampling tick (s)")
     p.add_argument("--velocity", default="8:12", help="target velocity range LO:HI (km/h)")
-    p.add_argument("--runs-per-pair", type=_INT, default=3, help="traces per (entry, goal) pair")
+    p.add_argument("--runs-per-pair", type=_COUNT, default=3, help="traces per (entry, goal) pair")
     p.add_argument("--smoothing", type=_flag(float, lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
                    default=0.01, help="Laplace smoothing epsilon")
     p.add_argument("--target-class", default="default", help="class name stored in the model file")

@@ -39,6 +39,14 @@ def check_trials(n: int, label: str = "trials") -> int:
     return n
 
 
+def check_velocity_range(velocity_kmh: tuple[float, float], label: str = "velocity_kmh") -> tuple[float, float]:
+    """The rule for a target velocity range [low, high] (km/h); an error starts with `label`."""
+    lo, hi = velocity_kmh
+    if not 0 < lo <= hi < math.inf:
+        raise ConfigError(f"{label}: need 0 < low <= high < inf, got [{lo}, {hi}]")
+    return velocity_kmh
+
+
 def _check_positive(key: str, value: float) -> None:
     """The rule for a speed, length or time: positive, and finite."""
     if not value > 0:
@@ -70,9 +78,7 @@ class TargetClassSpec:
     model_path: str
 
     def __post_init__(self):
-        lo, hi = self.velocity_kmh
-        if not (0 < lo <= hi < math.inf):
-            raise ConfigError(f"velocity_kmh: need 0 < low <= high, got [{lo}, {hi}]")
+        check_velocity_range(self.velocity_kmh)
         if not self.strategies:
             raise ConfigError("strategies: must list at least one strategy")
 

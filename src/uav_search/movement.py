@@ -105,9 +105,9 @@ def generate_training_traces(
     strategy reports as unreachable are skipped. Paths are validated before
     sampling; a disconnected hop raises InvalidPathError.
     """
-    lo, hi = velocity_range_kmh
-    if not (0 < lo <= hi):
-        raise ValueError(f"bad velocity range {velocity_range_kmh}")
+    from .config import check_velocity_range  # config imports movement through belief
+
+    lo, hi = check_velocity_range(velocity_range_kmh, "velocity_range_kmh")
     traces: list[np.ndarray] = []
     for ei, entry in enumerate(sorted(g.entries)):
         for gi in range(len(g.goals)):

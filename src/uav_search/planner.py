@@ -4,9 +4,12 @@ Selection maximizes the team entropy gain: the drop between the current
 belief entropy and the expected post-search entropy, weighted by the chance
 the search comes up empty. Greedy selection exploits the diminishing-returns
 structure of entropy: each pick scores every cell for every target at once
-from (targets x cells) arrays. On top sit the assignment policies
-(per-target coverage, single-entry threshold seeding, adaptive switching) and
-the probability baselines.
+from (targets x cells) arrays. A fruitless search that keeps eta of a
+target's mass leaves it the entropy log2(eta) - N / eta, with N linear in
+the searched cells' mass and P log2 P (see _GainKernel), so a pick costs one
+add for (eta, N) and six more array passes. On top sit the assignment
+policies (per-target coverage, single-entry threshold seeding, adaptive
+switching) and the probability baselines.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from .road_graph import GridOverlay
 DEFAULT_THRESHOLD = 0.2
 
 # Below this eta, candidate_gains uses the explicit-set gain: the closed form
-# divides sums of P log2 P by eta, and its error (measured: ~1e-15 / eta bits) grows.
+# log2(eta) - N / eta divides N, a sum of P log2 P terms, by eta, so its error
+# grows as 1 / eta (measured against entropy_gain over 3,000 random
+# instances: at most 4.3e-15 / eta bits, 5.1e-13 bits at eta >= 1e-3).
 EXACT_GAIN_ETA = 1e-3
 
 # The policy names PolicyConfig accepts; select_cells runs them.
@@ -83,49 +88,61 @@ def entropy_gain(cb: np.ndarray, cells: set[int] | frozenset[int], p: float) -> 
 class _GainKernel:
     """Greedy gain state of a team: rows are targets, columns are cells.
 
-    Per target: entropy E and, over the searched cells, mass T, sum SH of
-    P log2 P and product weight W. The gain of (searched + c) follows in
-    closed form; below EXACT_GAIN_ETA, `entropy_gain` gives it instead.
-    Every (targets x cells) array is a row of one block allocated here, and
-    each closed-form step writes into it, so `candidate_gains` allocates
-    none. Rows that take the same operation are adjacent, so one call serves
-    both.
+    For one target with belief P, entropy E = -S (S = sum P log2 P), and,
+    over the searched cells, mass T, sum SH of P log2 P and product weight
+    W of (1 - p P): a fruitless search of (searched + c), c of mass x, keeps
+    eta = 1 - p (T + x) of the mass. Searched cells scale by (1 - p) / eta
+    and the rest by 1 / eta; their log2(eta) terms weigh the whole scaled
+    mass, eta / eta, so the post-search entropy collects to
+
+        H = log2(eta) - N / eta,  N = S - p (SH + x log2 x) + kappa (T + x),
+
+    with kappa = (1 - p) log2(1 - p) (0 at p = 1), and the gain is
+    E - W (1 - p x) H. The kernel keeps per target c = 1 - p T and
+    a = S - p SH + kappa T, and per cell what adding it adds to them,
+    (-p x, kappa x - p x log2 x); one add then gives (eta, N) for every
+    cell. Below EXACT_GAIN_ETA, `entropy_gain` gives the gain instead.
+    Every (targets x cells) array the kernel writes is a row of one block
+    allocated here, so `candidate_gains` allocates none.
     """
 
     def __init__(self, P: np.ndarray, p: float, seeded: np.ndarray):
-        self.p = p
+        self.P, self.p = P, p
         self.searched = set(seeded.tolist())
-        block = np.empty((11,) + P.shape)
-        (self.P, self.PlogP, self.pTn, self.Tn, self.SHn, self.eta, self.one_minus_Tn,
-         self.log_eta, self.post, self.w, self.keep) = block
-        self.P_PlogP, self.pTn_Tn, self.Tn_SHn = block[0:2], block[2:4], block[3:5]
-        self.eta_one_minus_Tn, self.post_w = block[5:7], block[8:10]
-        np.copyto(self.P, P)
-        self.PlogP.fill(0.0)
-        np.log2(P, out=self.PlogP, where=P > 0.0)
-        np.multiply(P, self.PlogP, out=self.PlogP)
-        np.multiply(p, P, out=self.keep)
-        np.subtract(1.0, self.keep, out=self.keep)
+        block = np.empty((6,) + P.shape)
+        self.step, self.eta_N = block[0:2], block[2:4]  # (-p x, b) and (eta, N), stacked
+        self.eta, self.N = self.eta_N
+        self.keep, self.gains = block[4], block[5]
+        PlogP = self.gains  # scratch until the first candidate_gains
+        PlogP.fill(0.0)
+        np.log2(P, out=PlogP, where=P > 0.0)
+        np.multiply(P, PlogP, out=PlogP)
         # Row sums of C-ordered arrays (`take` keeps C order) add as a 1-D array does.
-        self.sum_PlogP = self.PlogP.sum(axis=1, keepdims=True)
-        self.E = -self.sum_PlogP
+        S = PlogP.sum(axis=1, keepdims=True)
+        self.E = -S
+        neg_px, b = self.step
+        np.multiply(-p, P, out=neg_px)
+        np.add(1.0, neg_px, out=self.keep)
+        np.multiply((1.0 - p) * math.log2(1.0 - p) if p < 1.0 else 0.0, P, out=b)
+        np.multiply(p, PlogP, out=PlogP)
+        np.subtract(b, PlogP, out=b)  # b = kappa x - p x log2 x
         if seeded.size:
-            self.T_SH = self.P_PlogP.take(seeded, axis=2).sum(axis=2, keepdims=True)
+            self.c_a = self.step.take(seeded, axis=2).sum(axis=2, keepdims=True)
             self.W = self.keep.take(seeded, axis=1).prod(axis=1, keepdims=True)
         else:  # an empty sum is 0.0 and an empty product 1.0
-            self.T_SH = np.zeros((2, P.shape[0], 1))
+            self.c_a = np.zeros((2, P.shape[0], 1))
             self.W = np.ones((P.shape[0], 1))
+        self.c_a[0] += 1.0
+        self.c_a[1] += S
 
     def candidate_gains(self) -> np.ndarray:
         """Gain of searching (searched cells + c), per target and cell c.
 
         The array is the kernel's own buffer, valid until the next call."""
-        np.add(self.T_SH, self.P_PlogP, out=self.Tn_SHn)  # Tn = T + P, SHn = SH + P log2 P
-        np.multiply(self.p, self.Tn, out=self.pTn)
-        np.subtract(1.0, self.pTn_Tn, out=self.eta_one_minus_Tn)  # eta = 1 - p Tn, and 1 - Tn
+        np.add(self.c_a, self.step, out=self.eta_N)  # eta = c - p x, N = a + b
         eta = self.eta
         eta_min = eta.min()
-        if eta_min > 0.0:  # log2 and the divisions cannot warn
+        if eta_min > 0.0:  # log2 and the division cannot warn
             gains = self._closed_form()
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -140,36 +157,18 @@ class _GainKernel:
         return gains
 
     def _closed_form(self) -> np.ndarray:
-        """E - W * keep * post, where post is the entropy after a fruitless
-        search of (searched + c), step by step in the kernel's buffers. A
-        quotient is negated after the division rather than its dividend
-        before: rounding is symmetric, so the bits are the same."""
-        p, Tn, SHn, eta, log_eta, post, w = self.p, self.Tn, self.SHn, self.eta, self.log_eta, self.post, self.w
-        np.log2(eta, out=log_eta)
-        # Unsearched cells contribute -(1/eta) * (P log2 P - P log2 eta):
-        # post = -((-E - SHn) - (1 - Tn) * log_eta) / eta.
-        np.multiply(self.one_minus_Tn, log_eta, out=self.one_minus_Tn)
-        np.subtract(self.sum_PlogP, SHn, out=post)
-        np.subtract(post, self.one_minus_Tn, out=post)
-        np.divide(post, eta, out=post)
-        if p < 1.0:
-            # Searched cells: post += -((1 - p) / eta) * (SHn + Tn * (log2(1 - p) - log_eta)).
-            np.divide(1.0 - p, eta, out=w)
-            np.negative(self.post_w, out=self.post_w)
-            np.subtract(math.log2(1.0 - p), log_eta, out=log_eta)
-            np.multiply(Tn, log_eta, out=log_eta)
-            np.add(SHn, log_eta, out=log_eta)
-            np.multiply(w, log_eta, out=w)
-            np.add(post, w, out=post)
-        else:
-            np.negative(post, out=post)
-        np.multiply(self.W, self.keep, out=w)
-        np.multiply(w, post, out=w)
-        return np.subtract(self.E, w, out=w)
+        """E - W (1 - p x) (log2(eta) - N / eta), in the kernel's buffers."""
+        eta, N, gains = self.eta, self.N, self.gains
+        np.divide(N, eta, out=N)
+        np.log2(eta, out=gains)
+        np.subtract(gains, N, out=gains)
+        np.multiply(self.W, self.keep, out=N)
+        np.multiply(N, gains, out=gains)
+        return np.subtract(self.E, gains, out=gains)
 
     def add(self, cell: int) -> None:
         self.searched.add(cell)
-        self.T_SH += self.P_PlogP[:, :, cell, None]  # T += P[:, cell], SH += PlogP[:, cell]
+        self.c_a += self.step[:, :, cell, None]  # c -= p x, a += b of the cell
         self.W *= self.keep[:, cell, None]
 
 
@@ -194,18 +193,19 @@ def greedy_select(
     n_cells = P.shape[1]
     if k < 0 or k + len(excluded) > n_cells:
         raise ValueError(f"cannot pick {k} cells with {len(excluded)} excluded out of {n_cells}")
-    kernel = _GainKernel(P, p, np.fromiter(excluded, dtype=np.int64))
+    seeded = np.fromiter(excluded, dtype=np.int64)
+    kernel = _GainKernel(P, p, seeded)
     total = np.empty(n_cells)
-    blocked = list(kernel.searched)
+    blocked = np.zeros(n_cells, dtype=bool)
+    blocked[seeded] = True
     chosen: list[int] = []
     for _ in range(k):
         if chosen:  # the last pick is never added: nothing reads the kernel after it
             kernel.add(chosen[-1])
-            blocked.append(chosen[-1])
-        total.fill(0.0)
-        for row in kernel.candidate_gains():  # in target order, as the team gain sums
-            total += row
-        total[blocked] = -np.inf
+            blocked[chosen[-1]] = True
+        # Along axis 0 the rows add one by one in target order, as the team gain sums.
+        np.add.reduce(kernel.candidate_gains(), axis=0, out=total)
+        np.copyto(total, -np.inf, where=blocked)
         chosen.append(int(total.argmax()))
     return chosen
 

@@ -155,8 +155,8 @@ class TestCompileModel:
             ({"--strategies": "random_walk:beta=x"}, "bad number"),
             ({"--strategies": "random_walk:beta"}, "expected key=value"),
             ({"--velocity": "8"}, "expected LO:HI"),
-            ({"--velocity": "12:8"}, "need 0 < LO <= HI"),
-            ({"--velocity": "0:8"}, "need 0 < LO <= HI"),
+            ({"--velocity": "12:8"}, "--velocity: need 0 < low <= high < inf, got [12.0, 8.0]"),
+            ({"--velocity": "0:8"}, "--velocity: need 0 < low <= high < inf, got [0.0, 8.0]"),
             ({"--strategies": "side_roads:penalty=nan"}, "penalty must be finite and >= 0, got nan"),
             ({"--strategies": "side_roads:penalty=-2"}, "penalty must be finite and >= 0, got -2.0"),
             ({"--strategies": "random_walk:beta=-1"}, "beta must be finite and >= 0, got -1.0"),
@@ -762,6 +762,9 @@ class TestNumericFlags:
             ("compile-model", "--smoothing", "-1", "--smoothing: must be finite and >= 0, got -1"),
             ("compile-model", "--smoothing", "nan", "--smoothing: must be finite and >= 0, got nan"),
             ("compile-model", "--smoothing", "inf", "--smoothing: must be finite and >= 0, got inf"),
+            ("compile-model", "--runs-per-pair", "0", "--runs-per-pair: must be >= 1, got 0"),
+            ("compile-model", "--runs-per-pair", "-1", "--runs-per-pair: must be >= 1, got -1"),
+            ("compile-model", "--velocity", "8:inf", "--velocity: need 0 < low <= high < inf, got [8.0, inf]"),
             ("run", "--seed", "-1", "--seed: must be >= 0, got -1"),
             ("sweep", "--seed", "-1", "--seed: must be >= 0, got -1"),
             ("run", "--trials", "1_0", "--trials: expected int, got '1_0'"),

@@ -120,7 +120,7 @@ class TestScenarioParsing:
             (lambda d: d["classes"]["runner"].update(velocity_kmh=[8]), r"velocity_kmh: expected \[low, high\]"),
             (lambda d: d["classes"]["runner"].update(velocity_kmh=[12, 8]), r"need 0 < low <= high"),
             (lambda d: d["classes"]["runner"].update(velocity_kmh=[0, 8]), r"need 0 < low <= high"),
-            (lambda d: d["classes"]["runner"].update(velocity_kmh=[8, math.inf]), r"need 0 < low <= high, got \[8.0, inf\]"),
+            (lambda d: d["classes"]["runner"].update(velocity_kmh=[8, math.inf]), r"need 0 < low <= high < inf, got \[8.0, inf\]"),
             (lambda d: d["uavs"][0].update(depot=[math.nan, 0]), r"uavs\[0\].depot: must be two finite numbers"),
             (lambda d: d["uavs"][0].update(depot=[0, -math.inf]), r"uavs\[0\].depot: must be two finite numbers"),
             (lambda d: d["classes"]["runner"].update(strategies=[]), r"must list at least one strategy"),
@@ -381,7 +381,7 @@ class TestRecordsCheckTheirFields:
 
     def test_class_fields(self, parsed):
         cls = parsed.classes[0]
-        with pytest.raises(ConfigError, match=r"velocity_kmh: need 0 < low <= high, got \[12.0, 8.0\]"):
+        with pytest.raises(ConfigError, match=r"velocity_kmh: need 0 < low <= high < inf, got \[12.0, 8.0\]"):
             dataclasses.replace(cls, velocity_kmh=(12.0, 8.0))
         with pytest.raises(ConfigError, match=r"strategies: must list at least one strategy"):
             dataclasses.replace(cls, strategies=())

@@ -120,7 +120,7 @@ class TestTraceGeneration:
 
     def test_bad_velocity_range(self, fork_graph):
         g = _refined(fork_graph)
-        with pytest.raises(ValueError, match="bad velocity range"):
+        with pytest.raises(ValueError, match="velocity_range_kmh: need 0 < low <= high < inf"):
             generate_training_traces(g, ShortestPathStrategy(), 5.0, (12.0, 8.0), 1, seed=0)
 
     def test_pooling_concatenates_per_strategy(self, fork_graph):

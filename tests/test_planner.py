@@ -124,9 +124,11 @@ class TestEntropyGain:
 
 
 class _TargetGainState:
-    """Per-target greedy gain state as the planner kept it before its kernel
-    was batched over targets: the oracle that greedy_select must reproduce
-    exactly, pick for pick."""
+    """The greedy gain state of one target: the oracle that each row of the
+    batched kernel must reproduce float for float, and greedy_select pick for
+    pick. It restates the closed form: eta = c - p x and N = a + b, with
+    c = 1 - p T, a = S - p SH + kappa T and b = kappa x - p x log2 x, give
+    the post-search entropy log2(eta) - N / eta."""
 
     def __init__(self, cb, p, seeded):
         self.p = p
@@ -134,39 +136,34 @@ class _TargetGainState:
         self.searched = set(seeded.tolist())
         logP = np.zeros_like(self.P)
         np.log2(self.P, out=logP, where=self.P > 0.0)
-        self.PlogP = self.P * logP
-        self.E = float(-self.PlogP.sum())
-        self.T = float(self.P[seeded].sum())
-        self.SH = float(self.PlogP[seeded].sum())
-        self.W = float(np.prod(1.0 - p * self.P[seeded])) if seeded.size else 1.0
+        PlogP = self.P * logP
+        S = float(PlogP.sum())
+        self.E = -S
+        kappa = (1.0 - p) * math.log2(1.0 - p) if p < 1.0 else 0.0
+        self.neg_px = -p * self.P
+        self.keep = 1.0 + self.neg_px
+        self.b = kappa * self.P - p * PlogP
+        self.c = 1.0 + float(self.neg_px[seeded].sum())
+        self.a = S + float(self.b[seeded].sum())
+        self.W = float(np.prod(self.keep[seeded])) if seeded.size else 1.0
 
     def candidate_gains(self):
-        p = self.p
-        Tn = self.T + self.P
-        SHn = self.SH + self.PlogP
-        Wn = self.W * (1.0 - p * self.P)
-        eta = 1.0 - p * Tn
+        eta = self.c + self.neg_px
+        N = self.a + self.b
         safe = eta > ETA_TOL
-        log_eta = np.zeros_like(eta)
-        np.log2(eta, out=log_eta, where=safe)
         with np.errstate(divide="ignore", invalid="ignore"):
-            unsearched = -((-self.E - SHn) - (1.0 - Tn) * log_eta) / eta
-            if p < 1.0:
-                searched = -((1.0 - p) / eta) * (SHn + Tn * (math.log2(1.0 - p) - log_eta))
-            else:
-                searched = 0.0
-            gains = self.E - Wn * (unsearched + searched)
+            gains = self.E - (self.W * self.keep) * (np.log2(eta) - N / eta)
         gains[~safe] = self.E
         for c in np.flatnonzero(safe & (eta < EXACT_GAIN_ETA)).tolist():
             if c not in self.searched:
-                gains[c] = entropy_gain(self.P, self.searched | {c}, p)
+                gains[c] = entropy_gain(self.P, self.searched | {c}, self.p)
         return gains
 
     def add(self, cell):
         self.searched.add(cell)
-        self.T += float(self.P[cell])
-        self.SH += float(self.PlogP[cell])
-        self.W *= 1.0 - self.p * float(self.P[cell])
+        self.c += float(self.neg_px[cell])
+        self.a += float(self.b[cell])
+        self.W *= float(self.keep[cell])
 
 
 def _per_target_greedy(cell_beliefs, k, p, excluded=frozenset()):
@@ -350,23 +347,28 @@ class TestGreedySelect:
             assert team_gain(cbs, excluded | {chosen[0]}, p) == pytest.approx(best, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "beliefs,p",
+        "beliefs,p,seeded,eta_positive",
         [
-            ([[0.7, 0.3, 0.0], [0.0, 0.0, 1.0]], 1.0),  # a search of cell 2 finds target 1 for certain
-            ([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]], 0.8),  # every eta > 0
+            # a search of cell 2 finds target 1 for certain: eta = 0
+            ([[0.7, 0.3, 0.0], [0.0, 0.0, 1.0]], 1.0, [], False),
+            # every eta > 0
+            ([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]], 0.8, [], True),
+            # seeded cell 0 holds 0.7 > 1 / (2 p) of target 0: its blocked
+            # column counts the cell twice, eta = 1 - 2 p 0.7 < 0, and log2 is nan
+            ([[0.7, 0.2, 0.1], [0.2, 0.3, 0.5]], 0.8, [0], False),
         ],
     )
-    def test_no_floating_point_warning(self, beliefs, p):
-        """log2(0) and 0/0 at eta <= 0 stay silent, and with every eta > 0
-        nothing can warn, though the kernel enters no errstate then."""
+    def test_no_floating_point_warning(self, beliefs, p, seeded, eta_positive):
+        """log2 and the division at eta <= 0 stay silent, and with every
+        eta > 0 nothing can warn, though the kernel enters no errstate then."""
         P = np.array(beliefs)
-        kernel = _GainKernel(P, p, np.empty(0, dtype=np.int64))
+        kernel = _GainKernel(P, p, np.array(seeded, dtype=np.int64))
         kernel.candidate_gains()
-        assert (kernel.eta.min() <= 0.0) == (p == 1.0)
+        assert (kernel.eta.min() > 0.0) == eta_positive
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            picks = greedy_select(P, 2, p)
-        assert picks == _per_target_greedy(list(P), 2, p)
+            picks = greedy_select(P, 2, p, excluded=set(seeded))
+        assert picks == _per_target_greedy(list(P), 2, p, set(seeded))
 
     def test_tie_breaks_to_lowest_id(self):
         assert greedy_select([_cb([0.25] * 4)], 2, 0.8) == [0, 1]
