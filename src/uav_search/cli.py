@@ -22,7 +22,7 @@ from .config import (
     sweep_points,
 )
 from .movement import KMH_TO_MS, ModelFormatError, compile_model, save_model, traces_for_strategies
-from .road_graph import GraphFormatError, load_graph, overlay_grid, plain_number
+from .road_graph import GraphFormatError, GridSizeError, load_graph, overlay_grid, plain_number
 from .simulator import BatchStats, TrialResult, build_world, run_batch, trial_seed
 
 DEFAULT_TRIALS = 100
@@ -359,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except GridSizeError as exc:  # the radius came from the scenario, the sweep's base or --radius
+        print(f"error: {getattr(args, 'scenario', None) or getattr(args, 'sweep', '--radius')}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)

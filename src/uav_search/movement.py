@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,12 +65,27 @@ class TransitionModel:
         return np.flatnonzero(np.bincount(self.src, minlength=self.n_edges) == 0)
 
 
-def sample_trace(g: RoadGraph, path: list[int], velocity_ms: float, tick: float) -> np.ndarray:
+class _Route(NamedTuple):
+    """A path made ready for sampling: its edges, the distance along it at
+    which each edge ends, and which of them are goal edges."""
+
+    edges: np.ndarray
+    ends: np.ndarray
+    on_goal: np.ndarray
+
+
+def _route(g: RoadGraph, path: list[int]) -> _Route:
+    return _Route(np.asarray(path, dtype=np.intp), np.cumsum(g.length[path]),
+                  np.array([e in g.goal_union for e in path]))
+
+
+def sample_trace(g: RoadGraph, path: list[int] | _Route, velocity_ms: float, tick: float) -> np.ndarray:
     """Sample edge occupancy along `path` every `tick` seconds at constant
     speed, stopping at the first sample on a goal edge: a trace, the
     read-only array of the edge occupied at each tick from tick 0. Its first
     edge is an entry, its last the absorbing goal edge and no earlier one a
-    goal.
+    goal. `path` is a list of edge ids, or one made ready by `_route` once for
+    many samples.
 
     Tick t sits `velocity_ms * tick * t` meters along the path, on the edge
     whose end lies first beyond it (the last edge once past the path's end).
@@ -78,15 +93,15 @@ def sample_trace(g: RoadGraph, path: list[int], velocity_ms: float, tick: float)
     """
     if not (0 < velocity_ms < math.inf and 0 < tick < math.inf):
         raise ValueError("velocity and tick must be positive and finite")
-    ends = np.cumsum(g.length[path])
+    edges, ends, on_goal = path if isinstance(path, _Route) else _route(g, path)
     step = velocity_ms * tick
     # Enough ticks to pass the start of the last edge, where sampling stays.
-    n = 1 if len(path) == 1 else int(ends[-2] / step) + 2
-    at = np.minimum(np.searchsorted(ends, step * np.arange(n, dtype=float), side="right"), len(path) - 1)
-    on_goal = np.array([e in g.goal_union for e in path])[at]
+    n = 1 if len(edges) == 1 else int(ends[-2] / step) + 2
+    at = np.minimum(np.searchsorted(ends, step * np.arange(n, dtype=float), side="right"), len(edges) - 1)
+    on_goal = on_goal[at]
     if not on_goal.any():
-        raise ValueError(f"path never reaches a goal edge: it ends on edge {path[-1]}")
-    trace = np.asarray(path, dtype=np.intp)[at[: on_goal.argmax() + 1]]
+        raise ValueError(f"path never reaches a goal edge: it ends on edge {edges[-1]}")
+    trace = edges[at[: on_goal.argmax() + 1]]
     trace.flags.writeable = False
     return trace
 
@@ -103,7 +118,9 @@ def generate_training_traces(
 
     Velocity is drawn uniformly from `velocity_range_kmh` per run. Pairs the
     strategy reports as unreachable are skipped. Paths are validated before
-    sampling; a disconnected hop raises InvalidPathError.
+    sampling; a disconnected hop raises InvalidPathError. A path that repeats
+    the pair's previous one, as a deterministic strategy's does every run,
+    is validated and made ready for sampling once.
     """
     from .config import check_velocity_range  # config imports movement through belief
 
@@ -111,6 +128,7 @@ def generate_training_traces(
     traces: list[np.ndarray] = []
     for ei, entry in enumerate(sorted(g.entries)):
         for gi in range(len(g.goals)):
+            last = None
             for run in range(runs_per_pair):
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ei, gi, run)))
                 v_ms = rng.uniform(lo, hi) * KMH_TO_MS
@@ -118,8 +136,10 @@ def generate_training_traces(
                     path = strategy.path(g, entry, rng, goal_index=gi)
                 except UnreachableGoalError:
                     break  # pair unreachable for every run
-                validate_path(g, path, entry)
-                traces.append(sample_trace(g, path, v_ms, tick))
+                if path != last:
+                    validate_path(g, path, entry)
+                    last, route = path, _route(g, path)
+                traces.append(sample_trace(g, route, v_ms, tick))
     return traces
 
 

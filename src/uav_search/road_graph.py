@@ -12,7 +12,6 @@ import heapq
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +23,18 @@ MIN_PIECE_LENGTH = 1e-3
 # re-splitting an already split graph from producing spurious zero cuts.
 _PARAM_EPS = 1e-9
 
+# The most cells a grid may have: each keeps a ~100-byte centre tuple. The
+# bundled map has 266 at its 500 m radius and 481,650 at 10 m.
+MAX_GRID_CELLS = 10**6
+
 
 class GraphFormatError(ValueError):
     """Raised for malformed or inconsistent graph files."""
+
+
+class GridSizeError(ValueError):
+    """A detection radius too small for the map: its grid would exceed
+    MAX_GRID_CELLS cells."""
 
 
 class RoadGraph:
@@ -68,13 +76,10 @@ class RoadGraph:
         self._next = [out[h] for h in heads]
         self._prev = [into[t] for t in tails]
         self._goal_dist_cache: dict[frozenset[int], dict[int, float]] = {}
-        # (strategy, entry) -> truncated route per goal index; see strategies.
+        # (strategy, entry) -> truncated route per goal index, and (walk
+        # strategy, goal index) -> the walk's step table; see strategies.
         self._route_cache: dict[tuple, tuple[tuple[int, ...] | None, ...]] = {}
-
-    @cached_property
-    def _walk_steps(self) -> dict[tuple, tuple[list[int], list[float]]]:
-        """(walk strategy, goal index, edge) -> (candidates, cdf); see strategies."""
-        return {}
+        self._walk_steps: dict[tuple, tuple] = {}
 
     def outgoing(self, edge_id: int) -> list[int]:
         """Edges that can follow `edge_id` on a directed walk."""
@@ -164,11 +169,13 @@ class GridOverlay:
 
 
 def read_lines(path: str, error: type[ValueError]) -> list[str]:
-    """The lines of a UTF-8 text file; a byte that is not UTF-8 raises
-    `error` naming the file."""
+    """The lines of a UTF-8 text file; a file that cannot be read, or a byte
+    that is not UTF-8, raises `error` naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read().split("\n")
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
 
@@ -324,18 +331,26 @@ def overlay_grid(g: RoadGraph, r: float) -> tuple[RoadGraph, GridOverlay]:
     each original edge get consecutive ids, in original edge order, and chain
     from its tail to its head. A refined entry is the first piece of each
     original entry edge (where targets appear); a refined goal set holds every
-    piece of its original goal edges.
+    piece of its original goal edges. A grid of more than MAX_GRID_CELLS
+    cells raises GridSizeError before anything is built.
     """
-    if r <= 0:
-        raise ValueError("detection radius must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("detection radius must be positive and finite")
     if not len(g.xy):
         raise ValueError("cannot overlay an empty graph")
     cell_side = math.sqrt(2.0) * r
 
     xs, ys = g.xy[:, 0], g.xy[:, 1]
     origin = (float(xs.min()) - cell_side, float(ys.min()) - cell_side)
-    n_cols = max(1, math.ceil((float(xs.max()) + cell_side - origin[0]) / cell_side))
-    n_rows = max(1, math.ceil((float(ys.max()) + cell_side - origin[1]) / cell_side))
+    cols = (float(xs.max()) + cell_side - origin[0]) / cell_side
+    rows = (float(ys.max()) + cell_side - origin[1]) / cell_side
+    # Clamped first, since a tiny radius can overflow the cell count to inf.
+    n_cols, n_rows = (max(1, math.ceil(min(n, MAX_GRID_CELLS + 1))) for n in (cols, rows))
+    if n_cols * n_rows > MAX_GRID_CELLS:
+        raise GridSizeError(
+            f"detection radius {r:g} m asks for a grid of about {cols * rows:.4g} cells over the map's "
+            f"{float(np.ptp(xs)):g} x {float(np.ptp(ys)):g} m; the limit is {MAX_GRID_CELLS:,}"
+        )
 
     xy = g.xy.tolist()
     tails: list[int] = []
@@ -477,13 +492,3 @@ def goal_distance_map(g: RoadGraph, goal_set: frozenset[int]) -> dict[int, float
                 heapq.heappush(heap, (nd, prev))
     g._goal_dist_cache[goal_set] = dist
     return dist
-
-
-def travel_to_go(length, edge_id: int, goal_set: frozenset[int], dist_map: dict[int, float]) -> float:
-    """Travel left if the walk takes `edge_id` next (0 when it is a goal edge).
-
-    `length` is the graph's edge lengths, as an array or a list."""
-    if edge_id in goal_set:
-        return 0.0
-    d = dist_map.get(edge_id)
-    return math.inf if d is None else length[edge_id] + d

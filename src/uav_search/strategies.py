@@ -8,7 +8,9 @@ maps config names to constructors.
 The deterministic strategies (shortest, side roads) route with one
 `shortest_path` search per (strategy, entry), which answers every goal set
 at once; the row of routes is kept on the graph. Which goal sets an entry
-reaches is read off the shortest strategy's row.
+reaches is read off the shortest strategy's row. A random walk draws each
+step from a table built for every edge at once, one per (strategy, goal
+set), also kept on the graph.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .road_graph import RoadGraph, goal_distance_map, shortest_path, travel_to_go
+from .road_graph import RoadGraph, goal_distance_map, shortest_path
 
 # A walk that has traveled more than this multiple of the shortest route is
 # declared lost rather than sampled forever.
@@ -77,19 +79,6 @@ def _draw_goal(g: RoadGraph, entry: int, rng: np.random.Generator) -> int:
     return reachable[int(rng.integers(len(reachable)))]
 
 
-def choice_cdf(p: np.ndarray) -> list[float]:
-    """The cumulative distribution `rng.choice(len(p), p=p)` draws from.
-
-    `bisect_right(cdf, rng.random())` is the index that call returns, and it
-    takes the same one uniform draw from the generator.
-    """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    if np.isnan(cdf).any():
-        raise ValueError("Probabilities contain NaN")
-    return cdf.tolist()
-
-
 def _cached_routes(g: RoadGraph, strategy, entry: int, make_weight=None) -> tuple[tuple[int, ...] | None, ...]:
     """The deterministic routes of `strategy` from `entry`, one per goal index
     (None where unreachable), each truncated at the first goal edge. One
@@ -137,9 +126,9 @@ class RandomWalkStrategy:
     exp(-beta * delta), delta being the change in shortest travel-to-goal the
     hop causes. beta = 0 is a uniform walk; beta -> inf recovers the shortest
     path. Walks exceeding MAX_LENGTH_FACTOR times the shortest route (or
-    hitting a dead end) raise WanderingError. Each step's candidates and
-    their cumulative distribution are kept on the graph per (strategy, goal
-    set, edge), so a step is one uniform draw.
+    reaching a dead end) raise WanderingError. Every edge's candidates and
+    their cumulative distribution are built at once per (strategy, goal set)
+    and kept on the graph, so a step is one uniform draw.
     """
 
     beta: float
@@ -153,53 +142,66 @@ class RandomWalkStrategy:
         self, g: RoadGraph, entry: int, rng: np.random.Generator, goal_index: int | None = None
     ) -> list[int]:
         gi = _draw_goal(g, entry, rng) if goal_index is None else goal_index
-        goal_set = g.goals[gi]
-        dmap = goal_distance_map(g, goal_set)
-        length = g.length.tolist()
-        base = travel_to_go(length, entry, goal_set, dmap)
+        table = g._walk_steps.get((self, gi))
+        if table is None:
+            table = g._walk_steps[self, gi] = self._table(g, g.goals[gi])
+        cands, cdf, starts, raises, togo = table
+        base = float(togo[entry]) if 0 <= entry < len(togo) else math.inf
         if base == math.inf:
             raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
         max_travel = MAX_LENGTH_FACTOR * base
+        length = g.length.tolist()
 
         path = [entry]
         traveled = 0.0
         cur = entry
-        steps = g._walk_steps
         while cur not in g.goal_union:
             if traveled > max_travel:
                 raise WanderingError(
                     f"walk from entry {entry} exceeded {MAX_LENGTH_FACTOR:g}x the shortest route"
                 )
-            step = steps.get((self, gi, cur))
-            if step is None:
-                step = steps[self, gi, cur] = self._step(g, gi, cur, entry)
-            cands, cdf = step
-            # The index `rng.choice(len(cands), p=p)` draws; see choice_cdf.
-            cur = cands[bisect.bisect_right(cdf, rng.random())]
+            if cur in raises:
+                raise WanderingError(f"walk from entry {entry} {raises[cur]} at edge {cur}")
+            # The candidate `rng.choice(len(row), p=row_p)` draws, from one uniform.
+            cur = cands[bisect.bisect_right(cdf, rng.random(), starts[cur], starts[cur + 1])]
             path.append(cur)
             traveled += length[cur]
         return path
 
-    def _step(self, g: RoadGraph, gi: int, cur: int, entry: int) -> tuple[list[int], list[float]]:
-        """The candidates after edge `cur` on a walk to goal set `gi`, with
-        the cumulative distribution `Generator.choice` draws from."""
-        cands = g.outgoing(cur)
-        if not cands:
-            raise WanderingError(f"walk from entry {entry} dead-ended at edge {cur}")
-        goal_set = g.goals[gi]
+    def _table(self, g: RoadGraph, goal_set: frozenset[int]) -> tuple:
+        """Every edge's step on a walk to `goal_set`, flat: the candidates
+        (`g.outgoing` of each edge in turn), their cumulative distribution
+        `Generator.choice` draws from, each edge's first position in both,
+        `{edge: why}` for the edges whose step raises, and each edge's travel
+        left once taken (0 on a goal edge, inf with no route). Rows of one
+        out-degree are computed together, each as the arrays of its step
+        alone: padded to a wider row, a row's sum adds in another order."""
         dmap = goal_distance_map(g, goal_set)
-        togo = np.array([travel_to_go(g.length, e, goal_set, dmap) for e in cands])
-        if self.beta == 0.0:
-            weights = np.ones(len(cands))
-        else:
-            finite = togo[np.isfinite(togo)]
-            if finite.size == 0:
-                raise WanderingError(f"walk from entry {entry} lost all routes at edge {cur}")
-            weights = np.exp(-self.beta * (togo - finite.min()))
-        total = weights.sum()
-        if total <= 0:
-            raise WanderingError(f"walk from entry {entry} lost all routes at edge {cur}")
-        return list(cands), choice_cdf(weights / total)
+        togo = np.full(g.n_edges, math.inf)
+        reached = list(dmap)
+        togo[reached] = g.length[reached] + np.fromiter(dmap.values(), float, len(reached))
+        togo[list(goal_set)] = 0.0
+        cands = [e for row in g._next for e in row]
+        degree = np.array([len(row) for row in g._next], dtype=np.intp)
+        starts = np.concatenate(([0], np.cumsum(degree)))
+        raises = dict.fromkeys(np.flatnonzero(degree == 0).tolist(), "dead-ended")
+        cand_togo = togo[np.asarray(cands, dtype=np.intp)]
+        cdf = np.zeros(len(cands))
+        for d in set(degree.tolist()) - {0}:  # rows are independent: any order
+            rows = np.flatnonzero(degree == d)
+            at = starts[rows, None] + np.arange(d)
+            t = cand_togo[at]
+            if self.beta == 0.0:
+                w = np.ones(t.shape)
+            else:
+                low = t.min(axis=1)  # the least finite travel-to-go, inf when none is
+                lost = low == math.inf
+                raises.update(dict.fromkeys(rows[lost].tolist(), "lost all routes"))
+                at, t, low = at[~lost], t[~lost], low[~lost]
+                w = np.exp(-self.beta * (t - low[:, None]))
+            c = np.cumsum(w / w.sum(axis=1)[:, None], axis=1)
+            cdf[at] = c / c[:, -1:]
+        return cands, cdf.tolist(), starts.tolist(), raises, togo
 
 
 @dataclass(frozen=True)

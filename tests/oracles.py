@@ -10,10 +10,13 @@ train / test halves that the unknown-behavior experiments draw from.
 the tick-by-tick trace sampler, the dict-counting model compiler, the
 dict-based Dijkstra into one goal set and the random walk drawing each step
 with `rng.choice`; the library's array, all-goal and cached versions must
-equal them exactly. `distance_map_reachable_goals` is the reachability rule
-read off reverse distance maps. `head_start_loop` is a trial's head start
-moved and located tick by tick, which the simulator's fast-forward must
-reproduce.
+equal them exactly. `walk_step` is one random-walk step computed alone, its
+candidates and their probabilities, `choice_cdf` the cumulative
+distribution `rng.choice` draws from and `travel_to_go` one edge's travel
+left; every row of a walk's step table must equal them bit for bit.
+`distance_map_reachable_goals` is the reachability rule read off reverse
+distance maps. `head_start_loop` is a trial's head start moved and located
+tick by tick, which the simulator's fast-forward must reproduce.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ import numpy as np
 from uav_search.belief import check_detect_prob
 from uav_search.movement import TransitionModel
 from uav_search.planner import entropy_gain
-from uav_search.road_graph import RoadGraph, goal_distance_map, travel_to_go
+from uav_search.road_graph import RoadGraph, goal_distance_map
 from uav_search.strategies import (
     MAX_LENGTH_FACTOR,
     RandomWalkStrategy,
     ShortestPathStrategy,
     SideRoadsStrategy,
     Strategy,
+    UnreachableGoalError,
     WanderingError,
 )
 
@@ -230,6 +234,16 @@ def dict_shortest_path(
     return None
 
 
+def travel_to_go(length, edge_id: int, goal_set: frozenset[int], dist_map: dict[int, float]) -> float:
+    """Travel left if the walk takes `edge_id` next (0 when it is a goal edge),
+    read off the goal set's reverse distance map. `length` is the graph's
+    edge lengths, as an array or a list."""
+    if edge_id in goal_set:
+        return 0.0
+    d = dist_map.get(edge_id)
+    return math.inf if d is None else length[edge_id] + d
+
+
 def distance_map_reachable_goals(g: RoadGraph, entry: int) -> list[int]:
     """The goal indices `entry` reaches, read off each goal set's reverse
     distance map (`goal_distance_map`, `travel_to_go`).
@@ -242,32 +256,57 @@ def distance_map_reachable_goals(g: RoadGraph, entry: int) -> list[int]:
     return out
 
 
-def choice_walk(beta: float, g: RoadGraph, entry: int, gi: int, rng: np.random.Generator) -> list[int]:
-    """`RandomWalkStrategy(beta).path(g, entry, rng, goal_index=gi)`, each step
-    recomputed and drawn with `rng.choice`."""
+def choice_cdf(p: np.ndarray) -> list[float]:
+    """The cumulative distribution `rng.choice(len(p), p=p)` draws from.
+
+    `bisect_right(cdf, rng.random())` is the index that call returns, and it
+    takes the same one uniform draw from the generator.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    if np.isnan(cdf).any():
+        raise ValueError("Probabilities contain NaN")
+    return cdf.tolist()
+
+
+def walk_step(beta: float, g: RoadGraph, gi: int, cur: int, entry: int) -> tuple[list[int], np.ndarray]:
+    """The candidates after edge `cur` on a walk from `entry` to goal set
+    `gi`, and the probabilities `rng.choice` draws them with. A dead end, or
+    at beta > 0 a step with no finite route left, raises the walk's
+    WanderingError."""
+    cands = g.outgoing(cur)
+    if not cands:
+        raise WanderingError(f"walk from entry {entry} dead-ended at edge {cur}")
     goal_set = g.goals[gi]
     dmap = goal_distance_map(g, goal_set)
+    togo = np.array([travel_to_go(g.length, e, goal_set, dmap) for e in cands])
+    if beta == 0.0:
+        weights = np.ones(len(cands))
+    else:
+        finite = togo[np.isfinite(togo)]
+        if finite.size == 0:
+            raise WanderingError(f"walk from entry {entry} lost all routes at edge {cur}")
+        weights = np.exp(-beta * (togo - finite.min()))
+    total = weights.sum()
+    if total <= 0:
+        raise WanderingError(f"walk from entry {entry} lost all routes at edge {cur}")
+    return list(cands), weights / total
+
+
+def choice_walk(beta: float, g: RoadGraph, entry: int, gi: int, rng: np.random.Generator) -> list[int]:
+    """`RandomWalkStrategy(beta).path(g, entry, rng, goal_index=gi)`, each step
+    recomputed by `walk_step` and drawn with `rng.choice`."""
+    goal_set = g.goals[gi]
     length = g.length.tolist()
-    max_travel = MAX_LENGTH_FACTOR * travel_to_go(length, entry, goal_set, dmap)
+    base = travel_to_go(length, entry, goal_set, goal_distance_map(g, goal_set))
+    if base == math.inf:
+        raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
     path, traveled, cur = [entry], 0.0, entry
     while cur not in g.goal_union:
-        if traveled > max_travel:
-            raise WanderingError("exceeded")
-        cands = g.outgoing(cur)
-        if not cands:
-            raise WanderingError("dead-ended")
-        togo = np.array([travel_to_go(length, e, goal_set, dmap) for e in cands])
-        if beta == 0.0:
-            weights = np.ones(len(cands))
-        else:
-            finite = togo[np.isfinite(togo)]
-            if finite.size == 0:
-                raise WanderingError("lost")
-            weights = np.exp(-beta * (togo - finite.min()))
-        total = weights.sum()
-        if total <= 0:
-            raise WanderingError("lost")
-        cur = cands[int(rng.choice(len(cands), p=weights / total))]
+        if traveled > MAX_LENGTH_FACTOR * base:
+            raise WanderingError(f"walk from entry {entry} exceeded {MAX_LENGTH_FACTOR:g}x the shortest route")
+        cands, p = walk_step(beta, g, gi, cur, entry)
+        cur = cands[int(rng.choice(len(cands), p=p))]
         path.append(cur)
         traveled += length[cur]
     return path

@@ -467,6 +467,16 @@ class TestSweep:
             assert r["trials"] == "4"
         assert float(rows[0]["success_rate"]) == 0.0  # no UAVs, no wins
 
+    @pytest.mark.parametrize("base", ["missing.yaml", ""])
+    def test_unreadable_base_exits_1(self, work, capsys, base):
+        """A base scenario that is missing, or a directory, exits 1 with an
+        error naming the sweep file and the base."""
+        sweep = work / "unreadable_base.yaml"
+        sweep.write_text(yaml.safe_dump({"base": base, "trials": 1, "axes": {"n_uavs": [1]}}))
+        assert main(["sweep", str(sweep), "--out", str(work / "unreadable_out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sweep}: {os.path.normpath(os.path.join(work, base))}: cannot read: "), err
+
     def test_jobs_do_not_change_bytes(self, work):
         sweep = work / "delay.yaml"
         sweep.write_text(yaml.safe_dump(
@@ -815,6 +825,72 @@ def test_grid_sweep_bytes_are_pinned(tmp_path, capsys, jobs):
     assert main(["sweep", str(sweep), "--jobs", jobs, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == GRID_SWEEP_SHA256
+
+
+# The address space and CPU seconds a command refusing an oversized grid runs
+# under: enough to import numpy and PyYAML and load the map, far less than the
+# ~5 GB the 47.9 million centre tuples of a 1 m grid on the bundled map would
+# take, or the minutes its edge cutting would. A regression then fails its
+# test with a MemoryError or a CPU-limit kill instead of exhausting the
+# machine.
+GRID_REFUSAL_ADDRESS_SPACE = 1 << 30
+GRID_REFUSAL_CPU_S = 20
+
+
+def _capped_cli(args: list[str]) -> subprocess.CompletedProcess:
+    """`uav-search ARGS` in a fresh interpreter under the limits above."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (GRID_REFUSAL_ADDRESS_SPACE, GRID_REFUSAL_ADDRESS_SPACE))
+        resource.setrlimit(resource.RLIMIT_CPU, (GRID_REFUSAL_CPU_S, GRID_REFUSAL_CPU_S))
+
+    src = os.path.dirname(os.path.dirname(uav_search.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, uav_search.cli; sys.exit(uav_search.cli.main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, preexec_fn=cap, timeout=120)
+
+
+class TestGridSizeLimit:
+    """A detection radius far too small for the map is refused, exit 1 and
+    naming where the radius came from, before any grid cell or cut is made."""
+
+    @pytest.mark.parametrize("radius", ["1", "0.1", "1e-300"])
+    def test_compile_radius_exits_1(self, tmp_path, radius):
+        proc = _capped_cli(["compile-model", os.path.join(REPO_ROOT, "maps", "border.graph"),
+                            "--strategies", "shortest", "--radius", radius, "--tick", "0.01",
+                            "--velocity", "8:12", "--out", str(tmp_path / "m.model")])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: --radius: detection radius {float(radius):g} m asks for a grid of")
+        assert "the limit is 1,000,000" in proc.stderr
+        assert not (tmp_path / "m.model").exists()
+
+    @pytest.mark.parametrize("key", ["detect_radius", "grid_radius"])
+    def test_scenario_radius_exits_1(self, tmp_path, key):
+        with open(BORDER_YAML) as fh:
+            scenario = yaml.safe_load(fh)
+        base = os.path.dirname(BORDER_YAML)
+        scenario["graph"] = os.path.normpath(os.path.join(base, scenario["graph"]))
+        scenario["classes"]["runner"]["model"] = os.path.normpath(
+            os.path.join(base, scenario["classes"]["runner"]["model"]))
+        if key == "grid_radius":
+            scenario["grid_radius"] = 1.0
+        else:
+            scenario["uavs"][1]["detect_radius"] = 1.0
+        path = tmp_path / "tiny_cells.yaml"
+        path.write_text(yaml.safe_dump(scenario))
+        sweep = tmp_path / "tiny_cells_sweep.yaml"
+        sweep.write_text(yaml.safe_dump({"base": path.name, "trials": 1, "axes": {"n_targets": [1]}}))
+        for args, source in (
+            (["run", str(path), "--trials", "1"], path),
+            (["sweep", str(sweep), "--out", str(tmp_path)], sweep),
+            (["dump-belief", str(path), "--ticks", "1"], path),
+        ):
+            proc = _capped_cli(args)
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.startswith(f"error: {source}: detection radius 1 m asks for a grid of"), proc.stderr
 
 
 def test_run_never_imports_scipy(tmp_path):

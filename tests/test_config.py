@@ -1,6 +1,7 @@
 """Config parsing: defaults, validation messages, sweep expansion."""
 
 import dataclasses
+import json
 import math
 import os
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from uav_search.config import (
     ConfigError,
     ScenarioConfig,
+    SweepSpec,
     TargetSpec,
     UavSpec,
     apply_axis,
@@ -273,6 +275,52 @@ class TestLoadScenarioFuzz:
             assert str(exc).startswith(f"{path}: ")
             return
         assert isinstance(sc, ScenarioConfig)
+
+
+# YAML spellings of NaN, the infinities, negative numbers, strings, bools,
+# lists and null, and of `1_0` and `٣`: an int to YAML 1.1, and a string.
+SWEEP_FUZZ_TOKENS = [".nan", ".inf", "-.inf", "-1", "-2.5", "x", "''", "true", "false", "[]", "[1.0, a]",
+                     "null", "1_0", "٣"]
+SWEEP_FUZZ_FIELDS = ["trials", "seed", "base", "axis name", "axis list", "axis value"]
+
+
+def _sweep_text(field: str | None = None, token: str = "", index: int = 0) -> str:
+    """scenarios/border_sweep.yaml, its base made absolute, with `field`
+    written as the YAML text `token` (for an axis value, the one at `index`)."""
+    fields = {"base": json.dumps(BORDER_YAML), "trials": "50", "seed": "1", "axis name": "n_uavs"}
+    values = ["2", "3", "4"]
+    if field == "axis value":
+        values[index % len(values)] = token
+    elif field is not None:
+        fields[field] = token
+    axis_list = token if field == "axis list" else f"[{', '.join(values)}]"
+    return (f"base: {fields['base']}\ntrials: {fields['trials']}\nseed: {fields['seed']}\n"
+            f"axes:\n  {fields['axis name']}: {axis_list}\n")
+
+
+class TestLoadSweepFuzz:
+    def test_unmutated_text_is_the_bundled_sweep(self, tmp_path):
+        path = tmp_path / "sweep.yaml"
+        path.write_text(_sweep_text())
+        bundled = load_sweep(os.path.join(REPO_ROOT, "scenarios", "border_sweep.yaml"))
+        assert load_sweep(str(path)) == bundled
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(SWEEP_FUZZ_FIELDS), token=st.sampled_from(SWEEP_FUZZ_TOKENS),
+           index=st.integers(0, 2))
+    def test_one_bad_field_loads_or_names_the_file(self, tmp_path, field, token, index):
+        """`scenarios/border_sweep.yaml` with its trials, seed, base, axis
+        name, axis list or one axis value written as one of
+        SWEEP_FUZZ_TOKENS either loads or raises a ConfigError naming the
+        file."""
+        path = tmp_path / "fuzz_sweep.yaml"
+        path.write_text(_sweep_text(field, token, index))
+        try:
+            spec = load_sweep(str(path))
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        assert isinstance(spec, SweepSpec)
 
 
 @pytest.fixture

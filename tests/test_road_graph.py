@@ -21,6 +21,7 @@ from uav_search.road_graph import (
     shortest_path,
     write_graph,
 )
+from uav_search.movement import ModelFormatError, load_model
 from uav_search.strategies import SideRoadsStrategy, _reachable_goals
 
 from oracles import dict_shortest_path, distance_map_reachable_goals
@@ -214,6 +215,52 @@ class TestLoadGraphFuzz:
         write_graph(g, str(first))
         write_graph(load_graph(str(first)), str(second))
         assert first.read_bytes() == second.read_bytes()
+
+
+# The bundled files the byte fuzz mutates, with their loader and its error.
+BYTE_FUZZ_FILES = {
+    "graph": (os.path.join(REPO_ROOT, "maps", "border.graph"), load_graph, GraphFormatError),
+    "model": (os.path.join(REPO_ROOT, "models", "border_shortest.model"), load_model, ModelFormatError),
+}
+
+
+@st.composite
+def _mutated_bytes(draw, data: bytes) -> bytes:
+    """`data` after 1-4 byte-level edits: flip one bit, insert a byte, delete
+    a run of up to 8 bytes, or truncate."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+        i = draw(st.integers(0, len(data)))
+        if kind == "insert":
+            data.insert(i, draw(st.integers(0, 255)))
+        elif kind == "truncate":
+            del data[i:]
+        elif i < len(data):
+            if kind == "flip":
+                data[i] ^= 1 << draw(st.integers(0, 7))
+            else:
+                del data[i : i + draw(st.integers(1, 8))]
+    return bytes(data)
+
+
+class TestLoaderByteFuzz:
+    @pytest.mark.parametrize("kind", sorted(BYTE_FUZZ_FILES))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_bytes_load_or_name_the_file(self, tmp_path, kind, data):
+        """A bundled graph or model file with bytes flipped, inserted, deleted
+        or cut off either loads or raises its loader's own error naming the
+        file: no other exception escapes."""
+        original, load, error = BYTE_FUZZ_FILES[kind]
+        with open(original, "rb") as fh:
+            mutated = data.draw(_mutated_bytes(fh.read()))
+        path = tmp_path / f"fuzz.{kind}"
+        path.write_bytes(mutated)
+        try:
+            load(str(path))
+        except error as exc:
+            assert str(exc).startswith(f"{path}:"), exc
 
 
 class TestOverlay:

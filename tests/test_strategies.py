@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uav_search import strategies as strategies_module
-from uav_search.road_graph import RoadGraph, overlay_grid
+from uav_search.road_graph import RoadGraph, goal_distance_map, overlay_grid
 from uav_search.simulator import run_batch
 from uav_search.strategies import (
     InvalidPathError,
@@ -18,12 +18,11 @@ from uav_search.strategies import (
     SideRoadsStrategy,
     UnreachableGoalError,
     WanderingError,
-    choice_cdf,
     make_strategy,
     validate_path,
 )
 
-from oracles import choice_walk, default_pool, split_pool
+from oracles import choice_cdf, choice_walk, default_pool, split_pool, travel_to_go, walk_step
 
 
 def _graph(coords, edge_pairs, entries=(), goals=()):
@@ -173,6 +172,12 @@ class TestRandomWalk:
                 outcomes["lost"] += 1
         assert outcomes["ok"] > 0 and outcomes["lost"] > 0
 
+    @pytest.mark.parametrize("entry", [-1, 5])
+    def test_entry_outside_the_graph_is_unreachable(self, fork_graph, entry):
+        """An edge id outside 0..n-1 reaches no goal set; -1 never wraps to the last edge."""
+        with pytest.raises(UnreachableGoalError, match=f"^goal set 1 unreachable from entry edge {entry}$"):
+            RandomWalkStrategy(beta=0.01).path(fork_graph, entry, np.random.default_rng(0), goal_index=1)
+
     def test_negative_beta_rejected(self, fork_graph):
         with pytest.raises(ValueError, match="beta"):
             RandomWalkStrategy(beta=-1.0).path(fork_graph, 0, np.random.default_rng(0))
@@ -233,11 +238,93 @@ class TestCachedWalkSteps:
                                np.random.default_rng(seed))
         assert cached == _walk_outcome(lambda rng: choice_walk(beta, g, entry, gi, rng), np.random.default_rng(seed))
 
-    def test_steps_cached_per_strategy_goal_and_edge(self, fork_graph):
+    def test_steps_cached_per_strategy_and_goal_set(self, fork_graph):
+        """One flat table per (strategy, goal set): every edge's candidates,
+        their CDF, each edge's first position, the edges whose step raises,
+        here the two dead-end goal edges, and each edge's travel left."""
         s = RandomWalkStrategy(beta=0.0)
         s.path(fork_graph, 0, np.random.default_rng(0), goal_index=1)
-        assert set(fork_graph._walk_steps) >= {(s, 1, 0)}
-        assert fork_graph._walk_steps[s, 1, 0] == ([1, 2], [0.5, 1.0])
+        assert list(fork_graph._walk_steps) == [(s, 1)]
+        *rows, togo = fork_graph._walk_steps[s, 1]
+        assert rows == [[1, 2, 3, 4], [0.5, 1.0, 1.0, 1.0], [0, 2, 3, 4, 4, 4], {3: "dead-ended", 4: "dead-ended"}]
+        assert togo.tolist() == [100.0 + 100.0, float("inf"), 100.0, float("inf"), 0.0]
+
+
+TABLE_BETAS = (0.0, 3e-4, 0.01, 1.0, 40.0)  # at 40 a 20 m detour's weight underflows to 0.0
+
+
+@st.composite
+def _walk_graphs(draw):
+    """A small road graph on a 100 m lattice, so travel-to-go ties, with
+    parallel edges, dead ends, entries, up to two goal sets and a last goal
+    set no walk reaches."""
+    n = draw(st.integers(2, 6))
+    spots = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=n, max_size=n, unique=True))
+    xy = [(100.0 * x, 100.0 * y) for x, y in spots] + [(1000.0, 1000.0), (1100.0, 1000.0)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=30))
+    roles = draw(st.lists(st.sampled_from(["entry", "goal", "other goal", "road"]),
+                          min_size=len(pairs), max_size=len(pairs)))
+    goals = [{e for e, r in enumerate(roles) if r == role} for role in ("goal", "other goal")]
+    goals = [gs for gs in goals if gs] + [{len(pairs)}]
+    pairs.append((n, n + 1))
+    entries = {e for e, r in enumerate(roles) if r == "entry"}
+    return _graph(xy, pairs, entries, goals)
+
+
+def _walk_result(walk, seed):
+    """(path, or the WanderingError's message, generator state after the walk)."""
+    rng = np.random.default_rng(seed)
+    try:
+        result = walk(rng)
+    except WanderingError as err:
+        result = str(err)
+    return result, rng.bit_generator.state
+
+
+class TestWalkTables:
+    @staticmethod
+    def _check(g, beta, seeds):
+        """Building a table raises nothing and warns nothing. Each row equals
+        the oracle's step, candidates and CDF bit for bit, and holds the
+        oracle's refusal for an edge it refuses; a walk raises that refusal,
+        with the same message, only on reaching the edge."""
+        s = RandomWalkStrategy(beta)
+        for gi, goal_set in enumerate(g.goals):
+            cands, cdf, starts, raises, togo = s._table(g, goal_set)
+            dmap = goal_distance_map(g, goal_set)
+            assert togo.tolist() == [travel_to_go(g.length, e, goal_set, dmap) for e in range(g.n_edges)]
+            for e in range(g.n_edges):
+                row = slice(starts[e], starts[e + 1])
+                try:
+                    want_cands, p = walk_step(beta, g, gi, e, "E")
+                except WanderingError as err:
+                    assert str(err) == f"walk from entry E {raises[e]} at edge {e}"
+                    continue
+                assert e not in raises
+                assert cands[row] == want_cands
+                assert np.array(cdf[row]).tobytes() == np.array(choice_cdf(p)).tobytes()
+            for entry in sorted(g.entries):
+                for seed in seeds:
+                    try:
+                        ours = _walk_result(lambda rng: s.path(g, entry, rng, goal_index=gi), seed)
+                    except UnreachableGoalError:
+                        with pytest.raises(UnreachableGoalError):
+                            choice_walk(beta, g, entry, gi, np.random.default_rng(seed))
+                        continue
+                    assert ours == _walk_result(lambda rng: choice_walk(beta, g, entry, gi, rng), seed)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(g=_walk_graphs(), beta=st.sampled_from(TABLE_BETAS), seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_the_per_edge_oracle(self, g, beta, seed):
+        self._check(g, beta, [seed, seed + 1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", TABLE_BETAS)
+    def test_bundled_rows_equal_the_per_edge_oracle(self, border_refined, beta):
+        g, _ = border_refined
+        self._check(g, beta, [0])
 
 
 class TestSideRoads:
