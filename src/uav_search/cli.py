@@ -18,8 +18,7 @@ import sys
 
 from .belief import propagate
 from .config import (
-    ConfigError, SweepSpec, apply_axis, check_trials, check_velocity_range, load_scenario, load_sweep, parse_strategy,
-    sweep_points,
+    ConfigError, SweepSpec, apply_axis, check_velocity_range, load_scenario, load_sweep, parse_strategy, sweep_points,
 )
 from .movement import KMH_TO_MS, ModelFormatError, compile_model, save_model, traces_for_strategies
 from .road_graph import GraphFormatError, GridSizeError, load_graph, overlay_grid, plain_number
@@ -172,7 +171,6 @@ def cmd_compile_model(args) -> int:
 
 
 def cmd_run(args) -> int:
-    check_trials(args.trials, "--trials")
     scenario = load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else 0
     [(stats, results)] = run_batch([(scenario, seed)], args.trials, jobs=args.jobs)
@@ -183,17 +181,15 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_points(spec: SweepSpec, seed: int, jobs: int, source: str | None = None):
+def _run_points(spec: SweepSpec, seed: int, jobs: int, source: str):
     """Yield (assignment, scenario, stats) per sweep point, in order, from
     one run_batch call: one world per distinct map, grid and models, and one
     pool. Every point is expanded and its world built, and so checked, before
-    the first trial runs; an axis error starts with `source`, the file that
-    listed the axes."""
+    the first trial runs; an axis error starts with `source`, the sweep or
+    scenario file."""
     try:
         points = list(sweep_points(spec))
     except ConfigError as exc:
-        if source is None:
-            raise
         raise ConfigError(f"{source}: {exc}") from None
     seeded = [(scenario, trial_seed(seed, index)) for index, (_, scenario) in enumerate(points)]
     batches = run_batch(seeded, spec.trials, jobs=jobs)
@@ -235,7 +231,6 @@ def _flag_axis(scenario, axis: str, spec: str, flag: str) -> tuple[float, ...]:
 
 
 def cmd_threshold_scan(args) -> int:
-    check_trials(args.trials, "--trials")
     scenario = load_scenario(args.scenario)
     if not scenario.uavs:
         raise ConfigError(f"{args.scenario}: threshold-scan needs at least one UAV")
@@ -249,7 +244,7 @@ def cmd_threshold_scan(args) -> int:
     grid = [",".join(["detect_prob", "threshold", "success_rate", "ci_low", "ci_high", "trials"])]
     best = [",".join(["detect_prob", "best_threshold", "success_rate"])]
     top: tuple[float, float] | None = None  # (rate, threshold) of the current detect_prob
-    for index, (assignment, point, stats) in enumerate(_run_points(spec, seed, args.jobs)):
+    for index, (assignment, point, stats) in enumerate(_run_points(spec, seed, args.jobs, args.scenario)):
         th = assignment[-1][1]
         p_shown = point.team_min_detect_prob()
         grid.append(",".join([
@@ -303,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=_NON_NEGATIVE_INT, default=None,
                         help="master seed, >= 0 (default 0; sweep: file seed)")
-    common.add_argument("--jobs", type=_INT, default=1, help="worker processes for trials")
+    common.add_argument("--jobs", type=_COUNT, default=1, help="worker processes for trials, >= 1")
     common.add_argument("--out", default=None, help="output file, or directory for sweep/threshold-scan")
 
     parser = _Parser(prog="uav-search", description=__doc__.splitlines()[0])
@@ -324,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[common], help="run one scenario batch")
     p.add_argument("scenario", help="scenario config file")
-    p.add_argument("--trials", type=_INT, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_COUNT, default=DEFAULT_TRIALS)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", parents=[common], help="run every point of a parameter sweep")
@@ -336,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario config file")
     p.add_argument("--thresholds", required=True, help="comma-separated threshold grid")
     p.add_argument("--detect-probs", default=None, help="comma-separated detection probabilities")
-    p.add_argument("--trials", type=_INT, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_COUNT, default=DEFAULT_TRIALS)
     p.set_defaults(func=cmd_threshold_scan)
 
     p = sub.add_parser("dump-belief", parents=[common], help="propagate one belief and dump it per tick")

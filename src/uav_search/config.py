@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -32,10 +33,10 @@ class ConfigError(ValueError):
     """Raised when a config file is malformed; message names the bad path."""
 
 
-def check_trials(n: int, label: str = "trials") -> int:
-    """The trial-count rule; an error starts with `label`, the flag or key that gave `n`."""
+def check_trials(n: int) -> int:
+    """The trial-count rule, which the count flags' type `cli._COUNT` shares."""
     if n < 1:
-        raise ConfigError(f"{label}: must be >= 1, got {n}")
+        raise ConfigError(f"trials: must be >= 1, got {n}")
     return n
 
 
@@ -316,10 +317,37 @@ def scenario_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
     )
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 with the flags' number rule and each key once in a mapping:
+    an integer is base-10 digits read by int() (`017` is 17), and `1_0`,
+    `1:30`, `0x1A`, `0b101` and `1_000.5` stay strings, refused by key."""
+
+    def construct_yaml_int(self, node):
+        text = self.construct_scalar(node)
+        return int(text) if re.fullmatch(r"[-+]?[0-9]+", text) else text
+
+    def construct_yaml_float(self, node):
+        text = self.construct_scalar(node)
+        return text if "_" in text or ":" in text else super().construct_yaml_float(node)
+
+    def construct_mapping(self, node, deep=False):
+        keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]  # before merges flatten in
+        mapping = super().construct_mapping(node, deep)
+        names = [self.construct_object(k) for k in keys]
+        for i, k in enumerate(keys):
+            if names[i] in names[:i]:
+                raise yaml.constructor.ConstructorError(None, None, f"repeated key {names[i]!r}", k.start_mark)
+        return mapping
+
+
+_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
+_Loader.add_constructor("tag:yaml.org,2002:float", _Loader.construct_yaml_float)
+
+
 def _load_yaml(path: str) -> dict:
     """The top-level mapping of a YAML file; anything else raises ConfigError naming the file."""
     try:
-        data = yaml.safe_load("\n".join(read_lines(path, ConfigError)))
+        data = yaml.load("\n".join(read_lines(path, ConfigError)), Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(data, dict):
@@ -335,7 +363,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def load_sweep(path: str, default_seed: int = 0) -> SweepSpec:
+def load_sweep(path: str) -> SweepSpec:
     data = _load_yaml(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
@@ -344,7 +372,7 @@ def load_sweep(path: str, default_seed: int = 0) -> SweepSpec:
             raise ConfigError("base: required (path to a scenario file)")
         base = load_scenario(os.path.normpath(os.path.join(base_dir, data["base"])))
         trials = check_trials(_need_int(data.get("trials"), "trials"))
-        seed = _need_int(data.get("seed", default_seed), "seed", lo=0)
+        seed = _need_int(data.get("seed", 0), "seed", lo=0)
         axes_map = _need_map(data.get("axes", {}), "axes")
         if not axes_map:
             raise ConfigError("axes: must name at least one sweep axis")

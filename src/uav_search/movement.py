@@ -226,9 +226,7 @@ def _columns(pairs: dict[tuple[int, int], float]) -> tuple[list, list, list]:
     return [src for src, _ in pairs], [dst for _, dst in pairs], list(pairs.values())
 
 
-def validate_stochastic(
-    model: TransitionModel, g: RoadGraph | None = None, tol: float = ROW_SUM_TOL
-) -> list[str]:
+def validate_stochastic(model: TransitionModel, g: RoadGraph | None = None) -> list[str]:
     """Return human-readable violations (empty list = valid): rowless edges,
     then row by row; a row sums its terms one at a time, in row order."""
     problems = [f"edge {e}: no transition row" for e in model.rowless.tolist()]
@@ -241,7 +239,7 @@ def validate_stochastic(
                 problems.append(f"edge {src}: negative probability {p!r} to {dst}")
             if g is not None and dst != src and dst not in g.outgoing(src):
                 problems.append(f"edge {src}: destination {dst} is not a road successor")
-        if not abs(total - 1.0) <= tol:  # a NaN sum fails too
+        if not abs(total - 1.0) <= ROW_SUM_TOL:  # a NaN sum fails too
             problems.append(f"edge {src}: row sums to {total!r}")
     return problems
 

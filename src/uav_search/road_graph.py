@@ -75,7 +75,6 @@ class RoadGraph:
             into[h].append(eid)
         self._next = [out[h] for h in heads]
         self._prev = [into[t] for t in tails]
-        self._goal_dist_cache: dict[frozenset[int], dict[int, float]] = {}
         # (strategy, entry) -> truncated route per goal index, and (walk
         # strategy, goal index) -> the walk's step table; see strategies.
         self._route_cache: dict[tuple, tuple[tuple[int, ...] | None, ...]] = {}
@@ -466,12 +465,8 @@ def goal_distance_map(g: RoadGraph, goal_set: frozenset[int]) -> dict[int, float
     """Remaining travel from each edge's head until some goal edge is entered.
 
     D[e] = 0 when a goal edge starts at head(e) (or e itself is a goal);
-    unreachable edges are absent. Cached per goal set on the graph.
+    unreachable edges are absent.
     """
-    goal_set = frozenset(goal_set)
-    cached = g._goal_dist_cache.get(goal_set)
-    if cached is not None:
-        return cached
     length = g.length.tolist()
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = []
@@ -490,5 +485,4 @@ def goal_distance_map(g: RoadGraph, goal_set: frozenset[int]) -> dict[int, float
             if nd < dist.get(prev, math.inf):
                 dist[prev] = nd
                 heapq.heappush(heap, (nd, prev))
-    g._goal_dist_cache[goal_set] = dist
     return dist

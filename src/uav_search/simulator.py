@@ -6,10 +6,10 @@ delay for targets), detection is a Bernoulli draw per UAV-target pair in
 range, beliefs are propagated and conditioned on fruitless searches, and the
 policy replans. The UAVs win if every target is detected before any target
 enters a goal edge. Trials are deterministic given their seed, and batch
-results are identical at any parallelism level. The head start, in which only
-targets move, is fast-forwarded: each target's distance along its route grows
-by the same steps, and is turned into an edge and a position only when the
-team starts or a target reaches its goal edge.
+results are identical at any parallelism level. In the head start only
+targets move: each target's distance along its route grows by one step a
+tick, and is turned into a position only once the team flies. A route's only
+goal edge is its last, so entering it is a distance test.
 
 A `World` holds what trials on one graph, grid, tick and set of class models
 share: the refined graph and its route cache, the grid overlay, the models and
@@ -65,10 +65,11 @@ class BatchStats:
     mean_detection_tick: float  # nan when nothing was ever detected
 
 
-def wilson_interval(wins: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(wins: int, n: int) -> tuple[float, float]:
     """Wilson score 95% interval for a binomial success rate."""
     if n <= 0:
         raise ValueError("need at least one trial")
+    z = WILSON_Z
     phat = wins / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -79,8 +80,8 @@ def wilson_interval(wins: int, n: int, z: float = WILSON_Z) -> tuple[float, floa
 @dataclass(eq=False)
 class World:
     """What the trials of every point with one `_world_key` share, frozen
-    beliefs included: `frozen_belief` gives a target its own copy at its first
-    fruitless search, and `shared_marginal` their cell marginals until then."""
+    beliefs included: `frozen_belief` gives a target's belief at its first
+    fruitless search, and `shared_marginal` its cell marginals until then."""
 
     refined: RoadGraph
     overlay: GridOverlay
@@ -94,33 +95,28 @@ class World:
     # (class name, entry edge) -> (first tick, end tick, {t // BLOCK_TICKS: read-only rows at road_cells})
     marginals: dict[tuple[str, int], tuple[int, int, dict[int, np.ndarray]]] = field(default_factory=dict, init=False, repr=False)
 
-    def _belief(self, key: tuple[str, int], tick: int) -> np.ndarray:
-        """The frozen belief of `key` at `tick`, read-only: propagated from the
-        nearest checkpoint or last belief at or below `tick`, keeping every
-        checkpoint passed and the result as the last belief."""
+    def frozen_belief(self, class_name: str, entry_edge: int, tick: int) -> np.ndarray:
+        """The belief `tick` ticks after a target of `class_name` entered on
+        `entry_edge`, with no observation in between, read-only: `tick`
+        successive `propagate` calls from the delta on the entry edge, made
+        from the nearest checkpoint or last belief at or below `tick`. Every
+        checkpoint passed is kept, and the result as the last belief."""
+        key = (class_name, entry_edge)
         saved = self.checkpoints.setdefault(key, [])
         if not saved:
-            saved.append(init_belief(self.refined, key[1]))
+            saved.append(init_belief(self.refined, entry_edge))
             saved[0].flags.writeable = False
         k = min(tick // BLOCK_TICKS, len(saved) - 1)
         at, mass = self.latest.get(key, (0, saved[0]))
         if not k * BLOCK_TICKS <= at <= tick:
             at, mass = k * BLOCK_TICKS, saved[k]
         for at in range(at + 1, tick + 1):
-            mass = propagate(mass, self.models[key[0]])
+            mass = propagate(mass, self.models[class_name])
             mass.flags.writeable = False
             if at == len(saved) * BLOCK_TICKS:
                 saved.append(mass)
         self.latest[key] = (tick, mass)
         return mass
-
-    def frozen_belief(self, class_name: str, entry_edge: int, tick: int) -> np.ndarray:
-        """The belief `tick` ticks after a target of `class_name` entered on
-        `entry_edge`, with no observation in between: `tick` successive
-        `propagate` calls from the delta on the entry edge. A checkpoint is
-        returned read-only, any other tick as a new array."""
-        mass = self._belief((class_name, entry_edge), tick)
-        return mass if tick % BLOCK_TICKS == 0 else mass.copy()
 
     def shared_marginal(self, class_name: str, entry_edge: int, tick: int) -> np.ndarray:
         """`cell_marginal(frozen_belief(...))` at `road_cells`, read-only. A
@@ -132,7 +128,7 @@ class World:
             for t in (*range(tick, lo), *range(end, tick + 1)):
                 block = blocks.setdefault(t // BLOCK_TICKS, np.empty((BLOCK_TICKS, self.road_cells.size)))
                 block.flags.writeable = True
-                block[t % BLOCK_TICKS] = cell_marginal(self._belief(key, t), self.overlay)[self.road_cells]
+                block[t % BLOCK_TICKS] = cell_marginal(self.frozen_belief(*key, t), self.overlay)[self.road_cells]
                 block.flags.writeable = False
             self.marginals[key] = (min(lo, tick), max(end, tick + 1), blocks)
         return blocks[tick // BLOCK_TICKS][tick % BLOCK_TICKS]
@@ -194,22 +190,18 @@ def build_world(scenario: ScenarioConfig) -> World:
 @dataclass(eq=False)
 class _TargetState:
     tid: int
-    entry: int  # refined entry edge
-    path: list[int]
+    path: list[int]  # from the refined entry edge
     ends: list[float]  # cumulative edge lengths along the path
     segments: list[list[float]]  # per path edge: tail x, tail y, head x, head y, length
     velocity_ms: float
     class_name: str
-    model: TransitionModel  # the world's model of the target's class
-    belief: np.ndarray | None = None  # float64 over refined edge ids, once the team starts
+    belief: np.ndarray | None = None  # float64 over refined edge ids; None while it is the world's
     s: float = 0.0
-    edge: int = -1
-    pos: tuple[float, float] = (0.0, 0.0)
+    pos: tuple[float, float] = (0.0, 0.0)  # set by `locate`, once the team flies
     active: bool = True
 
     def locate(self) -> None:
         idx = min(bisect.bisect_right(self.ends, self.s), len(self.path) - 1)
-        self.edge = self.path[idx]
         ax, ay, bx, by, length = self.segments[idx]
         start = self.ends[idx - 1] if idx > 0 else 0.0
         frac = min(max((self.s - start) / length, 0.0), 1.0)
@@ -256,10 +248,7 @@ def _spawn_targets(sc: ScenarioConfig, world: World, seed: int) -> list[_TargetS
         path = strategy.path(g, entry, rng)
         lengths = g.length[path]
         segments = np.column_stack([g.xy[g.tail[path]], g.xy[g.head[path]], lengths]).tolist()
-        model = world.models[tspec.class_name]
-        st = _TargetState(j, entry, path, np.cumsum(lengths).tolist(), segments, velocity, tspec.class_name, model)
-        st.locate()
-        out.append(st)
+        out.append(_TargetState(j, path, np.cumsum(lengths).tolist(), segments, velocity, tspec.class_name))
     return out
 
 
@@ -270,51 +259,33 @@ def _uniform_off_cells(overlay: GridOverlay, cells: set[int]) -> np.ndarray:
     return mass / mass.sum()
 
 
-def _head_start(
-    targets: list[_TargetState], dt: float, delay_m: float, max_ticks: int
-) -> tuple[int, _TargetState | None]:
-    """Fast-forward the head start: the ticks at whose end some target is
-    still short of `delay_m` metres, in which the team does not fly and
-    nothing but target motion happens.
-
-    Returns the last such tick and the target that entered its goal edge in
-    it, if one did. Each tick adds `v * dt` to every target's `s`, as every
-    later tick does, so `s` has the same bits. A path's only goal edge is its
-    last, so entering it is `s >= ends[-2]`, and `locate` runs only on the
-    return, leaving every target as a tick-by-tick loop would.
-    """
-    tick, loser = 0, None
-    while loser is None and tick < max_ticks and any(tg.s + tg.velocity_ms * dt < delay_m for tg in targets):
-        tick += 1
-        for tg in targets:
-            tg.s += tg.velocity_ms * dt
-            if tg.s >= tg.ends[-2]:
-                loser = tg
-                break
-    for tg in targets:
-        tg.locate()
-    return tick, loser
-
-
-def _move_targets(targets: list[_TargetState], dt: float, goal_union: frozenset[int]) -> _TargetState | None:
-    """Advance every active target one tick; returns the first that enters a
-    goal edge, leaving the targets after it unmoved."""
+def _move_targets(
+    targets: list[_TargetState], dt: float, delay_m: float, flying: bool
+) -> tuple[_TargetState | None, bool]:
+    """Advance every active target one tick. Returns the first that enters
+    its goal edge, leaving the targets after it unmoved, and whether the team
+    flies in this tick: from the first tick that ends with every target
+    `delay_m` along (`s + v * dt` is the `s` the move gives). Targets are
+    located only in those ticks. A path's only goal edge is its last, so
+    entering it is `s >= ends[-2]`."""
+    flying = flying or all(tg.s + tg.velocity_ms * dt >= delay_m for tg in targets)
     for tg in targets:
         if tg.active:
             tg.s += tg.velocity_ms * dt
-            tg.locate()
-            if tg.edge in goal_union:
-                return tg
-    return None
+            if tg.s >= tg.ends[-2]:
+                return tg, flying
+            if flying:
+                tg.locate()
+    return None, flying
 
 
 def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
     """One seeded trial. Phases per tick: targets move (goal check), UAVs fly
     (after the delay head start), detection draws, belief updates, replan.
-    The head start, where only targets move, is fast-forwarded by
-    `_head_start` to the same state, tick and outcome."""
-    g, overlay = world.refined, world.overlay
-    dt = scenario.tick_seconds
+    A tick at whose end some target is still short of the `delay_km` head
+    start ends once the targets move."""
+    overlay = world.overlay
+    dt, delay_m = scenario.tick_seconds, scenario.delay_km * 1000.0
     team_p = scenario.team_min_detect_prob() if scenario.uavs else 1.0
 
     targets = _spawn_targets(scenario, world, seed)
@@ -325,14 +296,15 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
     det_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     detections: dict[int, int] = {}
 
-    started, loser = _head_start(targets, dt, scenario.delay_km * 1000.0, scenario.max_ticks)
-    if loser is not None:
-        return TrialResult("lose", detections, loser.tid, started, seed)
-    for tick in range(started + 1, scenario.max_ticks + 1):
-        # 1. Targets move; entering any goal edge loses immediately.
-        loser = _move_targets(targets, dt, g.goal_union)
+    flying = False
+    for tick in range(1, scenario.max_ticks + 1):
+        # 1. Targets move; entering any goal edge loses immediately. Until
+        # every target is past the head start, that is all a tick does.
+        loser, flying = _move_targets(targets, dt, delay_m, flying)
         if loser is not None:
             return TrialResult("lose", detections, loser.tid, tick, seed)
+        if not flying:
+            continue
 
         # 2. UAVs fly toward their assigned cell centers.
         for uav in uavs:
@@ -352,10 +324,10 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
 
         # 4. Propagate beliefs, then condition on every fruitless search. A belief
         # is the world's frozen belief until the target's first search gives it
-        # its own copy: the same bits as propagating it every tick.
+        # a belief of its own: the same bits as propagating it every tick.
         for tg in targets:
             if tg.active and tg.belief is not None:
-                tg.belief = propagate(tg.belief, tg.model)
+                tg.belief = propagate(tg.belief, world.models[tg.class_name])
         for uav in uavs:
             searched = set(overlay.covered_cells(uav.pos[0], uav.pos[1], uav.detect_radius))
             if not searched:
@@ -364,7 +336,7 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
                 if not tg.active:
                     continue
                 if tg.belief is None:
-                    tg.belief = world.frozen_belief(tg.class_name, tg.entry, tick)
+                    tg.belief = world.frozen_belief(tg.class_name, tg.path[0], tick)
                 try:
                     tg.belief = negative_update(tg.belief, searched, uav.detect_prob, overlay)
                 except CertainDetection:
@@ -377,7 +349,7 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
             if active[0].belief is None:
                 cbs = np.zeros((len(active), overlay.n_cells))
                 for row, tg in zip(cbs, active):
-                    row[world.road_cells] = world.shared_marginal(tg.class_name, tg.entry, tick)
+                    row[world.road_cells] = world.shared_marginal(tg.class_name, tg.path[0], tick)
             else:
                 cbs = np.array([cell_marginal(tg.belief, overlay) for tg in active])
             cells = select_cells(scenario.policy, cbs, len(uavs), team_p)

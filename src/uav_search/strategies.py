@@ -5,12 +5,12 @@ on a goal edge. Strategies are the ground truth behind both simulated targets
 and the offline traces that transition models are compiled from. A registry
 maps config names to constructors.
 
-The deterministic strategies (shortest, side roads) route with one
-`shortest_path` search per (strategy, entry), which answers every goal set
-at once; the row of routes is kept on the graph. Which goal sets an entry
-reaches is read off the shortest strategy's row. A random walk draws each
-step from a table built for every edge at once, one per (strategy, goal
-set), also kept on the graph.
+The deterministic strategy, `RouteStrategy`, is `side_roads` and, at
+penalty 0, `shortest`. It routes with one `shortest_path` search per
+(strategy, entry), which answers every goal set at once; the row of routes
+is kept on the graph. Which goal sets an entry reaches is read off the
+penalty-0 row. A random walk draws each step from a table built for every
+edge at once, one per (strategy, goal set), also kept on the graph.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ def _truncate_at_goal(g: RoadGraph, path: list[int]) -> list[int]:
 def _reachable_goals(g: RoadGraph, entry: int) -> list[int]:
     """The goal indices some walk from `entry` reaches, ascending: those whose
     route under edge lengths exists. Finite weights never change whether a
-    route exists, so this is the shortest strategy's cached row."""
-    return [gi for gi, route in enumerate(_cached_routes(g, ShortestPathStrategy(), entry)) if route is not None]
+    route exists, so this is the shortest route's cached row."""
+    return [gi for gi, route in enumerate(RouteStrategy()._routes(g, entry)) if route is not None]
 
 
 def _draw_goal(g: RoadGraph, entry: int, rng: np.random.Generator) -> int:
@@ -77,45 +77,6 @@ def _draw_goal(g: RoadGraph, entry: int, rng: np.random.Generator) -> int:
     if not reachable:
         raise UnreachableGoalError(f"no goal reachable from entry edge {entry}")
     return reachable[int(rng.integers(len(reachable)))]
-
-
-def _cached_routes(g: RoadGraph, strategy, entry: int, make_weight=None) -> tuple[tuple[int, ...] | None, ...]:
-    """The deterministic routes of `strategy` from `entry`, one per goal index
-    (None where unreachable), each truncated at the first goal edge. One
-    `shortest_path` search per (strategy, entry) answers every goal set, and
-    the row is kept on the graph. `make_weight(g)` builds the per-edge hop
-    weights for the search on a miss."""
-    key = (strategy, entry)
-    routes = g._route_cache.get(key)
-    if routes is None:
-        weight = make_weight(g) if make_weight is not None else None
-        routes = g._route_cache[key] = tuple(
-            None if full is None else tuple(_truncate_at_goal(g, full))
-            for full in shortest_path(g, entry, weight=weight)
-        )
-    return routes
-
-
-def _cached_route(g: RoadGraph, strategy, entry: int, gi: int, make_weight=None) -> list[int]:
-    """The route of `strategy` from `entry` to goal set `gi` as a fresh list;
-    see `_cached_routes`. Raises UnreachableGoalError when there is none."""
-    route = _cached_routes(g, strategy, entry, make_weight)[gi]
-    if route is None:
-        raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
-    return list(route)
-
-
-@dataclass(frozen=True)
-class ShortestPathStrategy:
-    """Pick a goal uniformly, then follow the minimal-travel route to it."""
-
-    name: str = "shortest"
-
-    def path(
-        self, g: RoadGraph, entry: int, rng: np.random.Generator, goal_index: int | None = None
-    ) -> list[int]:
-        gi = _draw_goal(g, entry, rng) if goal_index is None else goal_index
-        return _cached_route(g, self, entry, gi)
 
 
 @dataclass(frozen=True)
@@ -132,7 +93,6 @@ class RandomWalkStrategy:
     """
 
     beta: float
-    name: str = "random_walk"
 
     def __post_init__(self):
         if not 0.0 <= self.beta < math.inf:
@@ -205,16 +165,16 @@ class RandomWalkStrategy:
 
 
 @dataclass(frozen=True)
-class SideRoadsStrategy:
-    """Shortest route under weights inflated near well-connected junctions.
+class RouteStrategy:
+    """Pick a goal uniformly, then follow the minimal route to it under
+    weights inflated near well-connected junctions.
 
     An edge weighs length * (1 + penalty * centrality(head)), centrality being
-    the head vertex degree normalized by the graph maximum. penalty = 0 is
-    exactly the shortest-path strategy.
+    the head vertex degree normalized by the graph maximum. At penalty = 0
+    every weight is the edge length, bit for bit: the shortest route.
     """
 
-    penalty: float
-    name: str = "side_roads"
+    penalty: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.penalty < math.inf:
@@ -224,7 +184,23 @@ class SideRoadsStrategy:
         self, g: RoadGraph, entry: int, rng: np.random.Generator, goal_index: int | None = None
     ) -> list[int]:
         gi = _draw_goal(g, entry, rng) if goal_index is None else goal_index
-        return _cached_route(g, self, entry, gi, self._weight)
+        route = self._routes(g, entry)[gi]
+        if route is None:
+            raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
+        return list(route)
+
+    def _routes(self, g: RoadGraph, entry: int) -> tuple[tuple[int, ...] | None, ...]:
+        """The routes from `entry`, one per goal index (None where
+        unreachable), each truncated at the first goal edge. One
+        `shortest_path` search per (strategy, entry) answers every goal set,
+        and the row is kept on the graph."""
+        routes = g._route_cache.get((self, entry))
+        if routes is None:
+            routes = g._route_cache[self, entry] = tuple(
+                None if full is None else tuple(_truncate_at_goal(g, full))
+                for full in shortest_path(g, entry, weight=self._weight(g))
+            )
+        return routes
 
     def _weight(self, g: RoadGraph) -> np.ndarray:
         degree = np.bincount(g.tail, minlength=len(g.xy)) + np.bincount(g.head, minlength=len(g.xy))
@@ -232,12 +208,12 @@ class SideRoadsStrategy:
         return g.length * (1.0 + self.penalty * degree[g.head] / max_deg)
 
 
-Strategy = ShortestPathStrategy | RandomWalkStrategy | SideRoadsStrategy
+Strategy = RouteStrategy | RandomWalkStrategy
 
 _REGISTRY = {
-    "shortest": (ShortestPathStrategy, ()),
+    "shortest": (RouteStrategy, ()),
     "random_walk": (RandomWalkStrategy, ("beta",)),
-    "side_roads": (SideRoadsStrategy, ("penalty",)),
+    "side_roads": (RouteStrategy, ("penalty",)),
 }
 
 

@@ -16,7 +16,8 @@ distribution `rng.choice` draws from and `travel_to_go` one edge's travel
 left; every row of a walk's step table must equal them bit for bit.
 `distance_map_reachable_goals` is the reachability rule read off reverse
 distance maps. `head_start_loop` is a trial's head start moved and located
-tick by tick, which the simulator's fast-forward must reproduce.
+tick by tick, with the goal read off the located edge, which the
+simulator's trial loop must reproduce.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from uav_search.road_graph import RoadGraph, goal_distance_map
 from uav_search.strategies import (
     MAX_LENGTH_FACTOR,
     RandomWalkStrategy,
-    ShortestPathStrategy,
-    SideRoadsStrategy,
+    RouteStrategy,
     Strategy,
     UnreachableGoalError,
     WanderingError,
@@ -95,9 +95,9 @@ def default_pool(size: int = 40) -> list[Strategy]:
         raise ValueError("pool needs at least 3 strategies")
     n_walk = (size - 1) * 3 // 5
     n_side = size - 1 - n_walk
-    pool: list[Strategy] = [ShortestPathStrategy()]
+    pool: list[Strategy] = [RouteStrategy()]
     pool.extend(RandomWalkStrategy(beta=float(b)) for b in np.geomspace(3e-4, 3e-2, n_walk))
-    pool.extend(SideRoadsStrategy(penalty=float(p)) for p in np.linspace(0.25, 4.0, n_side))
+    pool.extend(RouteStrategy(penalty=float(p)) for p in np.linspace(0.25, 4.0, n_side))
     return pool
 
 
@@ -149,19 +149,19 @@ def trace_loop(g: RoadGraph, path: list[int], velocity_ms: float, tick: float) -
 
 
 def head_start_loop(targets, dt: float, delay_m: float, max_ticks: int, goal_union) -> tuple[int, int | None]:
-    """A trial's first ticks, as `run_trial` ran them before its head start
-    was fast-forwarded: each tick, every active target adds `v * dt` to `s`
-    and is located, and entering a goal edge loses at once. Stops at the end
-    of the first tick at which every active target is `delay_m` along, when
-    the team starts. Returns (tick, losing target id or None); (max_ticks,
-    None) when the team never starts."""
+    """A trial's first ticks, one at a time: each tick, every active target
+    adds `v * dt` to `s` and is located, and entering a goal edge (the path
+    edge at `s`) loses at once. Stops at the end of the first tick at which
+    every active target is `delay_m` along, when the team starts. Returns
+    (tick, losing target id or None); (max_ticks, None) when the team never
+    starts."""
     for tick in range(1, max_ticks + 1):
         for tg in targets:
             if not tg.active:
                 continue
             tg.s += tg.velocity_ms * dt
             tg.locate()
-            if tg.edge in goal_union:
+            if tg.path[min(bisect.bisect_right(tg.ends, tg.s), len(tg.path) - 1)] in goal_union:
                 return tick, tg.tid
         if any(tg.s < delay_m for tg in targets if tg.active):
             continue

@@ -447,6 +447,46 @@ class TestNonUtf8Input:
         assert f"{work / 'latin.yaml'}: {self.NEEDLE}" in capsys.readouterr().err
 
 
+# YAML 1.1 integers that are not base-10 digits: `_` separated, base 60,
+# hexadecimal and binary. A scenario or sweep file keeps them as strings.
+NOT_DECIMAL = ("1_0", "1:30", "0x1A", "0b101")
+
+
+class TestYamlNumbers:
+    """Scenario and sweep files follow the flags' number rule, and give each
+    key once: anything else exits 1 naming the file and the key."""
+
+    @pytest.mark.parametrize("token", NOT_DECIMAL)
+    def test_scenario_number_exits_1(self, work, capsys, token):
+        path = work / "number_token.yaml"
+        path.write_text((work / "tiny.yaml").read_text().replace("max_ticks: 60", f"max_ticks: {token}"))
+        assert main(["run", str(path), "--trials", "1"]) == 1
+        assert f"error: {path}: max_ticks: expected an integer, got '{token}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", NOT_DECIMAL)
+    def test_sweep_number_exits_1(self, work, capsys, token):
+        path = work / "number_token_sweep.yaml"
+        path.write_text(f"base: tiny.yaml\ntrials: {token}\naxes:\n  n_uavs: [1]\n")
+        assert main(["sweep", str(path), "--out", str(work / "number_token_out")]) == 1
+        assert f"error: {path}: trials: expected an integer, got '{token}'" in capsys.readouterr().err
+        assert not (work / "number_token_out").exists()
+
+    def test_repeated_scenario_key_exits_1(self, work, capsys):
+        path = work / "repeated_key.yaml"
+        path.write_text((work / "tiny.yaml").read_text() + "tick_seconds: 5.0\n")
+        line = path.read_text().splitlines().index("tick_seconds: 5.0") + 1
+        assert main(["run", str(path), "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: invalid YAML: repeated key 'tick_seconds'" in err and f"line {line}," in err
+
+    def test_repeated_sweep_key_exits_1(self, work, capsys):
+        path = work / "repeated_key_sweep.yaml"
+        path.write_text("base: tiny.yaml\ntrials: 2\naxes:\n  n_uavs: [1]\n  n_uavs: [2]\n")
+        assert main(["sweep", str(path), "--out", str(work / "repeated_key_out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: invalid YAML: repeated key 'n_uavs'" in err and "line 5," in err
+
+
 class TestSweep:
     def test_sweep_csv(self, work, capsys):
         sweep = work / "team.yaml"
@@ -777,6 +817,8 @@ class TestNumericFlags:
             ("compile-model", "--velocity", "8:inf", "--velocity: need 0 < low <= high < inf, got [8.0, inf]"),
             ("run", "--seed", "-1", "--seed: must be >= 0, got -1"),
             ("sweep", "--seed", "-1", "--seed: must be >= 0, got -1"),
+            ("run", "--jobs", "0", "--jobs: must be >= 1, got 0"),
+            ("run", "--jobs", "-1", "--jobs: must be >= 1, got -1"),
             ("run", "--trials", "1_0", "--trials: expected int, got '1_0'"),
             ("run", "--seed", "\u0663", "--seed: expected int, got '\u0663'"),
             ("compile-model", "--velocity", "8:1_2", "--velocity: expected LO:HI km/h, got '8:1_2'"),

@@ -16,13 +16,14 @@ from uav_search.config import (
     SweepSpec,
     TargetSpec,
     UavSpec,
+    _load_yaml,
     apply_axis,
     load_scenario,
     load_sweep,
     scenario_from_dict,
     sweep_points,
 )
-from uav_search.strategies import RandomWalkStrategy, ShortestPathStrategy
+from uav_search.strategies import RandomWalkStrategy, RouteStrategy
 
 
 def _base(**over):
@@ -250,7 +251,16 @@ def _bundled_border():
     return data
 
 
-FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, -2.5, "x", "", True, False, [], [1.0, "a"], None]
+class _Token(str):
+    """A YAML token written into a file as it is, unquoted."""
+
+
+# YAML 1.1 integers that are not base-10 digits (`_` separated, base 60,
+# hexadecimal, binary), and one with a leading zero, which YAML 1.1 reads as
+# octal 15 and the loader, as the flags do, as 17.
+NUMBER_TOKENS = ("1_0", "1:30", "0x1A", "0b101", "017")
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, -2.5, "x", "", True, False, [], [1.0, "a"], None,
+               *map(_Token, NUMBER_TOKENS)]
 
 
 class TestLoadScenarioFuzz:
@@ -259,16 +269,17 @@ class TestLoadScenarioFuzz:
     def test_one_bad_field_loads_or_names_the_file(self, tmp_path, pick, value):
         """`scenarios/border.yaml` with one field, a leaf or a subtree,
         replaced by NaN, an infinity, a negative number, a string, a bool, a
-        list or null either loads or raises a ConfigError naming the file."""
+        list, null or one of NUMBER_TOKENS either loads or raises a
+        ConfigError naming the file."""
         data = _bundled_border()
         paths = list(_field_paths(data))
         *parents, key = paths[pick % len(paths)]
         record = data
         for part in parents:
             record = record[part]
-        record[key] = value
+        record[key] = "FUZZ_TOKEN" if isinstance(value, _Token) else value
         path = tmp_path / "fuzz.yaml"
-        path.write_text(yaml.safe_dump(data))
+        path.write_text(yaml.safe_dump(data).replace("FUZZ_TOKEN", value if isinstance(value, _Token) else ""))
         try:
             sc = load_scenario(str(path))
         except ConfigError as exc:
@@ -278,9 +289,9 @@ class TestLoadScenarioFuzz:
 
 
 # YAML spellings of NaN, the infinities, negative numbers, strings, bools,
-# lists and null, and of `1_0` and `٣`: an int to YAML 1.1, and a string.
+# lists and null, NUMBER_TOKENS and `٣`.
 SWEEP_FUZZ_TOKENS = [".nan", ".inf", "-.inf", "-1", "-2.5", "x", "''", "true", "false", "[]", "[1.0, a]",
-                     "null", "1_0", "٣"]
+                     "null", *NUMBER_TOKENS, "٣"]
 SWEEP_FUZZ_FIELDS = ["trials", "seed", "base", "axis name", "axis list", "axis value"]
 
 
@@ -296,6 +307,38 @@ def _sweep_text(field: str | None = None, token: str = "", index: int = 0) -> st
     axis_list = token if field == "axis list" else f"[{', '.join(values)}]"
     return (f"base: {fields['base']}\ntrials: {fields['trials']}\nseed: {fields['seed']}\n"
             f"axes:\n  {fields['axis name']}: {axis_list}\n")
+
+
+class TestNumberRule:
+    """`_load_yaml` reads an integer as base-10 digits and a float in YAML's
+    decimal, exponent, `.inf` and `.nan` forms; every other YAML 1.1 number
+    stays a string."""
+
+    @pytest.mark.parametrize("name", ["scenarios/border.yaml", "scenarios/border_sweep.yaml",
+                                      "perfbench/scenarios/pursuit.yaml"])
+    def test_bundled_files_load_as_yaml_1_1_reads_them(self, name):
+        path = os.path.join(REPO_ROOT, name)
+        with open(path) as fh:
+            assert _load_yaml(path) == yaml.safe_load(fh)
+
+    @pytest.mark.parametrize("token,value", [
+        ("017", 17), ("-3", -3), ("+4", 4), ("0", 0), ("1.5", 1.5), ("1.0e+3", 1000.0), (".5", 0.5),
+        ("-.inf", -math.inf), ("1_0", "1_0"), ("1:30", "1:30"), ("0x1A", "0x1A"), ("0b101", "0b101"),
+        ("1_000.5", "1_000.5"), ("1:30.0", "1:30.0"), ("1e5", "1e5"),
+    ])
+    def test_token(self, tmp_path, token, value):
+        path = tmp_path / "token.yaml"
+        path.write_text(f"v: {token}\n")
+        [got] = _load_yaml(str(path)).values()
+        assert got == value and type(got) is type(value)
+
+    def test_repeated_key_names_file_line_and_key(self, tmp_path):
+        path = tmp_path / "repeated.yaml"
+        path.write_text("a:\n  b: 1\n  c: 2\n  b: 3\n")
+        with pytest.raises(ConfigError) as info:
+            _load_yaml(str(path))
+        assert str(info.value).startswith(f"{path}: invalid YAML: repeated key 'b'\n")
+        assert "line 4, column 3" in str(info.value)
 
 
 class TestLoadSweepFuzz:
@@ -437,7 +480,7 @@ class TestRecordsCheckTheirFields:
     def test_class_holds_built_strategies(self):
         d = _base()
         d["classes"]["runner"]["strategies"] = [{"name": "random_walk", "beta": 1}, {"name": "shortest"}]
-        assert scenario_from_dict(d).classes[0].strategies == (RandomWalkStrategy(beta=1.0), ShortestPathStrategy())
+        assert scenario_from_dict(d).classes[0].strategies == (RandomWalkStrategy(beta=1.0), RouteStrategy())
 
 
 # Values at and around every bound a ranged field has: 0, 1, the 500 m detection
@@ -552,7 +595,6 @@ class TestSweep:
     def test_seed_default(self, tmp_path):
         path = _write_sweep(tmp_path, {"base": "sc.yaml", "trials": 5, "axes": {"delay_km": [0]}})
         assert load_sweep(path).seed == 0
-        assert load_sweep(path, default_seed=9).seed == 9
 
     @pytest.mark.parametrize(
         "sweep,needle",

@@ -20,7 +20,7 @@ from uav_search.movement import (
     validate_stochastic,
 )
 from uav_search.road_graph import RoadGraph, overlay_grid
-from uav_search.strategies import RandomWalkStrategy, ShortestPathStrategy, WanderingError
+from uav_search.strategies import RandomWalkStrategy, RouteStrategy, WanderingError
 
 from oracles import count_compile, model_from_rows, model_rows, trace_loop
 
@@ -76,7 +76,7 @@ class TestSampleTrace:
         expression moves it on to edge 10. Pinned: the tick at which the trace
         first occupies each edge; the trace ends on the goal at tick 210."""
         g, _ = border_refined
-        path = ShortestPathStrategy().path(g, min(g.entries), np.random.default_rng(0), goal_index=0)
+        path = RouteStrategy().path(g, min(g.entries), np.random.default_rng(0), goal_index=0)
         trace = sample_trace(g, path, 30.0 / 11.0, 20.0)
         first: dict[int, int] = {}
         for t, eid in enumerate(trace.tolist()):
@@ -98,7 +98,7 @@ class TestSampleTrace:
 class TestTraceGeneration:
     def test_one_trace_per_pair_and_run(self, fork_graph):
         g = _refined(fork_graph)
-        traces = generate_training_traces(g, ShortestPathStrategy(), 5.0, (8.0, 12.0), 3, seed=1)
+        traces = generate_training_traces(g, RouteStrategy(), 5.0, (8.0, 12.0), 3, seed=1)
         # 1 entry x 2 goal sets x 3 runs
         assert len(traces) == 6
         for trace in traces:
@@ -107,25 +107,25 @@ class TestTraceGeneration:
 
     def test_border_fixture_pair_coverage(self, border_refined):
         refined, _ = border_refined
-        traces = generate_training_traces(refined, ShortestPathStrategy(), 20.0, (8.0, 12.0), 3, seed=1)
+        traces = generate_training_traces(refined, RouteStrategy(), 20.0, (8.0, 12.0), 3, seed=1)
         assert len(traces) == 10 * 7 * 3
         starts = {int(trace[0]) for trace in traces}
         assert starts <= refined.entries
 
     def test_same_seed_same_traces(self, fork_graph):
         g = _refined(fork_graph)
-        a = generate_training_traces(g, ShortestPathStrategy(), 5.0, (8.0, 12.0), 2, seed=9)
-        b = generate_training_traces(g, ShortestPathStrategy(), 5.0, (8.0, 12.0), 2, seed=9)
+        a = generate_training_traces(g, RouteStrategy(), 5.0, (8.0, 12.0), 2, seed=9)
+        b = generate_training_traces(g, RouteStrategy(), 5.0, (8.0, 12.0), 2, seed=9)
         assert _edge_lists(a) == _edge_lists(b)
 
     def test_bad_velocity_range(self, fork_graph):
         g = _refined(fork_graph)
         with pytest.raises(ValueError, match="velocity_range_kmh: need 0 < low <= high < inf"):
-            generate_training_traces(g, ShortestPathStrategy(), 5.0, (12.0, 8.0), 1, seed=0)
+            generate_training_traces(g, RouteStrategy(), 5.0, (12.0, 8.0), 1, seed=0)
 
     def test_pooling_concatenates_per_strategy(self, fork_graph):
         g = _refined(fork_graph)
-        strategies = [ShortestPathStrategy(), ShortestPathStrategy()]
+        strategies = [RouteStrategy(), RouteStrategy()]
         pooled = traces_for_strategies(g, strategies, 5.0, (8.0, 12.0), 2, seed=4)
         subs = [
             int(np.random.SeedSequence(4, spawn_key=(si,)).generate_state(1, np.uint64)[0])
@@ -133,7 +133,7 @@ class TestTraceGeneration:
         ]
         expect = []
         for sub in subs:
-            expect.extend(generate_training_traces(g, ShortestPathStrategy(), 5.0, (8.0, 12.0), 2, sub))
+            expect.extend(generate_training_traces(g, RouteStrategy(), 5.0, (8.0, 12.0), 2, sub))
         assert _edge_lists(pooled) == _edge_lists(expect)
 
     def test_pooling_rejects_empty(self, fork_graph):
@@ -175,7 +175,7 @@ class TestCompileModel:
 
     def test_rows_are_stochastic(self, fork_graph):
         g = _refined(fork_graph)
-        traces = generate_training_traces(g, ShortestPathStrategy(), 5.0, (8.0, 12.0), 3, seed=2)
+        traces = generate_training_traces(g, RouteStrategy(), 5.0, (8.0, 12.0), 3, seed=2)
         model = compile_model(traces, g, smoothing=0.01)
         assert validate_stochastic(model, g) == []
 
@@ -287,7 +287,7 @@ class TestArraysEqualLoopOracles:
     def test_sample_trace_equals_tick_loop_on_bundled_routes(self, border_refined, pair, beta, velocity_kmh, tick, seed):
         g, _ = border_refined
         entry, gi = sorted(g.entries)[pair // 7], pair % 7
-        strategy = ShortestPathStrategy() if beta is None else RandomWalkStrategy(beta)
+        strategy = RouteStrategy() if beta is None else RandomWalkStrategy(beta)
         try:
             path = strategy.path(g, entry, np.random.default_rng(seed), goal_index=gi)
         except WanderingError:
@@ -304,7 +304,7 @@ class TestArraysEqualLoopOracles:
 
     def test_bundled_compile_equals_dict_counting(self, border_refined):
         g, _ = border_refined
-        strategies = [ShortestPathStrategy(), RandomWalkStrategy(0.01)]
+        strategies = [RouteStrategy(), RandomWalkStrategy(0.01)]
         traces = traces_for_strategies(g, strategies, 20.0, (8.0, 12.0), 1, seed=3)
         assert _compiled(compile_model, traces, g, 0.01) == _compiled(count_compile, traces, g, 0.01)
 
@@ -377,7 +377,7 @@ class TestModelFile:
 
     def test_compile_save_load_identity(self, tmp_path, fork_graph):
         g = _refined(fork_graph)
-        traces = generate_training_traces(g, ShortestPathStrategy(), 5.0, (8.0, 12.0), 2, seed=3)
+        traces = generate_training_traces(g, RouteStrategy(), 5.0, (8.0, 12.0), 2, seed=3)
         model = compile_model(traces, g, smoothing=0.01, tick=5.0, target_class="demo")
         p = tmp_path / "m.model"
         save_model(model, str(p))

@@ -22,7 +22,7 @@ from uav_search.road_graph import (
     write_graph,
 )
 from uav_search.movement import ModelFormatError, load_model
-from uav_search.strategies import SideRoadsStrategy, _reachable_goals
+from uav_search.strategies import RouteStrategy, _reachable_goals
 
 from oracles import dict_shortest_path, distance_map_reachable_goals
 
@@ -584,7 +584,7 @@ class TestShortestPath:
         """All 70 (entry, goal set) routes of the bundled refined map, under
         lengths and under the `side_roads:penalty=1.5` weights."""
         g, _ = border_refined
-        for weight in (None, SideRoadsStrategy(1.5)._weight(g)):
+        for weight in (None, RouteStrategy(1.5)._weight(g)):
             n_pairs = 0
             for entry in sorted(g.entries):
                 routes = shortest_path(g, entry, weight)

@@ -17,7 +17,6 @@ from uav_search.simulator import (
     BLOCK_TICKS,
     BatchStats,
     TrialResult,
-    _head_start,
     _move_targets,
     _spawn_targets,
     _TargetState,
@@ -234,14 +233,14 @@ class TestFrozenBelief:
             assert np.array_equal(world.frozen_belief("runner", entry, n), propagated(entry, n))
 
     def test_checkpoints_are_read_only(self, border_world):
+        """Every frozen belief, on a checkpoint or between two, is read-only."""
         world = dataclasses.replace(border_world)
         entry = min(world.refined.entries)
-        for n in (0, BLOCK_TICKS, 3 * BLOCK_TICKS):
+        for n in (0, 5, BLOCK_TICKS, 3 * BLOCK_TICKS, 3 * BLOCK_TICKS + 7, 2):
             mass = world.frozen_belief("runner", entry, n)
             with pytest.raises(ValueError, match="read-only"):
                 mass[entry] = 0.5
         assert len(world.checkpoints[("runner", entry)]) == 4
-        world.frozen_belief("runner", entry, 5)[entry] = 0.5  # off a checkpoint: a new array
         assert np.array_equal(world.frozen_belief("runner", entry, 0), init_belief(world.refined, entry))
 
     def test_head_start_loss_does_no_belief_work(self, border_scenario, border_world, monkeypatch):
@@ -363,7 +362,7 @@ def _targets_on(g, roads):
     for tid, (path, velocity) in enumerate(roads):
         lengths = g.length[path]
         segments = np.column_stack([g.xy[g.tail[path]], g.xy[g.head[path]], lengths]).tolist()
-        tg = _TargetState(tid, path[0], path, np.cumsum(lengths).tolist(), segments, velocity, "runner", None)
+        tg = _TargetState(tid, path, np.cumsum(lengths).tolist(), segments, velocity, "runner")
         tg.locate()
         targets.append(tg)
     return targets
@@ -373,30 +372,36 @@ class TestHeadStartFastForward:
     @settings(max_examples=400, deadline=None)
     @given(_head_starts())
     def test_equals_tick_by_tick_loop(self, case):
-        """The fast-forward, then the first tick the team flies, reach the
-        tick, the losing target and every target's s, edge and position of
-        moving and locating every target tick by tick."""
+        """`_move_targets` called tick by tick as `run_trial` calls it, which
+        locates nobody until the tick that ends with every target past the
+        head start, reaches the tick the team first flies or a target enters
+        its goal edge, the losing target, every target's s and, on the first
+        tick the team flies, every target's position, of moving and locating
+        every target tick by tick."""
         g, roads, dt, delay_m, max_ticks = case
         fast, slow = _targets_on(g, roads), _targets_on(g, roads)
-        tick, loser = _head_start(fast, dt, delay_m, max_ticks)
-        if loser is None and tick < max_ticks:
-            tick += 1
-            loser = _move_targets(fast, dt, g.goal_union)
+        flying = False
+        for tick in range(1, max_ticks + 1):
+            loser, flying = _move_targets(fast, dt, delay_m, flying)
+            if loser is not None or flying:
+                break
+        if loser is not None or not flying:  # no tick the team flies located the targets
+            for t in fast:
+                t.locate()
         got = (tick, None if loser is None else loser.tid)
         assert got == head_start_loop(slow, dt, delay_m, max_ticks, g.goal_union)
-        assert [(t.s, t.edge, t.pos) for t in fast] == [(t.s, t.edge, t.pos) for t in slow]
+        assert [(t.s, t.pos) for t in fast] == [(t.s, t.pos) for t in slow]
 
-    def test_locates_only_on_return(self, border_scenario, border_world, monkeypatch):
-        """A loss in the head start locates each target once more than at
-        spawn, however many ticks it fast-forwards."""
+    def test_head_start_locates_no_target(self, border_scenario, border_world, monkeypatch):
+        """Targets are located only once the team flies: a loss in the head
+        start locates none, however many ticks it lasts."""
         calls = []
         real = _TargetState.locate
         monkeypatch.setattr(_TargetState, "locate", lambda tg: calls.append(tg.tid) or real(tg))
         sc = dataclasses.replace(border_scenario, delay_km=1000.0)
         result = run_trial(sc, trial_seed(4, 0), border_world)
         assert result.outcome == "lose" and result.ticks > 100
-        n = len(sc.targets)
-        assert calls == list(range(n)) * 2
+        assert calls == []
 
 
 class TestCertainDetectionRecovery:

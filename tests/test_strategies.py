@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uav_search import strategies as strategies_module
-from uav_search.road_graph import RoadGraph, goal_distance_map, overlay_grid
+from uav_search.road_graph import RoadGraph, goal_distance_map, overlay_grid, shortest_path
 from uav_search.simulator import run_batch
 from uav_search.strategies import (
     InvalidPathError,
     RandomWalkStrategy,
-    ShortestPathStrategy,
-    SideRoadsStrategy,
+    RouteStrategy,
     UnreachableGoalError,
     WanderingError,
     make_strategy,
@@ -67,12 +66,12 @@ def hub_graph():
 class TestShortestPath:
     def test_fixed_goal_routes(self, fork_graph):
         rng = np.random.default_rng(0)
-        s = ShortestPathStrategy()
+        s = RouteStrategy()
         assert s.path(fork_graph, 0, rng, goal_index=0) == [0, 1, 3]
         assert s.path(fork_graph, 0, rng, goal_index=1) == [0, 2, 4]
 
     def test_goal_drawn_uniformly(self, fork_graph):
-        s = ShortestPathStrategy()
+        s = RouteStrategy()
         ends = [s.path(fork_graph, 0, np.random.default_rng(seed))[-1] for seed in range(1000)]
         count_first = sum(1 for e in ends if e == 3)
         assert 450 <= count_first <= 550
@@ -85,7 +84,7 @@ class TestShortestPath:
             entries={0},
             goals=[{1}, {2}],
         )
-        path = ShortestPathStrategy().path(g, 0, np.random.default_rng(0), goal_index=1)
+        path = RouteStrategy().path(g, 0, np.random.default_rng(0), goal_index=1)
         assert path == [0, 1]
 
     def test_unreachable_goal_index(self):
@@ -97,10 +96,10 @@ class TestShortestPath:
             goals=[{1}, {2}],
         )
         with pytest.raises(UnreachableGoalError, match="goal set 1 unreachable"):
-            ShortestPathStrategy().path(g, 0, np.random.default_rng(0), goal_index=1)
+            RouteStrategy().path(g, 0, np.random.default_rng(0), goal_index=1)
         # without a pinned goal only reachable sets are drawn
         for seed in range(10):
-            assert ShortestPathStrategy().path(g, 0, np.random.default_rng(seed)) == [0, 1]
+            assert RouteStrategy().path(g, 0, np.random.default_rng(seed)) == [0, 1]
 
     def test_no_goal_reachable(self):
         # the only goal edge sits on a disconnected component
@@ -111,7 +110,7 @@ class TestShortestPath:
             goals=[{1}],
         )
         with pytest.raises(UnreachableGoalError, match="no goal reachable"):
-            ShortestPathStrategy().path(g, 0, np.random.default_rng(0))
+            RouteStrategy().path(g, 0, np.random.default_rng(0))
 
 
 class TestRandomWalk:
@@ -328,12 +327,22 @@ class TestWalkTables:
 
 
 class TestSideRoads:
-    def test_zero_penalty_is_shortest(self, detour_graph, fork_graph):
-        rng = np.random.default_rng(0)
-        for g in (detour_graph, fork_graph):
-            for gi in range(len(g.goals)):
-                assert SideRoadsStrategy(penalty=0.0).path(g, 0, rng, goal_index=gi) == \
-                    ShortestPathStrategy().path(g, 0, rng, goal_index=gi)
+    @staticmethod
+    def _check_zero_penalty(g):
+        """At penalty 0 every edge weighs its length, bit for bit, so the
+        route search from every entry is the search under lengths."""
+        weight = RouteStrategy()._weight(g)
+        assert weight.tobytes() == g.length.tobytes()
+        for entry in sorted(g.entries):
+            assert shortest_path(g, entry, weight) == shortest_path(g, entry, None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=_walk_graphs())
+    def test_zero_penalty_weight_is_length(self, g):
+        self._check_zero_penalty(g)
+
+    def test_bundled_zero_penalty_weight_is_length(self, border_refined):
+        self._check_zero_penalty(border_refined[0])
 
     def test_penalty_diverts_around_hub(self, hub_graph):
         """A high enough penalty flips the route, exactly where the inflated
@@ -354,17 +363,17 @@ class TestSideRoads:
         assert route_cost(direct, 0.0) < route_cost(around, 0.0)
         assert route_cost(direct, 6.0) > route_cost(around, 6.0)
         rng = np.random.default_rng(0)
-        assert SideRoadsStrategy(penalty=0.0).path(g, 0, rng, goal_index=0) == direct
-        assert SideRoadsStrategy(penalty=6.0).path(g, 0, rng, goal_index=0) == around
+        assert RouteStrategy(penalty=0.0).path(g, 0, rng, goal_index=0) == direct
+        assert RouteStrategy(penalty=6.0).path(g, 0, rng, goal_index=0) == around
 
     def test_single_route_immune_to_penalty(self, line_graph):
         rng = np.random.default_rng(0)
         for penalty in (0.0, 10.0):
-            assert SideRoadsStrategy(penalty=penalty).path(line_graph, 0, rng, goal_index=0) == [0, 1]
+            assert RouteStrategy(penalty=penalty).path(line_graph, 0, rng, goal_index=0) == [0, 1]
 
     def test_negative_penalty_rejected(self, fork_graph):
         with pytest.raises(ValueError, match="penalty"):
-            SideRoadsStrategy(penalty=-0.5).path(fork_graph, 0, np.random.default_rng(0))
+            RouteStrategy(penalty=-0.5).path(fork_graph, 0, np.random.default_rng(0))
 
 
 class TestRouteCache:
@@ -383,7 +392,7 @@ class TestRouteCache:
         monkeypatch.setattr(strategies_module, "shortest_path", counting)
         return calls
 
-    @pytest.mark.parametrize("strategy", [ShortestPathStrategy(), SideRoadsStrategy(penalty=6.0)])
+    @pytest.mark.parametrize("strategy", [RouteStrategy(), RouteStrategy(penalty=6.0)])
     def test_hit_matches_miss(self, fork_graph, hub_graph, counted, strategy):
         for g in (fork_graph, hub_graph):
             for gi in range(len(g.goals)):
@@ -395,7 +404,7 @@ class TestRouteCache:
                 assert hit == miss
                 validate_path(g, hit, 0)
 
-    @pytest.mark.parametrize("strategy", [ShortestPathStrategy(), SideRoadsStrategy(penalty=1.5)])
+    @pytest.mark.parametrize("strategy", [RouteStrategy(), RouteStrategy(penalty=1.5)])
     def test_one_search_per_entry(self, border_graph, counted, strategy):
         g, _ = overlay_grid(border_graph, 500.0)
         entry = min(g.entries)
@@ -413,7 +422,7 @@ class TestRouteCache:
         assert 1 <= len(counted) <= 10
         assert len(set(counted)) == len(counted)
 
-    @pytest.mark.parametrize("strategy", [ShortestPathStrategy(), SideRoadsStrategy(penalty=1.0)])
+    @pytest.mark.parametrize("strategy", [RouteStrategy(), RouteStrategy(penalty=1.0)])
     def test_hit_consumes_the_same_randomness(self, border_graph, strategy):
         cold, _ = overlay_grid(border_graph, 500.0)
         warm, _ = overlay_grid(border_graph, 500.0)
@@ -426,11 +435,11 @@ class TestRouteCache:
 
     def test_returned_path_is_a_fresh_list(self, fork_graph):
         rng = np.random.default_rng(0)
-        first = ShortestPathStrategy().path(fork_graph, 0, rng, goal_index=0)
+        first = RouteStrategy().path(fork_graph, 0, rng, goal_index=0)
         expected = list(first)
         first.append(999)
         first[0] = -1
-        second = ShortestPathStrategy().path(fork_graph, 0, rng, goal_index=0)
+        second = RouteStrategy().path(fork_graph, 0, rng, goal_index=0)
         assert second == expected
         assert second is not first
 
@@ -439,7 +448,7 @@ class TestRouteCache:
         rng = np.random.default_rng(0)
         expected = {0.0: HUB_DIRECT, 6.0: HUB_AROUND}
         for penalty in order + order:
-            assert SideRoadsStrategy(penalty=penalty).path(hub_graph, 0, rng, goal_index=0) \
+            assert RouteStrategy(penalty=penalty).path(hub_graph, 0, rng, goal_index=0) \
                 == expected[penalty]
         assert len(counted) == 2  # one miss per penalty, then hits
 
@@ -480,9 +489,9 @@ class TestRegistry:
             make_strategy("teleport")
 
     def test_build_each(self):
-        assert make_strategy("shortest") == ShortestPathStrategy()
+        assert make_strategy("shortest") == RouteStrategy() == make_strategy("side_roads", {"penalty": 0})
         assert make_strategy("random_walk", {"beta": "0.5"}) == RandomWalkStrategy(beta=0.5)
-        assert make_strategy("side_roads", {"penalty": 2}) == SideRoadsStrategy(penalty=2.0)
+        assert make_strategy("side_roads", {"penalty": 2}) == RouteStrategy(penalty=2.0)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown strategy"):
@@ -514,20 +523,13 @@ class TestPool:
     def test_default_composition(self):
         pool = default_pool(40)
         assert len(pool) == 40
-        kinds = {
-            ShortestPathStrategy: 0,
-            RandomWalkStrategy: 0,
-            SideRoadsStrategy: 0,
-        }
-        for s in pool:
-            kinds[type(s)] += 1
-        assert kinds[ShortestPathStrategy] == 1
-        assert kinds[RandomWalkStrategy] == 23
-        assert kinds[SideRoadsStrategy] == 16
+        penalties = [s.penalty for s in pool if isinstance(s, RouteStrategy)]
         betas = [s.beta for s in pool if isinstance(s, RandomWalkStrategy)]
+        assert penalties.count(0.0) == 1  # the shortest route
+        assert len(betas) == 23 and len(penalties) == 17
         assert betas[0] == pytest.approx(3e-4) and betas[-1] == pytest.approx(3e-2)
-        penalties = [s.penalty for s in pool if isinstance(s, SideRoadsStrategy)]
-        assert penalties[0] == pytest.approx(0.25) and penalties[-1] == pytest.approx(4.0)
+        side = [p for p in penalties if p > 0.0]
+        assert side[0] == pytest.approx(0.25) and side[-1] == pytest.approx(4.0)
 
     def test_deterministic(self):
         assert default_pool(40) == default_pool(40)
