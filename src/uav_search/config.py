@@ -10,6 +10,7 @@ share it. Relative paths resolve against the directory of the config file.
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import math
 import os
@@ -346,8 +347,10 @@ _Loader.add_constructor("tag:yaml.org,2002:float", _Loader.construct_yaml_float)
 
 def _load_yaml(path: str) -> dict:
     """The top-level mapping of a YAML file; anything else raises ConfigError naming the file."""
+    stream = io.StringIO("\n".join(read_lines(path, ConfigError)))
+    stream.name = path  # a YAML error's marks read `in "<path>", line N, column M`
     try:
-        data = yaml.load("\n".join(read_lines(path, ConfigError)), Loader=_Loader)
+        data = yaml.load(stream, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(data, dict):

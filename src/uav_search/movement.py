@@ -4,10 +4,10 @@ A model is compiled offline: strategies generate full routes for every
 (entry, goal) pair, each route is sampled into an array of the edge occupied
 at each tick, and transition frequencies (with Laplace smoothing) become a
 row-stochastic edge-to-edge matrix. Goal edges are absorbing. Sampling is one
-`searchsorted` per route and counting one `bincount` over every hop of every
-trace. The matrix is three parallel `(src, dst, prob)` arrays, and each search
-tick scatters `prob * mass[src]` onto `dst`: plain numpy, no sparse-matrix
-type.
+`searchsorted` per route. Counting looks up only the hops that move to
+another edge; the stays, most hops, are tallied per row. The matrix is three
+parallel `(src, dst, prob)` arrays, and each search tick scatters
+`prob * mass[src]` onto `dst`: plain numpy, no sparse-matrix type.
 """
 
 from __future__ import annotations
@@ -189,16 +189,23 @@ def compile_model(
         outside = edges[(edges < 0) | (edges >= n)]
         if outside.size:
             raise ValueError(f"trace edge {outside[0]} is not in the graph")
-    codes = hop_src * n + hop_dst
+    # Every support holds (s, s), so a bad hop is always a move: only the
+    # moves are looked up, and each row's stays are added to its (s, s) slot.
+    moved = hop_src != hop_dst
+    move_src, move_dst = hop_src[moved], hop_dst[moved]
+    codes = move_src * n + move_dst
     at = np.minimum(np.searchsorted(allowed, codes), allowed.size - 1)
     bad = np.flatnonzero(allowed[at] != codes)
     if bad.size:
-        e0, e1 = hop_src[bad[0]], hop_dst[bad[0]]
+        e0, e1 = move_src[bad[0]], move_dst[bad[0]]
         raise ValueError(
             f"trace hop {e0} -> {e1} skips road edges; the model only "
             "supports one hop per tick, so the tick times the target "
             "velocity must not exceed the shortest refined edge")
-    count = np.bincount(at, minlength=allowed.size).tolist()
+    count = np.bincount(at, minlength=allowed.size)
+    stay = np.searchsorted(allowed, np.arange(n, dtype=np.intp) * (n + 1))
+    count[stay] += np.bincount(hop_src, minlength=n) - np.bincount(move_src, minlength=n)
+    count = count.tolist()
 
     pairs: dict[tuple[int, int], float] = {}
     i = 0

@@ -114,8 +114,7 @@ class _GainKernel:
         self.eta, self.N = self.eta_N
         self.keep, self.gains = block[4], block[5]
         PlogP = self.gains  # scratch until the first candidate_gains
-        PlogP.fill(0.0)
-        np.log2(P, out=PlogP, where=P > 0.0)
+        np.log2(P + (P == 0.0), out=PlogP)  # log2 1 = 0 where P is 0
         np.multiply(P, PlogP, out=PlogP)
         # Row sums of C-ordered arrays (`take` keeps C order) add as a 1-D array does.
         S = PlogP.sum(axis=1, keepdims=True)

@@ -45,6 +45,10 @@ class RoadGraph:
     endpoints. `entries` are the edges where targets may appear; `goals` is an
     ordered tuple of goal sets (edge-id frozensets). Goal sets may overlap
     each other but never the entry set. Immutable after construction.
+
+    For Python loops the graph keeps lists beside its arrays: `_length`
+    holds the edge lengths `length` is made from, and `_next` and `_prev`
+    each edge's successors and predecessors, read off `tail` and `head`.
     """
 
     def __init__(
@@ -60,10 +64,10 @@ class RoadGraph:
         self.head = np.asarray(head, dtype=np.intp)
         coords = self.xy.tolist()
         tails, heads = self.tail.tolist(), self.head.tolist()
-        self.length = np.array(
-            [math.hypot(coords[h][0] - coords[t][0], coords[h][1] - coords[t][1]) for t, h in zip(tails, heads)],
-            dtype=np.float64,
-        )
+        self._length = [
+            math.hypot(coords[h][0] - coords[t][0], coords[h][1] - coords[t][1]) for t, h in zip(tails, heads)
+        ]
+        self.length = np.array(self._length, dtype=np.float64)
         self.entries = frozenset(entries)
         self.goals = tuple(frozenset(g) for g in goals)
         self.goal_union: frozenset[int] = frozenset().union(*self.goals)
@@ -355,7 +359,7 @@ def overlay_grid(g: RoadGraph, r: float) -> tuple[RoadGraph, GridOverlay]:
     tails: list[int] = []
     heads: list[int] = []
     pieces: list[range] = []
-    for t, h, length in zip(g.tail.tolist(), g.head.tolist(), g.length.tolist()):
+    for t, h, length in zip(g.tail.tolist(), g.head.tolist(), g._length):
         (tx, ty), (hx, hy) = xy[t], xy[h]
         cuts = sorted(
             _cut_params(tx, hx, origin[0], cell_side)
@@ -424,7 +428,7 @@ def shortest_path(g: RoadGraph, from_edge: int, weight: np.ndarray | None = None
         if routes[gi] is None:
             for eid in goal_set:
                 sets_of.setdefault(eid, []).append(gi)
-    hop = (g.length if weight is None else weight).tolist()
+    hop = g._length if weight is None else weight.tolist()
     nexts = g._next
     dist = [math.inf] * g.n_edges
     dist[from_edge] = 0.0
@@ -467,7 +471,7 @@ def goal_distance_map(g: RoadGraph, goal_set: frozenset[int]) -> dict[int, float
     D[e] = 0 when a goal edge starts at head(e) (or e itself is a goal);
     unreachable edges are absent.
     """
-    length = g.length.tolist()
+    length = g._length
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = []
     for eid in goal_set:

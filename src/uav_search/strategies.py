@@ -110,7 +110,7 @@ class RandomWalkStrategy:
         if base == math.inf:
             raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
         max_travel = MAX_LENGTH_FACTOR * base
-        length = g.length.tolist()
+        length = g._length
 
         path = [entry]
         traveled = 0.0

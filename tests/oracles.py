@@ -23,6 +23,7 @@ simulator's trial loop must reproduce.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -234,6 +235,11 @@ def dict_shortest_path(
     return None
 
 
+# One reverse distance map per (graph, goal set): a walk's oracle asks for it
+# at every step, and graphs do not change once built. Callers only read it.
+_distance_map = functools.lru_cache(maxsize=256)(goal_distance_map)
+
+
 def travel_to_go(length, edge_id: int, goal_set: frozenset[int], dist_map: dict[int, float]) -> float:
     """Travel left if the walk takes `edge_id` next (0 when it is a goal edge),
     read off the goal set's reverse distance map. `length` is the graph's
@@ -250,7 +256,7 @@ def distance_map_reachable_goals(g: RoadGraph, entry: int) -> list[int]:
     `strategies._reachable_goals` must return the same list."""
     out = []
     for gi, goal_set in enumerate(g.goals):
-        dmap = goal_distance_map(g, goal_set)
+        dmap = _distance_map(g, goal_set)
         if travel_to_go(g.length, entry, goal_set, dmap) < math.inf:
             out.append(gi)
     return out
@@ -278,7 +284,7 @@ def walk_step(beta: float, g: RoadGraph, gi: int, cur: int, entry: int) -> tuple
     if not cands:
         raise WanderingError(f"walk from entry {entry} dead-ended at edge {cur}")
     goal_set = g.goals[gi]
-    dmap = goal_distance_map(g, goal_set)
+    dmap = _distance_map(g, goal_set)
     togo = np.array([travel_to_go(g.length, e, goal_set, dmap) for e in cands])
     if beta == 0.0:
         weights = np.ones(len(cands))
@@ -298,7 +304,7 @@ def choice_walk(beta: float, g: RoadGraph, entry: int, gi: int, rng: np.random.G
     recomputed by `walk_step` and drawn with `rng.choice`."""
     goal_set = g.goals[gi]
     length = g.length.tolist()
-    base = travel_to_go(length, entry, goal_set, goal_distance_map(g, goal_set))
+    base = travel_to_go(length, entry, goal_set, _distance_map(g, goal_set))
     if base == math.inf:
         raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
     path, traveled, cur = [entry], 0.0, entry

@@ -454,7 +454,8 @@ NOT_DECIMAL = ("1_0", "1:30", "0x1A", "0b101")
 
 class TestYamlNumbers:
     """Scenario and sweep files follow the flags' number rule, and give each
-    key once: anything else exits 1 naming the file and the key."""
+    key once: anything else exits 1 naming the file and the key. A YAML
+    error's marks name the file, at the line and column of the fault."""
 
     @pytest.mark.parametrize("token", NOT_DECIMAL)
     def test_scenario_number_exits_1(self, work, capsys, token):
@@ -477,14 +478,27 @@ class TestYamlNumbers:
         line = path.read_text().splitlines().index("tick_seconds: 5.0") + 1
         assert main(["run", str(path), "--trials", "1"]) == 1
         err = capsys.readouterr().err
-        assert f"error: {path}: invalid YAML: repeated key 'tick_seconds'" in err and f"line {line}," in err
+        assert f"error: {path}: invalid YAML: repeated key 'tick_seconds'" in err
+        assert f'in "{path}", line {line}, column 1' in err
 
     def test_repeated_sweep_key_exits_1(self, work, capsys):
         path = work / "repeated_key_sweep.yaml"
         path.write_text("base: tiny.yaml\ntrials: 2\naxes:\n  n_uavs: [1]\n  n_uavs: [2]\n")
         assert main(["sweep", str(path), "--out", str(work / "repeated_key_out")]) == 1
         err = capsys.readouterr().err
-        assert f"error: {path}: invalid YAML: repeated key 'n_uavs'" in err and "line 5," in err
+        assert f"error: {path}: invalid YAML: repeated key 'n_uavs'" in err
+        assert f'in "{path}", line 5, column 3' in err
+
+    def test_unclosed_bracket_exits_1(self, work, capsys):
+        """A YAML syntax error's marks name the file too, not the text's
+        in-memory copy."""
+        path = work / "unclosed.yaml"
+        path.write_text("graph: [tiny.graph\nmax_ticks: 60\n")
+        assert main(["run", str(path), "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: invalid YAML: while parsing a flow sequence" in err
+        assert f'in "{path}", line 1, column 8' in err and f'in "{path}", line 2, column 10' in err
+        assert "<unicode string>" not in err
 
 
 class TestSweep:
