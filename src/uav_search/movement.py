@@ -4,10 +4,12 @@ A model is compiled offline: strategies generate full routes for every
 (entry, goal) pair, each route is sampled into an array of the edge occupied
 at each tick, and transition frequencies (with Laplace smoothing) become a
 row-stochastic edge-to-edge matrix. Goal edges are absorbing. Sampling is one
-`searchsorted` per route. Counting looks up only the hops that move to
-another edge; the stays, most hops, are tallied per row. The matrix is three
-parallel `(src, dst, prob)` arrays, and each search tick scatters
-`prob * mass[src]` onto `dst`: plain numpy, no sparse-matrix type.
+`searchsorted` per route, and a trace is an int32 array. Hops are counted in
+slices of at most `HOP_SLICE` hops, so no array holds every hop; within a
+slice only the hops that move to another edge are looked up, and the stays,
+most hops, are tallied per row. The matrix is three parallel
+`(src, dst, prob)` arrays, and each search tick scatters `prob * mass[src]`
+onto `dst`: plain numpy, no sparse-matrix type.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ DEFAULT_SMOOTHING = 0.01
 KMH_TO_MS = 1000.0 / 3600.0
 
 ROW_SUM_TOL = 1e-9
+
+# The most hops `compile_model` counts in one slice of the trace list.
+HOP_SLICE = 1 << 15
 
 
 class ModelFormatError(ValueError):
@@ -75,17 +80,17 @@ class _Route(NamedTuple):
 
 
 def _route(g: RoadGraph, path: list[int]) -> _Route:
-    return _Route(np.asarray(path, dtype=np.intp), np.cumsum(g.length[path]),
+    return _Route(np.asarray(path, dtype=np.int32), np.cumsum(g.length[path]),
                   np.array([e in g.goal_union for e in path]))
 
 
 def sample_trace(g: RoadGraph, path: list[int] | _Route, velocity_ms: float, tick: float) -> np.ndarray:
     """Sample edge occupancy along `path` every `tick` seconds at constant
     speed, stopping at the first sample on a goal edge: a trace, the
-    read-only array of the edge occupied at each tick from tick 0. Its first
-    edge is an entry, its last the absorbing goal edge and no earlier one a
-    goal. `path` is a list of edge ids, or one made ready by `_route` once for
-    many samples.
+    read-only int32 array of the edge occupied at each tick from tick 0. Its
+    first edge is an entry, its last the absorbing goal edge and no earlier
+    one a goal. `path` is a list of edge ids, or one made ready by `_route`
+    once for many samples.
 
     Tick t sits `velocity_ms * tick * t` meters along the path, on the edge
     whose end lies first beyond it (the last edge once past the path's end).
@@ -174,6 +179,11 @@ def compile_model(
     over supp(s) = {s} + road successors of s. Sources never seen in a trace
     get the uniform distribution over their support; goal edges are absorbing
     regardless of counts.
+
+    Hops are counted over runs of traces holding at most `HOP_SLICE` hops and
+    the integer counts summed, so the model does not depend on the slicing.
+    Raises ValueError for the first trace edge outside the graph in trace
+    order, else for the first hop in trace order that skips road edges.
     """
     if smoothing < 0:
         raise ValueError("smoothing must be non-negative")
@@ -182,29 +192,36 @@ def compile_model(
     # source's support {src} + successors, destinations ascending.
     support = [sorted({src, *nxt}) for src, nxt in enumerate(g._next)]
     allowed = np.array([src * n + dst for src, row in enumerate(support) for dst in row], dtype=np.intp)
-    none = np.empty(0, dtype=np.intp)
-    hop_src = np.concatenate([none, *(t[:-1] for t in traces)])
-    hop_dst = np.concatenate([none, *(t[1:] for t in traces)])
-    for edges in (hop_src, hop_dst):
+    count = np.zeros(allowed.size, dtype=np.intp)
+    stay = np.searchsorted(allowed, np.arange(n, dtype=np.intp) * (n + 1))  # each (s, s) slot
+    skipped = None
+    for run in _hop_slices(traces):
+        edges = np.concatenate(run)
         outside = edges[(edges < 0) | (edges >= n)]
         if outside.size:
             raise ValueError(f"trace edge {outside[0]} is not in the graph")
-    # Every support holds (s, s), so a bad hop is always a move: only the
-    # moves are looked up, and each row's stays are added to its (s, s) slot.
-    moved = hop_src != hop_dst
-    move_src, move_dst = hop_src[moved], hop_dst[moved]
-    codes = move_src * n + move_dst
-    at = np.minimum(np.searchsorted(allowed, codes), allowed.size - 1)
-    bad = np.flatnonzero(allowed[at] != codes)
-    if bad.size:
-        e0, e1 = move_src[bad[0]], move_dst[bad[0]]
+        if skipped is not None:
+            continue  # an outside edge in a later slice is named first
+        last = np.cumsum([len(t) for t in run]) - 1
+        # Every support holds (s, s), so a bad hop is always a move: only the
+        # moves are looked up, and each row's stays go to its (s, s) slot.
+        moved = edges[:-1] != edges[1:]
+        moved[last[:-1]] = False  # the step from one trace into the next
+        move_src, move_dst = edges[:-1][moved], edges[1:][moved]
+        codes = move_src.astype(np.intp) * n + move_dst  # int32 wraps from n = 46,341
+        at = np.minimum(np.searchsorted(allowed, codes), allowed.size - 1)
+        bad = np.flatnonzero(allowed[at] != codes)
+        if bad.size:
+            skipped = move_src[bad[0]], move_dst[bad[0]]
+            continue
+        count += np.bincount(at, minlength=allowed.size)
+        starts = np.bincount(edges, minlength=n) - np.bincount(edges[last], minlength=n)
+        count[stay] += starts - np.bincount(move_src, minlength=n)
+    if skipped is not None:
         raise ValueError(
-            f"trace hop {e0} -> {e1} skips road edges; the model only "
+            f"trace hop {skipped[0]} -> {skipped[1]} skips road edges; the model only "
             "supports one hop per tick, so the tick times the target "
             "velocity must not exceed the shortest refined edge")
-    count = np.bincount(at, minlength=allowed.size)
-    stay = np.searchsorted(allowed, np.arange(n, dtype=np.intp) * (n + 1))
-    count[stay] += np.bincount(hop_src, minlength=n) - np.bincount(move_src, minlength=n)
     count = count.tolist()
 
     pairs: dict[tuple[int, int], float] = {}
@@ -226,6 +243,20 @@ def compile_model(
                 if c > 0 or smoothing > 0
             )
     return TransitionModel(target_class, tick, n, *_columns(pairs))
+
+
+def _hop_slices(traces: list[np.ndarray]):
+    """Runs of consecutive non-empty traces with at most `HOP_SLICE` hops
+    together, in trace order; a longer trace is a run of its own."""
+    run, hops = [], 0
+    for trace in filter(len, traces):
+        if run and hops + len(trace) - 1 > HOP_SLICE:
+            yield run
+            run, hops = [], 0
+        run.append(trace)
+        hops += len(trace) - 1
+    if run:
+        yield run
 
 
 def _columns(pairs: dict[tuple[int, int], float]) -> tuple[list, list, list]:

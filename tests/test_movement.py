@@ -1,12 +1,15 @@
 """Trace sampling, model compilation, and model file round trips."""
 
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from uav_search import movement
 from uav_search.belief import propagate
 from uav_search.movement import (
     KMH_TO_MS,
@@ -20,7 +23,7 @@ from uav_search.movement import (
     validate_stochastic,
 )
 from uav_search.road_graph import RoadGraph, overlay_grid
-from uav_search.strategies import RandomWalkStrategy, RouteStrategy, WanderingError
+from uav_search.strategies import RandomWalkStrategy, RouteStrategy, WanderingError, make_strategy
 
 from oracles import count_compile, model_from_rows, model_rows, trace_loop
 
@@ -41,6 +44,7 @@ class TestSampleTrace:
         tick: four samples on the entry, the fifth on the goal."""
         trace = sample_trace(line_graph, [0, 1], 10.0 * KMH_TO_MS, 9.0)
         assert trace.tolist() == [0, 0, 0, 0, 1]
+        assert trace.dtype == np.int32
         assert not trace.flags.writeable
 
     def test_vertex_hit_lands_on_next_edge(self, line_graph):
@@ -197,6 +201,11 @@ class TestCompileModel:
         with pytest.raises(ValueError, match=f"trace edge {max(edges, key=abs)} is not in the graph"):
             compile_model([np.array(edges)], _refined(fork_graph))
 
+    @pytest.mark.parametrize("edge", [99, -5])
+    def test_one_tick_trace_outside_graph_rejected(self, fork_graph, edge):
+        with pytest.raises(ValueError, match=f"trace edge {edge} is not in the graph"):
+            compile_model([np.array([0, 1]), np.array([edge])], _refined(fork_graph))
+
     def test_negative_smoothing_rejected(self, fork_graph):
         with pytest.raises(ValueError, match="non-negative"):
             compile_model([], _refined(fork_graph), smoothing=-0.1)
@@ -236,10 +245,10 @@ def _straight_road(draw):
 
 
 @st.composite
-def _graph_and_traces(draw):
-    """A random graph on grid points and up to 5 traces that stay on an edge
-    or move to a successor at each tick; about one hop in ten jumps to any
-    edge, which may skip road edges."""
+def _graph_and_traces(draw, max_traces=5, hops=st.integers(0, 10)):
+    """A random graph on grid points and up to `max_traces` traces, each of
+    `hops` hops, that stay on an edge or move to a successor at each tick;
+    about one hop in ten jumps to any edge, which may skip road edges."""
     points = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=6, unique=True))
     pairs = draw(st.lists(
         st.tuples(st.integers(0, len(points) - 1), st.integers(0, len(points) - 1)).filter(lambda p: p[0] != p[1]),
@@ -248,15 +257,25 @@ def _graph_and_traces(draw):
     goals = draw(st.sets(st.integers(0, n_e - 1), max_size=3))
     g = RoadGraph(points, [t for t, _ in pairs], [h for _, h in pairs], frozenset(), (frozenset(goals),) if goals else ())
     traces = []
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(draw(st.integers(0, max_traces))):
         edges = [draw(st.integers(0, n_e - 1))]
-        for _ in range(draw(st.integers(0, 10))):
+        for _ in range(draw(hops)):
             if draw(st.integers(0, 9)):
                 edges.append(draw(st.sampled_from([edges[-1], *g.outgoing(edges[-1])])))
             else:
                 edges.append(draw(st.integers(0, n_e - 1)))
         traces.append(np.array(edges))
     return g, traces
+
+
+@st.composite
+def _sliced_case(draw):
+    """A hop budget of 1-4 hops and up to 10 traces of up to twice the budget
+    hops each, many of them one tick long or exactly one budget long, so
+    slices often end on the budget."""
+    budget = draw(st.integers(1, 4))
+    g, traces = draw(_graph_and_traces(10, st.sampled_from([0, budget]) | st.integers(0, 2 * budget)))
+    return budget, g, traces
 
 
 def _compiled(compile_fn, traces, g, smoothing):
@@ -302,11 +321,80 @@ class TestArraysEqualLoopOracles:
         g, traces = case
         assert _compiled(compile_model, traces, g, smoothing) == _compiled(count_compile, traces, g, smoothing)
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=_sliced_case(), smoothing=st.sampled_from([0.0, 0.01, 0.5]))
+    def test_compile_in_slices_equals_dict_counting(self, case, smoothing):
+        """The same with `HOP_SLICE` cut to a few hops, so that traces fall
+        in many slices: summed slice counts are the whole list's counts."""
+        budget, g, traces = case
+        with mock.patch.object(movement, "HOP_SLICE", budget):
+            sliced = _compiled(compile_model, traces, g, smoothing)
+        assert sliced == _compiled(count_compile, traces, g, smoothing)
+
+    def test_hop_codes_past_int32_equal_dict_counting(self):
+        """On a straight road of 46,342 edges the hop code src * n + dst of
+        the top hops passes 2**31 - 1, which int32 traces must not wrap."""
+        n = 46_342
+        g = RoadGraph([(float(x), 0.0) for x in range(n + 1)], range(n), range(1, n + 1),
+                      frozenset({0}), (frozenset({n - 1}),))
+        traces = [np.array([n - 3, n - 3, n - 2, n - 1], dtype=np.int32), np.array([0, 1], dtype=np.int32)]
+        assert (n - 3) * n + n - 2 > np.iinfo(np.int32).max
+        assert _compiled(compile_model, traces, g, 0.01) == _compiled(count_compile, traces, g, 0.01)
+
     def test_bundled_compile_equals_dict_counting(self, border_refined):
         g, _ = border_refined
         strategies = [RouteStrategy(), RandomWalkStrategy(0.01)]
         traces = traces_for_strategies(g, strategies, 20.0, (8.0, 12.0), 1, seed=3)
         assert _compiled(compile_model, traces, g, 0.01) == _compiled(count_compile, traces, g, 0.01)
+
+
+class TestHopSlices:
+    """`compile_model` counts hops in runs of traces of at most `HOP_SLICE`
+    hops; here the budget is cut to a few hops."""
+
+    def test_runs_close_on_the_budget(self):
+        """Runs of 2 + 2 + 0 hops end exactly on a budget of 4; a trace of 5
+        hops is a run alone, and an empty trace is dropped."""
+        traces = [np.zeros(hops + 1, dtype=np.int32) for hops in (2, 2, 0, 5, 1, 3)]
+        traces.insert(3, np.zeros(0, dtype=np.int32))
+        with mock.patch.object(movement, "HOP_SLICE", 4):
+            runs = [[len(t) - 1 for t in run] for run in movement._hop_slices(traces)]
+        assert runs == [[2, 2, 0], [5], [1, 3]]
+
+    @pytest.mark.parametrize("budget", [1, 2, 1 << 15])
+    @pytest.mark.parametrize("traces,edge", [
+        ([[0, 3], [0, 1], [1, 9]], 9),
+        ([[0, 1], [0, 1, 8], [6], [7, 0]], 8),
+        ([[0, 3], [0, 0], [1, 1, 1, 1], [0, -2], [5]], -2),
+    ])
+    def test_first_outside_edge_named_in_any_slice(self, fork_graph, budget, traces, edge):
+        """The first outside edge in trace order is named before any skipped
+        hop: at a budget of 1, hop 0 -> 3 is in slice 1 and edge 9 in slice
+        3. Edge 7 in the second list starts the first outside hop."""
+        with mock.patch.object(movement, "HOP_SLICE", budget):
+            with pytest.raises(ValueError, match=f"trace edge {edge} is not in the graph"):
+                compile_model([np.array(t) for t in traces], _refined(fork_graph))
+
+    def test_benchmark_trace_set_peaks_under_1_5_mb(self, border_refined):
+        """The perfbench `compile` traces (shortest, random_walk:beta=0.01 and
+        side_roads:penalty=1.5, 6 runs per pair, seed 3; about 321,000 hops):
+        holding every hop as int64 peaked at 7.1 MB under tracemalloc."""
+        g, _ = border_refined
+        strategies = [make_strategy("shortest"), make_strategy("random_walk", {"beta": 0.01}),
+                      make_strategy("side_roads", {"penalty": 1.5})]
+        traces = traces_for_strategies(g, strategies, 20.0, (8.0, 12.0), 6, seed=3)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            compile_model(traces, g, 0.01, 20.0, "runner")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 class TestValidateStochastic:
