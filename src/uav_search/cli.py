@@ -243,8 +243,8 @@ def cmd_threshold_scan(args) -> int:
 
     grid = [",".join(["detect_prob", "threshold", "success_rate", "ci_low", "ci_high", "trials"])]
     best = [",".join(["detect_prob", "best_threshold", "success_rate"])]
-    top: tuple[float, float] | None = None  # (rate, threshold) of the current detect_prob
-    for index, (assignment, point, stats) in enumerate(_run_points(spec, seed, args.jobs, args.scenario)):
+    rates = []  # (success rate, threshold) per point; the thresholds vary fastest
+    for assignment, point, stats in _run_points(spec, seed, args.jobs, args.scenario):
         th = assignment[-1][1]
         p_shown = point.team_min_detect_prob()
         grid.append(",".join([
@@ -252,12 +252,11 @@ def cmd_threshold_scan(args) -> int:
             repr(stats.ci_low), repr(stats.ci_high), str(stats.n_trials),
         ]))
         print(f"p={p_shown:g} threshold={th:g} -> {stats.success_rate:.4f}")
-        if top is None or stats.success_rate > top[0]:
-            top = (stats.success_rate, th)
-        if index % len(thresholds) == len(thresholds) - 1:
-            best.append(",".join([repr(p_shown), repr(top[1]), repr(top[0])]))
-            print(f"p={p_shown:g} best threshold {top[1]:g} at success rate {top[0]:.4f}")
-            top = None
+        rates.append((stats.success_rate, th))
+        if len(rates) % len(thresholds) == 0:  # max keeps the first-listed of tied thresholds
+            rate, best_th = max(rates[-len(thresholds):], key=lambda row: row[0])
+            best.append(",".join([repr(p_shown), repr(best_th), repr(rate)]))
+            print(f"p={p_shown:g} best threshold {best_th:g} at success rate {rate:.4f}")
     out_dir = args.out or "."
     for name, lines in ((GRID_CSV, grid), (BEST_CSV, best)):
         path = os.path.join(out_dir, name)

@@ -5,19 +5,19 @@ Every validation error names the exact config path that caused it
 simulation starts. Parsers check YAML shape and types; each field rule lives
 in its record's `__post_init__`, so files, sweep axes and `dataclasses.replace`
 share it. Relative paths resolve against the directory of the config file.
+PyYAML loads on the first YAML read, so `compile-model` never loads it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import itertools
 import math
 import os
 import re
 from dataclasses import dataclass
-
-import yaml
 
 from .belief import check_detect_prob
 from .planner import PolicyConfig
@@ -152,9 +152,13 @@ class SweepSpec:
 # Parsing helpers: every reader carries the config path for error messages.
 
 
-def _need_map(data, path: str) -> dict:
+def _need_map(data, path: str, known: set[str] | None = None) -> dict:
+    """`data` as a mapping; with `known`, one that has no other key."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
+    unknown = set(data) - known if known is not None else ()
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {sorted(unknown)[0]!r} (known: {sorted(known)})")
     return data
 
 
@@ -180,12 +184,6 @@ def _need_int(data, path: str, lo: int | None = None) -> int:
     return data
 
 
-def _reject_unknown(data: dict, known: set[str], path: str) -> None:
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown key {sorted(unknown)[0]!r} (known: {sorted(known)})")
-
-
 def _build(record, path: str, *fields):
     """`record(*fields)`; its field checks, which start with the key, report under `path`."""
     try:
@@ -195,8 +193,7 @@ def _build(record, path: str, *fields):
 
 
 def _parse_uav(data, path: str) -> UavSpec:
-    data = _need_map(data, path)
-    _reject_unknown(data, {"depot", "velocity_kmh", "detect_radius", "detect_prob"}, path)
+    data = _need_map(data, path, {"depot", "velocity_kmh", "detect_radius", "detect_prob"})
     depot = _need_list(data.get("depot"), f"{path}.depot")
     if len(depot) != 2:
         raise ConfigError(f"{path}.depot: expected [x, y]")
@@ -224,8 +221,7 @@ def parse_strategy(data, path: str) -> Strategy:
 
 
 def _parse_class(name: str, data, path: str, base_dir: str) -> TargetClassSpec:
-    data = _need_map(data, path)
-    _reject_unknown(data, {"velocity_kmh", "strategies", "model"}, path)
+    data = _need_map(data, path, {"velocity_kmh", "strategies", "model"})
     vr = _need_list(data.get("velocity_kmh"), f"{path}.velocity_kmh")
     if len(vr) != 2:
         raise ConfigError(f"{path}.velocity_kmh: expected [low, high]")
@@ -242,8 +238,7 @@ def _parse_class(name: str, data, path: str, base_dir: str) -> TargetClassSpec:
 
 
 def _parse_target(data, path: str) -> TargetSpec:
-    data = _need_map(data, path)
-    _reject_unknown(data, {"class", "entry"}, path)
+    data = _need_map(data, path, {"class", "entry"})
     cls = data.get("class")
     entry = data.get("entry", "uniform")
     if entry == "uniform":
@@ -256,17 +251,16 @@ def _parse_target(data, path: str) -> TargetSpec:
 def _parse_policy(data, path: str) -> PolicyConfig:
     if data is None:
         return PolicyConfig()
-    data = _need_map(data, path)
-    _reject_unknown(data, {"name", "threshold", "detect_prob"}, path)
+    data = _need_map(data, path, {"name", "threshold", "detect_prob"})
     threshold = _need_float(data.get("threshold", 0.2), f"{path}.threshold")
     p = _need_float(data.get("detect_prob"), f"{path}.detect_prob", optional=True)
     return _build(PolicyConfig, path, data.get("name", "adaptive"), threshold, p)
 
 
 def scenario_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
-    data = _need_map(data, "scenario")
-    _reject_unknown(
+    data = _need_map(
         data,
+        "scenario",
         {
             "graph",
             "uavs",
@@ -278,7 +272,6 @@ def scenario_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
             "max_ticks",
             "grid_radius",
         },
-        "scenario",
     )
     if "graph" not in data or not isinstance(data["graph"], str):
         raise ConfigError("graph: required (path to a road graph file)")
@@ -318,39 +311,45 @@ def scenario_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
     )
 
 
-class _Loader(yaml.SafeLoader):
-    """YAML 1.1 with the flags' number rule and each key once in a mapping:
-    an integer is base-10 digits read by int() (`017` is 17), and `1_0`,
-    `1:30`, `0x1A`, `0b101` and `1_000.5` stay strings, refused by key."""
+@functools.cache
+def _yaml():
+    """PyYAML and `_Loader`, imported and built once, on the first YAML read."""
+    import yaml
 
-    def construct_yaml_int(self, node):
-        text = self.construct_scalar(node)
-        return int(text) if re.fullmatch(r"[-+]?[0-9]+", text) else text
+    class _Loader(yaml.SafeLoader):
+        """YAML 1.1 with the flags' number rule and each key once in a mapping:
+        an integer is base-10 digits read by int() (`017` is 17), and `1_0`,
+        `1:30`, `0x1A`, `0b101` and `1_000.5` stay strings, refused by key."""
 
-    def construct_yaml_float(self, node):
-        text = self.construct_scalar(node)
-        return text if "_" in text or ":" in text else super().construct_yaml_float(node)
+        def construct_yaml_int(self, node):
+            text = self.construct_scalar(node)
+            return int(text) if re.fullmatch(r"[-+]?[0-9]+", text) else text
 
-    def construct_mapping(self, node, deep=False):
-        keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]  # before merges flatten in
-        mapping = super().construct_mapping(node, deep)
-        names = [self.construct_object(k) for k in keys]
-        for i, k in enumerate(keys):
-            if names[i] in names[:i]:
-                raise yaml.constructor.ConstructorError(None, None, f"repeated key {names[i]!r}", k.start_mark)
-        return mapping
+        def construct_yaml_float(self, node):
+            text = self.construct_scalar(node)
+            return text if "_" in text or ":" in text else super().construct_yaml_float(node)
 
+        def construct_mapping(self, node, deep=False):
+            keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]  # before merges flatten in
+            mapping = super().construct_mapping(node, deep)
+            names = [self.construct_object(k) for k in keys]
+            for i, k in enumerate(keys):
+                if names[i] in names[:i]:
+                    raise yaml.constructor.ConstructorError(None, None, f"repeated key {names[i]!r}", k.start_mark)
+            return mapping
 
-_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
-_Loader.add_constructor("tag:yaml.org,2002:float", _Loader.construct_yaml_float)
+    _Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
+    _Loader.add_constructor("tag:yaml.org,2002:float", _Loader.construct_yaml_float)
+    return yaml, _Loader
 
 
 def _load_yaml(path: str) -> dict:
     """The top-level mapping of a YAML file; anything else raises ConfigError naming the file."""
     stream = io.StringIO("\n".join(read_lines(path, ConfigError)))
     stream.name = path  # a YAML error's marks read `in "<path>", line N, column M`
+    yaml, loader = _yaml()
     try:
-        data = yaml.load(stream, Loader=_Loader)
+        data = yaml.load(stream, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(data, dict):
@@ -370,7 +369,7 @@ def load_sweep(path: str) -> SweepSpec:
     data = _load_yaml(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
-        _reject_unknown(data, {"base", "trials", "seed", "axes"}, "sweep")
+        _need_map(data, "sweep", {"base", "trials", "seed", "axes"})
         if "base" not in data or not isinstance(data["base"], str):
             raise ConfigError("base: required (path to a scenario file)")
         base = load_scenario(os.path.normpath(os.path.join(base_dir, data["base"])))

@@ -17,7 +17,9 @@ left; every row of a walk's step table must equal them bit for bit.
 `distance_map_reachable_goals` is the reachability rule read off reverse
 distance maps. `head_start_loop` is a trial's head start moved and located
 tick by tick, with the goal read off the located edge, which the
-simulator's trial loop must reproduce.
+simulator's trial loop must reproduce. `reference_trial` is a whole trial as
+the plainest loop, every belief propagated every tick and no `World` store
+read, which `run_trial` must equal.
 """
 
 from __future__ import annotations
@@ -33,9 +35,16 @@ from typing import Sequence
 
 import numpy as np
 
-from uav_search.belief import check_detect_prob
-from uav_search.movement import TransitionModel
-from uav_search.planner import entropy_gain
+from uav_search.belief import (
+    CertainDetection,
+    cell_marginal,
+    check_detect_prob,
+    init_belief,
+    negative_update,
+    propagate,
+)
+from uav_search.movement import KMH_TO_MS, TransitionModel
+from uav_search.planner import entropy_gain, match_uavs_to_cells, select_cells
 from uav_search.road_graph import RoadGraph, goal_distance_map
 from uav_search.strategies import (
     MAX_LENGTH_FACTOR,
@@ -45,6 +54,7 @@ from uav_search.strategies import (
     UnreachableGoalError,
     WanderingError,
 )
+from uav_search.simulator import TrialResult, _spawn_targets, _uniform_off_cells, _UavState
 
 BRUTE_FORCE_MAX_CELLS = 15
 BRUTE_FORCE_MAX_K = 4
@@ -168,6 +178,67 @@ def head_start_loop(targets, dt: float, delay_m: float, max_ticks: int, goal_uni
             continue
         return tick, None
     return max_ticks, None
+
+
+def reference_trial(scenario, seed: int, world) -> TrialResult:
+    """`run_trial` as the plainest loop. Every tick, every active target
+    moves and is located, and entering a goal edge (the path edge at `s`)
+    loses at once; its belief, from `init_belief` on its entry edge, is
+    propagated every tick, the head start included. The team flies from the
+    first tick that ends with every target `delay_km` along. The world gives
+    only its graph, grid and models, never a stored belief or row: marginals
+    are `cell_marginal` of each target's own belief. This does belief work in
+    head-start ticks, so never compare call counts with it."""
+    overlay, goal_union = world.overlay, world.refined.goal_union
+    dt, delay_m = scenario.tick_seconds, scenario.delay_km * 1000.0
+    team_p = scenario.team_min_detect_prob() if scenario.uavs else 1.0
+    targets = _spawn_targets(scenario, world, seed)
+    uavs = [
+        _UavState(i, u.depot, u.velocity_kmh * KMH_TO_MS, u.detect_radius, u.detect_prob)
+        for i, u in enumerate(scenario.uavs)
+    ]
+    beliefs = [init_belief(world.refined, tg.path[0]) for tg in targets]
+    det_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    detections: dict[int, int] = {}
+    flying = False
+    for tick in range(1, scenario.max_ticks + 1):
+        for tg in targets:
+            if tg.active:
+                tg.s += tg.velocity_ms * dt
+                tg.locate()
+                if tg.path[min(bisect.bisect_right(tg.ends, tg.s), len(tg.path) - 1)] in goal_union:
+                    return TrialResult("lose", detections, tg.tid, tick, seed)
+        for j, tg in enumerate(targets):
+            if tg.active:
+                beliefs[j] = propagate(beliefs[j], world.models[tg.class_name])
+        flying = flying or all(tg.s >= delay_m for tg in targets)
+        if not flying:
+            continue
+        for uav in uavs:
+            uav.fly(overlay, dt)
+        for uav in uavs:
+            for tg in targets:
+                in_range = math.hypot(tg.pos[0] - uav.pos[0], tg.pos[1] - uav.pos[1]) <= uav.detect_radius
+                if tg.active and in_range and det_rng.random() < uav.detect_prob:
+                    tg.active = False
+                    detections[tg.tid] = tick
+        if not any(tg.active for tg in targets):
+            return TrialResult("win", detections, None, tick, seed)
+        for uav in uavs:
+            searched = set(overlay.covered_cells(uav.pos[0], uav.pos[1], uav.detect_radius))
+            for j, tg in enumerate(targets):
+                if tg.active:
+                    try:
+                        beliefs[j] = negative_update(beliefs[j], searched, uav.detect_prob, overlay)
+                    except CertainDetection:
+                        beliefs[j] = _uniform_off_cells(overlay, searched)
+        if uavs:
+            cbs = [cell_marginal(beliefs[j], overlay) for j, tg in enumerate(targets) if tg.active]
+            cells = select_cells(scenario.policy, cbs, len(uavs), team_p)
+            assignment = match_uavs_to_cells({u.uid: u.pos for u in uavs}, cells, overlay)
+            for uav in uavs:
+                uav.assigned_cell = assignment.get(uav.uid)
+    return TrialResult("lose", detections, None, scenario.max_ticks, seed, timeout=True)
 
 
 def count_compile(

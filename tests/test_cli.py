@@ -1038,3 +1038,25 @@ def test_readme_compile_command_reproduces_bundled_model(tmp_path):
     assert rc == 0
     with open(os.path.join(REPO_ROOT, "models", "border_shortest.model"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_compile_never_imports_pyyaml(tmp_path):
+    """`compile-model` reads no YAML: importing the CLI leaves PyYAML
+    unloaded, and with PyYAML unimportable the README command still exits 0
+    and writes the bundled model's bytes."""
+    out = tmp_path / "border_shortest.model"
+    code = (
+        "import sys, uav_search.cli; loaded = 'yaml' in sys.modules; sys.modules['yaml'] = None; "
+        "rc = uav_search.cli.main(sys.argv[1:]); print(rc, loaded)"
+    )
+    args = [
+        "compile-model", os.path.join(REPO_ROOT, "maps", "border.graph"),
+        "--strategies", "shortest", "--radius", "500", "--tick", "20", "--velocity", "8:12",
+        "--runs-per-pair", "3", "--seed", "7", "--target-class", "runner", "--out", str(out),
+    ]
+    src = os.path.dirname(os.path.dirname(uav_search.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
+    with open(os.path.join(REPO_ROOT, "models", "border_shortest.model"), "rb") as fh:
+        assert out.read_bytes() == fh.read()

@@ -12,7 +12,8 @@ from scipy import stats as sstats
 
 import uav_search.simulator as simulator
 from uav_search.belief import cell_marginal, init_belief, propagate
-from uav_search.config import ConfigError, TargetSpec, load_scenario
+from uav_search.config import ConfigError, TargetSpec, apply_axis, load_scenario
+from uav_search.planner import POLICIES
 from uav_search.simulator import (
     BLOCK_TICKS,
     BatchStats,
@@ -31,7 +32,7 @@ from uav_search.simulator import (
 from uav_search.movement import save_model
 from uav_search.road_graph import RoadGraph
 
-from oracles import head_start_loop, model_from_rows, model_rows
+from oracles import head_start_loop, model_from_rows, model_rows, reference_trial
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -402,6 +403,54 @@ class TestHeadStartFastForward:
         result = run_trial(sc, trial_seed(4, 0), border_world)
         assert result.outcome == "lose" and result.ticks > 100
         assert calls == []
+
+
+@st.composite
+def _trial_variants(draw, base, entries):
+    """A variant of scenario `base` on its own world (grid radius 500 m):
+    0-4 UAVs and 1-5 targets, each target on one of `entries` or a uniform
+    entry, a head start of 0, 3 or 7 km, any policy and threshold, one
+    detection probability for the team (1.0 included), one UAV at twice the
+    grid radius (so `covered_cells` runs its general branch), and either the
+    base's tick budget or one small enough that the trial times out."""
+    sc = dataclasses.replace(
+        base,
+        grid_radius=500.0,
+        delay_km=draw(st.sampled_from([0.0, 3.0, 7.0])),
+        max_ticks=draw(st.integers(1, 60) | st.just(base.max_ticks)),
+    )
+    sc = apply_axis(sc, "n_uavs", draw(st.integers(0, 4)))
+    sc = apply_axis(sc, "n_targets", draw(st.integers(1, 5)))
+    sc = apply_axis(sc, "detect_prob", draw(st.sampled_from([0.5, 0.8, 1.0])))
+    policy = dataclasses.replace(
+        sc.policy, policy=draw(st.sampled_from(POLICIES)), threshold=draw(st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+    )
+    targets = tuple(TargetSpec(t.class_name, draw(st.sampled_from([None, *entries]))) for t in sc.targets)
+    uavs = sc.uavs
+    if uavs and draw(st.booleans()):
+        uavs = (dataclasses.replace(uavs[0], detect_radius=1000.0),) + uavs[1:]
+    return dataclasses.replace(sc, policy=policy, targets=targets, uavs=uavs)
+
+
+class TestReferenceTrial:
+    """`run_trial` equals `reference_trial`, which propagates every belief
+    every tick and reads no world store: the head start that does no belief
+    work, targets located only once the team flies, shared rows, frozen
+    beliefs and the first search all give the bits of the plainest loop."""
+
+    @pytest.fixture(scope="class")
+    def reused_world(self, border_world):
+        """One world that every example's trial runs on, so its stores hold
+        what earlier examples left."""
+        return dataclasses.replace(border_world)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**64 - 1))
+    def test_equals_reference_on_fresh_and_reused_worlds(self, border_scenario, border_world, reused_world, data, seed):
+        sc = data.draw(_trial_variants(border_scenario, sorted(border_world.start_of_parent)))
+        expected = reference_trial(sc, seed, dataclasses.replace(border_world))
+        assert run_trial(sc, seed, dataclasses.replace(border_world)) == expected
+        assert run_trial(sc, seed, reused_world) == expected
 
 
 class TestCertainDetectionRecovery:
