@@ -159,10 +159,7 @@ def cmd_compile_model(args) -> int:
             f"tick, more than the shortest refined edge ({refined.length.min():.6g} m); "
             "a model supports one hop per tick"
         )
-    traces = traces_for_strategies(
-        refined, strategies, args.tick, velocity, args.runs_per_pair,
-        args.seed if args.seed is not None else 0,
-    )
+    traces = traces_for_strategies(refined, strategies, args.tick, velocity, args.runs_per_pair, args.seed)
     model = compile_model(traces, refined, args.smoothing, args.tick, args.target_class)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     save_model(model, args.out)
@@ -172,8 +169,7 @@ def cmd_compile_model(args) -> int:
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else 0
-    [(stats, results)] = run_batch([(scenario, seed)], args.trials, jobs=args.jobs)
+    [(stats, results)] = run_batch([(scenario, args.seed)], args.trials, jobs=args.jobs)
     _print_stats(stats)
     if args.out:
         _write_text(args.out, _trial_csv(results, len(scenario.targets)))
@@ -234,17 +230,16 @@ def cmd_threshold_scan(args) -> int:
     scenario = load_scenario(args.scenario)
     if not scenario.uavs:
         raise ConfigError(f"{args.scenario}: threshold-scan needs at least one UAV")
-    seed = args.seed if args.seed is not None else 0
     thresholds = _flag_axis(scenario, "threshold", args.thresholds, "--thresholds")
     axes = [("threshold", thresholds)]
     if args.detect_probs is not None:
         axes.insert(0, ("detect_prob", _flag_axis(scenario, "detect_prob", args.detect_probs, "--detect-probs")))
-    spec = SweepSpec(scenario, tuple(axes), args.trials, seed)
+    spec = SweepSpec(scenario, tuple(axes), args.trials, args.seed)
 
     grid = [",".join(["detect_prob", "threshold", "success_rate", "ci_low", "ci_high", "trials"])]
     best = [",".join(["detect_prob", "best_threshold", "success_rate"])]
     rates = []  # (success rate, threshold) per point; the thresholds vary fastest
-    for assignment, point, stats in _run_points(spec, seed, args.jobs, args.scenario):
+    for assignment, point, stats in _run_points(spec, args.seed, args.jobs, args.scenario):
         th = assignment[-1][1]
         p_shown = point.team_min_detect_prob()
         grid.append(",".join([
@@ -294,16 +289,19 @@ def cmd_dump_belief(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=_NON_NEGATIVE_INT, default=None,
-                        help="master seed, >= 0 (default 0; sweep: file seed)")
+    # One --seed parent per default, listed first so every usage line keeps its flag order. One
+    # shared parent cannot hold both: the subcommands built from a parent share its --seed action.
+    seeded, file_seeded, common = (_Parser(add_help=False) for _ in range(3))
+    seeded.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0, help="master seed, >= 0 (default 0)")
+    file_seeded.add_argument("--seed", type=_NON_NEGATIVE_INT, default=None,
+                             help="master seed, >= 0 (default: the sweep file's seed)")
     common.add_argument("--jobs", type=_COUNT, default=1, help="worker processes for trials, >= 1")
     common.add_argument("--out", default=None, help="output file, or directory for sweep/threshold-scan")
 
     parser = _Parser(prog="uav-search", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("compile-model", parents=[common], help="train a movement model from strategy routes")
+    p = sub.add_parser("compile-model", parents=[seeded, common], help="train a movement model from strategy routes")
     p.add_argument("graph", help="road graph file")
     p.add_argument("--strategies", required=True,
                    help="comma list, e.g. shortest,random_walk:beta=0.01,side_roads:penalty=1.5")
@@ -316,16 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-class", default="default", help="class name stored in the model file")
     p.set_defaults(func=cmd_compile_model)
 
-    p = sub.add_parser("run", parents=[common], help="run one scenario batch")
+    p = sub.add_parser("run", parents=[seeded, common], help="run one scenario batch")
     p.add_argument("scenario", help="scenario config file")
     p.add_argument("--trials", type=_COUNT, default=DEFAULT_TRIALS)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", parents=[common], help="run every point of a parameter sweep")
+    p = sub.add_parser("sweep", parents=[file_seeded, common], help="run every point of a parameter sweep")
     p.add_argument("sweep", help="sweep config file")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("threshold-scan", parents=[common],
+    p = sub.add_parser("threshold-scan", parents=[seeded, common],
                        help="find the best search threshold per detection probability")
     p.add_argument("scenario", help="scenario config file")
     p.add_argument("--thresholds", required=True, help="comma-separated threshold grid")
@@ -333,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_COUNT, default=DEFAULT_TRIALS)
     p.set_defaults(func=cmd_threshold_scan)
 
-    p = sub.add_parser("dump-belief", parents=[common], help="propagate one belief and dump it per tick")
+    p = sub.add_parser("dump-belief", parents=[seeded, common], help="propagate one belief and dump it per tick")
     p.add_argument("scenario", help="scenario config file")
     p.add_argument("--ticks", type=_NON_NEGATIVE_INT, default=100, help="propagation steps to dump")
     p.add_argument("--entry", type=_INT, default=None, help="entry edge id (default: lowest)")

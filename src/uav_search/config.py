@@ -2,7 +2,7 @@
 
 Every validation error names the exact config path that caused it
 (`uavs[0].detect_prob: ...`), so a bad file fails loudly before any
-simulation starts. Parsers check YAML shape and types; each field rule lives
+simulation starts. Field tables check keys and types; each field rule lives
 in its record's `__post_init__`, so files, sweep axes and `dataclasses.replace`
 share it. Relative paths resolve against the directory of the config file.
 PyYAML loads on the first YAML read, so `compile-model` never loads it.
@@ -20,14 +20,9 @@ import re
 from dataclasses import dataclass
 
 from .belief import check_detect_prob
-from .planner import PolicyConfig
+from .planner import DEFAULT_THRESHOLD, PolicyConfig
 from .road_graph import read_lines
 from .strategies import Strategy, make_strategy
-
-SWEEP_AXES = ("n_uavs", "n_targets", "delay_km", "threshold", "detect_prob")
-
-DEFAULT_TICK_SECONDS = 5.0
-DEFAULT_MAX_TICKS = 2000
 
 
 class ConfigError(ValueError):
@@ -99,8 +94,8 @@ class ScenarioConfig:
     classes: tuple[TargetClassSpec, ...]
     policy: PolicyConfig = PolicyConfig()
     delay_km: float = 0.0
-    tick_seconds: float = DEFAULT_TICK_SECONDS
-    max_ticks: int = DEFAULT_MAX_TICKS
+    tick_seconds: float = 5.0
+    max_ticks: int = 2000
     grid_radius: float | None = None  # None: team-minimum detection radius
 
     def __post_init__(self):
@@ -149,31 +144,25 @@ class SweepSpec:
 
 
 # ---------------------------------------------------------------------------
-# Parsing helpers: every reader carries the config path for error messages.
+# Readers: `read(data, path)` checks a YAML value's shape and types and returns
+# the value read; every error starts with `path`, the value's config path.
 
 
-def _need_map(data, path: str, known: set[str] | None = None) -> dict:
-    """`data` as a mapping; with `known`, one that has no other key."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    unknown = set(data) - known if known is not None else ()
-    if unknown:
-        raise ConfigError(f"{path}: unknown key {sorted(unknown)[0]!r} (known: {sorted(known)})")
+def _need(kind: type, data, path: str):
+    """`data` if it is a `kind`, dict or list."""
+    if not isinstance(data, kind):
+        raise ConfigError(f"{path}: expected a {'mapping' if kind is dict else 'list'}, got {type(data).__name__}")
     return data
 
 
-def _need_list(data, path: str) -> list:
-    if not isinstance(data, list):
-        raise ConfigError(f"{path}: expected a list, got {type(data).__name__}")
-    return data
-
-
-def _need_float(data, path: str, optional: bool = False) -> float | None:
-    if optional and data is None:
-        return None
+def _need_float(data, path: str) -> float:
     if isinstance(data, bool) or not isinstance(data, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {data!r}")
     return float(data)
+
+
+def _optional_float(data, path: str) -> float | None:
+    return None if data is None else _need_float(data, path)
 
 
 def _need_int(data, path: str, lo: int | None = None) -> int:
@@ -184,31 +173,63 @@ def _need_int(data, path: str, lo: int | None = None) -> int:
     return data
 
 
-def _build(record, path: str, *fields):
-    """`record(*fields)`; its field checks, which start with the key, report under `path`."""
-    try:
-        return record(*fields)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.{exc}") from None
+def _as_is(data, path: str):
+    return data  # a class or policy name, which its record checks
 
 
-def _parse_uav(data, path: str) -> UavSpec:
-    data = _need_map(data, path, {"depot", "velocity_kmh", "detect_radius", "detect_prob"})
-    depot = _need_list(data.get("depot"), f"{path}.depot")
-    if len(depot) != 2:
-        raise ConfigError(f"{path}.depot: expected [x, y]")
-    x = _need_float(depot[0], f"{path}.depot[0]")
-    y = _need_float(depot[1], f"{path}.depot[1]")
-    v = _need_float(data.get("velocity_kmh"), f"{path}.velocity_kmh")
-    r = _need_float(data.get("detect_radius"), f"{path}.detect_radius")
-    p = _need_float(data.get("detect_prob"), f"{path}.detect_prob")
-    return _build(UavSpec, path, (x, y), v, r, p)
+def _fields(data, table: dict, path: str, at: str) -> list:
+    """The values of mapping `data` by `table`, `{key: (reader, default)}`, in table order; any other
+    key is refused. Key paths start with `at`: `path` in a record, "" at a file's top level."""
+    unknown = sorted(_need(dict, data, path).keys() - table)
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {unknown[0]!r} (known: {sorted(table)})")
+    return [read(data.get(key, default), f"{at}.{key}" if at else key) for key, (read, default) in table.items()]
+
+
+def _record(record, table: dict):
+    """A reader of `record(*leading, *fields)`, the fields read by `table`; the record's own
+    checks, whose messages start with the key, report under the record's path."""
+    def read(data, path: str, *leading):
+        fields = _fields(data, table, path, path)
+        try:
+            return record(*leading, *fields)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.{exc}") from None
+    return read
+
+
+def _pair(shape: str):
+    """A reader of two numbers `[<shape>]` as a tuple."""
+    def read(data, path: str) -> tuple[float, float]:
+        if len(_need(list, data, path)) != 2:
+            raise ConfigError(f"{path}: expected [{shape}]")
+        return tuple(_need_float(v, f"{path}[{i}]") for i, v in enumerate(data))
+    return read
+
+
+def _file(what: str, base_dir: str):
+    """A reader of a path to `what`, relative to `base_dir`."""
+    def read(data, path: str) -> str:
+        if not isinstance(data, str):
+            raise ConfigError(f"{path}: required (path to {what})")
+        return os.path.normpath(os.path.join(base_dir, data))
+    return read
+
+
+def _each(read):
+    """A reader of a list as a tuple, item `i` read by `read` at `path[i]`."""
+    return lambda data, path: tuple(read(v, f"{path}[{i}]") for i, v in enumerate(_need(list, data, path)))
+
+
+def _named(read):
+    """A reader of a mapping as a tuple, in file order: `read(value, path.key, key)`."""
+    return lambda data, path: tuple(read(v, f"{path}.{k}", k) for k, v in _need(dict, data, path).items())
 
 
 def parse_strategy(data, path: str) -> Strategy:
     """A strategy from its spec, `{name: ..., <parameter>: <number>, ...}`,
     as a file or the `--strategies` flag gives it; errors start with `path`."""
-    data = _need_map(data, path)
+    data = _need(dict, data, path)
     if "name" not in data:
         raise ConfigError(f"{path}.name: required")
     params = {k: _need_float(v, f"{path}.{k}") for k, v in data.items() if k != "name"}
@@ -220,95 +241,47 @@ def parse_strategy(data, path: str) -> Strategy:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_class(name: str, data, path: str, base_dir: str) -> TargetClassSpec:
-    data = _need_map(data, path, {"velocity_kmh", "strategies", "model"})
-    vr = _need_list(data.get("velocity_kmh"), f"{path}.velocity_kmh")
-    if len(vr) != 2:
-        raise ConfigError(f"{path}.velocity_kmh: expected [low, high]")
-    lo = _need_float(vr[0], f"{path}.velocity_kmh[0]")
-    hi = _need_float(vr[1], f"{path}.velocity_kmh[1]")
-    listed = _need_list(data.get("strategies"), f"{path}.strategies")
-    strategies = tuple(
-        parse_strategy(s, f"{path}.strategies[{i}]") for i, s in enumerate(listed)
-    )
-    if "model" not in data or not isinstance(data["model"], str):
-        raise ConfigError(f"{path}.model: required (path to a compiled movement model)")
-    model_path = os.path.normpath(os.path.join(base_dir, data["model"]))
-    return _build(TargetClassSpec, path, name, (lo, hi), strategies, model_path)
+def _entry(data, path: str) -> int | None:
+    if data == "uniform":
+        return None
+    if isinstance(data, bool) or not isinstance(data, int):
+        raise ConfigError(f"{path}: expected 'uniform' or an entry edge id, got {data!r}")
+    return data
 
 
-def _parse_target(data, path: str) -> TargetSpec:
-    data = _need_map(data, path, {"class", "entry"})
-    cls = data.get("class")
-    entry = data.get("entry", "uniform")
-    if entry == "uniform":
-        return TargetSpec(cls, None)
-    if isinstance(entry, bool) or not isinstance(entry, int):
-        raise ConfigError(f"{path}.entry: expected 'uniform' or an entry edge id, got {entry!r}")
-    return TargetSpec(cls, entry)
-
-
-def _parse_policy(data, path: str) -> PolicyConfig:
-    if data is None:
-        return PolicyConfig()
-    data = _need_map(data, path, {"name", "threshold", "detect_prob"})
-    threshold = _need_float(data.get("threshold", 0.2), f"{path}.threshold")
-    p = _need_float(data.get("detect_prob"), f"{path}.detect_prob", optional=True)
-    return _build(PolicyConfig, path, data.get("name", "adaptive"), threshold, p)
+_count = functools.partial(_need_int, lo=0)
+_read_uav = _record(UavSpec, {
+    "depot": (_pair("x, y"), None),
+    "velocity_kmh": (_need_float, None),
+    "detect_radius": (_need_float, None),
+    "detect_prob": (_need_float, None),
+})
+_read_target = _record(TargetSpec, {"class": (_as_is, None), "entry": (_entry, "uniform")})
+_read_policy = _record(PolicyConfig, {
+    "name": (_as_is, PolicyConfig.policy),
+    "threshold": (_need_float, DEFAULT_THRESHOLD),
+    "detect_prob": (_optional_float, None),
+})
 
 
 def scenario_from_dict(data: dict, base_dir: str = ".") -> ScenarioConfig:
-    data = _need_map(
-        data,
-        "scenario",
-        {
-            "graph",
-            "uavs",
-            "targets",
-            "classes",
-            "policy",
-            "delay_km",
-            "tick_seconds",
-            "max_ticks",
-            "grid_radius",
-        },
-    )
-    if "graph" not in data or not isinstance(data["graph"], str):
-        raise ConfigError("graph: required (path to a road graph file)")
-    graph_path = os.path.normpath(os.path.join(base_dir, data["graph"]))
-
-    uavs = tuple(
-        _parse_uav(u, f"uavs[{i}]") for i, u in enumerate(_need_list(data.get("uavs", []), "uavs"))
-    )
-
-    classes_map = _need_map(data.get("classes", {}), "classes")
-    classes = tuple(
-        _parse_class(name, cdata, f"classes.{name}", base_dir)
-        for name, cdata in classes_map.items()
-    )
-
-    target_list = _need_list(data.get("targets"), "targets")
-    targets = tuple(
-        _parse_target(t, f"targets[{i}]") for i, t in enumerate(target_list)
-    )
-
-    policy = _parse_policy(data.get("policy"), "policy")
-    delay_km = _need_float(data.get("delay_km", 0.0), "delay_km")
-    tick_seconds = _need_float(data.get("tick_seconds", DEFAULT_TICK_SECONDS), "tick_seconds")
-    max_ticks = _need_int(data.get("max_ticks", DEFAULT_MAX_TICKS), "max_ticks")
-    grid_radius = _need_float(data.get("grid_radius"), "grid_radius", optional=True)
-
-    return ScenarioConfig(
-        graph_path=graph_path,
-        uavs=uavs,
-        targets=targets,
-        classes=classes,
-        policy=policy,
-        delay_km=delay_km,
-        tick_seconds=tick_seconds,
-        max_ticks=max_ticks,
-        grid_radius=grid_radius,
-    )
+    read_class = _record(TargetClassSpec, {  # the class name leads, from its key in `classes`
+        "velocity_kmh": (_pair("low, high"), None),
+        "strategies": (_each(parse_strategy), None),
+        "model": (_file("a compiled movement model", base_dir), None),
+    })
+    graph, uavs, classes, targets, *rest = _fields(data, {
+        "graph": (_file("a road graph file", base_dir), None),
+        "uavs": (_each(_read_uav), []),
+        "classes": (_named(read_class), {}),
+        "targets": (_each(_read_target), None),
+        "policy": (lambda d, path: ScenarioConfig.policy if d is None else _read_policy(d, path), None),
+        "delay_km": (_need_float, ScenarioConfig.delay_km),
+        "tick_seconds": (_need_float, ScenarioConfig.tick_seconds),
+        "max_ticks": (_need_int, ScenarioConfig.max_ticks),
+        "grid_radius": (_optional_float, None),
+    }, "scenario", "")
+    return ScenarioConfig(graph, uavs, targets, classes, *rest)  # the record lists targets before classes
 
 
 @functools.cache
@@ -365,65 +338,63 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _cycled(items: tuple, n) -> tuple:
+    """`items` repeated in order to length n, for a count axis."""
+    if int(n) > 0 and not items:  # only a team may be empty
+        raise ConfigError("base scenario has no UAV to replicate")
+    return tuple(items[i % len(items)] for i in range(int(n)))
+
+
+def _set_detect_prob(scenario: ScenarioConfig, p) -> dict:
+    check_detect_prob(float(p))  # here too, as a base may have no UavSpec to check it
+    uavs = tuple(dataclasses.replace(u, detect_prob=float(p)) for u in scenario.uavs)
+    return {"uavs": uavs, "policy": dataclasses.replace(scenario.policy, detect_prob=None)}
+
+
+# Sweep axis -> (reader of a value in a sweep file, the scenario fields that a value sets).
+_AXES = {
+    "n_uavs": (_count, lambda sc, n: {"uavs": _cycled(sc.uavs, n)}),
+    "n_targets": (_count, lambda sc, n: {"targets": _cycled(sc.targets, n)}),
+    "delay_km": (_need_float, lambda sc, v: {"delay_km": float(v)}),
+    "threshold": (_need_float, lambda sc, v: {"policy": dataclasses.replace(sc.policy, threshold=float(v))}),
+    "detect_prob": (_need_float, _set_detect_prob),  # the team's p, which clears the policy's override
+}
+SWEEP_AXES = tuple(_AXES)
+
+
+def _read_axis(values, path: str, name) -> tuple[str, tuple]:
+    if name not in _AXES:
+        raise ConfigError(f"{path}: unknown axis (known: {list(SWEEP_AXES)})")
+    values = _each(_AXES[name][0])(values, path)
+    if not values:
+        raise ConfigError(f"{path}: must list at least one value")
+    return name, values
+
+
 def load_sweep(path: str) -> SweepSpec:
-    data = _load_yaml(path)
-    base_dir = os.path.dirname(os.path.abspath(path))
-    try:
-        _need_map(data, "sweep", {"base", "trials", "seed", "axes"})
-        if "base" not in data or not isinstance(data["base"], str):
-            raise ConfigError("base: required (path to a scenario file)")
-        base = load_scenario(os.path.normpath(os.path.join(base_dir, data["base"])))
-        trials = check_trials(_need_int(data.get("trials"), "trials"))
-        seed = _need_int(data.get("seed", 0), "seed", lo=0)
-        axes_map = _need_map(data.get("axes", {}), "axes")
-        if not axes_map:
+    read_base = _file("a scenario file", os.path.dirname(os.path.abspath(path)))
+    try:  # _load_yaml's errors start with `path` already
+        base, trials, seed, axes = _fields(_load_yaml(path), {
+            "base": (lambda d, at: load_scenario(read_base(d, at)), None),
+            "trials": (lambda d, at: check_trials(_need_int(d, at)), None),
+            "seed": (_count, 0),
+            "axes": (_named(_read_axis), {}),
+        }, "sweep", "")
+        if not axes:
             raise ConfigError("axes: must name at least one sweep axis")
-        axes = []
-        for name, values in axes_map.items():
-            if name not in SWEEP_AXES:
-                raise ConfigError(f"axes.{name}: unknown axis (known: {list(SWEEP_AXES)})")
-            values = _need_list(values, f"axes.{name}")
-            if not values:
-                raise ConfigError(f"axes.{name}: must list at least one value")
-            if name in ("n_uavs", "n_targets"):
-                values = [_need_int(v, f"axes.{name}[{i}]", lo=0) for i, v in enumerate(values)]
-            else:
-                values = [_need_float(v, f"axes.{name}[{i}]") for i, v in enumerate(values)]
-            axes.append((name, tuple(values)))
-        return SweepSpec(base=base, axes=tuple(axes), trials=trials, seed=seed)
+        return SweepSpec(base, axes, trials, seed)
     except ConfigError as exc:
         msg = str(exc)
         raise ConfigError(msg if msg.startswith(path) else f"{path}: {msg}") from None
 
 
 def apply_axis(scenario: ScenarioConfig, axis: str, value, label: str | None = None) -> ScenarioConfig:
-    """One sweep-axis override, returning a new scenario. Every error, the
-    records' own checks included, is a ConfigError that starts with `label`
-    (default `axes.<axis>`)."""
+    """One sweep-axis override, returning a new scenario. Every error, the records' own
+    checks included, is a ConfigError that starts with `label` (default `axes.<axis>`)."""
     try:
-        if axis == "n_uavs":
-            n = int(value)
-            if n > 0 and not scenario.uavs:
-                raise ConfigError("base scenario has no UAV to replicate")
-            uavs = tuple(scenario.uavs[i % len(scenario.uavs)] for i in range(n)) if n else ()
-            return dataclasses.replace(scenario, uavs=uavs)
-        if axis == "n_targets":
-            n = int(value)
-            targets = tuple(scenario.targets[i % len(scenario.targets)] for i in range(n))
-            return dataclasses.replace(scenario, targets=targets)
-        if axis == "delay_km":
-            return dataclasses.replace(scenario, delay_km=float(value))
-        if axis == "threshold":
-            policy = dataclasses.replace(scenario.policy, threshold=float(value))
-            return dataclasses.replace(scenario, policy=policy)
-        if axis == "detect_prob":
-            p = float(value)
-            if not scenario.uavs:  # no UavSpec is built to check the value
-                check_detect_prob(p)
-            uavs = tuple(dataclasses.replace(u, detect_prob=p) for u in scenario.uavs)
-            policy = dataclasses.replace(scenario.policy, detect_prob=None)
-            return dataclasses.replace(scenario, uavs=uavs, policy=policy)
-        raise ConfigError(f"unknown sweep axis {axis!r}")
+        if axis not in _AXES:
+            raise ConfigError(f"unknown sweep axis {axis!r}")
+        return dataclasses.replace(scenario, **_AXES[axis][1](scenario, value))
     except ValueError as exc:  # ConfigError, or PolicyConfig's own checks
         raise ConfigError(f"{label or f'axes.{axis}'}: {exc}") from None
 

@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 import uav_search
+import uav_search.cli as cli
 import uav_search.simulator as simulator
 from uav_search.belief import propagate
 from uav_search.cli import main
@@ -747,6 +748,49 @@ class TestUsage:
     def test_unknown_flag(self, work, capsys):
         assert main(["run", str(work / "tiny.yaml"), "--warp", "9"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["compile-model", "run", "sweep", "threshold-scan", "dump-belief"])
+    def test_shared_flags_lead_every_usage_line(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        assert f"usage: uav-search {command} [-h] [--seed SEED] [--jobs JOBS] [--out OUT]" in capsys.readouterr().out
+
+
+class TestDefaultSeed:
+    """No `--seed` is `--seed 0`, but in `sweep`, where it is the file's seed."""
+
+    @pytest.mark.parametrize("command,source,flags,outputs", [
+        ("run", "tiny.yaml", ["--trials", "3", "--out", "{out}/trials.csv"], ["trials.csv"]),
+        ("compile-model", "tiny.graph", ["--strategies", "shortest,random_walk:beta=0.01", "--radius", "500",
+                                         "--tick", "20", "--runs-per-pair", "2", "--out", "{out}/m.model"],
+         ["m.model"]),
+        # The bundled scenario, as the tiny one wins alike at every seed.
+        ("threshold-scan", BORDER_YAML, ["--thresholds", "0.2", "--trials", "2", "--out", "{out}"],
+         ["threshold_grid.csv", "threshold_best.csv"]),
+    ])
+    def test_no_seed_writes_the_bytes_of_seed_0(self, work, tmp_path, capsys, command, source, flags, outputs):
+        for name, seed in (("default", []), ("zero", ["--seed", "0"])):
+            out = tmp_path / name
+            assert main([command, os.path.join(work, source), *(f.format(out=out) for f in flags), *seed]) == 0
+        capsys.readouterr()
+        for output in outputs:
+            assert (tmp_path / "default" / output).read_bytes() == (tmp_path / "zero" / output).read_bytes()
+
+    def test_sweep_without_seed_uses_the_file_seed(self, work, tmp_path, monkeypatch, capsys):
+        seeds = []  # the trial seed of each point, per command
+        real_run_batch = cli.run_batch
+
+        def run_batch(seeded, *args, **kwargs):
+            seeds.append([seed for _, seed in seeded])
+            return real_run_batch(seeded, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_batch", run_batch)
+        sweep = work / "seeded_sweep.yaml"
+        sweep.write_text(yaml.safe_dump({"base": "tiny.yaml", "trials": 3, "seed": 4, "axes": {"n_uavs": [1, 2]}}))
+        for name, seed in (("default", []), ("four", ["--seed", "4"]), ("zero", ["--seed", "0"])):
+            assert main(["sweep", str(sweep), "--out", str(tmp_path / name), *seed]) == 0
+        capsys.readouterr()
+        assert seeds[0] == seeds[1] == [trial_seed(4, 0), trial_seed(4, 1)] != seeds[2]
+        assert (tmp_path / "default" / "sweep.csv").read_bytes() == (tmp_path / "four" / "sweep.csv").read_bytes()
 
 
 # Per command: its positional argument (a file name under the `work`

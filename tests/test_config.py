@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import pytest
 import yaml
@@ -259,8 +260,17 @@ class _Token(str):
 # hexadecimal, binary), and one with a leading zero, which YAML 1.1 reads as
 # octal 15 and the loader, as the flags do, as 17.
 NUMBER_TOKENS = ("1_0", "1:30", "0x1A", "0b101", "017")
-FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, -2.5, "x", "", True, False, [], [1.0, "a"], None,
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, -2.5, "x", "", True, False, [], [1.0, "a"], {}, None,
                *map(_Token, NUMBER_TOKENS)]
+
+# The rules across records: the message of emptying `uavs` or `classes` names another field.
+CROSS_RECORD = {"uavs": r"grid_radius: required when no UAVs are configured$",
+                "classes": r"targets\[\d+\]\.class: unknown class "}
+
+
+def _config_path(parts) -> str:
+    """A key path as messages write it: `classes.runner.velocity_kmh[0]`."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parts).lstrip(".")
 
 
 class TestLoadScenarioFuzz:
@@ -269,8 +279,9 @@ class TestLoadScenarioFuzz:
     def test_one_bad_field_loads_or_names_the_file(self, tmp_path, pick, value):
         """`scenarios/border.yaml` with one field, a leaf or a subtree,
         replaced by NaN, an infinity, a negative number, a string, a bool, a
-        list, null or one of NUMBER_TOKENS either loads or raises a
-        ConfigError naming the file."""
+        list, a mapping, null or one of NUMBER_TOKENS either loads or raises a
+        ConfigError naming the file and then the field, one of its
+        ancestors or a key inside it, but for CROSS_RECORD's rules."""
         data = _bundled_border()
         paths = list(_field_paths(data))
         *parents, key = paths[pick % len(paths)]
@@ -284,6 +295,12 @@ class TestLoadScenarioFuzz:
             sc = load_scenario(str(path))
         except ConfigError as exc:
             assert str(exc).startswith(f"{path}: ")
+            named = str(exc)[len(f"{path}: "):]
+            head = named.split(": ", 1)[0]  # the key path the message names
+            ancestors = [_config_path([*parents, key][:n]) for n in range(1, len(parents) + 2)]
+            if head not in ancestors and not re.match(rf"{re.escape(ancestors[-1])}[.\[]", head):
+                cross = not parents and value in ([], {}) and key in CROSS_RECORD
+                assert cross and re.match(CROSS_RECORD[key], named), (ancestors, named)
             return
         assert isinstance(sc, ScenarioConfig)
 
@@ -624,3 +641,23 @@ class TestSweep:
         assert spec.trials == 50 and spec.seed == 1
         assert spec.axes == (("n_uavs", (2, 3, 4)),)
         assert len(list(sweep_points(spec))) == 3
+
+
+def _readme_yaml(first_key: str) -> str:
+    """The README's YAML block whose first line starts with `first_key`."""
+    with open(os.path.join(REPO_ROOT, "README.md")) as fh:
+        [block] = [b for b in re.findall(r"```yaml\n(.*?)```", fh.read(), re.S) if b.startswith(first_key)]
+    return block
+
+
+class TestReadmeBlocks:
+    def test_scenario_block_is_the_bundled_scenario_but_its_team_and_targets(self):
+        readme = scenario_from_dict(yaml.safe_load(_readme_yaml("graph:")), base_dir=os.path.dirname(BORDER_YAML))
+        border = load_scenario(BORDER_YAML)
+        assert dataclasses.replace(readme, uavs=border.uavs, targets=border.targets) == border
+
+    def test_sweep_block_loads(self, tmp_path):
+        path = tmp_path / "sweep.yaml"
+        path.write_text(re.sub(r"^base: \S+", f"base: {json.dumps(BORDER_YAML)}", _readme_yaml("base:")))
+        spec = load_sweep(str(path))
+        assert spec == SweepSpec(load_scenario(BORDER_YAML), (("n_uavs", (2, 3, 4)), ("delay_km", (0.0, 7.0))), 50, 1)
