@@ -20,7 +20,7 @@ from .belief import propagate
 from .config import (
     ConfigError, SweepSpec, apply_axis, check_velocity_range, load_scenario, load_sweep, parse_strategy, sweep_points,
 )
-from .movement import KMH_TO_MS, ModelFormatError, compile_model, save_model, traces_for_strategies
+from .movement import DEFAULT_SMOOTHING, KMH_TO_MS, ModelFormatError, compile_model, save_model, traces_for_strategies
 from .road_graph import GraphFormatError, GridSizeError, load_graph, overlay_grid, plain_number
 from .simulator import BatchStats, TrialResult, build_world, run_batch, trial_seed
 
@@ -291,17 +291,18 @@ def cmd_dump_belief(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # One --seed parent per default, listed first so every usage line keeps its flag order. One
     # shared parent cannot hold both: the subcommands built from a parent share its --seed action.
-    seeded, file_seeded, common = (_Parser(add_help=False) for _ in range(3))
+    # dump-belief draws nothing and runs no trials, so it takes only --out.
+    seeded, file_seeded, jobs, out = (_Parser(add_help=False) for _ in range(4))
     seeded.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0, help="master seed, >= 0 (default 0)")
     file_seeded.add_argument("--seed", type=_NON_NEGATIVE_INT, default=None,
                              help="master seed, >= 0 (default: the sweep file's seed)")
-    common.add_argument("--jobs", type=_COUNT, default=1, help="worker processes for trials, >= 1")
-    common.add_argument("--out", default=None, help="output file, or directory for sweep/threshold-scan")
+    jobs.add_argument("--jobs", type=_COUNT, default=1, help="worker processes for trials, >= 1")
+    out.add_argument("--out", default=None, help="output file, or directory for sweep/threshold-scan")
 
     parser = _Parser(prog="uav-search", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("compile-model", parents=[seeded, common], help="train a movement model from strategy routes")
+    p = sub.add_parser("compile-model", parents=[seeded, jobs, out], help="train a movement model from strategy routes")
     p.add_argument("graph", help="road graph file")
     p.add_argument("--strategies", required=True,
                    help="comma list, e.g. shortest,random_walk:beta=0.01,side_roads:penalty=1.5")
@@ -310,20 +311,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--velocity", default="8:12", help="target velocity range LO:HI (km/h)")
     p.add_argument("--runs-per-pair", type=_COUNT, default=3, help="traces per (entry, goal) pair")
     p.add_argument("--smoothing", type=_flag(float, lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
-                   default=0.01, help="Laplace smoothing epsilon")
+                   default=DEFAULT_SMOOTHING, help="Laplace smoothing epsilon")
     p.add_argument("--target-class", default="default", help="class name stored in the model file")
     p.set_defaults(func=cmd_compile_model)
 
-    p = sub.add_parser("run", parents=[seeded, common], help="run one scenario batch")
+    p = sub.add_parser("run", parents=[seeded, jobs, out], help="run one scenario batch")
     p.add_argument("scenario", help="scenario config file")
     p.add_argument("--trials", type=_COUNT, default=DEFAULT_TRIALS)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", parents=[file_seeded, common], help="run every point of a parameter sweep")
+    p = sub.add_parser("sweep", parents=[file_seeded, jobs, out], help="run every point of a parameter sweep")
     p.add_argument("sweep", help="sweep config file")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("threshold-scan", parents=[seeded, common],
+    p = sub.add_parser("threshold-scan", parents=[seeded, jobs, out],
                        help="find the best search threshold per detection probability")
     p.add_argument("scenario", help="scenario config file")
     p.add_argument("--thresholds", required=True, help="comma-separated threshold grid")
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_COUNT, default=DEFAULT_TRIALS)
     p.set_defaults(func=cmd_threshold_scan)
 
-    p = sub.add_parser("dump-belief", parents=[seeded, common], help="propagate one belief and dump it per tick")
+    p = sub.add_parser("dump-belief", parents=[out], help="propagate one belief and dump it per tick")
     p.add_argument("scenario", help="scenario config file")
     p.add_argument("--ticks", type=_NON_NEGATIVE_INT, default=100, help="propagation steps to dump")
     p.add_argument("--entry", type=_INT, default=None, help="entry edge id (default: lowest)")

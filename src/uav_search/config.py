@@ -373,7 +373,7 @@ def _read_axis(values, path: str, name) -> tuple[str, tuple]:
 
 def load_sweep(path: str) -> SweepSpec:
     read_base = _file("a scenario file", os.path.dirname(os.path.abspath(path)))
-    try:  # _load_yaml's errors start with `path` already
+    try:  # _load_yaml's errors start with `f"{path}: "` already
         base, trials, seed, axes = _fields(_load_yaml(path), {
             "base": (lambda d, at: load_scenario(read_base(d, at)), None),
             "trials": (lambda d, at: check_trials(_need_int(d, at)), None),
@@ -385,7 +385,7 @@ def load_sweep(path: str) -> SweepSpec:
         return SweepSpec(base, axes, trials, seed)
     except ConfigError as exc:
         msg = str(exc)
-        raise ConfigError(msg if msg.startswith(path) else f"{path}: {msg}") from None
+        raise ConfigError(msg if msg.startswith(f"{path}: ") else f"{path}: {msg}") from None
 
 
 def apply_axis(scenario: ScenarioConfig, axis: str, value, label: str | None = None) -> ScenarioConfig:

@@ -111,17 +111,18 @@ def sample_trace(g: RoadGraph, path: list[int] | _Route, velocity_ms: float, tic
     return trace
 
 
-def generate_training_traces(
+def traces_for_strategies(
     g: RoadGraph,
-    strategy,
+    strategies: Sequence,
     tick: float,
     velocity_range_kmh: tuple[float, float],
     runs_per_pair: int,
     seed: int,
 ) -> list[np.ndarray]:
-    """Traces for every (entry, goal) pair, `runs_per_pair` each.
+    """Pooled training traces: strategy by strategy, each from its own
+    deterministic sub-seed, `runs_per_pair` traces for every (entry, goal) pair.
 
-    Velocity is drawn uniformly from `velocity_range_kmh` per run. Pairs the
+    Velocity is drawn uniformly from `velocity_range_kmh` per run. Pairs a
     strategy reports as unreachable are skipped. Paths are validated before
     sampling; a disconnected hop raises InvalidPathError. A path that repeats
     the pair's previous one, as a deterministic strategy's does every run,
@@ -129,13 +130,17 @@ def generate_training_traces(
     """
     from .config import check_velocity_range  # config imports movement through belief
 
+    if not strategies:
+        raise ValueError("need at least one strategy")
     lo, hi = check_velocity_range(velocity_range_kmh, "velocity_range_kmh")
+    pairs = list(itertools.product(enumerate(sorted(g.entries)), range(len(g.goals))))
     traces: list[np.ndarray] = []
-    for ei, entry in enumerate(sorted(g.entries)):
-        for gi in range(len(g.goals)):
+    for si, strategy in enumerate(strategies):
+        sub = int(np.random.SeedSequence(seed, spawn_key=(si,)).generate_state(1, np.uint64)[0])
+        for (ei, entry), gi in pairs:
             last = None
             for run in range(runs_per_pair):
-                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ei, gi, run)))
+                rng = np.random.default_rng(np.random.SeedSequence(sub, spawn_key=(ei, gi, run)))
                 v_ms = rng.uniform(lo, hi) * KMH_TO_MS
                 try:
                     path = strategy.path(g, entry, rng, goal_index=gi)
@@ -145,24 +150,6 @@ def generate_training_traces(
                     validate_path(g, path, entry)
                     last, route = path, _route(g, path)
                 traces.append(sample_trace(g, route, v_ms, tick))
-    return traces
-
-
-def traces_for_strategies(
-    g: RoadGraph,
-    strategies: Sequence,
-    tick: float,
-    velocity_range_kmh: tuple[float, float],
-    runs_per_pair: int,
-    seed: int,
-) -> list[np.ndarray]:
-    """Pooled training traces, one deterministic sub-seed per strategy."""
-    if not strategies:
-        raise ValueError("need at least one strategy")
-    traces: list[np.ndarray] = []
-    for si, strategy in enumerate(strategies):
-        sub = int(np.random.SeedSequence(seed, spawn_key=(si,)).generate_state(1, np.uint64)[0])
-        traces.extend(generate_training_traces(g, strategy, tick, velocity_range_kmh, runs_per_pair, sub))
     return traces
 
 

@@ -243,11 +243,8 @@ def assign_single_entry(cb: np.ndarray, m: int, p: float, threshold: float = DEF
         return set()
     check_detect_prob(p)
     qualifying = cb >= threshold
-    if qualifying.any():
-        peak = int(np.argmax(np.where(qualifying, cb, -np.inf)))
-        rest = greedy_select([cb], m - 1, p, excluded={peak}) if m > 1 else []
-        return {peak} | set(rest)
-    return set(greedy_select([cb], m, p))
+    seeds = {int(np.argmax(np.where(qualifying, cb, -np.inf)))} if qualifying.any() else set()
+    return seeds | set(greedy_select([cb], m - len(seeds), p, excluded=seeds))
 
 
 def _top_m(mass: np.ndarray, m: int) -> set[int]:

@@ -40,8 +40,7 @@ from .road_graph import GridOverlay, RoadGraph, load_graph, overlay_grid
 WILSON_Z = 1.959963984540054
 
 # World keeps each frozen belief sequence at every multiple of this many ticks
-# (5.9 KB a belief on the bundled border map), and its cell marginals in blocks
-# of this many ticks (1.5 KB a row) that never move, so none is freed to grow.
+# (5.9 KB a belief on the bundled border map).
 BLOCK_TICKS = 16
 
 
@@ -92,8 +91,8 @@ class World:
     checkpoints: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict, init=False, repr=False)
     # (class name, entry edge) -> (tick, read-only belief) of the last belief reached
     latest: dict[tuple[str, int], tuple[int, np.ndarray]] = field(default_factory=dict, init=False, repr=False)
-    # (class name, entry edge) -> (first tick, end tick, {t // BLOCK_TICKS: read-only rows at road_cells})
-    marginals: dict[tuple[str, int], tuple[int, int, dict[int, np.ndarray]]] = field(default_factory=dict, init=False, repr=False)
+    # (class name, entry edge, tick) -> read-only cell marginal of that frozen belief at road_cells
+    rows: dict[tuple[str, int, int], np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def frozen_belief(self, class_name: str, entry_edge: int, tick: int) -> np.ndarray:
         """The belief `tick` ticks after a target of `class_name` entered on
@@ -119,27 +118,22 @@ class World:
         return mass
 
     def shared_marginal(self, class_name: str, entry_edge: int, tick: int) -> np.ndarray:
-        """`cell_marginal(frozen_belief(...))` at `road_cells`, read-only. A
-        key's rows cover one range of ticks, in blocks of BLOCK_TICKS ticks; a
-        tick outside it widens the range, one `propagate` per new row."""
-        key = (class_name, entry_edge)
-        lo, end, blocks = self.marginals.get(key, (tick, tick, {}))
-        if not lo <= tick < end:
-            for t in (*range(tick, lo), *range(end, tick + 1)):
-                block = blocks.setdefault(t // BLOCK_TICKS, np.empty((BLOCK_TICKS, self.road_cells.size)))
-                block.flags.writeable = True
-                block[t % BLOCK_TICKS] = cell_marginal(self.frozen_belief(*key, t), self.overlay)[self.road_cells]
-                block.flags.writeable = False
-            self.marginals[key] = (min(lo, tick), max(end, tick + 1), blocks)
-        return blocks[tick // BLOCK_TICKS][tick % BLOCK_TICKS]
+        """`cell_marginal(frozen_belief(...))` at `road_cells`, read-only,
+        computed on its first request."""
+        key = (class_name, entry_edge, tick)
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = cell_marginal(self.frozen_belief(*key), self.overlay)[self.road_cells]
+            row.flags.writeable = False
+        return row
 
 
 def _world_key(scenario: ScenarioConfig) -> tuple:
-    """What `build_world` reads of a scenario, besides the target entries it
-    checks: the graph, the grid radius, the tick and the models of the
-    classes the targets use."""
+    """All that `build_world` reads of a scenario, besides the target entries
+    it checks: the graph, the grid radius, the tick and the (name, model path)
+    of each class the targets use, in file order, the order models load in."""
     used = {t.class_name for t in scenario.targets}
-    models = tuple(sorted((c.name, c.model_path) for c in scenario.classes if c.name in used))
+    models = tuple((c.name, c.model_path) for c in scenario.classes if c.name in used)
     return scenario.graph_path, scenario.team_min_radius(), scenario.tick_seconds, models
 
 
@@ -150,36 +144,31 @@ def _check_entries(scenario: ScenarioConfig, world: World) -> None:
 
 
 def build_world(scenario: ScenarioConfig) -> World:
-    graph = load_graph(scenario.graph_path)
+    graph_path, radius, tick, used = _world_key(scenario)
+    graph = load_graph(graph_path)
     if not graph.entries:
-        raise ConfigError(f"{scenario.graph_path}: graph has no entry edges")
+        raise ConfigError(f"{graph_path}: graph has no entry edges")
     if not graph.goals:
-        raise ConfigError(f"{scenario.graph_path}: graph has no goal sets")
-    refined, overlay = overlay_grid(graph, scenario.team_min_radius())
+        raise ConfigError(f"{graph_path}: graph has no goal sets")
+    refined, overlay = overlay_grid(graph, radius)
     start_of_parent = dict(zip(sorted(graph.entries), sorted(refined.entries)))
 
     models: dict[str, TransitionModel] = {}
-    used = {t.class_name for t in scenario.targets}
-    for cls in scenario.classes:
-        if cls.name not in used:
-            continue
-        model = load_model(cls.model_path)
+    for name, model_path in used:
+        model = load_model(model_path)
         if model.n_edges != refined.n_edges:
             raise ConfigError(
-                f"{cls.model_path}: model covers {model.n_edges} edges but the refined "
+                f"{model_path}: model covers {model.n_edges} edges but the refined "
                 f"graph has {refined.n_edges}; it was compiled for a different grid"
             )
-        if not abs(model.tick - scenario.tick_seconds) <= 1e-9:
-            raise ConfigError(
-                f"{cls.model_path}: model tick {model.tick} s does not match "
-                f"scenario tick {scenario.tick_seconds} s"
-            )
+        if not abs(model.tick - tick) <= 1e-9:
+            raise ConfigError(f"{model_path}: model tick {model.tick} s does not match scenario tick {tick} s")
         problems = validate_stochastic(model, refined)
         if problems:
             shown = "; ".join(problems[:3])
             more = f" (and {len(problems) - 3} more)" if len(problems) > 3 else ""
-            raise ConfigError(f"{cls.model_path}: not a valid movement model: {shown}{more}")
-        models[cls.name] = model
+            raise ConfigError(f"{model_path}: not a valid movement model: {shown}{more}")
+        models[name] = model
 
     road_cells = np.flatnonzero(np.bincount(overlay.cell_of_edge, minlength=overlay.n_cells))
     world = World(refined, overlay, start_of_parent, models, road_cells)

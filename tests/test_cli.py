@@ -532,6 +532,16 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {sweep}: {os.path.normpath(os.path.join(work, base))}: cannot read: "), err
 
+    def test_error_names_a_sweep_whose_path_prefixes_its_base(self, work, capsys):
+        """The sweep `prefix` and its base `prefix2.yaml`, which has no graph:
+        the error starts with the sweep's path, then the base's."""
+        sweep, base = work / "prefix", work / "prefix2.yaml"
+        base.write_text("tick_seconds: 20\n")
+        sweep.write_text(yaml.safe_dump({"base": base.name, "trials": 1, "axes": {"n_uavs": [1]}}))
+        assert main(["sweep", str(sweep), "--out", str(work / "prefix_out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sweep}: {base}: graph: required"), err
+
     def test_jobs_do_not_change_bytes(self, work):
         sweep = work / "delay.yaml"
         sweep.write_text(yaml.safe_dump(
@@ -751,8 +761,10 @@ class TestUsage:
 
     @pytest.mark.parametrize("command", ["compile-model", "run", "sweep", "threshold-scan", "dump-belief"])
     def test_shared_flags_lead_every_usage_line(self, capsys, command):
+        """dump-belief draws nothing and runs no trials: it takes --out alone."""
         assert main([command, "--help"]) == 0
-        assert f"usage: uav-search {command} [-h] [--seed SEED] [--jobs JOBS] [--out OUT]" in capsys.readouterr().out
+        shared = "[--out OUT]" if command == "dump-belief" else "[--seed SEED] [--jobs JOBS] [--out OUT]"
+        assert f"usage: uav-search {command} [-h] {shared}" in capsys.readouterr().out
 
 
 class TestDefaultSeed:
@@ -805,6 +817,11 @@ CHEAP_COMMANDS = {
     "dump-belief": ("tiny.yaml", {"--ticks": "1", "--out": "b.csv"}),
 }
 
+# Rows of NUMERIC_FLAGS whose command does not take the flag: dump-belief
+# draws nothing and runs no trials, so it refuses --seed and --jobs by name,
+# exit 1, whatever the value.
+NOT_TAKEN = {("dump-belief", "--seed"), ("dump-belief", "--jobs")}
+
 # (command, flag, value with `{}` where the token goes): every numeric flag,
 # and every number inside a flag's text.
 NUMERIC_FLAGS = [
@@ -853,7 +870,7 @@ class TestNumericFlags:
         rc = main(_cheap_command(flag_work, tmp_path, command, flag, value.format(token)))
         err = capsys.readouterr().err
         assert rc in (0, 1), err
-        if token in NOT_PLAIN:
+        if token in NOT_PLAIN or (command, flag) in NOT_TAKEN:
             assert rc == 1, f"{flag}={value.format(token)!r} was accepted"
         if rc == 1:
             assert flag in err.strip().splitlines()[-1], err

@@ -15,7 +15,6 @@ from uav_search.movement import (
     KMH_TO_MS,
     ModelFormatError,
     compile_model,
-    generate_training_traces,
     load_model,
     sample_trace,
     save_model,
@@ -102,7 +101,7 @@ class TestSampleTrace:
 class TestTraceGeneration:
     def test_one_trace_per_pair_and_run(self, fork_graph):
         g = _refined(fork_graph)
-        traces = generate_training_traces(g, RouteStrategy(), 5.0, (8.0, 12.0), 3, seed=1)
+        traces = traces_for_strategies(g, [RouteStrategy()], 5.0, (8.0, 12.0), 3, seed=1)
         # 1 entry x 2 goal sets x 3 runs
         assert len(traces) == 6
         for trace in traces:
@@ -111,34 +110,31 @@ class TestTraceGeneration:
 
     def test_border_fixture_pair_coverage(self, border_refined):
         refined, _ = border_refined
-        traces = generate_training_traces(refined, RouteStrategy(), 20.0, (8.0, 12.0), 3, seed=1)
+        traces = traces_for_strategies(refined, [RouteStrategy()], 20.0, (8.0, 12.0), 3, seed=1)
         assert len(traces) == 10 * 7 * 3
         starts = {int(trace[0]) for trace in traces}
         assert starts <= refined.entries
 
     def test_same_seed_same_traces(self, fork_graph):
         g = _refined(fork_graph)
-        a = generate_training_traces(g, RouteStrategy(), 5.0, (8.0, 12.0), 2, seed=9)
-        b = generate_training_traces(g, RouteStrategy(), 5.0, (8.0, 12.0), 2, seed=9)
+        a = traces_for_strategies(g, [RouteStrategy()], 5.0, (8.0, 12.0), 2, seed=9)
+        b = traces_for_strategies(g, [RouteStrategy()], 5.0, (8.0, 12.0), 2, seed=9)
         assert _edge_lists(a) == _edge_lists(b)
 
     def test_bad_velocity_range(self, fork_graph):
         g = _refined(fork_graph)
         with pytest.raises(ValueError, match="velocity_range_kmh: need 0 < low <= high < inf"):
-            generate_training_traces(g, RouteStrategy(), 5.0, (12.0, 8.0), 1, seed=0)
+            traces_for_strategies(g, [RouteStrategy()], 5.0, (12.0, 8.0), 1, seed=0)
 
     def test_pooling_concatenates_per_strategy(self, fork_graph):
+        """Strategy i draws from sub-seed i alone: the pool starts with the
+        first strategy's own traces, and each strategy adds one trace per
+        (entry, goal) pair and run."""
         g = _refined(fork_graph)
-        strategies = [RouteStrategy(), RouteStrategy()]
-        pooled = traces_for_strategies(g, strategies, 5.0, (8.0, 12.0), 2, seed=4)
-        subs = [
-            int(np.random.SeedSequence(4, spawn_key=(si,)).generate_state(1, np.uint64)[0])
-            for si in range(2)
-        ]
-        expect = []
-        for sub in subs:
-            expect.extend(generate_training_traces(g, RouteStrategy(), 5.0, (8.0, 12.0), 2, sub))
-        assert _edge_lists(pooled) == _edge_lists(expect)
+        first = traces_for_strategies(g, [RouteStrategy()], 5.0, (8.0, 12.0), 2, seed=4)
+        pooled = traces_for_strategies(g, [RouteStrategy(), RouteStrategy()], 5.0, (8.0, 12.0), 2, seed=4)
+        assert len(pooled) == 2 * len(first) == 8
+        assert _edge_lists(pooled[:4]) == _edge_lists(first) != _edge_lists(pooled[4:])
 
     def test_pooling_rejects_empty(self, fork_graph):
         with pytest.raises(ValueError, match="at least one strategy"):
@@ -179,7 +175,7 @@ class TestCompileModel:
 
     def test_rows_are_stochastic(self, fork_graph):
         g = _refined(fork_graph)
-        traces = generate_training_traces(g, RouteStrategy(), 5.0, (8.0, 12.0), 3, seed=2)
+        traces = traces_for_strategies(g, [RouteStrategy()], 5.0, (8.0, 12.0), 3, seed=2)
         model = compile_model(traces, g, smoothing=0.01)
         assert validate_stochastic(model, g) == []
 
@@ -465,7 +461,7 @@ class TestModelFile:
 
     def test_compile_save_load_identity(self, tmp_path, fork_graph):
         g = _refined(fork_graph)
-        traces = generate_training_traces(g, RouteStrategy(), 5.0, (8.0, 12.0), 2, seed=3)
+        traces = traces_for_strategies(g, [RouteStrategy()], 5.0, (8.0, 12.0), 2, seed=3)
         model = compile_model(traces, g, smoothing=0.01, tick=5.0, target_class="demo")
         p = tmp_path / "m.model"
         save_model(model, str(p))

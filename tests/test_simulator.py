@@ -3,10 +3,11 @@
 import dataclasses
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
@@ -290,6 +291,26 @@ class TestSharedBeliefs:
             with pytest.raises(ValueError, match="read-only"):
                 row[0] = 0.5
 
+    @settings(max_examples=40, deadline=None)
+    @given(requests=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 6 * BLOCK_TICKS)), min_size=1, max_size=30))
+    @example(requests=[(0, 40), (0, 10)])
+    def test_each_row_is_computed_once(self, border_world, requests):
+        """`shared_marginal` computes one row per distinct (class, entry,
+        tick) asked for, on its first request, and no row it was not asked for."""
+        world = dataclasses.replace(border_world)
+        entries = sorted(world.start_of_parent.values())
+        calls = []
+
+        def counting(mass, overlay):
+            calls.append(1)
+            return cell_marginal(mass, overlay)
+
+        with mock.patch.object(simulator, "cell_marginal", counting):
+            for pick, n in requests:
+                world.shared_marginal("runner", entries[pick], n)
+        asked = {("runner", entries[pick], n) for pick, n in requests}
+        assert len(calls) == len(asked) and set(world.rows) == asked
+
     @pytest.fixture(scope="class")
     def pursuit_scenario(self):
         return load_scenario(os.path.join(REPO_ROOT, "perfbench", "scenarios", "pursuit.yaml"))
@@ -324,7 +345,7 @@ class TestSharedBeliefs:
         world = build_world(sc)
         for i in range(3):
             assert run_trial(sc, trial_seed(6, i), world).ticks > 1
-        assert calls == [] and world.marginals == {} and world.checkpoints == {}
+        assert calls == [] and world.rows == {} and world.checkpoints == {}
 
 
 @st.composite
@@ -613,6 +634,19 @@ class TestBuildWorld:
         cls = dataclasses.replace(border_scenario.classes[0], model_path=str(path))
         with pytest.raises(ConfigError, match=needle):
             build_world(dataclasses.replace(border_scenario, classes=(cls,)))
+
+    def test_first_listed_bad_model_is_named(self, tmp_path, border_scenario):
+        """Models load in the scenario's class order, not by name."""
+        base = border_scenario.classes[0]
+        classes = []
+        for name in ("zulu", "alpha"):
+            path = tmp_path / f"{name}.model"
+            path.write_text(f"#model tick=20.0 class={name}\n0 0 1.0\n")
+            classes.append(dataclasses.replace(base, name=name, model_path=str(path)))
+        sc = dataclasses.replace(border_scenario, classes=tuple(classes),
+                                 targets=(TargetSpec("alpha", None), TargetSpec("zulu", None)))
+        with pytest.raises(ConfigError, match=r"zulu\.model: model covers 1 edges"):
+            build_world(sc)
 
     def test_graph_without_entries(self, tmp_path, border_scenario):
         p = tmp_path / "plain.graph"
