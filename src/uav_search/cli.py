@@ -16,7 +16,6 @@ import math
 import os
 import sys
 
-from .belief import propagate
 from .config import (
     ConfigError, SweepSpec, apply_axis, check_velocity_range, load_scenario, load_sweep, parse_strategy, sweep_points,
 )
@@ -182,13 +181,18 @@ def _run_points(spec: SweepSpec, seed: int, jobs: int, source: str):
     one run_batch call: one world per distinct map, grid and models, and one
     pool. Every point is expanded and its world built, and so checked, before
     the first trial runs; an axis error starts with `source`, the sweep or
-    scenario file."""
+    scenario file. A threshold axis under a policy other than single_entry,
+    the only one that reads it, is warned of on stderr."""
     try:
         points = list(sweep_points(spec))
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
     seeded = [(scenario, trial_seed(seed, index)) for index, (_, scenario) in enumerate(points)]
     batches = run_batch(seeded, spec.trials, jobs=jobs)
+    policy = spec.base.policy.policy
+    if policy != "single_entry" and any(name == "threshold" for name, _ in spec.axes):
+        print(f"warning: {source}: policy {policy!r} never reads threshold; only single_entry does, "
+              "so the threshold points differ only in their seeds", file=sys.stderr)
     for (assignment, scenario), (stats, _) in zip(points, batches, strict=True):
         yield assignment, scenario, stats
 
@@ -273,10 +277,8 @@ def cmd_dump_belief(args) -> int:
         raise ConfigError(f"--entry: edge {entry} is not an entry edge of the graph")
 
     lines = ["tick,edge,mass"]
-    belief = world.frozen_belief(class_name, world.start_of_parent[entry], 0)
     for tick in range(args.ticks + 1):
-        if tick:
-            belief = propagate(belief, world.models[class_name])
+        belief = world.frozen_belief(class_name, world.start_of_parent[entry], tick)
         for edge in belief.nonzero()[0]:
             lines.append(f"{tick},{edge},{float(belief[edge])!r}")
     text = "\n".join(lines) + "\n"

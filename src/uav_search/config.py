@@ -359,12 +359,11 @@ _AXES = {
     "threshold": (_need_float, lambda sc, v: {"policy": dataclasses.replace(sc.policy, threshold=float(v))}),
     "detect_prob": (_need_float, _set_detect_prob),  # the team's p, which clears the policy's override
 }
-SWEEP_AXES = tuple(_AXES)
 
 
 def _read_axis(values, path: str, name) -> tuple[str, tuple]:
     if name not in _AXES:
-        raise ConfigError(f"{path}: unknown axis (known: {list(SWEEP_AXES)})")
+        raise ConfigError(f"{path}: unknown axis (known: {list(_AXES)})")
     values = _each(_AXES[name][0])(values, path)
     if not values:
         raise ConfigError(f"{path}: must list at least one value")

@@ -90,12 +90,6 @@ class RoadGraph:
             raise KeyError(f"unknown edge id {edge_id}")
         return self._next[edge_id]
 
-    def incoming(self, edge_id: int) -> list[int]:
-        """Edges e' with head(e') == tail(e): the possible predecessors of e."""
-        if not 0 <= edge_id < self.n_edges:
-            raise KeyError(f"unknown edge id {edge_id}")
-        return self._prev[edge_id]
-
 
 @dataclass
 class GridOverlay:
@@ -137,27 +131,18 @@ class GridOverlay:
         With 500 m cells and (x, y) on a grid corner, for example, the cell
         spanning x+500..x+1000 and y..y+500 has all four corners within
         1118 m, yet is returned only from a radius of 1144 m.
-
-        Centres lie a side apart, so below half a side of reach at most one is
-        in reach: the centre of the cell holding (x, y). Under a quarter side,
-        which covers a team whose radius defines the grid (reach 1e-9 m), only
-        that centre is tested, far enough from half a side that rounding in
-        the centre table cannot bring a second one into reach.
         """
         reach = radius - self.cell_side * math.sqrt(2.0) / 2.0 + 1e-9
         if reach < 0:
             return []
-        cs = self.cell_side
-        if reach < cs / 4.0:
-            col = min(max(math.floor((x - self.origin[0]) / cs), 0), self.n_cols - 1)
-            row = min(max(math.floor((y - self.origin[1]) / cs), 0), self.n_rows - 1)
-            cid = row * self.n_cols + col
-            cx, cy = self.centers[cid]
-            return [cid] if math.hypot(cx - x, cy - y) <= reach else []
-        lo_col = max(0, int(math.floor((x - reach - self.origin[0]) / cs - 0.5)))
-        hi_col = min(self.n_cols - 1, int(math.ceil((x + reach - self.origin[0]) / cs - 0.5)))
-        lo_row = max(0, int(math.floor((y - reach - self.origin[1]) / cs - 0.5)))
-        hi_row = min(self.n_rows - 1, int(math.ceil((y + reach - self.origin[1]) / cs - 0.5)))
+        (x0, y0), cs = self.origin, self.cell_side
+        # Centre (col, row) lies at origin + (col + 0.5, row + 0.5) * cs: only columns
+        # and rows whose centre is within reach along that axis can pass the test.
+        # The bounds widen by 1e-6 of a side, so rounding never drops a candidate.
+        lo_col = max(0, math.ceil((x - reach - x0) / cs - 0.5 - 1e-6))
+        hi_col = min(self.n_cols - 1, math.floor((x + reach - x0) / cs - 0.5 + 1e-6))
+        lo_row = max(0, math.ceil((y - reach - y0) / cs - 0.5 - 1e-6))
+        hi_row = min(self.n_rows - 1, math.floor((y + reach - y0) / cs - 0.5 + 1e-6))
         out = []
         for row in range(lo_row, hi_row + 1):
             for cid in range(row * self.n_cols + lo_col, row * self.n_cols + hi_col + 1):
@@ -484,7 +469,7 @@ def goal_distance_map(g: RoadGraph, goal_set: frozenset[int]) -> dict[int, float
             continue
         done.add(e)
         w = 0.0 if e in goal_set else length[e]
-        for prev in g.incoming(e):
+        for prev in g._prev[e]:
             nd = d + w
             if nd < dist.get(prev, math.inf):
                 dist[prev] = nd

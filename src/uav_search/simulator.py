@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import CertainDetection, cell_marginal, init_belief, negative_update, propagate
-from .config import ConfigError, ScenarioConfig, check_trials
+from .config import ConfigError, ScenarioConfig, UavSpec, check_trials
 from .movement import KMH_TO_MS, TransitionModel, load_model, validate_stochastic
 from .planner import match_uavs_to_cells, select_cells
 from .road_graph import GridOverlay, RoadGraph, load_graph, overlay_grid
@@ -199,11 +199,8 @@ class _TargetState:
 
 @dataclass(eq=False)
 class _UavState:
-    uid: int
+    spec: UavSpec  # its speed, detection radius and probability; a UAV's id is its index in the team
     pos: tuple[float, float]
-    velocity_ms: float
-    detect_radius: float
-    detect_prob: float
     assigned_cell: int | None = None
 
     def fly(self, overlay: GridOverlay, dt: float) -> None:
@@ -212,7 +209,7 @@ class _UavState:
         cx, cy = overlay.centers[self.assigned_cell]
         dx, dy = cx - self.pos[0], cy - self.pos[1]
         d = math.hypot(dx, dy)
-        step = self.velocity_ms * dt
+        step = self.spec.velocity_kmh * KMH_TO_MS * dt
         if d <= step:
             self.pos = (cx, cy)
         else:
@@ -278,10 +275,7 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
     team_p = scenario.team_min_detect_prob() if scenario.uavs else 1.0
 
     targets = _spawn_targets(scenario, world, seed)
-    uavs = [
-        _UavState(i, u.depot, u.velocity_kmh * KMH_TO_MS, u.detect_radius, u.detect_prob)
-        for i, u in enumerate(scenario.uavs)
-    ]
+    uavs = [_UavState(u, u.depot) for u in scenario.uavs]
     det_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     detections: dict[int, int] = {}
 
@@ -304,8 +298,8 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
             for tg in targets:
                 if not tg.active:
                     continue
-                if math.hypot(tg.pos[0] - uav.pos[0], tg.pos[1] - uav.pos[1]) <= uav.detect_radius:
-                    if det_rng.random() < uav.detect_prob:
+                if math.hypot(tg.pos[0] - uav.pos[0], tg.pos[1] - uav.pos[1]) <= uav.spec.detect_radius:
+                    if det_rng.random() < uav.spec.detect_prob:
                         tg.active = False
                         detections[tg.tid] = tick
         if not any(tg.active for tg in targets):
@@ -318,7 +312,7 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
             if tg.active and tg.belief is not None:
                 tg.belief = propagate(tg.belief, world.models[tg.class_name])
         for uav in uavs:
-            searched = set(overlay.covered_cells(uav.pos[0], uav.pos[1], uav.detect_radius))
+            searched = set(overlay.covered_cells(uav.pos[0], uav.pos[1], uav.spec.detect_radius))
             if not searched:
                 continue
             for tg in targets:
@@ -327,7 +321,7 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
                 if tg.belief is None:
                     tg.belief = world.frozen_belief(tg.class_name, tg.path[0], tick)
                 try:
-                    tg.belief = negative_update(tg.belief, searched, uav.detect_prob, overlay)
+                    tg.belief = negative_update(tg.belief, searched, uav.spec.detect_prob, overlay)
                 except CertainDetection:
                     tg.belief = _uniform_off_cells(overlay, searched)
 
@@ -342,9 +336,9 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
             else:
                 cbs = np.array([cell_marginal(tg.belief, overlay) for tg in active])
             cells = select_cells(scenario.policy, cbs, len(uavs), team_p)
-            assignment = match_uavs_to_cells({u.uid: u.pos for u in uavs}, cells, overlay)
-            for uav in uavs:
-                uav.assigned_cell = assignment.get(uav.uid)
+            assignment = match_uavs_to_cells({i: u.pos for i, u in enumerate(uavs)}, cells, overlay)
+            for i, uav in enumerate(uavs):
+                uav.assigned_cell = assignment.get(i)
 
     return TrialResult("lose", detections, None, scenario.max_ticks, seed, timeout=True)
 

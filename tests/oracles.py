@@ -43,7 +43,7 @@ from uav_search.belief import (
     negative_update,
     propagate,
 )
-from uav_search.movement import KMH_TO_MS, TransitionModel
+from uav_search.movement import TransitionModel
 from uav_search.planner import entropy_gain, match_uavs_to_cells, select_cells
 from uav_search.road_graph import RoadGraph, goal_distance_map
 from uav_search.strategies import (
@@ -193,10 +193,7 @@ def reference_trial(scenario, seed: int, world) -> TrialResult:
     dt, delay_m = scenario.tick_seconds, scenario.delay_km * 1000.0
     team_p = scenario.team_min_detect_prob() if scenario.uavs else 1.0
     targets = _spawn_targets(scenario, world, seed)
-    uavs = [
-        _UavState(i, u.depot, u.velocity_kmh * KMH_TO_MS, u.detect_radius, u.detect_prob)
-        for i, u in enumerate(scenario.uavs)
-    ]
+    uavs = [_UavState(u, u.depot) for u in scenario.uavs]
     beliefs = [init_belief(world.refined, tg.path[0]) for tg in targets]
     det_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     detections: dict[int, int] = {}
@@ -218,26 +215,26 @@ def reference_trial(scenario, seed: int, world) -> TrialResult:
             uav.fly(overlay, dt)
         for uav in uavs:
             for tg in targets:
-                in_range = math.hypot(tg.pos[0] - uav.pos[0], tg.pos[1] - uav.pos[1]) <= uav.detect_radius
-                if tg.active and in_range and det_rng.random() < uav.detect_prob:
+                in_range = math.hypot(tg.pos[0] - uav.pos[0], tg.pos[1] - uav.pos[1]) <= uav.spec.detect_radius
+                if tg.active and in_range and det_rng.random() < uav.spec.detect_prob:
                     tg.active = False
                     detections[tg.tid] = tick
         if not any(tg.active for tg in targets):
             return TrialResult("win", detections, None, tick, seed)
         for uav in uavs:
-            searched = set(overlay.covered_cells(uav.pos[0], uav.pos[1], uav.detect_radius))
+            searched = set(overlay.covered_cells(uav.pos[0], uav.pos[1], uav.spec.detect_radius))
             for j, tg in enumerate(targets):
                 if tg.active:
                     try:
-                        beliefs[j] = negative_update(beliefs[j], searched, uav.detect_prob, overlay)
+                        beliefs[j] = negative_update(beliefs[j], searched, uav.spec.detect_prob, overlay)
                     except CertainDetection:
                         beliefs[j] = _uniform_off_cells(overlay, searched)
         if uavs:
             cbs = [cell_marginal(beliefs[j], overlay) for j, tg in enumerate(targets) if tg.active]
             cells = select_cells(scenario.policy, cbs, len(uavs), team_p)
-            assignment = match_uavs_to_cells({u.uid: u.pos for u in uavs}, cells, overlay)
-            for uav in uavs:
-                uav.assigned_cell = assignment.get(uav.uid)
+            assignment = match_uavs_to_cells({i: u.pos for i, u in enumerate(uavs)}, cells, overlay)
+            for i, uav in enumerate(uavs):
+                uav.assigned_cell = assignment.get(i)
     return TrialResult("lose", detections, None, scenario.max_ticks, seed, timeout=True)
 
 

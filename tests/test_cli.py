@@ -661,6 +661,52 @@ class TestThresholdScan:
         assert "need at least one value" in capsys.readouterr().err
 
 
+def _border_with_policy(tmp_path, policy: str) -> str:
+    """A copy of border.yaml under `policy`, its graph and model paths made absolute."""
+    data = yaml.safe_load(open(BORDER_YAML).read())
+    data["graph"] = os.path.join(REPO_ROOT, "maps", "border.graph")
+    data["classes"]["runner"]["model"] = os.path.join(REPO_ROOT, "models", "border_shortest.model")
+    data["policy"]["name"] = policy
+    path = tmp_path / f"border_{policy}.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return str(path)
+
+
+def _warnings(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("warning:")]
+
+
+class TestUnreadThreshold:
+    """Only single_entry reads threshold. A threshold scan, or a sweep with a
+    threshold axis, under another policy prints one warning line on stderr
+    naming the file and the policy, and still runs and exits 0."""
+
+    @pytest.mark.parametrize("policy", ["adaptive", "general", "single_entry"])
+    def test_threshold_scan(self, tmp_path, capsys, policy):
+        scenario = BORDER_YAML if policy == "adaptive" else _border_with_policy(tmp_path, policy)
+        rc = main(["threshold-scan", scenario, "--thresholds", "0.1,0.2", "--trials", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        expect = [] if policy == "single_entry" else [
+            f"warning: {scenario}: policy {policy!r} never reads threshold; only single_entry does, "
+            "so the threshold points differ only in their seeds"
+        ]
+        assert _warnings(capsys.readouterr().err) == expect
+
+    @pytest.mark.parametrize("policy,axis,warned", [
+        ("adaptive", "threshold", True),
+        ("adaptive", "delay_km", False),
+        ("single_entry", "threshold", False),
+    ])
+    def test_sweep(self, tmp_path, capsys, policy, axis, warned):
+        base = BORDER_YAML if policy == "adaptive" else _border_with_policy(tmp_path, policy)
+        sweep = tmp_path / "sweep.yaml"
+        sweep.write_text(yaml.safe_dump({"base": base, "trials": 1, "axes": {axis: [0.2]}}))
+        assert main(["sweep", str(sweep), "--out", str(tmp_path)]) == 0
+        warnings = _warnings(capsys.readouterr().err)
+        assert len(warnings) == warned
+        assert all(w.startswith(f"warning: {sweep}: policy {policy!r} never reads threshold") for w in warnings)
+
+
 class TestBadAxisValues:
     """A bad axis value fails before any trial runs: the whole grid is
     expanded, and so checked, before the first run_batch."""
@@ -1051,7 +1097,6 @@ def test_dump_belief_propagates_once_per_tick(tmp_path, monkeypatch, ticks):
         calls.append(1)
         return propagate(mass, model)
 
-    monkeypatch.setattr("uav_search.cli.propagate", counting)
     monkeypatch.setattr("uav_search.simulator.propagate", counting)
     out = tmp_path / "belief.csv"
     assert main(["dump-belief", BORDER_YAML, "--ticks", str(ticks), "--entry", "3", "--out", str(out)]) == 0

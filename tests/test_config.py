@@ -1,10 +1,13 @@
 """Config parsing: defaults, validation messages, sweep expansion."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import re
+from unittest import mock
 
 import pytest
 import yaml
@@ -24,6 +27,8 @@ from uav_search.config import (
     scenario_from_dict,
     sweep_points,
 )
+from uav_search.cli import main
+from uav_search.simulator import TrialResult, run_trial
 from uav_search.strategies import RandomWalkStrategy, RouteStrategy
 
 
@@ -381,6 +386,76 @@ class TestLoadSweepFuzz:
             assert str(exc).startswith(f"{path}: ")
             return
         assert isinstance(spec, SweepSpec)
+
+
+# A token of a YAML line: a number, or a word (a key, a name or a part of a path).
+_TOKEN = re.compile(r"\d+(?:\.\d+)?|[A-Za-z_]\w*")
+_KEY_LINE = re.compile(r"( *(?:- )?)\w+:")
+
+
+@st.composite
+def _token_mutation(draw, text: str) -> str:
+    """`text` with one token dropped, doubled (`30.0` -> `30.030.0`) or
+    negated, a stray key added after a key line in its mapping, or a key line
+    written twice. Comments are left alone."""
+    lines = text.split("\n")
+    keyed = [i for i, line in enumerate(lines) if _KEY_LINE.match(line)]
+    kind = draw(st.sampled_from(["drop", "double", "negate", "stray key", "repeat line"]))
+    if kind == "stray key":
+        i = draw(st.sampled_from(keyed))
+        lines.insert(i + 1, " " * len(_KEY_LINE.match(lines[i]).group(1)) + "stray: 1")
+    elif kind == "repeat line":
+        i = draw(st.sampled_from(keyed))
+        lines.insert(i, lines[i])
+    else:
+        spots = [(i, m) for i, line in enumerate(lines) for m in _TOKEN.finditer(line.split("#")[0])]
+        i, m = draw(st.sampled_from(spots))
+        tok = m.group()
+        lines[i] = lines[i][:m.start()] + {"drop": "", "double": tok + tok, "negate": "-" + tok}[kind] + lines[i][m.end():]
+    return "\n".join(lines)
+
+
+def _stub_trial(scenario, seed, world):
+    return TrialResult("lose", {}, None, 1, seed)
+
+
+class TestTokenFuzz:
+    """The bundled scenario and sweep files, mutated at the token level: each
+    mutation loads or raises a ConfigError that starts with the file's path,
+    and through the CLI exits 0 or 1, never 2. The files sit in a copy of the
+    repository's layout, so their relative paths resolve. A scenario runs one
+    trial; a sweep, whose trial count the mutation may grow, runs each point's
+    trials as stubs once its worlds are built and checked."""
+
+    @pytest.fixture(scope="class")
+    def layout(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("token_fuzz")
+        for name in ("maps", "models"):
+            (root / name).symlink_to(os.path.join(REPO_ROOT, name))
+        (root / "scenarios").mkdir()
+        (root / "scenarios" / "border.yaml").write_text(open(BORDER_YAML).read())
+        return root
+
+    @pytest.mark.parametrize("name,load,argv,trial", [
+        ("border.yaml", load_scenario, ["run", "{path}", "--trials", "1"], run_trial),
+        ("border_sweep.yaml", load_sweep, ["sweep", "{path}", "--out", "{out}"], _stub_trial),
+    ])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_loads_or_names_the_file_and_exits_0_or_1(self, layout, name, load, argv, trial, data):
+        text = data.draw(_token_mutation(open(os.path.join(REPO_ROOT, "scenarios", name)).read()))
+        path = layout / "scenarios" / f"mutated_{name}"
+        path.write_text(text)
+        try:
+            load(str(path))
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+        err = io.StringIO()
+        args = [a.format(path=path, out=layout / "out") for a in argv]
+        with mock.patch("uav_search.simulator.run_trial", trial), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(args)
+        assert rc in (0, 1), (text, err.getvalue())
 
 
 @pytest.fixture

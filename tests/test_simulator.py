@@ -13,7 +13,7 @@ from scipy import stats as sstats
 
 import uav_search.simulator as simulator
 from uav_search.belief import cell_marginal, init_belief, propagate
-from uav_search.config import ConfigError, TargetSpec, apply_axis, load_scenario
+from uav_search.config import ConfigError, TargetSpec, UavSpec, apply_axis, load_scenario
 from uav_search.planner import POLICIES
 from uav_search.simulator import (
     BLOCK_TICKS,
@@ -118,10 +118,14 @@ class TestSpawn:
             assert tg.path[0] == world.start_of_parent[entry]
 
 
+# 36 km/h, 10 m/s: 200 m in a 20 s tick.
+_SPEC = UavSpec((0.0, 0.0), 36.0, 500.0, 0.8)
+
+
 class TestUavFlight:
     def test_step_is_velocity_limited(self, border_world):
         overlay = border_world.overlay
-        uav = _UavState(0, (0.0, 0.0), 10.0, 500.0, 0.8, assigned_cell=overlay.n_cells - 1)
+        uav = _UavState(_SPEC, (0.0, 0.0), assigned_cell=overlay.n_cells - 1)
         before = uav.pos
         uav.fly(overlay, 20.0)
         moved = math.hypot(uav.pos[0] - before[0], uav.pos[1] - before[1])
@@ -130,12 +134,12 @@ class TestUavFlight:
     def test_lands_exactly_on_center(self, border_world):
         overlay = border_world.overlay
         cx, cy = overlay.centers[12]
-        uav = _UavState(0, (cx - 50.0, cy), 10.0, 500.0, 0.8, assigned_cell=12)
+        uav = _UavState(_SPEC, (cx - 50.0, cy), assigned_cell=12)
         uav.fly(overlay, 20.0)
         assert uav.pos == (cx, cy)
 
     def test_unassigned_stays_put(self, border_world):
-        uav = _UavState(0, (123.0, 456.0), 10.0, 500.0, 0.8, assigned_cell=None)
+        uav = _UavState(_SPEC, (123.0, 456.0), assigned_cell=None)
         uav.fly(border_world.overlay, 20.0)
         assert uav.pos == (123.0, 456.0)
 
