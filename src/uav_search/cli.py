@@ -20,6 +20,7 @@ from .config import (
     ConfigError, SweepSpec, apply_axis, check_velocity_range, load_scenario, load_sweep, parse_strategy, sweep_points,
 )
 from .movement import DEFAULT_SMOOTHING, KMH_TO_MS, ModelFormatError, compile_model, save_model, traces_for_strategies
+from .planner import THRESHOLD_POLICY
 from .road_graph import GraphFormatError, GridSizeError, load_graph, overlay_grid, plain_number
 from .simulator import BatchStats, TrialResult, build_world, run_batch, trial_seed
 
@@ -31,6 +32,7 @@ SWEEP_CSV = "sweep.csv"
 _VALIDATION_ERRORS = (
     ConfigError,
     GraphFormatError,
+    GridSizeError,
     ModelFormatError,
     FileNotFoundError,
     IsADirectoryError,
@@ -46,11 +48,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value) -> str:
-    """CSV cell: repr for floats keeps round-trip exactness."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _from(source: str, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, with `source: ` before any validation error
+    it raises: the scenario, sweep or flag that the world or grid came from."""
+    try:
+        return build(*args, **kwargs)
+    except _VALIDATION_ERRORS as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -68,11 +72,12 @@ def _plain(text: str, kind: type = float):
 
 
 def _flag(kind: type, ok=lambda value: True, rule: str = ""):
-    """The argparse type of a numeric flag: a `_plain` number that `ok`
-    accepts. argparse names the flag in a refusal, and `_Parser` exits 1."""
+    """The argparse type of a flag: its text as a `_plain` number of `kind`, or
+    as is for str, that `ok` accepts. argparse names the flag in a refusal,
+    and `_Parser` exits 1."""
     def parse(text: str):
         try:
-            value = _plain(text, kind)
+            value = text if kind is str else _plain(text, kind)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
         if not ok(value):
@@ -85,6 +90,8 @@ _INT = _flag(int)
 _NON_NEGATIVE_INT = _flag(int, lambda v: v >= 0, "must be >= 0")
 _COUNT = _flag(int, lambda v: v >= 1, "must be >= 1")  # the trial-count rule, check_trials
 _POSITIVE_FINITE = _flag(float, lambda v: 0 < v < math.inf, "must be positive and finite")
+_FILE_OUT = _flag(str, lambda path: not os.path.isdir(path), "must not be an existing directory")
+_DIR_OUT = _flag(str, lambda path: os.path.isdir(path) or not os.path.exists(path), "must be a directory or a new path")
 
 
 def _parse_strategies(spec: str) -> list:
@@ -147,7 +154,7 @@ def _trial_csv(results: list[TrialResult], n_targets: int) -> str:
 
 def cmd_compile_model(args) -> int:
     graph = load_graph(args.graph)
-    refined, _ = overlay_grid(graph, args.radius)
+    refined, _ = _from("--radius", overlay_grid, graph, args.radius)
     strategies = _parse_strategies(args.strategies)
     velocity = _parse_range(args.velocity)
     # A model moves at most one hop per tick, so no tick may pass a whole edge.
@@ -168,7 +175,7 @@ def cmd_compile_model(args) -> int:
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    [(stats, results)] = run_batch([(scenario, args.seed)], args.trials, jobs=args.jobs)
+    [(stats, results)] = _from(args.scenario, run_batch, [(scenario, args.seed)], args.trials, jobs=args.jobs)
     _print_stats(stats)
     if args.out:
         _write_text(args.out, _trial_csv(results, len(scenario.targets)))
@@ -180,18 +187,15 @@ def _run_points(spec: SweepSpec, seed: int, jobs: int, source: str):
     """Yield (assignment, scenario, stats) per sweep point, in order, from
     one run_batch call: one world per distinct map, grid and models, and one
     pool. Every point is expanded and its world built, and so checked, before
-    the first trial runs; an axis error starts with `source`, the sweep or
-    scenario file. A threshold axis under a policy other than single_entry,
-    the only one that reads it, is warned of on stderr."""
-    try:
-        points = list(sweep_points(spec))
-    except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+    the first trial runs; an error in either starts with `source`, the sweep
+    or scenario file. A threshold axis under a policy that never reads it is
+    warned of on stderr."""
+    points = _from(source, list, sweep_points(spec))  # list() runs the generator inside _from
     seeded = [(scenario, trial_seed(seed, index)) for index, (_, scenario) in enumerate(points)]
-    batches = run_batch(seeded, spec.trials, jobs=jobs)
+    batches = _from(source, run_batch, seeded, spec.trials, jobs=jobs)
     policy = spec.base.policy.policy
-    if policy != "single_entry" and any(name == "threshold" for name, _ in spec.axes):
-        print(f"warning: {source}: policy {policy!r} never reads threshold; only single_entry does, "
+    if policy != THRESHOLD_POLICY and any(name == "threshold" for name, _ in spec.axes):
+        print(f"warning: {source}: policy {policy!r} never reads threshold; only {THRESHOLD_POLICY} does, "
               "so the threshold points differ only in their seeds", file=sys.stderr)
     for (assignment, scenario), (stats, _) in zip(points, batches, strict=True):
         yield assignment, scenario, stats
@@ -203,14 +207,13 @@ def cmd_sweep(args) -> int:
     axis_names = [name for name, _ in spec.axes]
     lines = [",".join(axis_names + ["success_rate", "ci_low", "ci_high", "trials"])]
     for assignment, _, stats in _run_points(spec, seed, args.jobs, args.sweep):
-        values = [_fmt(v) for _, v in assignment]
+        values = [str(v) for _, v in assignment]
         lines.append(",".join(values + [
             repr(stats.success_rate), repr(stats.ci_low), repr(stats.ci_high), str(stats.n_trials),
         ]))
-        shown = " ".join(f"{n}={_fmt(v)}" for n, v in assignment)
+        shown = " ".join(f"{n}={v}" for n, v in assignment)
         print(f"{shown} -> {stats.success_rate:.4f} [{stats.ci_low:.4f}, {stats.ci_high:.4f}]")
-    out_dir = args.out or "."
-    path = os.path.join(out_dir, SWEEP_CSV)
+    path = os.path.join(args.out, SWEEP_CSV)
     _write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {path} ({len(lines) - 1} points x {spec.trials} trials)")
     return 0
@@ -256,9 +259,8 @@ def cmd_threshold_scan(args) -> int:
             rate, best_th = max(rates[-len(thresholds):], key=lambda row: row[0])
             best.append(",".join([repr(p_shown), repr(best_th), repr(rate)]))
             print(f"p={p_shown:g} best threshold {best_th:g} at success rate {rate:.4f}")
-    out_dir = args.out or "."
     for name, lines in ((GRID_CSV, grid), (BEST_CSV, best)):
-        path = os.path.join(out_dir, name)
+        path = os.path.join(args.out, name)
         _write_text(path, "\n".join(lines) + "\n")
         print(f"wrote {path}")
     return 0
@@ -266,7 +268,7 @@ def cmd_threshold_scan(args) -> int:
 
 def cmd_dump_belief(args) -> int:
     scenario = load_scenario(args.scenario)
-    world = build_world(scenario)
+    world = _from(args.scenario, build_world, scenario)
     class_name = args.target_class or scenario.targets[0].class_name
     if class_name not in world.models:
         known = ", ".join(sorted(world.models))
@@ -294,12 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     # One --seed parent per default, listed first so every usage line keeps its flag order. One
     # shared parent cannot hold both: the subcommands built from a parent share its --seed action.
     # dump-belief draws nothing and runs no trials, so it takes only --out.
-    seeded, file_seeded, jobs, out = (_Parser(add_help=False) for _ in range(4))
+    seeded, file_seeded, jobs, out, out_dir = (_Parser(add_help=False) for _ in range(5))
     seeded.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0, help="master seed, >= 0 (default 0)")
     file_seeded.add_argument("--seed", type=_NON_NEGATIVE_INT, default=None,
                              help="master seed, >= 0 (default: the sweep file's seed)")
     jobs.add_argument("--jobs", type=_COUNT, default=1, help="worker processes for trials, >= 1")
-    out.add_argument("--out", default=None, help="output file, or directory for sweep/threshold-scan")
+    out.add_argument("--out", type=_FILE_OUT, default=None, help="output file")
+    out_dir.add_argument("--out", type=_DIR_OUT, default=".", help="output directory (default: .)")
 
     parser = _Parser(prog="uav-search", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -322,11 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_COUNT, default=DEFAULT_TRIALS)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", parents=[file_seeded, jobs, out], help="run every point of a parameter sweep")
+    p = sub.add_parser("sweep", parents=[file_seeded, jobs, out_dir], help="run every point of a parameter sweep")
     p.add_argument("sweep", help="sweep config file")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("threshold-scan", parents=[seeded, jobs, out],
+    p = sub.add_parser("threshold-scan", parents=[seeded, jobs, out_dir],
                        help="find the best search threshold per detection probability")
     p.add_argument("scenario", help="scenario config file")
     p.add_argument("--thresholds", required=True, help="comma-separated threshold grid")
@@ -354,9 +357,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GridSizeError as exc:  # the radius came from the scenario, the sweep's base or --radius
-        print(f"error: {getattr(args, 'scenario', None) or getattr(args, 'sweep', '--radius')}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -372,8 +372,9 @@ def _read_axis(values, path: str, name) -> tuple[str, tuple]:
 
 def load_sweep(path: str) -> SweepSpec:
     read_base = _file("a scenario file", os.path.dirname(os.path.abspath(path)))
-    try:  # _load_yaml's errors start with `f"{path}: "` already
-        base, trials, seed, axes = _fields(_load_yaml(path), {
+    data = _load_yaml(path)  # its errors name the file already
+    try:
+        base, trials, seed, axes = _fields(data, {
             "base": (lambda d, at: load_scenario(read_base(d, at)), None),
             "trials": (lambda d, at: check_trials(_need_int(d, at)), None),
             "seed": (_count, 0),
@@ -383,8 +384,7 @@ def load_sweep(path: str) -> SweepSpec:
             raise ConfigError("axes: must name at least one sweep axis")
         return SweepSpec(base, axes, trials, seed)
     except ConfigError as exc:
-        msg = str(exc)
-        raise ConfigError(msg if msg.startswith(f"{path}: ") else f"{path}: {msg}") from None
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def apply_axis(scenario: ScenarioConfig, axis: str, value, label: str | None = None) -> ScenarioConfig:

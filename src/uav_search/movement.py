@@ -262,7 +262,7 @@ def validate_stochastic(model: TransitionModel, g: RoadGraph | None = None) -> l
             total += p
             if p < 0:
                 problems.append(f"edge {src}: negative probability {p!r} to {dst}")
-            if g is not None and dst != src and dst not in g.outgoing(src):
+            if g is not None and dst != src and dst not in g._next[src]:
                 problems.append(f"edge {src}: destination {dst} is not a road successor")
         if not abs(total - 1.0) <= ROW_SUM_TOL:  # a NaN sum fails too
             problems.append(f"edge {src}: row sums to {total!r}")

@@ -31,9 +31,6 @@ DEFAULT_THRESHOLD = 0.2
 # instances: at most 4.3e-15 / eta bits, 5.1e-13 bits at eta >= 1e-3).
 EXACT_GAIN_ETA = 1e-3
 
-# The policy names PolicyConfig accepts; select_cells runs them.
-POLICIES = ("general", "single_entry", "adaptive", "entropy_only", "max_prob", "max_avg_prob")
-
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -252,54 +249,53 @@ def _top_m(mass: np.ndarray, m: int) -> set[int]:
     return set(int(c) for c in order[:m])
 
 
-def select_cells(
-    cfg: PolicyConfig,
-    cell_beliefs: Sequence[np.ndarray],
-    m: int,
-    team_detect_prob: float,
-) -> set[int]:
-    """The cells the configured policy picks for `m` UAVs, planning with the
-    configured p or else the team minimum. max_prob and max_avg_prob take the
-    top m cells of the per-cell maximum or mean over targets; single_entry
-    seeds the targets' mean belief; entropy_only is pure greedy gain; adaptive
-    runs it while outnumbered (more targets than UAVs), general otherwise."""
-    policy = cfg.policy
-    if policy == "max_prob":
-        return _top_m(np.max(cell_beliefs, axis=0), m)
-    if policy == "max_avg_prob":
-        return _top_m(np.mean(cell_beliefs, axis=0), m)
+# Each policy's pick of cells for m UAVs from (cell beliefs, m, planning p, threshold), in table
+# order: seed every target's peak, seed the targets' mean belief (the one pick that reads the
+# threshold), pure greedy gain while outnumbered (more targets than UAVs) and general otherwise,
+# pure greedy gain, and the top m cells of the per-cell maximum or mean over targets.
+THRESHOLD_POLICY = "single_entry"
+_PICKS = {
+    "general": lambda P, m, p, th: assign_general(P, m, p),
+    THRESHOLD_POLICY: lambda P, m, p, th: assign_single_entry(np.mean(P, axis=0), m, p, th),
+    "adaptive": lambda P, m, p, th: set(greedy_select(P, m, p)) if len(P) > m else assign_general(P, m, p),
+    "entropy_only": lambda P, m, p, th: set(greedy_select(P, m, p)),
+    "max_prob": lambda P, m, p, th: _top_m(np.max(P, axis=0), m),
+    "max_avg_prob": lambda P, m, p, th: _top_m(np.mean(P, axis=0), m),
+}
+POLICIES = tuple(_PICKS)  # the names PolicyConfig accepts, in the order its message lists them
+
+
+def select_cells(cfg: PolicyConfig, cell_beliefs: Sequence[np.ndarray], m: int, team_detect_prob: float) -> set[int]:
+    """The cells the configured policy picks for `m` UAVs (see _PICKS), planning
+    with the configured p or else the team minimum."""
     p = cfg.detect_prob if cfg.detect_prob is not None else team_detect_prob
-    if policy == "single_entry":
-        return assign_single_entry(np.mean(cell_beliefs, axis=0), m, p, cfg.threshold)
-    if policy == "entropy_only" or (policy == "adaptive" and len(cell_beliefs) > m):
-        return set(greedy_select(cell_beliefs, m, p))
-    return assign_general(cell_beliefs, m, p)
+    return _PICKS[cfg.policy](cell_beliefs, m, p, cfg.threshold)
 
 
 def match_uavs_to_cells(
-    positions: dict[int, tuple[float, float]],
+    positions: Sequence[tuple[float, float]],
     cells: set[int] | frozenset[int],
     overlay: GridOverlay,
-) -> dict[int, int]:
-    """Pair UAVs with selected cells, globally closest pair first.
+) -> list[int | None]:
+    """The cell of each UAV, by its index in `positions`, pairing the globally
+    closest pair first.
 
-    Distance ties break toward the lower UAV id, then the lower cell id.
-    Every cell is assigned; surplus UAVs stay unassigned.
+    Distance ties break toward the lower UAV index, then the lower cell id.
+    Every cell is assigned; a surplus UAV gets None.
     """
     if len(cells) > len(positions):
         raise ValueError(f"{len(cells)} cells for only {len(positions)} UAVs")
     centers = [(cid, *overlay.centers[cid]) for cid in sorted(cells)]
     pairs = [
         (math.hypot(cx - x, cy - y), uid, cid)
-        for uid, (x, y) in sorted(positions.items())
+        for uid, (x, y) in enumerate(positions)
         for cid, cx, cy in centers
     ]
     pairs.sort()
-    assigned: dict[int, int] = {}
+    assigned: list[int | None] = [None] * len(positions)
     used: set[int] = set()
     for _, uid, cid in pairs:
-        if uid in assigned or cid in used:
-            continue
-        assigned[uid] = cid
-        used.add(cid)
+        if assigned[uid] is None and cid not in used:
+            assigned[uid] = cid
+            used.add(cid)
     return assigned

@@ -84,12 +84,6 @@ class RoadGraph:
         self._route_cache: dict[tuple, tuple[tuple[int, ...] | None, ...]] = {}
         self._walk_steps: dict[tuple, tuple] = {}
 
-    def outgoing(self, edge_id: int) -> list[int]:
-        """Edges that can follow `edge_id` on a directed walk."""
-        if not 0 <= edge_id < self.n_edges:
-            raise KeyError(f"unknown edge id {edge_id}")
-        return self._next[edge_id]
-
 
 @dataclass
 class GridOverlay:

@@ -336,9 +336,8 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
             else:
                 cbs = np.array([cell_marginal(tg.belief, overlay) for tg in active])
             cells = select_cells(scenario.policy, cbs, len(uavs), team_p)
-            assignment = match_uavs_to_cells({i: u.pos for i, u in enumerate(uavs)}, cells, overlay)
-            for i, uav in enumerate(uavs):
-                uav.assigned_cell = assignment.get(i)
+            for uav, cell in zip(uavs, match_uavs_to_cells([u.pos for u in uavs], cells, overlay)):
+                uav.assigned_cell = cell
 
     return TrialResult("lose", detections, None, scenario.max_ticks, seed, timeout=True)
 

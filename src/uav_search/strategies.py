@@ -48,7 +48,7 @@ def validate_path(g: RoadGraph, path: list[int], entry: int) -> None:
     if path[0] != entry:
         raise InvalidPathError(f"path starts at edge {path[0]}, expected entry {entry}")
     for a, b in zip(path, path[1:]):
-        if b not in g.outgoing(a):
+        if b not in g._next[a]:
             raise InvalidPathError(f"disconnected hop {a} -> {b}")
     if path[-1] not in g.goal_union:
         raise InvalidPathError(f"path ends on non-goal edge {path[-1]}")
@@ -130,7 +130,7 @@ class RandomWalkStrategy:
 
     def _table(self, g: RoadGraph, goal_set: frozenset[int]) -> tuple:
         """Every edge's step on a walk to `goal_set`, flat: the candidates
-        (`g.outgoing` of each edge in turn), their cumulative distribution
+        (`g._next` of each edge in turn), their cumulative distribution
         `Generator.choice` draws from, each edge's first position in both,
         `{edge: why}` for the edges whose step raises, and each edge's travel
         left once taken (0 on a goal edge, inf with no route). Rows of one

@@ -232,9 +232,8 @@ def reference_trial(scenario, seed: int, world) -> TrialResult:
         if uavs:
             cbs = [cell_marginal(beliefs[j], overlay) for j, tg in enumerate(targets) if tg.active]
             cells = select_cells(scenario.policy, cbs, len(uavs), team_p)
-            assignment = match_uavs_to_cells({i: u.pos for i, u in enumerate(uavs)}, cells, overlay)
-            for i, uav in enumerate(uavs):
-                uav.assigned_cell = assignment.get(i)
+            for uav, cell in zip(uavs, match_uavs_to_cells([u.pos for u in uavs], cells, overlay)):
+                uav.assigned_cell = cell
     return TrialResult("lose", detections, None, scenario.max_ticks, seed, timeout=True)
 
 
@@ -246,7 +245,7 @@ def count_compile(
     for trace in traces:
         edges = trace.tolist()
         for e0, e1 in zip(edges, edges[1:]):
-            if e1 != e0 and e1 not in g.outgoing(e0):
+            if e1 != e0 and e1 not in g._next[e0]:
                 raise ValueError(f"trace hop {e0} -> {e1} skips road edges")
             row = counts.setdefault(e0, {})
             row[e1] = row.get(e1, 0) + 1
@@ -255,7 +254,7 @@ def count_compile(
         if src in g.goal_union:
             triples.append((src, src, 1.0))
             continue
-        support = sorted({src, *g.outgoing(src)})
+        support = sorted({src, *g._next[src]})
         seen = counts.get(src, {})
         total = sum(seen.values())
         if total == 0:
@@ -294,7 +293,7 @@ def dict_shortest_path(
             while path[-1] != from_edge:
                 path.append(parent[path[-1]])
             return path[::-1]
-        for nxt in g.outgoing(e):
+        for nxt in g._next[e]:
             nd = d + (0.0 if nxt in goal_set else hop[nxt])
             if nd < dist.get(nxt, math.inf):
                 dist[nxt] = nd
@@ -348,7 +347,7 @@ def walk_step(beta: float, g: RoadGraph, gi: int, cur: int, entry: int) -> tuple
     `gi`, and the probabilities `rng.choice` draws them with. A dead end, or
     at beta > 0 a step with no finite route left, raises the walk's
     WanderingError."""
-    cands = g.outgoing(cur)
+    cands = g._next[cur]
     if not cands:
         raise WanderingError(f"walk from entry {entry} dead-ended at edge {cur}")
     goal_set = g.goals[gi]

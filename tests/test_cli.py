@@ -1056,6 +1056,76 @@ class TestGridSizeLimit:
             assert proc.stderr.startswith(f"error: {source}: detection radius 1 m asks for a grid of"), proc.stderr
 
 
+def _border_copy(tmp_path, name="border.yaml", **changes) -> str:
+    """scenarios/border.yaml written to `tmp_path / name` with absolute graph
+    and model paths, its top-level keys updated by `changes`."""
+    with open(BORDER_YAML) as fh:
+        scenario = yaml.safe_load(fh)
+    base = os.path.dirname(BORDER_YAML)
+    scenario["graph"] = os.path.normpath(os.path.join(base, scenario["graph"]))
+    runner = scenario["classes"]["runner"]
+    runner["model"] = os.path.normpath(os.path.join(base, runner["model"]))
+    scenario.update(changes)
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(scenario))
+    return str(path)
+
+
+class TestBuildErrorsNameTheirSource:
+    """An error raised while a world is built names the scenario, or the
+    sweep, that the world came from before the input at fault."""
+
+    BAD_ENTRY = [{"class": "runner", "entry": 99}, {"class": "runner"}]
+
+    @pytest.mark.parametrize("command", [["run", "--trials", "1"], ["threshold-scan", "--thresholds", "0.2"],
+                                         ["dump-belief", "--ticks", "1"]])
+    def test_bad_entry_names_the_scenario(self, tmp_path, capsys, command):
+        path = _border_copy(tmp_path, targets=self.BAD_ENTRY)
+        extra = ["--out", str(tmp_path / "out")] if command[0] == "threshold-scan" else []
+        assert main([command[0], path, *command[1:], *extra]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: targets[0].entry: edge 99 is not an entry edge\n", err
+
+    def test_missing_graph_names_the_scenario(self, tmp_path, capsys):
+        path = _border_copy(tmp_path, graph=str(tmp_path / "nope.graph"))
+        assert main(["run", path, "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {tmp_path / 'nope.graph'}: cannot read: "), err
+
+    def test_bad_base_entry_names_the_sweep(self, tmp_path, capsys):
+        _border_copy(tmp_path, targets=self.BAD_ENTRY)
+        sweep = tmp_path / "sweep.yaml"
+        sweep.write_text(yaml.safe_dump({"base": "border.yaml", "trials": 1, "axes": {"n_uavs": [1]}}))
+        assert main(["sweep", str(sweep), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sweep}: targets[0].entry: edge 99 "), err
+
+
+class TestOutPath:
+    """An --out naming an existing path of the wrong kind, a directory where
+    the command writes a file or a file where it writes a directory, is
+    refused by name, exit 1, before any input is read."""
+
+    @pytest.mark.parametrize("command", list(CHEAP_COMMANDS))
+    def test_wrong_kind_is_refused_before_any_work(self, work, tmp_path, monkeypatch, capsys, command):
+        read = []
+        for name in ("load_graph", "load_scenario", "load_sweep"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: read.append(name))
+        writes_dir = command in ("sweep", "threshold-scan")
+        out = tmp_path / "taken"
+        if writes_dir:
+            out.write_text("kept\n")
+        else:
+            out.mkdir()
+        positional, flags = CHEAP_COMMANDS[command]
+        argv = [command, str(work / positional), *(f"{k}={v}" for k, v in flags.items() if k != "--out")]
+        assert main([*argv, f"--out={out}"]) == 1
+        rule = "must be a directory or a new path" if writes_dir else "must not be an existing directory"
+        assert capsys.readouterr().err.endswith(f"error: argument --out: {rule}, got {out}\n")
+        assert read == []
+        assert (out.read_text() == "kept\n") if writes_dir else (list(out.iterdir()) == [])
+
+
 def test_run_never_imports_scipy(tmp_path):
     """The runtime needs only numpy and PyYAML; scipy is a test-only oracle.
     A `--jobs 1` run also starts without the process pool's modules."""

@@ -710,6 +710,16 @@ class TestSweep:
             load_sweep(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    def test_prefixes_its_path_once_even_where_a_key_matches_it(self, tmp_path, monkeypatch):
+        """A sweep file named `seed`, read by that relative path, whose `seed`
+        is refused: the message names the file, then the key."""
+        monkeypatch.chdir(tmp_path)
+        _write_sweep(tmp_path, {"base": "sc.yaml", "trials": 5, "seed": -1, "axes": {"delay_km": [0]}})
+        os.rename("sweep.yaml", "seed")
+        with pytest.raises(ConfigError) as err:
+            load_sweep("seed")
+        assert str(err.value) == "seed: seed: must be >= 0, got -1"
+
     def test_bundled_sweep(self):
         repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         spec = load_sweep(os.path.join(repo, "scenarios", "border_sweep.yaml"))

@@ -257,7 +257,7 @@ def _graph_and_traces(draw, max_traces=5, hops=st.integers(0, 10)):
         edges = [draw(st.integers(0, n_e - 1))]
         for _ in range(draw(hops)):
             if draw(st.integers(0, 9)):
-                edges.append(draw(st.sampled_from([edges[-1], *g.outgoing(edges[-1])])))
+                edges.append(draw(st.sampled_from([edges[-1], *g._next[edges[-1]]])))
             else:
                 edges.append(draw(st.integers(0, n_e - 1)))
         traces.append(np.array(edges))

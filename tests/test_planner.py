@@ -601,27 +601,41 @@ class TestSelectCells:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_every_policy_dispatches_to_its_function(self, data):
-        """Random beliefs, team sizes, p and thresholds: each policy name
-        selects what its rule computes, with the configured threshold."""
-        n = data.draw(st.integers(2, 6), label="cells")
+        """For every name in POLICIES, in order, select_cells equals the direct
+        call to the policy's helper, with the configured threshold and at the
+        planning p: the configured one, else the team's. adaptive is drawn both
+        outnumbered (more targets than UAVs), where it is greedy, and not,
+        where it is general."""
+        outnumbered = data.draw(st.booleans(), label="outnumbered")
+        n_targets = data.draw(st.integers(2, 4) if outnumbered else st.integers(1, 3), label="targets")
+        n = data.draw(st.integers(max(2, n_targets), 6), label="cells")
+        m = data.draw(st.integers(1, n_targets - 1) if outnumbered else st.integers(n_targets, n), label="m")
         weights = st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)
-        cbs = np.array([np.divide(w, sum(w)) for w in data.draw(st.lists(weights, min_size=1, max_size=3))])
-        m = data.draw(st.integers(1, n), label="m")
-        p = data.draw(st.floats(0.05, 1.0), label="p")
+        rows = data.draw(st.lists(weights, min_size=n_targets, max_size=n_targets))
+        cbs = np.array([np.divide(w, sum(w)) for w in rows])
+        team_p = data.draw(st.floats(0.05, 1.0), label="team p")
+        override = data.draw(st.none() | st.floats(0.05, 1.0), label="detect_prob")
         threshold = data.draw(st.floats(0.0, 1.0), label="threshold")
+        p = team_p if override is None else override
         greedy = set(greedy_select(cbs, m, p))
-        general = assign_general(cbs, m, p)
         expect = {
-            "general": general,
-            "single_entry": assign_single_entry(np.mean(cbs, axis=0), m, p, threshold),
-            "adaptive": greedy if len(cbs) > m else general,
+            "general": assign_general(cbs, m, p),
+            "single_entry": assign_single_entry(cbs.mean(axis=0), m, p, threshold),
+            "adaptive": greedy if outnumbered else assign_general(cbs, m, p),
             "entropy_only": greedy,
             "max_prob": _top_m(cbs.max(axis=0), m),
             "max_avg_prob": _top_m(cbs.mean(axis=0), m),
         }
-        assert sorted(expect) == sorted(POLICIES)
-        for policy, cells in expect.items():
-            assert select_cells(PolicyConfig(policy, threshold), cbs, m, p) == cells, policy
+        assert tuple(expect) == POLICIES
+        for policy in POLICIES:
+            assert select_cells(PolicyConfig(policy, threshold, override), cbs, m, team_p) == expect[policy], policy
+
+    def test_name_outside_the_table_raises(self):
+        """A policy name PolicyConfig would refuse never falls through to general."""
+        cfg = PolicyConfig()
+        object.__setattr__(cfg, "policy", "bogus")
+        with pytest.raises(KeyError, match="bogus"):
+            select_cells(cfg, [_cb([0.5, 0.5])], 1, 0.9)
 
     def test_single_entry_merges_before_seeding(self):
         cbs = [_cb([0.6, 0.4, 0.0]), _cb([0.2, 0.4, 0.4])]
@@ -663,20 +677,20 @@ class TestPolicyConfig:
 
 def _match_from_formula(positions, cells, overlay):
     """match_uavs_to_cells as it was before GridOverlay kept a centre table:
-    every pair recomputes the cell centre from the grid."""
+    every pair recomputes the cell centre from the grid. The cell of each
+    UAV by index, None for a surplus UAV."""
     pairs = []
-    for uid in sorted(positions):
-        x, y = positions[uid]
+    for uid, (x, y) in enumerate(positions):
         for cid in sorted(cells):
             row, col = divmod(cid, overlay.n_cols)
             cx = overlay.origin[0] + (col + 0.5) * overlay.cell_side
             cy = overlay.origin[1] + (row + 0.5) * overlay.cell_side
             pairs.append((math.hypot(cx - x, cy - y), uid, cid))
     pairs.sort()
-    assigned = {}
+    assigned = [None] * len(positions)
     used = set()
     for _, uid, cid in pairs:
-        if uid in assigned or cid in used:
+        if assigned[uid] is not None or cid in used:
             continue
         assigned[uid] = cid
         used.add(cid)
@@ -687,19 +701,19 @@ def _match_from_formula(positions, cells, overlay):
 def _match_instances(draw, overlay):
     """UAVs on cell centres (distance ties), midway between two centres, or
     anywhere around the grid, and at most as many cells as UAVs."""
-    uids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+    n_uavs = draw(st.integers(1, 6))
     centers = st.sampled_from(overlay.centers)
-    positions = {}
-    for uid in uids:
+    positions = []
+    for _ in range(n_uavs):
         kind = draw(st.sampled_from(["center", "between", "anywhere"]))
         if kind == "center":
-            positions[uid] = draw(centers)
+            positions.append(draw(centers))
         elif kind == "between":
             (ax, ay), (bx, by) = draw(centers), draw(centers)
-            positions[uid] = ((ax + bx) / 2, (ay + by) / 2)
+            positions.append(((ax + bx) / 2, (ay + by) / 2))
         else:
-            positions[uid] = (draw(st.floats(-2e3, 1e4)), draw(st.floats(-2e3, 1.4e4)))
-    cells = draw(st.sets(st.integers(0, overlay.n_cells - 1), max_size=len(uids)))
+            positions.append((draw(st.floats(-2e3, 1e4)), draw(st.floats(-2e3, 1.4e4))))
+    cells = draw(st.sets(st.integers(0, overlay.n_cells - 1), max_size=n_uavs))
     return positions, cells
 
 
@@ -707,7 +721,7 @@ class TestMatchUavsToCells:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_formula_implementation(self, border_refined, data):
-        """The same assignment dict as recomputing every centre."""
+        """The same cell per UAV index as recomputing every centre."""
         _, overlay = border_refined
         positions, cells = data.draw(_match_instances(overlay))
         assert match_uavs_to_cells(positions, cells, overlay) == _match_from_formula(positions, cells, overlay)
@@ -715,19 +729,19 @@ class TestMatchUavsToCells:
     def test_globally_closest_first(self, border_refined):
         _, overlay = border_refined
         ca, cb_ = 10, 20
-        positions = {0: overlay.centers[cb_], 1: overlay.centers[ca]}
-        assert match_uavs_to_cells(positions, {ca, cb_}, overlay) == {0: cb_, 1: ca}
+        positions = [overlay.centers[cb_], overlay.centers[ca]]
+        assert match_uavs_to_cells(positions, {ca, cb_}, overlay) == [cb_, ca]
 
     def test_distance_tie_prefers_lower_uav_then_cell(self, border_refined):
         _, overlay = border_refined
         center = overlay.centers[7]
-        positions = {0: center, 1: center}
-        assert match_uavs_to_cells(positions, {7}, overlay) == {0: 7}
+        positions = [center, center]
+        assert match_uavs_to_cells(positions, {7}, overlay) == [7, None]
         # same point, two equidistant cells: lower uav takes lower cell
         mid_x = (overlay.centers[5][0] + overlay.centers[6][0]) / 2
         y = overlay.centers[5][1]
-        positions = {0: (mid_x, y), 1: (mid_x, y)}
-        assert match_uavs_to_cells(positions, {5, 6}, overlay) == {0: 5, 1: 6}
+        positions = [(mid_x, y), (mid_x, y)]
+        assert match_uavs_to_cells(positions, {5, 6}, overlay) == [5, 6]
 
     def test_one_ulp_distance_order_is_pinned(self, border_refined):
         """Distances are math.hypot: cell 238 is one ulp closer to UAV 0
@@ -735,21 +749,19 @@ class TestMatchUavsToCells:
         and the tie would hand UAV 0 cell 122."""
         _, overlay = border_refined
         x, y = 10053.710817432398, 15553.570598786275
-        positions = {0: (x, y), 1: (x + 1e6, y + 1e6)}
-        assert match_uavs_to_cells(positions, {122, 238}, overlay) == {0: 238, 1: 122}
+        positions = [(x, y), (x + 1e6, y + 1e6)]
+        assert match_uavs_to_cells(positions, {122, 238}, overlay) == [238, 122]
 
     def test_surplus_uavs_stay_free(self, border_refined):
         _, overlay = border_refined
-        positions = {i: overlay.centers[i] for i in range(4)}
-        assigned = match_uavs_to_cells(positions, {0, 1}, overlay)
-        assert set(assigned.values()) == {0, 1}
-        assert len(assigned) == 2
+        positions = [overlay.centers[i] for i in range(4)]
+        assert match_uavs_to_cells(positions, {0, 1}, overlay) == [0, 1, None, None]
 
     def test_too_many_cells(self, border_refined):
         _, overlay = border_refined
         with pytest.raises(ValueError, match="cells for only"):
-            match_uavs_to_cells({0: (0.0, 0.0)}, {1, 2}, overlay)
+            match_uavs_to_cells([(0.0, 0.0)], {1, 2}, overlay)
 
     def test_no_cells(self, border_refined):
         _, overlay = border_refined
-        assert match_uavs_to_cells({0: (0.0, 0.0)}, set(), overlay) == {}
+        assert match_uavs_to_cells([(0.0, 0.0)], set(), overlay) == [None]
