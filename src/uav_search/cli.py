@@ -295,19 +295,22 @@ def cmd_dump_belief(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # One --seed parent per default, listed first so every usage line keeps its flag order. One
     # shared parent cannot hold both: the subcommands built from a parent share its --seed action.
-    # dump-belief draws nothing and runs no trials, so it takes only --out.
-    seeded, file_seeded, jobs, out, out_dir = (_Parser(add_help=False) for _ in range(5))
+    # dump-belief draws nothing and runs no trials, so it takes only --out; compile-model writes a
+    # model, which has no printed form, so its --out is required.
+    seeded, file_seeded, jobs, out, model_out, out_dir = (_Parser(add_help=False) for _ in range(6))
     seeded.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0, help="master seed, >= 0 (default 0)")
     file_seeded.add_argument("--seed", type=_NON_NEGATIVE_INT, default=None,
                              help="master seed, >= 0 (default: the sweep file's seed)")
     jobs.add_argument("--jobs", type=_COUNT, default=1, help="worker processes for trials, >= 1")
     out.add_argument("--out", type=_FILE_OUT, default=None, help="output file")
+    model_out.add_argument("--out", type=_FILE_OUT, required=True, help="model file to write")
     out_dir.add_argument("--out", type=_DIR_OUT, default=".", help="output directory (default: .)")
 
     parser = _Parser(prog="uav-search", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("compile-model", parents=[seeded, jobs, out], help="train a movement model from strategy routes")
+    p = sub.add_parser("compile-model", parents=[seeded, jobs, model_out],
+                       help="train a movement model from strategy routes")
     p.add_argument("graph", help="road graph file")
     p.add_argument("--strategies", required=True,
                    help="comma list, e.g. shortest,random_walk:beta=0.01,side_roads:penalty=1.5")

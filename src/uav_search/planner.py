@@ -58,7 +58,7 @@ def temporal_entropy(cb: np.ndarray, cells: set[int] | frozenset[int], p: float)
     possible when p = 1 and the searched cells hold all mass).
     """
     check_detect_prob(p)
-    idx = np.fromiter(cells, dtype=np.int64)
+    idx = np.fromiter(sorted(cells), dtype=np.int64)  # ascending: equal sets sum alike
     eta = 1.0 - p * float(cb[idx].sum())
     if eta <= ETA_TOL:
         raise CertainDetection("target certainly detected")
@@ -75,7 +75,7 @@ def entropy_gain(cb: np.ndarray, cells: set[int] | frozenset[int], p: float) -> 
     gained.
     """
     current = entropy(cb)
-    weight = float(np.prod(1.0 - p * cb[np.fromiter(cells, dtype=np.int64)]))  # 1.0 for no cells
+    weight = float(np.prod(1.0 - p * cb[np.fromiter(sorted(cells), dtype=np.int64)]))  # 1.0 for no cells
     try:
         return current - weight * temporal_entropy(cb, cells, p)
     except CertainDetection:
@@ -189,7 +189,7 @@ def greedy_select(
     n_cells = P.shape[1]
     if k < 0 or k + len(excluded) > n_cells:
         raise ValueError(f"cannot pick {k} cells with {len(excluded)} excluded out of {n_cells}")
-    seeded = np.fromiter(excluded, dtype=np.int64)
+    seeded = np.fromiter(sorted(excluded), dtype=np.int64)  # ascending, as entropy_gain reads a set
     kernel = _GainKernel(P, p, seeded)
     total = np.empty(n_cells)
     blocked = np.zeros(n_cells, dtype=bool)

@@ -86,12 +86,11 @@ class World:
     overlay: GridOverlay
     start_of_parent: dict[int, int]  # original entry edge -> its first refined piece, in id order
     models: dict[str, TransitionModel]
-    road_cells: np.ndarray  # the cells holding a refined edge, ascending; any other cell's marginal is 0.0
     # (class name, entry edge) -> read-only beliefs at ticks 0, BLOCK_TICKS, ...
     checkpoints: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict, init=False, repr=False)
     # (class name, entry edge) -> (tick, read-only belief) of the last belief reached
     latest: dict[tuple[str, int], tuple[int, np.ndarray]] = field(default_factory=dict, init=False, repr=False)
-    # (class name, entry edge, tick) -> read-only cell marginal of that frozen belief at road_cells
+    # (class name, entry edge, tick) -> read-only cell marginal of that frozen belief
     rows: dict[tuple[str, int, int], np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def frozen_belief(self, class_name: str, entry_edge: int, tick: int) -> np.ndarray:
@@ -118,12 +117,12 @@ class World:
         return mass
 
     def shared_marginal(self, class_name: str, entry_edge: int, tick: int) -> np.ndarray:
-        """`cell_marginal(frozen_belief(...))` at `road_cells`, read-only,
-        computed on its first request."""
+        """`cell_marginal(frozen_belief(...))`, read-only, computed on its
+        first request."""
         key = (class_name, entry_edge, tick)
         row = self.rows.get(key)
         if row is None:
-            row = self.rows[key] = cell_marginal(self.frozen_belief(*key), self.overlay)[self.road_cells]
+            row = self.rows[key] = cell_marginal(self.frozen_belief(*key), self.overlay)
             row.flags.writeable = False
         return row
 
@@ -170,8 +169,7 @@ def build_world(scenario: ScenarioConfig) -> World:
             raise ConfigError(f"{model_path}: not a valid movement model: {shown}{more}")
         models[name] = model
 
-    road_cells = np.flatnonzero(np.bincount(overlay.cell_of_edge, minlength=overlay.n_cells))
-    world = World(refined, overlay, start_of_parent, models, road_cells)
+    world = World(refined, overlay, start_of_parent, models)
     _check_entries(scenario, world)
     return world
 
@@ -325,16 +323,13 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
                 except CertainDetection:
                     tg.belief = _uniform_off_cells(overlay, searched)
 
-        # 5. Replan on dense cell marginals. A search is the team's, so either
-        # every active target still shares the world's belief or none does.
+        # 5. Replan on the active targets' cell marginals, the world's rows while beliefs are shared.
         if uavs:
-            active = [tg for tg in targets if tg.active]
-            if active[0].belief is None:
-                cbs = np.zeros((len(active), overlay.n_cells))
-                for row, tg in zip(cbs, active):
-                    row[world.road_cells] = world.shared_marginal(tg.class_name, tg.path[0], tick)
-            else:
-                cbs = np.array([cell_marginal(tg.belief, overlay) for tg in active])
+            cbs = np.array([
+                world.shared_marginal(tg.class_name, tg.path[0], tick) if tg.belief is None
+                else cell_marginal(tg.belief, overlay)
+                for tg in targets if tg.active
+            ])
             cells = select_cells(scenario.policy, cbs, len(uavs), team_p)
             for uav, cell in zip(uavs, match_uavs_to_cells([u.pos for u in uavs], cells, overlay)):
                 uav.assigned_cell = cell

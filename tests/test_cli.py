@@ -223,6 +223,18 @@ class TestCompileModel:
         assert "--tick 200 s at the top --velocity 10 km/h moves 555.556 m per tick" in err
         assert "more than the shortest refined edge" in err and "runtime error" not in err
 
+    def test_missing_out_exits_1_before_sampling(self, work, capsys, monkeypatch):
+        """A model has no printed form: without --out the command is refused
+        at parsing, before any trace is sampled."""
+        sampled = []
+        monkeypatch.setattr("uav_search.cli.traces_for_strategies", lambda *a: sampled.append(a))
+        args = _compile_args(work)
+        at = args.index("--out")
+        del args[at:at + 2]
+        assert main(args) == 1 and sampled == []
+        err = capsys.readouterr().err
+        assert "error: the following arguments are required: --out" in err and "runtime error" not in err
+
 
 class TestRun:
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -807,9 +819,11 @@ class TestUsage:
 
     @pytest.mark.parametrize("command", ["compile-model", "run", "sweep", "threshold-scan", "dump-belief"])
     def test_shared_flags_lead_every_usage_line(self, capsys, command):
-        """dump-belief draws nothing and runs no trials: it takes --out alone."""
+        """dump-belief draws nothing and runs no trials: it takes --out alone.
+        compile-model writes a model, which has no printed form: its --out is required."""
         assert main([command, "--help"]) == 0
-        shared = "[--out OUT]" if command == "dump-belief" else "[--seed SEED] [--jobs JOBS] [--out OUT]"
+        out = "--out OUT" if command == "compile-model" else "[--out OUT]"
+        shared = out if command == "dump-belief" else f"[--seed SEED] [--jobs JOBS] {out}"
         assert f"usage: uav-search {command} [-h] {shared}" in capsys.readouterr().out
 
 

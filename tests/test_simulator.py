@@ -276,13 +276,14 @@ class TestSharedBeliefs:
     )
     def test_shared_rows_equal_frozen_marginals_in_any_order(self, border_world, propagated, requests):
         """Every row, asked for at any tick in any order and between frozen
-        belief requests, is the cell marginal of the frozen belief at the
-        road cells, and read-only; every other cell's marginal is 0.0. Two
-        entries and a few checkpoints' worth of ticks make neighbouring
-        requests, which start from the last belief reached, common."""
+        belief requests, is the whole cell marginal of the frozen belief, and
+        read-only; a cell holding no refined edge has 0.0. Two entries and a
+        few checkpoints' worth of ticks make neighbouring requests, which
+        start from the last belief reached, common."""
         world = dataclasses.replace(border_world)  # same world, empty stores
-        overlay, road = world.overlay, world.road_cells
-        off_road = np.setdiff1d(np.arange(overlay.n_cells), road)
+        overlay = world.overlay
+        off_road = np.setdiff1d(np.arange(overlay.n_cells), overlay.cell_of_edge)
+        assert off_road.size
         entries = sorted(world.start_of_parent.values())
         for row_request, pick, n in requests:
             entry = entries[pick]
@@ -291,7 +292,7 @@ class TestSharedBeliefs:
                 continue
             row = world.shared_marginal("runner", entry, n)
             dense = cell_marginal(propagated(entry, n), overlay)
-            assert np.array_equal(row, dense[road]) and not dense[off_road].any()
+            assert np.array_equal(row, dense) and not row[off_road].any()
             with pytest.raises(ValueError, match="read-only"):
                 row[0] = 0.5
 
