@@ -16,10 +16,9 @@ import math
 import os
 import sys
 
-from .config import (
-    ConfigError, SweepSpec, apply_axis, check_velocity_range, load_scenario, load_sweep, parse_strategy, sweep_points,
-)
-from .movement import DEFAULT_SMOOTHING, KMH_TO_MS, ModelFormatError, compile_model, save_model, traces_for_strategies
+from .config import ConfigError, SweepSpec, apply_axis, load_scenario, load_sweep, parse_strategy, sweep_points
+from .movement import (DEFAULT_SMOOTHING, KMH_TO_MS, ModelFormatError, check_velocity_range, compile_model,
+                       save_model, traces_for_strategies)
 from .planner import THRESHOLD_POLICY
 from .road_graph import GraphFormatError, GridSizeError, load_graph, overlay_grid, plain_number
 from .simulator import BatchStats, TrialResult, build_world, run_batch, trial_seed
@@ -123,7 +122,7 @@ def _parse_range(spec: str) -> tuple[float, float]:
         pair = (_plain(lo), _plain(hi))
     except ValueError:
         raise ConfigError(f"--velocity: expected LO:HI km/h, got {spec!r}") from None
-    return check_velocity_range(pair, "--velocity")
+    return check_velocity_range(pair, "--velocity", ConfigError)
 
 
 def _print_stats(stats: BatchStats) -> None:

@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .belief import check_detect_prob
+from .movement import check_velocity_range
 from .planner import DEFAULT_THRESHOLD, PolicyConfig
 from .road_graph import read_lines
 from .strategies import Strategy, make_strategy
@@ -36,14 +37,6 @@ def check_trials(n: int) -> int:
     return n
 
 
-def check_velocity_range(velocity_kmh: tuple[float, float], label: str = "velocity_kmh") -> tuple[float, float]:
-    """The rule for a target velocity range [low, high] (km/h); an error starts with `label`."""
-    lo, hi = velocity_kmh
-    if not 0 < lo <= hi < math.inf:
-        raise ConfigError(f"{label}: need 0 < low <= high < inf, got [{lo}, {hi}]")
-    return velocity_kmh
-
-
 def _check_positive(key: str, value: float) -> None:
     """The rule for a speed, length or time: positive, and finite."""
     if not value > 0:
@@ -54,6 +47,8 @@ def _check_positive(key: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class UavSpec:
+    """One UAV: its depot (m), speed (km/h), detection radius (m) and detection probability."""
+
     depot: tuple[float, float]
     velocity_kmh: float
     detect_radius: float
@@ -69,25 +64,31 @@ class UavSpec:
 
 @dataclass(frozen=True)
 class TargetClassSpec:
+    """A target class: its velocity range (km/h), route strategies and movement-model file."""
+
     name: str
     velocity_kmh: tuple[float, float]
     strategies: tuple[Strategy, ...]
     model_path: str
 
     def __post_init__(self):
-        check_velocity_range(self.velocity_kmh)
+        check_velocity_range(self.velocity_kmh, "velocity_kmh", ConfigError)
         if not self.strategies:
             raise ConfigError("strategies: must list at least one strategy")
 
 
 @dataclass(frozen=True)
 class TargetSpec:
+    """One target: its class, and its entry edge or a uniform draw over the entry edges."""
+
     class_name: str
     entry: int | None = None  # None draws uniformly over the entry edges
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A checked scenario: graph, UAV team, targets, classes, policy, head start and clock."""
+
     graph_path: str
     uavs: tuple[UavSpec, ...]
     targets: tuple[TargetSpec, ...]
@@ -137,6 +138,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep: its base scenario, its ordered axes, and the trials and master seed of every point."""
+
     base: ScenarioConfig
     axes: tuple[tuple[str, tuple], ...]  # ordered (axis name, values)
     trials: int

@@ -39,6 +39,22 @@ class ModelFormatError(ValueError):
     """Raised for malformed or inconsistent model files."""
 
 
+def check_velocity_range(velocity_kmh: tuple[float, float], label: str, error: type[ValueError] = ValueError):
+    """The rule for a target velocity range [low, high] (km/h), for every
+    reader of one; a refusal raises `error`, its message starting with `label`."""
+    lo, hi = velocity_kmh
+    if not 0 < lo <= hi < math.inf:
+        raise error(f"{label}: need 0 < low <= high < inf, got [{lo}, {hi}]")
+    return velocity_kmh
+
+
+def trial_seed(master_seed: int, index: int) -> int:
+    """The `index`-th independent child of `master_seed`, for a trial, a sweep point or a
+    compile strategy; stable in `index`, so any order or worker count draws the same."""
+    state = np.random.SeedSequence(master_seed, spawn_key=(index,)).generate_state(1, np.uint64)
+    return int(state[0])
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionModel:
     """Row-stochastic one-tick movement model for one target class.
@@ -128,15 +144,13 @@ def traces_for_strategies(
     the pair's previous one, as a deterministic strategy's does every run,
     is validated and made ready for sampling once.
     """
-    from .config import check_velocity_range  # config imports movement through belief
-
     if not strategies:
         raise ValueError("need at least one strategy")
     lo, hi = check_velocity_range(velocity_range_kmh, "velocity_range_kmh")
     pairs = list(itertools.product(enumerate(sorted(g.entries)), range(len(g.goals))))
     traces: list[np.ndarray] = []
     for si, strategy in enumerate(strategies):
-        sub = int(np.random.SeedSequence(seed, spawn_key=(si,)).generate_state(1, np.uint64)[0])
+        sub = trial_seed(seed, si)
         for (ei, entry), gi in pairs:
             last = None
             for run in range(runs_per_pair):

@@ -44,7 +44,8 @@ class RoadGraph:
     to `head[e]` and is `length[e]` long, the Euclidean distance between its
     endpoints. `entries` are the edges where targets may appear; `goals` is an
     ordered tuple of goal sets (edge-id frozensets). Goal sets may overlap
-    each other but never the entry set. Immutable after construction.
+    each other but never the entry set. Strategies fill its `_route_cache`
+    and `_walk_steps` on first use; nothing else changes after construction.
 
     For Python loops the graph keeps lists beside its arrays: `_length`
     holds the edge lengths `length` is made from, and `_next` and `_prev`
@@ -85,7 +86,7 @@ class RoadGraph:
         self._walk_steps: dict[tuple, tuple] = {}
 
 
-@dataclass
+@dataclass(eq=False)
 class GridOverlay:
     """Axis-aligned square grid paired with a refined graph.
 
@@ -99,7 +100,7 @@ class GridOverlay:
     n_rows: int
     n_cols: int
     cell_of_edge: np.ndarray  # refined edge id -> cell id
-    centers: list[tuple[float, float]] = field(init=False, repr=False, compare=False)  # cell id -> center
+    centers: list[tuple[float, float]] = field(init=False, repr=False)  # cell id -> center
 
     def __post_init__(self):
         (x0, y0), side = self.origin, self.cell_side

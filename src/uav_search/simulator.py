@@ -32,7 +32,7 @@ import numpy as np
 
 from .belief import CertainDetection, cell_marginal, init_belief, negative_update, propagate
 from .config import ConfigError, ScenarioConfig, UavSpec, check_trials
-from .movement import KMH_TO_MS, TransitionModel, load_model, validate_stochastic
+from .movement import KMH_TO_MS, TransitionModel, load_model, trial_seed, validate_stochastic
 from .planner import match_uavs_to_cells, select_cells
 from .road_graph import GridOverlay, RoadGraph, load_graph, overlay_grid
 
@@ -46,6 +46,8 @@ BLOCK_TICKS = 16
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One seeded trial: its outcome, each detected target's detection tick and who reached a goal."""
+
     outcome: str  # "win" | "lose"
     detection_ticks: dict[int, int]  # target id -> tick of detection
     losing_target: int | None  # target that reached a goal, if any
@@ -56,6 +58,8 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class BatchStats:
+    """A batch of trials: its win rate with a Wilson 95% interval, and its mean detection tick."""
+
     n_trials: int
     n_wins: int
     success_rate: float
@@ -176,6 +180,8 @@ def build_world(scenario: ScenarioConfig) -> World:
 
 @dataclass(eq=False)
 class _TargetState:
+    """One target in a trial: its route, speed, distance along the route and belief."""
+
     tid: int
     path: list[int]  # from the refined entry edge
     ends: list[float]  # cumulative edge lengths along the path
@@ -197,6 +203,8 @@ class _TargetState:
 
 @dataclass(eq=False)
 class _UavState:
+    """One UAV in a trial: its spec, position and assigned cell."""
+
     spec: UavSpec  # its speed, detection radius and probability; a UAV's id is its index in the team
     pos: tuple[float, float]
     assigned_cell: int | None = None
@@ -335,13 +343,6 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
                 uav.assigned_cell = cell
 
     return TrialResult("lose", detections, None, scenario.max_ticks, seed, timeout=True)
-
-
-def trial_seed(master_seed: int, index: int) -> int:
-    """Independent per-trial seed; stable in `index`, so any execution order
-    or worker count reproduces the same trials."""
-    state = np.random.SeedSequence(master_seed, spawn_key=(index,)).generate_state(1, np.uint64)
-    return int(state[0])
 
 
 # Per point, the (scenario, world) that a forked pool worker runs its trials on.

@@ -1,6 +1,11 @@
 """Trace sampling, model compilation, and model file round trips."""
 
+import ast
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -600,3 +605,43 @@ class TestLoadModelFuzz:
         save_model(model, str(first))
         save_model(load_model(str(first)), str(second))
         assert first.read_bytes() == second.read_bytes()
+
+
+# Training, every step of it, in a fresh interpreter; prints the package's
+# modules that the run loaded.
+_TRAINING = """
+import sys
+from uav_search.movement import compile_model, load_model, save_model, traces_for_strategies, validate_stochastic
+from uav_search.road_graph import load_graph, overlay_grid
+from uav_search.strategies import make_strategy
+
+graph_path, model_path = sys.argv[1:]
+refined, _ = overlay_grid(load_graph(graph_path), 500.0)
+traces = traces_for_strategies(refined, [make_strategy("shortest")], 20.0, (8.0, 12.0), 1, 7)
+save_model(compile_model(traces, refined, tick=20.0, target_class="runner"), model_path)
+assert validate_stochastic(load_model(model_path), refined) == []
+print(" ".join(sorted(name for name in sys.modules if name.partition(".")[0] == "uav_search")))
+"""
+
+
+class TestLayering:
+    def test_training_loads_only_the_training_stack(self, border_graph_path, tmp_path):
+        """Traces, compile, save, load and validate on the bundled map load
+        `road_graph`, `strategies` and `movement` and nothing of the search
+        stack above them (`belief`, `planner`, `config`, `simulator`, `cli`)."""
+        src = os.path.dirname(os.path.dirname(movement.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _TRAINING, border_graph_path, str(tmp_path / "runner.model")],
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.split() == [
+            "uav_search", "uav_search.movement", "uav_search.road_graph", "uav_search.strategies"]
+
+    def test_no_module_imports_the_package_inside_a_function(self):
+        """Every import of one package module by another sits at module
+        level, so the import graph is the one the module headers show."""
+        package = pathlib.Path(movement.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            nested = [node.lineno for top in tree.body for node in ast.walk(top)
+                      if top is not node and isinstance(node, ast.ImportFrom) and node.level > 0]
+            assert nested == [], f"{path.name}: package import inside a body at lines {nested}"

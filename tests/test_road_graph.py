@@ -336,6 +336,13 @@ class TestOverlay:
         with pytest.raises(ValueError):
             overlay_grid(RoadGraph(np.empty((0, 2)), [], []), 10.0)
 
+    def test_distinct_overlays_compare_by_identity(self, border_graph):
+        """An overlay holds arrays, so it compares by identity: two overlays
+        of one graph are unequal, and comparing them raises nothing."""
+        (_, first), (_, second) = overlay_grid(border_graph, 500.0), overlay_grid(border_graph, 500.0)
+        assert first != second
+        assert first == first
+
 
 def _pieces_of_parents(graph, refined):
     """Refined edge ids per parent edge, found by walking each parent's chain
