@@ -268,7 +268,7 @@ def cmd_threshold_scan(args) -> int:
 def cmd_dump_belief(args) -> int:
     scenario = load_scenario(args.scenario)
     world = _from(args.scenario, build_world, scenario)
-    class_name = args.target_class or scenario.targets[0].class_name
+    class_name = args.target_class if args.target_class is not None else scenario.targets[0].class_name
     if class_name not in world.models:
         known = ", ".join(sorted(world.models))
         raise ConfigError(f"--target-class: {class_name!r} has no model; targets use: {known}")
@@ -319,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs-per-pair", type=_COUNT, default=3, help="traces per (entry, goal) pair")
     p.add_argument("--smoothing", type=_flag(float, lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
                    default=DEFAULT_SMOOTHING, help="Laplace smoothing epsilon")
-    p.add_argument("--target-class", default="default", help="class name stored in the model file")
+    p.add_argument("--target-class", default="default", help="class name stored in the model file",
+                   type=_flag(str, lambda n: n.split() == [n], "must be one word, without whitespace"))
     p.set_defaults(func=cmd_compile_model)
 
     p = sub.add_parser("run", parents=[seeded, jobs, out], help="run one scenario batch")

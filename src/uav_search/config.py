@@ -391,11 +391,9 @@ def load_sweep(path: str) -> SweepSpec:
 
 
 def apply_axis(scenario: ScenarioConfig, axis: str, value, label: str | None = None) -> ScenarioConfig:
-    """One sweep-axis override, returning a new scenario. Every error, the records' own
-    checks included, is a ConfigError that starts with `label` (default `axes.<axis>`)."""
+    """One override of a known sweep axis, returning a new scenario. Every error, the records'
+    own checks included, is a ConfigError that starts with `label` (default `axes.<axis>`)."""
     try:
-        if axis not in _AXES:
-            raise ConfigError(f"unknown sweep axis {axis!r}")
         return dataclasses.replace(scenario, **_AXES[axis][1](scenario, value))
     except ValueError as exc:  # ConfigError, or PolicyConfig's own checks
         raise ConfigError(f"{label or f'axes.{axis}'}: {exc}") from None

@@ -105,7 +105,8 @@ class _GainKernel:
 
     def __init__(self, P: np.ndarray, p: float, seeded: np.ndarray):
         self.P, self.p = P, p
-        self.searched = set(seeded.tolist())
+        self.searched = np.zeros(P.shape[1], dtype=bool)
+        self.searched[seeded] = True
         block = np.empty((6,) + P.shape)
         self.step, self.eta_N = block[0:2], block[2:4]  # (-p x, b) and (eta, N), stacked
         self.eta, self.N = self.eta_N
@@ -146,10 +147,9 @@ class _GainKernel:
         if eta_min < EXACT_GAIN_ETA:
             # Detection is certain where eta <= ETA_TOL: the full entropy is gained.
             np.copyto(gains, self.E, where=eta <= ETA_TOL)
-            near = (eta > ETA_TOL) & (eta < EXACT_GAIN_ETA)
-            near[:, list(self.searched)] = False
+            near = (eta > ETA_TOL) & (eta < EXACT_GAIN_ETA) & ~self.searched
             for t, c in zip(*np.nonzero(near)):
-                gains[t, c] = entropy_gain(self.P[t], self.searched | {int(c)}, self.p)
+                gains[t, c] = entropy_gain(self.P[t], {int(c), *np.flatnonzero(self.searched).tolist()}, self.p)
         return gains
 
     def _closed_form(self) -> np.ndarray:
@@ -163,7 +163,7 @@ class _GainKernel:
         return np.subtract(self.E, gains, out=gains)
 
     def add(self, cell: int) -> None:
-        self.searched.add(cell)
+        self.searched[cell] = True
         self.c_a += self.step[:, :, cell, None]  # c -= p x, a += b of the cell
         self.W *= self.keep[:, cell, None]
 
@@ -192,16 +192,13 @@ def greedy_select(
     seeded = np.fromiter(sorted(excluded), dtype=np.int64)  # ascending, as entropy_gain reads a set
     kernel = _GainKernel(P, p, seeded)
     total = np.empty(n_cells)
-    blocked = np.zeros(n_cells, dtype=bool)
-    blocked[seeded] = True
     chosen: list[int] = []
     for _ in range(k):
         if chosen:  # the last pick is never added: nothing reads the kernel after it
             kernel.add(chosen[-1])
-            blocked[chosen[-1]] = True
         # Along axis 0 the rows add one by one in target order, as the team gain sums.
         np.add.reduce(kernel.candidate_gains(), axis=0, out=total)
-        np.copyto(total, -np.inf, where=blocked)
+        np.copyto(total, -np.inf, where=kernel.searched)
         chosen.append(int(total.argmax()))
     return chosen
 

@@ -445,28 +445,23 @@ def shortest_path(g: RoadGraph, from_edge: int, weight: np.ndarray | None = None
     return routes
 
 
-def goal_distance_map(g: RoadGraph, goal_set: frozenset[int]) -> dict[int, float]:
-    """Remaining travel from each edge's head until some goal edge is entered.
-
-    D[e] = 0 when a goal edge starts at head(e) (or e itself is a goal);
-    unreachable edges are absent.
-    """
-    length = g._length
-    dist: dict[int, float] = {}
-    heap: list[tuple[float, int]] = []
-    for eid in goal_set:
-        dist[eid] = 0.0
-        heapq.heappush(heap, (0.0, eid))
-    done: set[int] = set()
+def travel_to_goal(g: RoadGraph, goal_set: frozenset[int]) -> list[float]:
+    """Travel left once each edge is taken until some goal edge is entered:
+    0.0 on a goal edge, inf where no goal edge can be reached, else the
+    edge's length plus the least travel left after it. One backward search
+    from the goal edges: reaching a predecessor costs its length."""
+    length, prevs = g._length, g._prev
+    togo = [0.0 if e in goal_set else math.inf for e in range(g.n_edges)]
+    done = [False] * g.n_edges
+    heap = [(0.0, e) for e in sorted(goal_set)]  # sorted, so already a heap
     while heap:
         d, e = heapq.heappop(heap)
-        if e in done:
+        if done[e]:
             continue
-        done.add(e)
-        w = 0.0 if e in goal_set else length[e]
-        for prev in g._prev[e]:
-            nd = d + w
-            if nd < dist.get(prev, math.inf):
-                dist[prev] = nd
+        done[e] = True
+        for prev in prevs[e]:
+            nd = d + length[prev]
+            if nd < togo[prev]:
+                togo[prev] = nd
                 heapq.heappush(heap, (nd, prev))
-    return dist
+    return togo

@@ -10,7 +10,8 @@ penalty 0, `shortest`. It routes with one `shortest_path` search per
 (strategy, entry), which answers every goal set at once; the row of routes
 is kept on the graph. Which goal sets an entry reaches is read off the
 penalty-0 row. A random walk draws each step from a table built for every
-edge at once, one per (strategy, goal set), also kept on the graph.
+edge at once, one per (strategy, goal set), also kept on the graph; its
+steps lean on each edge's travel left, one backward `travel_to_goal` search.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .road_graph import RoadGraph, goal_distance_map, shortest_path
+from .road_graph import RoadGraph, shortest_path, travel_to_goal
 
 # A walk that has traveled more than this multiple of the shortest route is
 # declared lost rather than sampled forever.
@@ -133,14 +134,10 @@ class RandomWalkStrategy:
         (`g._next` of each edge in turn), their cumulative distribution
         `Generator.choice` draws from, each edge's first position in both,
         `{edge: why}` for the edges whose step raises, and each edge's travel
-        left once taken (0 on a goal edge, inf with no route). Rows of one
-        out-degree are computed together, each as the arrays of its step
-        alone: padded to a wider row, a row's sum adds in another order."""
-        dmap = goal_distance_map(g, goal_set)
-        togo = np.full(g.n_edges, math.inf)
-        reached = list(dmap)
-        togo[reached] = g.length[reached] + np.fromiter(dmap.values(), float, len(reached))
-        togo[list(goal_set)] = 0.0
+        left once taken (`travel_to_goal`). Rows of one out-degree are
+        computed together, each as the arrays of its step alone: padded to a
+        wider row, a row's sum adds in another order."""
+        togo = np.array(travel_to_goal(g, goal_set))
         cands = [e for row in g._next for e in row]
         degree = np.array([len(row) for row in g._next], dtype=np.intp)
         starts = np.concatenate(([0], np.cumsum(degree)))

@@ -10,10 +10,12 @@ train / test halves that the unknown-behavior experiments draw from.
 the tick-by-tick trace sampler, the dict-counting model compiler, the
 dict-based Dijkstra into one goal set and the random walk drawing each step
 with `rng.choice`; the library's array, all-goal and cached versions must
-equal them exactly. `walk_step` is one random-walk step computed alone, its
-candidates and their probabilities, `choice_cdf` the cumulative
-distribution `rng.choice` draws from and `travel_to_go` one edge's travel
-left; every row of a walk's step table must equal them bit for bit.
+equal them exactly. `goal_distance_map` is the dict-based reverse search
+from one goal set, and `travel_to_go` one edge's travel left read off it;
+`travel_to_goal` must equal them bit for bit. `walk_step` is one random-walk
+step computed alone, its candidates and their probabilities, and
+`choice_cdf` the cumulative distribution `rng.choice` draws from; every row
+of a walk's step table must equal them bit for bit.
 `distance_map_reachable_goals` is the reachability rule read off reverse
 distance maps. `head_start_loop` is a trial's head start moved and located
 tick by tick, with the goal read off the located edge, which the
@@ -45,7 +47,7 @@ from uav_search.belief import (
 )
 from uav_search.movement import TransitionModel
 from uav_search.planner import entropy_gain, match_uavs_to_cells, select_cells
-from uav_search.road_graph import RoadGraph, goal_distance_map
+from uav_search.road_graph import RoadGraph
 from uav_search.strategies import (
     MAX_LENGTH_FACTOR,
     RandomWalkStrategy,
@@ -300,6 +302,34 @@ def dict_shortest_path(
                 parent[nxt] = e
                 heapq.heappush(heap, (nd, nxt))
     return None
+
+
+def goal_distance_map(g: RoadGraph, goal_set: frozenset[int]) -> dict[int, float]:
+    """Remaining travel from each edge's head until some goal edge is entered.
+
+    D[e] = 0 when a goal edge starts at head(e) (or e itself is a goal);
+    unreachable edges are absent. `travel_to_goal` must equal what
+    `travel_to_go` reads off it, bit for bit.
+    """
+    length = g._length
+    dist: dict[int, float] = {}
+    heap: list[tuple[float, int]] = []
+    for eid in goal_set:
+        dist[eid] = 0.0
+        heapq.heappush(heap, (0.0, eid))
+    done: set[int] = set()
+    while heap:
+        d, e = heapq.heappop(heap)
+        if e in done:
+            continue
+        done.add(e)
+        w = 0.0 if e in goal_set else length[e]
+        for prev in g._prev[e]:
+            nd = d + w
+            if nd < dist.get(prev, math.inf):
+                dist[prev] = nd
+                heapq.heappush(heap, (nd, prev))
+    return dist
 
 
 # One reverse distance map per (graph, goal set): a walk's oracle asks for it

@@ -235,6 +235,19 @@ class TestCompileModel:
         err = capsys.readouterr().err
         assert "error: the following arguments are required: --out" in err and "runtime error" not in err
 
+    @pytest.mark.parametrize("name", ["fast runner", "", "runner\t"])
+    def test_target_class_not_one_word_exits_1_before_sampling(self, work, capsys, monkeypatch, name):
+        """The class is one token of the model header. A name with whitespace
+        does not come back (`fast runner` writes a model no loader accepts,
+        `runner\t` reads back as `runner`) and an empty one names no class,
+        so each is refused at parsing, naming the flag, before any trace."""
+        sampled = []
+        monkeypatch.setattr("uav_search.cli.traces_for_strategies", lambda *a: sampled.append(a))
+        out = work / "models" / "two_words.model"
+        assert main([*_compile_args(work, out="models/two_words.model"), "--target-class", name]) == 1
+        assert sampled == [] and not out.exists()
+        assert "argument --target-class: must be one word, without whitespace" in capsys.readouterr().err
+
 
 class TestRun:
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -793,6 +806,7 @@ class TestDumpBelief:
             (["--entry", "99"], "--entry: edge 99 is not an entry edge"),
             (["--target-class", "ghost"], "--target-class"),
             (["--ticks", "-1"], "--ticks: must be >= 0"),
+            (["--target-class", ""], "--target-class: '' has no model"),
         ],
     )
     def test_validation(self, work, capsys, extra, needle):

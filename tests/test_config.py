@@ -526,10 +526,6 @@ class TestApplyAxis:
         with pytest.raises(ConfigError, match=r"axes.delay_km: delay_km: must be >= 0.0, got -5.0"):
             apply_axis(parsed, "delay_km", -5.0)
 
-    def test_unknown_axis(self, parsed):
-        with pytest.raises(ConfigError, match="unknown sweep axis"):
-            apply_axis(parsed, "wind", 3)
-
 
 class TestRecordsCheckTheirFields:
     """Each field rule lives in its record, so a scenario built by

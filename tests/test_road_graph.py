@@ -15,16 +15,16 @@ from uav_search.road_graph import (
     GraphFormatError,
     GridOverlay,
     RoadGraph,
-    goal_distance_map,
     load_graph,
     overlay_grid,
     shortest_path,
+    travel_to_goal,
     write_graph,
 )
 from uav_search.movement import ModelFormatError, load_model
 from uav_search.strategies import RouteStrategy, _reachable_goals
 
-from oracles import dict_shortest_path, distance_map_reachable_goals
+from oracles import dict_shortest_path, distance_map_reachable_goals, goal_distance_map, travel_to_go
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -577,7 +577,8 @@ class TestShortestPath:
         search into that set alone. Goal sets overlap, goal edges have
         successors, edge ids follow no coordinate order, and weights are the
         lengths or small integers, half of them zeros. The goal sets
-        reached are the ones the reverse distance maps reach."""
+        reached are the ones the reverse distance maps reach, and every
+        edge's travel to each goal set is the one read off its map, exactly."""
         points = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=7, unique=True))
         n_v = len(points)
         pairs = data.draw(st.lists(
@@ -594,6 +595,9 @@ class TestShortestPath:
             routes = shortest_path(g, from_edge, weight)
             assert routes == [dict_shortest_path(g, from_edge, goal_set, weight) for goal_set in g.goals]
             assert _reachable_goals(g, from_edge) == distance_map_reachable_goals(g, from_edge)
+        for goal_set in g.goals:
+            dmap = goal_distance_map(g, goal_set)
+            assert travel_to_goal(g, goal_set) == [travel_to_go(g.length, e, goal_set, dmap) for e in range(n_e)]
 
     def test_bundled_routes_equal_dict_oracle(self, border_refined):
         """All 70 (entry, goal set) routes of the bundled refined map, under
@@ -609,17 +613,18 @@ class TestShortestPath:
         for entry in sorted(g.entries):
             assert _reachable_goals(g, entry) == distance_map_reachable_goals(g, entry)
 
-    def test_goal_distance_map_consistent(self, border_graph):
-        """travel-to-go from an entry equals the shortest-path travel."""
+    def test_travel_to_goal_consistent(self, border_graph):
+        """Travel to goal from an entry is the entry's length plus the
+        shortest-path travel after it."""
         goal_set = border_graph.goals[0]
-        dist = goal_distance_map(border_graph, goal_set)
+        togo = travel_to_goal(border_graph, goal_set)
         for entry in sorted(border_graph.entries):
             path = shortest_path(border_graph, entry)[0]
             if path is None:
-                assert entry not in dist
+                assert togo[entry] == math.inf
                 continue
             cost = sum(border_graph.length[e] for e in path[1:] if e not in goal_set)
-            assert dist[entry] == pytest.approx(cost, abs=1e-6)
+            assert togo[entry] == pytest.approx(border_graph.length[entry] + cost, abs=1e-6)
 
 
 class TestBorderMapScript:

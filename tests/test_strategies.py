@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uav_search import strategies as strategies_module
-from uav_search.road_graph import RoadGraph, goal_distance_map, overlay_grid, shortest_path
+from uav_search.road_graph import RoadGraph, overlay_grid, shortest_path
 from uav_search.simulator import run_batch
 from uav_search.strategies import (
     InvalidPathError,
@@ -21,7 +21,7 @@ from uav_search.strategies import (
     validate_path,
 )
 
-from oracles import choice_cdf, choice_walk, default_pool, split_pool, travel_to_go, walk_step
+from oracles import choice_cdf, choice_walk, default_pool, goal_distance_map, split_pool, travel_to_go, walk_step
 
 
 def _graph(coords, edge_pairs, entries=(), goals=()):
@@ -292,7 +292,8 @@ class TestWalkTables:
         for gi, goal_set in enumerate(g.goals):
             cands, cdf, starts, raises, togo = s._table(g, goal_set)
             dmap = goal_distance_map(g, goal_set)
-            assert togo.tolist() == [travel_to_go(g.length, e, goal_set, dmap) for e in range(g.n_edges)]
+            want = [travel_to_go(g.length, e, goal_set, dmap) for e in range(g.n_edges)]
+            assert togo.tobytes() == np.array(want, dtype=np.float64).tobytes()
             for e in range(g.n_edges):
                 row = slice(starts[e], starts[e + 1])
                 try:
