@@ -186,8 +186,8 @@ def compile_model(
     Raises ValueError for the first trace edge outside the graph in trace
     order, else for the first hop in trace order that skips road edges.
     """
-    if smoothing < 0:
-        raise ValueError("smoothing must be non-negative")
+    if not 0 <= smoothing < math.inf:
+        raise ValueError(f"smoothing must be non-negative and finite, got {smoothing}")
     n = g.n_edges
     # Every allowed (src, dst) as the code src * n + dst, ascending: each
     # source's support {src} + successors, destinations ascending.

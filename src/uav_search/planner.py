@@ -7,9 +7,9 @@ structure of entropy: each pick scores every cell for every target at once
 from (targets x cells) arrays. A fruitless search that keeps eta of a
 target's mass leaves it the entropy log2(eta) - N / eta, with N linear in
 the searched cells' mass and P log2 P (see _GainKernel), so a pick costs one
-add for (eta, N) and six more array passes. On top sit the assignment
-policies (per-target coverage, single-entry threshold seeding, adaptive
-switching) and the probability baselines.
+add for (eta, N) and six more array passes. Every entropy policy is this
+greedy gain pick, seeded with each row's peak cell or not, on the per-target
+rows or on their mean (see _PICKS); the probability baselines sit beside.
 """
 
 from __future__ import annotations
@@ -226,19 +226,9 @@ def assign_general(cell_beliefs: Sequence[np.ndarray], m: int, p: float) -> set[
     return seeds | set(picks)
 
 
-def assign_single_entry(cb: np.ndarray, m: int, p: float, threshold: float = DEFAULT_THRESHOLD) -> set[int]:
-    """Single shared belief: seed its peak cell once it clears `threshold`.
-
-    If some cell holds at least `threshold` probability, the largest such
-    cell is taken and the remaining m - 1 picks are greedy conditioned on it;
-    below the threshold the whole selection is greedy.
-    """
-    if m == 0:
-        return set()
-    check_detect_prob(p)
-    qualifying = cb >= threshold
-    seeds = {int(np.argmax(np.where(qualifying, cb, -np.inf)))} if qualifying.any() else set()
-    return seeds | set(greedy_select([cb], m - len(seeds), p, excluded=seeds))
+def _single_entry(P: Sequence[np.ndarray], m: int, p: float, threshold: float) -> set[int]:
+    M = np.mean(P, axis=0, keepdims=True)  # the targets' mean belief, one row
+    return assign_general(M, m, p) if M.max() >= threshold else set(greedy_select(M, m, p))
 
 
 def _top_m(mass: np.ndarray, m: int) -> set[int]:
@@ -247,13 +237,14 @@ def _top_m(mass: np.ndarray, m: int) -> set[int]:
 
 
 # Each policy's pick of cells for m UAVs from (cell beliefs, m, planning p, threshold), in table
-# order: seed every target's peak, seed the targets' mean belief (the one pick that reads the
-# threshold), pure greedy gain while outnumbered (more targets than UAVs) and general otherwise,
-# pure greedy gain, and the top m cells of the per-cell maximum or mean over targets.
+# order. The entropy picks seed each row's peak (assign_general) or not (greedy_select), on the
+# per-target rows or on their mean, and seed always (general), when the mean's peak reaches the
+# threshold (single_entry, the one pick that reads it), when there are no more targets than UAVs
+# (adaptive), or never (entropy_only). The baselines: the top m cells of the per-cell max or mean.
 THRESHOLD_POLICY = "single_entry"
 _PICKS = {
     "general": lambda P, m, p, th: assign_general(P, m, p),
-    THRESHOLD_POLICY: lambda P, m, p, th: assign_single_entry(np.mean(P, axis=0), m, p, th),
+    THRESHOLD_POLICY: _single_entry,
     "adaptive": lambda P, m, p, th: set(greedy_select(P, m, p)) if len(P) > m else assign_general(P, m, p),
     "entropy_only": lambda P, m, p, th: set(greedy_select(P, m, p)),
     "max_prob": lambda P, m, p, th: _top_m(np.max(P, axis=0), m),

@@ -171,6 +171,9 @@ def build_world(scenario: ScenarioConfig) -> World:
             shown = "; ".join(problems[:3])
             more = f" (and {len(problems) - 3} more)" if len(problems) > 3 else ""
             raise ConfigError(f"{model_path}: not a valid movement model: {shown}{more}")
+        if model.target_class != name:
+            raise ConfigError(f"{model_path}: model was compiled for class {model.target_class!r}, "
+                              f"not for scenario class {name!r}")
         models[name] = model
 
     world = World(refined, overlay, start_of_parent, models)

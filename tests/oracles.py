@@ -2,6 +2,9 @@
 
 `team_gain` and `brute_force_select` are the exhaustive planner: the exact
 team entropy gain of a cell set and its argmax over every k-subset.
+`assign_single_entry` is the single-entry pick on one shared belief, its
+seed the largest cell at or above the threshold; the `single_entry` policy
+must equal it on the targets' mean belief.
 `default_pool` and `split_pool` build the strategy pool and its disjoint
 train / test halves that the unknown-behavior experiments draw from.
 `model_from_rows` and `model_rows` convert a movement model to and from the
@@ -46,7 +49,7 @@ from uav_search.belief import (
     propagate,
 )
 from uav_search.movement import TransitionModel
-from uav_search.planner import entropy_gain, match_uavs_to_cells, select_cells
+from uav_search.planner import DEFAULT_THRESHOLD, entropy_gain, greedy_select, match_uavs_to_cells, select_cells
 from uav_search.road_graph import RoadGraph
 from uav_search.strategies import (
     MAX_LENGTH_FACTOR,
@@ -88,6 +91,21 @@ def brute_force_select(cell_beliefs: Sequence[np.ndarray], k: int, p: float) -> 
             best, best_value = subset, value
     assert best is not None
     return list(best)
+
+
+def assign_single_entry(cb: np.ndarray, m: int, p: float, threshold: float = DEFAULT_THRESHOLD) -> set[int]:
+    """Single shared belief: seed its peak cell once it clears `threshold`.
+
+    If some cell holds at least `threshold` probability, the largest such
+    cell is taken and the remaining m - 1 picks are greedy conditioned on it;
+    below the threshold the whole selection is greedy.
+    """
+    if m == 0:
+        return set()
+    check_detect_prob(p)
+    qualifying = cb >= threshold
+    seeds = {int(np.argmax(np.where(qualifying, cb, -np.inf)))} if qualifying.any() else set()
+    return seeds | set(greedy_select([cb], m - len(seeds), p, excluded=seeds))
 
 
 @dataclass(frozen=True)

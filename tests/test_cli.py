@@ -70,6 +70,12 @@ BORDER_RUN_SHA256 = "dda55d7b65d11b1c517110655b642a0beefaa1a66e61eeb2edfc0cf8a41
 # replans on beliefs.
 PURSUIT_RUN_SHA256 = "c71d3e149d87530a0ea85c655a6cc2fa903645f5f52394dc495cb4998ba36402"
 
+# SHA-256 of the trial CSV of the same run with `policy.name: single_entry`,
+# recorded while that policy had its own seeding function. Its 6 trials make
+# 99 picks whose mean belief clears the 0.2 threshold and 1,409 that do not,
+# so both the seeded and the purely greedy branch run.
+SINGLE_ENTRY_RUN_SHA256 = "a12f49b7317961bbc3d5e79d84c17cbafc5447884b056c9f0c94c9fccd713b68"
+
 # SHA-256 of (threshold_grid.csv, threshold_best.csv) of `threshold-scan
 # scenarios/border.yaml --trials 3 --seed 2` plus these flags, and of the CSV
 # of `dump-belief scenarios/border.yaml --ticks 50 --entry 3`, recorded before
@@ -1007,6 +1013,17 @@ def test_pursuit_run_bytes_are_pinned(tmp_path, jobs):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_single_entry_run_bytes_are_pinned(tmp_path, jobs):
+    pursuit = os.path.join(REPO_ROOT, "perfbench", "scenarios", "pursuit.yaml")
+    path = _scenario_copy(tmp_path, "pursuit_single_entry.yaml", pursuit,
+                          policy={"name": "single_entry", "threshold": 0.2})
+    out = tmp_path / "trials.csv"
+    rc = main(["run", path, "--trials", "6", "--seed", "0", "--jobs", jobs, "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SINGLE_ENTRY_RUN_SHA256
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_grid_sweep_bytes_are_pinned(tmp_path, capsys, jobs):
     sweep = tmp_path / "grid.yaml"
     sweep.write_text(yaml.safe_dump(
@@ -1084,12 +1101,13 @@ class TestGridSizeLimit:
             assert proc.stderr.startswith(f"error: {source}: detection radius 1 m asks for a grid of"), proc.stderr
 
 
-def _border_copy(tmp_path, name="border.yaml", **changes) -> str:
-    """scenarios/border.yaml written to `tmp_path / name` with absolute graph
-    and model paths, its top-level keys updated by `changes`."""
-    with open(BORDER_YAML) as fh:
+def _scenario_copy(tmp_path, name="border.yaml", source=BORDER_YAML, **changes) -> str:
+    """The scenario `source` (scenarios/border.yaml by default) written to
+    `tmp_path / name` with absolute graph and runner model paths, its
+    top-level keys updated by `changes`."""
+    with open(source) as fh:
         scenario = yaml.safe_load(fh)
-    base = os.path.dirname(BORDER_YAML)
+    base = os.path.dirname(source)
     scenario["graph"] = os.path.normpath(os.path.join(base, scenario["graph"]))
     runner = scenario["classes"]["runner"]
     runner["model"] = os.path.normpath(os.path.join(base, runner["model"]))
@@ -1108,20 +1126,36 @@ class TestBuildErrorsNameTheirSource:
     @pytest.mark.parametrize("command", [["run", "--trials", "1"], ["threshold-scan", "--thresholds", "0.2"],
                                          ["dump-belief", "--ticks", "1"]])
     def test_bad_entry_names_the_scenario(self, tmp_path, capsys, command):
-        path = _border_copy(tmp_path, targets=self.BAD_ENTRY)
+        path = _scenario_copy(tmp_path, targets=self.BAD_ENTRY)
         extra = ["--out", str(tmp_path / "out")] if command[0] == "threshold-scan" else []
         assert main([command[0], path, *command[1:], *extra]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}: targets[0].entry: edge 99 is not an entry edge\n", err
 
     def test_missing_graph_names_the_scenario(self, tmp_path, capsys):
-        path = _border_copy(tmp_path, graph=str(tmp_path / "nope.graph"))
+        path = _scenario_copy(tmp_path, graph=str(tmp_path / "nope.graph"))
         assert main(["run", path, "--trials", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {tmp_path / 'nope.graph'}: cannot read: "), err
 
+    @pytest.mark.parametrize("command", [["run", "--trials", "1"], ["dump-belief", "--ticks", "1"]])
+    def test_model_for_another_class_names_the_scenario(self, tmp_path, capsys, command):
+        """The runner class pointed at a model compiled for walkers exits 1."""
+        model = tmp_path / "walker.model"
+        with open(os.path.join(REPO_ROOT, "models", "border_shortest.model")) as fh:
+            model.write_text(fh.read().replace("class=runner", "class=walker", 1))
+        with open(BORDER_YAML) as fh:
+            classes = yaml.safe_load(fh)["classes"]
+        classes["runner"]["model"] = str(model)
+        path = _scenario_copy(tmp_path, classes=classes)
+        out = tmp_path / "out.csv"
+        assert main([command[0], path, *command[1:], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {model}: model was compiled for class 'walker', not for scenario class 'runner'\n"
+        assert not out.exists()
+
     def test_bad_base_entry_names_the_sweep(self, tmp_path, capsys):
-        _border_copy(tmp_path, targets=self.BAD_ENTRY)
+        _scenario_copy(tmp_path, targets=self.BAD_ENTRY)
         sweep = tmp_path / "sweep.yaml"
         sweep.write_text(yaml.safe_dump({"base": "border.yaml", "trials": 1, "axes": {"n_uavs": [1]}}))
         assert main(["sweep", str(sweep), "--out", str(tmp_path / "out")]) == 1

@@ -1,6 +1,7 @@
 """Trace sampling, model compilation, and model file round trips."""
 
 import ast
+import math
 import os
 import pathlib
 import re
@@ -210,6 +211,12 @@ class TestCompileModel:
     def test_negative_smoothing_rejected(self, fork_graph):
         with pytest.raises(ValueError, match="non-negative"):
             compile_model([], _refined(fork_graph), smoothing=-0.1)
+
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf])
+    def test_non_finite_smoothing_rejected(self, fork_graph, smoothing):
+        """nan and inf would make every row's sum nan; the flag's rule holds here too."""
+        with pytest.raises(ValueError, match=f"non-negative and finite, got {smoothing}"):
+            compile_model([], _refined(fork_graph), smoothing=smoothing)
 
     def test_metadata_passthrough(self, fork_graph):
         model = compile_model([], _refined(fork_graph), tick=20.0, target_class="runner")

@@ -15,7 +15,6 @@ from uav_search.planner import (
     PolicyConfig,
     _GainKernel,
     assign_general,
-    assign_single_entry,
     entropy_gain,
     greedy_select,
     match_uavs_to_cells,
@@ -23,7 +22,7 @@ from uav_search.planner import (
     temporal_entropy,
 )
 
-from oracles import brute_force_select, team_gain
+from oracles import assign_single_entry, brute_force_select, team_gain
 
 # Frozen worked example: belief (0.9, 0.1), p = 0.9. Searching the unlikely
 # cell wins: its fruitless outcome is near-certain yet collapses the entropy.
@@ -525,37 +524,68 @@ class TestAssignGeneral:
         assert assign_general([_cb([1.0])], 0, 0.9) == set()
 
 
+@st.composite
+def _single_entry_instances(draw):
+    """1-5 targets over up to 8 cells, with zero-mass and tied cells, a team
+    of 0 to every cell, p of 1, 1 - 1e-3 or any in (0, 1], and a threshold
+    of 0, exactly the mean's peak, one ulp above it, uniform, or inf."""
+    n = draw(st.integers(1, 8))
+    weight = st.integers(0, 3).map(float) | st.floats(0.0, 1.0)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        w = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+        if w.sum() == 0:
+            w[draw(st.integers(0, n - 1))] = 1.0
+        rows.append(w / w.sum())
+    P = np.array(rows)
+    p = draw(st.sampled_from([1.0, 1.0 - 1e-3]) | st.floats(0.0, 1.0, exclude_min=True))
+    peak = float(P.mean(axis=0).max())
+    threshold = draw(st.sampled_from([0.0, peak, float(np.nextafter(peak, np.inf)), math.inf]) | st.floats(0.0, 1.0))
+    return P, draw(st.integers(0, n)), p, threshold
+
+
 class TestAssignSingleEntry:
+    """The single_entry policy equals the oracle on the targets' mean belief.
+    The unit cases pass one target's belief, whose mean is that belief bit
+    for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_single_entry_instances())
+    def test_equals_oracle_on_mean_belief(self, instance):
+        P, m, p, threshold = instance
+        got = select_cells(PolicyConfig("single_entry", threshold), P, m, p)
+        assert got == assign_single_entry(np.mean(P, axis=0), m, p, threshold)
+
     def test_peak_seeded_when_threshold_cleared(self):
-        assert assign_single_entry(_cb([0.5, 0.3, 0.2]), 1, 0.8, threshold=0.2) == {0}
+        assert select_cells(PolicyConfig("single_entry", threshold=0.2), [_cb([0.5, 0.3, 0.2])], 1, 0.8) == {0}
 
     def test_remaining_picks_condition_on_seed(self):
         cb = _cb([0.5, 0.3, 0.2])
-        got = assign_single_entry(cb, 2, 0.8, threshold=0.2)
+        got = select_cells(PolicyConfig("single_entry", threshold=0.2), [cb], 2, 0.8)
         rest = max((1, 2), key=lambda c: team_gain([cb], {0, c}, 0.8))
         assert got == {0, rest}
         assert got == {0, 2}  # the smaller cell pairs better with the seed
 
     def test_below_threshold_is_pure_greedy(self):
         cb = _cb([0.18, 0.17, 0.17, 0.16, 0.16, 0.16])
-        got = assign_single_entry(cb, 2, 0.9, threshold=0.2)
+        got = select_cells(PolicyConfig("single_entry", threshold=0.2), [cb], 2, 0.9)
         assert got == set(greedy_select([cb], 2, 0.9))
 
     def test_zero_threshold_always_seeds(self):
         cb = _cb([0.9, 0.1])
-        assert assign_single_entry(cb, 1, 0.9, threshold=0.0) == {0}
+        assert select_cells(PolicyConfig("single_entry", threshold=0.0), [cb], 1, 0.9) == {0}
 
     def test_unreachable_threshold_never_seeds(self):
         cb = _cb([0.9, 0.1])
-        got = assign_single_entry(cb, 1, 0.9, threshold=0.95)
+        got = select_cells(PolicyConfig("single_entry", threshold=0.95), [cb], 1, 0.9)
         assert got == {1} == set(greedy_select([cb], 1, 0.9))
 
     def test_threshold_boundary_is_inclusive(self):
         cb = _cb([0.2, 0.8])
-        assert assign_single_entry(cb, 1, 0.9, threshold=0.8) == {1}
+        assert select_cells(PolicyConfig("single_entry", threshold=0.8), [cb], 1, 0.9) == {1}
 
     def test_zero_uavs(self):
-        assert assign_single_entry(_cb([1.0]), 0, 0.9) == set()
+        assert select_cells(PolicyConfig("single_entry"), [_cb([1.0])], 0, 0.9) == set()
 
 
 class TestPolicies:
@@ -621,8 +651,9 @@ class TestSelectCells:
     @given(st.data())
     def test_every_policy_dispatches_to_its_function(self, data):
         """For every name in POLICIES, in order, select_cells equals the direct
-        call to the policy's helper, with the configured threshold and at the
-        planning p: the configured one, else the team's. adaptive is drawn both
+        call to the policy's helper, or for single_entry its pick on the
+        targets' mean belief as one row, with the configured threshold and at
+        the planning p: the configured one, else the team's. adaptive is drawn both
         outnumbered (more targets than UAVs), where it is greedy, and not,
         where it is general."""
         outnumbered = data.draw(st.booleans(), label="outnumbered")
@@ -639,7 +670,7 @@ class TestSelectCells:
         greedy = set(greedy_select(cbs, m, p))
         expect = {
             "general": assign_general(cbs, m, p),
-            "single_entry": assign_single_entry(cbs.mean(axis=0), m, p, threshold),
+            "single_entry": select_cells(PolicyConfig("single_entry", threshold=threshold), [cbs.mean(axis=0)], m, p),
             "adaptive": greedy if outnumbered else assign_general(cbs, m, p),
             "entropy_only": greedy,
             "max_prob": _top_m(cbs.max(axis=0), m),
@@ -659,8 +690,8 @@ class TestSelectCells:
     def test_single_entry_merges_before_seeding(self):
         cbs = [_cb([0.6, 0.4, 0.0]), _cb([0.2, 0.4, 0.4])]
         shared = _cb([0.4, 0.4, 0.2])
-        expect = assign_single_entry(shared, 2, 0.9, threshold=0.3)
         cfg = PolicyConfig(policy="single_entry", threshold=0.3)
+        expect = select_cells(cfg, [shared], 2, 0.9)
         assert select_cells(cfg, cbs, 2, 0.9) == expect
 
     def test_planning_probability_override(self):

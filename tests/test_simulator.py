@@ -653,6 +653,17 @@ class TestBuildWorld:
         with pytest.raises(ConfigError, match=r"zulu\.model: model covers 1 edges"):
             build_world(sc)
 
+    def test_model_for_another_class_rejected(self, tmp_path, border_scenario, border_model_path):
+        """A valid model labelled for class walker cannot move the runners."""
+        with open(border_model_path) as fh:
+            text = fh.read()
+        path = tmp_path / "walker.model"
+        path.write_text(text.replace("class=runner", "class=walker", 1))
+        cls = dataclasses.replace(border_scenario.classes[0], model_path=str(path))
+        with pytest.raises(ConfigError) as err:
+            build_world(dataclasses.replace(border_scenario, classes=(cls,)))
+        assert str(err.value) == f"{path}: model was compiled for class 'walker', not for scenario class 'runner'"
+
     def test_graph_without_entries(self, tmp_path, border_scenario):
         p = tmp_path / "plain.graph"
         p.write_text("#vertices\n0 0 0\n1 100 0\n#edges\n0 0 1\n")
