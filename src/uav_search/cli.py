@@ -20,8 +20,9 @@ from .config import ConfigError, SweepSpec, apply_axis, load_scenario, load_swee
 from .movement import (DEFAULT_SMOOTHING, KMH_TO_MS, ModelFormatError, check_velocity_range, compile_model,
                        save_model, traces_for_strategies)
 from .planner import THRESHOLD_POLICY
+from .rng import trial_seed
 from .road_graph import GraphFormatError, GridSizeError, load_graph, overlay_grid, plain_number
-from .simulator import BatchStats, TrialResult, build_world, run_batch, trial_seed
+from .simulator import BatchStats, TrialResult, build_world, run_batch
 
 DEFAULT_TRIALS = 100
 GRID_CSV = "threshold_grid.csv"

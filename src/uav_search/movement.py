@@ -22,6 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .rng import Rng, trial_seed
 from .road_graph import RoadGraph, plain_number, read_lines
 from .strategies import UnreachableGoalError, validate_path
 
@@ -46,13 +47,6 @@ def check_velocity_range(velocity_kmh: tuple[float, float], label: str, error: t
     if not 0 < lo <= hi < math.inf:
         raise error(f"{label}: need 0 < low <= high < inf, got [{lo}, {hi}]")
     return velocity_kmh
-
-
-def trial_seed(master_seed: int, index: int) -> int:
-    """The `index`-th independent child of `master_seed`, for a trial, a sweep point or a
-    compile strategy; stable in `index`, so any order or worker count draws the same."""
-    state = np.random.SeedSequence(master_seed, spawn_key=(index,)).generate_state(1, np.uint64)
-    return int(state[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +148,7 @@ def traces_for_strategies(
         for (ei, entry), gi in pairs:
             last = None
             for run in range(runs_per_pair):
-                rng = np.random.default_rng(np.random.SeedSequence(sub, spawn_key=(ei, gi, run)))
+                rng = Rng(sub, (ei, gi, run))
                 v_ms = rng.uniform(lo, hi) * KMH_TO_MS
                 try:
                     path = strategy.path(g, entry, rng, goal_index=gi)

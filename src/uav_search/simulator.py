@@ -32,8 +32,9 @@ import numpy as np
 
 from .belief import CertainDetection, cell_marginal, init_belief, negative_update, propagate
 from .config import ConfigError, ScenarioConfig, UavSpec, check_trials
-from .movement import KMH_TO_MS, TransitionModel, load_model, trial_seed, validate_stochastic
+from .movement import KMH_TO_MS, TransitionModel, load_model, validate_stochastic
 from .planner import match_uavs_to_cells, select_cells
+from .rng import Rng, trial_seed
 from .road_graph import GridOverlay, RoadGraph, load_graph, overlay_grid
 
 # 95% normal quantile for Wilson intervals.
@@ -230,16 +231,16 @@ def _spawn_targets(sc: ScenarioConfig, world: World, seed: int) -> list[_TargetS
     starts = list(world.start_of_parent.values())
     out = []
     for j, tspec in enumerate(sc.targets):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, j)))
+        rng = Rng(seed, (0, j))
         entry = (
-            starts[int(rng.integers(len(starts)))]
+            starts[rng.integers(len(starts))]
             if tspec.entry is None
             else world.start_of_parent[tspec.entry]
         )
         cls = sc.class_named(tspec.class_name)
         velocity = rng.uniform(*cls.velocity_kmh) * KMH_TO_MS
         pool = cls.strategies
-        strategy = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
+        strategy = pool[rng.integers(len(pool))] if len(pool) > 1 else pool[0]
         path = strategy.path(g, entry, rng)
         lengths = g.length[path]
         segments = np.column_stack([g.xy[g.tail[path]], g.xy[g.head[path]], lengths]).tolist()
@@ -285,7 +286,7 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
 
     targets = _spawn_targets(scenario, world, seed)
     uavs = [_UavState(u, u.depot) for u in scenario.uavs]
-    det_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    det_rng = Rng(seed, (1,))
     detections: dict[int, int] = {}
 
     flying = False

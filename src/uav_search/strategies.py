@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import Rng
 from .road_graph import RoadGraph, shortest_path, travel_to_goal
 
 # A walk that has traveled more than this multiple of the shortest route is
@@ -73,11 +74,11 @@ def _reachable_goals(g: RoadGraph, entry: int) -> list[int]:
     return [gi for gi, route in enumerate(RouteStrategy()._routes(g, entry)) if route is not None]
 
 
-def _draw_goal(g: RoadGraph, entry: int, rng: np.random.Generator) -> int:
+def _draw_goal(g: RoadGraph, entry: int, rng: Rng) -> int:
     reachable = _reachable_goals(g, entry)
     if not reachable:
         raise UnreachableGoalError(f"no goal reachable from entry edge {entry}")
-    return reachable[int(rng.integers(len(reachable)))]
+    return reachable[rng.integers(len(reachable))]
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class RandomWalkStrategy:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
     def path(
-        self, g: RoadGraph, entry: int, rng: np.random.Generator, goal_index: int | None = None
+        self, g: RoadGraph, entry: int, rng: Rng, goal_index: int | None = None
     ) -> list[int]:
         gi = _draw_goal(g, entry, rng) if goal_index is None else goal_index
         table = g._walk_steps.get((self, gi))
@@ -178,7 +179,7 @@ class RouteStrategy:
             raise ValueError(f"penalty must be finite and >= 0, got {self.penalty}")
 
     def path(
-        self, g: RoadGraph, entry: int, rng: np.random.Generator, goal_index: int | None = None
+        self, g: RoadGraph, entry: int, rng: Rng, goal_index: int | None = None
     ) -> list[int]:
         gi = _draw_goal(g, entry, rng) if goal_index is None else goal_index
         route = self._routes(g, entry)[gi]

@@ -634,14 +634,15 @@ print(" ".join(sorted(name for name in sys.modules if name.partition(".")[0] == 
 class TestLayering:
     def test_training_loads_only_the_training_stack(self, border_graph_path, tmp_path):
         """Traces, compile, save, load and validate on the bundled map load
-        `road_graph`, `strategies` and `movement` and nothing of the search
-        stack above them (`belief`, `planner`, `config`, `simulator`, `cli`)."""
+        `road_graph`, `strategies`, `movement` and the leaf `rng`, and nothing
+        of the search stack above them (`belief`, `planner`, `config`,
+        `simulator`, `cli`)."""
         src = os.path.dirname(os.path.dirname(movement.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", _TRAINING, border_graph_path, str(tmp_path / "runner.model")],
                               capture_output=True, text=True, env=env, check=True)
         assert proc.stdout.split() == [
-            "uav_search", "uav_search.movement", "uav_search.road_graph", "uav_search.strategies"]
+            "uav_search", "uav_search.movement", "uav_search.rng", "uav_search.road_graph", "uav_search.strategies"]
 
     def test_no_module_imports_the_package_inside_a_function(self):
         """Every import of one package module by another sits at module
