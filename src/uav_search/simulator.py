@@ -35,7 +35,7 @@ from .config import ConfigError, ScenarioConfig, UavSpec, check_trials
 from .movement import KMH_TO_MS, TransitionModel, load_model, validate_stochastic
 from .planner import match_uavs_to_cells, select_cells
 from .rng import Rng, trial_seed
-from .road_graph import GridOverlay, RoadGraph, load_graph, overlay_grid
+from .road_graph import GridOverlay, RoadGraph, load_graph, overlay_grid, travel_to_goal
 
 # 95% normal quantile for Wilson intervals.
 WILSON_Z = 1.959963984540054
@@ -90,6 +90,7 @@ class World:
     refined: RoadGraph
     overlay: GridOverlay
     start_of_parent: dict[int, int]  # original entry edge -> its first refined piece, in id order
+    dead_entries: frozenset[int]  # original entry edges from which no goal edge can be reached
     models: dict[str, TransitionModel]
     # (class name, entry edge) -> read-only beliefs at ticks 0, BLOCK_TICKS, ...
     checkpoints: dict[tuple[str, int], list[np.ndarray]] = field(default_factory=dict, init=False, repr=False)
@@ -142,9 +143,17 @@ def _world_key(scenario: ScenarioConfig) -> tuple:
 
 
 def _check_entries(scenario: ScenarioConfig, world: World) -> None:
+    """Refuse a target that may enter on an edge outside the graph's entries
+    or on one that reaches no goal set: its fixed `entry`, or else any entry."""
     for i, t in enumerate(scenario.targets):
-        if t.entry is not None and t.entry not in world.start_of_parent:
+        if t.entry is None:
+            if world.dead_entries:
+                raise ConfigError(f"targets[{i}]: entry edge {min(world.dead_entries)} reaches no goal set, "
+                                  "and a target without a fixed entry may enter on any entry edge")
+        elif t.entry not in world.start_of_parent:
             raise ConfigError(f"targets[{i}].entry: edge {t.entry} is not an entry edge")
+        elif t.entry in world.dead_entries:
+            raise ConfigError(f"targets[{i}].entry: edge {t.entry} reaches no goal set")
 
 
 def build_world(scenario: ScenarioConfig) -> World:
@@ -156,6 +165,8 @@ def build_world(scenario: ScenarioConfig) -> World:
         raise ConfigError(f"{graph_path}: graph has no goal sets")
     refined, overlay = overlay_grid(graph, radius)
     start_of_parent = dict(zip(sorted(graph.entries), sorted(refined.entries)))
+    togo = travel_to_goal(refined, refined.goal_union)
+    dead_entries = frozenset(e for e, piece in start_of_parent.items() if togo[piece] == math.inf)
 
     models: dict[str, TransitionModel] = {}
     for name, model_path in used:
@@ -177,7 +188,7 @@ def build_world(scenario: ScenarioConfig) -> World:
                               f"not for scenario class {name!r}")
         models[name] = model
 
-    world = World(refined, overlay, start_of_parent, models)
+    world = World(refined, overlay, start_of_parent, dead_entries, models)
     _check_entries(scenario, world)
     return world
 

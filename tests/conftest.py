@@ -69,6 +69,33 @@ def tiny_scenario(tmp_path_factory):
     }, base_dir=str(root))
 
 
+@pytest.fixture(scope="session")
+def dead_entry_scenario(tmp_path_factory):
+    """A scenario builder over `dead.graph`, a five-vertex map whose entry
+    edge 2 leads nowhere while entry edge 0 leads to goal edge 1, with a
+    model compiled for it (the dead pair is skipped): given the targets, the
+    dict a scenario file holds, with absolute paths."""
+    root = tmp_path_factory.mktemp("dead")
+    (root / "dead.graph").write_text(
+        "#vertices\n0 0 0\n1 400 0\n2 800 0\n3 0 400\n4 400 400\n"
+        "#edges\n0 0 1\n1 1 2\n2 3 4\n#entries\n0\n2\n#goals\n0 1\n"
+    )
+    refined, _ = overlay_grid(load_graph(str(root / "dead.graph")), 500.0)
+    traces = traces_for_strategies(refined, [make_strategy("shortest")], 20.0, (8.0, 12.0), 1, 0)
+    save_model(compile_model(traces, refined, 0.01, 20.0, "runner"), str(root / "dead.model"))
+
+    def scenario(targets: list[dict]) -> dict:
+        return {
+            "graph": str(root / "dead.graph"),
+            "uavs": [{"depot": [400.0, 200.0], "velocity_kmh": 30.0, "detect_radius": 500.0, "detect_prob": 0.8}],
+            "classes": {"runner": {"velocity_kmh": [8.0, 12.0], "strategies": [{"name": "shortest"}],
+                                   "model": str(root / "dead.model")}},
+            "targets": targets,
+            "tick_seconds": 20.0,
+        }
+    return scenario
+
+
 @pytest.fixture
 def line_graph() -> RoadGraph:
     """100 m entry edge feeding a 50 m goal edge along one straight road."""

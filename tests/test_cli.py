@@ -1154,6 +1154,20 @@ class TestBuildErrorsNameTheirSource:
         assert err == f"error: {path}: {model}: model was compiled for class 'walker', not for scenario class 'runner'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run", "--trials", "10"], ["dump-belief", "--ticks", "1"]])
+    def test_dead_entry_names_the_scenario(self, tmp_path, capsys, dead_entry_scenario, command):
+        """A uniform target on a map whose entry edge 2 leads nowhere exits 1,
+        naming the scenario, the target and the file's edge id, before any
+        trial; it once exited 2 mid-trial, naming the refined id."""
+        path = tmp_path / "dead.yaml"
+        path.write_text(yaml.safe_dump(dead_entry_scenario([{"class": "runner"}])))
+        out = tmp_path / "out.csv"
+        assert main([command[0], str(path), *command[1:], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: targets[0]: entry edge 2 reaches no goal set, "
+                       "and a target without a fixed entry may enter on any entry edge\n")
+        assert not out.exists()
+
     def test_bad_base_entry_names_the_sweep(self, tmp_path, capsys):
         _scenario_copy(tmp_path, targets=self.BAD_ENTRY)
         sweep = tmp_path / "sweep.yaml"

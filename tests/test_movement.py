@@ -49,8 +49,36 @@ class TestSampleTrace:
         tick: four samples on the entry, the fifth on the goal."""
         trace = sample_trace(line_graph, [0, 1], 10.0 * KMH_TO_MS, 9.0)
         assert trace.tolist() == [0, 0, 0, 0, 1]
-        assert trace.dtype == np.int32
+        assert trace.dtype == movement.edge_dtype(line_graph.n_edges) == np.int8
         assert not trace.flags.writeable
+
+    @pytest.mark.parametrize("n_edges,dtype", [
+        (1, np.int8), (128, np.int8), (129, np.int16), (739, np.int16),
+        (32_768, np.int16), (32_769, np.int32), (2**31, np.int32), (2**31 + 1, np.int64),
+    ])
+    def test_edge_dtype_is_the_narrowest_that_holds_every_id(self, n_edges, dtype):
+        assert movement.edge_dtype(n_edges) == dtype
+        assert np.iinfo(dtype).max >= n_edges - 1
+
+    def test_bundled_traces_are_int16(self, border_refined):
+        """The bundled map's 739 refined edges fit int16, so its training
+        traces hold two bytes a tick."""
+        g, _ = border_refined
+        assert g.n_edges == 739
+        traces = traces_for_strategies(g, [RouteStrategy(), RandomWalkStrategy(0.01)], 20.0, (8.0, 12.0), 1, seed=3)
+        assert {t.dtype for t in traces} == {np.dtype(np.int16)}
+
+    def test_traces_past_32768_edges_are_int32(self):
+        """On a straight road of 32,770 one-metre edges, ids pass int16's
+        32,767: the traces are int32, hold every id, and compile to the model
+        int64 copies of them compile to."""
+        n = 32_770
+        g = RoadGraph([(float(x), 0.0) for x in range(n + 1)], range(n), range(1, n + 1),
+                      frozenset({0}), (frozenset({n - 1}),))
+        [trace] = traces_for_strategies(g, [RouteStrategy()], 1.0, (3.6, 3.6), 1, seed=0)
+        assert trace.dtype == np.int32
+        assert trace.tolist() == list(range(n))
+        assert _compiled(compile_model, [trace], g, 0.01) == _compiled(compile_model, [trace.astype(np.int64)], g, 0.01)
 
     def test_vertex_hit_lands_on_next_edge(self, line_graph):
         # distance exactly 100 m at t=2 means the walk is on edge 1

@@ -685,6 +685,19 @@ class TestSelectCells:
         for policy in POLICIES:
             assert select_cells(PolicyConfig(policy, threshold, override), cbs, m, team_p) == expect[policy], policy
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("n_targets", [1, 2, 4])
+    def test_team_larger_than_the_grid_gets_every_cell(self, policy, n_targets):
+        """Six UAVs over a three-cell grid: every policy picks all three
+        cells, so the surplus UAVs idle."""
+        rng = np.random.default_rng(n_targets)
+        cbs = [_cb(rng.dirichlet(np.ones(3))) for _ in range(n_targets)]
+        assert select_cells(PolicyConfig(policy), cbs, 6, 0.8) == {0, 1, 2}, policy
+
+    def test_greedy_keeps_its_refusal(self):
+        with pytest.raises(ValueError, match="cannot pick 4 cells with 0 excluded out of 3"):
+            greedy_select([_cb([0.5, 0.3, 0.2])], 4, 0.8)
+
     def test_name_outside_the_table_raises(self):
         """A policy name PolicyConfig would refuse never falls through to general."""
         cfg = PolicyConfig()

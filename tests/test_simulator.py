@@ -13,7 +13,7 @@ from scipy import stats as sstats
 
 import uav_search.simulator as simulator
 from uav_search.belief import cell_marginal, init_belief, propagate
-from uav_search.config import ConfigError, TargetSpec, UavSpec, apply_axis, load_scenario
+from uav_search.config import ConfigError, TargetSpec, UavSpec, apply_axis, load_scenario, scenario_from_dict
 from uav_search.planner import POLICIES
 from uav_search.simulator import (
     BLOCK_TICKS,
@@ -677,6 +677,68 @@ class TestBuildWorld:
         sc = dataclasses.replace(border_scenario, graph_path=str(p))
         with pytest.raises(ConfigError, match="no goal sets"):
             build_world(sc)
+
+
+class TestDeadEntries:
+    """An entry edge that reaches no goal set is refused when the world is
+    built, by the graph file's id: for a uniform target any dead entry, for
+    a fixed `entry` only that one. Without the check a trial raised
+    UnreachableGoalError on drawing the dead entry, naming its refined id."""
+
+    def test_uniform_target_refuses_any_dead_entry(self, dead_entry_scenario):
+        sc = scenario_from_dict(dead_entry_scenario([{"class": "runner", "entry": 0}, {"class": "runner"}]))
+        with pytest.raises(ConfigError) as err:
+            build_world(sc)
+        assert str(err.value) == ("targets[1]: entry edge 2 reaches no goal set, "
+                                  "and a target without a fixed entry may enter on any entry edge")
+
+    def test_fixed_dead_entry_refused(self, dead_entry_scenario):
+        sc = scenario_from_dict(dead_entry_scenario([{"class": "runner", "entry": 0}, {"class": "runner", "entry": 2}]))
+        with pytest.raises(ConfigError) as err:
+            build_world(sc)
+        assert str(err.value) == "targets[1].entry: edge 2 reaches no goal set"
+
+    def test_fixed_live_entry_runs(self, dead_entry_scenario):
+        sc = scenario_from_dict(dead_entry_scenario([{"class": "runner", "entry": 0}]))
+        world = build_world(sc)
+        assert world.dead_entries == {2}
+        [(stats, results)] = run_batch([(sc, 0)], 5)
+        assert stats.n_trials == 5 and all(r.ticks >= 1 for r in results)
+
+    def test_point_sharing_a_world_is_checked_before_any_trial(self, dead_entry_scenario, monkeypatch):
+        """The second point reuses the first one's world, and its uniform
+        target is still refused before any trial runs."""
+        live = scenario_from_dict(dead_entry_scenario([{"class": "runner", "entry": 0}]))
+        uniform = dataclasses.replace(live, targets=(TargetSpec("runner", None),))
+        monkeypatch.setattr(simulator, "run_trial", mock.Mock(side_effect=AssertionError("a trial ran")))
+        with pytest.raises(ConfigError, match=r"targets\[0\]: entry edge 2 reaches no goal set"):
+            run_batch([(live, 0), (uniform, 1)], 2)
+
+    def test_bundled_map_has_no_dead_entry(self, border_world):
+        assert border_world.dead_entries == frozenset()
+
+
+class TestTeamLargerThanTheGrid:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_cell_searched_and_the_surplus_idles(self, tiny_scenario, policy):
+        """Three UAVs more than the grid has cells: every policy picks every
+        cell each replan, so the surplus UAVs idle, and trials run to an
+        outcome. Before, a policy built on the greedy refused the pick."""
+        world = build_world(tiny_scenario)
+        n = world.overlay.n_cells + 3
+        sc = apply_axis(tiny_scenario, "n_uavs", n)
+        sc = dataclasses.replace(sc, policy=dataclasses.replace(sc.policy, policy=policy))
+        picks = []
+        real = simulator.select_cells
+
+        def spy(*args):
+            picks.append(real(*args))
+            return picks[-1]
+
+        with mock.patch.object(simulator, "select_cells", spy):
+            [(stats, _)] = run_batch([(sc, 3)], 4)
+        assert stats.n_trials == 4
+        assert picks and all(cells == set(range(world.overlay.n_cells)) for cells in picks)
 
 
 class TestTrialResultShape:

@@ -240,12 +240,18 @@ class TestCachedWalkSteps:
     def test_steps_cached_per_strategy_and_goal_set(self, fork_graph):
         """One flat table per (strategy, goal set): every edge's candidates,
         their CDF, each edge's first position, the edges whose step raises,
-        here the two dead-end goal edges, and each edge's travel left."""
+        here the two dead-end goal edges, and each edge's travel left. The
+        CDF and the first positions are packed arrays of doubles and 64-bit
+        ints, equal to the lists element by element."""
         s = RandomWalkStrategy(beta=0.0)
         s.path(fork_graph, 0, np.random.default_rng(0), goal_index=1)
         assert list(fork_graph._walk_steps) == [(s, 1)]
-        *rows, togo = fork_graph._walk_steps[s, 1]
-        assert rows == [[1, 2, 3, 4], [0.5, 1.0, 1.0, 1.0], [0, 2, 3, 4, 4, 4], {3: "dead-ended", 4: "dead-ended"}]
+        cands, cdf, starts, raises, togo = fork_graph._walk_steps[s, 1]
+        assert cands == [1, 2, 3, 4]
+        assert (cdf.typecode, starts.typecode) == ("d", "q")
+        assert list(cdf) == [0.5, 1.0, 1.0, 1.0]
+        assert list(starts) == [0, 2, 3, 4, 4, 4]
+        assert raises == {3: "dead-ended", 4: "dead-ended"}
         assert togo.tolist() == [100.0 + 100.0, float("inf"), 100.0, float("inf"), 0.0]
 
 
@@ -291,6 +297,8 @@ class TestWalkTables:
         s = RandomWalkStrategy(beta)
         for gi, goal_set in enumerate(g.goals):
             cands, cdf, starts, raises, togo = s._table(g, goal_set)
+            assert (cdf.typecode, starts.typecode) == ("d", "q")
+            assert list(starts) == np.concatenate(([0], np.cumsum([len(row) for row in g._next]))).tolist()
             dmap = goal_distance_map(g, goal_set)
             want = [travel_to_go(g.length, e, goal_set, dmap) for e in range(g.n_edges)]
             assert togo.tobytes() == np.array(want, dtype=np.float64).tobytes()
@@ -303,7 +311,10 @@ class TestWalkTables:
                     continue
                 assert e not in raises
                 assert cands[row] == want_cands
-                assert np.array(cdf[row]).tobytes() == np.array(choice_cdf(p)).tobytes()
+                want_cdf = choice_cdf(p)
+                assert len(cdf[row]) == len(want_cdf)
+                for ours, want in zip(cdf[row], want_cdf):
+                    assert np.float64(ours).tobytes() == np.float64(want).tobytes()
             for entry in sorted(g.entries):
                 for seed in seeds:
                     try:
