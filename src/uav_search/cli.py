@@ -21,7 +21,7 @@ from .movement import (DEFAULT_SMOOTHING, KMH_TO_MS, ModelFormatError, check_vel
                        save_model, traces_for_strategies)
 from .planner import THRESHOLD_POLICY
 from .rng import trial_seed
-from .road_graph import GraphFormatError, GridSizeError, load_graph, overlay_grid, plain_number
+from .road_graph import GraphFormatError, GridSizeError, dead_entries, load_graph, overlay_grid, plain_number
 from .simulator import BatchStats, TrialResult, build_world, run_batch
 
 DEFAULT_TRIALS = 100
@@ -165,6 +165,9 @@ def cmd_compile_model(args) -> int:
             f"tick, more than the shortest refined edge ({refined.length.min():.6g} m); "
             "a model supports one hop per tick"
         )
+    for entry in sorted(dead_entries(graph)):
+        print(f"warning: {args.graph}: entry edge {entry} reaches no goal set; a scenario on this map "
+              "must fix every target's entry to another edge", file=sys.stderr)
     traces = traces_for_strategies(refined, strategies, args.tick, velocity, args.runs_per_pair, args.seed)
     model = compile_model(traces, refined, args.smoothing, args.tick, args.target_class)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)

@@ -307,8 +307,9 @@ def save_model(model: TransitionModel, path: str) -> None:
 
 
 def load_model(path: str) -> TransitionModel:
-    """Read a model file, rows in any order. The edge count is the header's
-    optional `edges=<n>`, else one more than the largest edge id in the rows.
+    """Read a model file, rows in any order. The header is `#model` with the keys
+    `tick`, `class` and an optional `edges`, each once. The edge count is
+    `edges=<n>`, else one more than the largest edge id in the rows.
     Numbers are ASCII, without Python's `_` digit separators."""
     header = None
     pairs: dict[tuple[int, int], float] = {}
@@ -317,19 +318,22 @@ def load_model(path: str) -> TransitionModel:
         line = raw.strip()
         if not line or line.startswith(";"):
             continue
+        toks = line.split()
         if line.startswith("#"):
-            if header is not None or not line.startswith("#model"):
+            if header is not None or toks[0] != "#model":
                 raise ModelFormatError(f"{path}:{lineno}: unexpected header {line!r}")
             header = {}
-            for tok in line.split()[1:]:
+            for tok in toks[1:]:
                 if "=" not in tok:
                     raise ModelFormatError(f"{path}:{lineno}: bad header token {tok!r}")
                 k, v = tok.split("=", 1)
+                if k not in ("tick", "class", "edges") or k in header:
+                    what = "repeated" if k in header else "unknown"
+                    raise ModelFormatError(f"{path}:{lineno}: {what} header key {k!r}; the keys are tick, class, edges")
                 header[k] = v
             continue
         if header is None:
             raise ModelFormatError(f"{path}:{lineno}: data before #model header")
-        toks = line.split()
         try:
             if len(toks) != 3 or not plain_number(line):
                 raise ValueError

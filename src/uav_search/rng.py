@@ -1,14 +1,12 @@
 """Seeded random streams: NumPy's SeedSequence and PCG64 in plain Python.
 
-`Rng(entropy, spawn_key)` draws bit for bit what NumPy's
-`default_rng(SeedSequence(entropy, spawn_key=spawn_key))` draws for the three
-calls the package makes: `random()`, `uniform(low, high)` and `integers(n)`.
-NumPy does not promise its streams across releases; these pin the output
-bytes, and no command loads NumPy's random module. SeedSequence hashes 32-bit
-words into a pool of four with the constants of NumPy's `bit_generator.pyx`;
-PCG64 is O'Neill's XSL-RR 128/64 generator, seeded as NumPy's `pcg64.h`
-seeds it. The hash constants do not depend on the input, so their sequences
-are computed once, and every child of one seed shares its cached head pool.
+`Rng(entropy, spawn_key)` draws bit for bit what NumPy's `default_rng(SeedSequence(entropy,
+spawn_key=spawn_key))` draws for `random()`, `uniform(low, high)` and `integers(n)`. NumPy
+does not promise its streams across releases; these pin the output bytes, and no command
+loads NumPy's random module. SeedSequence follows NumPy's `mix_entropy` and `generate_state`
+(`bit_generator.pyx`) pass for pass, each with one running hash constant. PCG64 is O'Neill's
+XSL-RR 128/64 generator, seeded as NumPy's `pcg64.h` seeds it. A seed's children share its
+cached head pool, which halves the seeding of each of the 1,260 streams `compile` draws.
 """
 
 from __future__ import annotations
@@ -22,19 +20,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _powers(init: int, mult: int, n: int) -> list[int]:
-    out = [init]
-    while len(out) < n:
-        out.append(out[-1] * mult & MASK32)
-    return out
-
-
-# The k-th hash of a word xors it with _A[k] and multiplies by _A[k + 1]; _A grows
-# for long inputs. generate_state(4, uint64) hashes its eight words with _B alike.
-_A = _powers(_INIT_A, _MULT_A, 49)
-_B = _powers(_INIT_B, _MULT_B, 9)
-
-
 def _words(n: int) -> list[int]:
     """The 32-bit words of `n`, least significant first; 0 is one word."""
     if n < 0:
@@ -45,42 +30,45 @@ def _words(n: int) -> list[int]:
     return out
 
 
-def _mix_in(pool: list[int], dst: int, word: int, k: int) -> None:
-    """Mix the k-th hash of `word` into `pool[dst]`."""
-    v = (word ^ _A[k]) * _A[k + 1] & MASK32
-    v = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & MASK32
-    pool[dst] = v ^ v >> 16
+def _hashes(words: list[int], h: int, mult: int) -> tuple[list[int], int]:
+    """NumPy's `hashmix` of each word in turn from constant `h`: the hashes and the next constant."""
+    out = []
+    for word in words:
+        v = word ^ h
+        h = h * mult & MASK32
+        v = v * h & MASK32
+        out.append(v ^ v >> 16)
+    return out, h
+
+
+def _mix_in(pool: list[int], dsts: range | list[int], word: int, h: int) -> int:
+    """Mix a hash of `word` into each `pool[dst]` in turn, from constant `h`; return the next constant."""
+    for dst in dsts:
+        v = word ^ h
+        h = h * _MULT_A & MASK32
+        v = v * h & MASK32
+        v = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & MASK32
+        pool[dst] = v ^ v >> 16
+    return h
 
 
 @lru_cache(maxsize=16)
-def _head_pool(entropy: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pool mixed from the first four words of `entropy`, zero-padded as
-    a missing word hashes, and the words after those."""
+def _head_pool(entropy: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """The pool mixed from `entropy`'s first four words, the constant after it, and the words after those."""
     words = _words(entropy)
-    pool = [0] * 4
-    for k, word in enumerate((words + pool)[:4]):
-        v = (word ^ _A[k]) * _A[k + 1] & MASK32
-        pool[k] = v ^ v >> 16
-    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
-    for k, (src, dst) in enumerate(pairs, start=4):
-        _mix_in(pool, dst, pool[src], k)
-    return tuple(pool), tuple(words[4:])
+    pool, h = _hashes((words + [0] * 3)[:4], _INIT_A, _MULT_A)  # a missing word hashes as 0
+    for src in range(4):
+        h = _mix_in(pool, [dst for dst in range(4) if dst != src], pool[src], h)
+    return tuple(pool), h, tuple(words[4:])
 
 
 def _state_words(entropy: int, spawn_key: tuple[int, ...], n: int) -> list[int]:
     """`SeedSequence(entropy, spawn_key=spawn_key).generate_state(n, uint64)`, n <= 4."""
-    head, rest = _head_pool(entropy)
+    head, h, rest = _head_pool(entropy)
     pool = list(head)
-    tail = [*rest, *(w for key in spawn_key for w in _words(key))]
-    if len(_A) < 17 + 4 * len(tail):
-        _A[:] = _powers(_INIT_A, _MULT_A, 17 + 4 * len(tail))
-    for i, word in enumerate(tail):
-        for dst in range(4):
-            _mix_in(pool, dst, word, 16 + 4 * i + dst)
-    out = []
-    for i in range(2 * n):
-        v = (pool[i % 4] ^ _B[i]) * _B[i + 1] & MASK32
-        out.append(v ^ v >> 16)
+    for word in (*rest, *(w for key in spawn_key for w in _words(key))):
+        h = _mix_in(pool, range(4), word, h)
+    out, _ = _hashes((pool * 2)[:2 * n], _INIT_B, _MULT_B)
     return [out[i] | out[i + 1] << 32 for i in range(0, 2 * n, 2)]
 
 

@@ -186,12 +186,10 @@ def load_graph(path: str) -> RoadGraph:
     Numbers are ASCII, without Python's `_` digit separators. The vertex ids
     and the edge ids must each be exactly 0..n-1, in any line order.
     """
+    kinds = {"#vertices": (int, float, float), "#edges": (int, int, int), "#entries": (int,), "#goals": (int, int)}
+    rows: dict[str, list[tuple]] = {name: [] for name in kinds}  # section -> (lineno, *numbers) per line
     vertices: dict[int, tuple[float, float]] = {}
-    edges_raw: list[tuple[int, int, int, int]] = []
-    entry_lines: list[tuple[int, int]] = []
-    goal_lines: list[tuple[int, int, int]] = []
     section = None
-    arity = {"#vertices": 3, "#edges": 3, "#entries": 1, "#goals": 2}  # section -> numbers per line
 
     for lineno, raw in enumerate(read_lines(path, GraphFormatError), start=1):
         line = raw.strip()
@@ -199,36 +197,30 @@ def load_graph(path: str) -> RoadGraph:
             continue
         toks = line.split()
         if toks[0].startswith("#"):
-            if toks[0] not in arity or len(toks) != 1:
+            if toks[0] not in kinds or len(toks) != 1:
                 raise GraphFormatError(f"{path}:{lineno}: unknown section header {toks[0]!r}")
             section = toks[0]
             continue
         if section is None:
             raise GraphFormatError(f"{path}:{lineno}: data before any section header")
         try:
-            if not plain_number(line) or len(toks) != arity[section]:
+            if not plain_number(line) or len(toks) != len(kinds[section]):
                 raise ValueError
-            if section == "#vertices":
-                vid, x, y = int(toks[0]), float(toks[1]), float(toks[2])
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError
-                if vid in vertices:
-                    raise GraphFormatError(f"{path}:{lineno}: duplicate vertex id {vid}")
-                vertices[vid] = (x, y)
-            elif section == "#edges":
-                edges_raw.append((lineno, int(toks[0]), int(toks[1]), int(toks[2])))
-            elif section == "#entries":
-                entry_lines.append((lineno, int(toks[0])))
-            else:
-                goal_lines.append((lineno, int(toks[0]), int(toks[1])))
-        except GraphFormatError:
-            raise
+            numbers = [kind(tok) for kind, tok in zip(kinds[section], toks)]
+            if not all(-math.inf < x < math.inf for x in numbers):
+                raise ValueError
         except ValueError:
             raise GraphFormatError(f"{path}:{lineno}: malformed {section[1:]} line: {' '.join(toks)!r}") from None
+        if section == "#vertices":
+            vid, x, y = numbers
+            if vid in vertices:
+                raise GraphFormatError(f"{path}:{lineno}: duplicate vertex id {vid}")
+            vertices[vid] = (x, y)
+        rows[section].append((lineno, *numbers))
     _check_dense(path, "vertex", vertices)
 
     edges: dict[int, tuple[int, int]] = {}
-    for lineno, eid, tail, head in edges_raw:
+    for lineno, eid, tail, head in rows["#edges"]:
         if eid in edges:
             raise GraphFormatError(f"{path}:{lineno}: duplicate edge id {eid}")
         if tail not in vertices or head not in vertices:
@@ -244,13 +236,13 @@ def load_graph(path: str) -> RoadGraph:
     _check_dense(path, "edge", edges)
 
     entries = set()
-    for lineno, eid in entry_lines:
+    for lineno, eid in rows["#entries"]:
         if eid not in edges:
             raise GraphFormatError(f"{path}:{lineno}: unknown edge id {eid} in #entries")
         entries.add(eid)
 
     by_index: dict[int, set[int]] = {}
-    for lineno, gidx, eid in goal_lines:
+    for lineno, gidx, eid in rows["#goals"]:
         if eid not in edges:
             raise GraphFormatError(f"{path}:{lineno}: unknown edge id {eid} in #goals")
         if eid in entries:
@@ -465,3 +457,11 @@ def travel_to_goal(g: RoadGraph, goal_set: frozenset[int]) -> list[float]:
                 togo[prev] = nd
                 heapq.heappush(heap, (nd, prev))
     return togo
+
+
+def dead_entries(g: RoadGraph) -> frozenset[int]:
+    """The entry edges from which no goal edge can be reached, by one backward
+    `travel_to_goal` over every goal set. Refining a graph onto a grid keeps
+    what reaches what, so the graph file's own ids serve every grid."""
+    togo = travel_to_goal(g, g.goal_union)
+    return frozenset(e for e in g.entries if togo[e] == math.inf)

@@ -35,7 +35,7 @@ from .config import ConfigError, ScenarioConfig, UavSpec, check_trials
 from .movement import KMH_TO_MS, TransitionModel, load_model, validate_stochastic
 from .planner import match_uavs_to_cells, select_cells
 from .rng import Rng, trial_seed
-from .road_graph import GridOverlay, RoadGraph, load_graph, overlay_grid, travel_to_goal
+from .road_graph import GridOverlay, RoadGraph, dead_entries, load_graph, overlay_grid
 
 # 95% normal quantile for Wilson intervals.
 WILSON_Z = 1.959963984540054
@@ -165,8 +165,6 @@ def build_world(scenario: ScenarioConfig) -> World:
         raise ConfigError(f"{graph_path}: graph has no goal sets")
     refined, overlay = overlay_grid(graph, radius)
     start_of_parent = dict(zip(sorted(graph.entries), sorted(refined.entries)))
-    togo = travel_to_goal(refined, refined.goal_union)
-    dead_entries = frozenset(e for e, piece in start_of_parent.items() if togo[piece] == math.inf)
 
     models: dict[str, TransitionModel] = {}
     for name, model_path in used:
@@ -188,7 +186,7 @@ def build_world(scenario: ScenarioConfig) -> World:
                               f"not for scenario class {name!r}")
         models[name] = model
 
-    world = World(refined, overlay, start_of_parent, dead_entries, models)
+    world = World(refined, overlay, start_of_parent, dead_entries(graph), models)
     _check_entries(scenario, world)
     return world
 

@@ -254,6 +254,25 @@ class TestCompileModel:
         assert sampled == [] and not out.exists()
         assert "argument --target-class: must be one word, without whitespace" in capsys.readouterr().err
 
+    def test_dead_entry_warns_and_exits_0(self, work, tmp_path, capsys, dead_entry_scenario):
+        """A map whose entry edge 2 reaches no goal set compiles, as a model
+        for targets with a fixed live entry, with one warning on stderr that
+        names the graph and the edge; the model's bytes are those the library
+        writes. A map with no dead entry compiles without a warning."""
+        files = dead_entry_scenario([])
+        graph, expected = files["graph"], files["classes"]["runner"]["model"]
+        out = tmp_path / "dead.model"
+        assert main(["compile-model", graph, "--strategies", "shortest", "--radius", "500", "--tick", "20",
+                     "--velocity", "8:12", "--runs-per-pair", "1", "--seed", "0", "--target-class", "runner",
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert _warnings(err) == [f"warning: {graph}: entry edge 2 reaches no goal set; a scenario on this map "
+                                  "must fix every target's entry to another edge"]
+        with open(expected, "rb") as fh:
+            assert out.read_bytes() == fh.read()
+        assert main(_compile_args(work, out="models/live.model")) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestRun:
     @pytest.mark.parametrize("jobs", ["1", "2"])

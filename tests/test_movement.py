@@ -540,6 +540,26 @@ class TestModelFile:
             load_model(str(p))
         assert needle in str(err.value)
 
+    @pytest.mark.parametrize(
+        "header,needle",
+        [
+            ("#modelzzz tick=2.0 class=a", "bad.model:1: unexpected header '#modelzzz tick=2.0 class=a'"),
+            ("#model tick=2.0 class=a tick=3.0", "bad.model:1: repeated header key 'tick'"),
+            ("#model tick=2.0 class=a class=b", "bad.model:1: repeated header key 'class'"),
+            ("#model tick=2.0 class=a edges=2 edges=2", "bad.model:1: repeated header key 'edges'"),
+            ("#model tick=2.0 class=a colour=red", "bad.model:1: unknown header key 'colour'"),
+            ("#model tick=2.0 class=a =1", "bad.model:1: unknown header key ''"),
+        ],
+    )
+    def test_header_is_read_strictly(self, tmp_path, header, needle):
+        """The first token is exactly `#model`; the keys are tick, class and
+        edges, each at most once."""
+        p = tmp_path / "bad.model"
+        p.write_text(header + "\n0 0 1.0\n")
+        with pytest.raises(ModelFormatError) as err:
+            load_model(str(p))
+        assert needle in str(err.value)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "m.model"
         p.write_text("; note\n\n#model tick=2.0 class=a\n; more\n0 0 1.0\n")

@@ -122,6 +122,13 @@ class TestFileFormat:
         with pytest.raises(GraphFormatError, match=r"bad\.graph:3:"):
             load_graph(str(p))
 
+    def test_errors_come_in_line_order(self, tmp_path):
+        """A duplicate vertex id on line 4 is named before a malformed edge line further down."""
+        p = tmp_path / "bad.graph"
+        p.write_text(self.GOOD.replace("1 100.0 0.0", "0 100.0 0.0", 1).replace("0 0 1", "0 0", 1))
+        with pytest.raises(GraphFormatError, match=r"bad\.graph:4: duplicate vertex id 0$"):
+            load_graph(str(p))
+
     def test_bundled_fixture_counts(self, border_graph):
         assert len(border_graph.entries) == 10
         assert len(border_graph.goals) == 7
