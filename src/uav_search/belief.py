@@ -11,6 +11,8 @@ divided by the probability of the no-detection event. Mass always sums to 1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .movement import TransitionModel
@@ -75,9 +77,9 @@ def cell_marginal(mass: np.ndarray, overlay: GridOverlay) -> np.ndarray:
 
 
 def negative_update(
-    mass: np.ndarray, searched_cells: set[int] | frozenset[int], detect_prob: float, overlay: GridOverlay
+    mass: np.ndarray, searched_cells: Iterable[int], detect_prob: float, overlay: GridOverlay
 ) -> np.ndarray:
-    """Condition the belief on a fruitless search of `searched_cells`.
+    """Condition the belief on a fruitless search of `searched_cells`, any iterable of cell ids.
 
     Mass on edges inside searched cells is scaled by (1 - p); everything is
     divided by eta = 1 - p * P(searched). Raises CertainDetection when

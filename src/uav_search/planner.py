@@ -214,8 +214,6 @@ def assign_general(cell_beliefs: Sequence[np.ndarray], m: int, p: float) -> set[
     probability win. Otherwise the remaining picks maximize marginal team
     entropy gain conditioned on the seeded cells.
     """
-    if m == 0:
-        return set()
     check_detect_prob(p)
     P = np.asarray(cell_beliefs)
     seeds = set(P.argmax(axis=1).tolist())

@@ -241,15 +241,10 @@ def _spawn_targets(sc: ScenarioConfig, world: World, seed: int) -> list[_TargetS
     out = []
     for j, tspec in enumerate(sc.targets):
         rng = Rng(seed, (0, j))
-        entry = (
-            starts[rng.integers(len(starts))]
-            if tspec.entry is None
-            else world.start_of_parent[tspec.entry]
-        )
+        entry = starts[rng.integers(len(starts))] if tspec.entry is None else world.start_of_parent[tspec.entry]
         cls = sc.class_named(tspec.class_name)
         velocity = rng.uniform(*cls.velocity_kmh) * KMH_TO_MS
-        pool = cls.strategies
-        strategy = pool[rng.integers(len(pool))] if len(pool) > 1 else pool[0]
+        strategy = cls.strategies[rng.integers(len(cls.strategies))]
         path = strategy.path(g, entry, rng)
         lengths = g.length[path]
         segments = np.column_stack([g.xy[g.tail[path]], g.xy[g.head[path]], lengths]).tolist()
@@ -257,7 +252,7 @@ def _spawn_targets(sc: ScenarioConfig, world: World, seed: int) -> list[_TargetS
     return out
 
 
-def _uniform_off_cells(overlay: GridOverlay, cells: set[int]) -> np.ndarray:
+def _uniform_off_cells(overlay: GridOverlay, cells: list[int]) -> np.ndarray:
     # Defensive recovery: the belief contradicted a certain detection, so all
     # information is discarded except "not in the searched cells".
     mass = np.where(overlay.edge_mask(cells), 0.0, 1.0)
@@ -331,7 +326,7 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
             if tg.active and tg.belief is not None:
                 tg.belief = propagate(tg.belief, world.models[tg.class_name])
         for uav in uavs:
-            searched = set(overlay.covered_cells(uav.pos[0], uav.pos[1], uav.spec.detect_radius))
+            searched = overlay.covered_cells(uav.pos[0], uav.pos[1], uav.spec.detect_radius)
             if not searched:
                 continue
             for tg in targets:

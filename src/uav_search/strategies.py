@@ -25,9 +25,10 @@ import numpy as np
 from .rng import Rng
 from .road_graph import RoadGraph, shortest_path, travel_to_goal
 
-# A walk that has traveled more than this multiple of the shortest route is
-# declared lost rather than sampled forever.
-MAX_LENGTH_FACTOR = 50.0
+# A walk longer than this multiple of its entry's shortest route is declared lost rather than
+# sampled forever. 200,000 beta = 0 walks spawned as trials spawn them on the bundled refined map
+# measured median 8.0, p99 44.3, max 124.5 (0.54% over 50, none over 200); 1,000 is far past them.
+MAX_LENGTH_FACTOR = 1000.0
 
 
 class UnreachableGoalError(ValueError):
@@ -88,10 +89,10 @@ class RandomWalkStrategy:
     At each junction the next edge is drawn with probability proportional to
     exp(-beta * delta), delta being the change in shortest travel-to-goal the
     hop causes. beta = 0 is a uniform walk; beta -> inf recovers the shortest
-    path. Walks exceeding MAX_LENGTH_FACTOR times the shortest route (or
-    reaching a dead end) raise WanderingError. Every edge's candidates and
-    their cumulative distribution are built at once per (strategy, goal set)
-    and kept on the graph, so a step is one uniform draw.
+    path. A walk longer than MAX_LENGTH_FACTOR (1,000) times its shortest
+    route is declared lost, as is one at a dead end: WanderingError. Every
+    edge's candidates and their cumulative distribution are built at once per
+    (strategy, goal set) and kept on the graph, so a step is one uniform draw.
     """
 
     beta: float
@@ -119,9 +120,7 @@ class RandomWalkStrategy:
         cur = entry
         while cur not in g.goal_union:
             if traveled > max_travel:
-                raise WanderingError(
-                    f"walk from entry {entry} exceeded {MAX_LENGTH_FACTOR:g}x the shortest route"
-                )
+                raise WanderingError(f"walk from entry {entry} exceeded {MAX_LENGTH_FACTOR:g}x the shortest route")
             if cur in raises:
                 raise WanderingError(f"walk from entry {entry} {raises[cur]} at edge {cur}")
             # The candidate `rng.choice(len(row), p=row_p)` draws, from one uniform.

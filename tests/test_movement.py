@@ -149,6 +149,15 @@ class TestTraceGeneration:
         starts = {int(trace[0]) for trace in traces}
         assert starts <= refined.entries
 
+    def test_uniform_walk_traces_every_pair(self, border_refined):
+        """At beta = 0, 6 runs per pair and seed 0, every (entry, goal) pair
+        gives its 6 walks: one of them is longer than 50 times its route,
+        short of the 1,000 the cap allows."""
+        refined, _ = border_refined
+        traces = traces_for_strategies(refined, [RandomWalkStrategy(0.0)], 20.0, (8.0, 12.0), 6, seed=0)
+        assert len(traces) == 10 * 7 * 6 == 420
+        assert all(int(trace[-1]) in refined.goal_union for trace in traces)
+
     def test_same_seed_same_traces(self, fork_graph):
         g = _refined(fork_graph)
         a = traces_for_strategies(g, [RouteStrategy()], 5.0, (8.0, 12.0), 2, seed=9)

@@ -528,6 +528,14 @@ class TestAssignGeneral:
     def test_zero_uavs(self):
         assert assign_general([_cb([1.0])], 0, 0.9) == set()
 
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, float("nan")])
+    def test_bad_p_refused_for_every_m(self, m, p):
+        """The detection-probability rule holds with no UAV to place too, as
+        in greedy_select and single_entry."""
+        with pytest.raises(ValueError, match=r"detect_prob: must be in \(0, 1\]"):
+            assign_general([_cb([0.6, 0.4])], m, p)
+
 
 @st.composite
 def _single_entry_instances(draw):

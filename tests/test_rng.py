@@ -1,6 +1,7 @@
 """Seeded streams against NumPy's own SeedSequence, PCG64 and Generator,
 and no command loading `numpy.random`."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -117,7 +118,8 @@ class TestDraws:
 
 def test_spawn_draws_entry_speed_strategy_goal(border_graph_path, border_model_path):
     """A spawned target is NumPy's stream drawn in this order: entry, speed,
-    strategy, then the strategy's goal and steps."""
+    strategy, then the strategy's goal and steps. From a pool of one the
+    strategy's pick is `integers(1)`, which draws nothing."""
     pool = [{"name": "shortest"}, {"name": "random_walk", "beta": 0.01}, {"name": "side_roads", "penalty": 1.5}]
     sc = scenario_from_dict({
         "graph": border_graph_path,
@@ -129,14 +131,17 @@ def test_spawn_draws_entry_speed_strategy_goal(border_graph_path, border_model_p
     }, base_dir=REPO_ROOT)
     world = build_world(sc)
     starts = list(world.start_of_parent.values())
-    strategies = sc.class_named("runner").strategies
-    for seed in (trial_seed(5, i) for i in range(8)):
-        for j, tg in enumerate(_spawn_targets(sc, world, seed)):
-            theirs = _numpy_rng(seed, (0, j))
-            entry = starts[int(theirs.integers(len(starts)))]
-            assert tg.velocity_ms == theirs.uniform(8.0, 12.0) * KMH_TO_MS
-            strategy = strategies[int(theirs.integers(len(strategies)))]
-            assert tg.path == strategy.path(world.refined, entry, theirs)
+    runner = sc.class_named("runner")
+    walk_only = dataclasses.replace(sc, classes=(dataclasses.replace(runner, strategies=runner.strategies[1:2]),))
+    for scenario in (sc, walk_only):
+        strategies = scenario.class_named("runner").strategies
+        for seed in (trial_seed(5, i) for i in range(8)):
+            for j, tg in enumerate(_spawn_targets(scenario, world, seed)):
+                theirs = _numpy_rng(seed, (0, j))
+                entry = starts[int(theirs.integers(len(starts)))]
+                assert tg.velocity_ms == theirs.uniform(8.0, 12.0) * KMH_TO_MS
+                strategy = strategies[int(theirs.integers(len(strategies)))]
+                assert tg.path == strategy.path(world.refined, entry, theirs)
 
 
 _GUARDED = "import sys; sys.modules['numpy.random'] = None; from uav_search.cli import main; sys.exit(main(sys.argv[1:]))"

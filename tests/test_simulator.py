@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 import uav_search.simulator as simulator
+import uav_search.strategies as strategies
 from uav_search.belief import cell_marginal, init_belief, propagate
 from uav_search.config import ConfigError, TargetSpec, UavSpec, apply_axis, load_scenario, scenario_from_dict
 from uav_search.planner import POLICIES
@@ -32,6 +33,7 @@ from uav_search.simulator import (
 )
 from uav_search.movement import save_model
 from uav_search.road_graph import RoadGraph
+from uav_search.strategies import RandomWalkStrategy, WanderingError, validate_path
 
 from oracles import head_start_loop, model_from_rows, model_rows, reference_trial
 
@@ -116,6 +118,21 @@ class TestSpawn:
         for seed in range(20):
             [tg] = _spawn_targets(sc, world, seed)
             assert tg.path[0] == world.start_of_parent[entry]
+
+    def test_uniform_walk_spawns_past_fifty_routes(self, border_scenario, border_world):
+        """Trial 11 of master seed 0 spawns a beta = 0 walk longer than 50
+        times its entry's shortest route: a cap of 50 refuses it, and the
+        measured cap spawns it as a walk to a goal edge."""
+        runner = dataclasses.replace(border_scenario.classes[0], strategies=(RandomWalkStrategy(0.0),))
+        sc = dataclasses.replace(border_scenario, classes=(runner,))
+        seed = trial_seed(0, 11)
+        with mock.patch.object(strategies, "MAX_LENGTH_FACTOR", 50.0):
+            with pytest.raises(WanderingError, match="exceeded 50x the shortest route"):
+                _spawn_targets(sc, border_world, seed)
+        targets = _spawn_targets(sc, border_world, seed)
+        assert len(targets) == len(sc.targets)
+        for tg in targets:
+            validate_path(border_world.refined, tg.path, tg.path[0])
 
 
 # 36 km/h, 10 m/s: 200 m in a 20 s tick.
