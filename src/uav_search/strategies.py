@@ -11,7 +11,8 @@ penalty 0, `shortest`. It routes with one `shortest_path` search per
 is kept on the graph. Which goal sets an entry reaches is read off the
 penalty-0 row. A random walk draws each step from a table built for every
 edge at once, one per (strategy, goal set), also kept on the graph; its
-steps lean on each edge's travel left, one backward `travel_to_goal` search.
+steps lean on each edge's travel left, one backward `travel_to_goal` search,
+and never take an edge from which the goal set is out of reach.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .road_graph import RoadGraph, shortest_path, travel_to_goal
 
 # A walk longer than this multiple of its entry's shortest route is declared lost rather than
 # sampled forever. 200,000 beta = 0 walks spawned as trials spawn them on the bundled refined map
-# measured median 8.0, p99 44.3, max 124.5 (0.54% over 50, none over 200); 1,000 is far past them.
+# measured median 34.1, p99 229, p99.99 500, max 766; past 200 the share over a length falls
+# about 4.5x per 100, so about one walk in ten million would pass 1,000.
 MAX_LENGTH_FACTOR = 1000.0
 
 
@@ -36,7 +38,7 @@ class UnreachableGoalError(ValueError):
 
 
 class WanderingError(RuntimeError):
-    """A stochastic walk exceeded the maximum path length (or dead-ended)."""
+    """A stochastic walk exceeded the maximum path length."""
 
 
 class InvalidPathError(ValueError):
@@ -88,9 +90,11 @@ class RandomWalkStrategy:
 
     At each junction the next edge is drawn with probability proportional to
     exp(-beta * delta), delta being the change in shortest travel-to-goal the
-    hop causes. beta = 0 is a uniform walk; beta -> inf recovers the shortest
-    path. A walk longer than MAX_LENGTH_FACTOR (1,000) times its shortest
-    route is declared lost, as is one at a dead end: WanderingError. Every
+    hop causes; an edge from which the goal set is out of reach weighs 0, its
+    limit as beta -> 0+. So beta = 0 is uniform over the edges that still
+    reach the drawn goal set, no walk from a live entry dead-ends, and beta ->
+    inf recovers the shortest path. A walk longer than MAX_LENGTH_FACTOR
+    (1,000) times its shortest route is declared lost: WanderingError. Every
     edge's candidates and their cumulative distribution are built at once per
     (strategy, goal set) and kept on the graph, so a step is one uniform draw.
     """
@@ -108,7 +112,7 @@ class RandomWalkStrategy:
         table = g._walk_steps.get((self, gi))
         if table is None:
             table = g._walk_steps[self, gi] = self._table(g, g.goals[gi])
-        cands, cdf, starts, raises, togo = table
+        cands, cdf, starts, togo = table
         base = float(togo[entry]) if 0 <= entry < len(togo) else math.inf
         if base == math.inf:
             raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
@@ -121,8 +125,6 @@ class RandomWalkStrategy:
         while cur not in g.goal_union:
             if traveled > max_travel:
                 raise WanderingError(f"walk from entry {entry} exceeded {MAX_LENGTH_FACTOR:g}x the shortest route")
-            if cur in raises:
-                raise WanderingError(f"walk from entry {entry} {raises[cur]} at edge {cur}")
             # The candidate `rng.choice(len(row), p=row_p)` draws, from one uniform.
             cur = cands[bisect.bisect_right(cdf, rng.random(), starts[cur], starts[cur + 1])]
             path.append(cur)
@@ -132,13 +134,14 @@ class RandomWalkStrategy:
     def _table(self, g: RoadGraph, goal_set: frozenset[int]) -> tuple:
         """Every edge's step on a walk to `goal_set`, flat: the candidates
         (`g._next` of each edge in turn), their cumulative distribution
-        `Generator.choice` draws from, each edge's first position in both,
-        `{edge: why}` for the edges whose step raises, and each edge's travel
-        left once taken (`travel_to_goal`). The distribution and the first
-        positions are packed `array('d')` and `array('q')`, which `bisect`
-        reads as it reads lists, at 8 bytes a value. Rows of one out-degree are
-        computed together, each as the arrays of its step alone: padded to a
-        wider row, a row's sum adds in another order."""
+        `Generator.choice` draws from, each edge's first position in both, and
+        each edge's travel left once taken (`travel_to_goal`). A candidate
+        with infinite travel left weighs 0; a row with no finite candidate,
+        which no walk from a live entry reaches, stays all 0. The distribution
+        and the first positions are packed `array('d')` and `array('q')`,
+        which `bisect` reads as it reads lists, at 8 bytes a value. Rows of
+        one out-degree are computed together, each as the arrays of its step
+        alone: padded to a wider row, a row's sum adds in another order."""
         # Imported here: loading its shared library costs every command that
         # builds no walk table about 0.07 MB of peak RSS.
         from array import array
@@ -147,24 +150,19 @@ class RandomWalkStrategy:
         cands = [e for row in g._next for e in row]
         degree = np.array([len(row) for row in g._next], dtype=np.intp)
         starts = np.concatenate(([0], np.cumsum(degree)))
-        raises = dict.fromkeys(np.flatnonzero(degree == 0).tolist(), "dead-ended")
         cand_togo = togo[np.asarray(cands, dtype=np.intp)]
         cdf = np.zeros(len(cands))
         for d in set(degree.tolist()) - {0}:  # rows are independent: any order
-            rows = np.flatnonzero(degree == d)
-            at = starts[rows, None] + np.arange(d)
+            at = starts[np.flatnonzero(degree == d), None] + np.arange(d)
             t = cand_togo[at]
-            if self.beta == 0.0:
-                w = np.ones(t.shape)
-            else:
-                low = t.min(axis=1)  # the least finite travel-to-go, inf when none is
-                lost = low == math.inf
-                raises.update(dict.fromkeys(rows[lost].tolist(), "lost all routes"))
-                at, t, low = at[~lost], t[~lost], low[~lost]
-                w = np.exp(-self.beta * (t - low[:, None]))
+            live = t.min(axis=1) < math.inf  # a row with no finite candidate stays 0
+            at, t = at[live], t[live]
+            reach = t < math.inf
+            w = np.zeros(t.shape)
+            w[reach] = np.exp(-self.beta * (t - t.min(axis=1)[:, None])[reach])
             c = np.cumsum(w / w.sum(axis=1)[:, None], axis=1)
             cdf[at] = c / c[:, -1:]
-        return cands, array("d", cdf.tobytes()), array("q", starts.astype(np.int64).tobytes()), raises, togo
+        return cands, array("d", cdf.tobytes()), array("q", starts.astype(np.int64).tobytes()), togo
 
 
 @dataclass(frozen=True)

@@ -390,28 +390,21 @@ def choice_cdf(p: np.ndarray) -> list[float]:
     return cdf.tolist()
 
 
-def walk_step(beta: float, g: RoadGraph, gi: int, cur: int, entry: int) -> tuple[list[int], np.ndarray]:
-    """The candidates after edge `cur` on a walk from `entry` to goal set
-    `gi`, and the probabilities `rng.choice` draws them with. A dead end, or
-    at beta > 0 a step with no finite route left, raises the walk's
-    WanderingError."""
+def walk_step(beta: float, g: RoadGraph, gi: int, cur: int) -> tuple[list[int], np.ndarray]:
+    """The candidates after edge `cur` on a walk to goal set `gi`, and the
+    probabilities `rng.choice` draws them with: exp(-beta * (travel left -
+    its least finite value)) for a candidate with a finite route left, 0 for
+    one without. A row with no finite candidate is all 0."""
     cands = g._next[cur]
-    if not cands:
-        raise WanderingError(f"walk from entry {entry} dead-ended at edge {cur}")
     goal_set = g.goals[gi]
     dmap = _distance_map(g, goal_set)
     togo = np.array([travel_to_go(g.length, e, goal_set, dmap) for e in cands])
-    if beta == 0.0:
-        weights = np.ones(len(cands))
-    else:
-        finite = togo[np.isfinite(togo)]
-        if finite.size == 0:
-            raise WanderingError(f"walk from entry {entry} lost all routes at edge {cur}")
-        weights = np.exp(-beta * (togo - finite.min()))
-    total = weights.sum()
-    if total <= 0:
-        raise WanderingError(f"walk from entry {entry} lost all routes at edge {cur}")
-    return list(cands), weights / total
+    weights = np.zeros(len(cands))
+    finite = np.isfinite(togo)
+    if finite.any():
+        weights[finite] = np.exp(-beta * (togo[finite] - togo[finite].min()))
+        weights /= weights.sum()
+    return list(cands), weights
 
 
 def choice_walk(beta: float, g: RoadGraph, entry: int, gi: int, rng: np.random.Generator) -> list[int]:
@@ -426,7 +419,7 @@ def choice_walk(beta: float, g: RoadGraph, entry: int, gi: int, rng: np.random.G
     while cur not in g.goal_union:
         if traveled > MAX_LENGTH_FACTOR * base:
             raise WanderingError(f"walk from entry {entry} exceeded {MAX_LENGTH_FACTOR:g}x the shortest route")
-        cands, p = walk_step(beta, g, gi, cur, entry)
+        cands, p = walk_step(beta, g, gi, cur)
         cur = cands[int(rng.choice(len(cands), p=p))]
         path.append(cur)
         traveled += length[cur]

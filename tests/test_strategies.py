@@ -1,15 +1,16 @@
 """Route strategies, path validation, and strategy pool management."""
 
 import bisect
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uav_search import strategies as strategies_module
-from uav_search.road_graph import RoadGraph, overlay_grid, shortest_path
+from uav_search.road_graph import RoadGraph, overlay_grid, shortest_path, travel_to_goal
 from uav_search.simulator import run_batch
 from uav_search.strategies import (
     InvalidPathError,
@@ -114,11 +115,25 @@ class TestShortestPath:
 
 
 class TestRandomWalk:
-    def test_uniform_walk_splits_even(self, fork_graph):
+    def test_uniform_walk_reaches_its_drawn_goal(self, fork_graph):
+        """At the junction one branch reaches goal set 0 and the other only
+        goal set 1: a beta = 0 walk to goal set 0 never takes the other."""
         s = RandomWalkStrategy(beta=0.0)
-        ends = [s.path(fork_graph, 0, np.random.default_rng(seed), goal_index=0)[-1] for seed in range(1000)]
-        count_left = sum(1 for e in ends if e == 3)
-        assert 450 <= count_left <= 550
+        for seed in range(1000):
+            assert s.path(fork_graph, 0, np.random.default_rng(seed), goal_index=0) == [0, 1, 3]
+
+    def test_uniform_split_over_branches_reaching_the_goal(self):
+        # e1 (short) and e2 (long) both reach goal e4; e3 reaches only the other goal set, e6
+        g = _graph(
+            [(0, 0), (100, 0), (200, 0), (100, 100), (100, -100), (300, 0), (100, -200)],
+            [(0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 2), (4, 6)],
+            entries={0},
+            goals=[{4}, {6}],
+        )
+        s = RandomWalkStrategy(beta=0.0)
+        paths = [s.path(g, 0, np.random.default_rng(seed), goal_index=0) for seed in range(1000)]
+        assert all(path[-1] == 4 for path in paths)
+        assert 450 <= sum(1 for path in paths if path[1] == 1) <= 550
 
     def test_high_beta_recovers_shortest(self, detour_graph):
         s = RandomWalkStrategy(beta=1e6)
@@ -132,8 +147,8 @@ class TestRandomWalk:
             assert path[-1] == 4
             validate_path(detour_graph, path, 0)
 
-    def test_dead_end_raises(self):
-        # candidate edge 1 leads nowhere; picking it strands the walk
+    def test_uniform_walk_never_dead_ends(self):
+        # candidate edge 1 leads nowhere, so no walk takes it
         g = _graph(
             [(0, 0), (100, 0), (100, 100), (200, 0), (300, 0)],
             [(0, 1), (1, 2), (1, 3), (3, 4)],
@@ -141,24 +156,20 @@ class TestRandomWalk:
             goals=[{3}],
         )
         s = RandomWalkStrategy(beta=0.0)
-        outcomes = {"ok": 0, "dead": 0}
         for seed in range(200):
-            try:
-                s.path(g, 0, np.random.default_rng(seed))
-                outcomes["ok"] += 1
-            except WanderingError as err:
-                assert "dead-ended" in str(err)
-                outcomes["dead"] += 1
-        assert outcomes["ok"] > 0 and outcomes["dead"] > 0
+            assert s.path(g, 0, np.random.default_rng(seed)) == [0, 2, 3]
 
-    def test_endless_wandering_raises(self):
-        # a closed cycle with no way out: entering it forces the length cap
+    def test_cycle_reaching_the_goal_raises_only_the_cap(self, monkeypatch):
+        """From junction v1 a walk leaves for goal e1 or loops e2-e3-e4 back
+        to v1; spur e5 dead-ends. With the cap at one route, a walk that
+        loops is declared lost, and none takes the spur."""
         g = _graph(
-            [(0, 0), (100, 0), (200, 0), (100, 100), (200, 100), (150, 200)],
-            [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (5, 3)],
+            [(0, 0), (100, 0), (200, 0), (100, 100), (0, 100), (100, -100)],
+            [(0, 1), (1, 2), (1, 3), (3, 4), (4, 1), (1, 5)],
             entries={0},
             goals=[{1}],
         )
+        monkeypatch.setattr(strategies_module, "MAX_LENGTH_FACTOR", 1.0)
         s = RandomWalkStrategy(beta=0.0)
         outcomes = {"ok": 0, "lost": 0}
         for seed in range(40):
@@ -167,7 +178,7 @@ class TestRandomWalk:
                 assert path == [0, 1]
                 outcomes["ok"] += 1
             except WanderingError as err:
-                assert "exceeded" in str(err)
+                assert str(err) == "walk from entry 0 exceeded 1x the shortest route"
                 outcomes["lost"] += 1
         assert outcomes["ok"] > 0 and outcomes["lost"] > 0
 
@@ -239,19 +250,19 @@ class TestCachedWalkSteps:
 
     def test_steps_cached_per_strategy_and_goal_set(self, fork_graph):
         """One flat table per (strategy, goal set): every edge's candidates,
-        their CDF, each edge's first position, the edges whose step raises,
-        here the two dead-end goal edges, and each edge's travel left. The
+        their CDF, each edge's first position and each edge's travel left.
+        At beta = 0 the entry's candidate that cannot reach goal set 1 weighs
+        0, and that candidate's own row, with no route left, stays 0. The
         CDF and the first positions are packed arrays of doubles and 64-bit
         ints, equal to the lists element by element."""
         s = RandomWalkStrategy(beta=0.0)
         s.path(fork_graph, 0, np.random.default_rng(0), goal_index=1)
         assert list(fork_graph._walk_steps) == [(s, 1)]
-        cands, cdf, starts, raises, togo = fork_graph._walk_steps[s, 1]
+        cands, cdf, starts, togo = fork_graph._walk_steps[s, 1]
         assert cands == [1, 2, 3, 4]
         assert (cdf.typecode, starts.typecode) == ("d", "q")
-        assert list(cdf) == [0.5, 1.0, 1.0, 1.0]
+        assert list(cdf) == [0.0, 1.0, 0.0, 1.0]
         assert list(starts) == [0, 2, 3, 4, 4, 4]
-        assert raises == {3: "dead-ended", 4: "dead-ended"}
         assert togo.tolist() == [100.0 + 100.0, float("inf"), 100.0, float("inf"), 0.0]
 
 
@@ -291,12 +302,13 @@ class TestWalkTables:
     @staticmethod
     def _check(g, beta, seeds):
         """Building a table raises nothing and warns nothing. Each row equals
-        the oracle's step, candidates and CDF bit for bit, and holds the
-        oracle's refusal for an edge it refuses; a walk raises that refusal,
-        with the same message, only on reaching the edge."""
+        the oracle's step, candidates and CDF bit for bit, and a row the
+        oracle weighs all 0 is all 0. A walk equals the oracle's walk, and
+        one from an entry that reaches its goal set visits no edge with
+        infinite travel-to-goal."""
         s = RandomWalkStrategy(beta)
         for gi, goal_set in enumerate(g.goals):
-            cands, cdf, starts, raises, togo = s._table(g, goal_set)
+            cands, cdf, starts, togo = s._table(g, goal_set)
             assert (cdf.typecode, starts.typecode) == ("d", "q")
             assert list(starts) == np.concatenate(([0], np.cumsum([len(row) for row in g._next]))).tolist()
             dmap = goal_distance_map(g, goal_set)
@@ -304,14 +316,9 @@ class TestWalkTables:
             assert togo.tobytes() == np.array(want, dtype=np.float64).tobytes()
             for e in range(g.n_edges):
                 row = slice(starts[e], starts[e + 1])
-                try:
-                    want_cands, p = walk_step(beta, g, gi, e, "E")
-                except WanderingError as err:
-                    assert str(err) == f"walk from entry E {raises[e]} at edge {e}"
-                    continue
-                assert e not in raises
+                want_cands, p = walk_step(beta, g, gi, e)
                 assert cands[row] == want_cands
-                want_cdf = choice_cdf(p)
+                want_cdf = choice_cdf(p) if p.any() else p.tolist()
                 assert len(cdf[row]) == len(want_cdf)
                 for ours, want in zip(cdf[row], want_cdf):
                     assert np.float64(ours).tobytes() == np.float64(want).tobytes()
@@ -324,6 +331,8 @@ class TestWalkTables:
                             choice_walk(beta, g, entry, gi, np.random.default_rng(seed))
                         continue
                     assert ours == _walk_result(lambda rng: choice_walk(beta, g, entry, gi, rng), seed)
+                    if isinstance(ours[0], list):
+                        assert all(togo[e] < math.inf for e in ours[0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None)
@@ -336,6 +345,25 @@ class TestWalkTables:
     def test_bundled_rows_equal_the_per_edge_oracle(self, border_refined, beta):
         g, _ = border_refined
         self._check(g, beta, [0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=_walk_graphs(), beta=st.sampled_from(TABLE_BETAS), seed=st.integers(0, 2**32 - 1))
+    @example(g=_graph([(0, 0), (100, 0), (100, 100), (200, 0), (300, 0)], [(0, 1), (1, 2), (1, 3), (3, 4)],
+                      entries={0}, goals=[{3}]), beta=0.0, seed=0)  # edge 1 is a dead end beside the route
+    def test_live_walks_raise_only_the_cap(self, g, beta, seed):
+        """At every beta a walk from an entry that reaches its goal set is a
+        valid path or, past the cap, WanderingError: never a dead end."""
+        rng = np.random.default_rng(seed)
+        for gi, goal_set in enumerate(g.goals):
+            togo = travel_to_goal(g, goal_set)
+            for entry in sorted(e for e in g.entries if togo[e] < math.inf):
+                for _ in range(10):
+                    try:
+                        path = RandomWalkStrategy(beta).path(g, entry, rng, goal_index=gi)
+                    except WanderingError as err:
+                        assert "exceeded" in str(err)
+                    else:
+                        validate_path(g, path, entry)
 
 
 class TestSideRoads:
