@@ -23,6 +23,7 @@ from .planner import THRESHOLD_POLICY
 from .rng import trial_seed
 from .road_graph import GraphFormatError, GridSizeError, dead_entries, load_graph, overlay_grid, plain_number
 from .simulator import BatchStats, TrialResult, build_world, run_batch
+from .strategies import check_route_weights
 
 DEFAULT_TRIALS = 100
 GRID_CSV = "threshold_grid.csv"
@@ -156,6 +157,7 @@ def cmd_compile_model(args) -> int:
     graph = load_graph(args.graph)
     refined, _ = _from("--radius", overlay_grid, graph, args.radius)
     strategies = _parse_strategies(args.strategies)
+    check_route_weights(refined, strategies, "--strategies", ConfigError)
     velocity = _parse_range(args.velocity)
     # A model moves at most one hop per tick, so no tick may pass a whole edge.
     step = velocity[1] * KMH_TO_MS * args.tick

@@ -108,6 +108,8 @@ class ScenarioConfig:
                 raise ConfigError(f"targets[{i}].class: unknown class {t.class_name!r} (known: {sorted(known)})")
         if not self.delay_km >= 0:
             raise ConfigError(f"delay_km: must be >= 0.0, got {self.delay_km}")
+        if self.delay_km == math.inf:
+            raise ConfigError(f"delay_km: must be finite, got {self.delay_km}")
         _check_positive("tick_seconds", self.tick_seconds)
         if self.max_ticks < 1:
             raise ConfigError(f"max_ticks: must be >= 1, got {self.max_ticks}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .rng import Rng, trial_seed
 from .road_graph import RoadGraph, plain_number, read_lines
-from .strategies import UnreachableGoalError, validate_path
+from .strategies import UnreachableGoalError
 
 DEFAULT_SMOOTHING = 0.01
 
@@ -149,10 +149,9 @@ def traces_for_strategies(
     deterministic sub-seed, `runs_per_pair` traces for every (entry, goal) pair.
 
     Velocity is drawn uniformly from `velocity_range_kmh` per run. Pairs a
-    strategy reports as unreachable are skipped. Paths are validated before
-    sampling; a disconnected hop raises InvalidPathError. A path that repeats
-    the pair's previous one, as a deterministic strategy's does every run,
-    is validated and made ready for sampling once.
+    strategy reports as unreachable are skipped. A path is used as returned,
+    as trials use it, and one that repeats the pair's previous path, as a
+    deterministic strategy's does every run, is made ready for sampling once.
     """
     if not strategies:
         raise ValueError("need at least one strategy")
@@ -171,7 +170,6 @@ def traces_for_strategies(
                 except UnreachableGoalError:
                     break  # pair unreachable for every run
                 if path != last:
-                    validate_path(g, path, entry)
                     last, route = path, _route(g, path)
                 traces.append(sample_trace(g, route, v_ms, tick))
     return traces

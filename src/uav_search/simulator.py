@@ -36,6 +36,7 @@ from .movement import KMH_TO_MS, TransitionModel, load_model, validate_stochasti
 from .planner import match_uavs_to_cells, select_cells
 from .rng import Rng, trial_seed
 from .road_graph import GridOverlay, RoadGraph, dead_entries, load_graph, overlay_grid
+from .strategies import check_route_weights
 
 # 95% normal quantile for Wilson intervals.
 WILSON_Z = 1.959963984540054
@@ -134,17 +135,20 @@ class World:
 
 
 def _world_key(scenario: ScenarioConfig) -> tuple:
-    """All that `build_world` reads of a scenario, besides the target entries
-    it checks: the graph, the grid radius, the tick and the (name, model path)
-    of each class the targets use, in file order, the order models load in."""
+    """All that `build_world` reads of a scenario, besides what `_check_scenario`
+    checks: the graph, the grid radius, the tick and the (name, model path) of
+    each class the targets use, in file order, the order models load in."""
     used = {t.class_name for t in scenario.targets}
     models = tuple((c.name, c.model_path) for c in scenario.classes if c.name in used)
     return scenario.graph_path, scenario.team_min_radius(), scenario.tick_seconds, models
 
 
-def _check_entries(scenario: ScenarioConfig, world: World) -> None:
+def _check_scenario(scenario: ScenarioConfig, world: World) -> None:
     """Refuse a target that may enter on an edge outside the graph's entries
-    or on one that reaches no goal set: its fixed `entry`, or else any entry."""
+    or on one that reaches no goal set: its fixed `entry`, or else any entry;
+    and class strategies that break `check_route_weights` on the world's graph."""
+    for c in scenario.classes:
+        check_route_weights(world.refined, c.strategies, f"classes.{c.name}.strategies", ConfigError)
     for i, t in enumerate(scenario.targets):
         if t.entry is None:
             if world.dead_entries:
@@ -187,7 +191,7 @@ def build_world(scenario: ScenarioConfig) -> World:
         models[name] = model
 
     world = World(refined, overlay, start_of_parent, dead_entries(graph), models)
-    _check_entries(scenario, world)
+    _check_scenario(scenario, world)
     return world
 
 
@@ -416,7 +420,7 @@ def run_batch(
     for scenario, _ in points:
         key = _world_key(scenario)
         if key in worlds:
-            _check_entries(scenario, worlds[key])
+            _check_scenario(scenario, worlds[key])
         else:
             worlds[key] = build_world(scenario)
         bound.append((scenario, worlds[key]))

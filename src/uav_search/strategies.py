@@ -1,9 +1,12 @@
 """Target movement strategies: how a road-bound target picks its route.
 
-Each strategy turns (graph, entry edge, rng) into a full edge path that ends
-on a goal edge. Strategies are the ground truth behind both simulated targets
-and the offline traces that transition models are compiled from. A registry
-maps config names to constructors.
+Each strategy turns (graph, entry edge, rng) into a full edge path, the
+ground truth behind both simulated targets and the offline traces models are
+compiled from; both use it as returned. A path starts at its entry, takes
+only road successors and stops at its first goal edge: a walk starts as
+`[entry]` and stops on entering `goal_union`, and `_truncate_at_goal` cuts a
+route. The tests hold every strategy to this with `validate_path` in
+`tests/oracles.py`. A registry maps names to constructors.
 
 The deterministic strategy, `RouteStrategy`, is `side_roads` and, at
 penalty 0, `shortest`. It routes with one `shortest_path` search per
@@ -39,27 +42,6 @@ class UnreachableGoalError(ValueError):
 
 class WanderingError(RuntimeError):
     """A stochastic walk exceeded the maximum path length."""
-
-
-class InvalidPathError(ValueError):
-    """A produced path is not a connected walk ending on a goal edge."""
-
-
-def validate_path(g: RoadGraph, path: list[int], entry: int) -> None:
-    """Check a strategy path: connected, starts at `entry`, ends on the first
-    goal edge it touches. Raises InvalidPathError naming the offending hop."""
-    if not path:
-        raise InvalidPathError("empty path")
-    if path[0] != entry:
-        raise InvalidPathError(f"path starts at edge {path[0]}, expected entry {entry}")
-    for a, b in zip(path, path[1:]):
-        if b not in g._next[a]:
-            raise InvalidPathError(f"disconnected hop {a} -> {b}")
-    if path[-1] not in g.goal_union:
-        raise InvalidPathError(f"path ends on non-goal edge {path[-1]}")
-    for eid in path[:-1]:
-        if eid in g.goal_union:
-            raise InvalidPathError(f"goal edge {eid} appears before the end of the path")
 
 
 def _truncate_at_goal(g: RoadGraph, path: list[int]) -> list[int]:
@@ -231,3 +213,14 @@ def make_strategy(name: str, params: dict | None = None) -> Strategy:
     if missing:
         raise ValueError(f"strategy {name!r} missing parameters {sorted(missing)}")
     return cls(**{k: float(v) for k, v in params.items()})
+
+
+def check_route_weights(g: RoadGraph, strategies: list[Strategy] | tuple[Strategy, ...], label: str, error=ValueError):
+    """The rule for route strategies on `g`: their edge weights sum to a finite
+    number, as a route whose weight overflows reads as unreachable. A refusal
+    raises `error`, its message starting with `label[i]`."""
+    for i, s in enumerate(strategies):
+        with np.errstate(over="ignore"):
+            if isinstance(s, RouteStrategy) and not s._weight(g).sum() < math.inf:
+                raise error(f"{label}[{i}]: penalty {s.penalty:g} overflows this map's route weights: "
+                            "their sum must be finite")

@@ -9,6 +9,10 @@ must equal it on the targets' mean belief.
 train / test halves that the unknown-behavior experiments draw from.
 `model_from_rows` and `model_rows` convert a movement model to and from the
 `{src: ((dst, prob), ...)}` form the model tests write out by hand.
+`validate_path` is the strategy path contract: a path starts at its entry,
+takes only road successors and ends on the first goal edge it touches, else
+it raises `InvalidPathError` naming the fault. Training and trials use a
+strategy's path unchecked, so the strategy tests hold every strategy to it.
 `trace_loop`, `count_compile`, `dict_shortest_path` and `choice_walk` are
 the tick-by-tick trace sampler, the dict-counting model compiler, the
 dict-based Dijkstra into one goal set and the random walk drawing each step
@@ -162,6 +166,27 @@ def model_rows(model: TransitionModel) -> dict[int, tuple[tuple[int, float], ...
     for src, dst, p in zip(model.src.tolist(), model.dst.tolist(), model.prob.tolist()):
         rows.setdefault(src, []).append((dst, p))
     return {src: tuple(row) for src, row in rows.items()}
+
+
+class InvalidPathError(ValueError):
+    """A produced path is not a connected walk ending on a goal edge."""
+
+
+def validate_path(g: RoadGraph, path: list[int], entry: int) -> None:
+    """Check a strategy path: connected, starts at `entry`, ends on the first
+    goal edge it touches. Raises InvalidPathError naming the offending hop."""
+    if not path:
+        raise InvalidPathError("empty path")
+    if path[0] != entry:
+        raise InvalidPathError(f"path starts at edge {path[0]}, expected entry {entry}")
+    for a, b in zip(path, path[1:]):
+        if b not in g._next[a]:
+            raise InvalidPathError(f"disconnected hop {a} -> {b}")
+    if path[-1] not in g.goal_union:
+        raise InvalidPathError(f"path ends on non-goal edge {path[-1]}")
+    for eid in path[:-1]:
+        if eid in g.goal_union:
+            raise InvalidPathError(f"goal edge {eid} appears before the end of the path")
 
 
 def trace_loop(g: RoadGraph, path: list[int], velocity_ms: float, tick: float) -> list[int]:

@@ -254,6 +254,32 @@ class TestCompileModel:
         assert sampled == [] and not out.exists()
         assert "argument --target-class: must be one word, without whitespace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("penalty", ["1e305", "1e308"])
+    def test_overflowing_penalty_exits_1_before_sampling(self, tmp_path, capsys, monkeypatch, penalty):
+        """A side_roads penalty whose route weights on the map sum past the
+        largest float is refused, naming the flag item, before any trace. At
+        1e305 every route used to read as unreachable, so the strategy
+        trained on nothing without a word; at 1e308 numpy warned of overflow."""
+        sampled = []
+        monkeypatch.setattr("uav_search.cli.traces_for_strategies", lambda *a: sampled.append(a))
+        assert main(["compile-model", os.path.join(REPO_ROOT, "maps", "border.graph"),
+                     "--strategies", f"shortest,side_roads:penalty={penalty}", "--radius", "500", "--tick", "20",
+                     "--velocity", "8:12", "--runs-per-pair", "1", "--out", str(tmp_path / "big.model")]) == 1
+        assert sampled == []
+        assert capsys.readouterr().err == (
+            f"error: --strategies[1]: penalty {float(penalty):g} overflows this map's route weights: "
+            "their sum must be finite\n")
+
+    @pytest.mark.parametrize("penalty", ["1.5", "1e300"])
+    def test_large_finite_penalty_trains(self, tmp_path, capsys, penalty):
+        """Below the overflow, side_roads trains on every pair: 70 traces
+        beside shortest's 70 on the bundled map, with nothing on stderr."""
+        assert main(["compile-model", os.path.join(REPO_ROOT, "maps", "border.graph"),
+                     "--strategies", f"shortest,side_roads:penalty={penalty}", "--radius", "500", "--tick", "20",
+                     "--velocity", "8:12", "--runs-per-pair", "1", "--out", str(tmp_path / "side.model")]) == 0
+        out, err = capsys.readouterr()
+        assert out.endswith("from 140 traces\n") and err == ""
+
     def test_dead_entry_warns_and_exits_0(self, work, tmp_path, capsys, dead_entry_scenario):
         """A map whose entry edge 2 reaches no goal set compiles, as a model
         for targets with a fixed live entry, with one warning on stderr that
@@ -373,6 +399,13 @@ class TestRun:
         assert main(["run", str(work / "infinite.yaml"), "--trials", "2"]) == 1
         err = capsys.readouterr().err
         assert f"{work / 'infinite.yaml'}: uavs[0].{field}: must be finite, got inf" in err, err
+
+    def test_infinite_delay_exits_1(self, tmp_path, capsys):
+        """An infinite head start used to load, and the team never flew:
+        border.yaml at `delay_km: .inf` ran every trial and won none."""
+        path = _scenario_copy(tmp_path, delay_km=math.inf)
+        assert main(["run", path, "--trials", "3"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: delay_km: must be finite, got inf\n"
 
     def test_infinite_grid_radius_without_uavs_exits_1(self, work, capsys):
         """It used to exit 2 when the grid was built: cannot convert float NaN to integer."""
@@ -773,6 +806,7 @@ class TestBadAxisValues:
             ({"threshold": [0.2, -0.1]}, ["axes.threshold", "threshold: must be >= 0.0"]),
             ({"n_uavs": [1, 0]}, ["axes.n_uavs", "grid_radius: required"]),
             ({"delay_km": [0.0, -5.0]}, ["axes.delay_km", "delay_km: must be >= 0.0"]),
+            ({"delay_km": [0.0, math.inf]}, ["axes.delay_km", "delay_km: must be finite, got inf"]),
         ],
     )
     def test_sweep(self, tmp_path, capsys, no_batches, axes, needles):
@@ -1185,6 +1219,23 @@ class TestBuildErrorsNameTheirSource:
         err = capsys.readouterr().err
         assert err == (f"error: {path}: targets[0]: entry edge 2 reaches no goal set, "
                        "and a target without a fixed entry may enter on any entry edge\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["run", "--trials", "1"], ["dump-belief", "--ticks", "1"]])
+    def test_overflowing_penalty_names_the_scenario(self, tmp_path, capsys, command):
+        """A runner class whose side_roads penalty overflows its route
+        weights exits 1 before any trial, naming the scenario and the
+        strategy; `run` once exited 2 mid-trial on an unreachable goal set."""
+        with open(BORDER_YAML) as fh:
+            classes = yaml.safe_load(fh)["classes"]
+        classes["runner"].update(model=os.path.join(REPO_ROOT, "models", "border_shortest.model"),
+                                 strategies=[{"name": "shortest"}, {"name": "side_roads", "penalty": 1e305}])
+        path = _scenario_copy(tmp_path, classes=classes)
+        out = tmp_path / "out.csv"
+        assert main([command[0], path, *command[1:], "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: classes.runner.strategies[1]: penalty 1e+305 overflows this map's route weights: "
+            "their sum must be finite\n")
         assert not out.exists()
 
     def test_bad_base_entry_names_the_sweep(self, tmp_path, capsys):

@@ -30,7 +30,7 @@ from uav_search.movement import (
 from uav_search.road_graph import RoadGraph, overlay_grid
 from uav_search.strategies import RandomWalkStrategy, RouteStrategy, WanderingError, make_strategy
 
-from oracles import count_compile, model_from_rows, model_rows, trace_loop
+from oracles import count_compile, model_from_rows, model_rows, trace_loop, validate_path
 
 
 def _edge_lists(traces):
@@ -158,6 +158,27 @@ class TestTraceGeneration:
         traces = traces_for_strategies(refined, [RandomWalkStrategy(0.0)], 20.0, (8.0, 12.0), 6, seed=0)
         assert len(traces) == 10 * 7 * 6 == 420
         assert all(int(trace[-1]) in refined.goals[k // 6 % 7] for k, trace in enumerate(traces))
+
+    def test_training_paths_keep_the_path_contract(self, border_refined, monkeypatch):
+        """Training samples a strategy's path as returned, as trials do. Every
+        path that the `compile` benchmark's three strategies and a beta = 0
+        walk return on the bundled refined map, 2 runs per pair, passes the
+        oracle `validate_path`."""
+        refined, _ = border_refined
+        checked = []
+        for cls in (RouteStrategy, RandomWalkStrategy):
+            def checking(self, g, entry, rng, goal_index=None, _path=cls.path):
+                path = _path(self, g, entry, rng, goal_index)
+                validate_path(g, path, entry)
+                checked.append(path[-1] in g.goals[goal_index])
+                return path
+            monkeypatch.setattr(cls, "path", checking)
+        specs = [("shortest", {}), ("random_walk", {"beta": 0.01}), ("side_roads", {"penalty": 1.5}),
+                 ("random_walk", {"beta": 0.0})]
+        strategies = [make_strategy(name, params) for name, params in specs]
+        traces = traces_for_strategies(refined, strategies, 20.0, (8.0, 12.0), 2, seed=3)
+        assert len(traces) == len(checked) == 4 * 10 * 7 * 2
+        assert all(checked)
 
     def test_same_seed_same_traces(self, fork_graph):
         g = _refined(fork_graph)

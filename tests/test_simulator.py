@@ -33,9 +33,9 @@ from uav_search.simulator import (
 )
 from uav_search.movement import save_model
 from uav_search.road_graph import RoadGraph
-from uav_search.strategies import RandomWalkStrategy, WanderingError, validate_path
+from uav_search.strategies import RandomWalkStrategy, WanderingError
 
-from oracles import head_start_loop, model_from_rows, model_rows, reference_trial
+from oracles import head_start_loop, model_from_rows, model_rows, reference_trial, validate_path
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -12,17 +12,19 @@ from hypothesis import strategies as st
 from uav_search import strategies as strategies_module
 from uav_search.road_graph import RoadGraph, overlay_grid, shortest_path, travel_to_goal
 from uav_search.simulator import run_batch
-from uav_search.strategies import (
-    InvalidPathError,
-    RandomWalkStrategy,
-    RouteStrategy,
-    UnreachableGoalError,
-    WanderingError,
-    make_strategy,
-    validate_path,
-)
+from uav_search.strategies import RandomWalkStrategy, RouteStrategy, UnreachableGoalError, WanderingError, make_strategy
 
-from oracles import choice_cdf, choice_walk, default_pool, goal_distance_map, split_pool, travel_to_go, walk_step
+from oracles import (
+    InvalidPathError,
+    choice_cdf,
+    choice_walk,
+    default_pool,
+    goal_distance_map,
+    split_pool,
+    travel_to_go,
+    validate_path,
+    walk_step,
+)
 
 
 def _graph(coords, edge_pairs, entries=(), goals=()):
