@@ -535,13 +535,13 @@ class TestRecordsCheckTheirFields:
         "field,value,needle",
         [
             ("delay_km", -1.0, r"delay_km: must be >= 0.0, got -1.0"),
-            ("delay_km", math.inf, r"delay_km: must be finite, got inf"),
             ("tick_seconds", 0.0, r"tick_seconds: must be positive, got 0.0"),
             ("max_ticks", 0, r"max_ticks: must be >= 1, got 0"),
             ("grid_radius", 0.0, r"grid_radius: must be positive, got 0.0"),
             ("grid_radius", math.inf, r"grid_radius: must be finite, got inf"),
             ("tick_seconds", math.inf, r"tick_seconds: must be finite, got inf"),
             ("targets", (), r"targets: must list at least one target"),
+            ("delay_km", math.inf, r"delay_km: must be finite, got inf"),
         ],
     )
     def test_scenario_fields(self, parsed, field, value, needle):
