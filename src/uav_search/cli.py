@@ -21,7 +21,7 @@ from .movement import (DEFAULT_SMOOTHING, KMH_TO_MS, ModelFormatError, check_vel
                        save_model, traces_for_strategies)
 from .planner import THRESHOLD_POLICY
 from .rng import trial_seed
-from .road_graph import GraphFormatError, GridSizeError, dead_entries, load_graph, overlay_grid, plain_number
+from .road_graph import GraphFormatError, GridSizeError, dead_entries, load_graph, overlay_grid, plain_number, write_lines
 from .simulator import BatchStats, TrialResult, build_world, run_batch
 from .strategies import check_route_weights
 
@@ -56,12 +56,6 @@ def _from(source: str, build, *args, **kwargs):
         return build(*args, **kwargs)
     except _VALIDATION_ERRORS as exc:
         raise ConfigError(f"{source}: {exc}") from None
-
-
-def _write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
 
 
 def _plain(text: str, kind: type = float):
@@ -135,7 +129,7 @@ def _print_stats(stats: BatchStats) -> None:
     )
 
 
-def _trial_csv(results: list[TrialResult], n_targets: int) -> str:
+def _trial_csv(results: list[TrialResult], n_targets: int) -> list[str]:
     header = ["trial", "seed", "outcome", "ticks", "losing_target", "timeout"]
     header += [f"det_{j}" for j in range(n_targets)]
     lines = [",".join(header)]
@@ -150,29 +144,31 @@ def _trial_csv(results: list[TrialResult], n_targets: int) -> str:
         ]
         row += [str(r.detection_ticks.get(j, -1)) for j in range(n_targets)]
         lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def cmd_compile_model(args) -> int:
     graph = load_graph(args.graph)
+    dead = dead_entries(graph)
+    if dead == graph.entries:
+        raise ConfigError(f"{args.graph}: no entry edge reaches a goal set, so there is no route to train on")
     refined, _ = _from("--radius", overlay_grid, graph, args.radius)
     strategies = _parse_strategies(args.strategies)
     check_route_weights(refined, strategies, "--strategies", ConfigError)
     velocity = _parse_range(args.velocity)
     # A model moves at most one hop per tick, so no tick may pass a whole edge.
     step = velocity[1] * KMH_TO_MS * args.tick
-    if refined.n_edges and step > refined.length.min():
+    if step > refined.length.min():  # a graph with no edge was refused above: it has no entry
         raise ConfigError(
             f"--tick {args.tick:g} s at the top --velocity {velocity[1]:g} km/h moves {step:.6g} m per "
             f"tick, more than the shortest refined edge ({refined.length.min():.6g} m); "
             "a model supports one hop per tick"
         )
-    for entry in sorted(dead_entries(graph)):
+    for entry in sorted(dead):
         print(f"warning: {args.graph}: entry edge {entry} reaches no goal set; a scenario on this map "
               "must fix every target's entry to another edge", file=sys.stderr)
     traces = traces_for_strategies(refined, strategies, args.tick, velocity, args.runs_per_pair, args.seed)
     model = compile_model(traces, refined, args.smoothing, args.tick, args.target_class)
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     save_model(model, args.out)
     print(f"wrote {args.out}: {model.n_edges - model.rowless.size} rows from {len(traces)} traces")
     return 0
@@ -183,7 +179,7 @@ def cmd_run(args) -> int:
     [(stats, results)] = _from(args.scenario, run_batch, [(scenario, args.seed)], args.trials, jobs=args.jobs)
     _print_stats(stats)
     if args.out:
-        _write_text(args.out, _trial_csv(results, len(scenario.targets)))
+        write_lines(args.out, _trial_csv(results, len(scenario.targets)))
         print(f"wrote {args.out}")
     return 0
 
@@ -219,7 +215,7 @@ def cmd_sweep(args) -> int:
         shown = " ".join(f"{n}={v}" for n, v in assignment)
         print(f"{shown} -> {stats.success_rate:.4f} [{stats.ci_low:.4f}, {stats.ci_high:.4f}]")
     path = os.path.join(args.out, SWEEP_CSV)
-    _write_text(path, "\n".join(lines) + "\n")
+    write_lines(path, lines)
     print(f"wrote {path} ({len(lines) - 1} points x {spec.trials} trials)")
     return 0
 
@@ -266,7 +262,7 @@ def cmd_threshold_scan(args) -> int:
             print(f"p={p_shown:g} best threshold {best_th:g} at success rate {rate:.4f}")
     for name, lines in ((GRID_CSV, grid), (BEST_CSV, best)):
         path = os.path.join(args.out, name)
-        _write_text(path, "\n".join(lines) + "\n")
+        write_lines(path, lines)
         print(f"wrote {path}")
     return 0
 
@@ -288,12 +284,11 @@ def cmd_dump_belief(args) -> int:
         belief = world.frozen_belief(class_name, world.start_of_parent[entry], tick)
         for edge in belief.nonzero()[0]:
             lines.append(f"{tick},{edge},{float(belief[edge])!r}")
-    text = "\n".join(lines) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        write_lines(args.out, lines)
         print(f"wrote {args.out} ({len(lines) - 1} rows)")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

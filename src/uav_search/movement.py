@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .rng import Rng, trial_seed
-from .road_graph import RoadGraph, plain_number, read_lines
+from .road_graph import RoadGraph, plain_number, read_lines, write_lines
 from .strategies import UnreachableGoalError
 
 DEFAULT_SMOOTHING = 0.01
@@ -300,8 +300,7 @@ def save_model(model: TransitionModel, path: str) -> None:
     lines = [f"#model tick={model.tick!r} class={model.target_class}"]
     for src, dst, p in zip(model.src.tolist(), model.dst.tolist(), model.prob.tolist()):
         lines.append(f"{src} {dst} {p!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_model(path: str) -> TransitionModel:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -163,6 +164,14 @@ def read_lines(path: str, error: type[ValueError]) -> list[str]:
         raise error(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
 
 
+def write_lines(path: str, lines: list[str]) -> None:
+    """Write `lines` to `path` as UTF-8 text, each ended by one newline
+    character on every platform, creating the file's parent directories."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def plain_number(text: str) -> bool:
     """False for text that int() and float() read but the file formats
     refuse: `_` digit separators (`1_0`) and non-ASCII digits (`١٢`, `１２`).
@@ -270,8 +279,7 @@ def write_graph(g: RoadGraph, path: str, comment: str | None = None) -> None:
     lines.append("#goals")
     for gidx, members in enumerate(g.goals):
         lines.extend(f"{gidx} {eid}" for eid in sorted(members))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------

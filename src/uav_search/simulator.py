@@ -1,13 +1,13 @@
 """Monte Carlo trials of UAV teams searching road-bound targets.
 
-A trial advances in fixed ticks: targets move along their secret routes,
-UAVs fly toward their assigned cell centers (after the configured head-start
-delay for targets), detection is a Bernoulli draw per UAV-target pair in
-range, beliefs are propagated and conditioned on fruitless searches, and the
-policy replans. The UAVs win if every target is detected before any target
-enters a goal edge. Trials are deterministic given their seed, and batch
-results are identical at any parallelism level. In the head start only
-targets move: each target's distance along its route grows by one step a
+A trial advances in fixed ticks: targets move along their secret routes, UAVs
+fly toward their assigned cell centers (after the targets' head start),
+detection is a Bernoulli draw per UAV-target pair in range, beliefs are
+propagated and conditioned on fruitless searches, and the policy replans. A
+detected target leaves the trial, and the UAVs win once none is left, if no
+target entered a goal edge first. Trials are deterministic given their seed,
+and batch results are identical at any parallelism level. In the head start
+only targets move: each target's distance along its route grows by one step a
 tick, and is turned into a position only once the team flies. A route's only
 goal edge is its last, so entering it is a distance test.
 
@@ -208,7 +208,6 @@ class _TargetState:
     belief: np.ndarray | None = None  # float64 over refined edge ids; None while it is the world's
     s: float = 0.0
     pos: tuple[float, float] = (0.0, 0.0)  # set by `locate`, once the team flies
-    active: bool = True
 
     def locate(self) -> None:
         idx = min(bisect.bisect_right(self.ends, self.s), len(self.path) - 1)
@@ -266,20 +265,19 @@ def _uniform_off_cells(overlay: GridOverlay, cells: list[int]) -> np.ndarray:
 def _move_targets(
     targets: list[_TargetState], dt: float, delay_m: float, flying: bool
 ) -> tuple[_TargetState | None, bool]:
-    """Advance every active target one tick. Returns the first that enters
-    its goal edge, leaving the targets after it unmoved, and whether the team
-    flies in this tick: from the first tick that ends with every target
-    `delay_m` along (`s + v * dt` is the `s` the move gives). Targets are
-    located only in those ticks. A path's only goal edge is its last, so
-    entering it is `s >= ends[-2]`."""
+    """Advance every target left in the trial one tick. Returns the first
+    that enters its goal edge, leaving the targets after it unmoved, and
+    whether the team flies in this tick: from the first tick that ends with
+    every target `delay_m` along (`s + v * dt` is the `s` the move gives).
+    Targets are located only in those ticks. A path's only goal edge is its
+    last, so entering it is `s >= ends[-2]`."""
     flying = flying or all(tg.s + tg.velocity_ms * dt >= delay_m for tg in targets)
     for tg in targets:
-        if tg.active:
-            tg.s += tg.velocity_ms * dt
-            if tg.s >= tg.ends[-2]:
-                return tg, flying
-            if flying:
-                tg.locate()
+        tg.s += tg.velocity_ms * dt
+        if tg.s >= tg.ends[-2]:
+            return tg, flying
+        if flying:
+            tg.locate()
     return None, flying
 
 
@@ -311,31 +309,27 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
         for uav in uavs:
             uav.fly(overlay, dt)
 
-        # 3. One Bernoulli detection attempt per (UAV, active target in range).
+        # 3. One Bernoulli detection attempt per (UAV, target in range); a detected target leaves the trial.
         for uav in uavs:
-            for tg in targets:
-                if not tg.active:
-                    continue
+            for tg in targets[:]:
                 if math.hypot(tg.pos[0] - uav.pos[0], tg.pos[1] - uav.pos[1]) <= uav.spec.detect_radius:
                     if det_rng.random() < uav.spec.detect_prob:
-                        tg.active = False
+                        targets.remove(tg)
                         detections[tg.tid] = tick
-        if not any(tg.active for tg in targets):
+        if not targets:
             return TrialResult("win", detections, None, tick, seed)
 
         # 4. Propagate beliefs, then condition on every fruitless search. A belief
         # is the world's frozen belief until the target's first search gives it
         # a belief of its own: the same bits as propagating it every tick.
         for tg in targets:
-            if tg.active and tg.belief is not None:
+            if tg.belief is not None:
                 tg.belief = propagate(tg.belief, world.models[tg.class_name])
         for uav in uavs:
             searched = overlay.covered_cells(uav.pos[0], uav.pos[1], uav.spec.detect_radius)
             if not searched:
                 continue
             for tg in targets:
-                if not tg.active:
-                    continue
                 if tg.belief is None:
                     tg.belief = world.frozen_belief(tg.class_name, tg.path[0], tick)
                 try:
@@ -343,12 +337,12 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
                 except CertainDetection:
                     tg.belief = _uniform_off_cells(overlay, searched)
 
-        # 5. Replan on the active targets' cell marginals, the world's rows while beliefs are shared.
+        # 5. Replan on the targets' cell marginals, the world's rows while beliefs are shared.
         if uavs:
             cbs = np.array([
                 world.shared_marginal(tg.class_name, tg.path[0], tick) if tg.belief is None
                 else cell_marginal(tg.belief, overlay)
-                for tg in targets if tg.active
+                for tg in targets
             ])
             cells = select_cells(scenario.policy, cbs, len(uavs), team_p)
             for uav, cell in zip(uavs, match_uavs_to_cells([u.pos for u in uavs], cells, overlay)):
@@ -384,6 +378,7 @@ def _batch_stats(results: list[TrialResult]) -> tuple[BatchStats, list[TrialResu
 def _batches(
     points: list[tuple[ScenarioConfig, World]], seeds: list[list[int]], n_trials: int, jobs: int
 ) -> Iterator[tuple[BatchStats, list[TrialResult]]]:
+    jobs = min(jobs, len(points) * n_trials)  # no idle worker: a forking pool starts all of them at once
     if jobs <= 1:
         for (scenario, world), point_seeds in zip(points, seeds):
             yield _batch_stats([run_trial(scenario, s, world) for s in point_seeds])

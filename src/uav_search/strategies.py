@@ -141,7 +141,8 @@ class RandomWalkStrategy:
             at, t = at[live], t[live]
             reach = t < math.inf
             w = np.zeros(t.shape)
-            w[reach] = np.exp(-self.beta * (t - t.min(axis=1)[:, None])[reach])
+            with np.errstate(over="ignore"):  # a product past the largest float weighs exp(-inf) = 0
+                w[reach] = np.exp(-self.beta * (t - t.min(axis=1)[:, None])[reach])
             c = np.cumsum(w / w.sum(axis=1)[:, None], axis=1)
             cdf[at] = c / c[:, -1:]
         return cands, array("d", cdf.tobytes()), array("q", starts.astype(np.int64).tobytes()), togo

@@ -205,28 +205,26 @@ def trace_loop(g: RoadGraph, path: list[int], velocity_ms: float, tick: float) -
 
 
 def head_start_loop(targets, dt: float, delay_m: float, max_ticks: int, goal_union) -> tuple[int, int | None]:
-    """A trial's first ticks, one at a time: each tick, every active target
-    adds `v * dt` to `s` and is located, and entering a goal edge (the path
-    edge at `s`) loses at once. Stops at the end of the first tick at which
-    every active target is `delay_m` along, when the team starts. Returns
-    (tick, losing target id or None); (max_ticks, None) when the team never
-    starts."""
+    """A trial's first ticks, one at a time: each tick, every target adds
+    `v * dt` to `s` and is located, and entering a goal edge (the path edge
+    at `s`) loses at once. Stops at the end of the first tick at which every
+    target is `delay_m` along, when the team starts. No target is detected
+    before then. Returns (tick, losing target id or None); (max_ticks, None)
+    when the team never starts."""
     for tick in range(1, max_ticks + 1):
         for tg in targets:
-            if not tg.active:
-                continue
             tg.s += tg.velocity_ms * dt
             tg.locate()
             if tg.path[min(bisect.bisect_right(tg.ends, tg.s), len(tg.path) - 1)] in goal_union:
                 return tick, tg.tid
-        if any(tg.s < delay_m for tg in targets if tg.active):
+        if any(tg.s < delay_m for tg in targets):
             continue
         return tick, None
     return max_ticks, None
 
 
 def reference_trial(scenario, seed: int, world) -> TrialResult:
-    """`run_trial` as the plainest loop. Every tick, every active target
+    """`run_trial` as the plainest loop. Every tick, every undetected target
     moves and is located, and entering a goal edge (the path edge at `s`)
     loses at once; its belief, from `init_belief` on its entry edge, is
     propagated every tick, the head start included. The team flies from the
@@ -242,16 +240,17 @@ def reference_trial(scenario, seed: int, world) -> TrialResult:
     beliefs = [init_belief(world.refined, tg.path[0]) for tg in targets]
     det_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     detections: dict[int, int] = {}
+    active = [True] * len(targets)  # False once detected
     flying = False
     for tick in range(1, scenario.max_ticks + 1):
-        for tg in targets:
-            if tg.active:
+        for j, tg in enumerate(targets):
+            if active[j]:
                 tg.s += tg.velocity_ms * dt
                 tg.locate()
                 if tg.path[min(bisect.bisect_right(tg.ends, tg.s), len(tg.path) - 1)] in goal_union:
                     return TrialResult("lose", detections, tg.tid, tick, seed)
         for j, tg in enumerate(targets):
-            if tg.active:
+            if active[j]:
                 beliefs[j] = propagate(beliefs[j], world.models[tg.class_name])
         flying = flying or all(tg.s >= delay_m for tg in targets)
         if not flying:
@@ -259,23 +258,23 @@ def reference_trial(scenario, seed: int, world) -> TrialResult:
         for uav in uavs:
             uav.fly(overlay, dt)
         for uav in uavs:
-            for tg in targets:
+            for j, tg in enumerate(targets):
                 in_range = math.hypot(tg.pos[0] - uav.pos[0], tg.pos[1] - uav.pos[1]) <= uav.spec.detect_radius
-                if tg.active and in_range and det_rng.random() < uav.spec.detect_prob:
-                    tg.active = False
+                if active[j] and in_range and det_rng.random() < uav.spec.detect_prob:
+                    active[j] = False
                     detections[tg.tid] = tick
-        if not any(tg.active for tg in targets):
+        if not any(active):
             return TrialResult("win", detections, None, tick, seed)
         for uav in uavs:
             searched = set(overlay.covered_cells(uav.pos[0], uav.pos[1], uav.spec.detect_radius))
-            for j, tg in enumerate(targets):
-                if tg.active:
+            for j in range(len(targets)):
+                if active[j]:
                     try:
                         beliefs[j] = negative_update(beliefs[j], searched, uav.spec.detect_prob, overlay)
                     except CertainDetection:
                         beliefs[j] = _uniform_off_cells(overlay, searched)
         if uavs:
-            cbs = [cell_marginal(beliefs[j], overlay) for j, tg in enumerate(targets) if tg.active]
+            cbs = [cell_marginal(beliefs[j], overlay) for j in range(len(targets)) if active[j]]
             cells = select_cells(scenario.policy, cbs, len(uavs), team_p)
             for uav, cell in zip(uavs, match_uavs_to_cells([u.pos for u in uavs], cells, overlay)):
                 uav.assigned_cell = cell

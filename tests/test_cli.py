@@ -299,6 +299,22 @@ class TestCompileModel:
         assert main(_compile_args(work, out="models/live.model")) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("entries,goals", [("0\n3\n", ""), ("", "0 2\n")], ids=["no_goal_set", "no_entry_edge"])
+    def test_nothing_to_train_on_exits_1_before_sampling(self, tmp_path, capsys, monkeypatch, entries, goals):
+        """The tiny map without its goal set, or without its entry edges:
+        no entry edge reaches a goal set, so there is no trace to sample.
+        The map is refused, naming the graph, before any trace, where it used
+        to write a uniform model from 0 traces and exit 0."""
+        sampled = []
+        monkeypatch.setattr("uav_search.cli.traces_for_strategies", lambda *a: sampled.append(a))
+        graph, out = tmp_path / "bare.graph", tmp_path / "bare.model"
+        graph.write_text(TINY_GRAPH.split("#entries")[0] + f"#entries\n{entries}#goals\n{goals}")
+        assert main(["compile-model", str(graph), "--strategies", "shortest", "--radius", "500", "--tick", "20",
+                     "--velocity", "8:12", "--runs-per-pair", "1", "--out", str(out)]) == 1
+        assert sampled == [] and not out.exists()
+        assert capsys.readouterr().err == (f"error: {graph}: no entry edge reaches a goal set, "
+                                           "so there is no route to train on\n")
+
 
 class TestRun:
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -661,6 +677,23 @@ class TestSweep:
         assert main(["sweep", str(sweep), "--jobs", "2", "--out", str(work / "grid_out")]) == 0
         assert "4 points x 2 trials" in capsys.readouterr().out
         assert len(built) == 1 and pools == [2]
+
+    def test_no_pool_worker_without_a_trial(self, work, monkeypatch):
+        """A pool has no more workers than trials to run: one trial at
+        --jobs 2 runs in-process, with no pool, and writes the --jobs 1 bytes."""
+        pools = []
+        real_pool = concurrent.futures.ProcessPoolExecutor
+
+        class CountingPool(real_pool):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        serial, pooled = work / "one_serial.csv", work / "one_pooled.csv"
+        assert main(["run", str(work / "tiny.yaml"), "--trials", "1", "--jobs", "1", "--out", str(serial)]) == 0
+        assert main(["run", str(work / "tiny.yaml"), "--trials", "1", "--jobs", "2", "--out", str(pooled)]) == 0
+        assert pools == [] and pooled.read_bytes() == serial.read_bytes()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(

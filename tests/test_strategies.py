@@ -348,6 +348,16 @@ class TestWalkTables:
         g, _ = border_refined
         self._check(g, beta, [0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_beta_weighs_as_a_large_one(self, border_refined):
+        """At beta = 1e308 a weight's exponent overflows to -inf, and weighs 0
+        without a warning, as it underflows to 0 at beta = 1e300: on the
+        bundled map every goal set's table is the same at both."""
+        g, _ = border_refined
+        for goal_set in g.goals:
+            huge, large = RandomWalkStrategy(1e308)._table(g, goal_set), RandomWalkStrategy(1e300)._table(g, goal_set)
+            assert huge[0] == large[0] and huge[1:3] == large[1:3] and huge[3].tobytes() == large[3].tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(g=_walk_graphs(), beta=st.sampled_from(TABLE_BETAS), seed=st.integers(0, 2**32 - 1))
     @example(g=_graph([(0, 0), (100, 0), (100, 100), (200, 0), (300, 0)], [(0, 1), (1, 2), (1, 3), (3, 4)],
