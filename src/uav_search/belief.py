@@ -16,7 +16,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .movement import TransitionModel
-from .road_graph import GridOverlay, RoadGraph
+from .road_graph import ConfigError, GridOverlay, RoadGraph
 
 # Entries below this are treated as numerically extinct and pruned (followed
 # by renormalization, so pruning never biases the remaining distribution).
@@ -30,11 +30,11 @@ class CertainDetection(RuntimeError):
     """The belief implies the target would certainly have been detected."""
 
 
-def check_detect_prob(p: float, error: type[ValueError] = ValueError) -> None:
+def check_detect_prob(p: float) -> None:
     """The detection-probability rule, p in (0, 1], for every reader of a p;
-    a refusal raises `error`, its message starting with the scenario key."""
+    a refusal raises ConfigError, its message starting with the scenario key."""
     if not 0.0 < p <= 1.0:
-        raise error(f"detect_prob: must be in (0, 1], got {p}")
+        raise ConfigError(f"detect_prob: must be in (0, 1], got {p}")
 
 
 def _normalized(mass: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ is deterministic in (inputs, seed): re-running overwrites its outputs with
 identical bytes, regardless of --jobs. Floats are written with repr() so the
 CSVs round-trip exactly.
 
-Exit codes: 0 success, 1 validation error (bad flags, config, file formats),
-2 runtime error.
+Exit codes: 0 success, 1 bad input (a flag refused while parsing, or a
+ConfigError), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import os
 import sys
 
 from .config import ConfigError, SweepSpec, apply_axis, load_scenario, load_sweep, parse_strategy, sweep_points
-from .movement import (DEFAULT_SMOOTHING, KMH_TO_MS, ModelFormatError, check_velocity_range, compile_model,
-                       save_model, traces_for_strategies)
+from .movement import (DEFAULT_SMOOTHING, KMH_TO_MS, check_velocity_range, compile_model, save_model,
+                       traces_for_strategies)
 from .planner import THRESHOLD_POLICY
 from .rng import trial_seed
-from .road_graph import GraphFormatError, GridSizeError, dead_entries, load_graph, overlay_grid, plain_number, write_lines
+from .road_graph import dead_entries, load_graph, overlay_grid, plain_number, write_lines
 from .simulator import BatchStats, TrialResult, build_world, run_batch
 from .strategies import check_route_weights
 
@@ -29,16 +29,6 @@ DEFAULT_TRIALS = 100
 GRID_CSV = "threshold_grid.csv"
 BEST_CSV = "threshold_best.csv"
 SWEEP_CSV = "sweep.csv"
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    GraphFormatError,
-    GridSizeError,
-    ModelFormatError,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,11 +40,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _from(source: str, build, *args, **kwargs):
-    """`build(*args, **kwargs)`, with `source: ` before any validation error
-    it raises: the scenario, sweep or flag that the world or grid came from."""
+    """`build(*args, **kwargs)`, with `source: ` before any ConfigError it
+    raises: the scenario, sweep or flag that the world or grid came from."""
     try:
         return build(*args, **kwargs)
-    except _VALIDATION_ERRORS as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
 
@@ -66,27 +56,40 @@ def _plain(text: str, kind: type = float):
     return kind(text)
 
 
-def _flag(kind: type, ok=lambda value: True, rule: str = ""):
+def _flag(kind: type, *rules):
     """The argparse type of a flag: its text as a `_plain` number of `kind`, or
-    as is for str, that `ok` accepts. argparse names the flag in a refusal,
-    and `_Parser` exits 1."""
+    as is for str, that the `ok` of every `(ok, rule)` pair accepts; a refusal
+    gives the first failed `rule`. argparse names the flag, and `_Parser` exits 1."""
     def parse(text: str):
         try:
             value = text if kind is str else _plain(text, kind)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        for ok, rule in rules:
+            if not ok(value):
+                raise argparse.ArgumentTypeError(f"{rule}, got {text}")
         return value
     return parse
 
 
+def _under_a_directory(path: str) -> bool:
+    """Whether the nearest existing parent of `path`, or else the working directory, is a directory."""
+    parent = os.path.dirname(path)
+    while parent and not os.path.exists(parent) and os.path.dirname(parent) != parent:
+        parent = os.path.dirname(parent)
+    return not parent or os.path.isdir(parent)
+
+
 _INT = _flag(int)
-_NON_NEGATIVE_INT = _flag(int, lambda v: v >= 0, "must be >= 0")
-_COUNT = _flag(int, lambda v: v >= 1, "must be >= 1")  # the trial-count rule, check_trials
-_POSITIVE_FINITE = _flag(float, lambda v: 0 < v < math.inf, "must be positive and finite")
-_FILE_OUT = _flag(str, lambda path: not os.path.isdir(path), "must not be an existing directory")
-_DIR_OUT = _flag(str, lambda path: os.path.isdir(path) or not os.path.exists(path), "must be a directory or a new path")
+_NON_NEGATIVE_INT = _flag(int, (lambda v: v >= 0, "must be >= 0"))
+_COUNT = _flag(int, (lambda v: v >= 1, "must be >= 1"))  # the trial-count rule, check_trials
+_POSITIVE_FINITE = _flag(float, (lambda v: 0 < v < math.inf, "must be positive and finite"))
+# An --out is checked before any input is read, so a path that cannot be written creates nothing.
+_UNDER_A_DIRECTORY = (_under_a_directory, "must not lie under a file")
+_FILE_OUT = _flag(str, (lambda path: not os.path.isdir(path), "must not be an existing directory"),
+                  (os.path.basename, "must end in a file name"), _UNDER_A_DIRECTORY)
+_DIR_OUT = _flag(str, (lambda path: os.path.isdir(path) or not os.path.exists(path),
+                       "must be a directory or a new path"), _UNDER_A_DIRECTORY)
 
 
 def _parse_strategies(spec: str) -> list:
@@ -118,7 +121,7 @@ def _parse_range(spec: str) -> tuple[float, float]:
         pair = (_plain(lo), _plain(hi))
     except ValueError:
         raise ConfigError(f"--velocity: expected LO:HI km/h, got {spec!r}") from None
-    return check_velocity_range(pair, "--velocity", ConfigError)
+    return check_velocity_range(pair, "--velocity")
 
 
 def _print_stats(stats: BatchStats) -> None:
@@ -154,7 +157,7 @@ def cmd_compile_model(args) -> int:
         raise ConfigError(f"{args.graph}: no entry edge reaches a goal set, so there is no route to train on")
     refined, _ = _from("--radius", overlay_grid, graph, args.radius)
     strategies = _parse_strategies(args.strategies)
-    check_route_weights(refined, strategies, "--strategies", ConfigError)
+    check_route_weights(refined, strategies, "--strategies")
     velocity = _parse_range(args.velocity)
     # A model moves at most one hop per tick, so no tick may pass a whole edge.
     step = velocity[1] * KMH_TO_MS * args.tick
@@ -318,10 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tick", type=_POSITIVE_FINITE, required=True, help="sampling tick (s)")
     p.add_argument("--velocity", default="8:12", help="target velocity range LO:HI (km/h)")
     p.add_argument("--runs-per-pair", type=_COUNT, default=3, help="traces per (entry, goal) pair")
-    p.add_argument("--smoothing", type=_flag(float, lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
+    p.add_argument("--smoothing", type=_flag(float, (lambda v: 0 <= v < math.inf, "must be finite and >= 0")),
                    default=DEFAULT_SMOOTHING, help="Laplace smoothing epsilon")
     p.add_argument("--target-class", default="default", help="class name stored in the model file",
-                   type=_flag(str, lambda n: n.split() == [n], "must be one word, without whitespace"))
+                   type=_flag(str, (lambda n: n.split() == [n], "must be one word, without whitespace")))
     p.set_defaults(func=cmd_compile_model)
 
     p = sub.add_parser("run", parents=[seeded, jobs, out], help="run one scenario batch")
@@ -359,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

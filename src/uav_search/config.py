@@ -6,6 +6,7 @@ simulation starts. Field tables check keys and types; each field rule lives
 in its record's `__post_init__`, so files, sweep axes and `dataclasses.replace`
 share it. Relative paths resolve against the directory of the config file.
 PyYAML loads on the first YAML read, so `compile-model` never loads it.
+`ConfigError` comes from `road_graph`, the module that every rule can import.
 """
 
 from __future__ import annotations
@@ -22,12 +23,8 @@ from dataclasses import dataclass
 from .belief import check_detect_prob
 from .movement import check_velocity_range
 from .planner import DEFAULT_THRESHOLD, PolicyConfig
-from .road_graph import read_lines
+from .road_graph import ConfigError, read_lines
 from .strategies import Strategy, make_strategy
-
-
-class ConfigError(ValueError):
-    """Raised when a config file is malformed; message names the bad path."""
 
 
 def check_trials(n: int) -> int:
@@ -59,7 +56,7 @@ class UavSpec:
             raise ConfigError(f"depot: must be two finite numbers, got {list(self.depot)}")
         _check_positive("velocity_kmh", self.velocity_kmh)
         _check_positive("detect_radius", self.detect_radius)
-        check_detect_prob(self.detect_prob, ConfigError)
+        check_detect_prob(self.detect_prob)
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ class TargetClassSpec:
     model_path: str
 
     def __post_init__(self):
-        check_velocity_range(self.velocity_kmh, "velocity_kmh", ConfigError)
+        check_velocity_range(self.velocity_kmh, "velocity_kmh")
         if not self.strategies:
             raise ConfigError("strategies: must list at least one strategy")
 
@@ -198,7 +195,7 @@ def _record(record, table: dict):
         fields = _fields(data, table, path, path)
         try:
             return record(*leading, *fields)
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{path}.{exc}") from None
     return read
 
@@ -397,7 +394,7 @@ def apply_axis(scenario: ScenarioConfig, axis: str, value, label: str | None = N
     own checks included, is a ConfigError that starts with `label` (default `axes.<axis>`)."""
     try:
         return dataclasses.replace(scenario, **_AXES[axis][1](scenario, value))
-    except ValueError as exc:  # ConfigError, or PolicyConfig's own checks
+    except ConfigError as exc:
         raise ConfigError(f"{label or f'axes.{axis}'}: {exc}") from None
 
 

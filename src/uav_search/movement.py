@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .rng import Rng, trial_seed
-from .road_graph import RoadGraph, plain_number, read_lines, write_lines
+from .road_graph import ConfigError, RoadGraph, plain_number, read_lines, write_lines
 from .strategies import UnreachableGoalError
 
 DEFAULT_SMOOTHING = 0.01
@@ -44,16 +44,16 @@ ROW_SUM_TOL = 1e-9
 HOP_SLICE = 1 << 13
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(ConfigError):
     """Raised for malformed or inconsistent model files."""
 
 
-def check_velocity_range(velocity_kmh: tuple[float, float], label: str, error: type[ValueError] = ValueError):
+def check_velocity_range(velocity_kmh: tuple[float, float], label: str):
     """The rule for a target velocity range [low, high] (km/h), for every
-    reader of one; a refusal raises `error`, its message starting with `label`."""
+    reader of one; a refusal raises ConfigError, its message starting with `label`."""
     lo, hi = velocity_kmh
     if not 0 < lo <= hi < math.inf:
-        raise error(f"{label}: need 0 < low <= high < inf, got [{lo}, {hi}]")
+        raise ConfigError(f"{label}: need 0 < low <= high < inf, got [{lo}, {hi}]")
     return velocity_kmh
 
 

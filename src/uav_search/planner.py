@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .belief import CertainDetection, ETA_TOL, check_detect_prob, entropy
-from .road_graph import GridOverlay
+from .road_graph import ConfigError, GridOverlay
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -43,9 +43,9 @@ class PolicyConfig:
     def __post_init__(self):
         # Messages start with the scenario-file key, so a parser can prefix its path.
         if not isinstance(self.policy, str) or self.policy not in POLICIES:
-            raise ValueError(f"name: unknown policy {self.policy!r} (known: {list(POLICIES)})")
+            raise ConfigError(f"name: unknown policy {self.policy!r} (known: {list(POLICIES)})")
         if not self.threshold >= 0.0:
-            raise ValueError(f"threshold: must be >= 0.0, got {self.threshold}")
+            raise ConfigError(f"threshold: must be >= 0.0, got {self.threshold}")
         if self.detect_prob is not None:
             check_detect_prob(self.detect_prob)
 

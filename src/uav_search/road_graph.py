@@ -4,6 +4,10 @@ A road graph is loaded from a plain-text file (see `load_graph`), then
 `overlay_grid` cuts every edge at the boundaries of a square grid so that each
 refined edge lies inside exactly one cell. Detection-driven belief updates and
 cell selection operate on the refined graph / overlay pair.
+
+`ConfigError`, the one class of bad input, lives here because every module
+imports this one: each rule on a file, flag or scenario value raises it or a
+subclass, and the command line exits 1 on it alone.
 """
 
 from __future__ import annotations
@@ -20,22 +24,17 @@ import numpy as np
 # to avoid carrying degenerate slivers of probability mass.
 MIN_PIECE_LENGTH = 1e-3
 
-# Interior cut parameters closer than this to an endpoint are ignored; keeps
-# re-splitting an already split graph from producing spurious zero cuts.
-_PARAM_EPS = 1e-9
-
 # The most cells a grid may have: each keeps a ~100-byte centre tuple. The
 # bundled map has 266 at its 500 m radius and 481,650 at 10 m.
 MAX_GRID_CELLS = 10**6
 
 
-class GraphFormatError(ValueError):
+class ConfigError(ValueError):
+    """Bad input: its message names the file, flag or config path at fault."""
+
+
+class GraphFormatError(ConfigError):
     """Raised for malformed or inconsistent graph files."""
-
-
-class GridSizeError(ValueError):
-    """A detection radius too small for the map: its grid would exceed
-    MAX_GRID_CELLS cells."""
 
 
 class RoadGraph:
@@ -152,7 +151,7 @@ class GridOverlay:
 # File format
 
 
-def read_lines(path: str, error: type[ValueError]) -> list[str]:
+def read_lines(path: str, error: type[ConfigError]) -> list[str]:
     """The lines of a UTF-8 text file; a file that cannot be read, or a byte
     that is not UTF-8, raises `error` naming the file."""
     try:
@@ -297,7 +296,7 @@ def _cut_params(p0: float, p1: float, origin: float, side: float) -> list[float]
     for k in range(k_lo, k_hi + 1):
         coord = origin + k * side
         t = (coord - p0) / (p1 - p0)
-        if _PARAM_EPS < t < 1.0 - _PARAM_EPS:
+        if 0.0 < t < 1.0:
             cuts.append(t)
     return cuts
 
@@ -315,7 +314,7 @@ def overlay_grid(g: RoadGraph, r: float) -> tuple[RoadGraph, GridOverlay]:
     from its tail to its head. A refined entry is the first piece of each
     original entry edge (where targets appear); a refined goal set holds every
     piece of its original goal edges. A grid of more than MAX_GRID_CELLS
-    cells raises GridSizeError before anything is built.
+    cells raises ConfigError before anything is built.
     """
     if not 0 < r < math.inf:
         raise ValueError("detection radius must be positive and finite")
@@ -330,7 +329,7 @@ def overlay_grid(g: RoadGraph, r: float) -> tuple[RoadGraph, GridOverlay]:
     # Clamped first, since a tiny radius can overflow the cell count to inf.
     n_cols, n_rows = (max(1, math.ceil(min(n, MAX_GRID_CELLS + 1))) for n in (cols, rows))
     if n_cols * n_rows > MAX_GRID_CELLS:
-        raise GridSizeError(
+        raise ConfigError(
             f"detection radius {r:g} m asks for a grid of about {cols * rows:.4g} cells over the map's "
             f"{float(np.ptp(xs)):g} x {float(np.ptp(ys)):g} m; the limit is {MAX_GRID_CELLS:,}"
         )

@@ -148,7 +148,7 @@ def _check_scenario(scenario: ScenarioConfig, world: World) -> None:
     or on one that reaches no goal set: its fixed `entry`, or else any entry;
     and class strategies that break `check_route_weights` on the world's graph."""
     for c in scenario.classes:
-        check_route_weights(world.refined, c.strategies, f"classes.{c.name}.strategies", ConfigError)
+        check_route_weights(world.refined, c.strategies, f"classes.{c.name}.strategies")
     for i, t in enumerate(scenario.targets):
         if t.entry is None:
             if world.dead_entries:

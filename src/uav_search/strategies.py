@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Rng
-from .road_graph import RoadGraph, shortest_path, travel_to_goal
+from .road_graph import ConfigError, RoadGraph, shortest_path, travel_to_goal
 
 # A walk longer than this multiple of its entry's shortest route is declared lost rather than
 # sampled forever. 200,000 beta = 0 walks spawned as trials spawn them on the bundled refined map
@@ -216,12 +216,12 @@ def make_strategy(name: str, params: dict | None = None) -> Strategy:
     return cls(**{k: float(v) for k, v in params.items()})
 
 
-def check_route_weights(g: RoadGraph, strategies: list[Strategy] | tuple[Strategy, ...], label: str, error=ValueError):
+def check_route_weights(g: RoadGraph, strategies: list[Strategy] | tuple[Strategy, ...], label: str):
     """The rule for route strategies on `g`: their edge weights sum to a finite
     number, as a route whose weight overflows reads as unreachable. A refusal
-    raises `error`, its message starting with `label[i]`."""
+    raises ConfigError, its message starting with `label[i]`."""
     for i, s in enumerate(strategies):
         with np.errstate(over="ignore"):
             if isinstance(s, RouteStrategy) and not s._weight(g).sum() < math.inf:
-                raise error(f"{label}[{i}]: penalty {s.penalty:g} overflows this map's route weights: "
-                            "their sum must be finite")
+                raise ConfigError(f"{label}[{i}]: penalty {s.penalty:g} overflows this map's route weights: "
+                                  "their sum must be finite")

@@ -1304,6 +1304,37 @@ class TestOutPath:
         assert read == []
         assert (out.read_text() == "kept\n") if writes_dir else (list(out.iterdir()) == [])
 
+    @pytest.mark.parametrize("command,case", [
+        *((command, "under_a_file") for command in CHEAP_COMMANDS),
+        *((command, "trailing_separator") for command in ("compile-model", "run", "dump-belief")),
+    ])
+    def test_unwritable_path_is_refused_before_any_work(self, work, tmp_path, monkeypatch, capsys, command, case):
+        """An --out under an existing file, or a file --out that ends in a
+        path separator, is refused the same way, and nothing is created."""
+        read = []
+        for name in ("load_graph", "load_scenario", "load_sweep"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: read.append(name))
+        (tmp_path / "file").write_text("kept\n")
+        if case == "under_a_file":
+            out, rule = os.path.join(tmp_path, "file", "new", "x"), "must not lie under a file"
+        else:
+            out, rule = os.path.join(tmp_path, "new", ""), "must end in a file name"
+        positional, flags = CHEAP_COMMANDS[command]
+        argv = [command, str(work / positional), *(f"{k}={v}" for k, v in flags.items() if k != "--out")]
+        assert main([*argv, f"--out={out}"]) == 1
+        assert capsys.readouterr().err.endswith(f"error: argument --out: {rule}, got {out}\n")
+        assert read == []
+        assert sorted(os.listdir(tmp_path)) == ["file"] and (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_write_failure_after_the_run_exits_2(work, monkeypatch, capsys):
+    """An --out that passes parsing but cannot be written is a runtime error."""
+    def refuse(path, lines):
+        raise PermissionError(13, "Permission denied", path)
+    monkeypatch.setattr(cli, "write_lines", refuse)
+    assert main(["dump-belief", str(work / "tiny.yaml"), "--ticks", "1", "--out", str(work / "b.csv")]) == 2
+    assert capsys.readouterr().err == f"runtime error: [Errno 13] Permission denied: '{work / 'b.csv'}'\n"
+
 
 def test_run_never_imports_scipy(tmp_path):
     """The runtime needs only numpy and PyYAML; scipy is a test-only oracle.

@@ -27,9 +27,13 @@ from uav_search.config import (
     scenario_from_dict,
     sweep_points,
 )
+import uav_search.road_graph as road_graph
+from uav_search.belief import check_detect_prob
 from uav_search.cli import main
+from uav_search.movement import ModelFormatError, check_velocity_range
+from uav_search.road_graph import GraphFormatError, overlay_grid
 from uav_search.simulator import TrialResult, run_trial
-from uav_search.strategies import RandomWalkStrategy, RouteStrategy
+from uav_search.strategies import RandomWalkStrategy, RouteStrategy, check_route_weights, make_strategy
 
 
 def _base(**over):
@@ -572,6 +576,31 @@ class TestRecordsCheckTheirFields:
         assert scenario_from_dict(d).classes[0].strategies == (RandomWalkStrategy(beta=1.0), RouteStrategy())
 
 
+class TestOneErrorClass:
+    """Bad input raises ConfigError, `road_graph`'s, or a subclass: the one
+    class the command line exits 1 on."""
+
+    def test_config_reexports_the_road_graph_class(self):
+        assert ConfigError is road_graph.ConfigError
+
+    @pytest.mark.parametrize("error", [GraphFormatError, ModelFormatError])
+    def test_file_format_errors_are_config_errors(self, error):
+        assert issubclass(error, ConfigError)
+
+    @pytest.mark.parametrize("rule", ["detect_prob", "velocity_range", "route_weights", "grid_size"])
+    def test_shared_rule_raises_config_error(self, border_graph, border_refined, rule):
+        refined, _ = border_refined
+        overflowing = [make_strategy("side_roads", {"penalty": 1e305})]
+        check = {
+            "detect_prob": lambda: check_detect_prob(0.0),
+            "velocity_range": lambda: check_velocity_range((2.0, 1.0), "v"),
+            "route_weights": lambda: check_route_weights(refined, overflowing, "s"),
+            "grid_size": lambda: overlay_grid(border_graph, 1.0),
+        }[rule]
+        with pytest.raises(ConfigError):
+            check()
+
+
 # Values at and around every bound a ranged field has: 0, 1, the 500 m detection
 # radius of _base()'s UAV (the grid_radius limit), signed zeros, infinities, NaN.
 _EDGE_FLOATS = [
@@ -625,7 +654,7 @@ def _outcome(build):
     """("ok", repr of the scenario) or ("error", message)."""
     try:
         return "ok", repr(build())
-    except ValueError as exc:  # ConfigError, or PolicyConfig's own checks
+    except ConfigError as exc:
         return "error", str(exc)
 
 

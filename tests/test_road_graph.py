@@ -295,6 +295,19 @@ class TestOverlay:
         assert refined.n_edges == 2
         assert refined.length.min() > 1e-3
 
+    def test_cut_near_an_end_of_a_long_edge_is_kept(self):
+        """A grid line 5 mm from each end of a 10,000 km edge cuts it there:
+        the pieces are at least MIN_PIECE_LENGTH (1 mm) long, though 5 mm is
+        only 5e-10 of the edge."""
+        side = math.sqrt(2.0) * 1e5
+        tail, head = side - 0.005, 72 * side + 0.005
+        g = _graph([(0, 0), (tail, 0), (head, 0)], [(0, 1), (1, 2)])
+        refined, _ = overlay_grid(g, 1e5)
+        pieces = refined.length[1:].tolist()
+        assert pieces[0] == pytest.approx(0.005, abs=1e-6)
+        assert pieces[-1] == pytest.approx(0.005, abs=1e-6)
+        assert sum(pieces) == pytest.approx(head - tail)
+
     def test_parent_reconstruction(self, border_graph, border_refined):
         """The pieces of each parent are consecutive ids, in parent order,
         that chain from its tail to its head and sum to its length."""
