@@ -239,7 +239,7 @@ def parse_strategy(data, path: str) -> Strategy:
         return make_strategy(data["name"], params)
     except KeyError as exc:
         raise ConfigError(f"{path}.name: {exc.args[0]}") from None
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 

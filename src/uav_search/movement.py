@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .rng import Rng, trial_seed
+from .rng import spawn, trial_seed
 from .road_graph import ConfigError, RoadGraph, plain_number, read_lines, write_lines
 from .strategies import UnreachableGoalError
 
@@ -148,6 +148,8 @@ def traces_for_strategies(
     """Pooled training traces: strategy by strategy, each from its own
     deterministic sub-seed, `runs_per_pair` traces for every (entry, goal) pair.
 
+    Run `run` of entry index `ei` and goal index `gi` draws from `Rng(sub,
+    (ei, gi, run))`, and one `spawn` call seeds all of a strategy's streams.
     Velocity is drawn uniformly from `velocity_range_kmh` per run. Pairs a
     strategy reports as unreachable are skipped. A path is used as returned,
     as trials use it, and one that repeats the pair's previous path, as a
@@ -159,11 +161,10 @@ def traces_for_strategies(
     pairs = list(itertools.product(enumerate(sorted(g.entries)), range(len(g.goals))))
     traces: list[np.ndarray] = []
     for si, strategy in enumerate(strategies):
-        sub = trial_seed(seed, si)
-        for (ei, entry), gi in pairs:
+        rngs = spawn(trial_seed(seed, si), [(ei, gi, run) for (ei, _), gi in pairs for run in range(runs_per_pair)])
+        for p, ((_, entry), gi) in enumerate(pairs):
             last = None
-            for run in range(runs_per_pair):
-                rng = Rng(sub, (ei, gi, run))
+            for rng in rngs[p * runs_per_pair:(p + 1) * runs_per_pair]:
                 v_ms = rng.uniform(lo, hi) * KMH_TO_MS
                 try:
                     path = strategy.path(g, entry, rng, goal_index=gi)

@@ -5,13 +5,16 @@ spawn_key=spawn_key))` draws for `random()`, `uniform(low, high)` and `integers(
 does not promise its streams across releases; these pin the output bytes, and no command
 loads NumPy's random module. SeedSequence follows NumPy's `mix_entropy` and `generate_state`
 (`bit_generator.pyx`) pass for pass, each with one running hash constant. PCG64 is O'Neill's
-XSL-RR 128/64 generator, seeded as NumPy's `pcg64.h` seeds it. A seed's children share its
-cached head pool, which halves the seeding of each of the 1,260 streams `compile` draws.
+XSL-RR 128/64 generator, seeded as NumPy's `pcg64.h` seeds it. `spawn` seeds the streams
+of many keys at once through the same hash, run on uint64 arrays with one lane per key: each
+product stays below 2^64, the `& MASK32` after a subtraction cancels its wrap mod 2^64, and
+integer arrays raise no overflow warning. So `compile` seeds each strategy's 420 streams in
+one pass, while one `Rng`, as a trial draws, builds no array.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import numpy as np
 
 MASK32, MASK64, MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -20,13 +23,15 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _words(n: int) -> list[int]:
-    """The 32-bit words of `n`, least significant first; 0 is one word."""
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    out = [n & MASK32]
-    while n := n >> 32:
+def _words(*items: int) -> list[int]:
+    """The 32-bit words of each of `items` in turn, least significant first; 0 is one word."""
+    out = []
+    for n in items:
+        if n < 0:
+            raise ValueError(f"expected a non-negative integer, got {n}")
         out.append(n & MASK32)
+        while n := n >> 32:
+            out.append(n & MASK32)
     return out
 
 
@@ -52,21 +57,14 @@ def _mix_in(pool: list[int], dsts: range | list[int], word: int, h: int) -> int:
     return h
 
 
-@lru_cache(maxsize=16)
-def _head_pool(entropy: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """The pool mixed from `entropy`'s first four words, the constant after it, and the words after those."""
+def _state_words(entropy: int, key_words: list, n: int) -> list:
+    """`SeedSequence(entropy, spawn_key=key).generate_state(n, uint64)`, n <= 4, from the key's
+    flat 32-bit words `_words(*key)`: ints, or one uint64 array per word with a lane per key."""
     words = _words(entropy)
     pool, h = _hashes((words + [0] * 3)[:4], _INIT_A, _MULT_A)  # a missing word hashes as 0
     for src in range(4):
         h = _mix_in(pool, [dst for dst in range(4) if dst != src], pool[src], h)
-    return tuple(pool), h, tuple(words[4:])
-
-
-def _state_words(entropy: int, spawn_key: tuple[int, ...], n: int) -> list[int]:
-    """`SeedSequence(entropy, spawn_key=spawn_key).generate_state(n, uint64)`, n <= 4."""
-    head, h, rest = _head_pool(entropy)
-    pool = list(head)
-    for word in (*rest, *(w for key in spawn_key for w in _words(key))):
+    for word in (*words[4:], *key_words):
         h = _mix_in(pool, range(4), word, h)
     out, _ = _hashes((pool * 2)[:2 * n], _INIT_B, _MULT_B)
     return [out[i] | out[i + 1] << 32 for i in range(0, 2 * n, 2)]
@@ -75,7 +73,22 @@ def _state_words(entropy: int, spawn_key: tuple[int, ...], n: int) -> list[int]:
 def trial_seed(master_seed: int, index: int) -> int:
     """The `index`-th independent child of `master_seed`, for a trial, a sweep point or a
     compile strategy; stable in `index`, so any order or worker count draws the same."""
-    return _state_words(master_seed, (index,), 1)[0]
+    return _state_words(master_seed, _words(index), 1)[0]
+
+
+def spawn(entropy: int, keys: list[tuple[int, ...]]) -> list[Rng]:
+    """`[Rng(entropy, key) for key in keys]`, bit for bit: one hash pass over the keys of each
+    flat word count, each word a uint64 array with a lane per key (the empty key's are ints)."""
+    flat = [_words(*key) for key in keys]
+    out: list = [None] * len(keys)
+    for width in set(map(len, flat)):
+        at = [i for i, words in enumerate(flat) if len(words) == width]
+        lanes = np.array([flat[i] for i in at], dtype=np.uint64)
+        state = [np.broadcast_to(w, len(at)).tolist() for w in _state_words(entropy, list(lanes.T), 4)]
+        for i, words in zip(at, zip(*state)):
+            out[i] = rng = Rng.__new__(Rng)
+            rng._seed(*words)
+    return out
 
 
 class Rng:
@@ -85,7 +98,9 @@ class Rng:
     __slots__ = ("_state", "_inc", "_half")
 
     def __init__(self, entropy: int, spawn_key: tuple[int, ...]):
-        w0, w1, w2, w3 = _state_words(entropy, spawn_key, 4)
+        self._seed(*_state_words(entropy, _words(*spawn_key), 4))
+
+    def _seed(self, w0: int, w1: int, w2: int, w3: int):
         # PCG's srandom: a step from state 0, add the seed, one more step.
         self._inc = ((w2 << 64 | w3) << 1 | 1) & MASK128
         self._state = ((self._inc + (w0 << 64 | w1)) * _PCG_MULT + self._inc) & MASK128

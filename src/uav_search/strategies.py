@@ -85,7 +85,7 @@ class RandomWalkStrategy:
 
     def __post_init__(self):
         if not 0.0 <= self.beta < math.inf:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+            raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
 
     def path(
         self, g: RoadGraph, entry: int, rng: Rng, goal_index: int | None = None
@@ -162,7 +162,7 @@ class RouteStrategy:
 
     def __post_init__(self):
         if not 0.0 <= self.penalty < math.inf:
-            raise ValueError(f"penalty must be finite and >= 0, got {self.penalty}")
+            raise ConfigError(f"penalty must be finite and >= 0, got {self.penalty}")
 
     def path(
         self, g: RoadGraph, entry: int, rng: Rng, goal_index: int | None = None
@@ -202,17 +202,18 @@ _REGISTRY = {
 
 
 def make_strategy(name: str, params: dict | None = None) -> Strategy:
-    """Build a strategy from its registry name and parameter map."""
+    """Build a strategy from its registry name and parameter map; an unknown
+    name raises KeyError, a refused parameter ConfigError."""
     if not isinstance(name, str) or name not in _REGISTRY:
         raise KeyError(f"unknown strategy {name!r} (known: {sorted(_REGISTRY)})")
     cls, wanted = _REGISTRY[name]
     params = dict(params or {})
     unknown = set(params) - set(wanted)
     if unknown:
-        raise ValueError(f"strategy {name!r} got unknown parameters {sorted(unknown)}")
+        raise ConfigError(f"strategy {name!r} got unknown parameters {sorted(unknown)}")
     missing = set(wanted) - set(params)
     if missing:
-        raise ValueError(f"strategy {name!r} missing parameters {sorted(missing)}")
+        raise ConfigError(f"strategy {name!r} missing parameters {sorted(missing)}")
     return cls(**{k: float(v) for k, v in params.items()})
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ class TestSeeds:
         """NumPy pads the run entropy to four words only when a spawn key
         follows; the words agree either way."""
         expect = np.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(4, np.uint64).tolist()
-        assert rng_module._state_words(entropy, spawn_key, 4) == expect
+        assert rng_module._state_words(entropy, rng_module._words(*spawn_key), 4) == expect
 
     @settings(max_examples=300, deadline=None)
     @given(_ENTROPY, st.one_of(st.just(0), st.integers(1, 2**70)))
@@ -58,6 +59,43 @@ class TestSeeds:
             Rng(entropy, (0, index))
         with pytest.raises(ValueError, match="non-negative"):
             trial_seed(entropy, index)
+
+
+# Batches of keys: key items above 2**32, mixed word counts, the empty key and repeats.
+_KEYS = st.lists(st.one_of(_SPAWN_KEY, st.sampled_from([(), (0,), (2**32, 1), (2**64 - 1,)])), max_size=12)
+
+
+class TestSpawn:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_ENTROPY, st.integers(2**128, 2**200)), _KEYS)
+    @example(2**200 + 7, [(0, 2**40, 0), (), (1, 2, 3), (1, 2, 3), (2**33,), (5,)])
+    @example(0, [])
+    def test_spawn_equals_one_rng_per_key(self, entropy, keys):
+        """Each stream equals `Rng(entropy, key)` and NumPy's SeedSequence,
+        whatever the batch around it; integer lanes raise no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rngs = rng_module.spawn(entropy, keys)
+        assert len(rngs) == len(keys)
+        for ours, key in zip(rngs, keys):
+            one = Rng(entropy, key)
+            assert (ours._state, ours._inc, ours._half) == (one._state, one._inc, None)
+            w0, w1, w2, w3 = np.random.SeedSequence(entropy, spawn_key=key).generate_state(4, np.uint64).tolist()
+            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            assert (ours._state, ours._inc) == (((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc)
+
+    def test_negative_key_item_rejected(self):
+        """As `Rng` and NumPy refuse it."""
+        with pytest.raises(ValueError, match="non-negative"):
+            rng_module.spawn(3, [(0, 1), (0, -2)])
+
+    def test_one_stream_builds_no_array(self, monkeypatch):
+        """Only `spawn` reaches NumPy; a trial's streams are plain Python."""
+        expect = Rng(2**200 + 7, (0, 2**40))._state
+        monkeypatch.setattr(rng_module, "np", None)
+        assert Rng(2**200 + 7, (0, 2**40))._state == expect
+        seed = np.random.SeedSequence(2**200 + 7, spawn_key=(3,)).generate_state(1, np.uint64)[0]
+        assert trial_seed(2**200 + 7, 3) == int(seed)
 
 
 class TestPcg64:

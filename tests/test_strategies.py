@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uav_search import strategies as strategies_module
-from uav_search.road_graph import RoadGraph, overlay_grid, shortest_path, travel_to_goal
+from uav_search.road_graph import ConfigError, RoadGraph, overlay_grid, shortest_path, travel_to_goal
 from uav_search.simulator import run_batch
 from uav_search.strategies import RandomWalkStrategy, RouteStrategy, UnreachableGoalError, WanderingError, make_strategy
 
@@ -569,6 +569,16 @@ class TestRegistry:
         built, not when its first path is drawn."""
         with pytest.raises(ValueError, match="must be finite and >= 0"):
             make_strategy(name, params)
+
+    @pytest.mark.parametrize("build", [
+        lambda: RandomWalkStrategy(beta=float("nan")), lambda: RouteStrategy(penalty=-1.0),
+        lambda: make_strategy("shortest", {"beta": 1}), lambda: make_strategy("random_walk"),
+    ], ids=["nan_beta", "negative_penalty", "unknown_parameter", "missing_parameter"])
+    def test_refusals_are_config_errors(self, build):
+        """A direct caller gets the input-error class the CLI exits 1 on, as
+        `config.parse_strategy`'s callers do."""
+        with pytest.raises(ConfigError):
+            build()
 
 
 class TestPool:
