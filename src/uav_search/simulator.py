@@ -6,10 +6,10 @@ detection is a Bernoulli draw per UAV-target pair in range, beliefs are
 propagated and conditioned on fruitless searches, and the policy replans. A
 detected target leaves the trial, and the UAVs win once none is left, if no
 target entered a goal edge first. Trials are deterministic given their seed,
-and batch results are identical at any parallelism level. In the head start
-only targets move: each target's distance along its route grows by one step a
-tick, and is turned into a position only once the team flies. A route's only
-goal edge is its last, so entering it is a distance test.
+and batch results are identical at any parallelism level. A target's motion
+is fixed at spawn: the tick it is `delay_km` along, the tick it enters its
+goal edge (its route's last) and its position at the end of each tick
+before. So a trial skips the head start, in which only targets move.
 
 A `World` holds what trials on one graph, grid, tick and set of class models
 share: the refined graph and its route cache, the grid overlay, the models and
@@ -23,7 +23,6 @@ World, every World is built, and so checked, before the first trial, and at
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -197,24 +196,18 @@ def build_world(scenario: ScenarioConfig) -> World:
 
 @dataclass(eq=False)
 class _TargetState:
-    """One target in a trial: its route, speed, distance along the route and belief."""
+    """One target in a trial: its route, speed and belief, and its motion,
+    fixed at spawn by `_motion`. A tick past `max_ticks`, or a ready tick past
+    the goal tick, stands for any later tick."""
 
     tid: int
     path: list[int]  # from the refined entry edge
-    ends: list[float]  # cumulative edge lengths along the path
-    segments: list[list[float]]  # per path edge: tail x, tail y, head x, head y, length
     velocity_ms: float
     class_name: str
+    ready_tick: int
+    goal_tick: int
+    track: list[list[float]]  # track[t - 1] is its (x, y) at the end of tick t
     belief: np.ndarray | None = None  # float64 over refined edge ids; None while it is the world's
-    s: float = 0.0
-    pos: tuple[float, float] = (0.0, 0.0)  # set by `locate`, once the team flies
-
-    def locate(self) -> None:
-        idx = min(bisect.bisect_right(self.ends, self.s), len(self.path) - 1)
-        ax, ay, bx, by, length = self.segments[idx]
-        start = self.ends[idx - 1] if idx > 0 else 0.0
-        frac = min(max((self.s - start) / length, 0.0), 1.0)
-        self.pos = (ax + frac * (bx - ax), ay + frac * (by - ay))
 
 
 @dataclass(eq=False)
@@ -238,6 +231,23 @@ class _UavState:
             self.pos = (self.pos[0] + dx / d * step, self.pos[1] + dy / d * step)
 
 
+def _motion(g: RoadGraph, path: list[int], step: float, delay_m: float, max_ticks: int) -> tuple[int, int, list]:
+    """A target moving `step` a tick along `path`: the first tick that ends
+    `delay_m` along, the first on its goal edge, and its (x, y) at the end of each
+    tick before, the floats of `s += step` a tick interpolated on the edge at `s`."""
+    lengths = g.length[path]
+    starts = np.cumsum(np.concatenate(([0.0], lengths)))  # where each path edge starts, and the path's end
+    goal_m = starts[-2].item()  # a path's only goal edge is its last
+    n = min(max_ticks, int(min(goal_m / step if step else math.inf, max_ticks)) + 2)
+    s = np.cumsum(np.full(n, step))  # to one tick past the goal edge's start, or to max_ticks
+    ready, goal = (np.searchsorted(s, [delay_m, goal_m]) + 1).tolist()
+    s = s[: goal - 1]
+    idx = np.minimum(np.searchsorted(starts[1:], s, "right"), len(path) - 1)
+    tail, head = g.xy[g.tail[path]][idx], g.xy[g.head[path]][idx]
+    frac = np.minimum(np.maximum((s - starts[idx]) / lengths[idx], 0.0), 1.0)
+    return ready, goal, (tail + frac[:, None] * (head - tail)).tolist()
+
+
 def _spawn_targets(sc: ScenarioConfig, world: World, seed: int) -> list[_TargetState]:
     g = world.refined
     starts = list(world.start_of_parent.values())
@@ -249,9 +259,8 @@ def _spawn_targets(sc: ScenarioConfig, world: World, seed: int) -> list[_TargetS
         velocity = rng.uniform(*cls.velocity_kmh) * KMH_TO_MS
         strategy = cls.strategies[rng.integers(len(cls.strategies))]
         path = strategy.path(g, entry, rng)
-        lengths = g.length[path]
-        segments = np.column_stack([g.xy[g.tail[path]], g.xy[g.head[path]], lengths]).tolist()
-        out.append(_TargetState(j, path, np.cumsum(lengths).tolist(), segments, velocity, tspec.class_name))
+        motion = _motion(g, path, velocity * sc.tick_seconds, sc.delay_km * 1000.0, sc.max_ticks)
+        out.append(_TargetState(j, path, velocity, tspec.class_name, *motion))
     return out
 
 
@@ -262,32 +271,12 @@ def _uniform_off_cells(overlay: GridOverlay, cells: list[int]) -> np.ndarray:
     return mass / mass.sum()
 
 
-def _move_targets(
-    targets: list[_TargetState], dt: float, delay_m: float, flying: bool
-) -> tuple[_TargetState | None, bool]:
-    """Advance every target left in the trial one tick. Returns the first
-    that enters its goal edge, leaving the targets after it unmoved, and
-    whether the team flies in this tick: from the first tick that ends with
-    every target `delay_m` along (`s + v * dt` is the `s` the move gives).
-    Targets are located only in those ticks. A path's only goal edge is its
-    last, so entering it is `s >= ends[-2]`."""
-    flying = flying or all(tg.s + tg.velocity_ms * dt >= delay_m for tg in targets)
-    for tg in targets:
-        tg.s += tg.velocity_ms * dt
-        if tg.s >= tg.ends[-2]:
-            return tg, flying
-        if flying:
-            tg.locate()
-    return None, flying
-
-
 def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
-    """One seeded trial. Phases per tick: targets move (goal check), UAVs fly
-    (after the delay head start), detection draws, belief updates, replan.
-    A tick at whose end some target is still short of the `delay_km` head
-    start ends once the targets move."""
-    overlay = world.overlay
-    dt, delay_m = scenario.tick_seconds, scenario.delay_km * 1000.0
+    """One seeded trial. Phases per tick: targets move (goal check), UAVs fly,
+    detection draws, belief updates, replan. Until every target is past the
+    `delay_km` head start only targets move, so the trial starts at the
+    first tick the team flies, or at an earlier goal tick."""
+    overlay, dt = world.overlay, scenario.tick_seconds
     team_p = scenario.team_min_detect_prob() if scenario.uavs else 1.0
 
     targets = _spawn_targets(scenario, world, seed)
@@ -295,15 +284,12 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
     det_rng = Rng(seed, (1,))
     detections: dict[int, int] = {}
 
-    flying = False
-    for tick in range(1, scenario.max_ticks + 1):
-        # 1. Targets move; entering any goal edge loses immediately. Until
-        # every target is past the head start, that is all a tick does.
-        loser, flying = _move_targets(targets, dt, delay_m, flying)
-        if loser is not None:
-            return TrialResult("lose", detections, loser.tid, tick, seed)
-        if not flying:
-            continue
+    start = min(max(tg.ready_tick for tg in targets), min(tg.goal_tick for tg in targets))
+    for tick in range(start, scenario.max_ticks + 1):
+        # 1. Targets move; entering any goal edge loses at once, the first target in order on a tie.
+        first = min(targets, key=lambda tg: tg.goal_tick)
+        if first.goal_tick == tick:
+            return TrialResult("lose", detections, first.tid, tick, seed)
 
         # 2. UAVs fly toward their assigned cell centers.
         for uav in uavs:
@@ -312,7 +298,8 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
         # 3. One Bernoulli detection attempt per (UAV, target in range); a detected target leaves the trial.
         for uav in uavs:
             for tg in targets[:]:
-                if math.hypot(tg.pos[0] - uav.pos[0], tg.pos[1] - uav.pos[1]) <= uav.spec.detect_radius:
+                x, y = tg.track[tick - 1]
+                if math.hypot(x - uav.pos[0], y - uav.pos[1]) <= uav.spec.detect_radius:
                     if det_rng.random() < uav.spec.detect_prob:
                         targets.remove(tg)
                         detections[tg.tid] = tick

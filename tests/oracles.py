@@ -24,11 +24,12 @@ step computed alone, its candidates and their probabilities, and
 `choice_cdf` the cumulative distribution `rng.choice` draws from; every row
 of a walk's step table must equal them bit for bit.
 `distance_map_reachable_goals` is the reachability rule read off reverse
-distance maps. `head_start_loop` is a trial's head start moved and located
-tick by tick, with the goal read off the located edge, which the
-simulator's trial loop must reproduce. `reference_trial` is a whole trial as
-the plainest loop, every belief propagated every tick and no `World` store
-read, which `run_trial` must equal.
+distance maps. `Walker` is a target moved tick by tick, `s += v * dt` and
+then located on its path with `bisect`, its own code and none of the
+simulator's. `motion_loop` walks one target to its goal edge, read off the
+located edge, and the motion fixed at spawn must equal it. `reference_trial`
+is a whole trial as the plainest loop, every target walked and every belief
+propagated every tick and no `World` store read, which `run_trial` must equal.
 """
 
 from __future__ import annotations
@@ -204,38 +205,66 @@ def trace_loop(g: RoadGraph, path: list[int], velocity_ms: float, tick: float) -
         t += 1
 
 
-def head_start_loop(targets, dt: float, delay_m: float, max_ticks: int, goal_union) -> tuple[int, int | None]:
-    """A trial's first ticks, one at a time: each tick, every target adds
-    `v * dt` to `s` and is located, and entering a goal edge (the path edge
-    at `s`) loses at once. Stops at the end of the first tick at which every
-    target is `delay_m` along, when the team starts. No target is detected
-    before then. Returns (tick, losing target id or None); (max_ticks, None)
-    when the team never starts."""
+@dataclass(eq=False)
+class Walker:
+    """A target on `path` moving `velocity_ms`: each `move` adds `v * dt` to
+    `s` and locates `s` on the path edge it falls in (the last, past the end),
+    at the fraction of that edge it has covered, clamped to the edge."""
+
+    g: RoadGraph
+    path: list[int]
+    velocity_ms: float
+    s: float = 0.0
+    pos: tuple[float, float] = (0.0, 0.0)
+
+    def __post_init__(self):
+        self.ends = list(itertools.accumulate(self.g._length[e] for e in self.path))
+
+    def move(self, dt: float) -> int:
+        """Move one tick; returns the path edge the target is on."""
+        self.s += self.velocity_ms * dt
+        idx = min(bisect.bisect_right(self.ends, self.s), len(self.path) - 1)
+        eid = self.path[idx]
+        (ax, ay), (bx, by) = self.g.xy[self.g.tail[eid]].tolist(), self.g.xy[self.g.head[eid]].tolist()
+        start = self.ends[idx - 1] if idx > 0 else 0.0
+        frac = min(max((self.s - start) / self.g._length[eid], 0.0), 1.0)
+        self.pos = (ax + frac * (bx - ax), ay + frac * (by - ay))
+        return eid
+
+
+def motion_loop(walker: Walker, dt: float, delay_m: float, max_ticks: int, goal_union):
+    """A target's motion in a trial of `max_ticks` ticks, one tick at a time:
+    (the first tick that ends with it `delay_m` along, the tick it enters a
+    goal edge, its position at the end of each tick before that one), a tick
+    None when it does not come within the budget."""
+    ready = goal = None
+    track = []
     for tick in range(1, max_ticks + 1):
-        for tg in targets:
-            tg.s += tg.velocity_ms * dt
-            tg.locate()
-            if tg.path[min(bisect.bisect_right(tg.ends, tg.s), len(tg.path) - 1)] in goal_union:
-                return tick, tg.tid
-        if any(tg.s < delay_m for tg in targets):
-            continue
-        return tick, None
-    return max_ticks, None
+        on_goal = walker.move(dt) in goal_union
+        if ready is None and walker.s >= delay_m:
+            ready = tick
+        if on_goal:
+            goal = tick
+            break
+        track.append(walker.pos)
+    return ready, goal, track
 
 
 def reference_trial(scenario, seed: int, world) -> TrialResult:
     """`run_trial` as the plainest loop. Every tick, every undetected target
-    moves and is located, and entering a goal edge (the path edge at `s`)
-    loses at once; its belief, from `init_belief` on its entry edge, is
-    propagated every tick, the head start included. The team flies from the
-    first tick that ends with every target `delay_km` along. The world gives
-    only its graph, grid and models, never a stored belief or row: marginals
-    are `cell_marginal` of each target's own belief. This does belief work in
-    head-start ticks, so never compare call counts with it."""
+    is walked, and entering a goal edge loses at once; its belief, from
+    `init_belief` on its entry edge, is propagated every tick, the head start
+    included. The team flies from the first tick that ends with every target
+    `delay_km` along. Targets take only their path and speed from
+    `_spawn_targets`. The world gives only its graph, grid and models, never
+    a stored belief or row: marginals are `cell_marginal` of each target's own
+    belief. This does belief work in head-start ticks, so never compare call
+    counts with it."""
     overlay, goal_union = world.overlay, world.refined.goal_union
     dt, delay_m = scenario.tick_seconds, scenario.delay_km * 1000.0
     team_p = scenario.team_min_detect_prob() if scenario.uavs else 1.0
     targets = _spawn_targets(scenario, world, seed)
+    walkers = [Walker(world.refined, tg.path, tg.velocity_ms) for tg in targets]
     uavs = [_UavState(u, u.depot) for u in scenario.uavs]
     beliefs = [init_belief(world.refined, tg.path[0]) for tg in targets]
     det_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
@@ -244,22 +273,20 @@ def reference_trial(scenario, seed: int, world) -> TrialResult:
     flying = False
     for tick in range(1, scenario.max_ticks + 1):
         for j, tg in enumerate(targets):
-            if active[j]:
-                tg.s += tg.velocity_ms * dt
-                tg.locate()
-                if tg.path[min(bisect.bisect_right(tg.ends, tg.s), len(tg.path) - 1)] in goal_union:
-                    return TrialResult("lose", detections, tg.tid, tick, seed)
+            if active[j] and walkers[j].move(dt) in goal_union:
+                return TrialResult("lose", detections, tg.tid, tick, seed)
         for j, tg in enumerate(targets):
             if active[j]:
                 beliefs[j] = propagate(beliefs[j], world.models[tg.class_name])
-        flying = flying or all(tg.s >= delay_m for tg in targets)
+        flying = flying or all(w.s >= delay_m for w in walkers)
         if not flying:
             continue
         for uav in uavs:
             uav.fly(overlay, dt)
         for uav in uavs:
             for j, tg in enumerate(targets):
-                in_range = math.hypot(tg.pos[0] - uav.pos[0], tg.pos[1] - uav.pos[1]) <= uav.spec.detect_radius
+                x, y = walkers[j].pos
+                in_range = math.hypot(x - uav.pos[0], y - uav.pos[1]) <= uav.spec.detect_radius
                 if active[j] and in_range and det_rng.random() < uav.spec.detect_prob:
                     active[j] = False
                     detections[tg.tid] = tick

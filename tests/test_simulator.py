@@ -20,9 +20,8 @@ from uav_search.simulator import (
     BLOCK_TICKS,
     BatchStats,
     TrialResult,
-    _move_targets,
+    _motion,
     _spawn_targets,
-    _TargetState,
     _UavState,
     _uniform_off_cells,
     build_world,
@@ -35,7 +34,7 @@ from uav_search.movement import save_model
 from uav_search.road_graph import RoadGraph
 from uav_search.strategies import RandomWalkStrategy, WanderingError
 
-from oracles import head_start_loop, model_from_rows, model_rows, reference_trial, validate_path
+from oracles import Walker, model_from_rows, model_rows, motion_loop, reference_trial, validate_path
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -370,6 +369,21 @@ class TestSharedBeliefs:
         assert calls == [] and world.rows == {} and world.checkpoints == {}
 
 
+def _straight_roads(roads):
+    """A graph of straight roads 1000 m apart, one per (edge lengths,
+    velocity), each entered on its first edge and left on its last, a goal;
+    and each road's (path, velocity)."""
+    xy, tails, paths = [], [], []
+    for j, (lengths, velocity) in enumerate(roads):
+        first_vertex, first_edge = len(xy), len(tails)
+        xy.extend((x, 1000.0 * j) for x in np.concatenate([[0.0], np.cumsum(lengths)]))
+        tails.extend(range(first_vertex, first_vertex + len(lengths)))
+        paths.append((list(range(first_edge, first_edge + len(lengths))), velocity))
+    heads = [t + 1 for t in tails]
+    goals = frozenset(path[-1] for path, _ in paths)
+    return RoadGraph(xy, tails, heads, frozenset(path[0] for path, _ in paths), (goals,)), paths
+
+
 @st.composite
 def _head_starts(draw):
     """(graph, [(path, velocity)], tick, head start m, tick budget): 1-4
@@ -379,73 +393,73 @@ def _head_starts(draw):
     the head start."""
     aligned = draw(st.booleans())
     dt = draw(st.sampled_from([1.0, 2.0, 4.0])) if aligned else draw(st.floats(0.5, 30.0))
-    xy, tails, goals, roads = [], [], set(), []
-    for j in range(draw(st.integers(1, 4))):
+    roads = []
+    for _ in range(draw(st.integers(1, 4))):
         v = draw(st.sampled_from([0.5, 1.25, 2.5])) if aligned else draw(st.floats(0.5, 20.0))
         n = draw(st.integers(2, 8))
         if aligned:
-            lengths = [v * dt * draw(st.integers(1, 12)) for _ in range(n)]
+            roads.append(([v * dt * draw(st.integers(1, 12)) for _ in range(n)], v))
         else:
-            lengths = [draw(st.floats(1.0, 500.0)) for _ in range(n)]
-        first_vertex, first_edge = len(xy), len(tails)
-        xy.extend((x, 1000.0 * j) for x in np.concatenate([[0.0], np.cumsum(lengths)]))
-        tails.extend(range(first_vertex, first_vertex + n))
-        goals.add(first_edge + n - 1)
-        roads.append((list(range(first_edge, first_edge + n)), v))
-    heads = [t + 1 for t in tails]
-    g = RoadGraph(xy, tails, heads, frozenset(path[0] for path, _ in roads), (frozenset(goals),))
+            roads.append(([draw(st.floats(1.0, 500.0)) for _ in range(n)], v))
+    g, paths = _straight_roads(roads)
     if aligned:
-        delay_m = roads[draw(st.integers(0, len(roads) - 1))][1] * dt * draw(st.integers(0, 40))
+        delay_m = paths[draw(st.integers(0, len(paths) - 1))][1] * dt * draw(st.integers(0, 40))
     else:
         delay_m = draw(st.floats(0.0, 5000.0))
-    return g, roads, dt, delay_m, draw(st.integers(1, 80))
-
-
-def _targets_on(g, roads):
-    targets = []
-    for tid, (path, velocity) in enumerate(roads):
-        lengths = g.length[path]
-        segments = np.column_stack([g.xy[g.tail[path]], g.xy[g.head[path]], lengths]).tolist()
-        tg = _TargetState(tid, path, np.cumsum(lengths).tolist(), segments, velocity, "runner")
-        tg.locate()
-        targets.append(tg)
-    return targets
+    return g, paths, dt, delay_m, draw(st.integers(1, 80))
 
 
 class TestHeadStartFastForward:
     @settings(max_examples=400, deadline=None)
     @given(_head_starts())
+    @example((*_straight_roads([([10.0, 10.0], 1.0)]), 1.0, 1000.0, 80))  # ready long after the goal tick 10
+    @example((*_straight_roads([([100.0, 100.0], 1.0)]), 1.0, 0.0, 5))  # a budget of 5 ticks, goal tick 100
+    @example((*_straight_roads([([10.0, 10.0], 0.0)]), 1.0, 0.0, 30))  # a speed that rounds to 0 m/s
     def test_equals_tick_by_tick_loop(self, case):
-        """`_move_targets` called tick by tick as `run_trial` calls it, which
-        locates nobody until the tick that ends with every target past the
-        head start, reaches the tick the team first flies or a target enters
-        its goal edge, the losing target, every target's s and, on the first
-        tick the team flies, every target's position, of moving and locating
-        every target tick by tick."""
-        g, roads, dt, delay_m, max_ticks = case
-        fast, slow = _targets_on(g, roads), _targets_on(g, roads)
-        flying = False
-        for tick in range(1, max_ticks + 1):
-            loser, flying = _move_targets(fast, dt, delay_m, flying)
-            if loser is not None or flying:
-                break
-        if loser is not None or not flying:  # no tick the team flies located the targets
-            for t in fast:
-                t.locate()
-        got = (tick, None if loser is None else loser.tid)
-        assert got == head_start_loop(slow, dt, delay_m, max_ticks, g.goal_union)
-        assert [(t.s, t.pos) for t in fast] == [(t.s, t.pos) for t in slow]
+        """Each target's motion fixed at spawn equals walking it tick by tick
+        with `s += v * dt` and a `bisect` locate: its goal tick, or a tick past
+        the budget when it stays short of its goal edge; its ready tick,
+        which counts only up to the goal tick and the budget; and every
+        position it holds before its goal tick, within the budget."""
+        g, paths, dt, delay_m, max_ticks = case
+        for path, velocity in paths:
+            ready, goal, track = _motion(g, path, velocity * dt, delay_m, max_ticks)
+            want_ready, want_goal, want_track = motion_loop(Walker(g, path, velocity), dt, delay_m, max_ticks,
+                                                            g.goal_union)
+            assert goal == (max_ticks + 1 if want_goal is None else want_goal)
+            assert min(ready, goal) == min(want_ready or math.inf, goal)
+            assert [tuple(p) for p in track] == want_track
 
-    def test_head_start_locates_no_target(self, border_scenario, border_world, monkeypatch):
-        """Targets are located only once the team flies: a loss in the head
-        start locates none, however many ticks it lasts."""
+    def test_head_start_loss_never_flies(self, border_scenario, border_world, monkeypatch):
+        """A loss in the head start ends at the losing target's goal tick,
+        and no UAV flies in it, however many ticks it lasts."""
         calls = []
-        real = _TargetState.locate
-        monkeypatch.setattr(_TargetState, "locate", lambda tg: calls.append(tg.tid) or real(tg))
+        monkeypatch.setattr(_UavState, "fly", lambda uav, overlay, dt: calls.append(uav))
         sc = dataclasses.replace(border_scenario, delay_km=1000.0)
-        result = run_trial(sc, trial_seed(4, 0), border_world)
+        seed = trial_seed(4, 0)
+        result = run_trial(sc, seed, border_world)
         assert result.outcome == "lose" and result.ticks > 100
+        assert result.ticks == _spawn_targets(sc, border_world, seed)[result.losing_target].goal_tick
         assert calls == []
+
+
+class TestTrackBound:
+    """A track holds one position per tick, up to the goal tick or `max_ticks`."""
+
+    def test_slow_targets_time_out_within_the_budget(self, border_scenario, border_world):
+        crawl = dataclasses.replace(border_scenario.classes[0], velocity_kmh=(0.001, 0.001))
+        sc = dataclasses.replace(border_scenario, classes=(crawl,), max_ticks=50)
+        for i in range(3):
+            seed = trial_seed(0, i)
+            assert run_trial(sc, seed, border_world) == TrialResult("lose", {}, None, 50, seed, timeout=True)
+            assert all(len(tg.track) <= 50 for tg in _spawn_targets(sc, border_world, seed))
+
+    def test_huge_budget_stops_at_the_goal_tick(self, border_scenario, border_world):
+        sc = dataclasses.replace(border_scenario, max_ticks=10**9)
+        for i in range(3):
+            seed = trial_seed(0, i)
+            assert run_trial(sc, seed, border_world).ticks < 10**9
+            assert all(len(tg.track) < tg.goal_tick for tg in _spawn_targets(sc, border_world, seed))
 
 
 @st.composite
