@@ -167,6 +167,8 @@ def cmd_compile_model(args) -> int:
             f"tick, more than the shortest refined edge ({refined.length.min():.6g} m); "
             "a model supports one hop per tick"
         )
+    if velocity[0] * KMH_TO_MS * args.tick == 0:  # a target that never moves never reaches a goal
+        raise ConfigError(f"--tick {args.tick:g} s at the low --velocity {velocity[0]:g} km/h moves 0 m per tick")
     for entry in sorted(dead):
         print(f"warning: {args.graph}: entry edge {entry} reaches no goal set; a scenario on this map "
               "must fix every target's entry to another edge", file=sys.stderr)

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .belief import check_detect_prob
-from .movement import check_velocity_range
+from .movement import KMH_TO_MS, check_velocity_range
 from .planner import DEFAULT_THRESHOLD, PolicyConfig
 from .road_graph import ConfigError, read_lines
 from .strategies import Strategy, make_strategy
@@ -108,6 +108,10 @@ class ScenarioConfig:
         if self.delay_km == math.inf:
             raise ConfigError(f"delay_km: must be finite, got {self.delay_km}")
         _check_positive("tick_seconds", self.tick_seconds)
+        for c in self.classes:  # a target that moves 0 m a tick never moves
+            if c.velocity_kmh[0] * KMH_TO_MS * self.tick_seconds == 0:
+                raise ConfigError(f"classes.{c.name}.velocity_kmh: low {c.velocity_kmh[0]} km/h moves 0 m "
+                                  f"in a tick of {self.tick_seconds} s")
         if self.max_ticks < 1:
             raise ConfigError(f"max_ticks: must be >= 1, got {self.max_ticks}")
         if self.grid_radius is not None:

@@ -3,16 +3,17 @@
 A model is compiled offline: strategies generate full routes for every
 (entry, goal) pair, each route is sampled into an array of the edge occupied
 at each tick, and transition frequencies (with Laplace smoothing) become a
-row-stochastic edge-to-edge matrix. Goal edges are absorbing. Sampling is one
-`searchsorted` per route, and a trace is an array of the graph's edge width:
-the narrowest signed integer dtype that holds every edge id (`edge_dtype`:
-int16 for the bundled map's 739 refined edges, int32 above 32,768), since
-traces are most of what training holds. Hops are counted in slices of at most
-`HOP_SLICE` hops, so no array holds every hop; within a slice only the hops
-that move to another edge are looked up, and the stays, most hops, are
-tallied per row. The matrix is three parallel
-`(src, dst, prob)` arrays, and each search tick scatters `prob * mass[src]`
-onto `dst`: plain numpy, no sparse-matrix type.
+row-stochastic edge-to-edge matrix. Goal edges are absorbing. A strategy's
+routes are sampled together, in a few array passes per run of them, each
+edge's tick count read off its end. A trace is an array of the graph's edge
+width: the narrowest signed integer dtype that holds every edge id
+(`edge_dtype`: int16 for the bundled map's 739 refined edges, int32 above
+32,768), since traces are most of what training holds. Hops are counted in
+slices of at most `HOP_SLICE` hops, so no array holds every hop; within a
+slice only the hops that move to another edge are looked up, and the stays,
+most hops, are tallied per row. The matrix is three parallel `(src, dst,
+prob)` arrays, and each search tick scatters `prob * mass[src]` onto `dst`:
+plain numpy, no sparse-matrix type.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,6 +44,11 @@ ROW_SUM_TOL = 1e-9
 # host), and `compile_model`'s tracemalloc peak went 0.63 -> 0.43 MB.
 HOP_SLICE = 1 << 13
 
+# The most cells, paths times the longest of them, that `sample_traces` pads
+# into one matrix of edge ends; a β = 0 walk runs up to 766 times its route,
+# so a long path makes a run of its own.
+SAMPLE_CELLS = 2048
+
 
 class ModelFormatError(ConfigError):
     """Raised for malformed or inconsistent model files."""
@@ -54,6 +60,8 @@ def check_velocity_range(velocity_kmh: tuple[float, float], label: str):
     lo, hi = velocity_kmh
     if not 0 < lo <= hi < math.inf:
         raise ConfigError(f"{label}: need 0 < low <= high < inf, got [{lo}, {hi}]")
+    if lo * KMH_TO_MS == 0:
+        raise ConfigError(f"{label}: low {lo} km/h is 0 m/s as a float, and a target at 0 m/s never moves")
     return velocity_kmh
 
 
@@ -88,53 +96,75 @@ class TransitionModel:
         return np.flatnonzero(np.bincount(self.src, minlength=self.n_edges) == 0)
 
 
-class _Route(NamedTuple):
-    """A path made ready for sampling: its edges, the distance along it at
-    which each edge ends, and which of them are goal edges."""
-
-    edges: np.ndarray
-    ends: np.ndarray
-    on_goal: np.ndarray
-
-
 def edge_dtype(n_edges: int) -> np.dtype:
     """The narrowest signed integer dtype that holds every id below `n_edges`:
     int8 up to 128 edges, int16 up to 32,768, int32 up to 2^31."""
     return np.min_scalar_type(-max(n_edges, 1))
 
 
-def _route(g: RoadGraph, path: list[int]) -> _Route:
-    return _Route(np.asarray(path, dtype=edge_dtype(g.n_edges)), np.cumsum(g.length[path]),
-                  np.array([e in g.goal_union for e in path]))
+def sample_traces(g: RoadGraph, walks: Iterable[tuple[list[int], float]], tick: float) -> list[np.ndarray]:
+    """One trace per walk, a path and its constant velocity (m/s), in order:
+    the read-only array of the edge occupied every `tick` seconds from tick 0
+    up to the first tick on a goal edge, in the graph's `edge_dtype` (int16
+    on the bundled map), so the traces a model trains on hold no wider ids.
 
-
-def sample_trace(g: RoadGraph, path: list[int] | _Route, velocity_ms: float, tick: float) -> np.ndarray:
-    """Sample edge occupancy along `path` every `tick` seconds at constant
-    speed, stopping at the first sample on a goal edge: a trace, the
-    read-only array of the edge occupied at each tick from tick 0, in the
-    graph's `edge_dtype` (int16 on the bundled map, int32 above 32,768
-    edges), so the traces a model trains on hold no wider ids. Its
-    first edge is an entry, its last the absorbing goal edge and no earlier
-    one a goal. `path` is a list of edge ids, or one made ready by `_route`
-    once for many samples.
-
-    Tick t sits `velocity_ms * tick * t` meters along the path, on the edge
+    Tick k sits `velocity_ms * tick * k` meters along the path, on the edge
     whose end lies first beyond it (the last edge once past the path's end).
-    Raises ValueError when no sample lands on a goal edge.
+    So edge j holds K(end j) - K(end j-1) ticks, K(x) counting the k with
+    `step * k < x`, and no per-tick float is formed. Walks are read and
+    sampled in runs whose zero-padded (paths x longest) matrix holds at most
+    `SAMPLE_CELLS` cells, a longer path alone, so no more than a run of
+    paths is held at once.
+
+    Raises ValueError for the first walk, in order, whose velocity times
+    `tick` is not positive and finite, or on which no tick is on a goal edge.
     """
-    if not (0 < velocity_ms < math.inf and 0 < tick < math.inf):
-        raise ValueError("velocity and tick must be positive and finite")
-    edges, ends, on_goal = path if isinstance(path, _Route) else _route(g, path)
-    step = velocity_ms * tick
-    # Enough ticks to pass the start of the last edge, where sampling stays.
-    n = 1 if len(edges) == 1 else int(ends[-2] / step) + 2
-    at = np.minimum(np.searchsorted(ends, step * np.arange(n, dtype=float), side="right"), len(edges) - 1)
-    on_goal = on_goal[at]
-    if not on_goal.any():
-        raise ValueError(f"path never reaches a goal edge: it ends on edge {edges[-1]}")
-    trace = edges[at[: on_goal.argmax() + 1]]
-    trace.flags.writeable = False
-    return trace
+    is_goal = np.isin(np.arange(g.n_edges), list(g.goal_union))
+    traces: list[np.ndarray] = []
+    for run in _runs(walks, lambda walk: len(walk[0]), SAMPLE_CELLS, padded=True):
+        paths, velocities = zip(*run)
+        with np.errstate(over="ignore"):  # an overflowing step is refused below
+            steps = np.array(velocities, dtype=float) * tick
+        ok = (0 < steps) & (steps < math.inf) & (0 < tick < math.inf)
+        bad = len(run) if ok.all() else int(ok.argmin())
+        if bad:  # a path off the goals before the bad step is named first
+            traces += _sample_run(g, paths[:bad], steps[:bad], is_goal)
+        if bad < len(run):
+            raise ValueError("velocity and tick must be positive and finite, and so must their product")
+    return traces
+
+
+def _sample_run(g: RoadGraph, paths: Sequence[list[int]], steps: np.ndarray, is_goal: np.ndarray) -> list[np.ndarray]:
+    """`sample_traces` for one run of paths, each with its positive, finite step."""
+    sizes = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
+    cells = np.arange(sizes.max()) < sizes[:, None]  # row i is path i, zero-padded
+    ids = np.zeros(cells.shape, dtype=np.intp)
+    ids[cells] = np.fromiter(itertools.chain.from_iterable(paths), dtype=np.intp, count=sizes.sum())
+    # A row accumulates its path's lengths in path order, as the path's own
+    # `np.cumsum` does: the same edge ends, bit for bit.
+    ends = np.where(cells, g.length[ids], 0.0).cumsum(axis=1)
+    # The ticks before each edge end, K(end): ceil(end / step), corrected
+    # with the products themselves until no count moves.
+    step = steps[:, None]
+    before = np.ceil(ends / step)
+    while True:
+        fixed = before + (step * before < ends) - ((before > 0) & (step * (before - 1) >= ends))
+        if (fixed == before).all():
+            break
+        before = fixed
+    ticks = np.diff(before, axis=1, prepend=0.0)
+    ticks[np.arange(len(paths)), sizes - 1] = 1  # the last edge holds every tick past its start
+    # A trace ends on its first tick on a goal edge.
+    reached = is_goal[ids] & (ticks > 0)
+    found = reached.any(axis=1)
+    if not found.all():
+        raise ValueError(f"path never reaches a goal edge: it ends on edge {paths[int(found.argmin())][-1]}")
+    at, stop = np.arange(cells.shape[1]), reached.argmax(axis=1)[:, None]
+    counts = np.where(at < stop, ticks, at == stop).astype(np.intp)
+    flat = np.repeat(ids.astype(edge_dtype(g.n_edges)).ravel(), counts.ravel())
+    flat.flags.writeable = False
+    bounds = [0, *np.cumsum(counts.sum(axis=1)).tolist()]
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def traces_for_strategies(
@@ -150,29 +180,30 @@ def traces_for_strategies(
 
     Run `run` of entry index `ei` and goal index `gi` draws from `Rng(sub,
     (ei, gi, run))`, and one `spawn` call seeds all of a strategy's streams.
-    Velocity is drawn uniformly from `velocity_range_kmh` per run. Pairs a
-    strategy reports as unreachable are skipped. A path is used as returned,
-    as trials use it, and one that repeats the pair's previous path, as a
-    deterministic strategy's does every run, is made ready for sampling once.
+    Velocity is drawn uniformly from `velocity_range_kmh` per run, then the
+    path. Pairs a strategy reports as unreachable are skipped. A path is used
+    as returned, as trials use it. `sample_traces` reads a strategy's walks
+    as they are drawn and samples them together, a run at a time.
     """
     if not strategies:
         raise ValueError("need at least one strategy")
     lo, hi = check_velocity_range(velocity_range_kmh, "velocity_range_kmh")
     pairs = list(itertools.product(enumerate(sorted(g.entries)), range(len(g.goals))))
-    traces: list[np.ndarray] = []
-    for si, strategy in enumerate(strategies):
-        rngs = spawn(trial_seed(seed, si), [(ei, gi, run) for (ei, _), gi in pairs for run in range(runs_per_pair)])
+
+    def walks(strategy, rngs):
         for p, ((_, entry), gi) in enumerate(pairs):
-            last = None
             for rng in rngs[p * runs_per_pair:(p + 1) * runs_per_pair]:
                 v_ms = rng.uniform(lo, hi) * KMH_TO_MS
                 try:
                     path = strategy.path(g, entry, rng, goal_index=gi)
                 except UnreachableGoalError:
                     break  # pair unreachable for every run
-                if path != last:
-                    last, route = path, _route(g, path)
-                traces.append(sample_trace(g, route, v_ms, tick))
+                yield path, v_ms
+
+    traces: list[np.ndarray] = []
+    for si, strategy in enumerate(strategies):
+        rngs = spawn(trial_seed(seed, si), [(ei, gi, run) for (ei, _), gi in pairs for run in range(runs_per_pair)])
+        traces += sample_traces(g, walks(strategy, rngs), tick)
     return traces
 
 
@@ -205,7 +236,7 @@ def compile_model(
     count = np.zeros(allowed.size, dtype=np.intp)
     stay = np.searchsorted(allowed, np.arange(n, dtype=np.intp) * (n + 1))  # each (s, s) slot
     skipped = None
-    for run in _hop_slices(traces):
+    for run in _runs(filter(len, traces), lambda trace: len(trace) - 1, HOP_SLICE):
         edges = np.concatenate(run)
         outside = edges[(edges < 0) | (edges >= n)]
         if outside.size:
@@ -232,46 +263,35 @@ def compile_model(
             f"trace hop {skipped[0]} -> {skipped[1]} skips road edges; the model only "
             "supports one hop per tick, so the tick times the target "
             "velocity must not exceed the shortest refined edge")
-    count = count.tolist()
-
-    pairs: dict[tuple[int, int], float] = {}
-    i = 0
-    for src, row in enumerate(support):
-        seen = count[i : i + len(row)]
-        i += len(row)
-        if src in g.goal_union:
-            pairs[src, src] = 1.0
-            continue
-        total = sum(seen)
-        if total == 0:
-            pairs.update(((src, dst), 1.0 / len(row)) for dst in row)
-        else:
-            denom = total + smoothing * len(row)
-            pairs.update(
-                ((src, dst), (c + smoothing) / denom)
-                for dst, c in zip(row, seen)
-                if c > 0 or smoothing > 0
-            )
-    return TransitionModel(target_class, tick, n, *_columns(pairs))
+    # Row by row as (c + eps) / (total + eps * |supp|), over the same doubles
+    # as Python's int and float arithmetic: totals are exact below 2^53.
+    src, dst = np.divmod(allowed, n)
+    width = np.bincount(src, minlength=n)
+    total = np.bincount(src, weights=count, minlength=n)
+    seen = total > 0
+    prob = np.where(seen[src], count + smoothing, 1.0) / np.where(seen, total + smoothing * width, width)[src]
+    goal = np.isin(src, list(g.goal_union))
+    keep = np.where(goal, src == dst, (count > 0) | (smoothing > 0) | ~seen[src])
+    prob[goal] = 1.0
+    return TransitionModel(target_class, tick, n, src[keep], dst[keep], prob[keep])
 
 
-def _hop_slices(traces: list[np.ndarray]):
-    """Runs of consecutive non-empty traces with at most `HOP_SLICE` hops
-    together, in trace order; a longer trace is a run of its own."""
-    run, hops = [], 0
-    for trace in filter(len, traces):
-        if run and hops + len(trace) - 1 > HOP_SLICE:
+def _runs(items: Iterable, size, budget: int, padded: bool = False):
+    """Runs of consecutive items, in order, whose cost stays within `budget`:
+    the sum of their sizes, or, `padded`, their count times the largest (the
+    cells of a zero-padded matrix of them). An item over budget is a run of
+    its own. Items are read as runs are taken, so no more than a run is held."""
+    run, total, widest = [], 0, 0
+    for item in items:
+        n = size(item)
+        widest = max(widest, n)
+        if run and ((len(run) + 1) * widest if padded else total + n) > budget:
             yield run
-            run, hops = [], 0
-        run.append(trace)
-        hops += len(trace) - 1
+            run, total, widest = [], 0, n
+        run.append(item)
+        total += n
     if run:
         yield run
-
-
-def _columns(pairs: dict[tuple[int, int], float]) -> tuple[list, list, list]:
-    """`{(src, dst): prob}` as the three parallel columns, in insertion order."""
-    return [src for src, _ in pairs], [dst for _, dst in pairs], list(pairs.values())
 
 
 def validate_stochastic(model: TransitionModel, g: RoadGraph | None = None) -> list[str]:
@@ -364,4 +384,5 @@ def load_model(path: str) -> TransitionModel:
         tick = float(header["tick"])
     except ValueError:
         raise ModelFormatError(f"{path}: header tick={header['tick']} is not a number") from None
-    return TransitionModel(header["class"], tick, n_edges, *_columns(pairs))
+    src, dst = [src for src, _ in pairs], [dst for _, dst in pairs]
+    return TransitionModel(header["class"], tick, n_edges, src, dst, list(pairs.values()))

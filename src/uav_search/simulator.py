@@ -238,7 +238,7 @@ def _motion(g: RoadGraph, path: list[int], step: float, delay_m: float, max_tick
     lengths = g.length[path]
     starts = np.cumsum(np.concatenate(([0.0], lengths)))  # where each path edge starts, and the path's end
     goal_m = starts[-2].item()  # a path's only goal edge is its last
-    n = min(max_ticks, int(min(goal_m / step if step else math.inf, max_ticks)) + 2)
+    n = min(max_ticks, int(min(goal_m / step, max_ticks)) + 2)
     s = np.cumsum(np.full(n, step))  # to one tick past the goal edge's start, or to max_ticks
     ready, goal = (np.searchsorted(s, [delay_m, goal_m]) + 1).tolist()
     s = s[: goal - 1]

@@ -169,6 +169,8 @@ class TestCompileModel:
             ({"--strategies": "random_walk:beta=-1"}, "beta must be finite and >= 0, got -1.0"),
             ({"--strategies": "random_walk:beta=nan"}, "beta must be finite and >= 0, got nan"),
             ({"--strategies": "random_walk:beta=inf"}, "beta must be finite and >= 0, got inf"),
+            ({"--velocity": "5e-324:5e-324"}, "--velocity: low 5e-324 km/h is 0 m/s as a float"),
+            ({"--velocity": "1e-300:1", "--tick": "1e-30"}, "--tick 1e-30 s at the low --velocity 1e-300 km/h moves 0 m"),
         ],
     )
     def test_flag_validation(self, work, capsys, patch, needle):

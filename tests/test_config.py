@@ -133,6 +133,11 @@ class TestScenarioParsing:
             (lambda d: d["classes"]["runner"].update(velocity_kmh=[8]), r"velocity_kmh: expected \[low, high\]"),
             (lambda d: d["classes"]["runner"].update(velocity_kmh=[12, 8]), r"need 0 < low <= high"),
             (lambda d: d["classes"]["runner"].update(velocity_kmh=[0, 8]), r"need 0 < low <= high"),
+            (lambda d: d["classes"]["runner"].update(velocity_kmh=[5e-324, 5e-324]), r"low 5e-324 km/h is 0 m/s"),
+            (
+                lambda d: d.update(tick_seconds=1e-30) or d["classes"]["runner"].update(velocity_kmh=[1e-300, 1]),
+                r"classes.runner.velocity_kmh: low 1e-300 km/h moves 0 m in a tick of 1e-30 s",
+            ),
             (lambda d: d["classes"]["runner"].update(velocity_kmh=[8, math.inf]), r"need 0 < low <= high < inf, got \[8.0, inf\]"),
             (lambda d: d["uavs"][0].update(depot=[math.nan, 0]), r"uavs\[0\].depot: must be two finite numbers"),
             (lambda d: d["uavs"][0].update(depot=[0, -math.inf]), r"uavs\[0\].depot: must be two finite numbers"),

@@ -22,7 +22,7 @@ from uav_search.movement import (
     ModelFormatError,
     compile_model,
     load_model,
-    sample_trace,
+    sample_traces,
     save_model,
     traces_for_strategies,
     validate_stochastic,
@@ -35,6 +35,12 @@ from oracles import count_compile, model_from_rows, model_rows, trace_loop, vali
 
 def _edge_lists(traces):
     return [trace.tolist() for trace in traces]
+
+
+def sample_trace(g, path, velocity_ms, tick):
+    """One path's trace from the batch sampler."""
+    [trace] = sample_traces(g, [(path, velocity_ms)], tick)
+    return trace
 
 
 def _refined(g):
@@ -100,6 +106,43 @@ class TestSampleTrace:
         """No sample of the path [0] lands on goal edge 1: raise, never loop."""
         with pytest.raises(ValueError, match="never reaches a goal edge: it ends on edge 0"):
             sample_trace(line_graph, [0], 5.0, 1.0)
+
+    @pytest.mark.parametrize("step,end,ticks", [
+        (57.02228162441893, 2394.9358282255953, 42),  # end / step rounds to 42.00000000000001, 42 * step to end
+        (25.366766171280382, 507.33532342560767, 21),  # end / step rounds to 20.0, 20 * step one ulp below end
+    ])
+    def test_edge_ticks_follow_the_products_not_the_quotient(self, step, end, ticks):
+        """At 1 s ticks, the entry edge of `end` meters holds the ticks k
+        with `step * k < end`, one fewer or one more than `ceil(end / step)`."""
+        g = RoadGraph([(0.0, 0.0), (end, 0.0), (end + 100.0, 0.0)], [0, 1], [1, 2], frozenset({0}), (frozenset({1}),))
+        assert g.length[0] == end and math.ceil(end / step) != ticks
+        trace = sample_trace(g, [0, 1], step, 1.0).tolist()
+        assert trace == trace_loop(g, [0, 1], step, 1.0) == [0] * ticks + [1]
+
+    @pytest.mark.parametrize("velocities,message", [
+        ([5.0, 5.0, -1.0], "never reaches a goal edge: it ends on edge 0"),
+        ([5.0, -1.0, 5.0], "velocity and tick must be positive and finite"),
+        ([5.0, 1e308, 5.0], "velocity and tick must be positive and finite"),
+    ])
+    def test_first_bad_path_in_order_is_named(self, line_graph, velocities, message):
+        """Of the paths [0, 1], [0] (no goal) and [0, 1], the first in order
+        that cannot be sampled raises: a speed that is negative, or whose
+        step overflows, before a later path off the goals."""
+        with pytest.raises(ValueError, match=message):
+            sample_traces(line_graph, zip([[0, 1], [0], [0, 1]], velocities), 2.0)
+
+    def test_reads_walks_a_run_at_a_time(self, line_graph):
+        """Walks are read as runs are taken: at a budget of 2 cells, the
+        first run, [0] alone, is sampled and refused before the walk after
+        the second is drawn."""
+        def walks():
+            yield [0], 5.0
+            yield [0, 1], 5.0
+            raise AssertionError("read past the second walk")
+
+        with mock.patch.object(movement, "SAMPLE_CELLS", 2):
+            with pytest.raises(ValueError, match="never reaches a goal edge: it ends on edge 0"):
+                sample_traces(line_graph, walks(), 1.0)
 
     @pytest.mark.parametrize("velocity", [float("nan"), float("inf")])
     def test_rejects_nonfinite_rates(self, line_graph, velocity):
@@ -345,6 +388,54 @@ def _sliced_case(draw):
     return budget, g, traces
 
 
+@st.composite
+def _ragged_batch(draw):
+    """(graph, paths, velocities m/s, tick s, cell budget): 1-8 paths, each a
+    run of consecutive edges of a straight road of 1-30 edges, so one-edge
+    paths and long paths beside short ones, sampled in runs of a budget of
+    1-40 padded cells. A path ends on a goal edge, as may some earlier edges,
+    or about one in six holds no goal edge at all. In half the draws every
+    edge is a whole number of steps long at every velocity, so samples fall
+    exactly on edge ends."""
+    n = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        tick, speeds = draw(st.sampled_from([1.0, 2.0, 4.0])), st.sampled_from([0.5, 1.25, 2.5])
+        lengths = [2.5 * tick * draw(st.integers(1, 6)) for _ in range(n)]
+    else:
+        tick, speeds = draw(st.floats(0.5, 30.0)), st.floats(0.5, 20.0)
+        lengths = [draw(st.floats(1.0, 500.0)) for _ in range(n)]
+    goals = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    xs = np.concatenate([[0.0], np.cumsum(lengths)])
+    g = RoadGraph([(x, 0.0) for x in xs], range(n), range(1, n + 1), frozenset({0}), (frozenset(goals),))
+    others = sorted(set(range(n)) - goals)
+    paths = []
+    for _ in range(draw(st.integers(1, 8))):
+        if others and not draw(st.integers(0, 5)):
+            stop = draw(st.sampled_from(others))
+            low = max([e + 1 for e in goals if e < stop], default=0)
+        else:
+            stop, low = draw(st.sampled_from(sorted(goals))), 0
+        start = draw(st.sampled_from([stop, low]) | st.integers(low, stop))
+        paths.append(list(range(start, stop + 1)))
+    return g, paths, [draw(speeds) for _ in paths], tick, draw(st.integers(1, 40))
+
+
+def _peak_above_start(fn, *args):
+    """`fn(*args)`, and the tracemalloc peak it reached above the memory
+    traced when it started."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def _compiled(compile_fn, traces, g, smoothing):
     """The model's `(src, dst, prob)` lists, or the skip-hop error's first words."""
     try:
@@ -380,6 +471,26 @@ class TestArraysEqualLoopOracles:
             return
         v_ms = velocity_kmh * KMH_TO_MS
         assert sample_trace(g, path, v_ms, tick).tolist() == trace_loop(g, path, v_ms, tick)
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=_ragged_batch())
+    def test_batch_sampling_equals_tick_loop(self, batch):
+        """Sampled together, in runs of a few padded cells, each path's trace
+        equals its own tick loop, in path order; or the error names the first
+        path in order that holds no goal edge."""
+        g, paths, velocities, tick, cells = batch
+        want = []
+        for path, velocity in zip(paths, velocities):
+            if g.goal_union.isdisjoint(path):
+                with mock.patch.object(movement, "SAMPLE_CELLS", cells), pytest.raises(ValueError) as err:
+                    sample_traces(g, zip(paths, velocities), tick)
+                assert str(err.value) == f"path never reaches a goal edge: it ends on edge {path[-1]}"
+                return
+            want.append(trace_loop(g, path, velocity, tick))
+        with mock.patch.object(movement, "SAMPLE_CELLS", cells):
+            traces = sample_traces(g, zip(paths, velocities), tick)
+        assert _edge_lists(traces) == want
+        assert all(t.dtype == np.int8 and not t.flags.writeable for t in traces)
 
     @settings(max_examples=300, deadline=None)
     @given(case=_graph_and_traces(), smoothing=st.sampled_from([0.0, 0.01, 0.5]) | st.floats(0.0, 2.0))
@@ -419,14 +530,18 @@ class TestHopSlices:
     """`compile_model` counts hops in runs of traces of at most `HOP_SLICE`
     hops; here the budget is cut to a few hops."""
 
-    def test_runs_close_on_the_budget(self):
-        """Runs of 2 + 2 + 0 hops end exactly on a budget of 4; a trace of 5
-        hops is a run alone, and an empty trace is dropped."""
-        traces = [np.zeros(hops + 1, dtype=np.int32) for hops in (2, 2, 0, 5, 1, 3)]
-        traces.insert(3, np.zeros(0, dtype=np.int32))
+    def test_runs_close_on_the_budget(self, fork_graph):
+        """Runs of 2 + 2 + 0 hops end exactly on a budget of 4, and a trace of
+        5 hops is a run alone; `compile_model` drops an empty trace before it
+        slices. Padded, a run closes where its count times its longest would
+        pass the budget: 2 x 2 fits 4, and a 5 is a run alone."""
+        assert list(movement._runs([2, 2, 0, 5, 1, 3], int, 4)) == [[2, 2, 0], [5], [1, 3]]
+        assert list(movement._runs([1, 2, 1, 5, 1, 1, 1, 1, 1], int, 4, padded=True)) == [
+            [1, 2], [1], [5], [1, 1, 1, 1], [1]]
+        g = _refined(fork_graph)
+        traces = [np.array(t, dtype=np.int32) for t in ([0, 0, 1], [0, 1, 1], [0], [], [1, 1, 3, 3, 3, 3], [0, 1])]
         with mock.patch.object(movement, "HOP_SLICE", 4):
-            runs = [[len(t) - 1 for t in run] for run in movement._hop_slices(traces)]
-        assert runs == [[2, 2, 0], [5], [1, 3]]
+            assert _compiled(compile_model, traces, g, 0.01) == _compiled(count_compile, traces, g, 0.01)
 
     @pytest.mark.parametrize("budget", [1, 2, 1 << 15])
     @pytest.mark.parametrize("traces,edge", [
@@ -450,18 +565,28 @@ class TestHopSlices:
         strategies = [make_strategy("shortest"), make_strategy("random_walk", {"beta": 0.01}),
                       make_strategy("side_roads", {"penalty": 1.5})]
         traces = traces_for_strategies(g, strategies, 20.0, (8.0, 12.0), 6, seed=3)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            compile_model(traces, g, 0.01, 20.0, "runner")
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        _, peak = _peak_above_start(compile_model, traces, g, 0.01, 20.0, "runner")
         assert peak < 1.5e6
+
+    @pytest.mark.parametrize("name,params,seed,bound", [
+        ("shortest", {}, 3, 0.3e6),
+        ("random_walk", {"beta": 0.01}, 3, 0.3e6),
+        ("side_roads", {"penalty": 1.5}, 3, 0.3e6),
+        ("random_walk", {"beta": 0.0}, 0, 1e6),
+    ], ids=["shortest", "walk_beta_0.01", "side_roads", "walk_beta_0"])
+    def test_training_peaks_near_its_traces(self, border_refined, name, params, seed, bound):
+        """One strategy's training traces, 6 runs per pair, peak within
+        `bound` of the traces returned, as walks are drawn and sampled a
+        run of at most `SAMPLE_CELLS` cells at a time: 0.25 MB on each of
+        the perfbench `compile` strategies and 0.30 MB on beta = 0 walks (up
+        to 8,163 edges a path). Holding a strategy's paths until all are
+        drawn peaked at 0.37 and 5.1 MB, and padding them all at once at 1.2
+        and 194 MB."""
+        g, _ = border_refined
+        strategy = make_strategy(name, params)
+        traces_for_strategies(g, [strategy], 20.0, (8.0, 12.0), 6, seed)  # the strategy's own tables
+        traces, peak = _peak_above_start(traces_for_strategies, g, [strategy], 20.0, (8.0, 12.0), 6, seed)
+        assert peak - sum(t.nbytes for t in traces) < bound
 
 
 class TestValidateStochastic:

@@ -414,7 +414,7 @@ class TestHeadStartFastForward:
     @given(_head_starts())
     @example((*_straight_roads([([10.0, 10.0], 1.0)]), 1.0, 1000.0, 80))  # ready long after the goal tick 10
     @example((*_straight_roads([([100.0, 100.0], 1.0)]), 1.0, 0.0, 5))  # a budget of 5 ticks, goal tick 100
-    @example((*_straight_roads([([10.0, 10.0], 0.0)]), 1.0, 0.0, 30))  # a speed that rounds to 0 m/s
+    @example((*_straight_roads([([10.0, 10.0], 5e-324)]), 1.0, 0.0, 30))  # the least step a target can take
     def test_equals_tick_by_tick_loop(self, case):
         """Each target's motion fixed at spawn equals walking it tick by tick
         with `s += v * dt` and a `bisect` locate: its goal tick, or a tick past
