@@ -4,9 +4,12 @@ Every validation error names the exact config path that caused it
 (`uavs[0].detect_prob: ...`), so a bad file fails loudly before any
 simulation starts. Field tables check keys and types; each field rule lives
 in its record's `__post_init__`, so files, sweep axes and `dataclasses.replace`
-share it. Relative paths resolve against the directory of the config file.
-PyYAML loads on the first YAML read, so `compile-model` never loads it.
-`ConfigError` comes from `road_graph`, the module that every rule can import.
+share it. A class's speed rule, `movement.check_velocity_range`, runs in
+`ScenarioConfig`'s, as it needs the tick. Relative paths resolve against the
+directory of the config file. PyYAML loads on the first YAML read, so
+`compile-model` never loads it. `ConfigError` and `from_source`, which puts a
+file or path before its message, come from `road_graph`, the module that every
+rule can import.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import re
 from dataclasses import dataclass
 
 from .belief import check_detect_prob
-from .movement import KMH_TO_MS, check_velocity_range
+from .movement import check_velocity_range
 from .planner import DEFAULT_THRESHOLD, PolicyConfig
-from .road_graph import ConfigError, read_lines
+from .road_graph import ConfigError, from_source, read_lines
 from .strategies import Strategy, make_strategy
 
 
@@ -69,7 +72,6 @@ class TargetClassSpec:
     model_path: str
 
     def __post_init__(self):
-        check_velocity_range(self.velocity_kmh, "velocity_kmh")
         if not self.strategies:
             raise ConfigError("strategies: must list at least one strategy")
 
@@ -108,10 +110,8 @@ class ScenarioConfig:
         if self.delay_km == math.inf:
             raise ConfigError(f"delay_km: must be finite, got {self.delay_km}")
         _check_positive("tick_seconds", self.tick_seconds)
-        for c in self.classes:  # a target that moves 0 m a tick never moves
-            if c.velocity_kmh[0] * KMH_TO_MS * self.tick_seconds == 0:
-                raise ConfigError(f"classes.{c.name}.velocity_kmh: low {c.velocity_kmh[0]} km/h moves 0 m "
-                                  f"in a tick of {self.tick_seconds} s")
+        for c in self.classes:
+            check_velocity_range(c.velocity_kmh, self.tick_seconds, f"classes.{c.name}.velocity_kmh")
         if self.max_ticks < 1:
             raise ConfigError(f"max_ticks: must be >= 1, got {self.max_ticks}")
         if self.grid_radius is not None:
@@ -240,11 +240,9 @@ def parse_strategy(data, path: str) -> Strategy:
         raise ConfigError(f"{path}.name: required")
     params = {k: _need_float(v, f"{path}.{k}") for k, v in data.items() if k != "name"}
     try:
-        return make_strategy(data["name"], params)
+        return from_source(path, make_strategy, data["name"], params)
     except KeyError as exc:
         raise ConfigError(f"{path}.name: {exc.args[0]}") from None
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _entry(data, path: str) -> int | None:
@@ -337,11 +335,7 @@ def _load_yaml(path: str) -> dict:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    data = _load_yaml(path)
-    try:
-        return scenario_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return from_source(path, scenario_from_dict, _load_yaml(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _cycled(items: tuple, n) -> tuple:
@@ -379,27 +373,22 @@ def _read_axis(values, path: str, name) -> tuple[str, tuple]:
 def load_sweep(path: str) -> SweepSpec:
     read_base = _file("a scenario file", os.path.dirname(os.path.abspath(path)))
     data = _load_yaml(path)  # its errors name the file already
-    try:
-        base, trials, seed, axes = _fields(data, {
-            "base": (lambda d, at: load_scenario(read_base(d, at)), None),
-            "trials": (lambda d, at: check_trials(_need_int(d, at)), None),
-            "seed": (_count, 0),
-            "axes": (_named(_read_axis), {}),
-        }, "sweep", "")
-        if not axes:
-            raise ConfigError("axes: must name at least one sweep axis")
-        return SweepSpec(base, axes, trials, seed)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    base, trials, seed, axes = from_source(path, _fields, data, {
+        "base": (lambda d, at: load_scenario(read_base(d, at)), None),
+        "trials": (lambda d, at: check_trials(_need_int(d, at)), None),
+        "seed": (_count, 0),
+        "axes": (_named(_read_axis), {}),
+    }, "sweep", "")
+    if not axes:
+        raise ConfigError(f"{path}: axes: must name at least one sweep axis")
+    return SweepSpec(base, axes, trials, seed)
 
 
 def apply_axis(scenario: ScenarioConfig, axis: str, value, label: str | None = None) -> ScenarioConfig:
     """One override of a known sweep axis, returning a new scenario. Every error, the records'
     own checks included, is a ConfigError that starts with `label` (default `axes.<axis>`)."""
-    try:
-        return dataclasses.replace(scenario, **_AXES[axis][1](scenario, value))
-    except ConfigError as exc:
-        raise ConfigError(f"{label or f'axes.{axis}'}: {exc}") from None
+    overrides = _AXES[axis][1]
+    return from_source(label or f"axes.{axis}", lambda: dataclasses.replace(scenario, **overrides(scenario, value)))
 
 
 def sweep_points(spec: SweepSpec):

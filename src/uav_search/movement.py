@@ -54,14 +54,17 @@ class ModelFormatError(ConfigError):
     """Raised for malformed or inconsistent model files."""
 
 
-def check_velocity_range(velocity_kmh: tuple[float, float], label: str):
-    """The rule for a target velocity range [low, high] (km/h), for every
-    reader of one; a refusal raises ConfigError, its message starting with `label`."""
+def check_velocity_range(velocity_kmh: tuple[float, float], tick: float, label: str):
+    """The one rule for a target velocity range [low, high] (km/h) at a tick
+    of `tick` s: 0 < low <= high < inf, and low moves more than 0 m a tick as
+    a float, as a target that never moves never reaches a goal. A scenario's
+    classes, `compile-model` and `traces_for_strategies` each apply it with
+    their own tick; a refusal raises ConfigError, its message starting with `label`."""
     lo, hi = velocity_kmh
     if not 0 < lo <= hi < math.inf:
         raise ConfigError(f"{label}: need 0 < low <= high < inf, got [{lo}, {hi}]")
-    if lo * KMH_TO_MS == 0:
-        raise ConfigError(f"{label}: low {lo} km/h is 0 m/s as a float, and a target at 0 m/s never moves")
+    if lo * KMH_TO_MS * tick == 0:
+        raise ConfigError(f"{label}: low {lo} km/h moves 0 m in a tick of {tick} s")
     return velocity_kmh
 
 
@@ -187,7 +190,7 @@ def traces_for_strategies(
     """
     if not strategies:
         raise ValueError("need at least one strategy")
-    lo, hi = check_velocity_range(velocity_range_kmh, "velocity_range_kmh")
+    lo, hi = check_velocity_range(velocity_range_kmh, tick, "velocity_range_kmh")
     pairs = list(itertools.product(enumerate(sorted(g.entries)), range(len(g.goals))))
 
     def walks(strategy, rngs):

@@ -7,7 +7,8 @@ cell selection operate on the refined graph / overlay pair.
 
 `ConfigError`, the one class of bad input, lives here because every module
 imports this one: each rule on a file, flag or scenario value raises it or a
-subclass, and the command line exits 1 on it alone.
+subclass, and the command line exits 1 on it alone. `from_source` is the one
+home of its `<source>: <message>` prefix.
 """
 
 from __future__ import annotations
@@ -31,6 +32,15 @@ MAX_GRID_CELLS = 10**6
 
 class ConfigError(ValueError):
     """Bad input: its message names the file, flag or config path at fault."""
+
+
+def from_source(source: str, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, with `source: ` before any ConfigError it
+    raises: the file, flag or config path that the input came from."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 class GraphFormatError(ConfigError):

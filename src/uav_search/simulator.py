@@ -206,7 +206,8 @@ class _TargetState:
     class_name: str
     ready_tick: int
     goal_tick: int
-    track: list[list[float]]  # track[t - 1] is its (x, y) at the end of tick t
+    xs: list[float]  # (xs[t - 1], ys[t - 1]) is its position at the end of tick t
+    ys: list[float]
     belief: np.ndarray | None = None  # float64 over refined edge ids; None while it is the world's
 
 
@@ -231,21 +232,22 @@ class _UavState:
             self.pos = (self.pos[0] + dx / d * step, self.pos[1] + dy / d * step)
 
 
-def _motion(g: RoadGraph, path: list[int], step: float, delay_m: float, max_ticks: int) -> tuple[int, int, list]:
+def _motion(g: RoadGraph, path: list[int], step: float, delay_m: float, max_ticks: int) -> tuple[int, int, list, list]:
     """A target moving `step` a tick along `path`: the first tick that ends
-    `delay_m` along, the first on its goal edge, and its (x, y) at the end of each
+    `delay_m` along, the first on its goal edge, and its x and y at the end of each
     tick before, the floats of `s += step` a tick interpolated on the edge at `s`."""
     lengths = g.length[path]
     starts = np.cumsum(np.concatenate(([0.0], lengths)))  # where each path edge starts, and the path's end
     goal_m = starts[-2].item()  # a path's only goal edge is its last
     n = min(max_ticks, int(min(goal_m / step, max_ticks)) + 2)
-    s = np.cumsum(np.full(n, step))  # to one tick past the goal edge's start, or to max_ticks
+    with np.errstate(over="ignore"):  # a sum that overflows lies past the goal tick, and is never read
+        s = np.cumsum(np.full(n, step))  # to one tick past the goal edge's start, or to max_ticks
     ready, goal = (np.searchsorted(s, [delay_m, goal_m]) + 1).tolist()
     s = s[: goal - 1]
     idx = np.minimum(np.searchsorted(starts[1:], s, "right"), len(path) - 1)
     tail, head = g.xy[g.tail[path]][idx], g.xy[g.head[path]][idx]
     frac = np.minimum(np.maximum((s - starts[idx]) / lengths[idx], 0.0), 1.0)
-    return ready, goal, (tail + frac[:, None] * (head - tail)).tolist()
+    return ready, goal, *(tail + frac[:, None] * (head - tail)).T.tolist()
 
 
 def _spawn_targets(sc: ScenarioConfig, world: World, seed: int) -> list[_TargetState]:
@@ -298,7 +300,7 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
         # 3. One Bernoulli detection attempt per (UAV, target in range); a detected target leaves the trial.
         for uav in uavs:
             for tg in targets[:]:
-                x, y = tg.track[tick - 1]
+                x, y = tg.xs[tick - 1], tg.ys[tick - 1]
                 if math.hypot(x - uav.pos[0], y - uav.pos[1]) <= uav.spec.detect_radius:
                     if det_rng.random() < uav.spec.detect_prob:
                         targets.remove(tg)

@@ -14,10 +14,14 @@ import yaml
 
 import uav_search
 import uav_search.cli as cli
+import uav_search.movement as movement
 import uav_search.simulator as simulator
 from uav_search.belief import propagate
 from uav_search.cli import main
+from uav_search.config import ConfigError, scenario_from_dict
+from uav_search.road_graph import load_graph, overlay_grid
 from uav_search.simulator import trial_seed
+from uav_search.strategies import make_strategy
 
 TINY_GRAPH = """\
 #vertices
@@ -169,8 +173,8 @@ class TestCompileModel:
             ({"--strategies": "random_walk:beta=-1"}, "beta must be finite and >= 0, got -1.0"),
             ({"--strategies": "random_walk:beta=nan"}, "beta must be finite and >= 0, got nan"),
             ({"--strategies": "random_walk:beta=inf"}, "beta must be finite and >= 0, got inf"),
-            ({"--velocity": "5e-324:5e-324"}, "--velocity: low 5e-324 km/h is 0 m/s as a float"),
-            ({"--velocity": "1e-300:1", "--tick": "1e-30"}, "--tick 1e-30 s at the low --velocity 1e-300 km/h moves 0 m"),
+            ({"--velocity": "5e-324:5e-324"}, "--velocity: low 5e-324 km/h moves 0 m in a tick of 20.0 s"),
+            ({"--velocity": "1e-300:1", "--tick": "1e-30"}, "--velocity: low 1e-300 km/h moves 0 m in a tick of 1e-30 s"),
         ],
     )
     def test_flag_validation(self, work, capsys, patch, needle):
@@ -316,6 +320,66 @@ class TestCompileModel:
         assert sampled == [] and not out.exists()
         assert capsys.readouterr().err == (f"error: {graph}: no entry edge reaches a goal set, "
                                            "so there is no route to train on\n")
+
+
+class _Sampled(Exception):
+    """Raised in place of sampling traces: the speed rule let the range through."""
+
+
+def _refuse_sampling(*args, **kwargs):
+    raise _Sampled
+
+
+def _refusal(read, *args) -> str | None:
+    """The message of the ConfigError that `read(*args)` raises; None if it returns or reaches sampling."""
+    try:
+        read(*args)
+    except ConfigError as exc:
+        return str(exc)
+    except _Sampled:
+        pass
+    return None
+
+
+class TestOneSpeedRule:
+    """A scenario class, `traces_for_strategies` and compile-model's flags
+    read a target speed range by one rule, `check_velocity_range`: they
+    accept and refuse the same (low, high, tick), with the same message after
+    their labels, and compile-model refuses before any trace."""
+
+    @pytest.mark.parametrize(
+        "low,high,tick,refusal",
+        [
+            (5e-324, 5e-324, 20.0, "low 5e-324 km/h moves 0 m in a tick of 20.0 s"),
+            (1e-300, 1.0, 1e-30, "low 1e-300 km/h moves 0 m in a tick of 1e-30 s"),
+            (2.0, 1.0, 20.0, "need 0 < low <= high < inf, got [2.0, 1.0]"),
+            (8.0, math.inf, 20.0, "need 0 < low <= high < inf, got [8.0, inf]"),
+            (math.nan, 12.0, 20.0, "need 0 < low <= high < inf, got [nan, 12.0]"),
+            (8.0, 12.0, 20.0, None),
+            (1e-300, 1.0, 20.0, None),
+        ],
+    )
+    def test_every_reader_applies_it_alike(self, work, monkeypatch, capsys, low, high, tick, refusal):
+        scenario = yaml.safe_load((work / "tiny.yaml").read_text())
+        scenario["classes"]["default"]["velocity_kmh"] = [low, high]
+        scenario["tick_seconds"] = tick
+        refined, _ = overlay_grid(load_graph(str(work / "tiny.graph")), 500.0)
+        args = _compile_args(work, out="models/scratch.model")
+        args[args.index("--velocity") + 1] = f"{low!r}:{high!r}"
+        args[args.index("--tick") + 1] = repr(tick)
+        monkeypatch.setattr(cli, "traces_for_strategies", _refuse_sampling)
+        monkeypatch.setattr(movement, "sample_traces", _refuse_sampling)
+
+        messages = [
+            _refusal(scenario_from_dict, scenario),
+            _refusal(movement.traces_for_strategies, refined, [make_strategy("shortest")], tick, (low, high), 1, 0),
+        ]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == (1 if refusal else 2)  # 2: compile-model reached its traces
+        messages.append(err.strip().removeprefix("error: ") if code == 1 else None)
+        labels = ["classes.default.velocity_kmh", "velocity_range_kmh", "--velocity"]
+        assert messages == [refusal and f"{label}: {refusal}" for label in labels]
 
 
 class TestRun:

@@ -133,7 +133,7 @@ class TestScenarioParsing:
             (lambda d: d["classes"]["runner"].update(velocity_kmh=[8]), r"velocity_kmh: expected \[low, high\]"),
             (lambda d: d["classes"]["runner"].update(velocity_kmh=[12, 8]), r"need 0 < low <= high"),
             (lambda d: d["classes"]["runner"].update(velocity_kmh=[0, 8]), r"need 0 < low <= high"),
-            (lambda d: d["classes"]["runner"].update(velocity_kmh=[5e-324, 5e-324]), r"low 5e-324 km/h is 0 m/s"),
+            (lambda d: d["classes"]["runner"].update(velocity_kmh=[5e-324, 5e-324]), r"low 5e-324 km/h moves 0 m in a tick of 5.0 s"),
             (
                 lambda d: d.update(tick_seconds=1e-30) or d["classes"]["runner"].update(velocity_kmh=[1e-300, 1]),
                 r"classes.runner.velocity_kmh: low 1e-300 km/h moves 0 m in a tick of 1e-30 s",
@@ -570,8 +570,9 @@ class TestRecordsCheckTheirFields:
 
     def test_class_fields(self, parsed):
         cls = parsed.classes[0]
-        with pytest.raises(ConfigError, match=r"velocity_kmh: need 0 < low <= high < inf, got \[12.0, 8.0\]"):
-            dataclasses.replace(cls, velocity_kmh=(12.0, 8.0))
+        backwards = dataclasses.replace(cls, velocity_kmh=(12.0, 8.0))  # checked by its scenario, which has the tick
+        with pytest.raises(ConfigError, match=r"classes.runner.velocity_kmh: need 0 < low <= high < inf, got \[12.0, 8.0\]"):
+            dataclasses.replace(parsed, classes=(backwards,))
         with pytest.raises(ConfigError, match=r"strategies: must list at least one strategy"):
             dataclasses.replace(cls, strategies=())
 
@@ -598,7 +599,7 @@ class TestOneErrorClass:
         overflowing = [make_strategy("side_roads", {"penalty": 1e305})]
         check = {
             "detect_prob": lambda: check_detect_prob(0.0),
-            "velocity_range": lambda: check_velocity_range((2.0, 1.0), "v"),
+            "velocity_range": lambda: check_velocity_range((2.0, 1.0), 20.0, "v"),
             "route_weights": lambda: check_route_weights(refined, overflowing, "s"),
             "grid_size": lambda: overlay_grid(border_graph, 1.0),
         }[rule]

@@ -27,7 +27,7 @@ from uav_search.movement import (
     traces_for_strategies,
     validate_stochastic,
 )
-from uav_search.road_graph import RoadGraph, overlay_grid
+from uav_search.road_graph import ConfigError, RoadGraph, overlay_grid
 from uav_search.strategies import RandomWalkStrategy, RouteStrategy, WanderingError, make_strategy
 
 from oracles import count_compile, model_from_rows, model_rows, trace_loop, validate_path
@@ -231,7 +231,7 @@ class TestTraceGeneration:
 
     def test_bad_velocity_range(self, fork_graph):
         g = _refined(fork_graph)
-        with pytest.raises(ValueError, match="velocity_range_kmh: need 0 < low <= high < inf"):
+        with pytest.raises(ConfigError, match=r"velocity_range_kmh: need 0 < low <= high < inf, got \[12.0, 8.0\]"):
             traces_for_strategies(g, [RouteStrategy()], 5.0, (12.0, 8.0), 1, seed=0)
 
     def test_pooling_concatenates_per_strategy(self, fork_graph):

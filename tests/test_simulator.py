@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -423,12 +424,22 @@ class TestHeadStartFastForward:
         position it holds before its goal tick, within the budget."""
         g, paths, dt, delay_m, max_ticks = case
         for path, velocity in paths:
-            ready, goal, track = _motion(g, path, velocity * dt, delay_m, max_ticks)
+            ready, goal, xs, ys = _motion(g, path, velocity * dt, delay_m, max_ticks)
             want_ready, want_goal, want_track = motion_loop(Walker(g, path, velocity), dt, delay_m, max_ticks,
                                                             g.goal_union)
             assert goal == (max_ticks + 1 if want_goal is None else want_goal)
             assert min(ready, goal) == min(want_ready or math.inf, goal)
-            assert [tuple(p) for p in track] == want_track
+            assert len(xs) == len(ys) and list(zip(xs, ys)) == want_track
+
+    @pytest.mark.parametrize("step", [0.95e308, 1.7e308, math.inf])
+    def test_step_past_half_the_float_range(self, step):
+        """A step over half the float range overflows the running sum only
+        past the goal tick, which is never read: the target enters its goal
+        edge at tick 1, and no RuntimeWarning leaks."""
+        g, [(path, _)] = _straight_roads([([10.0, 10.0], 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _motion(g, path, step, 7000.0, 900) == (1, 1, [], [])
 
     def test_head_start_loss_never_flies(self, border_scenario, border_world, monkeypatch):
         """A loss in the head start ends at the losing target's goal tick,
@@ -452,14 +463,14 @@ class TestTrackBound:
         for i in range(3):
             seed = trial_seed(0, i)
             assert run_trial(sc, seed, border_world) == TrialResult("lose", {}, None, 50, seed, timeout=True)
-            assert all(len(tg.track) <= 50 for tg in _spawn_targets(sc, border_world, seed))
+            assert all(len(tg.xs) == len(tg.ys) <= 50 for tg in _spawn_targets(sc, border_world, seed))
 
     def test_huge_budget_stops_at_the_goal_tick(self, border_scenario, border_world):
         sc = dataclasses.replace(border_scenario, max_ticks=10**9)
         for i in range(3):
             seed = trial_seed(0, i)
             assert run_trial(sc, seed, border_world).ticks < 10**9
-            assert all(len(tg.track) < tg.goal_tick for tg in _spawn_targets(sc, border_world, seed))
+            assert all(len(tg.xs) == len(tg.ys) < tg.goal_tick for tg in _spawn_targets(sc, border_world, seed))
 
 
 @st.composite
