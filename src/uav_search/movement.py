@@ -4,8 +4,11 @@ A model is compiled offline: strategies generate full routes for every
 (entry, goal) pair, each route is sampled into an array of the edge occupied
 at each tick, and transition frequencies (with Laplace smoothing) become a
 row-stochastic edge-to-edge matrix. Goal edges are absorbing. A strategy's
-routes are sampled together, in a few array passes per run of them, each
-edge's tick count read off its end. A trace is an array of the graph's edge
+streams draw their velocities in one lane step, its walks step in lanes,
+and its routes are sampled together, in a few array passes per run of them,
+each edge's tick count read off its end. A walk done in lanes reaches the
+sampler as a row of the lanes' compact (walks x edges) id matrix, not as a
+list. A trace is an array of the graph's edge
 width: the narrowest signed integer dtype that holds every edge id
 (`edge_dtype`: int16 for the bundled map's 739 refined edges, int32 above
 32,768), since traces are most of what training holds. Hops are counted in
@@ -27,8 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .rng import spawn, trial_seed
-from .road_graph import ConfigError, RoadGraph, plain_number, read_lines, write_lines
-from .strategies import UnreachableGoalError
+from .road_graph import ConfigError, RoadGraph, edge_dtype, plain_number, read_lines, write_lines
 
 DEFAULT_SMOOTHING = 0.01
 
@@ -99,17 +101,13 @@ class TransitionModel:
         return np.flatnonzero(np.bincount(self.src, minlength=self.n_edges) == 0)
 
 
-def edge_dtype(n_edges: int) -> np.dtype:
-    """The narrowest signed integer dtype that holds every id below `n_edges`:
-    int8 up to 128 edges, int16 up to 32,768, int32 up to 2^31."""
-    return np.min_scalar_type(-max(n_edges, 1))
-
-
-def sample_traces(g: RoadGraph, walks: Iterable[tuple[list[int], float]], tick: float) -> list[np.ndarray]:
+def sample_traces(g: RoadGraph, walks: Iterable[tuple[Sequence[int], float]], tick: float) -> list[np.ndarray]:
     """One trace per walk, a path and its constant velocity (m/s), in order:
     the read-only array of the edge occupied every `tick` seconds from tick 0
     up to the first tick on a goal edge, in the graph's `edge_dtype` (int16
     on the bundled map), so the traces a model trains on hold no wider ids.
+    A path is a list, a tuple or an integer array: a walk done in lanes is a
+    row of their id matrix, handed over as it is.
 
     Tick k sits `velocity_ms * tick * k` meters along the path, on the edge
     whose end lies first beyond it (the last edge once past the path's end).
@@ -117,7 +115,7 @@ def sample_traces(g: RoadGraph, walks: Iterable[tuple[list[int], float]], tick: 
     `step * k < x`, and no per-tick float is formed. Walks are read and
     sampled in runs whose zero-padded (paths x longest) matrix holds at most
     `SAMPLE_CELLS` cells, a longer path alone, so no more than a run of
-    paths is held at once.
+    paths is held at once beyond what their source holds.
 
     Raises ValueError for the first walk, in order, whose velocity times
     `tick` is not positive and finite, or on which no tick is on a goal edge.
@@ -137,12 +135,13 @@ def sample_traces(g: RoadGraph, walks: Iterable[tuple[list[int], float]], tick: 
     return traces
 
 
-def _sample_run(g: RoadGraph, paths: Sequence[list[int]], steps: np.ndarray, is_goal: np.ndarray) -> list[np.ndarray]:
+def _sample_run(g: RoadGraph, paths: Sequence[Sequence[int]], steps: np.ndarray,
+                is_goal: np.ndarray) -> list[np.ndarray]:
     """`sample_traces` for one run of paths, each with its positive, finite step."""
     sizes = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
     cells = np.arange(sizes.max()) < sizes[:, None]  # row i is path i, zero-padded
-    ids = np.zeros(cells.shape, dtype=np.intp)
-    ids[cells] = np.fromiter(itertools.chain.from_iterable(paths), dtype=np.intp, count=sizes.sum())
+    ids = np.zeros(cells.shape, dtype=edge_dtype(g.n_edges))
+    ids[cells] = np.concatenate(paths)
     # A row accumulates its path's lengths in path order, as the path's own
     # `np.cumsum` does: the same edge ends, bit for bit.
     ends = np.where(cells, g.length[ids], 0.0).cumsum(axis=1)
@@ -164,7 +163,7 @@ def _sample_run(g: RoadGraph, paths: Sequence[list[int]], steps: np.ndarray, is_
         raise ValueError(f"path never reaches a goal edge: it ends on edge {paths[int(found.argmin())][-1]}")
     at, stop = np.arange(cells.shape[1]), reached.argmax(axis=1)[:, None]
     counts = np.where(at < stop, ticks, at == stop).astype(np.intp)
-    flat = np.repeat(ids.astype(edge_dtype(g.n_edges)).ravel(), counts.ravel())
+    flat = np.repeat(ids.ravel(), counts.ravel())
     flat.flags.writeable = False
     bounds = [0, *np.cumsum(counts.sum(axis=1)).tolist()]
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -182,31 +181,25 @@ def traces_for_strategies(
     deterministic sub-seed, `runs_per_pair` traces for every (entry, goal) pair.
 
     Run `run` of entry index `ei` and goal index `gi` draws from `Rng(sub,
-    (ei, gi, run))`, and one `spawn` call seeds all of a strategy's streams.
-    Velocity is drawn uniformly from `velocity_range_kmh` per run, then the
-    path. Pairs a strategy reports as unreachable are skipped. A path is used
-    as returned, as trials use it. `sample_traces` reads a strategy's walks
-    as they are drawn and samples them together, a run at a time.
+    (ei, gi, run))`: one `spawn` call seeds all of a strategy's streams as
+    lanes, one lane step draws every stream's velocity, uniformly from
+    `velocity_range_kmh`, and the strategy's `paths` draws the paths from
+    the lanes after it. Pairs a strategy reports as unreachable are skipped.
+    A path is used as `paths` returns it; it equals the path a trial's
+    `path` would draw from the stream. `sample_traces` reads a strategy's
+    walks as `paths` yields them and samples them together, a run at a time.
     """
     if not strategies:
         raise ValueError("need at least one strategy")
     lo, hi = check_velocity_range(velocity_range_kmh, tick, "velocity_range_kmh")
     pairs = list(itertools.product(enumerate(sorted(g.entries)), range(len(g.goals))))
-
-    def walks(strategy, rngs):
-        for p, ((_, entry), gi) in enumerate(pairs):
-            for rng in rngs[p * runs_per_pair:(p + 1) * runs_per_pair]:
-                v_ms = rng.uniform(lo, hi) * KMH_TO_MS
-                try:
-                    path = strategy.path(g, entry, rng, goal_index=gi)
-                except UnreachableGoalError:
-                    break  # pair unreachable for every run
-                yield path, v_ms
-
+    starts = [(entry, gi) for (_, entry), gi in pairs for _ in range(runs_per_pair)]
     traces: list[np.ndarray] = []
     for si, strategy in enumerate(strategies):
-        rngs = spawn(trial_seed(seed, si), [(ei, gi, run) for (ei, _), gi in pairs for run in range(runs_per_pair)])
-        traces += sample_traces(g, walks(strategy, rngs), tick)
+        lanes = spawn(trial_seed(seed, si), [(ei, gi, run) for (ei, _), gi in pairs for run in range(runs_per_pair)])
+        velocities = lanes.uniform(lo, hi) * KMH_TO_MS
+        paths = strategy.paths(g, starts, lanes)
+        traces += sample_traces(g, ((path, v) for path, v in zip(paths, velocities) if path is not None), tick)
     return traces
 
 

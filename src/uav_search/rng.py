@@ -1,4 +1,4 @@
-"""Seeded random streams: NumPy's SeedSequence and PCG64 in plain Python.
+"""Seeded random streams: NumPy's SeedSequence and PCG64 in plain Python, and PCG64 in lanes.
 
 `Rng(entropy, spawn_key)` draws bit for bit what NumPy's `default_rng(SeedSequence(entropy,
 spawn_key=spawn_key))` draws for `random()`, `uniform(low, high)` and `integers(n)`. NumPy
@@ -8,8 +8,13 @@ loads NumPy's random module. SeedSequence follows NumPy's `mix_entropy` and `gen
 XSL-RR 128/64 generator, seeded as NumPy's `pcg64.h` seeds it. `spawn` seeds the streams
 of many keys at once through the same hash, run on uint64 arrays with one lane per key: each
 product stays below 2^64, the `& MASK32` after a subtraction cancels its wrap mod 2^64, and
-integer arrays raise no overflow warning. So `compile` seeds each strategy's 420 streams in
-one pass, while one `Rng`, as a trial draws, builds no array.
+integer arrays raise no overflow warning. It returns them as `Lanes`, which advance every
+stream's PCG64 state together: state and increment are four 32-bit limbs in uint64 arrays,
+and the product mod 2^128 is schoolbook, limb by limb. A limb product is below 2^64, and a
+limb's sum, its increment limb, at most seven 32-bit product halves and a carry, stays below
+2^36, so each limb is exact before its carry moves on. So `compile` draws each step of a strategy's 420 walks in one
+pass, while one `Rng`, as a trial draws, builds no array; a lane hands its stream to an
+`Rng` to go on alone.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_LIMBS = [_PCG_MULT >> 32 * j & MASK32 for j in range(4)]
 
 
 def _words(*items: int) -> list[int]:
@@ -76,19 +82,78 @@ def trial_seed(master_seed: int, index: int) -> int:
     return _state_words(master_seed, _words(index), 1)[0]
 
 
-def spawn(entropy: int, keys: list[tuple[int, ...]]) -> list[Rng]:
-    """`[Rng(entropy, key) for key in keys]`, bit for bit: one hash pass over the keys of each
+def spawn(entropy: int, keys: list[tuple[int, ...]]) -> Lanes:
+    """The streams `Rng(entropy, key)` of `keys`, as lanes: one hash pass over the keys of each
     flat word count, each word a uint64 array with a lane per key (the empty key's are ints)."""
     flat = [_words(*key) for key in keys]
-    out: list = [None] * len(keys)
+    words = np.zeros((4, len(keys)), dtype=np.uint64)
     for width in set(map(len, flat)):
-        at = [i for i, words in enumerate(flat) if len(words) == width]
+        at = [i for i, key_words in enumerate(flat) if len(key_words) == width]
         lanes = np.array([flat[i] for i in at], dtype=np.uint64)
-        state = [np.broadcast_to(w, len(at)).tolist() for w in _state_words(entropy, list(lanes.T), 4)]
-        for i, words in zip(at, zip(*state)):
-            out[i] = rng = Rng.__new__(Rng)
-            rng._seed(*words)
-    return out
+        for row, w in zip(words, _state_words(entropy, list(lanes.T), 4)):
+            row[at] = w
+    w0, w1, w2, w3 = words
+    # PCG's srandom, as `Rng._seed`: inc = (w2:w3) << 1 | 1; a step from state 0, add w0:w1, a step.
+    inc = _limbs(w2 << 1 | w3 >> 63, w3 << 1 | 1)
+    return Lanes(_pcg_step(_carried(inc + _limbs(w0, w1)), inc), inc)
+
+
+def _limbs(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The (4, lanes) 32-bit limbs of `hi << 64 | lo`, least significant first."""
+    return np.stack([lo & MASK32, lo >> 32, hi & MASK32, hi >> 32])
+
+
+def _carried(acc: np.ndarray) -> np.ndarray:
+    """Limb sums below 2^64 as 32-bit limbs, each limb's carry added to the next, mod 2^128."""
+    for k in range(3):
+        acc[k + 1] += acc[k] >> 32
+    acc &= MASK32
+    return acc
+
+
+def _pcg_step(state: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """`state * _PCG_MULT + inc` mod 2^128 on limbs, schoolbook: limb i times multiplier limb j
+    is below 2^64, and its low and high halves add into limbs i + j and i + j + 1."""
+    acc = inc.copy()
+    for j, m in enumerate(_MULT_LIMBS):
+        product = state[:4 - j] * m
+        acc[j:] += product & MASK32
+        acc[j + 1:] += product[:3 - j] >> 32
+    return _carried(acc)
+
+
+class Lanes:
+    """PCG64 streams advanced together, one lane per stream: `random()` draws once from every
+    lane, each bit for bit the `Rng.random()` of its stream. `lanes[i]` hands lane i to a
+    scalar `Rng` that continues its stream, and `lanes[a:b]` is lanes a to b as `Lanes`."""
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, state: np.ndarray, inc: np.ndarray):
+        self._state, self._inc = state, inc  # (4, lanes) uint64 32-bit limbs, least significant first
+
+    def __len__(self) -> int:
+        return self._state.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Lanes(self._state[:, i], self._inc[:, i])
+        rng = Rng.__new__(Rng)
+        rng._state, rng._inc = (sum(w << 32 * k for k, w in enumerate(x[:, i].tolist()))
+                                for x in (self._state, self._inc))
+        rng._half = None
+        return rng
+
+    def random(self) -> np.ndarray:
+        """One float in [0, 1) a lane, from the top 53 bits of its next 64-bit output."""
+        s = self._state[...] = _pcg_step(self._state, self._inc)  # in place: a slice's lanes are its parent's
+        x = (s[3] << 32 | s[2]) ^ (s[1] << 32 | s[0])
+        rot = s[3] >> 26
+        return ((x >> rot | x << (64 - rot & 63)) >> 11) * (1.0 / 9007199254740992.0)
+
+    def uniform(self, low: float, high: float) -> np.ndarray:
+        """One float in [low, high) a lane, from one `random()`."""
+        return low + (high - low) * self.random()
 
 
 class Rng:

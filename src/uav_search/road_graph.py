@@ -454,6 +454,12 @@ def shortest_path(g: RoadGraph, from_edge: int, weight: np.ndarray | None = None
     return routes
 
 
+def edge_dtype(n_edges: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds every id below `n_edges`:
+    int8 up to 128 edges, int16 up to 32,768, int32 up to 2^31."""
+    return np.min_scalar_type(-max(n_edges, 1))
+
+
 def travel_to_goal(g: RoadGraph, goal_set: frozenset[int]) -> list[float]:
     """Travel left once each edge is taken until some goal edge is entered:
     0.0 on a goal edge, inf where no goal edge can be reached, else the

@@ -206,7 +206,7 @@ class _TargetState:
     class_name: str
     ready_tick: int
     goal_tick: int
-    xs: list[float]  # (xs[t - 1], ys[t - 1]) is its position at the end of tick t
+    xs: list[float]  # (xs[t - ready_tick], ys[t - ready_tick]) is its position at the end of tick t
     ys: list[float]
     belief: np.ndarray | None = None  # float64 over refined edge ids; None while it is the world's
 
@@ -235,7 +235,9 @@ class _UavState:
 def _motion(g: RoadGraph, path: list[int], step: float, delay_m: float, max_ticks: int) -> tuple[int, int, list, list]:
     """A target moving `step` a tick along `path`: the first tick that ends
     `delay_m` along, the first on its goal edge, and its x and y at the end of each
-    tick before, the floats of `s += step` a tick interpolated on the edge at `s`."""
+    tick from the first of these to the one before the second, the floats of
+    `s += step` a tick interpolated on the edge at `s`. A trial reads a position
+    only once every target is ready, and never on or past a goal tick."""
     lengths = g.length[path]
     starts = np.cumsum(np.concatenate(([0.0], lengths)))  # where each path edge starts, and the path's end
     goal_m = starts[-2].item()  # a path's only goal edge is its last
@@ -243,7 +245,7 @@ def _motion(g: RoadGraph, path: list[int], step: float, delay_m: float, max_tick
     with np.errstate(over="ignore"):  # a sum that overflows lies past the goal tick, and is never read
         s = np.cumsum(np.full(n, step))  # to one tick past the goal edge's start, or to max_ticks
     ready, goal = (np.searchsorted(s, [delay_m, goal_m]) + 1).tolist()
-    s = s[: goal - 1]
+    s = s[ready - 1: goal - 1]
     idx = np.minimum(np.searchsorted(starts[1:], s, "right"), len(path) - 1)
     tail, head = g.xy[g.tail[path]][idx], g.xy[g.head[path]][idx]
     frac = np.minimum(np.maximum((s - starts[idx]) / lengths[idx], 0.0), 1.0)
@@ -300,7 +302,7 @@ def run_trial(scenario: ScenarioConfig, seed: int, world: World) -> TrialResult:
         # 3. One Bernoulli detection attempt per (UAV, target in range); a detected target leaves the trial.
         for uav in uavs:
             for tg in targets[:]:
-                x, y = tg.xs[tick - 1], tg.ys[tick - 1]
+                x, y = tg.xs[tick - tg.ready_tick], tg.ys[tick - tg.ready_tick]
                 if math.hypot(x - uav.pos[0], y - uav.pos[1]) <= uav.spec.detect_radius:
                     if det_rng.random() < uav.spec.detect_prob:
                         targets.remove(tg)

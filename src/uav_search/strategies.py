@@ -1,12 +1,13 @@
 """Target movement strategies: how a road-bound target picks its route.
 
 Each strategy turns (graph, entry edge, rng) into a full edge path, the
-ground truth behind both simulated targets and the offline traces models are
-compiled from; both use it as returned. A path starts at its entry, takes
-only road successors and stops at its first goal edge: a walk starts as
-`[entry]` and stops on entering `goal_union`, and `_truncate_at_goal` cuts a
-route. The tests hold every strategy to this with `validate_path` in
-`tests/oracles.py`. A registry maps names to constructors.
+ground truth behind simulated targets (`path`, one stream) and the offline
+traces models are compiled from (`paths`, many streams); both use it as
+returned. A path starts at its entry, takes only road successors and stops
+at its first goal edge: a walk starts as `[entry]` and stops on entering
+`goal_union`, and `_truncate_at_goal` cuts a route. The tests hold every
+strategy to this with `validate_path` in `tests/oracles.py`. A registry
+maps names to constructors.
 
 The deterministic strategy, `RouteStrategy`, is `side_roads` and, at
 penalty 0, `shortest`. It routes with one `shortest_path` search per
@@ -15,25 +16,40 @@ is kept on the graph. Which goal sets an entry reaches is read off the
 penalty-0 row. A random walk draws each step from a table built for every
 edge at once, one per (strategy, goal set), also kept on the graph; its
 steps lean on each edge's travel left, one backward `travel_to_goal` search,
-and never take an edge from which the goal set is out of reach.
+and never take an edge from which the goal set is out of reach. A step has
+one rule: draw u, and take the candidate after the row's CDF entries <= u.
+Many walks apply it in lanes, one uniform a live lane a step (`_lanes`),
+until few are live or a walk outgrows its lane; a walk goes on alone, as a
+trial's one walk does, with `bisect_right` over the same row (`_walk`).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Rng
-from .road_graph import ConfigError, RoadGraph, shortest_path, travel_to_goal
+from .rng import Lanes, Rng
+from .road_graph import ConfigError, RoadGraph, edge_dtype, shortest_path, travel_to_goal
 
 # A walk longer than this multiple of its entry's shortest route is declared lost rather than
 # sampled forever. 200,000 beta = 0 walks spawned as trials spawn them on the bundled refined map
 # measured median 34.1, p99 229, p99.99 500, max 766; past 200 the share over a length falls
 # about 4.5x per 100, so about one walk in ten million would pass 1,000.
 MAX_LENGTH_FACTOR = 1000.0
+
+# Walks step in lanes in batches of at most LANE_BATCH, each walk holding at most
+# LANE_CELLS // LANE_BATCH = 64 edges there (64 KB of int16 ids on the bundled map, where a
+# random_walk:beta=0.01 walk holds at most 45); a longer walk finishes alone. Under LANE_MIN
+# live walks the rest finish alone too: a lane step costs about 75 us whatever its lane count,
+# a walk's step alone about 2 us, and the benchmark's walks took the same time at any
+# LANE_MIN from 8 to 48 (2-CPU host).
+LANE_BATCH = 512
+LANE_CELLS = 1 << 15
+LANE_MIN = 32
 
 
 class UnreachableGoalError(ValueError):
@@ -66,6 +82,70 @@ def _draw_goal(g: RoadGraph, entry: int, rng: Rng) -> int:
     return reachable[rng.integers(len(reachable))]
 
 
+def _base(table: tuple, entry: int) -> float:
+    """The shortest travel to the goal set of `table` from `entry`: inf when unreachable."""
+    return float(table[3][entry]) if 0 <= entry < len(table[3]) else math.inf
+
+
+def _lost(entry: int) -> WanderingError:
+    return WanderingError(f"walk from entry {entry} exceeded {MAX_LENGTH_FACTOR:g}x the shortest route")
+
+
+def _walk(g: RoadGraph, table: tuple, path: list[int], traveled: float, max_travel: float, rng) -> list[int]:
+    """Continue `path`, `traveled` meters past its entry, to its first goal edge, one
+    `rng.random()` a step: the step rule on one walk, its count of the row's CDF entries <= u
+    by `bisect_right`. Past `max_travel` the walk is lost: WanderingError."""
+    cands, cdf, first, _ = table
+    length, cur = g._length, path[-1]
+    while cur not in g.goal_union:
+        if traveled > max_travel:
+            raise _lost(path[0])
+        cur = cands[bisect.bisect_right(cdf, rng.random(), first[cur], first[cur + 1])]
+        path.append(cur)
+        traveled += length[cur]
+    return path
+
+
+def _lanes(g: RoadGraph, starts: list[tuple[int, int]], tables: dict, bases: np.ndarray, lanes: Lanes) -> tuple:
+    """The lane phase of a batch of walks: while at least LANE_MIN walks are live and none
+    holds LANE_CELLS // LANE_BATCH edges, every lane draws one uniform a step, and each live
+    walk takes `cands[first[cur] + c]`, c the count of its row's CDF entries <= u: the step
+    rule of `_walk`, as each row is sorted and ends at 1.0. Returns the (walks x edges) id
+    matrix in the graph's `edge_dtype`, and per walk, as lists, the edges it holds, whether it
+    is done, whether it is lost and its travel. A reachable walk that is neither goes on alone."""
+    n, width = len(starts), LANE_CELLS // LANE_BATCH
+    cands, _, first, _ = next(iter(tables.values()))  # the same candidates and rows for every goal set
+    cands, first = np.array(cands), np.frombuffer(first, dtype=np.int64)
+    degree = np.diff(first)
+    cols = np.arange(degree.max(initial=1))
+    # Every goal set's CDF in one array, padded so that a row's reads past its end stay in it.
+    cdf = np.concatenate([np.frombuffer(tables[gi][1]) for gi in tables] + [np.ones(cols.size)])
+    at = {gi: k * cands.size for k, gi in enumerate(tables)}
+    offset = np.array([at[gi] for _, gi in starts])
+    is_goal = np.zeros(g.n_edges, dtype=bool)
+    is_goal[list(g.goal_union)] = True
+    limit = MAX_LENGTH_FACTOR * bases
+    reach = live = limit < math.inf
+    cur = np.where(reach, [entry for entry, _ in starts], 0)
+    ids = np.zeros((n, width), dtype=edge_dtype(g.n_edges))
+    ids[:, 0] = cur
+    held, traveled = np.ones(n, dtype=np.intp), np.zeros(n)
+    for t in range(1, width + 1):
+        held[live] = t  # a live walk holds columns 0 to t - 1
+        live = live & ~is_goal[cur] & ~(traveled > limit)
+        if t == width or np.count_nonzero(live) < LANE_MIN:
+            break
+        u = lanes.random()  # a stopped lane's stream is never read again
+        row = first[cur]
+        below = (cdf[(offset + row)[:, None] + cols] <= u[:, None]) & (cols < degree[cur][:, None])
+        cur = cands.take(row + below.sum(axis=1), mode="clip")
+        ids[:, t] = cur
+        traveled += g.length[cur]
+    done = reach & ~live & is_goal[ids[np.arange(n), held - 1]]
+    lost = reach & ~live & ~done
+    return ids[:, :held.max()].copy(), held.tolist(), done.tolist(), lost.tolist(), traveled.tolist()
+
+
 @dataclass(frozen=True)
 class RandomWalkStrategy:
     """Goal-biased random walk.
@@ -78,7 +158,8 @@ class RandomWalkStrategy:
     inf recovers the shortest path. A walk longer than MAX_LENGTH_FACTOR
     (1,000) times its shortest route is declared lost: WanderingError. Every
     edge's candidates and their cumulative distribution are built at once per
-    (strategy, goal set) and kept on the graph, so a step is one uniform draw.
+    (strategy, goal set) and kept on the graph, so a step is one uniform draw,
+    in lanes (`paths`) or on one walk (`path`).
     """
 
     beta: float
@@ -91,27 +172,41 @@ class RandomWalkStrategy:
         self, g: RoadGraph, entry: int, rng: Rng, goal_index: int | None = None
     ) -> list[int]:
         gi = _draw_goal(g, entry, rng) if goal_index is None else goal_index
+        table = self._steps(g, gi)
+        base = _base(table, entry)
+        if base == math.inf:
+            raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
+        return _walk(g, table, [entry], 0.0, MAX_LENGTH_FACTOR * base, rng)
+
+    def paths(self, g: RoadGraph, starts: list[tuple[int, int]], lanes: Lanes) -> Iterator:
+        """The walk of each stream `lanes[i]` from its (entry, goal index) `starts[i]`, in
+        order: a list, or a row of the lane phase's id matrix; None where the goal set is
+        unreachable. Streams walk in batches of at most LANE_BATCH; the first lost walk in
+        order raises WanderingError, whichever lane passed its cap first."""
+        for a in range(0, len(starts), LANE_BATCH):
+            yield from self._batch(g, starts[a:a + LANE_BATCH], lanes[a:a + LANE_BATCH])
+
+    def _batch(self, g: RoadGraph, starts: list[tuple[int, int]], lanes: Lanes) -> Iterator:
+        tables = {gi: self._steps(g, gi) for gi in dict.fromkeys(gi for _, gi in starts)}
+        bases = [_base(tables[gi], entry) for entry, gi in starts]
+        ids, held, done, lost, traveled = _lanes(g, starts, tables, np.array(bases), lanes)
+        for i, (entry, gi) in enumerate(starts):
+            if bases[i] == math.inf:
+                yield None
+            elif lost[i]:
+                raise _lost(entry)
+            elif done[i]:
+                yield ids[i, :held[i]]
+            else:
+                path = ids[i, :held[i]].tolist()
+                yield _walk(g, tables[gi], path, traveled[i], MAX_LENGTH_FACTOR * bases[i], lanes[i])
+
+    def _steps(self, g: RoadGraph, gi: int) -> tuple:
+        """The step table of a walk to goal set `gi`, built on first use and kept on the graph."""
         table = g._walk_steps.get((self, gi))
         if table is None:
             table = g._walk_steps[self, gi] = self._table(g, g.goals[gi])
-        cands, cdf, starts, togo = table
-        base = float(togo[entry]) if 0 <= entry < len(togo) else math.inf
-        if base == math.inf:
-            raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
-        max_travel = MAX_LENGTH_FACTOR * base
-        length = g._length
-
-        path = [entry]
-        traveled = 0.0
-        cur = entry
-        while cur not in g.goal_union:
-            if traveled > max_travel:
-                raise WanderingError(f"walk from entry {entry} exceeded {MAX_LENGTH_FACTOR:g}x the shortest route")
-            # The candidate `rng.choice(len(row), p=row_p)` draws, from one uniform.
-            cur = cands[bisect.bisect_right(cdf, rng.random(), starts[cur], starts[cur + 1])]
-            path.append(cur)
-            traveled += length[cur]
-        return path
+        return table
 
     def _table(self, g: RoadGraph, goal_set: frozenset[int]) -> tuple:
         """Every edge's step on a walk to `goal_set`, flat: the candidates
@@ -172,6 +267,11 @@ class RouteStrategy:
         if route is None:
             raise UnreachableGoalError(f"goal set {gi} unreachable from entry edge {entry}")
         return list(route)
+
+    def paths(self, g: RoadGraph, starts: list[tuple[int, int]], lanes: Lanes) -> Iterator:
+        """The route from each (entry, goal index) of `starts`, in order, None where
+        unreachable: a route draws nothing from its stream in `lanes`."""
+        return (self._routes(g, entry)[gi] for entry, gi in starts)
 
     def _routes(self, g: RoadGraph, entry: int) -> tuple[tuple[int, ...] | None, ...]:
         """The routes from `entry`, one per goal index (None where

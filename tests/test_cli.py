@@ -1480,6 +1480,27 @@ def test_stochastic_compile_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == STOCHASTIC_COMPILE_SHA256
 
 
+# SHA-256 of the model written by `compile-model maps/border.graph
+# --strategies random_walk:beta=0,random_walk:beta=1e308 --runs-per-pair 2
+# --seed 11` with the README's radius, tick, velocity and class, recorded
+# while every walk step was drawn by one scalar `Rng` per stream, before walks
+# stepped in lanes: beta = 0 walks run long past the lanes' 64 edges and end
+# on scalar steps, and beta = 1e308 walks are shortest routes.
+UNIFORM_WALK_COMPILE_SHA256 = "480c32fa54aedc37d03bd471004c23d49b3d1b652fd6abe83dc9f80b2724472b"
+
+
+def test_uniform_walk_compile_bytes_are_pinned(tmp_path):
+    out = tmp_path / "uniform.model"
+    rc = main([
+        "compile-model", os.path.join(REPO_ROOT, "maps", "border.graph"),
+        "--strategies", "random_walk:beta=0,random_walk:beta=1e308", "--radius", "500",
+        "--tick", "20", "--velocity", "8:12", "--runs-per-pair", "2", "--seed", "11",
+        "--target-class", "runner", "--out", str(out),
+    ])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == UNIFORM_WALK_COMPILE_SHA256
+
+
 def test_readme_compile_command_reproduces_bundled_model(tmp_path):
     out = tmp_path / "border_shortest.model"
     rc = main([

@@ -203,19 +203,19 @@ class TestTraceGeneration:
         assert all(int(trace[-1]) in refined.goals[k // 6 % 7] for k, trace in enumerate(traces))
 
     def test_training_paths_keep_the_path_contract(self, border_refined, monkeypatch):
-        """Training samples a strategy's path as returned, as trials do. Every
-        path that the `compile` benchmark's three strategies and a beta = 0
-        walk return on the bundled refined map, 2 runs per pair, passes the
-        oracle `validate_path`."""
+        """Training samples a strategy's paths as `paths` returns them, lane
+        walks among them. Every path that the `compile` benchmark's three
+        strategies and a beta = 0 walk return on the bundled refined map, 2
+        runs per pair, passes the oracle `validate_path`."""
         refined, _ = border_refined
         checked = []
         for cls in (RouteStrategy, RandomWalkStrategy):
-            def checking(self, g, entry, rng, goal_index=None, _path=cls.path):
-                path = _path(self, g, entry, rng, goal_index)
-                validate_path(g, path, entry)
-                checked.append(path[-1] in g.goals[goal_index])
-                return path
-            monkeypatch.setattr(cls, "path", checking)
+            def checking(self, g, starts, lanes, _paths=cls.paths):
+                for (entry, gi), path in zip(starts, _paths(self, g, starts, lanes)):
+                    validate_path(g, [int(e) for e in path], entry)
+                    checked.append(int(path[-1]) in g.goals[gi])
+                    yield path
+            monkeypatch.setattr(cls, "paths", checking)
         specs = [("shortest", {}), ("random_walk", {"beta": 0.01}), ("side_roads", {"penalty": 1.5}),
                  ("random_walk", {"beta": 0.0})]
         strategies = [make_strategy(name, params) for name, params in specs]

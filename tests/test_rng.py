@@ -119,6 +119,58 @@ class TestPcg64:
             assert raw == ((x >> rot) | (x << (64 - rot))) & (2**64 - 1) == ours._next64()
 
 
+# Lane batches: one key or several, empty keys and keys of several words among them.
+_LANE_KEYS = st.lists(st.one_of(_SPAWN_KEY, st.sampled_from([(), (0,), (2**32, 1), (2**64 - 1,)])),
+                      min_size=1, max_size=9)
+
+
+class TestLanes:
+    @settings(max_examples=200, deadline=None)
+    @given(_ENTROPY, _LANE_KEYS, st.integers(0, 60), st.data())
+    @example(0, [()], 1, None)
+    @example(2**64 - 1, [(0, 2**40, 0), (1,)], 300, None)
+    def test_lanes_equal_rng_streams(self, entropy, keys, draws, data):
+        """n lanes, n = 1 included, draw bit for bit what n `Rng` streams draw,
+        over any number of draws, with no warning: a lane step runs on arrays,
+        whose uint64 products wrap silently. A lane handed to `Rng` mid-stream
+        continues its stream, 32-bit draws included."""
+        rngs = [Rng(entropy, key) for key in keys]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lanes = rng_module.spawn(entropy, keys)
+            assert len(lanes) == len(keys)
+            for _ in range(draws):
+                got = lanes.random()
+                assert got.dtype == np.float64 and got.tolist() == [rng.random() for rng in rngs]
+        i = 0 if data is None else data.draw(st.integers(0, len(keys) - 1))
+        handed = lanes[i]
+        for name, *args in [("random",), ("integers", 7), ("uniform", -2.0, 3.0), ("integers", 2**32)]:
+            assert getattr(handed, name)(*args) == getattr(rngs[i], name)(*args)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ENTROPY, _LANE_KEYS, st.integers(0, 20), st.floats(-1e6, 1e6), st.floats(0.0, 1e6))
+    def test_lanes_equal_numpy_pcg64(self, entropy, keys, draws, low, width):
+        """Each lane draws what NumPy's PCG64 Generator of its key draws,
+        `random` and then `uniform`."""
+        lanes, theirs = rng_module.spawn(entropy, keys), [_numpy_rng(entropy, key) for key in keys]
+        for _ in range(draws):
+            assert lanes.random().tolist() == [gen.random() for gen in theirs]
+        assert lanes.uniform(low, low + width).tolist() == [gen.uniform(low, low + width) for gen in theirs]
+
+    def test_slice_draws_advance_its_lanes_in_place(self):
+        """`lanes[a:b]` draws from lanes a to b of its parent: the parent's
+        other lanes stay where they were."""
+        keys = [(k,) for k in range(6)]
+        lanes, rngs = rng_module.spawn(3, keys), [Rng(3, key) for key in keys]
+        assert lanes[2:5].random().tolist() == [rng.random() for rng in rngs[2:5]]
+        assert lanes.random().tolist() == [rng.random() for rng in rngs[:2]] + [
+            rng.random() for rng in rngs[2:5]] + [rngs[5].random()]
+
+    def test_empty_spawn_has_no_lanes(self):
+        lanes = rng_module.spawn(5, [])
+        assert len(lanes) == 0 and lanes.random().tolist() == []
+
+
 # One call of a mixed stream: ("random",), ("uniform", low, high) or ("integers", n).
 _CALLS = st.one_of(
     st.just(("random",)),

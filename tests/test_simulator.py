@@ -421,7 +421,8 @@ class TestHeadStartFastForward:
         with `s += v * dt` and a `bisect` locate: its goal tick, or a tick past
         the budget when it stays short of its goal edge; its ready tick,
         which counts only up to the goal tick and the budget; and every
-        position it holds before its goal tick, within the budget."""
+        position it holds from its ready tick to its goal tick, within the
+        budget, where `xs[tick - ready]` is its position at `tick`."""
         g, paths, dt, delay_m, max_ticks = case
         for path, velocity in paths:
             ready, goal, xs, ys = _motion(g, path, velocity * dt, delay_m, max_ticks)
@@ -429,7 +430,7 @@ class TestHeadStartFastForward:
                                                             g.goal_union)
             assert goal == (max_ticks + 1 if want_goal is None else want_goal)
             assert min(ready, goal) == min(want_ready or math.inf, goal)
-            assert len(xs) == len(ys) and list(zip(xs, ys)) == want_track
+            assert len(xs) == len(ys) and list(zip(xs, ys)) == want_track[ready - 1:]
 
     @pytest.mark.parametrize("step", [0.95e308, 1.7e308, math.inf])
     def test_step_past_half_the_float_range(self, step):
@@ -455,7 +456,8 @@ class TestHeadStartFastForward:
 
 
 class TestTrackBound:
-    """A track holds one position per tick, up to the goal tick or `max_ticks`."""
+    """A track holds one position per tick from the ready tick, up to the goal
+    tick or `max_ticks`."""
 
     def test_slow_targets_time_out_within_the_budget(self, border_scenario, border_world):
         crawl = dataclasses.replace(border_scenario.classes[0], velocity_kmh=(0.001, 0.001))
@@ -463,14 +465,16 @@ class TestTrackBound:
         for i in range(3):
             seed = trial_seed(0, i)
             assert run_trial(sc, seed, border_world) == TrialResult("lose", {}, None, 50, seed, timeout=True)
-            assert all(len(tg.xs) == len(tg.ys) <= 50 for tg in _spawn_targets(sc, border_world, seed))
+            for tg in _spawn_targets(sc, border_world, seed):
+                assert len(tg.xs) == len(tg.ys) == max(0, tg.goal_tick - tg.ready_tick) <= 50
 
     def test_huge_budget_stops_at_the_goal_tick(self, border_scenario, border_world):
         sc = dataclasses.replace(border_scenario, max_ticks=10**9)
         for i in range(3):
             seed = trial_seed(0, i)
             assert run_trial(sc, seed, border_world).ticks < 10**9
-            assert all(len(tg.xs) == len(tg.ys) < tg.goal_tick for tg in _spawn_targets(sc, border_world, seed))
+            for tg in _spawn_targets(sc, border_world, seed):
+                assert len(tg.xs) == len(tg.ys) == max(0, tg.goal_tick - tg.ready_tick) < tg.goal_tick
 
 
 @st.composite

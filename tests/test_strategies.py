@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uav_search import strategies as strategies_module
+from uav_search.rng import Rng, spawn
 from uav_search.road_graph import ConfigError, RoadGraph, overlay_grid, shortest_path, travel_to_goal
 from uav_search.simulator import run_batch
 from uav_search.strategies import RandomWalkStrategy, RouteStrategy, UnreachableGoalError, WanderingError, make_strategy
@@ -376,6 +377,136 @@ class TestWalkTables:
                         assert "exceeded" in str(err)
                     else:
                         validate_path(g, path, entry)
+
+
+def _streams(g, runs):
+    """Training's stream keys and (entry, goal index) starts on `g`, `runs` per pair."""
+    pairs = [(ei, entry, gi) for ei, entry in enumerate(sorted(g.entries)) for gi in range(len(g.goals))]
+    return ([(ei, gi, run) for ei, _, gi in pairs for run in range(runs)],
+            [(entry, gi) for _, entry, gi in pairs for _ in range(runs)])
+
+
+def _scalar_walks(strategy, g, starts, rngs):
+    """What `strategy.path` gives on each stream in order: a path, or None where
+    the goal set is unreachable, up to the first WanderingError; and that error's
+    message and stream index (None, None when no walk is lost)."""
+    out = []
+    for i, ((entry, gi), rng) in enumerate(zip(starts, rngs)):
+        try:
+            out.append(strategy.path(g, entry, rng, goal_index=gi))
+        except UnreachableGoalError:
+            out.append(None)
+        except WanderingError as err:
+            return out, str(err), i
+    return out, None, None
+
+
+def _lane_walks(strategy, g, starts, lanes):
+    """`_scalar_walks` for `strategy.paths` over `lanes`, each path as a list."""
+    out = []
+    try:
+        for path in strategy.paths(g, starts, lanes):
+            out.append(None if path is None else [int(e) for e in path])
+    except WanderingError as err:
+        return out, str(err), len(out)
+    return out, None, None
+
+
+class _Counting:
+    """A stream that counts its draws."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def random(self):
+        self.draws += 1
+        return self.rng.random()
+
+
+class TestLaneWalks:
+    @pytest.mark.parametrize("beta,runs", [(0.01, 6), (0.0, 2), (1e308, 6)])
+    def test_lane_walks_equal_scalar_walks(self, border_refined, beta, runs):
+        """Stream for stream, the walks `paths` steps in lanes equal the walks
+        `path` steps on one `Rng`, after each stream's velocity draw: at beta
+        = 0.01 and 1e308 the last walks finish one by one as lanes thin out,
+        and at beta = 0 most outrun the lanes' 64 edges. Walks done in lanes
+        come as rows of the id matrix, the rest as lists."""
+        g, _ = border_refined
+        keys, starts = _streams(g, runs)
+        strategy = RandomWalkStrategy(beta)
+        lanes = spawn(11, keys)
+        lanes.random()
+        rngs = [Rng(11, key) for key in keys]
+        for rng in rngs:
+            rng.random()
+        got = list(strategy.paths(g, starts, lanes))
+        assert {type(path) for path in got} == {np.ndarray, list}
+        assert ([[int(e) for e in path] for path in got], None, None) == _scalar_walks(strategy, g, starts, rngs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=_walk_graphs(), beta=st.sampled_from(TABLE_BETAS), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_lane_walks_equal_scalar_walks_on_small_graphs(self, g, beta, seed, data):
+        """On small graphs with dead ends, cycles, goal sets no walk reaches
+        and entries outside the graph, enough streams to step in lanes walk
+        as they walk one by one: the same paths, None where unreachable, and
+        the same first WanderingError in stream order."""
+        starts = data.draw(st.lists(st.tuples(st.integers(-1, g.n_edges), st.integers(0, len(g.goals) - 1)),
+                                    min_size=strategies_module.LANE_MIN, max_size=strategies_module.LANE_MIN + 30))
+        keys = [(i,) for i in range(len(starts))]
+        strategy = RandomWalkStrategy(beta)
+        assert (_lane_walks(strategy, g, starts, spawn(seed, keys))
+                == _scalar_walks(strategy, g, starts, [Rng(seed, key) for key in keys]))
+
+    def test_a_draw_on_a_cdf_entry_takes_the_next_candidate(self):
+        """Parallel edges e1 and e2 share a junction and reach the goal alike,
+        so at beta = 0 their row's CDF is [0.5, 1.0]. A draw of exactly 0.5
+        counts the entry 0.5 and takes e2, as `bisect_right` does, in lanes
+        and on one walk."""
+        g = _graph([(0, 0), (100, 0), (200, 0), (300, 0)], [(0, 1), (1, 2), (1, 2), (2, 3)], entries={0}, goals=[{3}])
+        n = strategies_module.LANE_MIN
+
+        class Half:
+            """Lanes, or with `lanes` None one stream, whose every draw is 0.5."""
+
+            def __init__(self, lanes):
+                self.lanes = lanes
+
+            def random(self):
+                return 0.5 if self.lanes is None else np.full(self.lanes, 0.5)
+
+            def __getitem__(self, i):
+                return self if isinstance(i, slice) else Half(None)
+
+        strategy = RandomWalkStrategy(0.0)
+        assert [list(map(int, path)) for path in strategy.paths(g, [(0, 0)] * n, Half(n))] == [[0, 2, 3]] * n
+        assert strategy.path(g, 0, Half(None), goal_index=0) == [0, 2, 3]
+
+    def test_first_lost_walk_in_stream_order_raises(self, border_refined, monkeypatch):
+        """With the cap at 1.5 times a route, beta = 0 walks are lost within
+        the lanes' 64 edges. The streams that stay short come first, so the
+        first lost stream in order follows walks that finish, and a later
+        stream passes the cap in fewer steps: the lanes yield the walks before
+        it and raise the WanderingError the scalar walker raises for it."""
+        monkeypatch.setattr(strategies_module, "MAX_LENGTH_FACTOR", 1.5)
+        g, _ = border_refined
+        keys, starts = _streams(g, 2)
+        strategy = RandomWalkStrategy(0.0)
+        counted = [_Counting(Rng(0, key)) for key in keys]
+        lost = [i for i, rng in enumerate(counted) if _scalar_walks(strategy, g, starts[i:i + 1], [rng])[1]]
+        order = [i for i in range(len(keys)) if i not in lost] + lost
+        keys, starts, draws = [keys[i] for i in order], [starts[i] for i in order], [counted[i].draws for i in order]
+        first = len(keys) - len(lost)
+        assert 0 < first and min(draws[first + 1:]) < draws[first] < strategies_module.LANE_CELLS // strategies_module.LANE_BATCH
+        in_lanes = []
+
+        def lane_phase(*args, _lanes=strategies_module._lanes):
+            in_lanes.append(_lanes(*args))
+            return in_lanes[-1]
+        monkeypatch.setattr(strategies_module, "_lanes", lane_phase)
+        expected = _scalar_walks(strategy, g, starts, [Rng(0, key) for key in keys])
+        assert expected[1:] == ("walk from entry %d exceeded 1.5x the shortest route" % starts[first][0], first)
+        assert _lane_walks(strategy, g, starts, spawn(0, keys)) == expected
+        assert any(in_lanes[0][3][first + 1:])  # a later lane was lost in the lane phase
 
 
 class TestSideRoads:
