@@ -45,7 +45,7 @@ MAX_LENGTH_FACTOR = 1000.0
 # LANE_CELLS // LANE_BATCH = 64 edges there (64 KB of int16 ids on the bundled map, where a
 # random_walk:beta=0.01 walk holds at most 45); a longer walk finishes alone. Under LANE_MIN
 # live walks the rest finish alone too: a lane step costs about 75 us whatever its lane count,
-# a walk's step alone about 2 us, and the benchmark's walks took the same time at any
+# a walk's step alone about 1 us, and the benchmark's walks took the same time at any
 # LANE_MIN from 8 to 48 (2-CPU host).
 LANE_BATCH = 512
 LANE_CELLS = 1 << 15
